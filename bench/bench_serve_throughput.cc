@@ -26,9 +26,9 @@
 //
 // PR 4 adds the row the bytecode compiler is judged by:
 //
-//   5. psc compile sweep              -> program-interface queries only
-//      (response cache off, so every query evaluates), bytecode VM vs the
-//      tree-walking interpreter; target >= 3x on mean latency
+//   5. psc compile sweep              -> program-interface queries only,
+//      evaluated directly on the tree-walking interpreter (the VM's
+//      reference) and on the bytecode VM; target >= 3x on mean time
 //
 // PR 5 adds the row the network front end is judged by:
 //
@@ -61,10 +61,6 @@
 //      off vs on with every cache cold; target >= 5x on mean latency AND
 //      bit-identical values on an audited probe set (the distiller's
 //      exactness contract measured end to end)
-//  11. expr superinstruction micro   -> an expr-heavy pipeline net driven
-//      straight through PetriSim, register-bytecode fast path off vs on
-//      over an identical workload stream; target >= 1.3x with zero
-//      quiesce-time divergence
 //
 // PR 10 adds the rows SLO-aware admission control is judged by:
 //
@@ -104,17 +100,16 @@
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/strings.h"
-#include "src/core/pnet.h"
 #include "src/core/registry.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/obs/trace.h"
-#include "src/petri/compiled_net.h"
+#include "src/perfscript/interp.h"
+#include "src/perfscript/kv_object.h"
+#include "src/perfscript/vm.h"
 #include "src/petri/distill.h"
 #include "src/petri/param_model.h"
 #include "src/petri/pnet_memo.h"
-#include "src/petri/sim.h"
-#include "src/petri/token.h"
 #include "src/serve/service.h"
 
 namespace perfiface::serve {
@@ -910,29 +905,61 @@ int main(int argc, char** argv) {
                  : "[ASYNC NOT KEEPING UP]"));
 
   // --- Sweep 5: program queries, bytecode VM vs tree-walker -------------
-  // Response cache OFF on both sides so every query actually evaluates its
-  // program; the population is program-interface-only (pnet queries never
-  // touch either backend). Same service shape otherwise — the only delta
-  // is enable_psc_compile, so the ratio is the compiler's contribution on
-  // the uncached path.
+  // The same program requests evaluated straight through the reference
+  // Interpreter and through the bytecode Vm — one reused instance of each
+  // per program, as a serve worker keeps its Vm, with the workload object
+  // built per query on both sides. No service in the loop, so the ratio is
+  // the compiler's contribution to evaluation alone.
   const std::size_t kPscDistinct = smoke ? 48 : 192;
   const std::size_t kPscQueries = smoke ? 1'500 : 20'000;
   const std::vector<PredictRequest> programs = BuildProgramPopulation(kPscDistinct, 0xc0de);
   double psc_mean_compiled = 0;
   double psc_mean_interp = 0;
-  for (const bool compiled : {false, true}) {
-    ServiceOptions options;
-    options.num_workers = 2;
-    options.cache_capacity = 0;
-    options.enable_psc_compile = compiled;
-    PredictionService service(InterfaceRegistry::Default(), options);
-    const double mean_us = DriveMeanLatencyUs(&service, programs, kPscQueries, kBatch);
-    (compiled ? psc_mean_compiled : psc_mean_interp) = mean_us;
+  {
+    struct Backends {
+      ProgramInterface iface;
+      Interpreter interp;
+      Vm vm;
+      explicit Backends(ProgramInterface loaded)
+          : iface(std::move(loaded)), interp(iface.program().get()), vm(iface.compiled()) {
+        for (const auto& [name, value] : iface.constants()) {
+          interp.SetGlobal(name, value);
+        }
+      }
+    };
+    std::map<std::string, std::unique_ptr<Backends>> backends;
+    for (const PredictRequest& req : programs) {
+      std::unique_ptr<Backends>& slot = backends[req.interface];
+      if (slot == nullptr) {
+        slot = std::make_unique<Backends>(InterfaceRegistry::Default().LoadProgram(req.interface));
+      }
+    }
+    double checksum[2] = {0, 0};
+    for (const bool compiled : {false, true}) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < kPscQueries; ++i) {
+        const PredictRequest& req = programs[i % programs.size()];
+        Backends& b = *backends[req.interface];
+        KvObject workload;
+        for (const auto& [name, value] : req.attrs) {
+          workload.Set(name, value);
+        }
+        workload.AddUniformChildren(req.children);
+        const EvalResult r = compiled ? b.vm.Call(req.function, {Value::Object(&workload)})
+                                      : b.interp.Call(req.function, {Value::Object(&workload)});
+        PI_CHECK_MSG(r.ok, r.error.c_str());
+        checksum[compiled] += r.value.num;
+      }
+      const double mean_us =
+          Seconds(t0, std::chrono::steady_clock::now()) * 1e6 / static_cast<double>(kPscQueries);
+      (compiled ? psc_mean_compiled : psc_mean_interp) = mean_us;
+    }
+    PI_CHECK_MSG(checksum[0] == checksum[1], "interpreter and VM answers diverged");
   }
   const double psc_speedup = psc_mean_compiled > 0 ? psc_mean_interp / psc_mean_compiled : 0;
   const char* psc_verdict = psc_speedup >= 3.0 ? "ok" : "below_3x_target";
   std::printf(
-      "\npsc compile sweep (%zu distinct program queries, %zu total, response cache off):\n"
+      "\npsc compile sweep (%zu distinct program queries, %zu total, evaluated directly):\n"
       "  tree-walk %.2f us/query, bytecode VM %.2f us/query -> %.2fx  %s\n",
       kPscDistinct, kPscQueries, psc_mean_interp, psc_mean_compiled, psc_speedup,
       psc_speedup >= 3.0 ? "[ok: >= 3x]" : "[BELOW 3x TARGET]");
@@ -1247,125 +1274,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(derived_models), derived_probe_hits, derived_divergence,
       std::strcmp(derived_verdict, "ok") == 0 ? "[ok: >= 5x, bit-identical]"
                                               : "[DERIVED ROW REGRESSED]");
-
-  // --- Micro-row: expression superinstruction fast path -----------------
-  // An expr-heavy pipeline net driven straight through PetriSim (no
-  // serving layer): four stages whose delay *and* guard expressions are
-  // deep enough that evaluation, not event-heap bookkeeping, dominates
-  // each firing — the workload the register bytecode and its fused
-  // superinstructions exist for. Fast path off vs on over an identical
-  // attr stream; the two modes are bit-identical by contract
-  // (src/petri/sim.h), so any quiesce-time mismatch counts as divergence
-  // and fails the row outright.
-  const std::size_t kExprStages = 4;
-  const std::size_t kExprTermsPerDelay = 96;
-  const std::size_t kExprReps = smoke ? 256 : 2'048;
-  const std::size_t kExprTokens = 64;
-  double expr_secs_off = 0;
-  double expr_secs_on = 0;
-  double expr_median_speedup = 0;
-  std::size_t expr_divergence = 0;
-  {
-    // Each stage's delay is a long, fusable chain — mul-add groups, const
-    // min/max clamps, prime moduli — generated rather than hand-written so
-    // depth is one constant. Guards are attr-dependent (never constant, so
-    // the register guard route is exercised) but always true for the
-    // nonnegative attrs the driver injects.
-    std::string expr_net_text = "net exprheavy\nattr x\nattr y\n";
-    for (std::size_t p = 0; p <= kExprStages; ++p) {
-      expr_net_text += StrFormat("place q%zu\n", p);
-    }
-    const unsigned primes[] = {127, 149, 191, 227, 233, 251, 283, 311, 359,
-                               421, 431, 499, 509, 541, 577, 593, 613, 641,
-                               647, 683, 709, 733, 769, 821, 883, 919};
-    const char* guards[] = {"x + y * 2 >= 1 and x * 3 + 1 > 0",
-                            "max(x, y) >= 0 and y + 1 > 0",
-                            "x * y + 1 > 0 and x >= 0",
-                            "x + 1 > 0 and y * 2 >= 0"};
-    for (std::size_t s = 0; s < kExprStages; ++s) {
-      std::string delay = StrFormat("(x * %zu + y * %zu + %zu) %% 8191", 2 + s, 3 + s, 5 + s);
-      for (std::size_t t = 0; t < kExprTermsPerDelay; ++t) {
-        const std::size_t v = s * kExprTermsPerDelay + t;
-        const unsigned prime = primes[v % (sizeof(primes) / sizeof(primes[0]))];
-        switch (t % 4) {
-          case 0:
-            delay += StrFormat(" + ((x * %zu + y * %zu) * %zu + %zu) %% %u", 2 + v % 7,
-                               1 + v % 5, 2 + v % 3, 3 + v, prime);
-            break;
-          case 1:
-            delay += StrFormat(" + max(min(y * %zu + %zu, %zu), %zu)", 2 + v % 8, 3 + v,
-                               8'000 + 900 * (v % 50), 8 + v % 56);
-            break;
-          case 2:
-            delay += StrFormat(" + (x * %zu + y * %zu + %zu) %% %u", 1 + v % 9, 2 + v % 7,
-                               7 + v, prime);
-            break;
-          default:
-            delay += StrFormat(" + min(x * %zu + %zu, %zu) / %zu", 2 + v % 6, 2 + v,
-                               30'000 + 1'000 * (v % 60), 3 + v % 28);
-            break;
-        }
-      }
-      expr_net_text += StrFormat("trans s%zu in=q%zu out=q%zu guard=\"%s\" delay=\"%s\"\n",
-                                 s + 1, s, s + 1, guards[s % 4], delay.c_str());
-    }
-    const LoadedNet expr_loaded = LoadPnet(expr_net_text);
-    PI_CHECK_MSG(expr_loaded.ok(), expr_loaded.error.c_str());
-    const CompiledNet expr_cnet(expr_loaded.net.get());
-    const PlaceId q0 = expr_loaded.net->PlaceByName("q0");
-    // Modes interleave per rep (off, on, off, on, ...) with a shared seed
-    // per rep, so clock drift and thermal throttling hit both sides
-    // equally and the quiesce-time comparison sees identical attr streams.
-    // The verdict statistic is the *median* of per-rep speedups: a noisy
-    // neighbor stealing the core for a few reps shifts the tails, not the
-    // median, so the row does not flap on shared hosts.
-    std::vector<double> expr_rep_ratio;
-    expr_rep_ratio.reserve(kExprReps);
-    for (std::size_t rep = 0; rep < kExprReps; ++rep) {
-      Cycles now_off = 0;
-      Cycles now_on = 0;
-      double rep_secs_off = 0;
-      double rep_secs_on = 0;
-      for (const bool fastpath : {false, true}) {
-        SplitMix64 rng(DeriveSeed(0x90de, rep));
-        PetriSim sim(&expr_cnet);
-        sim.set_expr_fastpath(fastpath);
-        for (std::size_t i = 0; i < kExprTokens; ++i) {
-          Token tok;
-          tok.attrs = {static_cast<double>(rng.NextBelow(10'000)),
-                       static_cast<double>(rng.NextBelow(10'000))};
-          sim.Inject(q0, tok);
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        PI_CHECK(sim.Run(1ULL << 40));
-        const auto t1 = std::chrono::steady_clock::now();
-        (fastpath ? rep_secs_on : rep_secs_off) = Seconds(t0, t1);
-        (fastpath ? now_on : now_off) = sim.now();
-      }
-      expr_secs_off += rep_secs_off;
-      expr_secs_on += rep_secs_on;
-      if (rep_secs_on > 0) {
-        expr_rep_ratio.push_back(rep_secs_off / rep_secs_on);
-      }
-      if (now_on != now_off) {
-        ++expr_divergence;
-      }
-    }
-    std::sort(expr_rep_ratio.begin(), expr_rep_ratio.end());
-    expr_median_speedup =
-        expr_rep_ratio.empty() ? 0 : expr_rep_ratio[expr_rep_ratio.size() / 2];
-  }
-  const double expr_speedup = expr_median_speedup;
-  const char* expr_verdict = expr_divergence != 0
-                                 ? "fastpath_divergence_nonzero"
-                                 : (expr_speedup >= 1.3 ? "ok" : "below_1p3x_target");
-  std::printf(
-      "\nexpr superinstruction micro (%zu direct sim runs, %zu tokens through 4 expr-heavy "
-      "stages):\n"
-      "  fastpath off %.4fs, fastpath on %.4fs -> median %.2fx, %zu divergence(s)  %s\n",
-      kExprReps, kExprTokens, expr_secs_off, expr_secs_on, expr_speedup, expr_divergence,
-      std::strcmp(expr_verdict, "ok") == 0 ? "[ok: >= 1.3x, bit-identical]"
-                                           : "[EXPR ROW REGRESSED]");
 
   // --- Tracing overhead -------------------------------------------------
   // Same config twice: tracer off (the shipped default — this is the row
@@ -1682,12 +1590,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(derived_hits_total),
       static_cast<unsigned long long>(derived_models), derived_probe_hits, derived_divergence,
       derived_verdict);
-  json += StrFormat(
-      "  \"expr_superinstr\": {\"reps\": %zu, \"tokens\": %zu, \"secs_fastpath_off\": %.4f, "
-      "\"secs_fastpath_on\": %.4f, \"median_speedup\": %.3f, \"divergence\": %zu, "
-      "\"verdict\": \"%s\"},\n",
-      kExprReps, kExprTokens, expr_secs_off, expr_secs_on, expr_speedup, expr_divergence,
-      expr_verdict);
   json += StrFormat(
       "  \"admission_sweep\": {\"count\": %zu, \"trials\": %d, \"mean_service_us\": %.2f, "
       "\"deadline_us\": %lld, \"p99_uncontended_us\": %.2f, \"p99_admitted_us\": %.2f, "

@@ -62,7 +62,8 @@ class MiningJob : public ScriptObject {
 int main() {
   using namespace perfiface;
 
-  const ProgramInterface iface = ProgramInterface::FromSource(kMinerInterface);
+  ProgramInterface iface = ProgramInterface::FromSource(kMinerInterface);
+  iface.Compile();
   std::printf("vendor-authored interface program:\n%s\n", kMinerInterface);
 
   std::printf("validation against the hardware (functional double-SHA-256 miner):\n");

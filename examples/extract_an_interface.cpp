@@ -34,7 +34,8 @@ int main() {
               100 * extracted.train_max_error);
 
   // Held-out comparison: extracted vs the vendor's hand-written Fig 2.
-  const ProgramInterface machine = ProgramInterface::FromSource(extracted.psc_source);
+  ProgramInterface machine = ProgramInterface::FromSource(extracted.psc_source);
+  machine.Compile();
   double machine_err = 0;
   double vendor_err = 0;
   std::size_t n = 0;

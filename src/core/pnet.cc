@@ -1,6 +1,5 @@
 #include "src/core/pnet.h"
 
-#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
@@ -10,7 +9,6 @@
 #include "src/common/loc.h"
 #include "src/common/strings.h"
 #include "src/perfscript/compile.h"
-#include "src/perfscript/interp.h"
 #include "src/perfscript/parser.h"
 
 namespace perfiface {
@@ -129,13 +127,6 @@ std::shared_ptr<const CompiledExpr> CompileNetExpr(const std::string& source,
         return ExprBinding::Slot(static_cast<std::uint32_t>(slot));
       },
       error, options);
-}
-
-// Evaluates a bound expression against the primary (first) token of a firing.
-double EvalNetExpr(const CompiledExpr& expr, const TokenRefs& tokens) {
-  PI_CHECK(!tokens.empty());
-  const Token* primary = tokens.front();
-  return expr.Eval([primary](std::uint32_t slot) { return primary->Attr(slot); });
 }
 
 }  // namespace
@@ -257,33 +248,23 @@ LoadedNet LoadPnet(std::string_view text) {
       }
       spec.servers = static_cast<std::size_t>(servers);
 
-      // Shared so the std::function stays copyable.
-      std::shared_ptr<const CompiledExpr> delay_sp =
-          CompileNetExpr(opts.Get("delay"), net, consts, &err);
-      if (delay_sp == nullptr) {
+      // The simulator evaluates the compiled expressions directly
+      // (TransitionSpec::delay_compiled); loaded transitions carry no
+      // closures.
+      spec.delay_compiled = CompileNetExpr(opts.Get("delay"), net, consts, &err);
+      if (spec.delay_compiled == nullptr) {
         fail(StrFormat("delay: %s", err.c_str()));
         return out;
       }
-      spec.delay_expr = delay_sp->Canonical();
-      spec.delay_compiled = delay_sp;
-      spec.delay = [delay_sp](const TokenRefs& tokens) -> Cycles {
-        const double v = EvalNetExpr(*delay_sp, tokens);
-        PI_CHECK_MSG(v >= 0 && v < 1e15, "delay out of range");
-        return static_cast<Cycles>(std::llround(v));
-      };
+      spec.delay_expr = spec.delay_compiled->Canonical();
 
       if (opts.Has("guard")) {
-        std::shared_ptr<const CompiledExpr> guard_sp =
-            CompileNetExpr(opts.Get("guard"), net, consts, &err);
-        if (guard_sp == nullptr) {
+        spec.guard_compiled = CompileNetExpr(opts.Get("guard"), net, consts, &err);
+        if (spec.guard_compiled == nullptr) {
           fail(StrFormat("guard: %s", err.c_str()));
           return out;
         }
-        spec.guard_expr = guard_sp->Canonical();
-        spec.guard_compiled = guard_sp;
-        spec.guard = [guard_sp](const TokenRefs& tokens) -> bool {
-          return EvalNetExpr(*guard_sp, tokens) != 0.0;
-        };
+        spec.guard_expr = spec.guard_compiled->Canonical();
       }
       net.AddTransition(std::move(spec));
     } else {

@@ -32,13 +32,13 @@
 namespace perfiface {
 
 // Thread-safety: a LoadedNet is immutable once LoadPnet returns. The
-// compiled delay/guard closures are pure functions of the token set (flat
-// stack-machine programs, no captured mutable state), so one net may back
+// compiled delay/guard expressions are pure functions of the token's
+// attributes (register bytecode, no mutable state), so one net may back
 // any number of concurrent PetriSims across threads.
 struct LoadedNet {
   std::string name;
-  // The net owns compiled delay/guard closures; heap-allocated so LoadedNet
-  // can move without invalidating PetriSim pointers.
+  // The net owns its compiled delay/guard expressions; heap-allocated so
+  // LoadedNet can move without invalidating PetriSim pointers.
   std::unique_ptr<PetriNet> net;
   std::string error;  // non-empty on failure
 

@@ -21,10 +21,20 @@ ProgramInterface ProgramInterface::FromFile(const std::string& path) {
   return FromSource(ReadFileOrDie(path));
 }
 
+namespace {
+
+std::shared_ptr<const CompiledProgram> CompileOrDie(
+    const Program& program, const std::vector<std::pair<std::string, double>>& constants) {
+  CompileProgramResult result = CompileProgram(program, constants);
+  PI_CHECK_MSG(result.ok(), result.error.c_str());
+  return std::move(result.program);
+}
+
+}  // namespace
+
 void ProgramInterface::SetConstant(const std::string& name, double value) {
   // Constants are folded into the bytecode, so any compiled form is stale.
   compiled_ = nullptr;
-  compile_error_.clear();
   for (auto& c : constants_) {
     if (c.first == name) {
       c.second = value;
@@ -39,32 +49,12 @@ void ProgramInterface::Compile() {
     return;
   }
   obs::SpanGuard span("psc", "compile");
-  CompileProgramResult result = CompileProgram(*program_, constants_);
-  if (result.ok()) {
-    compiled_ = std::move(result.program);
-    compile_error_.clear();
-  } else {
-    compile_error_ = result.reason;
-  }
-  if (span.active()) {
-    span.SetArg("compiled", compiled_ != nullptr ? 1.0 : 0.0);
-    if (!compile_error_.empty()) {
-      span.SetArg("fallback_reason", compile_error_);
-    }
-  }
+  compiled_ = CompileOrDie(*program_, constants_);
 }
 
 double ProgramInterface::Eval(const std::string& function, const ScriptObject& workload) const {
-  if (compiled_ != nullptr) {
-    Vm vm(compiled_);
-    return vm.Call(function, {Value::Object(&workload)}).Num();
-  }
-  Interpreter interp(program_.get());
-  for (const auto& c : constants_) {
-    interp.SetGlobal(c.first, c.second);
-  }
-  const EvalResult result = interp.Call(function, {Value::Object(&workload)});
-  return result.Num();
+  Vm vm(compiled_ != nullptr ? compiled_ : CompileOrDie(*program_, constants_));
+  return vm.Call(function, {Value::Object(&workload)}).Num();
 }
 
 bool ProgramInterface::Has(const std::string& function) const {

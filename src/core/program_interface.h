@@ -6,11 +6,11 @@
 // envisions vendors shipping small Python programs alongside hardware.
 //
 // Thread-safety: after construction, SetConstant, and Compile calls are
-// done, the object is effectively immutable — Eval builds a private
-// Interpreter (or Vm) per call, so concurrent Eval from many threads is
-// safe. Callers that want to amortize even that (one interpreter/VM per
-// worker thread) can share the parsed program via program()/constants() and
-// the bytecode via compiled(); see src/serve.
+// done, the object is effectively immutable — Eval builds a private Vm per
+// call, so concurrent Eval from many threads is safe. Callers that want to
+// amortize even that (one Vm per worker thread) share the bytecode via
+// compiled(); see src/serve. The parsed program and its constants stay
+// available through program()/constants() for reference evaluators.
 #ifndef SRC_CORE_PROGRAM_INTERFACE_H_
 #define SRC_CORE_PROGRAM_INTERFACE_H_
 
@@ -19,7 +19,6 @@
 
 #include "src/perfscript/ast.h"
 #include "src/perfscript/compile.h"
-#include "src/perfscript/interp.h"
 #include "src/perfscript/value.h"
 
 namespace perfiface {
@@ -38,23 +37,19 @@ class ProgramInterface {
 
   // Lowers the program to register bytecode with the current constants
   // folded in (perfscript/compile.h). Idempotent; called by the registry
-  // after all constants are set. Programs outside the compilable subset
-  // (see CompileProgram) leave compiled() null and record compile_error();
-  // Eval then transparently falls back to the tree-walking interpreter.
+  // after all constants are set. Aborts with the compiler's message when
+  // the program exceeds a bytecode size limit (like a syntax error, a
+  // shipped interface that does not load is a packaging bug).
   void Compile();
 
-  // The compiled bytecode, or nullptr if Compile was never called, a
-  // constant changed since, or the program fell outside the compilable
-  // subset. Immutable and freely shared across threads (each Vm keeps its
-  // own mutable state).
+  // The compiled bytecode, or nullptr if Compile was never called or a
+  // constant changed since. Immutable and freely shared across threads
+  // (each Vm keeps its own mutable state).
   const std::shared_ptr<const CompiledProgram>& compiled() const { return compiled_; }
 
-  // Why compiled() is null after Compile(): the first fallback reason, or
-  // empty if compilation succeeded / was never attempted.
-  const std::string& compile_error() const { return compile_error_; }
-
-  // Evaluates `function(workload)`; aborts with the script error message on
-  // runtime failure.
+  // Evaluates `function(workload)` on the bytecode VM; aborts with the
+  // script error message on runtime failure. Without a current Compile(),
+  // each call compiles a private copy first.
   double Eval(const std::string& function, const ScriptObject& workload) const;
 
   // True if the program defines `function` (interfaces expose different
@@ -63,8 +58,8 @@ class ProgramInterface {
 
   const std::string& source() const { return source_; }
 
-  // The parsed program and the constants applied to it, for callers that
-  // build their own per-thread Interpreters over the shared parse.
+  // The parsed program and the constants applied to it, for reference
+  // evaluators (the Interpreter oracle) over the shared parse.
   const std::shared_ptr<Program>& program() const { return program_; }
   const std::vector<std::pair<std::string, double>>& constants() const { return constants_; }
 
@@ -75,7 +70,6 @@ class ProgramInterface {
   std::shared_ptr<Program> program_;
   std::vector<std::pair<std::string, double>> constants_;
   std::shared_ptr<const CompiledProgram> compiled_;
-  std::string compile_error_;
 };
 
 }  // namespace perfiface

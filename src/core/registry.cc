@@ -123,8 +123,7 @@ ProgramInterface InterfaceRegistry::LoadProgram(const std::string& accelerator) 
     iface.SetConstant(c.first, c.second);
   }
   // Lower to bytecode once per load, after all calibration constants are in
-  // place (they get folded into the compiled form). Non-compilable programs
-  // simply keep the tree-walking path.
+  // place (they get folded into the compiled form).
   iface.Compile();
   return iface;
 }

@@ -82,9 +82,9 @@ void CollectAssignedNames(const std::vector<StmtPtr>& block, std::vector<std::st
 // definite assignment: a variable read compiles to a plain register access
 // only when every path to the read assigns the variable first. A read of a
 // variable that is assigned on only *some* paths (one `if` branch, inside a
-// loop body) would need the interpreter's dynamic local-vs-global
-// resolution, so the whole program falls back to the tree-walker instead —
-// the compiled form must never disagree with it.
+// loop body) compiles to a dynamic-scope load (kLoadOrConst / kCheckDef)
+// that resolves local-vs-global at runtime exactly like the interpreter;
+// its register is marked unassigned on every entry to the function.
 class FunctionCompiler {
  public:
   FunctionCompiler(const Program& program, const FunctionDef& fn,
@@ -92,8 +92,8 @@ class FunctionCompiler {
                    CompiledProgram* out)
       : program_(program), fn_(fn), constants_(constants), out_(out) {}
 
-  // On failure, *reason says why the function cannot be lowered.
-  bool Compile(CompiledFunction* cf, std::string* reason);
+  // On failure (a size limit), *error says which.
+  bool Compile(CompiledFunction* cf, std::string* error);
 
  private:
   // --- emission -----------------------------------------------------------
@@ -101,7 +101,7 @@ class FunctionCompiler {
             int line) {
     if (!ok_) return;
     if (a > 255 || b > 255 || c > 255 || imm > kMaxImm || cf_->code.size() >= kMaxImm) {
-      Fallback("function too large to lower");
+      Fail("function too large to lower");
       return;
     }
     Instr ins;
@@ -121,7 +121,7 @@ class FunctionCompiler {
     if (it != const_idx_.end()) return it->second;
     const std::size_t idx = out_->consts.size();
     if (idx > kMaxImm) {
-      Fallback("constant pool overflow");
+      Fail("constant pool overflow");
       return 0;
     }
     out_->consts.push_back(v);
@@ -134,7 +134,7 @@ class FunctionCompiler {
     if (it != error_idx_.end()) return it->second;
     const std::size_t idx = out_->errors.size();
     if (idx > kMaxImm) {
-      Fallback("error pool overflow");
+      Fail("error pool overflow");
       return 0;
     }
     out_->errors.push_back(msg);
@@ -157,7 +157,7 @@ class FunctionCompiler {
   void PatchJump(std::size_t at) {
     if (!ok_) return;
     if (cf_->code.size() > kMaxImm) {
-      Fallback("function too large to lower");
+      Fail("function too large to lower");
       return;
     }
     cf_->code[at].imm = static_cast<std::uint16_t>(cf_->code.size());
@@ -184,6 +184,7 @@ class FunctionCompiler {
   static bool WritesA(Op op) {
     switch (op) {
       case Op::kCheckNum:
+      case Op::kCheckDef:
       case Op::kJmp:
       case Op::kJmpIfZero:
       case Op::kJmpIfNotZero:
@@ -199,7 +200,7 @@ class FunctionCompiler {
   // Allocates/uses the temp register at watermark `w`.
   std::uint32_t Temp(std::uint32_t w) {
     if (w >= kMaxRegs) {
-      Fallback("register file overflow");
+      Fail("register file overflow");
       return 0;
     }
     max_regs_ = std::max<std::uint32_t>(max_regs_, w + 1);
@@ -215,11 +216,18 @@ class FunctionCompiler {
     return Operand::Reg(r, true);
   }
 
-  void Fallback(const std::string& reason) {
+  void Fail(const std::string& what) {
     if (ok_) {
       ok_ = false;
-      reason_ = StrFormat("%s: %s", fn_.name.c_str(), reason.c_str());
+      error_ = StrFormat("%s: %s", fn_.name.c_str(), what.c_str());
     }
+  }
+
+  // Register of a maybe-assigned local that a dynamic-scope load reads.
+  std::uint32_t DynamicLocal(const std::string& name) {
+    const std::uint32_t reg = LocalReg(name);
+    unassigned_on_entry_.insert(reg);
+    return reg;
   }
 
   // --- analysis -----------------------------------------------------------
@@ -268,6 +276,7 @@ class FunctionCompiler {
   DefiniteMap definite_;
   std::set<std::string> maybe_;
   std::vector<std::set<std::string>> loop_assigned_;
+  std::set<std::uint32_t> unassigned_on_entry_;
 
   std::map<std::uint64_t, std::size_t> const_idx_;
   std::map<std::string, std::size_t> error_idx_;
@@ -275,10 +284,10 @@ class FunctionCompiler {
   std::uint32_t max_regs_ = 0;
 
   bool ok_ = true;
-  std::string reason_;
+  std::string error_;
 };
 
-bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* reason) {
+bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* error) {
   cf_ = cf;
   cf_->name = fn_.name;
   cf_->line = fn_.line;
@@ -302,7 +311,7 @@ bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* reason) {
     if (!seen) local_names_.push_back(name);
   }
   if (local_names_.size() > kMaxRegs) {
-    *reason = StrFormat("%s: too many locals", fn_.name.c_str());
+    *error = StrFormat("%s: too many locals", fn_.name.c_str());
     return false;
   }
   num_locals_ = static_cast<std::uint32_t>(local_names_.size());
@@ -325,11 +334,12 @@ bool FunctionCompiler::Compile(CompiledFunction* cf, std::string* reason) {
   }
 
   if (!ok_) {
-    *reason = reason_;
+    *error = error_;
     return false;
   }
   cf_->num_regs = max_regs_;
   cf_->num_locals = num_locals_;
+  cf_->unassigned_on_entry.assign(unassigned_on_entry_.begin(), unassigned_on_entry_.end());
   return true;
 }
 
@@ -344,10 +354,17 @@ Operand FunctionCompiler::LowerExpr(const Expr& e, std::uint32_t w) {
         return Operand::Reg(LocalReg(e.name), it->second);
       }
       if (maybe_.count(e.name) > 0 || IsLoopAssigned(e.name)) {
-        // Whether this read sees a local or a global depends on the path
-        // taken at runtime; only the interpreter resolves that dynamically.
-        Fallback(StrFormat("read of maybe-assigned variable '%s'", e.name.c_str()));
-        return Operand::Const(0);
+        // Whether this read sees the local or the global depends on the
+        // path taken, so it resolves at runtime. No static type either way.
+        const std::uint32_t local = DynamicLocal(e.name);
+        if (const double* c = FindConstant(e.name)) {
+          const std::uint32_t dst = Temp(w);
+          Emit(Op::kLoadOrConst, dst, local, 0, ConstIdx(*c), e.line);
+          return Operand::Reg(dst, false);
+        }
+        Emit(Op::kCheckDef, local, 0, 0,
+             ErrorIdx(StrFormat("undefined variable '%s'", e.name.c_str())), e.line);
+        return Operand::Reg(local, false);
       }
       if (const double* c = FindConstant(e.name)) {
         return Operand::Const(*c);
@@ -362,7 +379,7 @@ Operand FunctionCompiler::LowerExpr(const Expr& e, std::uint32_t w) {
       Operand base = Materialize(LowerExpr(*e.children[0], w), w, e.line);
       const std::size_t site = out_->attr_names.size();
       if (site > kMaxImm) {
-        Fallback("attribute site overflow");
+        Fail("attribute site overflow");
         return Operand::Const(0);
       }
       out_->attr_names.push_back(e.name);
@@ -693,16 +710,20 @@ void FunctionCompiler::LowerStmt(const Stmt& s, std::uint32_t w) {
       return;
     }
     case StmtKind::kAugAdd: {
-      const auto it = definite_.find(s.target);
+      auto it = definite_.find(s.target);
       if (it == definite_.end()) {
-        if (maybe_.count(s.target) > 0 || IsLoopAssigned(s.target)) {
-          Fallback(StrFormat("'+=' to maybe-assigned variable '%s'", s.target.c_str()));
+        // The interpreter never falls back to globals for a '+=' target.
+        const std::string undefined =
+            StrFormat("undefined variable '%s'", s.target.c_str());
+        if (maybe_.count(s.target) == 0 && !IsLoopAssigned(s.target)) {
+          // Guaranteed runtime error when reached.
+          EmitError(s.line, undefined);
           return;
         }
-        // Guaranteed runtime error when reached; note the interpreter never
-        // falls back to globals for a '+=' target.
-        EmitError(s.line, StrFormat("undefined variable '%s'", s.target.c_str()));
-        return;
+        // Maybe-assigned: an error unless this call assigned it. Past the
+        // check the target is assigned, with no static type.
+        Emit(Op::kCheckDef, DynamicLocal(s.target), 0, 0, ErrorIdx(undefined), s.line);
+        it = definite_.emplace(s.target, false).first;
       }
       const std::uint32_t t = LocalReg(s.target);
       // Interpreter order: check the target's type, evaluate the value,
@@ -849,6 +870,7 @@ bool IsJumpOp(Op op) {
 bool InstrWritesA(Op op) {
   switch (op) {
     case Op::kCheckNum:
+    case Op::kCheckDef:
     case Op::kJmp:
     case Op::kJmpIfZero:
     case Op::kJmpIfNotZero:
@@ -892,6 +914,7 @@ bool InstrReadsReg(const Instr& ins, std::uint32_t r) {
     case Op::kMaxC:
     case Op::kClampCC:
     case Op::kMulAddCC:
+    case Op::kLoadOrConst:
       return ins.b == r;
     case Op::kAdd:
     case Op::kSub:
@@ -912,6 +935,7 @@ bool InstrReadsReg(const Instr& ins, std::uint32_t r) {
     case Op::kMulAddC:
       return ins.b == r || ins.c == r;
     case Op::kCheckNum:
+    case Op::kCheckDef:
     case Op::kJmpIfZero:
     case Op::kJmpIfNotZero:
     case Op::kRet:
@@ -1109,7 +1133,7 @@ CompileProgramResult CompileProgram(
   out->functions.resize(program.functions.size());
   for (std::size_t i = 0; i < program.functions.size(); ++i) {
     FunctionCompiler fc(program, program.functions[i], constants, out.get());
-    if (!fc.Compile(&out->functions[i], &result.reason)) {
+    if (!fc.Compile(&out->functions[i], &result.error)) {
       return result;
     }
   }
@@ -1178,6 +1202,8 @@ const char* OpName(Op op) {
     case Op::kCmpBranch: return "cmpbr";
     case Op::kAnd2: return "and2";
     case Op::kOr2: return "or2";
+    case Op::kLoadOrConst: return "loadorc";
+    case Op::kCheckDef: return "checkdef";
   }
   return "?";
 }
@@ -1199,6 +1225,13 @@ const char* CmpName(std::uint8_t kind) {
 std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) const {
   std::string out = StrFormat("function %s(%zu params, %zu regs):\n", fn.name.c_str(),
                               fn.num_params, fn.num_regs);
+  if (!fn.unassigned_on_entry.empty()) {
+    out += "  unassigned on entry:";
+    for (const std::uint8_t r : fn.unassigned_on_entry) {
+      out += StrFormat(" r%u", r);
+    }
+    out += "\n";
+  }
   for (std::size_t i = 0; i < fn.code.size(); ++i) {
     const Instr& ins = fn.code[i];
     out += StrFormat("  %4zu: %-9s", i, OpName(ins.op));
@@ -1293,6 +1326,12 @@ std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) con
       case Op::kOr2:
         out += StrFormat("r%u, r%u, r%u", ins.a, ins.b, ins.c);
         break;
+      case Op::kLoadOrConst:
+        out += StrFormat("r%u, r%u or %g", ins.a, ins.b, consts[ins.imm]);
+        break;
+      case Op::kCheckDef:
+        out += StrFormat("r%u else \"%s\"", ins.a, errors[ins.imm].c_str());
+        break;
     }
     out += StrFormat("   ; line %u\n", ins.line);
   }
@@ -1318,8 +1357,8 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expr& expr, const Expr
   if (!compiled->Emit(expr, binder, options, error)) {
     return nullptr;
   }
-  // Postfix depth is bounded at compile time so Run() can use a fixed-size
-  // stack with no per-op bounds branches beyond the existing checks.
+  // Postfix depth bounds the temps the register lowering needs above the
+  // slot registers (kMaxSlots + kMaxStack + 2 scratch fit in 8 bits).
   int depth = 0;
   int max_depth = 0;
   for (const ExprInstr& op : compiled->ops_) {
@@ -1347,8 +1386,10 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expr& expr, const Expr
   }
   // ops_ is final (Canonical() serializes it); the register form and the
   // shape summary are derived views on top.
+  if (!compiled->LowerToRegs(error)) {
+    return nullptr;
+  }
   compiled->Summarize();
-  compiled->LowerToRegs();
   return compiled;
 }
 
@@ -1463,19 +1504,14 @@ bool CompiledExpr::Emit(const Expr& e, const ExprBinder& binder,
   return false;
 }
 
-// Lowers the postfix stack ops onto the shared register instruction set.
+// Lowers the postfix ops onto the shared register instruction set.
 // Strictly order-preserving: no reassociation, constants fold with the same
-// std:: calls the stack evaluator uses, commuted constant forms (kAddC/kMulC
+// std:: calls a direct evaluation uses, commuted constant forms (kAddC/kMulC
 // with a constant lhs) are taken only for non-NaN constants (NaN payload
 // propagation is the one way IEEE add/mul observe operand order), and a
-// constant zero divisor is left as a generic kDiv/kMod so the runtime
-// abort/error fires exactly as before. Any shape that cannot be lowered
-// under those rules clears rcode_ and the callers stay on the stack path.
-void CompiledExpr::LowerToRegs() {
-  rcode_.clear();
-  rconsts_.clear();
-  used_slots_.clear();
-  num_regs_ = 0;
+// constant zero divisor is left as a generic kDiv/kMod so the runtime error
+// fires at its own line. The only refusals are size limits.
+bool CompiledExpr::LowerToRegs(std::string* error) {
 
   // Registers [0, slot_limit) mirror attribute slots identically; temps live
   // above. The prelude in RunRegs loads only used_slots_.
@@ -1490,7 +1526,12 @@ void CompiledExpr::LowerToRegs() {
   used_slots_.erase(std::unique(used_slots_.begin(), used_slots_.end()), used_slots_.end());
   // Temps need headroom below the 8-bit operand fields (64 stack slots + 2
   // materialization scratch regs).
-  bool ok = slot_limit <= 180;
+  if (slot_limit > kMaxSlots) {
+    *error = StrFormat("expression reads attribute slot %u (at most %u attributes)",
+                       slot_limit - 1, kMaxSlots);
+    return false;
+  }
+  bool ok = true;
 
   struct VOp {
     bool is_const = false;
@@ -1590,7 +1631,7 @@ void CompiledExpr::LowerToRegs() {
         const std::uint32_t base = temp_base();
 
         // Both constant: fold, except a zero divisor (must stay a runtime
-        // abort/error at this op's line).
+        // error at this op's line).
         if (a.is_const && b.is_const) {
           const double x = a.cval;
           const double y = b.cval;
@@ -1628,7 +1669,7 @@ void CompiledExpr::LowerToRegs() {
 
         // Logical ops against a constant decide from the other side alone
         // (non-short-circuit semantics; any operand code already emitted
-        // stays, so a dividing-by-zero subexpression still aborts).
+        // stays, so a dividing-by-zero subexpression still fails).
         if (op.op == ExprOp::kAnd || op.op == ExprOp::kOr) {
           const bool is_and = op.op == ExprOp::kAnd;
           if (a.is_const || b.is_const) {
@@ -1773,19 +1814,18 @@ void CompiledExpr::LowerToRegs() {
   }
 
   if (!ok) {
-    rcode_.clear();
-    rconsts_.clear();
-    num_regs_ = 0;
-    return;
+    *error = "expression too large (more than 65535 instructions or 65536 constants)";
+    return false;
   }
   num_regs_ = max_reg;
   NoteSuperinstructions(FuseSuperinstructions(&rcode_, rconsts_, slot_limit));
+  return true;
 }
 
 // Compile-time shape classification over ops_. The affine tracker never
 // claims kConstant for an expression that reads any slot (so the claim holds
 // for NaN/Inf attribute values too) and never folds an op whose evaluation
-// could abort (zero divisors stay general).
+// could fail (zero divisors stay general).
 void CompiledExpr::Summarize() {
   struct Lin {
     int kind = 2;  // 0 constant, 1 affine, 2 general
@@ -1931,9 +1971,6 @@ void CompiledExpr::Summarize() {
 }
 
 std::string CompiledExpr::DisassembleRegs() const {
-  if (!has_reg_code()) {
-    return "expr: no register form (stack evaluator)\n";
-  }
   std::string out = StrFormat("expr: %u regs, slots [", num_regs_);
   for (std::size_t i = 0; i < used_slots_.size(); ++i) {
     out += StrFormat(i == 0 ? "%u" : " %u", used_slots_[i]);

@@ -7,16 +7,17 @@
 //    names resolve to register slots, calibration constants fold into the
 //    instruction stream, builtin and function call targets resolve to
 //    opcodes/indices, attribute reads get inline-cache sites, and `for`
-//    loops get their iteration setup precomputed. Anything the compiler
-//    cannot prove equivalent to the tree-walking interpreter (interp.h)
-//    refuses to lower — the caller falls back to the interpreter, which
-//    stays the reference semantics.
+//    loops get their iteration setup precomputed. Every program lowers
+//    with the tree-walking interpreter's semantics (interp.h, the test
+//    oracle): a read of a variable assigned on only some paths compiles to
+//    a dynamic-scope load. The only refusals are bytecode size limits, which
+//    the caller reports as a load error.
 //
 //  - CompiledExpr: a standalone expression (Petri-net delay/guard
-//    annotations, EvalExprWithVars callers) bound once against a
-//    caller-supplied name resolver and evaluated many times by a tiny stack
-//    machine with no per-call lookups, parses, or allocations. This is the
-//    cached "bound form" the .pnet loader stores per transition.
+//    annotations) bound once against a caller-supplied name resolver and
+//    lowered onto the same register bytecode, evaluated many times with no
+//    per-call lookups, parses, or allocations. This is the cached "bound
+//    form" the .pnet loader stores per transition.
 //
 // Thread-safety: a CompiledProgram/CompiledExpr is immutable after
 // compilation; any number of threads may execute it concurrently (each Vm
@@ -84,6 +85,13 @@ enum class Op : std::uint8_t {
   kCmpBranch,  // if cmp<c&7>(r[a], r[b]) == bool(c&8): pc = imm; both checked
   kAnd2,       // r[a] = (r[b] != 0 && r[c] != 0) ? 1 : 0
   kOr2,        // r[a] = (r[b] != 0 || r[c] != 0) ? 1 : 0
+  // Dynamic-scope reads of maybe-assigned locals (assigned on only some
+  // paths). The Vm marks such locals unassigned on function entry
+  // (CompiledFunction::unassigned_on_entry), so these follow the
+  // interpreter's lookup: the local if this call assigned it, else the
+  // global constant, else an error.
+  kLoadOrConst,  // r[a] = r[b] if assigned, else consts[imm]
+  kCheckDef,     // raise errors[imm] unless r[a] is assigned
 };
 
 // kCmpBranch comparison kinds (low 3 bits of `c`); bit 3 set means "branch
@@ -133,6 +141,10 @@ struct CompiledFunction {
   std::size_t num_regs = 0;    // frame size: params + locals + temps
   std::size_t num_locals = 0;  // params + named locals; temps live above
   std::vector<Instr> code;
+  // Locals read through kLoadOrConst/kCheckDef; the Vm marks them
+  // unassigned when a call enters this function. Empty for functions whose
+  // every read is definitely assigned (nothing to reset).
+  std::vector<std::uint8_t> unassigned_on_entry;
 };
 
 struct CompiledProgram {
@@ -151,18 +163,20 @@ struct CompiledProgram {
 };
 
 struct CompileProgramResult {
-  // Null when the program (or one of its functions) uses a construct the
-  // compiler cannot lower with interpreter-identical semantics; `reason`
-  // then says which. The caller keeps evaluating through the interpreter.
+  // Null when the program exceeds a bytecode size limit: more than 250
+  // registers in a function, more than 65535 instructions in a function, or
+  // more than 65536 constants, attribute-read sites or error strings in the
+  // program. `error` then says which; loading such a program is an error.
   std::shared_ptr<const CompiledProgram> program;
-  std::string reason;
+  std::string error;
 
   bool ok() const { return program != nullptr; }
 };
 
 // Lowers a parsed program with the given calibration constants folded in as
-// immediates (the same values Interpreter::SetGlobal would install). The
-// AST is only read during compilation and need not outlive the result.
+// immediates (the same values Interpreter::SetGlobal would install). Total
+// up to the size limits above. The AST is only read during compilation and
+// need not outlive the result.
 CompileProgramResult CompileProgram(
     const Program& program,
     const std::vector<std::pair<std::string, double>>& constants);
@@ -185,8 +199,8 @@ std::size_t FuseSuperinstructions(std::vector<Instr>* code,
 // ---------------------------------------------------------------------------
 
 // How a free variable in a standalone expression resolves: either to a
-// value fixed at compile time (net constants, EvalExprWithVars lookups) or
-// to a numeric slot read at every evaluation (token attribute index).
+// value fixed at compile time (net constants) or to a numeric slot read at
+// every evaluation (token attribute index).
 struct ExprBinding {
   enum class Kind { kConst, kSlot };
   Kind kind = Kind::kConst;
@@ -212,8 +226,14 @@ struct ExprCompileOptions {
 
 class CompiledExpr {
  public:
+  // Attribute slots an expression may read: registers [0, kMaxSlots)
+  // mirror the slots, temps live above them in the 8-bit register file.
+  static constexpr std::uint32_t kMaxSlots = 180;
+
   // Compiles a parsed expression; returns nullptr and sets *error on
-  // unresolvable names, attribute access, or unknown functions.
+  // unresolvable names, attribute access, unknown functions, or a size
+  // limit (stack depth 64, a slot at or above kMaxSlots, more than 65535
+  // instructions or 65536 constants).
   static std::unique_ptr<CompiledExpr> Compile(const Expr& expr, const ExprBinder& binder,
                                                std::string* error,
                                                const ExprCompileOptions& options = {});
@@ -223,16 +243,15 @@ class CompiledExpr {
                                                      std::string* error,
                                                      const ExprCompileOptions& options = {});
 
-  // Evaluates with slot values read through `slot` (double(std::uint32_t)).
-  // Aborts on division/modulo by zero — the Petri-net contract, where a
-  // zero divisor in a delay is a net bug, not a recoverable condition.
+  // Evaluates the register form with slot values read through `slot`
+  // (double(std::uint32_t)). A division or modulo by zero stops evaluation:
+  // returns false with *error set to "line N: division by zero" (or
+  // "modulo"). *value is written only on success.
   template <typename SlotFn>
-  double Eval(SlotFn&& slot) const;
-
-  // Same, but reports division/modulo by zero as an error result instead of
-  // aborting (the EvalExprWithVars contract).
+  bool EvalRegs(SlotFn&& slot, double* value, std::string* error) const;
+  // Same, packaged as an EvalResult.
   template <typename SlotFn>
-  EvalResult EvalChecked(SlotFn&& slot) const;
+  EvalResult EvalRegsChecked(SlotFn&& slot) const;
 
   // Canonical serialization of the compiled ops, recorded by the .pnet
   // loader as TransitionSpec::delay_expr/guard_expr: constants are inlined
@@ -245,16 +264,11 @@ class CompiledExpr {
   std::size_t num_ops() const { return ops_.size(); }
 
   // ------------------------------------------------------------------
-  // Register-bytecode form (the unified IR). Compile() additionally
-  // lowers the stack ops onto the same Instr set the Vm executes, with
-  // constant folding, constant-operand forms, and the shared
-  // superinstruction peephole. Registers [0, max_slot] mirror token
-  // attribute slots; temps live above. Callers that find has_reg_code()
-  // false (an expression the lowering could not prove bit-equivalent,
-  // e.g. register pressure beyond the 8-bit operand fields) fall back to
-  // the stack evaluator, which stays the reference semantics.
+  // Register-bytecode form (the unified IR). Compile() lowers the postfix
+  // ops onto the same Instr set the Vm executes, with constant folding,
+  // constant-operand forms, and the shared superinstruction peephole.
+  // Registers [0, max_slot] mirror token attribute slots; temps live above.
   // ------------------------------------------------------------------
-  bool has_reg_code() const { return !rcode_.empty(); }
   const std::vector<Instr>& reg_code() const { return rcode_; }
   const std::vector<double>& reg_consts() const { return rconsts_; }
   std::uint32_t num_regs() const { return num_regs_; }
@@ -263,17 +277,10 @@ class CompiledExpr {
   // Human-readable listing (pnet_tool --dump-expr-bytecode).
   std::string DisassembleRegs() const;
 
-  // Same contracts as Eval/EvalChecked, executed on the register form.
-  // Requires has_reg_code().
-  template <typename SlotFn>
-  double EvalRegs(SlotFn&& slot) const;
-  template <typename SlotFn>
-  EvalResult EvalRegsChecked(SlotFn&& slot) const;
-
   // Compile-time shape classification, for the sim fast path and the
   // interface distiller. kConstant is claimed only for expressions with
   // no slot reads at all (so it holds for every attribute value,
-  // including NaN/Inf) and whose evaluation provably cannot abort.
+  // including NaN/Inf) and whose evaluation provably cannot fail.
   // Affine coefficients are informational (tooling, distiller feature
   // selection); bit-exact serving never re-evaluates through them.
   struct Summary {
@@ -291,6 +298,8 @@ class CompiledExpr {
     kConst, kSlot, kAdd, kSub, kMul, kDiv, kMod, kLt, kLe, kGt, kGe, kEq, kNe,
     kAnd, kOr, kNeg, kNot, kCeil, kFloor, kAbs, kSqrt, kMin, kMax,
   };
+  // Postfix form of the parsed expression: the source of Canonical(), the
+  // shape summary and the register lowering. Never executed directly.
   struct ExprInstr {
     ExprOp op = ExprOp::kConst;
     double value = 0;
@@ -299,17 +308,11 @@ class CompiledExpr {
   };
   static constexpr int kMaxStack = 64;
 
-  template <typename SlotFn>
-  double Run(SlotFn&& slot, bool* failed, std::string* error) const;
-  template <typename SlotFn>
-  double RunRegs(SlotFn&& slot, bool* failed, std::string* error) const;
-
   bool Emit(const Expr& e, const ExprBinder& binder, const ExprCompileOptions& options,
             std::string* error);
-  // Builds rcode_/rconsts_ from ops_; clears rcode_ (fallback to the stack
-  // path) on any shape it cannot lower bit-identically.
-  void LowerToRegs();
-  // Fills summary_ from ops_ (runs regardless of lowering success).
+  // Builds rcode_/rconsts_ from ops_; false (with *error) on a size limit.
+  bool LowerToRegs(std::string* error);
+  // Fills summary_ from ops_.
   void Summarize();
 
   std::vector<ExprInstr> ops_;

@@ -11,81 +11,14 @@
 
 namespace perfiface {
 
+// The one evaluator for standalone expressions. The lowering preserves the
+// parsed expression's evaluation order and never reassociates, so each
+// arithmetic op rounds exactly as a direct recursive evaluation of the
+// parsed Expr would (expr_diff_test holds it to that, bit for bit, with the
+// same error strings); superinstructions use RoundBarrier to keep their
+// internal multiply+add as two roundings.
 template <typename SlotFn>
-double CompiledExpr::Run(SlotFn&& slot, bool* failed, std::string* error) const {
-  double stack[kMaxStack];
-  int sp = 0;
-  for (const ExprInstr& op : ops_) {
-    switch (op.op) {
-      case ExprOp::kConst: stack[sp++] = op.value; break;
-      case ExprOp::kSlot: stack[sp++] = slot(op.slot); break;
-      case ExprOp::kNeg: stack[sp - 1] = -stack[sp - 1]; break;
-      case ExprOp::kNot: stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0; break;
-      case ExprOp::kCeil: stack[sp - 1] = std::ceil(stack[sp - 1]); break;
-      case ExprOp::kFloor: stack[sp - 1] = std::floor(stack[sp - 1]); break;
-      case ExprOp::kAbs: stack[sp - 1] = std::fabs(stack[sp - 1]); break;
-      case ExprOp::kSqrt: stack[sp - 1] = std::sqrt(stack[sp - 1]); break;
-      default: {
-        const double b = stack[--sp];
-        const double a = stack[sp - 1];
-        double r = 0;
-        switch (op.op) {
-          case ExprOp::kAdd: r = a + b; break;
-          case ExprOp::kSub: r = a - b; break;
-          case ExprOp::kMul: r = a * b; break;
-          case ExprOp::kDiv:
-            if (b == 0) {
-              if (failed == nullptr) {
-                PI_CHECK_MSG(false, "division by zero in net expression");
-              }
-              *failed = true;
-              *error = StrFormat("line %d: division by zero", op.line);
-              return 0;
-            }
-            r = a / b;
-            break;
-          case ExprOp::kMod:
-            if (b == 0) {
-              if (failed == nullptr) {
-                PI_CHECK_MSG(false, "modulo by zero in net expression");
-              }
-              *failed = true;
-              *error = StrFormat("line %d: modulo by zero", op.line);
-              return 0;
-            }
-            r = std::fmod(a, b);
-            break;
-          case ExprOp::kLt: r = a < b ? 1 : 0; break;
-          case ExprOp::kLe: r = a <= b ? 1 : 0; break;
-          case ExprOp::kGt: r = a > b ? 1 : 0; break;
-          case ExprOp::kGe: r = a >= b ? 1 : 0; break;
-          case ExprOp::kEq: r = a == b ? 1 : 0; break;
-          case ExprOp::kNe: r = a != b ? 1 : 0; break;
-          case ExprOp::kAnd: r = (a != 0 && b != 0) ? 1 : 0; break;
-          case ExprOp::kOr: r = (a != 0 || b != 0) ? 1 : 0; break;
-          case ExprOp::kMin: r = std::fmin(a, b); break;
-          case ExprOp::kMax: r = std::fmax(a, b); break;
-          default: PI_CHECK_MSG(false, "bad opcode");
-        }
-        stack[sp - 1] = r;
-        break;
-      }
-    }
-    PI_CHECK(sp > 0 && sp <= kMaxStack);
-  }
-  PI_CHECK(sp == 1);
-  return stack[0];
-}
-
-// Register-form twin of Run(): same values bit-for-bit, same abort/error
-// behavior, same error strings and lines (the expr_diff_test suite holds the
-// two to that contract over every registry net and a fuzzed corpus). The
-// lowering preserves evaluation order and never reassociates, so each
-// arithmetic op here rounds exactly like its stack counterpart;
-// superinstructions use RoundBarrier to keep their internal multiply+add as
-// two roundings.
-template <typename SlotFn>
-double CompiledExpr::RunRegs(SlotFn&& slot, bool* failed, std::string* error) const {
+bool CompiledExpr::EvalRegs(SlotFn&& slot, double* value, std::string* error) const {
   double regs[256];
   for (const std::uint32_t s : used_slots_) regs[s] = slot(s);
   const double* consts = rconsts_.data();
@@ -99,12 +32,8 @@ double CompiledExpr::RunRegs(SlotFn&& slot, bool* failed, std::string* error) co
       case Op::kDiv: {
         const double d = regs[ins.c];
         if (d == 0) {
-          if (failed == nullptr) {
-            PI_CHECK_MSG(false, "division by zero in net expression");
-          }
-          *failed = true;
           *error = StrFormat("line %d: division by zero", ins.line);
-          return 0;
+          return false;
         }
         regs[ins.a] = regs[ins.b] / d;
         break;
@@ -112,12 +41,8 @@ double CompiledExpr::RunRegs(SlotFn&& slot, bool* failed, std::string* error) co
       case Op::kMod: {
         const double d = regs[ins.c];
         if (d == 0) {
-          if (failed == nullptr) {
-            PI_CHECK_MSG(false, "modulo by zero in net expression");
-          }
-          *failed = true;
           *error = StrFormat("line %d: modulo by zero", ins.line);
-          return 0;
+          return false;
         }
         regs[ins.a] = std::fmod(regs[ins.b], d);
         break;
@@ -136,12 +61,8 @@ double CompiledExpr::RunRegs(SlotFn&& slot, bool* failed, std::string* error) co
       case Op::kRDivC: {
         const double d = regs[ins.b];
         if (d == 0) {
-          if (failed == nullptr) {
-            PI_CHECK_MSG(false, "division by zero in net expression");
-          }
-          *failed = true;
           *error = StrFormat("line %d: division by zero", ins.line);
-          return 0;
+          return false;
         }
         regs[ins.a] = consts[ins.imm] / d;
         break;
@@ -176,43 +97,21 @@ double CompiledExpr::RunRegs(SlotFn&& slot, bool* failed, std::string* error) co
       case Op::kOr2:
         regs[ins.a] = (regs[ins.b] != 0 || regs[ins.c] != 0) ? 1 : 0;
         break;
-      case Op::kRet: return regs[ins.a];
+      case Op::kRet:
+        *value = regs[ins.a];
+        return true;
       default: PI_CHECK_MSG(false, "bad opcode in expression register code");
     }
   }
   PI_CHECK_MSG(false, "expression register code fell off the end");
-  return 0;
-}
-
-template <typename SlotFn>
-double CompiledExpr::EvalRegs(SlotFn&& slot) const {
-  return RunRegs(static_cast<SlotFn&&>(slot), nullptr, nullptr);
+  return false;
 }
 
 template <typename SlotFn>
 EvalResult CompiledExpr::EvalRegsChecked(SlotFn&& slot) const {
   EvalResult out;
-  bool failed = false;
-  const double v = RunRegs(static_cast<SlotFn&&>(slot), &failed, &out.error);
-  if (failed) {
-    return out;
-  }
-  out.ok = true;
-  out.value = Value::Number(v);
-  return out;
-}
-
-template <typename SlotFn>
-double CompiledExpr::Eval(SlotFn&& slot) const {
-  return Run(static_cast<SlotFn&&>(slot), nullptr, nullptr);
-}
-
-template <typename SlotFn>
-EvalResult CompiledExpr::EvalChecked(SlotFn&& slot) const {
-  EvalResult out;
-  bool failed = false;
-  const double v = Run(static_cast<SlotFn&&>(slot), &failed, &out.error);
-  if (failed) {
+  double v = 0;
+  if (!EvalRegs(static_cast<SlotFn&&>(slot), &v, &out.error)) {
     return out;
   }
   out.ok = true;

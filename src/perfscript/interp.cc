@@ -6,7 +6,6 @@
 #include "src/common/strings.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
-#include "src/perfscript/compile.h"
 
 namespace perfiface {
 
@@ -354,32 +353,6 @@ EvalResult Interpreter::Call(const std::string& function, const std::vector<Valu
   out.ok = true;
   out.value = v;
   return out;
-}
-
-EvalResult EvalExprWithVars(
-    const Expr& expr,
-    const std::function<std::optional<double>(std::string_view)>& lookup) {
-  // Compile-then-run over the shared standalone-expression backend
-  // (CompiledExpr, compile.h) — the same bound form the .pnet loader caches
-  // per transition. Every variable resolves through `lookup` at bind time,
-  // so evaluation reads no slots.
-  ExprCompileOptions options;
-  options.domain = "delay expressions";
-  std::string error;
-  const auto bound = CompiledExpr::Compile(
-      expr,
-      [&lookup](std::string_view name) -> std::optional<ExprBinding> {
-        const std::optional<double> v = lookup(name);
-        if (!v.has_value()) return std::nullopt;
-        return ExprBinding::Const(*v);
-      },
-      &error, options);
-  if (bound == nullptr) {
-    EvalResult out;
-    out.error = error;
-    return out;
-  }
-  return bound->EvalChecked([](std::uint32_t) { return 0.0; });
 }
 
 }  // namespace perfiface

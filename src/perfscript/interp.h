@@ -14,7 +14,6 @@
 #ifndef SRC_PERFSCRIPT_INTERP_H_
 #define SRC_PERFSCRIPT_INTERP_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -83,13 +82,6 @@ class Interpreter {
   std::size_t depth_ = 0;
   std::size_t max_depth_ = 200;
 };
-
-// Evaluates a standalone expression (no function calls except builtins) with
-// variables resolved through `lookup`. Used to compile the delay annotations
-// of textual Petri nets into executable delay functions.
-EvalResult EvalExprWithVars(
-    const Expr& expr,
-    const std::function<std::optional<double>(std::string_view)>& lookup);
 
 }  // namespace perfiface
 

@@ -9,6 +9,29 @@
 
 namespace perfiface {
 
+namespace {
+
+// What a maybe-assigned local holds until the call assigns it. Only
+// kLoadOrConst/kCheckDef read such registers, and they compare against
+// this address, so no other instruction ever sees the marker.
+class UnassignedMarker final : public ScriptObject {
+ public:
+  std::optional<double> GetAttr(std::string_view) const override { return std::nullopt; }
+};
+const UnassignedMarker kUnassigned{};
+
+bool IsAssigned(const Value& v) { return v.obj != &kUnassigned; }
+
+// Marks `fn`'s maybe-assigned locals unassigned in the frame at `frame`, so
+// no call sees a value left behind by an earlier one.
+void EnterFunction(const CompiledFunction& fn, Value* frame) {
+  for (const std::uint8_t r : fn.unassigned_on_entry) {
+    frame[r] = Value::Object(&kUnassigned);
+  }
+}
+
+}  // namespace
+
 Vm::Vm(std::shared_ptr<const CompiledProgram> program) : program_(std::move(program)) {
   PI_CHECK(program_ != nullptr);
   // Pre-size the reusable state so steady-state calls never allocate.
@@ -61,6 +84,7 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
   for (std::size_t i = 0; i < args.size(); ++i) {
     regs_[i] = args[i];
   }
+  EnterFunction(*fn, regs_.data());
 
   std::uint32_t base = 0;
   std::uint32_t pc = 0;
@@ -226,7 +250,11 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         R[ins.a] = Value::Number(*attr);
         break;
       }
+      // Loop control (the bounds test, the child fetch and the back edge) is
+      // free, as iterating is in the interpreter; the index increment is
+      // the loop's one charged step per iteration.
       case Op::kJmp:
+        if (ins.imm < pc) --steps_;
         pc = ins.imm;
         break;
       case Op::kJmpIfZero:
@@ -236,6 +264,7 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         if (R[ins.a].num != 0) pc = ins.imm;
         break;
       case Op::kJmpGe:
+        --steps_;
         if (R[ins.a].num >= R[ins.b].num) pc = ins.imm;
         break;
       case Op::kIterLen: {
@@ -248,6 +277,7 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         break;
       }
       case Op::kIterChild: {
+        --steps_;
         const ScriptObject* child =
             R[ins.b].obj->Child(static_cast<std::size_t>(R[ins.c].num));
         if (child == nullptr) {
@@ -272,6 +302,7 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         code = fn->code.data();
         pc = 0;
         R = regs_.data() + base;
+        EnterFunction(*fn, R);
         break;
       }
       case Op::kRet: {
@@ -366,6 +397,14 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         break;
       case Op::kOr2:
         R[ins.a] = Value::Number((R[ins.b].num != 0 || R[ins.c].num != 0) ? 1 : 0);
+        break;
+      case Op::kLoadOrConst:
+        R[ins.a] = IsAssigned(R[ins.b]) ? R[ins.b] : Value::Number(program_->consts[ins.imm]);
+        break;
+      case Op::kCheckDef:
+        if (!IsAssigned(R[ins.a])) {
+          fail(ins.line, program_->errors[ins.imm]);
+        }
         break;
     }
     if (failed) break;

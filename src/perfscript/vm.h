@@ -4,10 +4,13 @@
 // (compile.h) with the same observable semantics as the tree-walking
 // Interpreter (interp.h): identical results, identical error strings,
 // identical recursion-depth limit. The one documented deviation is step
-// accounting — the VM counts one step per bytecode instruction, which is at
-// most the interpreter's per-AST-node count for the same evaluation (folding
-// and slot resolution remove work), so any step budget sufficient for the
-// interpreter is sufficient here and exhaustion still fails cleanly.
+// accounting — the VM counts one step per executed bytecode instruction,
+// except loop control (bounds test, child fetch, back edge), which is free
+// as iterating is in the interpreter. Folding and slot resolution usually
+// keep that at or below the interpreter's per-AST-node count
+// (vm_diff_test checks it over its corpora), but it is not a bound for
+// every program: a min/max over unchecked arguments, say, costs a move and
+// a type check per argument. Exhaustion fails cleanly either way.
 //
 // The hot path allocates nothing: the register file, frame stack, and
 // inline-cache array are owned by the Vm and reused across calls. Mirroring

@@ -114,19 +114,16 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
     const TransitionSpec& spec = specs[t];
     Transition& info = transitions_[t];
     info.servers = static_cast<std::uint32_t>(spec.servers);
-    info.delay = &spec.delay;
+    info.delay = spec.delay ? &spec.delay : nullptr;
     info.guard = spec.guard ? &spec.guard : nullptr;
     info.fire = spec.fire ? &spec.fire : nullptr;
 
-    // Classify loader-attached expressions for the firing-loop fast paths.
-    // A constant delay must already be a valid Cycles to qualify; an
-    // out-of-range constant keeps the general path so the range check
-    // aborts exactly as the closure would.
+    // Classify compiled expressions for the firing loop. A constant delay
+    // must already be a valid Cycles to qualify; an out-of-range constant
+    // stays general so the range check reports it at the first firing.
     if (spec.delay_compiled != nullptr) {
       const CompiledExpr& e = *spec.delay_compiled;
-      if (e.has_reg_code()) {
-        info.delay_code = &e;
-      }
+      info.delay_code = &e;
       const CompiledExpr::Summary& s = e.summary();
       if (s.kind == CompiledExpr::Summary::Kind::kConstant && s.constant >= 0 &&
           s.constant < 1e15) {
@@ -136,9 +133,7 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
     }
     if (spec.guard_compiled != nullptr) {
       const CompiledExpr& e = *spec.guard_compiled;
-      if (e.has_reg_code()) {
-        info.guard_code = &e;
-      }
+      info.guard_code = &e;
       const CompiledExpr::Summary& s = e.summary();
       if (s.kind == CompiledExpr::Summary::Kind::kConstant) {
         info.guard_const = true;
@@ -191,13 +186,14 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
   }
 
   // --- Structural hashes ------------------------------------------------
-  // A net is hashable only when every closure's behavior is pinned down by
-  // source text: the delay (and guard, if present) carries its expression
-  // string and no transition ships a custom FireFn. Names are deliberately
-  // excluded — renamed copies of the same structure share hashes.
+  // A net is hashable only when every transition's behavior is pinned down
+  // by source text: the delay (and guard, if present) carries its
+  // expression string and no transition ships a custom FireFn. Names are
+  // deliberately excluded — renamed copies of the same structure share
+  // hashes.
   hashable_ = true;
   for (const TransitionSpec& spec : specs) {
-    if (spec.delay_expr.empty() || (spec.guard && spec.guard_expr.empty()) || spec.fire) {
+    if (spec.delay_expr.empty() || (spec.has_guard() && spec.guard_expr.empty()) || spec.fire) {
       hashable_ = false;
       break;
     }
@@ -228,7 +224,7 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
       }
       HashBytes(h, "D");
       HashBytes(h, spec.delay_expr);
-      if (spec.guard) {
+      if (spec.has_guard()) {
         HashBytes(h, "G");
         HashBytes(h, spec.guard_expr);
       }

@@ -54,16 +54,15 @@ class CompiledNet {
     std::uint32_t component = 0;
     bool has_bounded_output = false;  // skip the capacity loop entirely
     // Borrowed closures (null when absent); stable for the source net's
-    // lifetime.
+    // lifetime. Hand-built nets only.
     const DelayFn* delay = nullptr;
     const GuardFn* guard = nullptr;
     const FireFn* fire = nullptr;
-    // Expression fast paths, classified once here from the compiled
-    // delay/guard expressions the loader attached to the spec (see
-    // TransitionSpec::delay_compiled for the contract). All null/false for
-    // hand-built nets; the simulator then falls back to the closures.
-    const CompiledExpr* delay_code = nullptr;  // register-evaluable delay
-    const CompiledExpr* guard_code = nullptr;  // register-evaluable guard
+    // Compiled delay/guard expressions (.pnet nets; null for hand-built
+    // ones), classified once here so constant guards and delays skip
+    // evaluation entirely.
+    const CompiledExpr* delay_code = nullptr;
+    const CompiledExpr* guard_code = nullptr;
     bool guard_const = false;  // guard folds to a constant at compile time
     bool guard_value = true;   // that constant (as a bool), if guard_const
     bool delay_const = false;  // delay folds to a constant valid Cycles

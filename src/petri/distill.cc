@@ -320,7 +320,7 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
       continue;
     }
     const TransitionSpec& spec = specs[t];
-    if (spec.guard) {
+    if (spec.has_guard()) {
       if (!trans[t].guard_const) {
         return refuse(StrFormat("transition '%s' has an attribute-dependent guard",
                                 spec.name.c_str()));
@@ -332,8 +332,8 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
     if (trans[t].delay_const) {
       continue;  // folds into the intercept
     }
-    if (spec.delay_compiled == nullptr || !spec.delay_compiled->has_reg_code()) {
-      return refuse(StrFormat("transition '%s' has no register-evaluable delay expression",
+    if (spec.delay_compiled == nullptr) {
+      return refuse(StrFormat("transition '%s' has no compiled delay expression",
                               spec.name.c_str()));
     }
     if (feature_by_text.emplace(spec.delay_expr, model->features.size()).second) {
@@ -415,6 +415,7 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
   for (const std::vector<double>& attrs : probes) {
     std::vector<double> phi;
     if (!eval_features(attrs, &phi)) {
+      model->cacheable = false;
       return refuse("a delay expression failed or left [0, 1e15) at a probe point");
     }
     Token tk;
@@ -432,6 +433,7 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
       }
     }
     if (!sim.Run(kProbeTimeHorizon)) {
+      model->cacheable = sim.error().empty();
       return refuse("a probe simulation did not quiesce");
     }
     if (first_probe) {
@@ -540,6 +542,9 @@ bool DerivedStore::Distill(const std::string& key, const CompiledNet& net,
   } else {
     RefusalsCounter().Increment();
     refusals_.fetch_add(1, std::memory_order_relaxed);
+    if (!model->cacheable) {
+      return false;
+    }
   }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -139,6 +139,11 @@ class DerivedStore {
   struct Model {
     bool ok = false;            // false: cached refusal
     std::string refusal;        // why, when !ok
+    // False for a refusal caused by the seed token's values making an
+    // expression fail (division by zero, delay out of range): the request
+    // that triggered it fails the same way in simulation, and nothing from
+    // a failed evaluation may stay in the store.
+    bool cacheable = true;
     std::vector<Feature> features;
     std::vector<double> coef;   // 1 + features.size() entries (intercept first)
     // Probed per-attribute hull: (slot, lo, hi); queries outside refuse.

@@ -59,6 +59,13 @@ using FireFn = std::function<void(const TokenRefs&, std::vector<std::vector<Toke
 // Enablement predicate over the front tokens; defaults to always-true.
 using GuardFn = std::function<bool(const TokenRefs&)>;
 
+// A transition's delay and guard come in one of two forms, never both:
+//  - compiled expressions (.pnet files): delay_compiled is evaluated on the
+//    front token's attributes, must land in [0, 1e15) and is rounded to
+//    Cycles; guard_compiled enables the firing when non-zero. A division or
+//    modulo by zero, or an out-of-range delay, stops the simulation with an
+//    error naming the transition (PetriSim::error());
+//  - C++ closures (hand-built nets): `delay` and `guard`.
 struct TransitionSpec {
   std::string name;
   std::vector<Arc> inputs;
@@ -66,28 +73,22 @@ struct TransitionSpec {
   // Number of concurrent firings this transition supports (hardware
   // replication). 1 = a single-server pipeline stage.
   std::size_t servers = 1;
-  DelayFn delay;  // required
+  DelayFn delay;  // required unless delay_compiled is set
   FireFn fire;    // optional
   GuardFn guard;  // optional
-  // Source text of the delay/guard expressions when the closures were
-  // compiled from a textual form (.pnet files). Optional, but load-bearing
-  // for memoization: CompiledNet only assigns a structural hash — the key
-  // cross-request sub-net memoization is allowed to use — when every
-  // closure's behavior is pinned down by source text (an opaque C++ lambda
-  // cannot be compared across nets, so nets carrying one are unhashable).
+  // Source text pinning down the delay/guard behavior (the compiled
+  // expressions' Canonical() form for .pnet files). Optional, but
+  // load-bearing for memoization: CompiledNet only assigns a structural
+  // hash — the key cross-request sub-net memoization is allowed to use —
+  // when every transition's behavior is pinned down by text (an opaque C++
+  // lambda cannot be compared across nets, so nets carrying one are
+  // unhashable).
   std::string delay_expr;
   std::string guard_expr;
-  // The compiled expressions behind the closures, when they came from a
-  // textual form. Setting one is a contract about the matching closure:
-  // delay_compiled asserts that `delay` is exactly "evaluate the expression
-  // on the front token, check [0, 1e15), llround"; guard_compiled asserts
-  // that `guard` is exactly "expression != 0 on the front token". The
-  // simulator uses them to classify transitions at net-compile time
-  // (constant guards, constant/register-evaluable delays) and to serve
-  // firings without entering the std::function at all — the fast paths
-  // must stay bit-identical to the closures they bypass.
   std::shared_ptr<const CompiledExpr> delay_compiled;
   std::shared_ptr<const CompiledExpr> guard_compiled;
+
+  bool has_guard() const { return guard != nullptr || guard_compiled != nullptr; }
 };
 
 class PetriNet {

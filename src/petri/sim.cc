@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/strings.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/compile.h"
@@ -27,6 +28,7 @@ void PetriSim::Reset() {
   seq_ = 0;
   total_firings_ = 0;
   budget_exhausted_ = false;
+  error_.clear();
   // Preserve which places are instrumented across resets; only markings,
   // logs and in-flight firings are cleared.
   std::vector<bool> observed(cnet_->num_places(), false);
@@ -105,7 +107,7 @@ bool PetriSim::TryStart(TransitionId t) {
   if (component_ != kAllComponents && trans.component != component_) {
     return false;
   }
-  if (budget_exhausted_ || busy_servers_[t] >= trans.servers) {
+  if (budget_exhausted_ || !error_.empty() || busy_servers_[t] >= trans.servers) {
     return false;
   }
   const std::vector<CompiledNet::CompiledArc>& in_arcs = cnet_->inputs();
@@ -123,19 +125,20 @@ bool PetriSim::TryStart(TransitionId t) {
       refs.push_back(&places_[in_arcs[i].place].tokens[k]);
     }
   }
-  // Guard, via the cheapest route the compile-time classification allows.
-  // All three routes decide enablement identically: the constant route is
-  // the folded expression value, the register route evaluates the same
-  // expression the closure wraps (same front token, same attrs), and the
-  // closure route is the pre-classification behavior.
-  if (expr_fastpath_ && trans.guard_const) {
+  // Compiled expressions read the primary (first) input token.
+  const Token* primary = refs.front();
+  const auto attr = [primary](std::uint32_t slot) { return primary->Attr(slot); };
+  // Guard: a compile-time constant, the compiled expression, or the
+  // hand-built closure.
+  if (trans.guard_const) {
     if (!trans.guard_value) {
       return false;
     }
-  } else if (expr_fastpath_ && trans.guard_code != nullptr) {
-    const Token* primary = refs.front();
-    const double g = trans.guard_code->EvalRegs(
-        [primary](std::uint32_t slot) { return primary->Attr(slot); });
+  } else if (trans.guard_code != nullptr) {
+    double g = 0;
+    if (!trans.guard_code->EvalRegs(attr, &g, &error_)) {
+      return Fail(t, "guard");
+    }
     if (g == 0.0) {
       return false;
     }
@@ -161,16 +164,19 @@ bool PetriSim::TryStart(TransitionId t) {
   }
 
   // Compute delay while the token refs are still valid. Constant delays
-  // were pre-validated and rounded at net-compile time; register-evaluable
-  // delays repeat the loader closure's exact range check and rounding.
+  // were range-checked and rounded at net-compile time.
   Cycles delay;
-  if (expr_fastpath_ && trans.delay_const) {
+  if (trans.delay_const) {
     delay = trans.const_delay;
-  } else if (expr_fastpath_ && trans.delay_code != nullptr) {
-    const Token* primary = refs.front();
-    const double v = trans.delay_code->EvalRegs(
-        [primary](std::uint32_t slot) { return primary->Attr(slot); });
-    PI_CHECK_MSG(v >= 0 && v < 1e15, "delay out of range");
+  } else if (trans.delay_code != nullptr) {
+    double v = 0;
+    if (!trans.delay_code->EvalRegs(attr, &v, &error_)) {
+      return Fail(t, "delay");
+    }
+    if (!(v >= 0 && v < 1e15)) {
+      error_ = StrFormat("%.17g is outside [0, 1e15)", v);
+      return Fail(t, "delay");
+    }
     delay = static_cast<Cycles>(std::llround(v));
   } else {
     delay = (*trans.delay)(refs);
@@ -205,6 +211,12 @@ bool PetriSim::TryStart(TransitionId t) {
     budget_exhausted_ = true;
   }
   return true;
+}
+
+bool PetriSim::Fail(TransitionId t, const char* what) {
+  error_ = StrFormat("transition '%s': %s: %s",
+                     cnet_->source().transitions()[t].name.c_str(), what, error_.c_str());
+  return false;
 }
 
 void PetriSim::StartAll() {
@@ -308,6 +320,9 @@ bool PetriSim::Run(Cycles max_time) {
       if (traced) {
         // In-flight firings == tokens currently being processed.
         tracer.Counter("pnet", "tokens_in_flight", static_cast<double>(events_.size()));
+      }
+      if (!error_.empty()) {
+        return false;
       }
       if (budget_exhausted_) {
         if (traced) {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/small_vec.h"
@@ -55,7 +56,8 @@ class PetriSim {
 
   // Runs until no transition can fire and no firing is in flight, or until
   // `max_time`. Returns true if the net quiesced; false if it ran out of
-  // time or of the firing budget (see set_max_firings).
+  // time or of the firing budget (see set_max_firings), or stopped on an
+  // expression error (see error()).
   bool Run(Cycles max_time);
 
   // Resets all state (markings back to initial, logs cleared, time to 0).
@@ -73,12 +75,11 @@ class PetriSim {
   void set_max_firings(std::uint64_t m) { max_firings_ = m; }
   bool firing_budget_exhausted() const { return budget_exhausted_; }
 
-  // Disables the compile-time expression fast paths (constant guards,
-  // constant/register-bytecode delays) so every firing goes through the
-  // original std::function closures. The two modes are bit-identical by
-  // contract; the switch exists for benchmarking the fast paths and for
-  // bisecting a suspected divergence.
-  void set_expr_fastpath(bool on) { expr_fastpath_ = on; }
+  // A compiled delay or guard that divides or takes a modulo by zero, or a
+  // delay outside [0, 1e15), stops the run the same clean way (Run returns
+  // false). Empty unless that happened; otherwise names the transition,
+  // e.g. "transition 'vld': delay: line 1: division by zero".
+  const std::string& error() const { return error_; }
 
  private:
   struct Firing {
@@ -113,6 +114,9 @@ class PetriSim {
 
   // Attempts to start one firing of transition `t`; returns true on success.
   bool TryStart(TransitionId t);
+  // Prefixes the expression error in error_ with the transition and the
+  // failing annotation, and stops the run. Returns false (no firing).
+  bool Fail(TransitionId t, const char* what);
   // Starts every enabled firing until fixpoint (worklist-driven: only
   // transitions whose neighbourhood changed are re-examined).
   void StartAll();
@@ -129,7 +133,7 @@ class PetriSim {
   std::uint64_t total_firings_ = 0;
   std::uint64_t max_firings_ = 500'000'000;
   bool budget_exhausted_ = false;
-  bool expr_fastpath_ = true;
+  std::string error_;
   // Allocates a slab slot for an in-flight firing and schedules it.
   Firing& ScheduleFiring(Cycles complete_at);
 

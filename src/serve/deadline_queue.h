@@ -8,9 +8,13 @@
 // under the lock. Items without a deadline land in the least urgent band
 // so background traffic never delays SLO-bound requests.
 //
-// Same contract as BoundedQueue (src/serve/mpmc_queue.h): shared total
-// capacity across bands, Push blocks while full, Pop drains remaining
-// items after Close so shutdown never drops accepted work.
+// Bounded and blocking: one total capacity shared across bands, Push blocks
+// while full (TryPush fails instead), Pop blocks while empty. Close wakes
+// every waiter and rejects later pushes, but Pop keeps draining accepted
+// items — most urgent band first, FIFO within a band — so shutdown never
+// drops accepted work. A mutex and two condition variables: simple, clean
+// under ThreadSanitizer, and not the bottleneck, since producers enqueue
+// request chunks.
 #ifndef SRC_SERVE_DEADLINE_QUEUE_H_
 #define SRC_SERVE_DEADLINE_QUEUE_H_
 

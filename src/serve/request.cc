@@ -17,77 +17,6 @@ namespace perfiface::serve {
 
 namespace {
 
-// Canonical form of an entry-place spec: whitespace stripped, every item's
-// token count made explicit (items without ":count" inject `default_count`
-// copies), duplicate places merged by summing, items sorted by place name.
-// "vld_in ,hdr_in:1" with tokens=8 and "hdr_in:1,vld_in:4,vld_in:4" thus
-// canonicalize identically — they inject the same marking, so they must
-// share a cache entry. Malformed counts are kept verbatim (minus
-// whitespace): the service rejects them, and distinct garbage must not
-// alias.
-std::string CanonicalEntryPlace(const std::string& spec, int default_count) {
-  std::vector<std::pair<std::string, long long>> items;
-  std::vector<std::string> malformed;
-  for (const std::string& raw : SplitString(spec, ',')) {
-    std::string item(StripWhitespace(raw));
-    // Whitespace inside an item ("vld_in : 8") is insignificant too: place
-    // names are identifiers, so dropping every space cannot merge names.
-    item.erase(std::remove_if(item.begin(), item.end(),
-                              [](unsigned char c) { return std::isspace(c) != 0; }),
-               item.end());
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      items.emplace_back(item, default_count);
-      continue;
-    }
-    char* end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(item.c_str() + colon + 1, &end, 10);
-    // An overflowing count must stay malformed-verbatim: strtoll clamps to
-    // LLONG_MAX on ERANGE, so without the errno check every overflowing
-    // spec would alias to one "p:9223372036854775807" key — exactly the
-    // aliasing the contract above forbids.
-    if (end == item.c_str() + colon + 1 || *end != '\0' || errno == ERANGE || parsed < 1) {
-      malformed.push_back(item);
-      continue;
-    }
-    items.emplace_back(item.substr(0, colon), parsed);
-  }
-  std::sort(items.begin(), items.end());
-  std::sort(malformed.begin(), malformed.end());
-
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0 && items[i].first == items[i - 1].first) {
-      continue;
-    }
-    long long count = items[i].second;
-    for (std::size_t j = i + 1; j < items.size() && items[j].first == items[i].first; ++j) {
-      // Saturate the duplicate merge: two near-LLONG_MAX counts must key as
-      // "as many as representable", not wrap to a negative count (signed
-      // overflow is UB besides producing a nonsense key).
-      if (count > std::numeric_limits<long long>::max() - items[j].second) {
-        count = std::numeric_limits<long long>::max();
-      } else {
-        count += items[j].second;
-      }
-    }
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += items[i].first;
-    out += StrFormat(":%lld", count);
-  }
-  for (const std::string& item : malformed) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += '!';
-    out += item;
-  }
-  return out;
-}
-
 // splitmix64: cheap, well-mixed 64-bit permutation.
 std::uint64_t Mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -137,8 +66,73 @@ bool PredictStatusFromName(std::string_view name, PredictStatus* out) {
   return false;
 }
 
-std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved) {
+InjectionPlan ParseInjectionPlan(const PredictRequest& req) {
+  InjectionPlan plan;
+  const int default_count = std::max(1, req.tokens);
+  if (req.entry_place.empty()) {
+    plan.total = default_count;
+    return plan;
+  }
+  for (std::string item : SplitString(req.entry_place, ',')) {
+    // Whitespace is insignificant ("vld_in : 8"): place names are
+    // identifiers, so dropping every space cannot merge two names.
+    item.erase(std::remove_if(item.begin(), item.end(),
+                              [](unsigned char c) { return std::isspace(c) != 0; }),
+               item.end());
+    const std::size_t colon = item.find(':');
+    if (colon == std::string::npos) {
+      plan.items.push_back({std::move(item), default_count});
+      continue;
+    }
+    char* end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(item.c_str() + colon + 1, &end, 10);
+    // ERANGE matters on LP64 too: strtoll clamps an overflowing count to
+    // LLONG_MAX, which must be rejected, not truncated.
+    if (end == item.c_str() + colon + 1 || *end != '\0' || errno == ERANGE || parsed < 1 ||
+        parsed > std::numeric_limits<int>::max()) {
+      plan.error = StrFormat("bad token count in entry place item '%s'", item.c_str());
+      return plan;
+    }
+    item.resize(colon);
+    plan.items.push_back({std::move(item), static_cast<int>(parsed)});
+  }
+  std::sort(plan.items.begin(), plan.items.end(),
+            [](const InjectionPlan::Item& a, const InjectionPlan::Item& b) {
+              return a.place < b.place;
+            });
+  // Merge duplicate places: the same place listed twice injects the sum,
+  // which must still be a valid count.
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < plan.items.size(); ++i) {
+    InjectionPlan::Item& item = plan.items[i];
+    if (out > 0 && plan.items[out - 1].place == item.place) {
+      InjectionPlan::Item& merged = plan.items[out - 1];
+      if (merged.count > std::numeric_limits<int>::max() - item.count) {
+        plan.error = StrFormat("bad token count in entry place item '%s:%lld'",
+                               item.place.c_str(),
+                               static_cast<long long>(merged.count) + item.count);
+        return plan;
+      }
+      merged.count += item.count;
+    } else {
+      if (out != i) {
+        plan.items[out] = std::move(item);
+      }
+      ++out;
+    }
+  }
+  plan.items.resize(out);
+  for (const InjectionPlan::Item& item : plan.items) {
+    plan.total += item.count;
+  }
+  return plan;
+}
+
+std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved,
+                              const InjectionPlan* plan) {
   PI_CHECK(resolved != Representation::kAuto);
+  PI_CHECK(resolved == Representation::kProgram || (plan != nullptr && plan->ok()));
   std::string key;
   key.reserve(64 + 24 * req.attrs.size());
   key += req.interface;
@@ -147,18 +141,20 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
   key += '\x1f';
   if (resolved == Representation::kProgram) {
     key += req.function;
+  } else if (plan->items.empty()) {
+    // Empty spec means "first declared place, `tokens` copies" — the count
+    // is the only degree of freedom left.
+    key += StrFormat("@first:%lld", static_cast<long long>(plan->total));
   } else {
-    const int default_count = std::max(1, req.tokens);
-    const std::string canonical = CanonicalEntryPlace(req.entry_place, default_count);
-    if (canonical.empty()) {
-      // Empty spec means "first declared place, `tokens` copies" — the
-      // count is the only degree of freedom left.
-      key += StrFormat("@first:%d", default_count);
-    } else {
-      // Every count is explicit in the canonical spec, so the `tokens`
-      // field no longer matters: "vld_in" with tokens=8 and "vld_in:8"
-      // with tokens=1 are the same query.
-      key += canonical;
+    // Every count is explicit in the plan, so the `tokens` field no longer
+    // matters: "vld_in" with tokens=8 and "vld_in:8" with tokens=1 are the
+    // same query.
+    for (std::size_t i = 0; i < plan->items.size(); ++i) {
+      if (i > 0) {
+        key += ',';
+      }
+      key += plan->items[i].place;
+      key += StrFormat(":%d", plan->items[i].count);
     }
   }
   key += '\x1f';

@@ -40,7 +40,8 @@ struct PredictRequest {
   // comma-separated list of `place[:count]` items — e.g. the JPEG net's
   // "hdr_in:1,vld_in:8" injects the header token plus eight stripes. All
   // injected tokens carry the same attribute values. The net then runs to
-  // quiescence; `value` is the quiescence time.
+  // quiescence; `value` is the quiescence time. Parsed once per request by
+  // ParseInjectionPlan.
   std::string entry_place;
   int tokens = 1;  // copies used when entry_place names no :count
 
@@ -93,7 +94,7 @@ bool PredictStatusFromName(std::string_view name, PredictStatus* out);
 // tracks; requesting it costs a few string copies, not extra evaluation.
 struct ExplainInfo {
   bool filled = false;
-  // Which machinery produced the value: "psc-vm", "psc-interp", "pnet",
+  // Which machinery produced the value: "psc-vm", "pnet",
   // "pnet-memo" (every component answered from the memo table),
   // "pnet-derived" (no simulation; at least one component served from a
   // distilled closed-form interface, src/petri/distill.h),
@@ -106,7 +107,7 @@ struct ExplainInfo {
   std::string cache;
   std::uint64_t queue_wait_ns = 0;  // batch submission -> worker pickup
   std::uint64_t eval_ns = 0;        // same clock as PredictResponse::eval_ns
-  // Interpreter/VM steps (program) or net firings consumed (pnet).
+  // VM steps (program) or net firings consumed (pnet).
   std::uint64_t steps = 0;
   // Pnet memo path: components consulted and how many hit the memo table.
   std::uint64_t memo_components = 0;
@@ -161,14 +162,43 @@ struct PredictResponse {
 // clock and pid at first use so concurrent processes don't collide.
 std::string GenerateTraceId();
 
+// A pnet request's entry_place spec, parsed once: which places receive the
+// workload tokens and how many each. Items are sorted by place name with
+// duplicate places merged, so permuted specs that inject the same marking
+// yield the same plan. Injection order cannot change a result (the tokens
+// are identical and injecting only marks transitions pending), so the
+// service injects straight from the plan.
+struct InjectionPlan {
+  struct Item {
+    std::string place;
+    int count = 0;  // 1..INT_MAX
+  };
+  // Empty: the net's first declared place receives all `total` tokens.
+  std::vector<Item> items;
+  std::int64_t total = 0;  // tokens injected across all items
+  // Set when the spec is malformed (a count outside 1..INT_MAX, before or
+  // after merging duplicates). Such a request can never have a cached
+  // answer; the service answers ERROR without consulting the cache.
+  std::string error;
+
+  bool ok() const { return error.empty(); }
+};
+
+// Parses req.entry_place: comma-separated `place[:count]` items, whitespace
+// insignificant. An item without a count, or an empty spec, injects
+// max(1, req.tokens) tokens. Unknown place names are not checked here (the
+// service resolves them against the net).
+InjectionPlan ParseInjectionPlan(const PredictRequest& req);
+
 // Canonical cache key: representation-resolved, attribute order and float
-// formatting normalized, and the entry-place spec canonicalized (whitespace
-// stripped, default counts made explicit, items sorted, duplicates merged),
-// so permuted but identical queries share an entry. `resolved` must be
-// kProgram or kPnet (kAuto is resolved by the service before keying).
-// Resource limits are deliberately excluded: the cache stores ground-truth
+// formatting normalized, and for kPnet the injection plan spelled out with
+// every count explicit, so permuted but identical queries share an entry.
+// `resolved` must be kProgram or kPnet (kAuto is resolved by the service
+// before keying); kPnet needs the request's well-formed `plan`. Resource
+// limits are deliberately excluded: the cache stores ground-truth
 // predictions, and limits only bound *evaluation* cost.
-std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved);
+std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved,
+                              const InjectionPlan* plan = nullptr);
 
 }  // namespace perfiface::serve
 

@@ -1,10 +1,7 @@
 #include "src/serve/service.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "src/common/check.h"
@@ -179,14 +176,12 @@ std::string PredictionService::StatuszJson() const {
       "\"options\":{\"workers\":%zu,\"queue_capacity\":%zu,\"batch_chunk\":%zu,"
       "\"cache_capacity\":%zu,\"cache_shards\":%zu,\"pnet_memo\":%s,\"param_memo\":%s,"
       "\"param_memo_min_samples\":%zu,\"param_memo_max_rel_err\":%.9g,\"derived\":%s,"
-      "\"psc_compile\":%s,"
       "\"default_max_steps\":%llu,\"steps_per_us\":%llu,\"shadow_sample_every\":%llu,"
       "\"shadow_seed\":%llu,\"shadow_drift_threshold\":%.9g,\"span_ring\":%s},",
       workers_.size(), options_.queue_capacity, options_.batch_chunk, options_.cache_capacity,
       options_.cache_shards, options_.enable_pnet_memo ? "true" : "false",
       options_.enable_param_memo ? "true" : "false", options_.param_memo_min_samples,
       options_.param_memo_max_rel_err, options_.enable_derived ? "true" : "false",
-      options_.enable_psc_compile ? "true" : "false",
       static_cast<unsigned long long>(options_.default_max_steps),
       static_cast<unsigned long long>(options_.steps_per_us),
       static_cast<unsigned long long>(options_.shadow_sample_every),
@@ -527,7 +522,6 @@ PredictionService::BatchHandle PredictionService::SubmitBatch(
 
 void PredictionService::WorkerLoop() {
   WorkerState state;
-  state.interps.resize(entries_.size());
   state.vms.resize(entries_.size());
   Job job;
   for (;;) {
@@ -754,7 +748,18 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     return finish(response);
   }
 
-  const std::string key = CanonicalCacheKey(request, rep);
+  // The entry-place spec is parsed once, here: the plan keys the cache and
+  // drives injection. A malformed spec can never have a cached answer.
+  InjectionPlan plan;
+  if (rep == Representation::kPnet) {
+    plan = ParseInjectionPlan(request);
+    if (!plan.ok()) {
+      response.status = PredictStatus::kError;
+      response.error = plan.error;
+      return finish(response);
+    }
+  }
+  const std::string key = CanonicalCacheKey(request, rep, &plan);
   CachedPrediction cached;
   if (cache_.Get(key, &cached)) {
     cache_outcome = CacheOutcome::kHit;
@@ -771,7 +776,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
   response = rep == Representation::kProgram
                  ? EvaluateProgram(request, *entry, entry_idx, budget, deadline_limited, state,
                                    &detail)
-                 : EvaluatePnet(request, *entry, budget, deadline_limited, &detail);
+                 : EvaluatePnet(request, *entry, plan, budget, deadline_limited, &detail);
   if (response.ok()) {
     // Shadow validation rides the miss path only: a cached prediction was
     // already sampled (same key, same decision) when first evaluated.
@@ -803,50 +808,20 @@ PredictResponse PredictionService::EvaluateProgram(const PredictRequest& request
   }
   workload.AddUniformChildren(request.children);
 
-  // Compiled path: one Vm per (worker, program), never shared across
-  // threads, with identical observable semantics to the interpreter (the
-  // vm_diff_test contract). Programs outside the compilable subset fall
-  // back to tree-walking, counted so operators can see fallback in
-  // production scrapes.
-  EvalResult result;
-  bool budget_exhausted = false;
-  if (options_.enable_psc_compile && iface.compiled() != nullptr) {
-    std::unique_ptr<Vm>& slot = state->vms[entry_idx];
-    if (slot == nullptr) {
-      slot = std::make_unique<Vm>(iface.compiled());
-    }
-    Vm& vm = *slot;
-    vm.set_max_steps(budget);
-    result = vm.Call(request.function, {Value::Object(&workload)});
-    budget_exhausted = vm.step_budget_exhausted();
-    detail->representation = "psc-vm";
-    detail->steps = vm.steps_used();
-  } else {
-    if (options_.enable_psc_compile) {
-      static obs::MetricsRegistry::Counter& fallback_total =
-          obs::MetricsRegistry::Global().GetCounter(
-              "perfiface_psc_vm_fallback_total",
-              "Program queries served by the interpreter because the program did not compile");
-      fallback_total.Increment();
-    }
-    // One interpreter per (worker, program), never shared across threads.
-    std::unique_ptr<Interpreter>& slot = state->interps[entry_idx];
-    if (slot == nullptr) {
-      slot = std::make_unique<Interpreter>(iface.program().get());
-      for (const auto& c : iface.constants()) {
-        slot->SetGlobal(c.first, c.second);
-      }
-    }
-    Interpreter& interp = *slot;
-    interp.set_max_steps(budget);
-    result = interp.Call(request.function, {Value::Object(&workload)});
-    budget_exhausted = interp.step_budget_exhausted();
-    detail->representation = "psc-interp";
-    detail->steps = interp.steps_used();
+  // One Vm per (worker, program), never shared across threads, with the
+  // interpreter's observable semantics (the vm_diff_test contract).
+  std::unique_ptr<Vm>& slot = state->vms[entry_idx];
+  if (slot == nullptr) {
+    slot = std::make_unique<Vm>(iface.compiled());
   }
+  Vm& vm = *slot;
+  vm.set_max_steps(budget);
+  const EvalResult result = vm.Call(request.function, {Value::Object(&workload)});
+  detail->representation = "psc-vm";
+  detail->steps = vm.steps_used();
 
   if (!result.ok) {
-    if (budget_exhausted) {
+    if (vm.step_budget_exhausted()) {
       response.status =
           deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;
     } else {
@@ -869,55 +844,39 @@ PredictResponse PredictionService::EvaluateProgram(const PredictRequest& request
 }
 
 PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, const Entry& entry,
-                                                std::uint64_t budget, bool deadline_limited,
-                                                EvalDetail* detail) {
+                                                const InjectionPlan& plan, std::uint64_t budget,
+                                                bool deadline_limited, EvalDetail* detail) {
   PredictResponse response;
   detail->representation = "pnet";
   const PetriNet& net = *entry.pnet.net;
   const CompiledNet& cnet = *entry.compiled;
 
-  // Resolve the injection plan: either the first declared place, or each
-  // `place[:count]` item of the comma-separated entry_place spec. Items
-  // without an explicit count inject `tokens` copies.
-  const int default_count = std::max(1, request.tokens);
+  // Resolve the plan's place names: an empty plan means the first declared
+  // place.
   std::vector<std::pair<PlaceId, int>> injections;
-  if (request.entry_place.empty()) {
-    injections.emplace_back(PlaceId{0}, default_count);
-  } else {
-    for (std::string item : SplitString(request.entry_place, ',')) {
-      // Whitespace is insignificant, exactly as in CanonicalCacheKey: the
-      // cache would serve "hdr_in : 1" from a "hdr_in:1" entry, so the
-      // cold path must accept it too.
-      item.erase(std::remove_if(item.begin(), item.end(),
-                                [](unsigned char ch) { return std::isspace(ch) != 0; }),
-                 item.end());
-      std::string name = item;
-      int count = default_count;
-      const std::size_t colon = item.find(':');
-      if (colon != std::string::npos) {
-        name = item.substr(0, colon);
-        char* end = nullptr;
-        errno = 0;
-        const long long parsed = std::strtoll(item.c_str() + colon + 1, &end, 10);
-        // The ERANGE check matters on LP64 too: without it an overflowing
-        // count clamps to LLONG_MAX and the narrowing cast below would
-        // truncate it to garbage instead of rejecting the item.
-        if (end == item.c_str() + colon + 1 || *end != '\0' || errno == ERANGE ||
-            parsed < 1 || parsed > std::numeric_limits<int>::max()) {
-          response.status = PredictStatus::kError;
-          response.error = StrFormat("bad token count in entry place item '%s'", item.c_str());
-          return response;
-        }
-        count = static_cast<int>(parsed);
-      }
-      if (!net.HasPlace(name)) {
-        response.status = PredictStatus::kNotFound;
-        response.error =
-            StrFormat("net '%s' has no place '%s'", entry.name.c_str(), name.c_str());
-        return response;
-      }
-      injections.emplace_back(net.PlaceByName(name), count);
+  if (plan.items.empty()) {
+    injections.emplace_back(PlaceId{0}, static_cast<int>(plan.total));
+  }
+  for (const InjectionPlan::Item& item : plan.items) {
+    if (!net.HasPlace(item.place)) {
+      response.status = PredictStatus::kNotFound;
+      response.error =
+          StrFormat("net '%s' has no place '%s'", entry.name.c_str(), item.place.c_str());
+      return response;
     }
+    injections.emplace_back(net.PlaceByName(item.place), item.count);
+  }
+  // Every injected token costs memory before the first firing, so a plan
+  // larger than the firing budget is answered with the budget status
+  // without injecting anything.
+  const PredictStatus budget_status =
+      deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;
+  if (static_cast<std::uint64_t>(plan.total) > budget) {
+    response.status = budget_status;
+    response.error = StrFormat("injection plan of %lld tokens exceeds the firing budget of %llu",
+                               static_cast<long long>(plan.total),
+                               static_cast<unsigned long long>(budget));
+    return response;
   }
 
   // Map workload attributes onto the net's token schema; names the schema
@@ -932,14 +891,10 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     }
   }
 
-  int tokens = 0;
-  for (const auto& [place, count] : injections) {
-    tokens += count;
-  }
-
   Cycles value = 0;
   bool quiesced = true;
   bool firing_budget_hit = false;
+  std::string sim_error;  // a delay/guard expression failed (PetriSim::error)
 
   if (options_.enable_pnet_memo && cnet.hashable()) {
     // Weakly-connected components share no places, so they evolve
@@ -1049,6 +1004,7 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
         if (!q) {
           quiesced = false;
           firing_budget_hit = sim.firing_budget_exhausted();
+          sim_error = sim.error();
           break;
         }
         // Only quiesced results enter the table (pnet_memo.h contract).
@@ -1085,20 +1041,25 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     }
     quiesced = sim.Run(kPnetRunBudget);
     firing_budget_hit = sim.firing_budget_exhausted();
+    sim_error = sim.error();
     value = sim.now();
     detail->steps = sim.total_firings();
   }
 
+  if (!sim_error.empty()) {
+    response.status = PredictStatus::kError;
+    response.error = std::move(sim_error);
+    return response;
+  }
   if (!quiesced) {
-    response.status =
-        deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;
+    response.status = budget_status;
     response.error = firing_budget_hit ? "net firing budget exhausted"
                                        : "net did not quiesce within the time horizon";
     return response;
   }
   response.status = PredictStatus::kOk;
   response.value = static_cast<double>(value);
-  response.throughput = value == 0 ? 0.0 : static_cast<double>(tokens) / response.value;
+  response.throughput = value == 0 ? 0.0 : static_cast<double>(plan.total) / response.value;
   return response;
 }
 

@@ -8,11 +8,11 @@
 // form), and answers queries through a fixed worker pool:
 //
 //   clients ──Predict/PredictBatch/SubmitBatch──▶ admission control ──▶
-//                                          │       deadline-bucketed MPMC
+//                                          │       deadline-bucketed
 //                                          │       queue (request chunks)
-//                             workers (one Interpreter per thread per
-//                             program — interpreters are stateful and are
-//                             never shared) ──▶ sharded LRU cache
+//                             workers (one bytecode Vm per thread per
+//                             program — Vms are stateful and are never
+//                             shared) ──▶ sharded LRU cache
 //                                          └──▶ process-wide sub-net memo
 //                                               (src/petri/pnet_memo.h)
 //
@@ -22,7 +22,7 @@
 // hash, so repeated *structure* is cheap even across different nets.
 // Registry lookups go through a lock-free direct-mapped hot tier over a
 // hash index — no linear scan on the hot path. Per-request deadlines ride
-// on the interpreter's step budget (docs/serving.md).
+// on the VM's step budget (docs/serving.md).
 //
 // Thread-safety: all public methods are safe from any thread. Shutdown
 // (or destruction) drains accepted work, then rejects later submissions.
@@ -94,14 +94,8 @@ struct ServiceOptions {
   // hull) falls back to the lower tiers bit-identically. Off by default.
   // Requires enable_pnet_memo (the tier lives on the per-component path).
   bool enable_derived = false;
-  // Evaluate program interfaces through their compiled bytecode (one Vm per
-  // worker per program) instead of the tree-walking interpreter. Programs
-  // outside the compilable subset always use the interpreter. Off, every
-  // program query tree-walks — useful for benchmarking and for verifying
-  // equivalence (serve_tool --no-compile).
-  bool enable_psc_compile = true;
-  // Default evaluation budget: interpreter steps (program queries) or net
-  // firings (pnet queries).
+  // Default evaluation budget: VM steps (program queries) or net firings
+  // (pnet queries).
   std::uint64_t default_max_steps = 5'000'000;
   // Deadline→budget conversion: a request with deadline_us left gets at
   // most deadline_us * steps_per_us steps (docs/serving.md).
@@ -277,12 +271,10 @@ class PredictionService {
     Clock::time_point enqueued{};
   };
 
-  // Per-worker evaluation state: one Interpreter (and one bytecode Vm, for
-  // entries that compiled) per program, created lazily and reused across
-  // requests (Call resets per-call state).
+  // Per-worker evaluation state: one bytecode Vm per program, created
+  // lazily and reused across requests (Call resets per-call state).
   struct WorkerState {
-    std::vector<std::unique_ptr<Interpreter>> interps;  // by entry index
-    std::vector<std::unique_ptr<Vm>> vms;               // by entry index
+    std::vector<std::unique_ptr<Vm>> vms;  // by entry index
   };
 
   // Evaluation-path facts threaded out of EvaluateProgram/EvaluatePnet so
@@ -290,10 +282,9 @@ class PredictionService {
   // without re-deriving them. Static strings only — no per-request
   // allocation unless the client asked to explain.
   struct EvalDetail {
-    // "psc-vm" | "psc-interp" | "pnet" | "pnet-memo" | "pnet-derived" |
-    // "pnet-param"
+    // "psc-vm" | "pnet" | "pnet-memo" | "pnet-derived" | "pnet-param"
     const char* representation = "";
-    std::uint64_t steps = 0;          // interpreter/VM steps or net firings
+    std::uint64_t steps = 0;          // VM steps or net firings
     std::uint64_t memo_components = 0;
     std::uint64_t memo_hits = 0;
     std::uint64_t derived_hits = 0;   // components served by distilled closed forms
@@ -326,7 +317,8 @@ class PredictionService {
                                   std::size_t entry_idx, std::uint64_t budget,
                                   bool deadline_limited, WorkerState* state, EvalDetail* detail);
   PredictResponse EvaluatePnet(const PredictRequest& request, const Entry& entry,
-                               std::uint64_t budget, bool deadline_limited, EvalDetail* detail);
+                               const InjectionPlan& plan, std::uint64_t budget,
+                               bool deadline_limited, EvalDetail* detail);
 
   ServiceOptions options_;
   std::vector<Entry> entries_;

@@ -1,29 +1,36 @@
 // Differential equivalence for the unified expression IR: the register
-// bytecode (CompiledExpr::EvalRegs / EvalRegsChecked, with the shared
-// superinstruction peephole) must be observably identical to the stack
-// evaluator (Eval / EvalChecked) — bit-exact doubles, including the NaN
-// produced, and byte-identical error strings. This is the contract that
-// lets the simulator's fast paths (src/petri/sim.cc) and the distiller
-// (src/petri/distill.cc) run the register form in place of the stack
-// form without changing a single answer.
+// bytecode CompiledExpr executes (EvalRegs / EvalRegsChecked, with the
+// shared superinstruction peephole) must agree with an independent
+// reference — a direct recursive evaluation of the parsed Expr with net
+// semantics — bit-exact doubles, including the NaN produced, and
+// byte-identical error strings. The reference never reads CompiledExpr's
+// postfix ops, so a bug in building them (not only in lowering them) shows
+// up as a mismatch. This is the contract the simulator (src/petri/sim.cc)
+// and the distiller (src/petri/distill.cc) rely on.
 //
-// Two corpora: every delay/guard expression of every shipped .pnet
-// interface, and a seeded random-expression fuzz over the full operator
-// set — both swept across attribute vectors that include 0, negatives,
-// non-integers, huge magnitudes, NaN, and +/-Inf.
+// Three corpora: every delay/guard expression of every shipped .pnet
+// interface, a seeded random-expression fuzz over the full operator set,
+// and the long fusion-heavy shapes of an expression-bound net — all swept
+// across attribute vectors that include 0, negatives, non-integers, huge
+// magnitudes, NaN, and +/-Inf.
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/loc.h"
+#include "src/common/strings.h"
 #include "src/core/pnet.h"
 #include "src/perfscript/compile.h"
 #include "src/perfscript/interp.h"
+#include "src/perfscript/parser.h"
 #include "src/petri/net.h"
 
 namespace perfiface {
@@ -39,8 +46,8 @@ std::uint64_t NextRand(std::uint64_t* state) {
 }
 
 // Bit-exact double comparison. NaN == NaN only when the payloads match:
-// both evaluators run the same arithmetic in the same order, so even NaN
-// bits must agree.
+// both sides run the same arithmetic in the same order, so even NaN bits
+// must agree.
 bool BitEqual(double a, double b) {
   std::uint64_t ba = 0, bb = 0;
   std::memcpy(&ba, &a, sizeof(ba));
@@ -66,53 +73,196 @@ double DrawAttr(std::uint64_t* rng) {
   return static_cast<double>(NextRand(rng) % 100000) / 4.0;
 }
 
-// Asserts stack and register evaluation agree on one attribute vector:
-// same ok flag, byte-identical error, bit-exact value. When the checked
-// form succeeds, the aborting forms are also exercised (they are the
-// ones the simulator hot loop calls).
-void ExpectSame(const CompiledExpr& expr, const std::vector<double>& attrs,
-                const std::string& what) {
-  const auto slot = [&attrs](std::uint32_t s) {
-    return s < attrs.size() ? attrs[s] : 0.0;
-  };
-  const EvalResult stack = expr.EvalChecked(slot);
-  const EvalResult regs = expr.EvalRegsChecked(slot);
-  ASSERT_EQ(stack.ok, regs.ok) << what;
-  if (!stack.ok) {
-    EXPECT_EQ(stack.error, regs.error) << what;
+// The reference evaluator: the parsed expression walked directly. Net
+// semantics — `and`/`or` evaluate both operands, operands evaluate left to
+// right, min/max fold left to right, and the first division or modulo by
+// zero stops evaluation with the register code's error string. Names
+// resolve through the same binder the compiler used.
+bool RefEval(const Expr& e, const ExprBinder& binder, const std::vector<double>& attrs,
+             double* out, std::string* error) {
+  switch (e.kind) {
+    case ExprKind::kNumber:
+      *out = e.number;
+      return true;
+    case ExprKind::kVar: {
+      const std::optional<ExprBinding> b = binder(e.name);
+      if (!b.has_value()) {
+        *error = "unbound " + e.name;
+        return false;
+      }
+      *out = b->kind == ExprBinding::Kind::kConst
+                 ? b->value
+                 : (b->slot < attrs.size() ? attrs[b->slot] : 0.0);
+      return true;
+    }
+    case ExprKind::kAttr:
+      *error = "attribute access";
+      return false;
+    case ExprKind::kUnary: {
+      double v = 0;
+      if (!RefEval(*e.children[0], binder, attrs, &v, error)) return false;
+      *out = e.un_op == UnOp::kNeg ? -v : (v == 0 ? 1 : 0);
+      return true;
+    }
+    case ExprKind::kCall: {
+      std::vector<double> args;
+      for (const ExprPtr& c : e.children) {
+        double v = 0;
+        if (!RefEval(*c, binder, attrs, &v, error)) return false;
+        args.push_back(v);
+      }
+      if (e.name == "min" || e.name == "max") {
+        double r = args.at(0);
+        for (std::size_t i = 1; i < args.size(); ++i) {
+          r = e.name == "min" ? std::fmin(r, args[i]) : std::fmax(r, args[i]);
+        }
+        *out = r;
+      } else if (e.name == "ceil") {
+        *out = std::ceil(args.at(0));
+      } else if (e.name == "floor") {
+        *out = std::floor(args.at(0));
+      } else if (e.name == "abs") {
+        *out = std::fabs(args.at(0));
+      } else if (e.name == "sqrt") {
+        *out = std::sqrt(args.at(0));
+      } else {
+        *error = "unknown function " + e.name;
+        return false;
+      }
+      return true;
+    }
+    case ExprKind::kBinary: {
+      double a = 0, b = 0;
+      if (!RefEval(*e.children[0], binder, attrs, &a, error) ||
+          !RefEval(*e.children[1], binder, attrs, &b, error)) {
+        return false;
+      }
+      switch (e.bin_op) {
+        case BinOp::kAdd: *out = a + b; break;
+        case BinOp::kSub: *out = a - b; break;
+        case BinOp::kMul: *out = a * b; break;
+        case BinOp::kDiv:
+          if (b == 0) {
+            *error = StrFormat("line %d: division by zero", e.line);
+            return false;
+          }
+          *out = a / b;
+          break;
+        case BinOp::kMod:
+          if (b == 0) {
+            *error = StrFormat("line %d: modulo by zero", e.line);
+            return false;
+          }
+          *out = std::fmod(a, b);
+          break;
+        case BinOp::kLt: *out = a < b ? 1 : 0; break;
+        case BinOp::kLe: *out = a <= b ? 1 : 0; break;
+        case BinOp::kGt: *out = a > b ? 1 : 0; break;
+        case BinOp::kGe: *out = a >= b ? 1 : 0; break;
+        case BinOp::kEq: *out = a == b ? 1 : 0; break;
+        case BinOp::kNe: *out = a != b ? 1 : 0; break;
+        case BinOp::kAnd: *out = (a != 0 && b != 0) ? 1 : 0; break;
+        case BinOp::kOr: *out = (a != 0 || b != 0) ? 1 : 0; break;
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+// Asserts the compiled expression and the reference agree on one
+// attribute vector: same ok flag, byte-identical error, bit-exact value,
+// through both the checked and the lean (simulator) entry points.
+void ExpectSame(const CompiledExpr& compiled, const Expr& parsed, const ExprBinder& binder,
+                const std::vector<double>& attrs, const std::string& what) {
+  double want = 0;
+  std::string want_error;
+  const bool want_ok = RefEval(parsed, binder, attrs, &want, &want_error);
+  const auto slot = [&attrs](std::uint32_t s) { return s < attrs.size() ? attrs[s] : 0.0; };
+  const EvalResult got = compiled.EvalRegsChecked(slot);
+  ASSERT_EQ(want_ok, got.ok) << what << " (reference: '" << want_error << "', compiled: '"
+                             << got.error << "')";
+  double lean = 0;
+  std::string lean_error;
+  EXPECT_EQ(compiled.EvalRegs(slot, &lean, &lean_error), got.ok) << what;
+  if (!want_ok) {
+    EXPECT_EQ(want_error, got.error) << what;
+    EXPECT_EQ(want_error, lean_error) << what;
     return;
   }
-  EXPECT_TRUE(BitEqual(stack.Num(), regs.Num()))
-      << what << ": stack=" << stack.Num() << " regs=" << regs.Num();
-  EXPECT_TRUE(BitEqual(expr.Eval(slot), expr.EvalRegs(slot))) << what;
+  EXPECT_TRUE(BitEqual(want, got.Num()))
+      << what << ": reference=" << want << " compiled=" << got.Num();
+  EXPECT_TRUE(BitEqual(want, lean)) << what;
+}
+
+// Binder matching the .pnet loader: declared constants inline, attributes
+// resolve to their slot.
+ExprBinder NetBinder(const PetriNet& net, const std::map<std::string, double>& consts) {
+  return [&net, &consts](std::string_view name) -> std::optional<ExprBinding> {
+    const auto it = consts.find(std::string(name));
+    if (it != consts.end()) return ExprBinding::Const(it->second);
+    const std::size_t slot = net.FindAttr(name);
+    if (slot == PetriNet::kNoAttr) return std::nullopt;
+    return ExprBinding::Slot(static_cast<std::uint32_t>(slot));
+  };
+}
+
+// The quoted value of `key="..."` on a .pnet directive line, if present.
+std::optional<std::string> QuotedOption(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=\"");
+  if (at == std::string::npos) return std::nullopt;
+  const std::size_t begin = at + key.size() + 3;
+  return line.substr(begin, line.find('"', begin) - begin);
 }
 
 TEST(ExprDiff, ShippedNetExpressionsAgree) {
   std::uint64_t rng = 0x9d1f29a4c0ffee01ULL;
-  std::size_t with_reg_code = 0;
+  std::size_t checked = 0;
   for (const char* name : {"jpeg", "protoacc", "vta", "conv"}) {
-    const LoadedNet loaded = LoadPnetFile(std::string(PERFIFACE_SOURCE_DIR) +
-                                          "/src/core/interfaces/" + name + ".pnet");
+    const std::string path =
+        std::string(PERFIFACE_SOURCE_DIR) + "/src/core/interfaces/" + name + ".pnet";
+    const LoadedNet loaded = LoadPnetFile(path);
     ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.error;
+    // The reference needs the expressions' source text and the constants,
+    // which the loaded net keeps only in compiled form: read them from the
+    // flattened document.
+    const PnetExpansion expanded =
+        ExpandPnetIncludes(ReadFileOrDie(path), path.substr(0, path.rfind('/')));
+    ASSERT_TRUE(expanded.ok) << expanded.error;
+    std::map<std::string, double> consts;
+    std::map<std::string, std::pair<std::string, std::optional<std::string>>> sources;
+    for (const std::string& raw : SplitString(expanded.text, '\n')) {
+      const std::string line(StripWhitespace(raw));
+      const std::vector<std::string> words = SplitString(line, ' ');
+      if (words.size() == 3 && words[0] == "const") {
+        consts[words[1]] = std::atof(words[2].c_str());
+      } else if (words.size() > 1 && words[0] == "trans") {
+        sources[words[1]] = {QuotedOption(line, "delay").value(), QuotedOption(line, "guard")};
+      }
+    }
+    const ExprBinder binder = NetBinder(*loaded.net, consts);
     const std::size_t num_attrs = loaded.net->attr_names().size();
     for (const TransitionSpec& spec : loaded.net->transitions()) {
-      for (const auto& compiled : {spec.delay_compiled, spec.guard_compiled}) {
-        if (compiled == nullptr || !compiled->has_reg_code()) continue;
-        ++with_reg_code;
+      const auto& [delay_source, guard_source] = sources.at(spec.name);
+      for (const auto& [compiled, source] :
+           {std::pair{spec.delay_compiled, std::optional<std::string>(delay_source)},
+            std::pair{spec.guard_compiled, guard_source}}) {
+        ASSERT_EQ(compiled != nullptr, source.has_value()) << name << "/" << spec.name;
+        if (compiled == nullptr) continue;
+        const ParseExprResult parsed = ParseExpression(*source);
+        ASSERT_TRUE(parsed.ok) << *source << ": " << parsed.error;
+        ++checked;
         for (int trial = 0; trial < 64; ++trial) {
           std::vector<double> attrs(num_attrs);
           for (double& a : attrs) a = DrawAttr(&rng);
-          ExpectSame(*compiled, attrs,
-                     std::string(name) + "/" + spec.name + " trial " +
+          ExpectSame(*compiled, *parsed.expr, binder, attrs,
+                     std::string(name) + "/" + spec.name + " `" + *source + "` trial " +
                          std::to_string(trial));
         }
       }
     }
   }
-  // The point of the lowering is that the shipped interfaces actually use
-  // it; a silent fall-back to the stack form everywhere would pass the
-  // comparisons vacuously.
-  EXPECT_GT(with_reg_code, 10u);
+  EXPECT_GT(checked, 10u);
 }
 
 // --------------------------------------------------------------------------
@@ -149,55 +299,151 @@ std::string GenExpr(std::uint64_t* rng, int depth) {
   }
 }
 
-TEST(ExprDiff, RandomExpressionCorpusAgrees) {
-  std::uint64_t rng = 0x5eed5eed5eed5eedULL;
-  const ExprBinder binder = [](std::string_view name) -> std::optional<ExprBinding> {
-    if (name == "a") return ExprBinding::Slot(0);
-    if (name == "b") return ExprBinding::Slot(1);
-    if (name == "c") return ExprBinding::Slot(2);
-    return std::nullopt;
-  };
+const ExprBinder kAbcBinder = [](std::string_view name) -> std::optional<ExprBinding> {
+  if (name == "a") return ExprBinding::Slot(0);
+  if (name == "b") return ExprBinding::Slot(1);
+  if (name == "c") return ExprBinding::Slot(2);
+  return std::nullopt;
+};
+
+// Compiles `source` the way the .pnet loader would and checks it against
+// the reference on `trials` attribute vectors of `num_attrs` slots.
+void CheckSource(const std::string& source, const ExprBinder& binder, std::size_t num_attrs,
+                 int trials, std::uint64_t* rng) {
   ExprCompileOptions options;
   options.domain = "net expressions";  // match the .pnet loader's error phrasing
-
-  std::size_t with_reg_code = 0;
-  for (int i = 0; i < 400; ++i) {
-    const std::string source = GenExpr(&rng, 5);
-    std::string error;
-    const auto expr = CompiledExpr::CompileSource(source, binder, &error, options);
-    ASSERT_NE(expr, nullptr) << source << ": " << error;
-    if (!expr->has_reg_code()) continue;
-    ++with_reg_code;
-    for (int trial = 0; trial < 16; ++trial) {
-      std::vector<double> attrs(3);
-      for (double& a : attrs) a = DrawAttr(&rng);
-      ExpectSame(*expr, attrs, source);
-    }
+  std::string error;
+  const auto compiled = CompiledExpr::CompileSource(source, binder, &error, options);
+  ASSERT_NE(compiled, nullptr) << source << ": " << error;
+  const ParseExprResult parsed = ParseExpression(source);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  for (int trial = 0; trial < trials; ++trial) {
+    std::vector<double> attrs(num_attrs);
+    for (double& a : attrs) a = DrawAttr(rng);
+    ExpectSame(*compiled, *parsed.expr, binder, attrs, source);
   }
-  // Constant folding may collapse an expression to a literal, and register
-  // pressure may force the stack fall-back, but the lowering must cover
-  // the overwhelming bulk of a mixed corpus.
-  EXPECT_GT(with_reg_code, 200u);
 }
 
-TEST(ExprDiff, DivisionByZeroErrorStringsMatchTheLoader) {
+TEST(ExprDiff, RandomExpressionCorpusAgrees) {
+  std::uint64_t rng = 0x5eed5eed5eed5eedULL;
+  for (int i = 0; i < 400; ++i) {
+    CheckSource(GenExpr(&rng, 5), kAbcBinder, 3, 16, &rng);
+  }
+}
+
+// The shapes of an expression-bound net: long sums of const-mul-add terms,
+// min/max clamps and prime moduli, plus compound attribute guards — the
+// patterns every superinstruction fuses.
+TEST(ExprDiff, SuperinstructionShapesAgree) {
   const ExprBinder binder = [](std::string_view name) -> std::optional<ExprBinding> {
-    if (name == "a") return ExprBinding::Slot(0);
+    if (name == "x") return ExprBinding::Slot(0);
+    if (name == "y") return ExprBinding::Slot(1);
     return std::nullopt;
   };
-  ExprCompileOptions options;
-  options.domain = "net expressions";
+  std::uint64_t rng = 0x90de90de90de90deULL;
+  const unsigned primes[] = {127, 149, 191, 227, 233, 251, 283, 311, 359,
+                             421, 431, 499, 509, 541, 577, 593, 613, 641,
+                             647, 683, 709, 733, 769, 821, 883, 919};
+  constexpr std::size_t kStages = 4;
+  constexpr std::size_t kTermsPerDelay = 96;
+  for (std::size_t s = 0; s < kStages; ++s) {
+    std::string delay = StrFormat("(x * %zu + y * %zu + %zu) %% 8191", 2 + s, 3 + s, 5 + s);
+    for (std::size_t t = 0; t < kTermsPerDelay; ++t) {
+      const std::size_t v = s * kTermsPerDelay + t;
+      const unsigned prime = primes[v % (sizeof(primes) / sizeof(primes[0]))];
+      switch (t % 4) {
+        case 0:
+          delay += StrFormat(" + ((x * %zu + y * %zu) * %zu + %zu) %% %u", 2 + v % 7,
+                             1 + v % 5, 2 + v % 3, 3 + v, prime);
+          break;
+        case 1:
+          delay += StrFormat(" + max(min(y * %zu + %zu, %zu), %zu)", 2 + v % 8, 3 + v,
+                             8'000 + 900 * (v % 50), 8 + v % 56);
+          break;
+        case 2:
+          delay += StrFormat(" + (x * %zu + y * %zu + %zu) %% %u", 1 + v % 9, 2 + v % 7,
+                             7 + v, prime);
+          break;
+        default:
+          delay += StrFormat(" + min(x * %zu + %zu, %zu) / %zu", 2 + v % 6, 2 + v,
+                             30'000 + 1'000 * (v % 60), 3 + v % 28);
+          break;
+      }
+    }
+    CheckSource(delay, binder, 2, 64, &rng);
+  }
+  for (const char* guard :
+       {"x + y * 2 >= 1 and x * 3 + 1 > 0", "max(x, y) >= 0 and y + 1 > 0",
+        "x * y + 1 > 0 and x >= 0", "x + 1 > 0 and y * 2 >= 0"}) {
+    CheckSource(guard, binder, 2, 64, &rng);
+  }
+}
+
+TEST(ExprDiff, DivisionByZeroErrorStringsMatchTheReference) {
+  std::uint64_t rng = 1;
+  for (const char* source : {"(7 / a)", "(a % b)", "(1 / a) + (2 % b)", "(1 / 0) and 0"}) {
+    std::string error;
+    const auto compiled = CompiledExpr::CompileSource(source, kAbcBinder, &error);
+    ASSERT_NE(compiled, nullptr) << error;
+    const EvalResult r = compiled->EvalRegsChecked([](std::uint32_t) { return 0.0; });
+    ASSERT_FALSE(r.ok) << source;
+    EXPECT_EQ(r.error.rfind("line 1: ", 0), 0u) << r.error;
+    EXPECT_NE(r.error.find("by zero"), std::string::npos) << r.error;
+    CheckSource(source, kAbcBinder, 3, 8, &rng);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Binding and size limits
+// --------------------------------------------------------------------------
+
+TEST(CompiledExpr, BindsVariables) {
+  const ExprBinder binder = [](std::string_view name) -> std::optional<ExprBinding> {
+    if (name == "x") return ExprBinding::Const(20.0);
+    if (name == "lat") return ExprBinding::Const(52.0);
+    return std::nullopt;
+  };
   std::string error;
-  const auto expr = CompiledExpr::CompileSource("(7 / a)", binder, &error, options);
-  ASSERT_NE(expr, nullptr) << error;
-  ASSERT_TRUE(expr->has_reg_code());
-  const auto zero = [](std::uint32_t) { return 0.0; };
-  const EvalResult stack = expr->EvalChecked(zero);
-  const EvalResult regs = expr->EvalRegsChecked(zero);
-  ASSERT_FALSE(stack.ok);
-  ASSERT_FALSE(regs.ok);
-  EXPECT_EQ(stack.error, regs.error);
-  EXPECT_NE(stack.error.find("division by zero"), std::string::npos) << stack.error;
+  const auto compiled = CompiledExpr::CompileSource("ceil(x / 8) * (lat + 8) + 4", binder, &error);
+  ASSERT_NE(compiled, nullptr) << error;
+  const EvalResult v = compiled->EvalRegsChecked([](std::uint32_t) { return 0.0; });
+  ASSERT_TRUE(v.ok) << v.error;
+  EXPECT_DOUBLE_EQ(v.value.num, 3 * 60 + 4);
+}
+
+TEST(CompiledExpr, UnknownVariableFails) {
+  std::string error;
+  const auto compiled = CompiledExpr::CompileSource(
+      "y + 1", [](std::string_view) { return std::optional<ExprBinding>(); }, &error);
+  EXPECT_EQ(compiled, nullptr);
+  EXPECT_NE(error.find("unknown variable 'y'"), std::string::npos) << error;
+}
+
+// Slots at or above kMaxSlots leave the 8-bit register file no room for
+// temps: compiling such an expression is an error, and so is loading a net
+// whose expression reads one.
+TEST(CompiledExpr, ReadingSlot180OrAboveIsALoadError) {
+  const auto slot = [](std::uint32_t s) {
+    return [s](std::string_view) -> std::optional<ExprBinding> { return ExprBinding::Slot(s); };
+  };
+  std::string error;
+  EXPECT_NE(CompiledExpr::CompileSource("v + 1", slot(CompiledExpr::kMaxSlots - 1), &error),
+            nullptr)
+      << error;
+  EXPECT_EQ(CompiledExpr::CompileSource("v + 1", slot(CompiledExpr::kMaxSlots), &error),
+            nullptr);
+  EXPECT_NE(error.find("attribute slot 180"), std::string::npos) << error;
+
+  std::string text = "net wide\n";
+  for (std::uint32_t i = 0; i <= CompiledExpr::kMaxSlots; ++i) {
+    text += StrFormat("attr a%u\n", i);
+  }
+  text += "place in\nplace out\n";
+  text += StrFormat("trans t in=in out=out delay=\"a%u * 2\"\n", CompiledExpr::kMaxSlots);
+  const LoadedNet loaded = LoadPnet(text);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error.find("delay: expression reads attribute slot 180"), std::string::npos)
+      << loaded.error;
 }
 
 }  // namespace

@@ -448,6 +448,39 @@ TEST(NetServer, MalformedFramesNeverKillTheConnection) {
   }
 }
 
+// A request whose net delay divides by zero (jpeg vld with the attributes
+// left at 0) used to abort the server process. Over the wire it must earn
+// an ERROR line naming the transition, and the same connection must answer
+// the next request.
+TEST(NetServer, NetExpressionErrorEarnsErrorLineAndConnectionSurvives) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  ASSERT_TRUE(client.SendRaw("{\"id\":1,\"requests\":{\"interface\":\"jpeg_decoder\","
+                             "\"rep\":\"pnet\",\"entry_place\":\"hdr_in:1,vld_in:1\"}}\n",
+                             &error))
+      << error;
+  WireResponse failed;
+  ASSERT_TRUE(client.ReadResponse(&failed, &error)) << error;
+  EXPECT_FALSE(failed.malformed);
+  EXPECT_EQ(failed.id, 1u);
+  EXPECT_EQ(failed.response.status, PredictStatus::kError);
+  EXPECT_NE(failed.response.error.find("transition 'vld'"), std::string::npos)
+      << failed.response.error;
+
+  std::vector<PredictResponse> responses;
+  ASSERT_TRUE(client.Call({PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8"),
+                           JpegRequest(65536, 0.2)},
+                          &responses, &error))
+      << error;
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, PredictStatus::kOk) << responses[0].error;
+  EXPECT_EQ(responses[1].status, PredictStatus::kOk) << responses[1].error;
+}
+
 TEST(NetServer, OversizedFrameEarnsErrorLineAndResync) {
   NetServerOptions nopts;
   nopts.max_frame_bytes = 256;

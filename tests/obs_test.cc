@@ -24,6 +24,8 @@
 #include "src/core/registry.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
+#include "src/perfscript/interp.h"
+#include "src/perfscript/kv_object.h"
 #include "src/serve/metrics.h"
 #include "src/serve/request.h"
 #include "src/serve/service.h"
@@ -663,22 +665,29 @@ TEST(MetricsRegistry, InstrumentedLayersExposeCounters) {
   req.interface = "jpeg_decoder";
   req.function = "latency_jpeg_decode";
   req.attrs = {{"orig_size", 4096.0}, {"compress_rate", 0.5}};
+  // Program queries run on the bytecode VM. The service stays alive for
+  // the scrape below so its collector contributes the serve families.
+  serve::PredictionService service(InterfaceRegistry::Default(), {});
+  EXPECT_TRUE(service.Predict(req).ok());
+  serve::PredictRequest pnet;
+  pnet.interface = "jpeg_decoder";
+  pnet.representation = serve::Representation::kPnet;
+  pnet.entry_place = "hdr_in:1";
+  EXPECT_TRUE(service.Predict(pnet).ok());
+  // No serving path runs the tree-walking interpreter; it keeps its
+  // families as the VM's reference evaluator, driven here directly.
   {
-    // Default path: compiled bytecode VM.
-    serve::PredictionService service(InterfaceRegistry::Default(), {});
-    EXPECT_TRUE(service.Predict(req).ok());
-    serve::PredictRequest pnet;
-    pnet.interface = "jpeg_decoder";
-    pnet.representation = serve::Representation::kPnet;
-    pnet.entry_place = "hdr_in:1";
-    EXPECT_TRUE(service.Predict(pnet).ok());
+    const ProgramInterface iface = InterfaceRegistry::Default().LoadProgram("jpeg_decoder");
+    Interpreter interp(iface.program().get());
+    for (const auto& [name, value] : iface.constants()) {
+      interp.SetGlobal(name, value);
+    }
+    KvObject image;
+    for (const auto& [name, value] : req.attrs) {
+      image.Set(name, value);
+    }
+    EXPECT_TRUE(interp.Call(req.function, {Value::Object(&image)}).ok);
   }
-  // Compilation off: the tree-walking interpreter layer. Stays alive for
-  // the scrape below so its collector still contributes the serve families.
-  serve::ServiceOptions interp_options;
-  interp_options.enable_psc_compile = false;
-  serve::PredictionService interp_service(InterfaceRegistry::Default(), interp_options);
-  EXPECT_TRUE(interp_service.Predict(req).ok());
 
   const std::string text = registry.RenderPrometheus();
   EXPECT_NE(text.find("perfiface_psc_vm_calls_total"), std::string::npos);

@@ -224,25 +224,5 @@ TEST(Interp, LenBuiltin) {
   EXPECT_DOUBLE_EQ(EvalFn("def f(n):\n return len(n)\nend\n", "f", {Value::Object(&root)}), 2.0);
 }
 
-TEST(EvalExprWithVars, BindsVariables) {
-  ParseExprResult r = ParseExpression("ceil(x / 8) * (lat + 8) + 4");
-  ASSERT_TRUE(r.ok) << r.error;
-  const EvalResult v = EvalExprWithVars(*r.expr, [](std::string_view name) -> std::optional<double> {
-    if (name == "x") return 20.0;
-    if (name == "lat") return 52.0;
-    return std::nullopt;
-  });
-  ASSERT_TRUE(v.ok) << v.error;
-  EXPECT_DOUBLE_EQ(v.value.num, 3 * 60 + 4);
-}
-
-TEST(EvalExprWithVars, UnknownVariableFails) {
-  ParseExprResult r = ParseExpression("y + 1");
-  ASSERT_TRUE(r.ok);
-  const EvalResult v =
-      EvalExprWithVars(*r.expr, [](std::string_view) { return std::optional<double>(); });
-  EXPECT_FALSE(v.ok);
-}
-
 }  // namespace
 }  // namespace perfiface

@@ -23,13 +23,13 @@
 #include "src/perfscript/interp.h"
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
+#include "src/petri/distill.h"
 #include "src/petri/param_model.h"
 #include "src/petri/pnet_memo.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
 #include "src/serve/lru_cache.h"
 #include "src/serve/metrics.h"
-#include "src/serve/mpmc_queue.h"
 #include "src/serve/request.h"
 #include "src/serve/service.h"
 
@@ -67,6 +67,14 @@ PredictRequest PnetRequest(const std::string& iface, const std::string& entry_pl
   return req;
 }
 
+// Cache key of a pnet request, from its parsed injection plan (the
+// service's own path). The spec must be well formed.
+std::string PnetKey(const PredictRequest& req) {
+  const InjectionPlan plan = ParseInjectionPlan(req);
+  EXPECT_TRUE(plan.ok()) << plan.error;
+  return CanonicalCacheKey(req, Representation::kPnet, &plan);
+}
+
 double DirectJpegLatency(double orig_size, double compress_rate) {
   ProgramInterface iface = InterfaceRegistry::Default().LoadProgram("jpeg_decoder");
   KvObject img;
@@ -87,7 +95,7 @@ TEST(CanonicalCacheKey, DistinguishesWorkloads) {
   EXPECT_NE(CanonicalCacheKey(JpegRequest(65536, 0.2), Representation::kProgram),
             CanonicalCacheKey(JpegRequest(65537, 0.2), Representation::kProgram));
   EXPECT_NE(CanonicalCacheKey(JpegRequest(65536, 0.2), Representation::kProgram),
-            CanonicalCacheKey(JpegRequest(65536, 0.2), Representation::kPnet));
+            PnetKey(JpegRequest(65536, 0.2)));
   PredictRequest with_children = ProtoaccRequest(12, 9, 2);
   PredictRequest without = ProtoaccRequest(12, 9, 0);
   EXPECT_NE(CanonicalCacheKey(with_children, Representation::kProgram),
@@ -99,7 +107,7 @@ TEST(CanonicalCacheKey, DistinguishesWorkloads) {
 // permuted but identical pnet queries share one cache entry.
 TEST(CanonicalCacheKey, EntryPlaceOrderAndWhitespaceInsensitive) {
   const auto key = [](const std::string& entry_place) {
-    return CanonicalCacheKey(PnetRequest("jpeg_decoder", entry_place), Representation::kPnet);
+    return PnetKey(PnetRequest("jpeg_decoder", entry_place));
   };
   EXPECT_EQ(key("hdr_in:1,vld_in:8"), key("vld_in:8,hdr_in:1"));
   EXPECT_EQ(key("hdr_in:1,vld_in:8"), key(" hdr_in : 1 ,\tvld_in:8 "));
@@ -111,51 +119,60 @@ TEST(CanonicalCacheKey, DefaultCountsAreMadeExplicit) {
   // "vld_in" with tokens=8 injects the same plan as an explicit "vld_in:8".
   PredictRequest implicit = PnetRequest("jpeg_decoder", "vld_in,hdr_in:1", /*tokens=*/8);
   PredictRequest explicit_count = PnetRequest("jpeg_decoder", "vld_in:8,hdr_in:1", /*tokens=*/1);
-  EXPECT_EQ(CanonicalCacheKey(implicit, Representation::kPnet),
-            CanonicalCacheKey(explicit_count, Representation::kPnet));
+  EXPECT_EQ(PnetKey(implicit), PnetKey(explicit_count));
   // With an empty spec, `tokens` is the first-place count and must key.
   PredictRequest two = PnetRequest("jpeg_decoder", "", /*tokens=*/2);
   PredictRequest three = PnetRequest("jpeg_decoder", "", /*tokens=*/3);
-  EXPECT_NE(CanonicalCacheKey(two, Representation::kPnet),
-            CanonicalCacheKey(three, Representation::kPnet));
+  EXPECT_NE(PnetKey(two), PnetKey(three));
 }
 
 TEST(CanonicalCacheKey, DistinguishesInjectionPlans) {
   const auto key = [](const std::string& entry_place) {
-    return CanonicalCacheKey(PnetRequest("jpeg_decoder", entry_place), Representation::kPnet);
+    return PnetKey(PnetRequest("jpeg_decoder", entry_place));
   };
   EXPECT_NE(key("hdr_in:1,vld_in:8"), key("hdr_in:1,vld_in:9"));
   EXPECT_NE(key("hdr_in:1,vld_in:8"), key("hdr_in:2,vld_in:8"));
   EXPECT_NE(key("hdr_in:1,vld_in:8"), key("hdr_in:1"));
 }
 
-// Regression: counts past INT64_MAX used to go through strtol unchecked, so
-// ERANGE clamped every overflowing spec to the same LLONG_MAX and two
-// requests injecting different (absurd) counts aliased to one cache entry —
-// one bogus prediction answered both. Overflowing specs must stay distinct
-// (they are kept verbatim and rejected later, at evaluation).
-TEST(CanonicalCacheKey, OverflowingCountsDoNotAlias) {
-  const auto key = [](const std::string& entry_place) {
-    return CanonicalCacheKey(PnetRequest("jpeg_decoder", entry_place), Representation::kPnet);
-  };
-  EXPECT_NE(key("vld_in:99999999999999999999"), key("vld_in:88888888888888888888"));
-  // An overflowing count never collides with the value it used to clamp to.
-  EXPECT_NE(key("vld_in:99999999999999999999"), key("vld_in:9223372036854775807"));
+// Specs whose counts leave 1..INT_MAX are malformed: they never reach the
+// cache key, so distinct garbage cannot alias to one entry, and the request
+// is answered ERROR without consulting the cache.
+void ExpectMalformedWithoutCacheLookup(const std::string& entry_place) {
+  PredictRequest req = PnetRequest("jpeg_decoder", entry_place);
+  const InjectionPlan plan = ParseInjectionPlan(req);
+  EXPECT_FALSE(plan.ok()) << entry_place;
+  EXPECT_NE(plan.error.find("bad token count"), std::string::npos) << plan.error;
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  PredictionService service(InterfaceRegistry::Default(), options);
+  req.explain = true;
+  const PredictResponse resp = service.Predict(req);
+  EXPECT_EQ(resp.status, PredictStatus::kError) << entry_place;
+  EXPECT_EQ(resp.error, plan.error);
+  EXPECT_EQ(resp.explain.cache, "not_consulted");
+  EXPECT_EQ(service.metrics().cache_misses(), 0u);
+  EXPECT_EQ(service.metrics().cache_hits(), 0u);
 }
 
-// Regression: merging duplicate places summed counts with a plain +=, so two
-// near-LLONG_MAX items wrapped to a negative total in the canonical key. The
-// merge must saturate at INT64_MAX instead.
+TEST(CanonicalCacheKey, OverflowingCountsDoNotAlias) {
+  ExpectMalformedWithoutCacheLookup("vld_in:99999999999999999999");
+  ExpectMalformedWithoutCacheLookup("vld_in:88888888888888888888");
+  ExpectMalformedWithoutCacheLookup("vld_in:9223372036854775807");
+}
+
+// Duplicate places merge by summing, in 64 bits: a merged count past
+// INT_MAX is malformed like a single one, never a wrapped total.
 TEST(CanonicalCacheKey, DuplicateMergeSaturatesInsteadOfWrapping) {
-  const auto key = [](const std::string& entry_place) {
-    return CanonicalCacheKey(PnetRequest("jpeg_decoder", entry_place), Representation::kPnet);
-  };
-  const std::string k =
-      key("vld_in:9223372036854775807,vld_in:9223372036854775806");
-  EXPECT_NE(k.find("9223372036854775807"), std::string::npos) << k;
-  EXPECT_EQ(k.find('-'), std::string::npos) << k;
-  // Saturation is idempotent: adding more maxed items changes nothing.
-  EXPECT_EQ(k, key("vld_in:9223372036854775807,vld_in:9223372036854775807"));
+  ExpectMalformedWithoutCacheLookup("vld_in:2147483647,vld_in:2147483647");
+  ExpectMalformedWithoutCacheLookup("vld_in:9223372036854775807,vld_in:9223372036854775806");
+  const InjectionPlan plan =
+      ParseInjectionPlan(PnetRequest("jpeg_decoder", "vld_in:2147483646,vld_in:1"));
+  ASSERT_TRUE(plan.ok()) << plan.error;
+  ASSERT_EQ(plan.items.size(), 1u);
+  EXPECT_EQ(plan.items[0].count, 2147483647);
+  EXPECT_EQ(plan.total, 2147483647);
 }
 
 TEST(ShardedLruCache, BasicHitMissEvict) {
@@ -183,20 +200,6 @@ TEST(ShardedLruCache, DisabledCacheNeverHits) {
   CachedPrediction out;
   EXPECT_FALSE(cache.Get("a", &out));
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(BoundedQueue, CloseDrainsRemainingItems) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.Push(1));
-  ASSERT_TRUE(q.Push(2));
-  q.Close();
-  EXPECT_FALSE(q.Push(3));
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.Pop(&v));
 }
 
 TEST(LatencyHistogram, PercentilesAreMonotone) {
@@ -394,6 +397,98 @@ TEST(PredictionService, PnetQueryQuiescesAndPredicts) {
   EXPECT_EQ(service.Predict(bad_place).status, PredictStatus::kNotFound);
 }
 
+// A delay expression that divides by zero (the jpeg vld stage divides by
+// `bits` and `blocks`, which a request may leave at 0) or leaves [0, 1e15)
+// used to abort the whole process. It must answer ERROR naming the
+// transition — on the whole-net path, the memo path and the derived path —
+// keep nothing in the memo, derived or parametric stores, and leave the
+// service answering.
+TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
+  struct Path {
+    const char* name;
+    bool memo;
+    bool derived;
+  };
+  for (const Path& path : {Path{"whole-net", false, false}, Path{"memo", true, false},
+                           Path{"derived", true, true}}) {
+    PnetMemoTable::Global().Clear();
+    ParamModelStore::Global().Clear();
+    DerivedStore::Global().Clear();
+    ServiceOptions options;
+    options.num_workers = 1;
+    options.enable_pnet_memo = path.memo;
+    options.enable_param_memo = path.memo;
+    options.enable_derived = path.derived;
+    PredictionService service(InterfaceRegistry::Default(), options);
+
+    PredictRequest zero_attrs;
+    zero_attrs.interface = "jpeg_decoder";
+    zero_attrs.representation = Representation::kPnet;
+    zero_attrs.entry_place = "hdr_in:1,vld_in:1";
+    PredictRequest negative = zero_attrs;
+    negative.entry_place = "hdr_in:1,vld_in:8";
+    negative.attrs = {{"bits", -8000.0}, {"blocks", 8.0}};
+    const std::pair<const PredictRequest*, const char*> cases[] = {
+        {&zero_attrs, "transition 'vld': delay: line 1: division by zero"},
+        {&negative, "transition 'vld': delay: "}};
+    for (const auto& [request, message] : cases) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const PredictResponse resp = service.Predict(*request);
+        EXPECT_EQ(resp.status, PredictStatus::kError) << path.name;
+        EXPECT_EQ(resp.error.rfind(message, 0), 0u) << path.name << ": " << resp.error;
+        EXPECT_EQ(PnetMemoTable::Global().size(), 0u) << path.name;
+        EXPECT_EQ(ParamModelStore::Global().size(), 0u) << path.name;
+        EXPECT_EQ(DerivedStore::Global().size(), 0u) << path.name;
+      }
+    }
+    EXPECT_NE(service.Predict(negative).error.find("is outside [0, 1e15)"), std::string::npos);
+
+    PredictRequest valid = negative;
+    valid.attrs = {{"bits", 800.0}, {"blocks", 8.0}};
+    const PredictResponse ok = service.Predict(valid);
+    ASSERT_TRUE(ok.ok()) << path.name << ": " << ok.error;
+    EXPECT_GT(ok.value, 0.0);
+  }
+}
+
+// The injection plan is checked against the firing budget before anything
+// is injected: each token costs memory up front, so a plan larger than the
+// budget gets the budget status at once. Totals are summed in 64 bits.
+TEST(PredictionService, InjectionPlanLargerThanTheBudgetIsAnsweredUpFront) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  PredictionService service(InterfaceRegistry::Default(), options);
+
+  PredictRequest over = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:100");
+  over.max_steps = 100;
+  const PredictResponse exhausted = service.Predict(over);
+  EXPECT_EQ(exhausted.status, PredictStatus::kResourceExhausted);
+  EXPECT_NE(exhausted.error.find("exceeds the firing budget"), std::string::npos)
+      << exhausted.error;
+
+  // Two INT_MAX items used to overflow an int total.
+  const PredictResponse huge =
+      service.Predict(PnetRequest("jpeg_decoder", "hdr_in:2147483647,vld_in:2147483647"));
+  EXPECT_EQ(huge.status, PredictStatus::kResourceExhausted) << huge.error;
+
+  // A budget that came from the deadline reports the deadline.
+  ServiceOptions slow = options;
+  slow.steps_per_us = 1;
+  PredictionService deadline_service(InterfaceRegistry::Default(), slow);
+  PredictRequest timed = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:4000000");
+  timed.deadline_us = 1'000'000;
+  const PredictResponse late = deadline_service.Predict(timed);
+  EXPECT_EQ(late.status, PredictStatus::kDeadlineExceeded) << late.error;
+
+  // The cache ignores budgets: a warmed plan still answers from it.
+  PredictRequest warm = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+  ASSERT_TRUE(service.Predict(warm).ok());
+  warm.max_steps = 2;
+  const PredictResponse hit = service.Predict(warm);
+  EXPECT_TRUE(hit.ok()) << hit.error;
+  EXPECT_TRUE(hit.cache_hit);
+}
+
 TEST(PredictionService, RejectedAfterShutdown) {
   ServiceOptions options;
   options.num_workers = 1;
@@ -431,47 +526,56 @@ TEST(PredictionService, RejectionsAndLookupFailuresDoNotSkewCacheCounters) {
   EXPECT_GE(service.metrics().rejected(), 1u);
 }
 
-TEST(PredictionService, CompiledAndInterpretedBackendsAgree) {
-  // The A/B knob behind serve_tool --no-compile: identical requests through
-  // a compiled-path service and a tree-walking service must produce
-  // bit-identical answers. Caching is off so every request actually
-  // evaluates.
-  ServiceOptions compiled_options;
-  compiled_options.num_workers = 2;
-  compiled_options.cache_capacity = 0;
-  ServiceOptions interp_options = compiled_options;
-  interp_options.enable_psc_compile = false;
+// Program queries run on the bytecode VM only; the tree-walking
+// interpreter is the oracle. Identical requests through the service and
+// straight through an Interpreter must produce bit-identical answers and
+// identical error strings. Caching is off so every request evaluates.
+TEST(PredictionService, VmAnswersMatchTheInterpreterOracle) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.cache_capacity = 0;
 
   std::vector<PredictRequest> requests;
   for (int i = 0; i < 16; ++i) {
     requests.push_back(JpegRequest(512.0 * (i + 1), 0.1 + 0.05 * i));
     requests.push_back(ProtoaccRequest(4.0 + i, 2.0 + i, i % 5));
   }
-  PredictRequest bad = JpegRequest(1024, 0.5);
-  bad.function = "no_such_function";
-  requests.push_back(bad);
+  // Division by zero inside the program: an error on both sides.
+  requests.push_back(JpegRequest(1024, 0.0));
 
   obs::MetricsRegistry::Counter& vm_calls = obs::MetricsRegistry::Global().GetCounter(
       "perfiface_psc_vm_calls_total", "Top-level PerfScript bytecode VM calls");
+  obs::MetricsRegistry::Counter& interp_calls = obs::MetricsRegistry::Global().GetCounter(
+      "perfiface_interp_calls_total", "Top-level PerfScript interpreter calls");
 
-  PredictionService compiled_service(InterfaceRegistry::Default(), compiled_options);
+  PredictionService service(InterfaceRegistry::Default(), options);
   const std::uint64_t vm_calls_before = vm_calls.value();
-  const auto compiled_responses = compiled_service.PredictBatch(requests);
-  EXPECT_GE(vm_calls.value() - vm_calls_before, requests.size() - 1)
-      << "compiled service should answer program queries on the VM";
+  const std::uint64_t interp_calls_before = interp_calls.value();
+  const auto responses = service.PredictBatch(requests);
+  EXPECT_EQ(vm_calls.value() - vm_calls_before, requests.size());
+  EXPECT_EQ(interp_calls.value(), interp_calls_before) << "the service must not tree-walk";
 
-  PredictionService interp_service(InterfaceRegistry::Default(), interp_options);
-  const std::uint64_t vm_calls_mid = vm_calls.value();
-  const auto interp_responses = interp_service.PredictBatch(requests);
-  EXPECT_EQ(vm_calls.value(), vm_calls_mid)
-      << "interpreted service must not touch the VM";
-
-  ASSERT_EQ(compiled_responses.size(), interp_responses.size());
-  for (std::size_t i = 0; i < compiled_responses.size(); ++i) {
-    EXPECT_EQ(compiled_responses[i].status, interp_responses[i].status) << i;
-    EXPECT_EQ(compiled_responses[i].value, interp_responses[i].value) << i;
-    EXPECT_EQ(compiled_responses[i].throughput, interp_responses[i].throughput) << i;
-    EXPECT_EQ(compiled_responses[i].error, interp_responses[i].error) << i;
+  ASSERT_EQ(responses.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const PredictRequest& req = requests[i];
+    const ProgramInterface iface = InterfaceRegistry::Default().LoadProgram(req.interface);
+    Interpreter oracle(iface.program().get());
+    for (const auto& [name, value] : iface.constants()) {
+      oracle.SetGlobal(name, value);
+    }
+    KvObject workload;
+    for (const auto& [name, value] : req.attrs) {
+      workload.Set(name, value);
+    }
+    workload.AddUniformChildren(req.children);
+    const EvalResult want = oracle.Call(req.function, {Value::Object(&workload)});
+    ASSERT_EQ(responses[i].ok(), want.ok) << i << ": " << responses[i].error;
+    if (!want.ok) {
+      EXPECT_EQ(responses[i].status, PredictStatus::kError) << i;
+      EXPECT_EQ(responses[i].error, want.error) << i;
+      continue;
+    }
+    EXPECT_EQ(responses[i].value, want.value.num) << i;
   }
 }
 
@@ -485,20 +589,10 @@ TEST(PredictionService, StatsPrometheusUnifiesServiceAndLayerFamilies) {
   EXPECT_NE(prom.find("perfiface_serve_requests_total"), std::string::npos);
   EXPECT_NE(prom.find("interface=\"jpeg_decoder\""), std::string::npos);
   // ...and process-wide counters bumped by the layer below it (program
-  // queries run on the bytecode VM by default).
+  // queries run on the bytecode VM).
   EXPECT_NE(prom.find("perfiface_psc_vm_calls_total"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_psc_vm_steps_total"), std::string::npos);
-
-  // With compilation off, the same query tree-walks and the interpreter's
-  // families join the scrape.
-  ServiceOptions interp_options;
-  interp_options.num_workers = 1;
-  interp_options.enable_psc_compile = false;
-  PredictionService interp_service(InterfaceRegistry::Default(), interp_options);
-  ASSERT_TRUE(interp_service.Predict(JpegRequest(2048, 0.25)).ok());
-  const std::string prom2 = interp_service.StatsPrometheus();
-  EXPECT_NE(prom2.find("perfiface_interp_calls_total"), std::string::npos);
-  EXPECT_NE(prom2.find("perfiface_interp_steps_total"), std::string::npos);
+  EXPECT_EQ(prom.find("perfiface_psc_vm_fallback_total"), std::string::npos);
 }
 
 TEST(PredictionService, StatsDumpsMentionInterfaces) {
@@ -1420,6 +1514,7 @@ TEST(DeadlineQueueTest, CloseDrainsAcceptedItemsAndRejectsNewPushes) {
   DeadlineQueue<int> queue(4);
   ASSERT_TRUE(queue.Push(1, DeadlineBucket::kNone));
   ASSERT_TRUE(queue.Push(2, DeadlineBucket::kLt1ms));
+  ASSERT_TRUE(queue.Push(4, DeadlineBucket::kNone));
   queue.Close();
   EXPECT_FALSE(queue.Push(3, DeadlineBucket::kNone));
   EXPECT_FALSE(queue.TryPush(3, DeadlineBucket::kNone));
@@ -1427,7 +1522,9 @@ TEST(DeadlineQueueTest, CloseDrainsAcceptedItemsAndRejectsNewPushes) {
   ASSERT_TRUE(queue.Pop(&got));
   EXPECT_EQ(got, 2);  // urgent band drains first even after close
   ASSERT_TRUE(queue.Pop(&got));
-  EXPECT_EQ(got, 1);
+  EXPECT_EQ(got, 1);  // then FIFO within a band, still after close
+  ASSERT_TRUE(queue.Pop(&got));
+  EXPECT_EQ(got, 4);
   EXPECT_FALSE(queue.Pop(&got));
 }
 

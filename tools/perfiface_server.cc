@@ -16,7 +16,6 @@
 //   --workers N            worker threads (default: hardware concurrency)
 //   --cache N              prediction cache entries (0 disables)
 //   --no-memo              disable the cross-request sub-net memo table
-//   --no-compile           interpret programs instead of the bytecode VM
 //   --max-conns N          max concurrent connections (default 64)
 //   --io-timeout-ms N      per-connection read/write timeout (default 30000)
 //   --max-frame-bytes N    max request frame size (default 1 MiB)
@@ -81,7 +80,7 @@ void OnSignal(int) {
 int Usage() {
   std::fprintf(stderr,
                "usage: perfiface_server [--host ADDR] [--port N] [--workers N] [--cache N]\n"
-               "                        [--no-memo] [--no-compile] [--max-conns N]\n"
+               "                        [--no-memo] [--max-conns N]\n"
                "                        [--io-timeout-ms N] [--max-frame-bytes N]\n"
                "                        [--max-inflight N] [--shadow-every N]\n"
                "                        [--shadow-threshold X] [--shadow-seed N]\n"
@@ -138,8 +137,6 @@ int Main(int argc, char** argv) {
       service_options.cache_capacity = static_cast<std::size_t>(std::atoll(v));
     } else if (arg == "--no-memo") {
       service_options.enable_pnet_memo = false;
-    } else if (arg == "--no-compile") {
-      service_options.enable_psc_compile = false;
     } else if (arg == "--max-conns" && (v = value()) != nullptr) {
       net_options.max_connections = static_cast<std::size_t>(std::atoi(v));
     } else if (arg == "--io-timeout-ms" && (v = value()) != nullptr) {

@@ -88,11 +88,7 @@ void DumpExprBytecode(const LoadedNet& loaded) {
         std::printf(" = %.17g", s.constant);
       }
       std::printf("\n");
-      if (compiled->has_reg_code()) {
-        std::fputs(compiled->DisassembleRegs().c_str(), stdout);
-      } else {
-        std::printf("    (stack form only)\n");
-      }
+      std::fputs(compiled->DisassembleRegs().c_str(), stdout);
     }
   }
 }
@@ -114,7 +110,7 @@ int CmdShow(const std::string& path, bool dump_bytecode) {
   }
   for (const TransitionSpec& t : loaded.net->transitions()) {
     std::printf("  trans %-16s in=%zu out=%zu servers=%zu%s\n", t.name.c_str(),
-                t.inputs.size(), t.outputs.size(), t.servers, t.guard ? " guarded" : "");
+                t.inputs.size(), t.outputs.size(), t.servers, t.has_guard() ? " guarded" : "");
   }
   if (dump_bytecode) {
     DumpExprBytecode(loaded);
@@ -224,6 +220,10 @@ int CmdRun(const std::string& path, const std::vector<std::string>& args) {
   }
   if (metrics) {
     std::fputs(obs::MetricsRegistry::Global().RenderPrometheus().c_str(), stdout);
+  }
+  if (!sim.error().empty()) {
+    std::fprintf(stderr, "error: %s\n", sim.error().c_str());
+    return 1;
   }
   std::printf("%s at t=%llu after %llu firings\n", quiesced ? "quiesced" : "stopped",
               static_cast<unsigned long long>(sim.now()),

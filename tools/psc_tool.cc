@@ -7,8 +7,9 @@
 //       [--json]                                    machine-readable result
 //       [--trace out.json]                          Chrome trace of the call
 //       [--metrics]                                 Prometheus counters
-//       [--no-compile]                              tree-walk instead of the
-//                                                   bytecode VM (A/B)
+//       [--no-compile]                              run the reference
+//                                                   tree-walking interpreter
+//                                                   instead of the bytecode VM
 //       [--dump-bytecode]                           print the compiled
 //                                                   bytecode before the call
 //
@@ -140,22 +141,17 @@ int CmdEval(const std::string& path, const std::string& function,
   root.AddUniformChildren(children);
 
   // Default path mirrors the serve workers: lower to bytecode (constants
-  // folded in) and run on the VM, tree-walking only when the program falls
-  // outside the compilable subset or --no-compile asks for the A/B.
+  // folded in) and run on the VM. --no-compile runs the reference
+  // interpreter instead (the VM's test oracle).
   std::shared_ptr<const CompiledProgram> compiled;
   if (compile || dump_bytecode) {
     CompileProgramResult compiled_result = CompileProgram(program, constants);
-    if (compiled_result.ok()) {
-      compiled = std::move(compiled_result.program);
-    } else if (compile) {
-      std::fprintf(stderr, "note: falling back to the interpreter (%s)\n",
-                   compiled_result.reason.c_str());
+    if (!compiled_result.ok()) {
+      std::fprintf(stderr, "compile error: %s\n", compiled_result.error.c_str());
+      return 1;
     }
+    compiled = std::move(compiled_result.program);
     if (dump_bytecode) {
-      if (compiled == nullptr) {
-        std::fprintf(stderr, "cannot dump bytecode: %s\n", compiled_result.reason.c_str());
-        return 1;
-      }
       std::fputs(compiled->Disassemble().c_str(), stdout);
     }
   }
@@ -164,7 +160,7 @@ int CmdEval(const std::string& path, const std::string& function,
     obs::Tracer::Global().Start();
   }
   EvalResult result;
-  if (compile && compiled != nullptr) {
+  if (compile) {
     Vm vm(compiled);
     result = vm.Call(function, {Value::Object(&root)});
   } else {

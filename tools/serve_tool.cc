@@ -45,8 +45,6 @@
 //                          interfaces distilled out of the compiled delay
 //                          expressions (docs/serving.md "Unified
 //                          expression IR & derived interfaces")
-//   --no-compile           evaluate program interfaces on the tree-walking
-//                          interpreter instead of the bytecode VM (A/B)
 //   --async                run: submit through the async SubmitBatch API
 //                          and stream completions instead of blocking
 //   --json                 machine-readable responses and stats
@@ -99,7 +97,7 @@ int Usage() {
                "         --deadline-us N --tenant NAME --max-steps N --explain\n"
                "         --workers N --cache N --quota T=QPS[:BURST] --admission\n"
                "         --repeat N --no-memo --param-memo --param-min-samples N\n"
-               "         --param-max-rel-err X --derived --no-compile --async --json --stats\n"
+               "         --param-max-rel-err X --derived --async --json --stats\n"
                "         --stats-format text|json|prometheus\n"
                "         --trace FILE --trace-sample N --metrics\n"
                "         --connect HOST:PORT (query a perfiface_server over TCP)\n");
@@ -360,10 +358,6 @@ std::size_t ParseOption(const std::vector<std::string>& args, std::size_t i,
   }
   if (arg == "--derived") {
     cli->service.enable_derived = true;
-    return 1;
-  }
-  if (arg == "--no-compile") {
-    cli->service.enable_psc_compile = false;
     return 1;
   }
   if (arg == "--async") {
