@@ -109,7 +109,6 @@
 #include "src/perfscript/vm.h"
 #include "src/petri/distill.h"
 #include "src/petri/param_model.h"
-#include "src/petri/pnet_memo.h"
 #include "src/serve/service.h"
 
 namespace perfiface::serve {
@@ -812,7 +811,6 @@ int main(int argc, char** argv) {
   double memo_mean_on = 0;
   double memo_mean_off = 0;
   for (const bool memo : {false, true}) {
-    PnetMemoTable::Global().Clear();
     ServiceOptions options;
     options.num_workers = 2;
     options.cache_capacity = 0;
@@ -1134,8 +1132,6 @@ int main(int argc, char** argv) {
   std::size_t probe_violations = 0;
   std::vector<double> probe_truth(kParamProbes, 0);
   for (const bool param : {false, true}) {
-    PnetMemoTable::Global().Clear();
-    ParamModelStore::Global().Clear();
     ServiceOptions options;
     options.num_workers = 2;
     options.cache_capacity = 0;
@@ -1147,7 +1143,7 @@ int main(int argc, char** argv) {
     if (param) {
       param_mean_on = mean_us;
       param_max_rel_err_bound = options.param_memo_max_rel_err;
-      param_hits_total = ParamModelStore::Global().hits();
+      param_hits_total = service.FindTier<ParamModelStore>()->hits();
       for (std::size_t i = 0; i < probe_responses.size(); ++i) {
         const PredictResponse& r = probe_responses[i];
         PI_CHECK_MSG(r.ok(), r.error.c_str());
@@ -1217,9 +1213,6 @@ int main(int argc, char** argv) {
   std::size_t derived_divergence = 0;
   std::vector<double> derived_truth(kDerivedProbes, 0);
   for (const bool derived : {false, true}) {
-    PnetMemoTable::Global().Clear();
-    ParamModelStore::Global().Clear();
-    DerivedStore::Global().Clear();
     ServiceOptions options;
     options.num_workers = 2;
     options.cache_capacity = 0;
@@ -1236,8 +1229,9 @@ int main(int argc, char** argv) {
     const std::vector<PredictResponse> probe_responses = service.PredictBatch(derived_probes);
     if (derived) {
       derived_mean_on = mean_us;
-      derived_hits_total = DerivedStore::Global().hits();
-      derived_models = DerivedStore::Global().distilled();
+      const DerivedStore& store = *service.FindTier<DerivedStore>();
+      derived_hits_total = store.hits();
+      derived_models = store.distilled();
       for (std::size_t i = 0; i < probe_responses.size(); ++i) {
         const PredictResponse& r = probe_responses[i];
         PI_CHECK_MSG(r.ok(), r.error.c_str());

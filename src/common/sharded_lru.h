@@ -94,14 +94,6 @@ class ShardedLru {
     shard.index.emplace(std::string_view(shard.lru.front().first), shard.lru.begin());
   }
 
-  void Clear() {
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->index.clear();
-      shard->lru.clear();
-    }
-  }
-
   bool enabled() const { return capacity_ > 0; }
   std::size_t capacity() const { return capacity_; }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 
 #include "src/common/check.h"
@@ -234,6 +235,14 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
       HashU64(&structural_hash_, ch);
     }
   }
+
+  const std::vector<std::string>& attr_names = net_->attr_names();
+  attr_order_.resize(attr_names.size());
+  std::iota(attr_order_.begin(), attr_order_.end(), 0u);
+  std::sort(attr_order_.begin(), attr_order_.end(),
+            [&attr_names](std::uint32_t a, std::uint32_t b) {
+              return attr_names[a] < attr_names[b];
+            });
 
   if (span.active()) {
     span.SetArg("transitions", static_cast<double>(transitions_.size()));

@@ -14,7 +14,7 @@
 //  - the weakly-connected component partition of the net. Disconnected
 //    components (e.g. independent pipelines composed into one interface
 //    file) evolve independently, so they can be simulated — and their
-//    results memoized — separately (src/petri/pnet_memo.h);
+//    results memoized — separately (src/petri/component_tier.h);
 //  - a structural hash per component, covering capacities, initial
 //    markings, arc shapes, server counts, and the *source text* of delay
 //    and guard expressions. Nets whose closures were not compiled from
@@ -108,6 +108,10 @@ class CompiledNet {
   // Hash of the whole net (all components combined); 0 if !hashable().
   std::uint64_t structural_hash() const { return hashable_ ? structural_hash_ : 0; }
 
+  // Token-schema slots sorted by attribute name: the canonical attribute
+  // order of the component keys (src/petri/component_tier.h).
+  const std::vector<std::uint32_t>& attr_order() const { return attr_order_; }
+
  private:
   const PetriNet* net_;
   std::vector<Transition> transitions_;
@@ -116,6 +120,7 @@ class CompiledNet {
   std::vector<CompiledArc> outputs_;
   std::vector<std::uint32_t> watchers_;
   std::vector<std::uint64_t> component_hashes_;
+  std::vector<std::uint32_t> attr_order_;
   std::uint64_t structural_hash_ = 0;
   bool hashable_ = false;
 };

@@ -11,7 +11,6 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/compile.h"
-#include "src/petri/pnet_memo.h"
 #include "src/petri/sim.h"
 
 namespace perfiface {
@@ -247,11 +246,6 @@ double Dot(const std::vector<double>& coef, const std::vector<double>& phi) {
 
 }  // namespace
 
-DerivedStore& DerivedStore::Global() {
-  static DerivedStore* store = new DerivedStore();  // never destroyed
-  return *store;
-}
-
 DerivedStore::DerivedStore(std::size_t max_models, std::size_t num_shards)
     : max_models_(max_models) {
   shards_.reserve(std::max<std::size_t>(1, num_shards));
@@ -265,35 +259,31 @@ DerivedStore::DerivedStore(std::size_t max_models, std::size_t num_shards)
   DistilledCounter();
 }
 
-DerivedStore::~DerivedStore() = default;
-
-std::string DerivedStore::Key(const CompiledNet& net, std::size_t component,
-                              const std::vector<std::pair<PlaceId, int>>& injections) {
-  if (!net.hashable()) {
-    return std::string();
+bool DerivedStore::Lookup(const ComponentQuery& query, std::uint64_t budget,
+                          ComponentResult* out) {
+  Outcome outcome = Predict(query.model_key(), query.token(), budget, out);
+  if (outcome == Outcome::kNoModel && Distill(query)) {
+    outcome = Predict(query.model_key(), query.token(), budget, out);
   }
-  std::string key;
-  key.reserve(32);
-  key += StrFormat("%016llx", static_cast<unsigned long long>(net.component_hash(component)));
-  PnetMemoTable::AppendCanonicalPlan(net, component, injections, &key);
-  return key;
+  return outcome == Outcome::kHit;
 }
 
-DerivedStore::Shard& DerivedStore::ShardFor(const std::string& key) {
+DerivedStore::Shard& DerivedStore::ShardFor(const std::string& key) const {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
 std::shared_ptr<const DerivedStore::Model> DerivedStore::Find(const std::string& key) const {
-  const Shard& shard =
-      *shards_[std::hash<std::string>{}(key) % shards_.size()];
+  const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.models.find(key);
   return it == shard.models.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
-    const CompiledNet& net, std::size_t component, const Token& token,
-    const std::vector<std::pair<PlaceId, int>>& injections) {
+    const ComponentQuery& query) {
+  const CompiledNet& net = query.net();
+  const std::size_t component = query.component();
+  const Token& token = query.token();
   auto model = std::make_shared<Model>();
   auto refuse = [&model](std::string why) {
     model->ok = false;
@@ -424,14 +414,7 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
     }
     PetriSim sim(&net, component);
     sim.set_max_firings(kProbeFiringCap);
-    for (const auto& [place, count] : injections) {
-      if (net.places()[place].component != component) {
-        continue;
-      }
-      for (int i = 0; i < count; ++i) {
-        sim.Inject(place, tk);
-      }
-    }
+    sim.InjectPlan(query.injections(), tk);
     if (!sim.Run(kProbeTimeHorizon)) {
       model->cacheable = sim.error().empty();
       return refuse("a probe simulation did not quiesce");
@@ -523,9 +506,8 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
   return model;
 }
 
-bool DerivedStore::Distill(const std::string& key, const CompiledNet& net,
-                           std::size_t component, const Token& token,
-                           const std::vector<std::pair<PlaceId, int>>& injections) {
+bool DerivedStore::Distill(const ComponentQuery& query) {
+  const std::string& key = query.model_key();
   if (key.empty()) {
     RefusalsCounter().Increment();
     refusals_.fetch_add(1, std::memory_order_relaxed);
@@ -535,7 +517,7 @@ bool DerivedStore::Distill(const std::string& key, const CompiledNet& net,
     return existing->ok;
   }
   obs::SpanGuard span("pnet", "distill");
-  const std::shared_ptr<const Model> model = BuildModel(net, component, token, injections);
+  const std::shared_ptr<const Model> model = BuildModel(query);
   if (model->ok) {
     DistilledCounter().Increment();
     distilled_.fetch_add(1, std::memory_order_relaxed);
@@ -560,9 +542,9 @@ bool DerivedStore::Distill(const std::string& key, const CompiledNet& net,
   return model->ok;
 }
 
-DerivedStore::Outcome DerivedStore::Predict(const std::string& key, const Token& token,
-                                            std::uint64_t budget, DerivedPrediction* out) {
-  const std::shared_ptr<const Model> model = key.empty() ? nullptr : Find(key);
+DerivedStore::Outcome DerivedStore::Predict(const std::string& model_key, const Token& token,
+                                            std::uint64_t budget, ComponentResult* out) {
+  const std::shared_ptr<const Model> model = model_key.empty() ? nullptr : Find(model_key);
   if (model == nullptr) {
     return Outcome::kNoModel;
   }
@@ -619,14 +601,6 @@ std::string DerivedStore::ProgramText(const std::string& key) const {
 std::string DerivedStore::RefusalReason(const std::string& key) const {
   const std::shared_ptr<const Model> model = Find(key);
   return (model != nullptr && !model->ok) ? model->refusal : std::string();
-}
-
-void DerivedStore::Clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->models.clear();
-  }
-  total_models_.store(0, std::memory_order_relaxed);
 }
 
 std::size_t DerivedStore::size() const { return total_models_.load(std::memory_order_relaxed); }

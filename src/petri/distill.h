@@ -34,9 +34,10 @@
 // always falls back to bit-identical simulation. Unlike the parametric
 // tier the model is not a statistical fit over observed traffic: it is a
 // closed form over the same compiled expressions the simulator would have
-// evaluated, derived once per (component hash, injection plan) and also
-// rendered as a PerfScript program (ProgramText) — the distilled
-// human-readable interface.
+// evaluated, derived once per model key (component hash + injection plan,
+// src/petri/component_tier.h) on the key's first lookup and also rendered
+// as a PerfScript program (ProgramText) — the distilled human-readable
+// interface.
 //
 // Thread-safety: all methods safe from any thread (sharded mutexes).
 #ifndef SRC_PETRI_DISTILL_H_
@@ -48,24 +49,13 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "src/common/types.h"
-#include "src/petri/compiled_net.h"
-#include "src/petri/token.h"
+#include "src/petri/component_tier.h"
 
 namespace perfiface {
 
-// One closed-form component result. `firings` is the (constant) firing
-// count every probe observed, charged against the caller's budget exactly
-// like a memo hit.
-struct DerivedPrediction {
-  Cycles quiesce_time = 0;
-  std::uint64_t firings = 0;
-};
-
-class DerivedStore {
+class DerivedStore : public ComponentTier {
  public:
   enum class Outcome {
     kHit,          // *out is the closed-form result
@@ -76,37 +66,32 @@ class DerivedStore {
     kBudget,       // firing charge would exhaust the caller's budget
   };
 
-  // The process-wide store the serving layer shares, like the memo table.
-  static DerivedStore& Global();
-
   explicit DerivedStore(std::size_t max_models = 1024, std::size_t num_shards = 16);
-  ~DerivedStore();
 
-  DerivedStore(const DerivedStore&) = delete;
-  DerivedStore& operator=(const DerivedStore&) = delete;
+  // Serves the closed form for the query's model key, distilling it on the
+  // key's first lookup. Every outcome short of kHit is a miss.
+  bool Lookup(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out) override;
+  // Closed forms come from probing, not from traffic: nothing to learn.
+  void Observe(const ComponentQuery&, const ComponentResult&) override {}
 
-  // Model key: component structural hash + canonical injection plan — the
-  // same identity the parametric store uses (the attributes are the
-  // model's inputs, not its identity). Empty if the net is unhashable.
-  static std::string Key(const CompiledNet& net, std::size_t component,
-                         const std::vector<std::pair<PlaceId, int>>& injections);
+  // {"models":N,"distilled":N,"refusals":N,"hits":N}.
+  std::string SummaryJson() const override;
 
-  // Attempts to distill `component` into a closed form, probing with
-  // restricted simulations seeded from `token`'s attribute vector. The
-  // outcome — model or refusal — is cached under `key`, so at most one
-  // distillation runs per key (concurrent callers for the same key may
-  // both probe; last insert wins, both results are equivalent). Returns
-  // true when a servable model exists afterwards. Bumps
-  // perfiface_derived_{distilled,refusals}_total.
-  bool Distill(const std::string& key, const CompiledNet& net, std::size_t component,
-               const Token& token, const std::vector<std::pair<PlaceId, int>>& injections);
+  // Attempts to distill the query's component into a closed form, probing
+  // with restricted simulations seeded from the query token's attribute
+  // vector. The outcome — model or refusal — is cached under the model
+  // key, so at most one distillation runs per key (concurrent callers for
+  // the same key may both probe; the first insert wins, both results are
+  // equivalent). Returns true when a servable model exists afterwards.
+  // Bumps perfiface_derived_{distilled,refusals}_total.
+  bool Distill(const ComponentQuery& query);
 
-  // Serves the closed form. kHit fills *out and bumps
+  // Serves the closed form under `model_key`. kHit fills *out and bumps
   // perfiface_derived_hits_total; every other outcome means the caller
   // must fall back (simulate / lower tier), which is always bit-identical
   // to this tier being off.
-  Outcome Predict(const std::string& key, const Token& token, std::uint64_t budget,
-                  DerivedPrediction* out);
+  Outcome Predict(const std::string& model_key, const Token& token, std::uint64_t budget,
+                  ComponentResult* out);
 
   // The derived interface rendered as a PerfScript program (the paper's
   // one-page closed form), or "" when the key has no model
@@ -117,15 +102,10 @@ class DerivedStore {
   // ran). Debugging/tests; refusal text is not a stable API.
   std::string RefusalReason(const std::string& key) const;
 
-  void Clear();
-
   std::size_t size() const;  // cached entries (models + refusals)
   std::uint64_t distilled() const { return distilled_.load(std::memory_order_relaxed); }
   std::uint64_t refusals() const { return refusals_.load(std::memory_order_relaxed); }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-
-  // {"models":N,"distilled":N,"refusals":N,"hits":N} for /statusz.
-  std::string SummaryJson() const;
 
  private:
   // One delay expression serving as a fit feature. The expression is
@@ -159,11 +139,9 @@ class DerivedStore {
   };
 
   // Builds the model (or a refusal) by probing; pure of store state.
-  std::shared_ptr<const Model> BuildModel(const CompiledNet& net, std::size_t component,
-                                          const Token& token,
-                                          const std::vector<std::pair<PlaceId, int>>& injections);
+  static std::shared_ptr<const Model> BuildModel(const ComponentQuery& query);
 
-  Shard& ShardFor(const std::string& key);
+  Shard& ShardFor(const std::string& key) const;
   std::shared_ptr<const Model> Find(const std::string& key) const;
 
   std::size_t max_models_;

@@ -6,7 +6,6 @@
 
 #include "src/common/strings.h"
 #include "src/obs/metrics_registry.h"
-#include "src/petri/pnet_memo.h"
 
 namespace perfiface {
 
@@ -48,13 +47,8 @@ obs::MetricsRegistry::Counter& FitsCounter() {
 
 }  // namespace
 
-ParamModelStore& ParamModelStore::Global() {
-  static ParamModelStore* store = new ParamModelStore();  // never destroyed
-  return *store;
-}
-
-ParamModelStore::ParamModelStore(std::size_t max_models, std::size_t num_shards)
-    : max_models_(max_models) {
+ParamModelStore::ParamModelStore(ParamGate gate, std::size_t max_models, std::size_t num_shards)
+    : gate_(gate), max_models_(max_models) {
   shards_.reserve(std::max<std::size_t>(1, num_shards));
   for (std::size_t i = 0; i < std::max<std::size_t>(1, num_shards); ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -65,51 +59,50 @@ ParamModelStore::ParamModelStore(std::size_t max_models, std::size_t num_shards)
   RefusedHullCounter();
   RefusedResidualCounter();
   FitsCounter();
-  metrics_collector_ =
-      obs::MetricsRegistry::Global().RegisterCollector([this](std::string* out) {
-        *out += "# HELP perfiface_param_memo_models Fitted per-component parametric models "
-                "currently resident.\n";
-        *out += "# TYPE perfiface_param_memo_models gauge\n";
-        *out += StrFormat("perfiface_param_memo_models %zu\n", size());
-        *out += "# HELP perfiface_param_memo_rel_err Prequential |relative error| of the "
-                "parametric fit vs each new exact result, log2 buckets.\n";
-        *out += "# TYPE perfiface_param_memo_rel_err histogram\n";
-        const std::uint64_t count = err_count_.load(std::memory_order_relaxed);
-        std::uint64_t cumulative = 0;
-        for (std::size_t b = 0; b < kBuckets; ++b) {
-          const std::uint64_t in_bucket = err_buckets_[b].load(std::memory_order_relaxed);
-          cumulative += in_bucket;
-          if (in_bucket == 0 && b + 1 != kBuckets) {
-            continue;  // elide empty buckets, keep the last as the top bound
-          }
-          const double le = std::ldexp(1.0, static_cast<int>(b) - kBucketBias);
-          *out += StrFormat("perfiface_param_memo_rel_err_bucket{le=\"%.9g\"} %llu\n", le,
-                            static_cast<unsigned long long>(cumulative));
-        }
-        *out += StrFormat("perfiface_param_memo_rel_err_bucket{le=\"+Inf\"} %llu\n",
-                          static_cast<unsigned long long>(count));
-        *out += StrFormat("perfiface_param_memo_rel_err_sum %.9g\n",
-                          err_sum_.load(std::memory_order_relaxed));
-        *out += StrFormat("perfiface_param_memo_rel_err_count %llu\n",
-                          static_cast<unsigned long long>(count));
-      });
 }
 
-ParamModelStore::~ParamModelStore() {
-  obs::MetricsRegistry::Global().Unregister(metrics_collector_);
-}
-
-std::string ParamModelStore::Key(const CompiledNet& net, std::size_t component,
-                                 const std::vector<std::pair<PlaceId, int>>& injections) {
-  if (!net.hashable()) {
-    return std::string();
+bool ParamModelStore::Lookup(const ComponentQuery& query, std::uint64_t budget,
+                             ComponentResult* out) {
+  double quiesce_time = 0;
+  if (Predict(query.model_key(), query.sorted_attrs(), budget, &quiesce_time, &out->firings) !=
+      Outcome::kHit) {
+    return false;
   }
-  std::string key;
-  key.reserve(32);
-  key += StrFormat("%016llx",
-                   static_cast<unsigned long long>(net.component_hash(component)));
-  PnetMemoTable::AppendCanonicalPlan(net, component, injections, &key);
-  return key;
+  out->quiesce_time = static_cast<Cycles>(std::llround(quiesce_time));
+  return true;
+}
+
+void ParamModelStore::Observe(const ComponentQuery& query, const ComponentResult& exact) {
+  Observe(query.model_key(), query.sorted_attrs(), static_cast<double>(exact.quiesce_time),
+          exact.firings);
+}
+
+void ParamModelStore::AppendPrometheus(std::string* out) const {
+  *out += "# HELP perfiface_param_memo_models Fitted per-component parametric models "
+          "currently resident.\n";
+  *out += "# TYPE perfiface_param_memo_models gauge\n";
+  *out += StrFormat("perfiface_param_memo_models %zu\n", size());
+  *out += "# HELP perfiface_param_memo_rel_err Prequential |relative error| of the "
+          "parametric fit vs each new exact result, log2 buckets.\n";
+  *out += "# TYPE perfiface_param_memo_rel_err histogram\n";
+  const std::uint64_t count = err_count_.load(std::memory_order_relaxed);
+  std::uint64_t cumulative = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const std::uint64_t in_bucket = err_buckets_[b].load(std::memory_order_relaxed);
+    cumulative += in_bucket;
+    if (in_bucket == 0 && b + 1 != kBuckets) {
+      continue;  // elide empty buckets, keep the last as the top bound
+    }
+    const double le = std::ldexp(1.0, static_cast<int>(b) - kBucketBias);
+    *out += StrFormat("perfiface_param_memo_rel_err_bucket{le=\"%.9g\"} %llu\n", le,
+                      static_cast<unsigned long long>(cumulative));
+  }
+  *out += StrFormat("perfiface_param_memo_rel_err_bucket{le=\"+Inf\"} %llu\n",
+                    static_cast<unsigned long long>(count));
+  *out += StrFormat("perfiface_param_memo_rel_err_sum %.9g\n",
+                    err_sum_.load(std::memory_order_relaxed));
+  *out += StrFormat("perfiface_param_memo_rel_err_count %llu\n",
+                    static_cast<unsigned long long>(count));
 }
 
 std::size_t ParamModelStore::FeatureCount(std::size_t n) {
@@ -351,8 +344,8 @@ void ParamModelStore::Observe(const std::string& key, const std::vector<double>&
 
 ParamModelStore::Outcome ParamModelStore::Predict(const std::string& key,
                                                   const std::vector<double>& attrs,
-                                                  const ParamGate& gate, std::uint64_t budget,
-                                                  ParamPrediction* out) {
+                                                  std::uint64_t budget, double* quiesce_time,
+                                                  std::uint64_t* firings) {
   if (key.empty()) {
     return Outcome::kNoModel;
   }
@@ -366,7 +359,7 @@ ParamModelStore::Outcome ParamModelStore::Predict(const std::string& key,
   if (m.n != attrs.size() || m.p == 0) {
     return Outcome::kNoModel;
   }
-  if (m.count < gate.min_samples) {
+  if (m.count < gate_.min_samples) {
     return Outcome::kFewSamples;
   }
   for (std::size_t i = 0; i < m.n; ++i) {
@@ -378,7 +371,7 @@ ParamModelStore::Outcome ParamModelStore::Predict(const std::string& key,
   }
   Solve(&m);
   if (!m.solvable || m.residual_count < kMinResiduals ||
-      ResidualBound(m) > gate.max_rel_err) {
+      ResidualBound(m) > gate_.max_rel_err) {
     refused_residual_.fetch_add(1, std::memory_order_relaxed);
     RefusedResidualCounter().Increment();
     return Outcome::kResidual;
@@ -396,19 +389,11 @@ ParamModelStore::Outcome ParamModelStore::Predict(const std::string& key,
   for (std::size_t i = 0; i < m.p; ++i) {
     predicted += m.coef[i] * phi[i];
   }
-  out->quiesce_time = std::max(0.0, predicted);
-  out->firings = m.max_firings;
+  *quiesce_time = std::max(0.0, predicted);
+  *firings = m.max_firings;
   hits_.fetch_add(1, std::memory_order_relaxed);
   HitsCounter().Increment();
   return Outcome::kHit;
-}
-
-void ParamModelStore::Clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total_models_.fetch_sub(shard->models.size(), std::memory_order_relaxed);
-    shard->models.clear();
-  }
 }
 
 std::size_t ParamModelStore::size() const {

@@ -9,8 +9,9 @@
 // the memo path computes anyway. This store is that fit: one ridge
 // regression per (component structural hash, injection plan), over the
 // attributes plus their pairwise products, updated incrementally from
-// every exact memo fill (normal equations under a shard lock, fixed
-// memory), and consulted on exact-memo misses.
+// every exact result the simulation produces (normal equations under a
+// shard lock, fixed memory), and consulted on exact-memo misses. It is the
+// last tier of the component chain (src/petri/component_tier.h).
 //
 // Serving an interpolated value is gated three ways, and a refused gate
 // falls back to simulation exactly as before (the strict path stays
@@ -20,6 +21,7 @@
 //      extrapolation is refused, never served), and
 //   3. the model's running residual bound — the max prequential relative
 //      error over a recent window of exact results — is below max_rel_err.
+// The gate is fixed when the store is built.
 //
 // Budget accounting stays conservative: a parametric hit charges the
 // maximum firing count ever observed for the model, and the gate refuses
@@ -37,11 +39,9 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "src/common/types.h"
-#include "src/petri/compiled_net.h"
+#include "src/petri/component_tier.h"
 
 namespace perfiface {
 
@@ -51,17 +51,10 @@ struct ParamGate {
   double max_rel_err = 0.02;
 };
 
-// One interpolated component result. `firings` is the conservative budget
-// charge (max observed for this model, never an extrapolation).
-struct ParamPrediction {
-  double quiesce_time = 0;
-  std::uint64_t firings = 0;
-};
-
-class ParamModelStore {
+class ParamModelStore : public ComponentTier {
  public:
   enum class Outcome {
-    kHit,         // gate open: *out is the interpolated result
+    kHit,         // gate open: the interpolated result is filled in
     kNoModel,     // no model for this key (or attribute arity changed)
     kFewSamples,  // model exists but has < min_samples exact results
     kOutsideHull, // a query attribute lies outside the observed range
@@ -69,22 +62,18 @@ class ParamModelStore {
     kBudget,      // conservative firing charge would exhaust the budget
   };
 
-  // The process-wide store the serving layer shares, like the memo table.
-  static ParamModelStore& Global();
+  explicit ParamModelStore(ParamGate gate = {}, std::size_t max_models = 4096,
+                           std::size_t num_shards = 16);
 
-  explicit ParamModelStore(std::size_t max_models = 4096, std::size_t num_shards = 16);
-  ~ParamModelStore();
+  // Predict / Observe over the query's model key and schema-sorted
+  // attributes; a hit's time is rounded to whole cycles.
+  bool Lookup(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out) override;
+  void Observe(const ComponentQuery& query, const ComponentResult& exact) override;
 
-  ParamModelStore(const ParamModelStore&) = delete;
-  ParamModelStore& operator=(const ParamModelStore&) = delete;
-
-  // Model key: the component structural hash plus the canonical injection
-  // plan — the exact memo key (pnet_memo.h) with the attribute section
-  // removed, because the attributes are the model's *inputs*, not its
-  // identity. Empty if the net is unhashable (unhashable nets are never
-  // fitted, exactly as they are never memoized).
-  static std::string Key(const CompiledNet& net, std::size_t component,
-                         const std::vector<std::pair<PlaceId, int>>& injections);
+  // {"models":N,"fits":N,"hits":N,"refused_hull":N,"refused_residual":N}.
+  std::string SummaryJson() const override;
+  // perfiface_param_memo_models and the perfiface_param_memo_rel_err histogram.
+  void AppendPrometheus(std::string* out) const override;
 
   // Feeds one exact component result into the fitter. `attrs` is the
   // schema-sorted attribute vector (the same ordering the memo key uses);
@@ -96,13 +85,13 @@ class ParamModelStore {
   void Observe(const std::string& key, const std::vector<double>& attrs,
                double quiesce_time, std::uint64_t firings);
 
-  // Consults the fitted model. Returns kHit (and fills *out) only when
-  // every gate opens; any other outcome means the caller must simulate.
-  // `budget` is the caller's remaining firing budget (the kBudget gate).
+  // Consults the fitted model. Returns kHit only when every gate opens,
+  // and then fills the interpolated time and the conservative firing
+  // charge (the max observed for this model, never an extrapolation); any
+  // other outcome means the caller must simulate. `budget` is the caller's
+  // remaining firing budget (the kBudget gate).
   Outcome Predict(const std::string& key, const std::vector<double>& attrs,
-                  const ParamGate& gate, std::uint64_t budget, ParamPrediction* out);
-
-  void Clear();
+                  std::uint64_t budget, double* quiesce_time, std::uint64_t* firings);
 
   // Store-local totals (the perfiface_param_memo_* counters aggregate
   // across stores; these back tests and the /statusz summary).
@@ -113,9 +102,6 @@ class ParamModelStore {
   std::uint64_t refused_residual() const {
     return refused_residual_.load(std::memory_order_relaxed);
   }
-
-  // {"models":N,"fits":N,"hits":N,...} for the /statusz param summary.
-  std::string SummaryJson() const;
 
  private:
   // Feature map: 1, x_i, then x_i*x_j (i <= j) when the quadratic
@@ -161,6 +147,7 @@ class ParamModelStore {
   Shard& ShardFor(const std::string& key);
   void RecordRelErr(double abs_rel_err);
 
+  const ParamGate gate_;
   std::size_t max_models_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> total_models_{0};
@@ -180,8 +167,6 @@ class ParamModelStore {
   std::atomic<std::uint64_t> err_count_{0};
   // Atomic double via CAS-add: exposition-only, contention is negligible.
   std::atomic<double> err_sum_{0};
-
-  std::uint64_t metrics_collector_ = 0;  // obs::MetricsRegistry handle
 };
 
 }  // namespace perfiface

@@ -1,112 +1,24 @@
 #include "src/petri/pnet_memo.h"
 
-#include <algorithm>
-
 #include "src/common/strings.h"
 #include "src/obs/metrics_registry.h"
 
 namespace perfiface {
 
-PnetMemoTable& PnetMemoTable::Global() {
-  static PnetMemoTable* table = new PnetMemoTable();
-  return *table;
-}
-
 PnetMemoTable::PnetMemoTable(std::size_t capacity, std::size_t num_shards)
-    : table_(capacity, num_shards) {
-  // Occupancy exposition rides a collector (size is a gauge, not a
-  // counter). Each table emits its own samples; in practice only the
-  // process-wide Global() table exists when a scrape runs.
-  metrics_collector_ =
-      obs::MetricsRegistry::Global().RegisterCollector([this](std::string* out) {
-        *out += "# HELP perfiface_pnet_memo_entries Sub-net memo table entries currently "
-                "resident.\n";
-        *out += "# TYPE perfiface_pnet_memo_entries gauge\n";
-        *out += StrFormat("perfiface_pnet_memo_entries %zu\n", this->size());
-        *out += "# HELP perfiface_pnet_memo_capacity Sub-net memo table entry capacity.\n";
-        *out += "# TYPE perfiface_pnet_memo_capacity gauge\n";
-        *out += StrFormat("perfiface_pnet_memo_capacity %zu\n", this->capacity());
-        *out += "# HELP perfiface_pnet_memo_evictions_total Sub-net memo entries evicted by "
-                "LRU capacity pressure.\n";
-        *out += "# TYPE perfiface_pnet_memo_evictions_total counter\n";
-        *out += StrFormat("perfiface_pnet_memo_evictions_total %llu\n",
-                          static_cast<unsigned long long>(evictions()));
-      });
-}
+    : table_(capacity, num_shards) {}
 
-PnetMemoTable::~PnetMemoTable() {
-  obs::MetricsRegistry::Global().Unregister(metrics_collector_);
-}
-
-std::string PnetMemoTable::Key(const CompiledNet& net, std::size_t component, const Token& token,
-                               const std::vector<std::pair<PlaceId, int>>& injections) {
-  if (!net.hashable()) {
-    return std::string();
-  }
-  std::string key;
-  key.reserve(64);
-  key += StrFormat("%016llx",
-                   static_cast<unsigned long long>(net.component_hash(component)));
-
-  // Attributes labeled by schema name, sorted by name: two nets declaring
-  // the same attributes in different orders still share entries. %.17g
-  // round-trips doubles exactly, so distinct workloads never alias.
-  const std::vector<std::string>& names = net.source().attr_names();
-  std::vector<std::size_t> order(names.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(),
-            [&names](std::size_t a, std::size_t b) { return names[a] < names[b]; });
-  for (const std::size_t slot : order) {
-    key += '\x1f';
-    key += names[slot];
-    key += StrFormat("=%.17g", token.Attr(slot));
-  }
-
-  AppendCanonicalPlan(net, component, injections, &key);
-  return key;
-}
-
-void PnetMemoTable::AppendCanonicalPlan(const CompiledNet& net, std::size_t component,
-                                        const std::vector<std::pair<PlaceId, int>>& injections,
-                                        std::string* key) {
-  // Injection plan restricted to this component, as sorted (local place
-  // index, count) pairs: the same sub-net keyed identically no matter
-  // where it sits inside the enclosing net. All injected tokens carry the
-  // same attributes, so per-place counts fully describe the plan.
-  std::vector<std::pair<std::uint32_t, long long>> plan;
-  for (const auto& [place, count] : injections) {
-    const CompiledNet::PlaceInfo& info = net.places()[place];
-    if (info.component != component) {
-      continue;
-    }
-    plan.emplace_back(info.local_index, static_cast<long long>(count));
-  }
-  std::sort(plan.begin(), plan.end());
-  // Merge duplicate places (the same place listed twice injects the sum).
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (i > 0 && plan[i].first == plan[i - 1].first) {
-      continue;
-    }
-    long long count = plan[i].second;
-    for (std::size_t j = i + 1; j < plan.size() && plan[j].first == plan[i].first; ++j) {
-      count += plan[j].second;
-    }
-    *key += StrFormat("\x1f@%u:%lld", plan[i].first, count);
-  }
-}
-
-bool PnetMemoTable::Lookup(const std::string& key, std::uint64_t budget, PnetMemoResult* out) {
+bool PnetMemoTable::Lookup(const ComponentQuery& query, std::uint64_t budget,
+                           ComponentResult* out) {
   static obs::MetricsRegistry::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
       "perfiface_pnet_memo_hits_total", "Sub-net memo table hits");
   static obs::MetricsRegistry::Counter& misses = obs::MetricsRegistry::Global().GetCounter(
       "perfiface_pnet_memo_misses_total", "Sub-net memo table misses");
-  PnetMemoResult found;
+  ComponentResult found;
   // Strict: PetriSim reports exhaustion when firings reach the budget
   // exactly, so a stored count equal to `budget` must miss — the
   // simulation the hit replaces would not have quiesced.
-  if (table_.Get(key, &found) && found.firings < budget) {
+  if (table_.Get(query.exact_key(), &found) && found.firings < budget) {
     *out = found;
     hits_.fetch_add(1, std::memory_order_relaxed);
     hits.Increment();
@@ -117,8 +29,32 @@ bool PnetMemoTable::Lookup(const std::string& key, std::uint64_t budget, PnetMem
   return false;
 }
 
-void PnetMemoTable::Insert(const std::string& key, const PnetMemoResult& result) {
-  table_.Put(key, result);
+void PnetMemoTable::Observe(const ComponentQuery& query, const ComponentResult& exact) {
+  if (!query.exact_key().empty()) {
+    table_.Put(query.exact_key(), exact);
+  }
+}
+
+std::string PnetMemoTable::SummaryJson() const {
+  return StrFormat(
+      "{\"entries\":%zu,\"capacity\":%zu,\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu}",
+      size(), capacity(), static_cast<unsigned long long>(hits()),
+      static_cast<unsigned long long>(misses()),
+      static_cast<unsigned long long>(evictions()));
+}
+
+void PnetMemoTable::AppendPrometheus(std::string* out) const {
+  *out += "# HELP perfiface_pnet_memo_entries Sub-net memo table entries currently resident.\n";
+  *out += "# TYPE perfiface_pnet_memo_entries gauge\n";
+  *out += StrFormat("perfiface_pnet_memo_entries %zu\n", size());
+  *out += "# HELP perfiface_pnet_memo_capacity Sub-net memo table entry capacity.\n";
+  *out += "# TYPE perfiface_pnet_memo_capacity gauge\n";
+  *out += StrFormat("perfiface_pnet_memo_capacity %zu\n", capacity());
+  *out += "# HELP perfiface_pnet_memo_evictions_total Sub-net memo entries evicted by LRU "
+          "capacity pressure.\n";
+  *out += "# TYPE perfiface_pnet_memo_evictions_total counter\n";
+  *out += StrFormat("perfiface_pnet_memo_evictions_total %llu\n",
+                    static_cast<unsigned long long>(evictions()));
 }
 
 }  // namespace perfiface

@@ -65,6 +65,17 @@ void PetriSim::Inject(PlaceId place, Token token) {
   Deposit(place, std::move(token));
 }
 
+void PetriSim::InjectPlan(const std::vector<std::pair<PlaceId, int>>& plan,
+                          const Token& token) {
+  for (const auto& [place, count] : plan) {
+    if (component_ == kAllComponents || cnet_->places()[place].component == component_) {
+      for (int i = 0; i < count; ++i) {
+        Inject(place, token);
+      }
+    }
+  }
+}
+
 void PetriSim::Observe(PlaceId place) {
   PI_CHECK(place < places_.size());
   places_[place].observed = true;

@@ -17,6 +17,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/small_vec.h"
@@ -44,12 +45,16 @@ class PetriSim {
   // given, only that weakly-connected component's transitions may fire:
   // disconnected components evolve independently, so a restricted run
   // predicts exactly what the full run predicts for that component (the
-  // basis for per-component memoization, src/petri/pnet_memo.h).
+  // basis for the per-component tiers, src/petri/component_tier.h).
   explicit PetriSim(const CompiledNet* compiled, std::size_t component = kAllComponents);
 
   // Deposits a token into a place at the current time. Typically used to
   // enqueue the workload (requests/stripes/instructions) before Run.
   void Inject(PlaceId place, Token token);
+  // Injects `count` copies of `token` per (place, count) item of a plan,
+  // skipping places outside the run's component: one request's whole plan
+  // drives each of its component runs.
+  void InjectPlan(const std::vector<std::pair<PlaceId, int>>& plan, const Token& token);
 
   // Marks a place as observed: every deposit into it is logged.
   void Observe(PlaceId place);

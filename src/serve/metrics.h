@@ -10,6 +10,7 @@
 #ifndef SRC_SERVE_METRICS_H_
 #define SRC_SERVE_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -49,6 +50,9 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> sum_ns_{0};
 };
 
+// Most component tiers a service chains (memo, derived, param).
+constexpr std::size_t kMaxComponentTiers = 3;
+
 // One row per interface, created when the service loads the registry so
 // the hot path never takes a lock to find its histogram.
 struct InterfaceMetrics {
@@ -56,11 +60,10 @@ struct InterfaceMetrics {
   LatencyHistogram latency;                  // end-to-end service-side time
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> errors{0};
-  // Pnet components this interface served from the parametric model
-  // (src/petri/param_model.h); feeds the /statusz per-interface summary.
-  std::atomic<std::uint64_t> param_hits{0};
-  // Pnet components served from distilled closed forms (src/petri/distill.h).
-  std::atomic<std::uint64_t> derived_hits{0};
+  // Pnet components each tier of the service's component chain answered
+  // (src/petri/component_tier.h), by chain position; feeds the /statusz
+  // per-interface summary.
+  std::array<std::atomic<std::uint64_t>, kMaxComponentTiers> tier_hits{};
 };
 
 // What the cache saw for one request. Requests that are resolved before the
@@ -87,14 +90,12 @@ class ServiceMetrics {
 
   void RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok);
   void RecordStatus(CacheOutcome cache, bool deadline_exceeded, bool rejected);
-  void RecordParamHits(std::size_t iface_idx, std::uint64_t hits) {
-    if (hits != 0 && iface_idx < per_interface_.size()) {
-      per_interface_[iface_idx]->param_hits.fetch_add(hits, std::memory_order_relaxed);
-    }
-  }
-  void RecordDerivedHits(std::size_t iface_idx, std::uint64_t hits) {
-    if (hits != 0 && iface_idx < per_interface_.size()) {
-      per_interface_[iface_idx]->derived_hits.fetch_add(hits, std::memory_order_relaxed);
+  void RecordTierHits(std::size_t iface_idx,
+                      const std::array<std::uint64_t, kMaxComponentTiers>& hits) {
+    for (std::size_t t = 0; t < hits.size() && iface_idx < per_interface_.size(); ++t) {
+      if (hits[t] != 0) {
+        per_interface_[iface_idx]->tier_hits[t].fetch_add(hits[t], std::memory_order_relaxed);
+      }
     }
   }
 

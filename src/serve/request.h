@@ -184,6 +184,11 @@ struct InjectionPlan {
   bool ok() const { return error.empty(); }
 };
 
+// Most tokens one plan may inject, whatever the firing budget: every token
+// is allocated before the first firing, and max_steps is a client field.
+// The largest plan in the tree, hdr_in:1,vld_in:256, injects 257.
+constexpr std::int64_t kMaxInjectedTokens = 1 << 16;
+
 // Parses req.entry_place: comma-separated `place[:count]` items, whitespace
 // insignificant. An item without a count, or an empty spec, injects
 // max(1, req.tokens) tokens. Unknown place names are not checked here (the

@@ -88,15 +88,6 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
       entry.pnet = LoadPnetFile(bundle.pnet_path);
       PI_CHECK_MSG(entry.pnet.ok(), entry.pnet.error.c_str());
       entry.compiled = std::make_unique<CompiledNet>(entry.pnet.net.get());
-      const std::vector<std::string>& attr_names = entry.pnet.net->attr_names();
-      entry.attr_order.resize(attr_names.size());
-      for (std::size_t slot = 0; slot < entry.attr_order.size(); ++slot) {
-        entry.attr_order[slot] = slot;
-      }
-      std::sort(entry.attr_order.begin(), entry.attr_order.end(),
-                [&attr_names](std::size_t a, std::size_t b) {
-                  return attr_names[a] < attr_names[b];
-                });
     }
     names.push_back(entry.name);
     entries_.push_back(std::move(entry));
@@ -112,12 +103,35 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
       ShadowOptions{options_.shadow_sample_every, options_.shadow_seed,
                     options_.shadow_drift_threshold},
       names);
+  // The component chain, cheapest and exact first. The derived and
+  // parametric tiers sit on the per-component path the memo opens, so
+  // they run only with it. The closed form outranks interpolation, which
+  // outranks exact replay, in the representation label.
+  if (options_.enable_pnet_memo) {
+    tiers_.push_back({std::make_unique<PnetMemoTable>(), "memo_lookup", "pnet_memo",
+                      "memo_hits", &ExplainInfo::memo_hits, "pnet-memo", 0});
+    if (options_.enable_derived) {
+      tiers_.push_back({std::make_unique<DerivedStore>(), "derived_lookup", "derived_store",
+                        "derived_hits", &ExplainInfo::derived_hits, "pnet-derived", 2});
+    }
+    if (options_.enable_param_memo) {
+      tiers_.push_back({std::make_unique<ParamModelStore>(
+                            ParamGate{options_.param_memo_min_samples,
+                                      options_.param_memo_max_rel_err}),
+                        "param_lookup", "param_store", "param_hits", &ExplainInfo::param_hits,
+                        "pnet-param", 1});
+    }
+  }
   // One scrape via MetricsRegistry::RenderPrometheus() unifies this
-  // service's families with the process-wide interp/pnet/sim counters (and
-  // the shadow-validation series when the sampler is on).
+  // service's families — its tiers' gauges included — with the
+  // process-wide interp/pnet/sim counters (and the shadow-validation
+  // series when the sampler is on).
   metrics_collector_ = obs::MetricsRegistry::Global().RegisterCollector([this](std::string* out) {
     *out += metrics_->DumpPrometheus(queue_depth());
     shadow_->DumpPrometheus(out);
+    for (const ChainTier& t : tiers_) {
+      t.tier->AppendPrometheus(out);
+    }
   });
 
   std::size_t n = options_.num_workers;
@@ -232,17 +246,12 @@ std::string PredictionService::StatuszJson() const {
     }
     out += "]},";
   }
-  // Memo-vs-param attribution: occupancy/eviction pressure on the exact
-  // table next to the parametric store's fit/hit/refusal totals.
-  const PnetMemoTable& memo = PnetMemoTable::Global();
-  out += StrFormat(
-      "\"pnet_memo\":{\"entries\":%zu,\"capacity\":%zu,\"hits\":%llu,\"misses\":%llu,"
-      "\"evictions\":%llu},",
-      memo.size(), memo.capacity(), static_cast<unsigned long long>(memo.hits()),
-      static_cast<unsigned long long>(memo.misses()),
-      static_cast<unsigned long long>(memo.evictions()));
-  out += "\"param_store\":" + ParamModelStore::Global().SummaryJson() + ",";
-  out += "\"derived_store\":" + DerivedStore::Global().SummaryJson() + ",";
+  // Tier attribution: occupancy/eviction pressure on the exact table next
+  // to the derived and parametric stores' totals, for the tiers this
+  // service runs.
+  for (const ChainTier& t : tiers_) {
+    out += StrFormat("\"%s\":", t.statusz) + t.tier->SummaryJson() + ",";
+  }
   out += "\"interfaces\":[";
   const auto& rows = metrics_->interfaces();
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -253,15 +262,17 @@ std::string PredictionService::StatuszJson() const {
     }
     out += StrFormat(
         "{\"name\":\"%s\",\"requests\":%llu,\"errors\":%llu,\"qps\":%.2f,"
-        "\"p50_us\":%.2f,\"p99_us\":%.2f,\"derived_hits\":%llu,\"param_hits\":%llu,"
-        "\"shadow\":%s}",
+        "\"p50_us\":%.2f,\"p99_us\":%.2f,",
         obs::EscapeLabelValue(m.interface).c_str(), static_cast<unsigned long long>(requests),
         static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
         uptime_s <= 0 ? 0.0 : static_cast<double>(requests) / uptime_s,
-        m.latency.PercentileNs(50) / 1e3, m.latency.PercentileNs(99) / 1e3,
-        static_cast<unsigned long long>(m.derived_hits.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(m.param_hits.load(std::memory_order_relaxed)),
-        shadow_->SummaryJson(i).c_str());
+        m.latency.PercentileNs(50) / 1e3, m.latency.PercentileNs(99) / 1e3);
+    for (std::size_t t = 0; t < tiers_.size(); ++t) {
+      out += StrFormat(
+          "\"%s\":%llu,", tiers_[t].hits_name,
+          static_cast<unsigned long long>(m.tier_hits[t].load(std::memory_order_relaxed)));
+    }
+    out += "\"shadow\":" + shadow_->SummaryJson(i) + "}";
   }
   out += "]}";
   return out;
@@ -664,8 +675,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
                   (static_cast<std::int64_t>(r.eval_ns) - static_cast<std::int64_t>(prev_ema)) /
                       8),
         std::memory_order_relaxed);
-    metrics_->RecordDerivedHits(iface_idx, detail.derived_hits);
-    metrics_->RecordParamHits(iface_idx, detail.param_hits);
+    metrics_->RecordTierHits(iface_idx, detail.tier_hits);
     metrics_->RecordStatus(cache_outcome, r.status == PredictStatus::kDeadlineExceeded,
                            r.status == PredictStatus::kRejected);
     if (eval_span.active()) {
@@ -682,9 +692,9 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
       ex.eval_ns = r.eval_ns;
       ex.steps = detail.steps;
       ex.memo_components = detail.memo_components;
-      ex.memo_hits = detail.memo_hits;
-      ex.derived_hits = detail.derived_hits;
-      ex.param_hits = detail.param_hits;
+      for (std::size_t t = 0; t < tiers_.size(); ++t) {
+        ex.*tiers_[t].explain_hits = detail.tier_hits[t];
+      }
       ex.deadline_limited = deadline_limited;
       ex.shadowed = shadow_outcome.ran;
       ex.shadow_truth = shadow_outcome.truth;
@@ -867,8 +877,8 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     injections.emplace_back(net.PlaceByName(item.place), item.count);
   }
   // Every injected token costs memory before the first firing, so a plan
-  // larger than the firing budget is answered with the budget status
-  // without injecting anything.
+  // larger than the firing budget, or than the fixed cap a client-chosen
+  // budget cannot lift, is answered without injecting anything.
   const PredictStatus budget_status =
       deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;
   if (static_cast<std::uint64_t>(plan.total) > budget) {
@@ -876,6 +886,13 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     response.error = StrFormat("injection plan of %lld tokens exceeds the firing budget of %llu",
                                static_cast<long long>(plan.total),
                                static_cast<unsigned long long>(budget));
+    return response;
+  }
+  if (plan.total > kMaxInjectedTokens) {
+    response.status = PredictStatus::kResourceExhausted;
+    response.error = StrFormat("injection plan of %lld tokens exceeds the cap of %lld",
+                               static_cast<long long>(plan.total),
+                               static_cast<long long>(kMaxInjectedTokens));
     return response;
   }
 
@@ -896,108 +913,39 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   bool firing_budget_hit = false;
   std::string sim_error;  // a delay/guard expression failed (PetriSim::error)
 
-  if (options_.enable_pnet_memo && cnet.hashable()) {
+  if (!tiers_.empty() && cnet.hashable()) {
     // Weakly-connected components share no places, so they evolve
-    // independently: evaluate (or recall) each on its own, charging
-    // firings against one shared budget so budget-exhaustion statuses
-    // match a whole-net run exactly (the total work is identical, only
-    // the interleaving differs). Every component must run — one with no
-    // injected tokens can still fire off its initial marking.
-    PnetMemoTable& memo = PnetMemoTable::Global();
-    ParamModelStore& params = ParamModelStore::Global();
-    const bool param_memo = options_.enable_param_memo;
-    const ParamGate param_gate{options_.param_memo_min_samples,
-                               options_.param_memo_max_rel_err};
-    // Schema-sorted attribute vector: the memo key's canonical attribute
-    // order, doubling as the parametric model's feature vector. Built only
-    // when the parametric tier is on — the strict path allocates nothing.
-    std::vector<double> sorted_attrs;
-    if (param_memo) {
-      sorted_attrs.reserve(entry.attr_order.size());
-      for (const std::size_t slot : entry.attr_order) {
-        sorted_attrs.push_back(token.attrs[slot]);
-      }
-    }
+    // independently: answer each on its own — from the first tier of the
+    // chain that can, else by simulation — charging firings against one
+    // shared budget so budget-exhaustion statuses match a whole-net run
+    // exactly (the total work is identical, only the interleaving
+    // differs). Every component must run — one with no injected tokens can
+    // still fire off its initial marking.
+    ComponentQuery query(cnet, token, injections);
     std::uint64_t remaining = budget;
+    std::uint64_t answered = 0;
     detail->memo_components = cnet.num_components();
     for (std::size_t c = 0; c < cnet.num_components(); ++c) {
-      const std::string key = PnetMemoTable::Key(cnet, c, token, injections);
-      PnetMemoResult result;
-      bool hit;
-      {
-        obs::SpanGuard lookup_span("serve", "memo_lookup");
-        hit = memo.Lookup(key, remaining, &result);
+      query.Select(c);
+      ComponentResult result;
+      std::size_t t = 0;
+      for (; t < tiers_.size(); ++t) {
+        obs::SpanGuard lookup_span("serve", tiers_[t].span);
+        const bool hit = tiers_[t].tier->Lookup(query, remaining, &result);
         if (lookup_span.active()) {
           lookup_span.SetArg("hit", hit ? 1.0 : 0.0);
         }
-      }
-      if (hit) {
-        ++detail->memo_hits;
-      }
-      if (!hit && options_.enable_derived) {
-        // Second tier: the closed form distilled from the component's
-        // compiled delay expressions (src/petri/distill.h). The first
-        // consultation per (component, plan) distills — a few restricted
-        // probe simulations, cached process-wide — and every outcome
-        // short of a hit falls through bit-identically.
-        DerivedStore& derived = DerivedStore::Global();
-        const std::string derived_key = DerivedStore::Key(cnet, c, injections);
-        DerivedPrediction derived_pred;
-        DerivedStore::Outcome derived_outcome;
-        {
-          obs::SpanGuard derived_span("serve", "derived_lookup");
-          derived_outcome = derived.Predict(derived_key, token, remaining, &derived_pred);
-          if (derived_outcome == DerivedStore::Outcome::kNoModel &&
-              derived.Distill(derived_key, cnet, c, token, injections)) {
-            derived_outcome = derived.Predict(derived_key, token, remaining, &derived_pred);
-          }
-          if (derived_span.active()) {
-            derived_span.SetArg(
-                "hit", derived_outcome == DerivedStore::Outcome::kHit ? 1.0 : 0.0);
-          }
-        }
-        if (derived_outcome == DerivedStore::Outcome::kHit) {
-          ++detail->derived_hits;
-          remaining -= derived_pred.firings;
-          detail->steps += derived_pred.firings;
-          value = std::max(value, derived_pred.quiesce_time);
-          continue;
+        if (hit) {
+          break;
         }
       }
-      std::string param_key;
-      if (!hit && param_memo) {
-        // Second tier: the fitted per-component delay curve. A gate-open
-        // prediction substitutes for the simulation below; any refusal
-        // falls through to simulate exactly as with the tier off.
-        param_key = ParamModelStore::Key(cnet, c, injections);
-        ParamPrediction predicted;
-        ParamModelStore::Outcome outcome;
-        {
-          obs::SpanGuard param_span("serve", "param_lookup");
-          outcome = params.Predict(param_key, sorted_attrs, param_gate, remaining, &predicted);
-          if (param_span.active()) {
-            param_span.SetArg("hit", outcome == ParamModelStore::Outcome::kHit ? 1.0 : 0.0);
-          }
-        }
-        if (outcome == ParamModelStore::Outcome::kHit) {
-          ++detail->param_hits;
-          remaining -= predicted.firings;
-          detail->steps += predicted.firings;
-          value = std::max(value, static_cast<Cycles>(std::llround(predicted.quiesce_time)));
-          continue;
-        }
-      }
-      if (!hit) {
+      if (t < tiers_.size()) {
+        ++detail->tier_hits[t];
+        ++answered;
+      } else {
         PetriSim sim(&cnet, c);
         sim.set_max_firings(remaining);
-        for (const auto& [place, count] : injections) {
-          if (cnet.places()[place].component != c) {
-            continue;
-          }
-          for (int i = 0; i < count; ++i) {
-            sim.Inject(place, token);
-          }
-        }
+        sim.InjectPlan(injections, token);
         const bool q = sim.Run(kPnetRunBudget);
         result.quiesce_time = sim.now();
         result.firings = sim.total_firings();
@@ -1007,38 +955,33 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
           sim_error = sim.error();
           break;
         }
-        // Only quiesced results enter the table (pnet_memo.h contract).
-        memo.Insert(key, result);
-        if (param_memo) {
-          // Every exact fill also feeds the fitter: the parametric tier
-          // learns from precisely the results the memo table stores.
-          params.Observe(param_key, sorted_attrs, static_cast<double>(result.quiesce_time),
-                         result.firings);
+        // Only quiesced runs reach the tiers (component_tier.h contract).
+        for (const ChainTier& tier : tiers_) {
+          tier.tier->Observe(query, result);
         }
       }
       remaining -= result.firings;
       detail->steps += result.firings;
       value = std::max(value, result.quiesce_time);
     }
-    if (detail->memo_components != 0 &&
-        detail->memo_hits + detail->derived_hits + detail->param_hits ==
-            detail->memo_components) {
-      // No component simulated. Closed-form wins over interpolation in the
-      // label: "pnet-derived" whenever the distilled tier contributed.
-      detail->representation = detail->derived_hits != 0
-                                   ? "pnet-derived"
-                                   : (detail->param_hits != 0 ? "pnet-param" : "pnet-memo");
+    if (answered != 0 && answered == detail->memo_components) {
+      // No component simulated: the highest-ranked tier that answered one
+      // names the representation.
+      const ChainTier* label = nullptr;
+      for (std::size_t t = 0; t < tiers_.size(); ++t) {
+        if (detail->tier_hits[t] != 0 &&
+            (label == nullptr || tiers_[t].label_rank > label->label_rank)) {
+          label = &tiers_[t];
+        }
+      }
+      detail->representation = label->representation;
     }
   } else {
     // Memo off (or net unhashable: opaque C++ closures): one whole-net
     // run over the shared pre-compiled form.
     PetriSim sim(&cnet);
     sim.set_max_firings(budget);
-    for (const auto& [place, count] : injections) {
-      for (int i = 0; i < count; ++i) {
-        sim.Inject(place, token);
-      }
-    }
+    sim.InjectPlan(injections, token);
     quiesced = sim.Run(kPnetRunBudget);
     firing_budget_hit = sim.firing_budget_exhausted();
     sim_error = sim.error();

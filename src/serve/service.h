@@ -13,13 +13,15 @@
 //                             workers (one bytecode Vm per thread per
 //                             program — Vms are stateful and are never
 //                             shared) ──▶ sharded LRU cache
-//                                          └──▶ process-wide sub-net memo
-//                                               (src/petri/pnet_memo.h)
+//                                          └──▶ component-tier chain:
+//                                               memo → derived → param
+//                                               (src/petri/component_tier.h)
 //
 // Responses memoize (interface, function, canonicalized workload) →
 // prediction, so hot workloads skip evaluation entirely; below that, pnet
-// evaluations memoize per weakly-connected component keyed by structural
-// hash, so repeated *structure* is cheap even across different nets.
+// evaluations go per weakly-connected component through the service's own
+// tier chain (two services share no tier state), whose exact memo is keyed
+// by structural hash, so repeated *structure* is cheap even across nets.
 // Registry lookups go through a lock-free direct-mapped hot tier over a
 // hash index — no linear scan on the hot path. Per-request deadlines ride
 // on the VM's step budget (docs/serving.md).
@@ -49,6 +51,7 @@
 #include "src/core/registry.h"
 #include "src/perfscript/vm.h"
 #include "src/petri/compiled_net.h"
+#include "src/petri/component_tier.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
 #include "src/serve/lru_cache.h"
@@ -69,8 +72,8 @@ struct ServiceOptions {
   // Total cache entries (0 disables caching) and shard count.
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 64;
-  // Cross-request per-component Petri-net memoization (the process-wide
-  // table in src/petri/pnet_memo.h). Off, every pnet query simulates from
+  // Cross-request per-component Petri-net memoization (the service's own
+  // table, src/petri/pnet_memo.h). Off, every pnet query simulates from
   // scratch — useful for benchmarking and for verifying equivalence.
   bool enable_pnet_memo = true;
   // Parametric memoization (src/petri/param_model.h): on an exact-memo
@@ -197,6 +200,19 @@ class PredictionService {
   // Interfaces the service can answer for (registry order).
   std::vector<std::string> InterfaceNames() const;
 
+  // The chain's tier of concrete type T (PnetMemoTable, DerivedStore,
+  // ParamModelStore), or null when this service does not run it. Tests and
+  // benches read store counters through this.
+  template <typename T>
+  const T* FindTier() const {
+    for (const ChainTier& t : tiers_) {
+      if (const T* found = dynamic_cast<const T*>(t.tier.get())) {
+        return found;
+      }
+    }
+    return nullptr;
+  }
+
   // Shadow-validation bookkeeping (always constructed; inert when
   // ServiceOptions::shadow_sample_every is 0).
   const ShadowValidator& shadow() const { return *shadow_; }
@@ -231,10 +247,19 @@ class PredictionService {
     std::optional<ProgramInterface> program;  // shared parse + constants
     LoadedNet pnet;                           // pnet.net null if none shipped
     std::unique_ptr<CompiledNet> compiled;    // non-null iff pnet.net is
-    // Token-schema slots sorted by attribute name: the memo key's
-    // canonical attribute order, reused as the parametric model's feature
-    // vector (computed once here, not per request).
-    std::vector<std::size_t> attr_order;
+  };
+
+  // One tier of the component chain and the names it reports under.
+  struct ChainTier {
+    std::unique_ptr<ComponentTier> tier;
+    const char* span;            // serve.<span> around each lookup
+    const char* statusz;         // key of its /statusz block
+    const char* hits_name;       // its explain and /statusz hit count
+    std::uint64_t ExplainInfo::*explain_hits;
+    // Explain representation when every component was answered from the
+    // chain; among the tiers that answered one, the highest rank names it.
+    const char* representation;
+    int label_rank;
   };
 
   // Completion state shared between a batch submitter and the workers.
@@ -286,9 +311,8 @@ class PredictionService {
     const char* representation = "";
     std::uint64_t steps = 0;          // VM steps or net firings
     std::uint64_t memo_components = 0;
-    std::uint64_t memo_hits = 0;
-    std::uint64_t derived_hits = 0;   // components served by distilled closed forms
-    std::uint64_t param_hits = 0;     // components served by the fitted model
+    // Components each chain tier answered, by chain position.
+    std::array<std::uint64_t, kMaxComponentTiers> tier_hits{};
   };
 
   void WorkerLoop();
@@ -332,6 +356,8 @@ class PredictionService {
   mutable std::array<std::atomic<std::uint32_t>, kHotSlots> hot_;
   std::unique_ptr<ServiceMetrics> metrics_;
   std::unique_ptr<ShadowValidator> shadow_;
+  // Tried in order for each pnet component; empty when the memo is off.
+  std::vector<ChainTier> tiers_;
   Clock::time_point service_start_{};
   ShardedLruCache cache_;
   DeadlineQueue<Job> queue_;

@@ -15,6 +15,7 @@
 
 #include "src/core/pnet.h"
 #include "src/petri/compiled_net.h"
+#include "src/petri/component_tier.h"
 #include "src/petri/distill.h"
 #include "src/petri/net.h"
 #include "src/petri/sim.h"
@@ -49,11 +50,13 @@ TEST(Distill, JpegDistillsAndMatchesSimulationAcrossTheHull) {
   ASSERT_EQ(cnet.num_components(), 1u);
 
   const auto injections = JpegInjections(*loaded.net);
-  DerivedStore store;
-  const std::string key = DerivedStore::Key(cnet, 0, injections);
+  const Token seed = JpegToken(1000, 8);
+  ComponentQuery query(cnet, seed, injections);
+  query.Select(0);
+  const std::string& key = query.model_key();
   ASSERT_FALSE(key.empty());
-  ASSERT_TRUE(store.Distill(key, cnet, 0, JpegToken(1000, 8), injections))
-      << store.RefusalReason(key);
+  DerivedStore store;
+  ASSERT_TRUE(store.Distill(query)) << store.RefusalReason(key);
   EXPECT_EQ(store.distilled(), 1u);
   EXPECT_EQ(store.refusals(), 0u);
 
@@ -68,7 +71,7 @@ TEST(Distill, JpegDistillsAndMatchesSimulationAcrossTheHull) {
   for (const double bits : {1000.0, 1100.0, 1250.0, 1600.0, 1999.0, 2000.0}) {
     for (const double blocks : {8.0, 9.0, 11.0, 13.0, 15.0, 16.0}) {
       const Token tok = JpegToken(bits, blocks);
-      DerivedPrediction pred;
+      ComponentResult pred;
       ASSERT_EQ(store.Predict(key, tok, /*budget=*/1u << 30, &pred),
                 DerivedStore::Outcome::kHit)
           << "bits=" << bits << " blocks=" << blocks;
@@ -92,12 +95,14 @@ TEST(Distill, OutsideHullAndBudgetRefuseToServe) {
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet cnet(loaded.net.get());
   const auto injections = JpegInjections(*loaded.net);
+  const Token seed = JpegToken(1000, 8);
+  ComponentQuery query(cnet, seed, injections);
+  query.Select(0);
+  const std::string& key = query.model_key();
   DerivedStore store;
-  const std::string key = DerivedStore::Key(cnet, 0, injections);
-  ASSERT_TRUE(store.Distill(key, cnet, 0, JpegToken(1000, 8), injections))
-      << store.RefusalReason(key);
+  ASSERT_TRUE(store.Distill(query)) << store.RefusalReason(key);
 
-  DerivedPrediction pred;
+  ComponentResult pred;
   // Outside the probed attribute range: refuse, never extrapolate.
   EXPECT_EQ(store.Predict(key, JpegToken(50000, 8), 1u << 30, &pred),
             DerivedStore::Outcome::kOutsideHull);
@@ -111,6 +116,32 @@ TEST(Distill, OutsideHullAndBudgetRefuseToServe) {
   // An unknown key reports kNoModel, not a refusal.
   EXPECT_EQ(store.Predict("no-such-key", JpegToken(1000, 8), 1u << 30, &pred),
             DerivedStore::Outcome::kNoModel);
+}
+
+// As a tier, the store distills on a key's first lookup and serves the
+// closed form from then on; the first answer is already exact.
+TEST(Distill, LookupDistillsOnFirstMissThenServes) {
+  const LoadedNet loaded = LoadShipped("jpeg");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const CompiledNet cnet(loaded.net.get());
+  const auto injections = JpegInjections(*loaded.net);
+  DerivedStore store;
+  for (const double bits : {1000.0, 1500.0}) {
+    const Token tok = JpegToken(bits, 8);
+    ComponentQuery query(cnet, tok, injections);
+    query.Select(0);
+    ComponentResult got;
+    ASSERT_TRUE(store.Lookup(query, /*budget=*/1u << 30, &got)) << "bits=" << bits;
+    PetriSim sim(&cnet, 0);
+    for (const auto& [place, count] : injections) {
+      for (int i = 0; i < count; ++i) sim.Inject(place, tok);
+    }
+    ASSERT_TRUE(sim.Run(static_cast<Cycles>(1) << 40));
+    EXPECT_EQ(got.quiesce_time, sim.now()) << "bits=" << bits;
+    EXPECT_EQ(got.firings, sim.total_firings()) << "bits=" << bits;
+  }
+  EXPECT_EQ(store.distilled(), 1u);
+  EXPECT_EQ(store.hits(), 2u);
 }
 
 TEST(Distill, AttrDependentGuardRefuses) {
@@ -133,18 +164,22 @@ TEST(Distill, AttrDependentGuardRefuses) {
   tok.attrs.push_back(7);
   const std::vector<std::pair<PlaceId, int>> injections = {
       {loaded.net->PlaceByName("in"), 3}};
-  DerivedStore store;
-  const std::string key = DerivedStore::Key(cnet, 0, injections);
+  ComponentQuery query(cnet, tok, injections);
+  query.Select(0);
+  const std::string& key = query.model_key();
   ASSERT_FALSE(key.empty());
-  EXPECT_FALSE(store.Distill(key, cnet, 0, tok, injections));
+  DerivedStore store;
+  EXPECT_FALSE(store.Distill(query));
   EXPECT_EQ(store.distilled(), 0u);
   EXPECT_EQ(store.refusals(), 1u);
   EXPECT_NE(store.RefusalReason(key).find("guard"), std::string::npos)
       << store.RefusalReason(key);
   // The refusal is cached: probing again must not re-simulate or flip.
-  EXPECT_FALSE(store.Distill(key, cnet, 0, tok, injections));
-  DerivedPrediction pred;
+  EXPECT_FALSE(store.Distill(query));
+  EXPECT_EQ(store.refusals(), 1u);
+  ComponentResult pred;
   EXPECT_EQ(store.Predict(key, tok, 1u << 30, &pred), DerivedStore::Outcome::kRefused);
+  EXPECT_FALSE(store.Lookup(query, 1u << 30, &pred));
 }
 
 TEST(Distill, UnhashableNetRefuses) {
@@ -165,10 +200,12 @@ TEST(Distill, UnhashableNetRefuses) {
   ASSERT_FALSE(cnet.hashable());
 
   const std::vector<std::pair<PlaceId, int>> injections = {{in, 1}};
-  const std::string key = DerivedStore::Key(cnet, 0, injections);
-  EXPECT_TRUE(key.empty());
+  const Token tok;
+  ComponentQuery query(cnet, tok, injections);
+  query.Select(0);
+  EXPECT_TRUE(query.model_key().empty());
   DerivedStore store;
-  EXPECT_FALSE(store.Distill(key, cnet, 0, Token{}, injections));
+  EXPECT_FALSE(store.Distill(query));
   EXPECT_EQ(store.distilled(), 0u);
 }
 
@@ -181,18 +218,19 @@ TEST(Distill, DistinctInjectionPlansGetDistinctModels) {
   const std::vector<std::pair<PlaceId, int>> plan8 = JpegInjections(*loaded.net);
   const std::vector<std::pair<PlaceId, int>> plan4 = {
       {loaded.net->PlaceByName("hdr_in"), 1}, {loaded.net->PlaceByName("vld_in"), 4}};
-  EXPECT_NE(DerivedStore::Key(cnet, 0, plan8), DerivedStore::Key(cnet, 0, plan4));
+  const Token seed = JpegToken(1000, 8);
+  ComponentQuery q8(cnet, seed, plan8);
+  ComponentQuery q4(cnet, seed, plan4);
+  q8.Select(0);
+  q4.Select(0);
+  EXPECT_NE(q8.model_key(), q4.model_key());
 
   DerivedStore store;
-  const std::string k8 = DerivedStore::Key(cnet, 0, plan8);
-  const std::string k4 = DerivedStore::Key(cnet, 0, plan4);
-  ASSERT_TRUE(store.Distill(k8, cnet, 0, JpegToken(1000, 8), plan8));
-  ASSERT_TRUE(store.Distill(k4, cnet, 0, JpegToken(1000, 8), plan4));
-  DerivedPrediction p8, p4;
-  ASSERT_EQ(store.Predict(k8, JpegToken(1000, 8), 1u << 30, &p8),
-            DerivedStore::Outcome::kHit);
-  ASSERT_EQ(store.Predict(k4, JpegToken(1000, 8), 1u << 30, &p4),
-            DerivedStore::Outcome::kHit);
+  ASSERT_TRUE(store.Distill(q8));
+  ASSERT_TRUE(store.Distill(q4));
+  ComponentResult p8, p4;
+  ASSERT_EQ(store.Predict(q8.model_key(), seed, 1u << 30, &p8), DerivedStore::Outcome::kHit);
+  ASSERT_EQ(store.Predict(q4.model_key(), seed, 1u << 30, &p4), DerivedStore::Outcome::kHit);
   EXPECT_NE(p8.quiesce_time, p4.quiesce_time);
   EXPECT_NE(p8.firings, p4.firings);
 }

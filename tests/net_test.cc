@@ -481,6 +481,41 @@ TEST(NetServer, NetExpressionErrorEarnsErrorLineAndConnectionSurvives) {
   EXPECT_EQ(responses[1].status, PredictStatus::kOk) << responses[1].error;
 }
 
+// max_steps is a client field that decodes up to UINT64_MAX, so it cannot
+// be what bounds an injection plan: a plan past the fixed cap earns a
+// RESOURCE_EXHAUSTED line before any token is allocated, and the
+// connection keeps answering.
+TEST(NetServer, PlanPastTheCapEarnsResourceExhaustedAndConnectionSurvives) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  ASSERT_TRUE(client.SendRaw("{\"id\":1,\"requests\":{\"interface\":\"jpeg_decoder\","
+                             "\"rep\":\"pnet\",\"entry_place\":\"vld_in:2147483647\","
+                             "\"max_steps\":18446744073709551615}}\n",
+                             &error))
+      << error;
+  WireResponse capped;
+  ASSERT_TRUE(client.ReadResponse(&capped, &error)) << error;
+  EXPECT_FALSE(capped.malformed);
+  EXPECT_EQ(capped.id, 1u);
+  EXPECT_EQ(capped.response.status, PredictStatus::kResourceExhausted)
+      << capped.response.error;
+  EXPECT_NE(capped.response.error.find("exceeds the cap"), std::string::npos)
+      << capped.response.error;
+
+  std::vector<PredictResponse> responses;
+  ASSERT_TRUE(client.Call({PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8"),
+                           JpegRequest(65536, 0.2)},
+                          &responses, &error))
+      << error;
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, PredictStatus::kOk) << responses[0].error;
+  EXPECT_EQ(responses[1].status, PredictStatus::kOk) << responses[1].error;
+}
+
 TEST(NetServer, OversizedFrameEarnsErrorLineAndResync) {
   NetServerOptions nopts;
   nopts.max_frame_bytes = 256;

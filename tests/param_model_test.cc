@@ -12,8 +12,8 @@
 #include "src/core/pnet.h"
 #include "src/petri/compiled_net.h"
 #include "src/petri/net.h"
+#include "src/petri/component_tier.h"
 #include "src/petri/param_model.h"
-#include "src/petri/pnet_memo.h"
 #include "src/petri/sim.h"
 
 namespace perfiface {
@@ -57,7 +57,7 @@ TEST(ParamModel, AffineRecoveryMatchesSimulation) {
   const LoadedNet loaded = LoadPnet(kAffineNet);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
 
-  ParamModelStore store;
+  ParamModelStore store(ParamGate{/*min_samples=*/16, /*max_rel_err=*/0.02});
   const std::string key = "affine-demo";
   // Observe an even-coordinate grid; query odd coordinates inside it, so
   // every checked point is a genuine near-miss, not a replay. Several
@@ -74,18 +74,18 @@ TEST(ParamModel, AffineRecoveryMatchesSimulation) {
     }
   }
 
-  const ParamGate gate{/*min_samples=*/16, /*max_rel_err=*/0.02};
   for (int x = 1; x <= 9; x += 2) {
     for (int y = 1; y <= 9; y += 2) {
       const SimResult truth = Simulate(loaded, x, y);
-      ParamPrediction out;
-      ASSERT_EQ(store.Predict(key, {static_cast<double>(x), static_cast<double>(y)}, gate,
-                              /*budget=*/1000, &out),
+      double quiesce_time = 0;
+      std::uint64_t firings = 0;
+      ASSERT_EQ(store.Predict(key, {static_cast<double>(x), static_cast<double>(y)},
+                              /*budget=*/1000, &quiesce_time, &firings),
                 ParamModelStore::Outcome::kHit)
           << "x=" << x << " y=" << y;
-      EXPECT_NEAR(out.quiesce_time, truth.quiesce_time, 1e-9 * truth.quiesce_time);
+      EXPECT_NEAR(quiesce_time, truth.quiesce_time, 1e-9 * truth.quiesce_time);
       // Conservative budget charge: the max firing count ever observed.
-      EXPECT_EQ(out.firings, truth.firings);
+      EXPECT_EQ(firings, truth.firings);
     }
   }
   EXPECT_GT(store.hits(), 0u);
@@ -96,7 +96,7 @@ TEST(ParamModel, AffineRecoveryMatchesSimulation) {
 // Pairwise products are in the feature basis, so an interaction term is
 // recovered exactly too.
 TEST(ParamModel, QuadraticRecovery) {
-  ParamModelStore store;
+  ParamModelStore store(ParamGate{16, 0.02});
   const std::string key = "quad";
   const auto f = [](double x, double y) { return 2.0 + 0.5 * x * x + 3.0 * x * y; };
   for (int pass = 0; pass < 3; ++pass) {
@@ -106,104 +106,111 @@ TEST(ParamModel, QuadraticRecovery) {
       }
     }
   }
-  const ParamGate gate{16, 0.02};
-  ParamPrediction out;
-  ASSERT_EQ(store.Predict(key, {3.5, 6.5}, gate, 100, &out), ParamModelStore::Outcome::kHit);
-  EXPECT_NEAR(out.quiesce_time, f(3.5, 6.5), 1e-9 * f(3.5, 6.5));
+  double quiesce_time = 0;
+  std::uint64_t firings = 0;
+  ASSERT_EQ(store.Predict(key, {3.5, 6.5}, 100, &quiesce_time, &firings),
+            ParamModelStore::Outcome::kHit);
+  EXPECT_NEAR(quiesce_time, f(3.5, 6.5), 1e-9 * f(3.5, 6.5));
 }
 
 TEST(ParamModel, GateRefusesUnknownKeyAndEmptyKey) {
   ParamModelStore store;
-  ParamPrediction out;
-  EXPECT_EQ(store.Predict("missing", {1.0}, ParamGate{}, 100, &out),
+  double quiesce_time = 0;
+  std::uint64_t firings = 0;
+  EXPECT_EQ(store.Predict("missing", {1.0}, 100, &quiesce_time, &firings),
             ParamModelStore::Outcome::kNoModel);
   store.Observe("", {1.0}, 10.0, 1);  // empty key (unhashable net): no-op
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.Predict("", {1.0}, ParamGate{}, 100, &out),
+  EXPECT_EQ(store.Predict("", {1.0}, 100, &quiesce_time, &firings),
             ParamModelStore::Outcome::kNoModel);
 }
 
 TEST(ParamModel, GateRefusesFewSamples) {
-  ParamModelStore store;
+  ParamModelStore store(ParamGate{/*min_samples=*/32, 0.02});
   for (int i = 0; i < 10; ++i) {
     store.Observe("k", {static_cast<double>(i)}, 5.0 + i, 1);
   }
-  ParamPrediction out;
-  EXPECT_EQ(store.Predict("k", {4.0}, ParamGate{/*min_samples=*/32, 0.02}, 100, &out),
+  double quiesce_time = 0;
+  std::uint64_t firings = 0;
+  EXPECT_EQ(store.Predict("k", {4.0}, 100, &quiesce_time, &firings),
             ParamModelStore::Outcome::kFewSamples);
 }
 
 TEST(ParamModel, GateRefusesOutsideHull) {
-  ParamModelStore store;
+  ParamModelStore store(ParamGate{16, 0.02});
   for (int i = 0; i <= 40; ++i) {
     store.Observe("k", {static_cast<double>(i)}, 5.0 + 2.0 * i, 1);
   }
-  const ParamGate gate{16, 0.02};
-  ParamPrediction out;
+  double quiesce_time = 0;
+  std::uint64_t firings = 0;
   // Inside the hull: served. Outside (either side): refused, never
   // extrapolated — even though the fit itself would be exact here.
-  EXPECT_EQ(store.Predict("k", {20.5}, gate, 100, &out), ParamModelStore::Outcome::kHit);
-  EXPECT_EQ(store.Predict("k", {-1.0}, gate, 100, &out),
+  EXPECT_EQ(store.Predict("k", {20.5}, 100, &quiesce_time, &firings),
+            ParamModelStore::Outcome::kHit);
+  EXPECT_EQ(store.Predict("k", {-1.0}, 100, &quiesce_time, &firings),
             ParamModelStore::Outcome::kOutsideHull);
-  EXPECT_EQ(store.Predict("k", {41.0}, gate, 100, &out),
+  EXPECT_EQ(store.Predict("k", {41.0}, 100, &quiesce_time, &firings),
             ParamModelStore::Outcome::kOutsideHull);
   EXPECT_EQ(store.refused_hull(), 2u);
 }
 
 TEST(ParamModel, GateRefusesHighResidual) {
-  ParamModelStore store;
+  ParamModelStore store(ParamGate{16, /*max_rel_err=*/1e-4});
   // A cubic is outside the quadratic feature basis: prequential residuals
   // stay high, so the gate must keep refusing at a tight threshold.
   for (int i = 1; i <= 60; ++i) {
     const double x = static_cast<double>(i);
     store.Observe("k", {x}, x * x * x, 1);
   }
-  ParamPrediction out;
-  EXPECT_EQ(store.Predict("k", {30.5}, ParamGate{16, /*max_rel_err=*/1e-4}, 1000, &out),
+  double quiesce_time = 0;
+  std::uint64_t firings = 0;
+  EXPECT_EQ(store.Predict("k", {30.5}, 1000, &quiesce_time, &firings),
             ParamModelStore::Outcome::kResidual);
   EXPECT_GT(store.refused_residual(), 0u);
 }
 
 TEST(ParamModel, GateRefusesWhenBudgetWouldBeExhausted) {
-  ParamModelStore store;
+  ParamModelStore store(ParamGate{16, 0.02});
   for (int i = 0; i <= 40; ++i) {
     store.Observe("k", {static_cast<double>(i)}, 5.0 + 2.0 * i, /*firings=*/25);
   }
-  const ParamGate gate{16, 0.02};
-  ParamPrediction out;
+  double quiesce_time = 0;
+  std::uint64_t firings = 0;
   // Mirrors the exact memo rule (firings < budget, strictly).
-  EXPECT_EQ(store.Predict("k", {20.0}, gate, /*budget=*/25, &out),
+  EXPECT_EQ(store.Predict("k", {20.0}, /*budget=*/25, &quiesce_time, &firings),
             ParamModelStore::Outcome::kBudget);
-  ASSERT_EQ(store.Predict("k", {20.0}, gate, /*budget=*/26, &out),
+  ASSERT_EQ(store.Predict("k", {20.0}, /*budget=*/26, &quiesce_time, &firings),
             ParamModelStore::Outcome::kHit);
-  EXPECT_EQ(out.firings, 25u);
+  EXPECT_EQ(firings, 25u);
 }
 
 TEST(ParamModel, ArityChangeNeverPoisonsTheModel) {
-  ParamModelStore store;
+  ParamModelStore store(ParamGate{16, 0.02});
   for (int i = 0; i <= 40; ++i) {
     store.Observe("k", {static_cast<double>(i)}, 5.0 + 2.0 * i, 1);
   }
   const std::uint64_t fits_before = store.fits();
   store.Observe("k", {1.0, 2.0}, 99.0, 1);  // wrong arity: dropped
   EXPECT_EQ(store.fits(), fits_before);
-  ParamPrediction out;
-  EXPECT_EQ(store.Predict("k", {1.0, 2.0}, ParamGate{16, 0.02}, 100, &out),
+  double quiesce_time = 0;
+  std::uint64_t firings = 0;
+  EXPECT_EQ(store.Predict("k", {1.0, 2.0}, 100, &quiesce_time, &firings),
             ParamModelStore::Outcome::kNoModel);
-  EXPECT_EQ(store.Predict("k", {20.0}, ParamGate{16, 0.02}, 100, &out),
+  EXPECT_EQ(store.Predict("k", {20.0}, 100, &quiesce_time, &firings),
             ParamModelStore::Outcome::kHit);
 }
 
 TEST(ParamModel, FixedMemoryNeverGrowsPastMaxModels) {
-  ParamModelStore store(/*max_models=*/2, /*num_shards=*/1);
+  ParamModelStore store(ParamGate{}, /*max_models=*/2, /*num_shards=*/1);
   store.Observe("a", {1.0}, 1.0, 1);
   store.Observe("b", {1.0}, 1.0, 1);
   store.Observe("c", {1.0}, 1.0, 1);  // at capacity: ignored
   EXPECT_EQ(store.size(), 2u);
-  store.Clear();
-  EXPECT_EQ(store.size(), 0u);
-  store.Observe("c", {1.0}, 1.0, 1);
-  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.fits(), 2u);
+  // Resident models keep learning at capacity.
+  store.Observe("a", {2.0}, 2.0, 1);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.fits(), 3u);
 }
 
 // The model key is the exact memo key minus the attribute section: same
@@ -217,29 +224,27 @@ TEST(ParamModel, KeyIsMemoKeyWithoutAttributes) {
 
   const std::vector<std::pair<PlaceId, int>> plan = {
       {loaded.net->PlaceByName("in"), 3}};
-  const std::string param_key = ParamModelStore::Key(compiled, 0, plan);
-  EXPECT_FALSE(param_key.empty());
-
   Token t1;
   t1.attrs = {1.0, 2.0};
   Token t2;
   t2.attrs = {9.0, 4.0};
-  const std::string memo1 = PnetMemoTable::Key(compiled, 0, t1, plan);
-  const std::string memo2 = PnetMemoTable::Key(compiled, 0, t2, plan);
-  EXPECT_NE(memo1, memo2);  // attrs separate exact entries...
-  // ...but both share the param key's hash prefix and plan suffix.
-  const std::string hash_prefix = param_key.substr(0, 16);
-  const std::string plan_suffix = param_key.substr(16);
-  EXPECT_EQ(memo1.substr(0, 16), hash_prefix);
-  EXPECT_EQ(memo2.substr(0, 16), hash_prefix);
-  EXPECT_EQ(memo1.substr(memo1.size() - plan_suffix.size()), plan_suffix);
-  EXPECT_EQ(memo2.substr(memo2.size() - plan_suffix.size()), plan_suffix);
+  ComponentQuery q1(compiled, t1, plan);
+  ComponentQuery q2(compiled, t2, plan);
+  q1.Select(0);
+  q2.Select(0);
+  EXPECT_FALSE(q1.model_key().empty());
+  EXPECT_NE(q1.exact_key(), q2.exact_key());  // attrs separate exact entries...
+  EXPECT_EQ(q1.model_key(), q2.model_key());  // ...but not models,
+  // and the exact key is the model key extended by the attributes.
+  for (const ComponentQuery* q : {&q1, &q2}) {
+    EXPECT_GT(q->exact_key().size(), q->model_key().size());
+    EXPECT_EQ(q->exact_key().compare(0, q->model_key().size(), q->model_key()), 0);
+  }
 }
 
 // Concurrent Observe + Predict on a shared store: the TSan job runs this.
 TEST(ParamModel, ConcurrentFitAndLookup) {
-  ParamModelStore store;
-  const ParamGate gate{16, 0.02};
+  ParamModelStore store(ParamGate{16, 0.02});
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&store, t] {
@@ -250,12 +255,13 @@ TEST(ParamModel, ConcurrentFitAndLookup) {
         store.Observe(key, {x, z}, 50.0 + 3.0 * x + 2.0 * z, 2);
       }
     });
-    threads.emplace_back([&store, &gate, t] {
+    threads.emplace_back([&store, t] {
       const std::string key = t == 0 ? "left" : "right";
-      ParamPrediction out;
+      double quiesce_time = 0;
+      std::uint64_t firings = 0;
       for (int i = 0; i < 200; ++i) {
         const double x = 10.0 + (i % 40);
-        (void)store.Predict(key, {x, 5.0}, gate, 1000, &out);
+        (void)store.Predict(key, {x, 5.0}, 1000, &quiesce_time, &firings);
       }
     });
   }
@@ -264,12 +270,13 @@ TEST(ParamModel, ConcurrentFitAndLookup) {
   }
   // After the dust settles both models serve interior queries exactly.
   for (const char* key : {"left", "right"}) {
-    ParamPrediction out;
-    ASSERT_EQ(store.Predict(key, {20.5, 5.0}, gate, 1000, &out),
+    double quiesce_time = 0;
+    std::uint64_t firings = 0;
+    ASSERT_EQ(store.Predict(key, {20.5, 5.0}, 1000, &quiesce_time, &firings),
               ParamModelStore::Outcome::kHit)
         << key;
     const double want = 50.0 + 3.0 * 20.5 + 2.0 * 5.0;
-    EXPECT_NEAR(out.quiesce_time, want, 1e-9 * want);
+    EXPECT_NEAR(quiesce_time, want, 1e-9 * want);
   }
 }
 

@@ -1,11 +1,14 @@
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/obs/trace.h"
 #include "src/petri/analysis.h"
 #include "src/petri/compiled_net.h"
+#include "src/petri/component_tier.h"
 #include "src/petri/net.h"
 #include "src/petri/pnet_memo.h"
 #include "src/petri/sim.h"
@@ -376,7 +379,12 @@ TEST(CompiledNet, OpaqueClosuresAreUnhashable) {
   EXPECT_EQ(cnet.structural_hash(), 0u);
   EXPECT_EQ(cnet.component_hash(0), 0u);
   // Unhashable nets must not produce memo keys.
-  EXPECT_TRUE(PnetMemoTable::Key(cnet, 0, Token{}, {}).empty());
+  const Token token;
+  const std::vector<std::pair<PlaceId, int>> plan = {{in, 1}};
+  ComponentQuery query(cnet, token, plan);
+  query.Select(0);
+  EXPECT_TRUE(query.model_key().empty());
+  EXPECT_TRUE(query.exact_key().empty());
 }
 
 TEST(PetriSim, ComponentRestrictedRunMatchesFullRun) {
@@ -456,7 +464,17 @@ TEST(PetriSim, BudgetStopEmitsTraceInstant) {
 }
 
 // ---------------------------------------------------------------------------
-// PnetMemoTable: keying and budget-respecting hits.
+// Component keys (src/petri/component_tier.h) and budget-respecting memo
+// hits.
+
+// Both keys of `component` under `plan`, as the tiers see them.
+std::pair<std::string, std::string> ComponentKeys(
+    const CompiledNet& cnet, std::size_t component, const Token& token,
+    const std::vector<std::pair<PlaceId, int>>& plan) {
+  ComponentQuery query(cnet, token, plan);
+  query.Select(component);
+  return {query.model_key(), query.exact_key()};
+}
 
 TEST(PnetMemo, KeyMergesAndCanonicalizesInjections) {
   const PetriNet net = TwoChainNet("");
@@ -466,28 +484,47 @@ TEST(PnetMemo, KeyMergesAndCanonicalizesInjections) {
   const PlaceId a_in = net.PlaceByName("a_in");
 
   Token token;
-  const std::string key = PnetMemoTable::Key(cnet, 1, token, {{b_in, 2}, {b_mid, 1}, {b_in, 3}});
-  ASSERT_FALSE(key.empty());
+  const auto keys = ComponentKeys(cnet, 1, token, {{b_in, 2}, {b_mid, 1}, {b_in, 3}});
+  ASSERT_FALSE(keys.first.empty());
+  ASSERT_FALSE(keys.second.empty());
   // Reordered and duplicate-merged plans key identically; injections into
-  // other components are irrelevant to this component's key.
-  EXPECT_EQ(key, PnetMemoTable::Key(cnet, 1, token, {{b_mid, 1}, {b_in, 5}}));
-  EXPECT_EQ(key, PnetMemoTable::Key(cnet, 1, token, {{a_in, 7}, {b_in, 5}, {b_mid, 1}}));
-  EXPECT_NE(key, PnetMemoTable::Key(cnet, 1, token, {{b_in, 4}, {b_mid, 1}}));
+  // other components are irrelevant to this component's keys.
+  EXPECT_EQ(keys, ComponentKeys(cnet, 1, token, {{b_mid, 1}, {b_in, 5}}));
+  EXPECT_EQ(keys, ComponentKeys(cnet, 1, token, {{a_in, 7}, {b_in, 5}, {b_mid, 1}}));
+  const auto fewer = ComponentKeys(cnet, 1, token, {{b_in, 4}, {b_mid, 1}});
+  EXPECT_NE(keys.first, fewer.first);
+  EXPECT_NE(keys.second, fewer.second);
   // The same plan keys other components differently (component hash).
-  EXPECT_NE(key, PnetMemoTable::Key(cnet, 0, token, {{b_mid, 1}, {b_in, 5}}));
+  const std::vector<std::pair<PlaceId, int>> plan = {{b_mid, 1}, {b_in, 5}};
+  const auto other = ComponentKeys(cnet, 0, token, plan);
+  EXPECT_NE(keys.first, other.first);
+  EXPECT_NE(keys.second, other.second);
+  // One query re-pointed across components rebuilds both keys in place.
+  ComponentQuery query(cnet, token, plan);
+  for (const std::size_t component : {1, 0, 1}) {
+    query.Select(component);
+    const auto& want = component == 1 ? keys : other;
+    EXPECT_EQ(query.model_key(), want.first) << component;
+    EXPECT_EQ(query.exact_key(), want.second) << component;
+  }
 }
 
 TEST(PnetMemo, LookupRespectsFiringBudget) {
   PnetMemoTable table(/*capacity=*/64, /*num_shards=*/2);
-  const std::string key = "k";
-  PnetMemoResult out;
-  EXPECT_FALSE(table.Lookup(key, 1000, &out));
-  table.Insert(key, PnetMemoResult{/*quiesce_time=*/42, /*firings=*/10});
+  const PetriNet net = TwoChainNet("");
+  const CompiledNet cnet(&net);
+  const Token token;
+  const std::vector<std::pair<PlaceId, int>> plan = {{net.PlaceByName("a_in"), 3}};
+  ComponentQuery query(cnet, token, plan);
+  query.Select(0);
+  ComponentResult out;
+  EXPECT_FALSE(table.Lookup(query, 1000, &out));
+  table.Observe(query, ComponentResult{/*quiesce_time=*/42, /*firings=*/10});
 
   // A stored run of 10 firings would have exhausted a budget of 10 (the sim
   // flags exhaustion when firings reach the budget), so only 11+ hits.
-  EXPECT_FALSE(table.Lookup(key, 10, &out));
-  ASSERT_TRUE(table.Lookup(key, 11, &out));
+  EXPECT_FALSE(table.Lookup(query, 10, &out));
+  ASSERT_TRUE(table.Lookup(query, 11, &out));
   EXPECT_EQ(out.quiesce_time, 42u);
   EXPECT_EQ(out.firings, 10u);
   EXPECT_EQ(table.hits(), 1u);

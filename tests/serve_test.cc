@@ -401,8 +401,8 @@ TEST(PredictionService, PnetQueryQuiescesAndPredicts) {
 // `bits` and `blocks`, which a request may leave at 0) or leaves [0, 1e15)
 // used to abort the whole process. It must answer ERROR naming the
 // transition — on the whole-net path, the memo path and the derived path —
-// keep nothing in the memo, derived or parametric stores, and leave the
-// service answering.
+// keep nothing in the service's memo, derived or parametric stores, and
+// leave the service answering.
 TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
   struct Path {
     const char* name;
@@ -411,15 +411,18 @@ TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
   };
   for (const Path& path : {Path{"whole-net", false, false}, Path{"memo", true, false},
                            Path{"derived", true, true}}) {
-    PnetMemoTable::Global().Clear();
-    ParamModelStore::Global().Clear();
-    DerivedStore::Global().Clear();
     ServiceOptions options;
     options.num_workers = 1;
     options.enable_pnet_memo = path.memo;
     options.enable_param_memo = path.memo;
     options.enable_derived = path.derived;
     PredictionService service(InterfaceRegistry::Default(), options);
+    const PnetMemoTable* memo = service.FindTier<PnetMemoTable>();
+    const ParamModelStore* params = service.FindTier<ParamModelStore>();
+    const DerivedStore* derived = service.FindTier<DerivedStore>();
+    ASSERT_EQ(memo != nullptr, path.memo) << path.name;
+    ASSERT_EQ(params != nullptr, path.memo) << path.name;
+    ASSERT_EQ(derived != nullptr, path.derived) << path.name;
 
     PredictRequest zero_attrs;
     zero_attrs.interface = "jpeg_decoder";
@@ -436,9 +439,9 @@ TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
         const PredictResponse resp = service.Predict(*request);
         EXPECT_EQ(resp.status, PredictStatus::kError) << path.name;
         EXPECT_EQ(resp.error.rfind(message, 0), 0u) << path.name << ": " << resp.error;
-        EXPECT_EQ(PnetMemoTable::Global().size(), 0u) << path.name;
-        EXPECT_EQ(ParamModelStore::Global().size(), 0u) << path.name;
-        EXPECT_EQ(DerivedStore::Global().size(), 0u) << path.name;
+        EXPECT_TRUE(memo == nullptr || memo->size() == 0u) << path.name;
+        EXPECT_TRUE(params == nullptr || params->size() == 0u) << path.name;
+        EXPECT_TRUE(derived == nullptr || derived->size() == 0u) << path.name;
       }
     }
     EXPECT_NE(service.Predict(negative).error.find("is outside [0, 1e15)"), std::string::npos);
@@ -451,9 +454,10 @@ TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
   }
 }
 
-// The injection plan is checked against the firing budget before anything
-// is injected: each token costs memory up front, so a plan larger than the
-// budget gets the budget status at once. Totals are summed in 64 bits.
+// The injection plan is checked against the firing budget, and against a
+// fixed cap the budget cannot lift, before anything is injected: each token
+// costs memory up front, so such a plan gets its status at once. Totals
+// are summed in 64 bits.
 TEST(PredictionService, InjectionPlanLargerThanTheBudgetIsAnsweredUpFront) {
   ServiceOptions options;
   options.num_workers = 1;
@@ -479,6 +483,18 @@ TEST(PredictionService, InjectionPlanLargerThanTheBudgetIsAnsweredUpFront) {
   timed.deadline_us = 1'000'000;
   const PredictResponse late = deadline_service.Predict(timed);
   EXPECT_EQ(late.status, PredictStatus::kDeadlineExceeded) << late.error;
+
+  // max_steps is a client field: even the largest budget cannot lift the
+  // cap, whether the plan spells its counts or takes them from `tokens`.
+  PredictRequest past_cap = PnetRequest(
+      "jpeg_decoder", "hdr_in:1,vld_in:" + std::to_string(kMaxInjectedTokens));
+  past_cap.max_steps = std::numeric_limits<std::uint64_t>::max();
+  const PredictResponse capped = service.Predict(past_cap);
+  EXPECT_EQ(capped.status, PredictStatus::kResourceExhausted) << capped.error;
+  EXPECT_NE(capped.error.find("exceeds the cap"), std::string::npos) << capped.error;
+  past_cap = PnetRequest("jpeg_decoder", "", static_cast<int>(kMaxInjectedTokens) + 1);
+  past_cap.max_steps = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(service.Predict(past_cap).status, PredictStatus::kResourceExhausted);
 
   // The cache ignores budgets: a warmed plan still answers from it.
   PredictRequest warm = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
@@ -648,7 +664,6 @@ TEST(PredictionService, RepeatedLookupsHitHotTier) {
 // cache is disabled on both services so every repeat actually exercises
 // the memo (or simulation) path.
 TEST(PredictionServiceMemo, MemoizedMatchesUnmemoizedAcrossRegistry) {
-  PnetMemoTable::Global().Clear();
   ServiceOptions on;
   on.num_workers = 2;
   on.cache_capacity = 0;
@@ -682,14 +697,16 @@ TEST(PredictionServiceMemo, MemoizedMatchesUnmemoizedAcrossRegistry) {
   // The realistic multi-place JPEG injection, and proof the warm repeat
   // actually came from the memo table.
   const PredictRequest jpeg = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
-  const std::uint64_t hits_before = PnetMemoTable::Global().hits();
+  const PnetMemoTable& memo = *memo_on.FindTier<PnetMemoTable>();
+  const std::uint64_t hits_before = memo.hits();
   const PredictResponse base = memo_off.Predict(jpeg);
   const PredictResponse cold = memo_on.Predict(jpeg);
   const PredictResponse warm = memo_on.Predict(jpeg);
   ASSERT_TRUE(base.ok()) << base.error;
   EXPECT_DOUBLE_EQ(cold.value, base.value);
   EXPECT_DOUBLE_EQ(warm.value, base.value);
-  EXPECT_GT(PnetMemoTable::Global().hits(), hits_before);
+  EXPECT_GT(memo.hits(), hits_before);
+  EXPECT_EQ(memo_off.FindTier<PnetMemoTable>(), nullptr);
 }
 
 // A memo hit must never hide a budget exhaustion the simulation would
@@ -722,8 +739,44 @@ TEST(PredictionServiceMemo, MemoCountersVisibleInPrometheusScrape) {
   const std::string prom = service.StatsPrometheus();
   EXPECT_NE(prom.find("perfiface_pnet_memo_hits_total"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_pnet_memo_misses_total"), std::string::npos);
+  // The table's gauges come from the service's own collector.
+  EXPECT_NE(prom.find("perfiface_pnet_memo_entries 1\n"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_serve_inflight_batches"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_serve_registry_lookup_hot_total"), std::string::npos);
+}
+
+// Each service builds and owns its component tiers: what one service
+// memoized or distilled is invisible to another live in the same process.
+TEST(PredictionServiceMemo, ServicesDoNotShareTierState) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_capacity = 0;  // every repeat reaches the tiers
+  PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+  req.explain = true;
+
+  PredictionService a(InterfaceRegistry::Default(), options);
+  PredictionService b(InterfaceRegistry::Default(), options);
+  ASSERT_TRUE(a.Predict(req).ok());
+  const PredictResponse a_again = a.Predict(req);
+  ASSERT_TRUE(a_again.ok()) << a_again.error;
+  EXPECT_EQ(a_again.explain.representation, "pnet-memo");
+  const PredictResponse b_first = b.Predict(req);
+  ASSERT_TRUE(b_first.ok()) << b_first.error;
+  EXPECT_EQ(b_first.explain.memo_hits, 0u);
+  EXPECT_EQ(b_first.explain.representation, "pnet");
+  EXPECT_EQ(b_first.value, a_again.value);
+
+  ServiceOptions derived = options;
+  derived.enable_derived = true;
+  PredictionService c(InterfaceRegistry::Default(), derived);
+  PredictionService d(InterfaceRegistry::Default(), derived);
+  // Attrs no service has seen: C distills instead of replaying a memo entry.
+  req.attrs = {{"bits", 1000.0}, {"blocks", 8.0}};
+  ASSERT_TRUE(c.Predict(req).ok());
+  EXPECT_EQ(c.FindTier<DerivedStore>()->distilled(), 1u);
+  EXPECT_NE(c.StatuszJson().find("\"derived_store\":{\"models\":1,"), std::string::npos);
+  EXPECT_NE(d.StatuszJson().find("\"derived_store\":{\"models\":0,"), std::string::npos)
+      << d.StatuszJson();
 }
 
 // --- async batch API ---
@@ -984,11 +1037,10 @@ TEST(PredictionServiceConcurrency, DeadlineExpiryUnderLoad) {
 }
 
 // Async submissions from many clients, all funneling pnet work through
-// the process-wide memo table (response cache off so every request takes
-// the memo path): concurrent Key/Lookup/Insert on overlapping keys plus
-// the async completion machinery, under TSan in CI.
+// the service's memo table (response cache off so every request takes the
+// memo path): concurrent key building, Lookup and Observe on overlapping
+// keys plus the async completion machinery, under TSan in CI.
 TEST(PredictionServiceConcurrency, AsyncBatchesShareTheMemoTable) {
-  PnetMemoTable::Global().Clear();
   ServiceOptions options;
   options.num_workers = 4;
   options.cache_capacity = 0;
@@ -1041,7 +1093,7 @@ TEST(PredictionServiceConcurrency, AsyncBatchesShareTheMemoTable) {
   }
   EXPECT_EQ(callbacks.load(), kClients * kBatches * kBatch);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(PnetMemoTable::Global().hits(), 0u);
+  EXPECT_GT(service.FindTier<PnetMemoTable>()->hits(), 0u);
   EXPECT_EQ(service.metrics().inflight_batches(), 0);
 }
 
@@ -1191,7 +1243,6 @@ TEST(PredictionServiceExplain, BreakdownCoversRepresentationCacheAndTiming) {
 }
 
 TEST(PredictionServiceExplain, PnetMemoRepresentationProgression) {
-  PnetMemoTable::Global().Clear();
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;  // no response cache: the second query re-evaluates
@@ -1243,8 +1294,6 @@ PredictRequest JpegStripeRequest(double bits, const std::string& plan = "hdr_in:
 // always simulates — the parametric tier may only ever *add* hits, never
 // change a fallback answer.
 TEST(PredictionServiceParam, GateClosedServesBitIdenticalValues) {
-  PnetMemoTable::Global().Clear();
-  ParamModelStore::Global().Clear();
   ServiceOptions strict;
   strict.num_workers = 1;
   strict.cache_capacity = 0;
@@ -1255,8 +1304,9 @@ TEST(PredictionServiceParam, GateClosedServesBitIdenticalValues) {
   gated.param_memo_min_samples = static_cast<std::size_t>(1) << 40;  // never opens
   PredictionService sim_svc(InterfaceRegistry::Default(), strict);
   PredictionService gated_svc(InterfaceRegistry::Default(), gated);
+  const ParamModelStore& params = *gated_svc.FindTier<ParamModelStore>();
 
-  const std::uint64_t hits_before = ParamModelStore::Global().hits();
+  const std::uint64_t hits_before = params.hits();
   for (int i = 0; i < 24; ++i) {
     PredictRequest req = JpegStripeRequest(40000.0 + 613.0 * i);
     req.explain = true;
@@ -1270,15 +1320,13 @@ TEST(PredictionServiceParam, GateClosedServesBitIdenticalValues) {
     EXPECT_NE(got.explain.representation, "pnet-param") << i;
   }
   // The gate never opened, but every exact result still fed the fitter.
-  EXPECT_EQ(ParamModelStore::Global().hits(), hits_before);
-  EXPECT_GT(ParamModelStore::Global().fits(), 0u);
+  EXPECT_EQ(params.hits(), hits_before);
+  EXPECT_GT(params.fits(), 0u);
 }
 
 // Out-of-hull and high-residual queries must fall back to simulation and
 // reproduce the strict path's value exactly.
 TEST(PredictionServiceParam, RefusedGatesFallBackBitIdentically) {
-  PnetMemoTable::Global().Clear();
-  ParamModelStore::Global().Clear();
   ServiceOptions strict;
   strict.num_workers = 1;
   strict.cache_capacity = 0;
@@ -1296,7 +1344,8 @@ TEST(PredictionServiceParam, RefusedGatesFallBackBitIdentically) {
   for (int i = 0; i < 24; ++i) {
     ASSERT_TRUE(hull_svc.Predict(JpegStripeRequest(40000.0 + 613.0 * i)).ok());
   }
-  const std::uint64_t hull_refusals = ParamModelStore::Global().refused_hull();
+  const ParamModelStore& hull_params = *hull_svc.FindTier<ParamModelStore>();
+  const std::uint64_t hull_refusals = hull_params.refused_hull();
   PredictRequest below = JpegStripeRequest(200.0);
   below.explain = true;
   const PredictResponse hull_base = sim_svc.Predict(below);
@@ -1304,7 +1353,7 @@ TEST(PredictionServiceParam, RefusedGatesFallBackBitIdentically) {
   ASSERT_TRUE(hull_base.ok() && hull_got.ok());
   EXPECT_EQ(hull_got.value, hull_base.value);
   EXPECT_EQ(hull_got.explain.param_hits, 0u);
-  EXPECT_GT(ParamModelStore::Global().refused_hull(), hull_refusals);
+  EXPECT_GT(hull_params.refused_hull(), hull_refusals);
 
   // Residual gate: a different injection plan (its own model) over the
   // VLD-sensitive bit range, with an impossible residual bound. The 1/bits
@@ -1317,7 +1366,8 @@ TEST(PredictionServiceParam, RefusedGatesFallBackBitIdentically) {
     ASSERT_TRUE(
         resid_svc.Predict(JpegStripeRequest(200.0 + 25.0 * i, "hdr_in:1,vld_in:9")).ok());
   }
-  const std::uint64_t resid_refusals = ParamModelStore::Global().refused_residual();
+  const ParamModelStore& resid_params = *resid_svc.FindTier<ParamModelStore>();
+  const std::uint64_t resid_refusals = resid_params.refused_residual();
   PredictRequest mid = JpegStripeRequest(437.0, "hdr_in:1,vld_in:9");
   mid.explain = true;
   const PredictResponse resid_base = sim_svc.Predict(mid);
@@ -1325,7 +1375,7 @@ TEST(PredictionServiceParam, RefusedGatesFallBackBitIdentically) {
   ASSERT_TRUE(resid_base.ok() && resid_got.ok());
   EXPECT_EQ(resid_got.value, resid_base.value);
   EXPECT_EQ(resid_got.explain.param_hits, 0u);
-  EXPECT_GT(ParamModelStore::Global().refused_residual(), resid_refusals);
+  EXPECT_GT(resid_params.refused_residual(), resid_refusals);
 }
 
 // The payoff path: after enough exact fills, an unseen interior workload
@@ -1333,8 +1383,6 @@ TEST(PredictionServiceParam, RefusedGatesFallBackBitIdentically) {
 // attributed in explain and /statusz, and the value within the gate's own
 // error budget of the simulated truth.
 TEST(PredictionServiceParam, NearMissServesPnetParamWithProvenance) {
-  PnetMemoTable::Global().Clear();
-  ParamModelStore::Global().Clear();
   ServiceOptions strict;
   strict.num_workers = 1;
   strict.cache_capacity = 0;
@@ -1361,7 +1409,7 @@ TEST(PredictionServiceParam, NearMissServesPnetParamWithProvenance) {
   EXPECT_GT(got.explain.param_hits, 0u);
   EXPECT_EQ(got.explain.memo_hits + got.explain.param_hits, got.explain.memo_components);
   EXPECT_NEAR(got.value, base.value, 0.02 * base.value);
-  EXPECT_GT(ParamModelStore::Global().hits(), 0u);
+  EXPECT_GT(svc.FindTier<ParamModelStore>()->hits(), 0u);
 
   const std::string status = svc.StatuszJson();
   for (const char* needle : {"\"param_memo\":true", "\"param_store\"", "\"models\"",
