@@ -49,6 +49,12 @@ obs::MetricsRegistry::Counter& BytesTxTotal() {
   return c;
 }
 
+obs::MetricsRegistry::Counter& WritesTotal() {
+  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "perfiface_net_writes_total", "Socket send() calls made by the TCP front end");
+  return c;
+}
+
 obs::MetricsRegistry::Counter& FramesMalformedTotal() {
   static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "perfiface_net_frames_malformed_total",
@@ -88,6 +94,13 @@ void FillTraceIds(std::vector<serve::PredictRequest>* requests) {
   }
 }
 
+// Response lines of the chunk this thread is running: the completion
+// callback encodes into it and the flush callback sends it in one write.
+// The service runs a chunk's completions and its flush on one thread with
+// no other callback between them, so lines of different chunks (or
+// connections) never mix here.
+thread_local std::string chunk_lines;
+
 std::string HttpResponse(int status, const char* reason, const char* content_type,
                          std::string_view body) {
   std::string out = StrFormat("HTTP/1.1 %d %s\r\n", status, reason);
@@ -109,6 +122,7 @@ NetServer::NetServer(serve::PredictionService* service, NetServerOptions options
   ConnectionsRejectedTotal();
   BytesRxTotal();
   BytesTxTotal();
+  WritesTotal();
   FramesMalformedTotal();
   BatchesRejectedTotal();
   metrics_collector_ = obs::MetricsRegistry::Global().RegisterCollector([this](std::string* out) {
@@ -273,6 +287,7 @@ void NetServer::TimedWrite(Connection* conn, std::string_view data) {
   while (sent < data.size()) {
     const ssize_t n =
         ::send(conn->fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    WritesTotal().Increment();
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
       continue;
@@ -282,8 +297,8 @@ void NetServer::TimedWrite(Connection* conn, std::string_view data) {
     }
     // Timeout (SO_SNDTIMEO -> EAGAIN) or hard error: mark the connection
     // dead and shut it down fully so the reader unblocks too. Later
-    // writes become no-ops — a stuck peer costs one timeout, not one
-    // timeout per response line.
+    // writes become no-ops (their lines are dropped) — a stuck peer costs
+    // one timeout, not one timeout per chunk.
     conn->dead.store(true, std::memory_order_relaxed);
     ::shutdown(conn->fd, SHUT_RDWR);
     break;
@@ -384,14 +399,20 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
 
     const std::size_t batch_size = requests.size();
     const std::string frame_trace_id = requests.empty() ? std::string() : requests.front().trace_id;
+    // Lines go out one write per chunk (so a one-request frame is written
+    // the moment it resolves), and the frame counts as answered only after
+    // its last chunk's write: DrainInflight then means every line has been
+    // flushed or, on a dead connection, dropped.
     auto remaining = std::make_shared<std::atomic<std::size_t>>(requests.size());
     service_->SubmitBatch(
         std::move(requests),
-        [this, conn, id, remaining](std::size_t index, const serve::PredictResponse& response) {
-          std::string line;
-          EncodeResponseLine(id, index, response, &line);
-          TimedWrite(conn.get(), line);
-          if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        [id](std::size_t index, const serve::PredictResponse& response) {
+          EncodeResponseLine(id, index, response, &chunk_lines);
+        },
+        [this, conn, remaining](std::size_t n) {
+          TimedWrite(conn.get(), chunk_lines);
+          chunk_lines.clear();
+          if (remaining->fetch_sub(n, std::memory_order_acq_rel) == n) {
             std::lock_guard<std::mutex> lock(conn->inflight_mu);
             --conn->inflight;
             conn->inflight_cv.notify_all();

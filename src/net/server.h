@@ -4,8 +4,9 @@
 // connection:
 //  - '{' — newline-delimited JSON (src/net/wire.h): the client pipelines
 //    request frames and the server streams response lines back through the
-//    async SubmitBatch path, tagged with the client's frame id. One
-//    connection can keep many batches in flight.
+//    async SubmitBatch path, tagged with the client's frame id, one socket
+//    write per worker chunk. One connection can keep many batches in
+//    flight.
 //  - anything else — HTTP/1.1, one request per connection: GET /metrics
 //    (the unified obs::MetricsRegistry Prometheus scrape), GET /healthz,
 //    POST /predict (a request frame in the body, response lines in the
@@ -94,10 +95,12 @@ class NetServer {
     std::thread thread;
     std::atomic<bool> finished{false};  // thread done; reapable
 
-    // Serializes response lines from worker callbacks and the reader.
+    // Serializes writes: chunk flushes from worker callbacks and the
+    // reader's error and REJECTED lines. Held only for the send itself.
     std::mutex write_mu;
     // Set when a write times out or fails: subsequent writes become
-    // no-ops, so stuck peers cannot stall the worker pool.
+    // no-ops that drop their lines, so stuck peers cannot stall the worker
+    // pool.
     std::atomic<bool> dead{false};
 
     // Batches submitted but not yet fully answered on this connection.

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 #include "src/common/strings.h"
@@ -313,6 +315,22 @@ bool RawToUint64(const JsonValue& v, std::uint64_t* out) {
   return true;
 }
 
+// Number formatting for the encoders, appended in place: integers through
+// std::to_chars, doubles through one "%.17g" snprintf into a stack buffer
+// (17 significant digits round-trip every double).
+template <typename Int>
+void AppendInt(std::string* out, Int v) {
+  char buf[20];  // INT64_MIN and UINT64_MAX both print in 20
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+void AppendDouble(std::string* out, double v) {
+  char buf[32];  // the longest %.17g output, "-2.2250738585072014e-308", is 24
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out->append(buf, static_cast<std::size_t>(n));
+}
+
 const char* RepresentationName(serve::Representation rep) {
   switch (rep) {
     case serve::Representation::kAuto: return "auto";
@@ -338,7 +356,9 @@ bool RepresentationFromName(std::string_view name, serve::Representation* out) {
 void AppendRequestJson(const serve::PredictRequest& req, std::string* out) {
   *out += "{\"interface\":";
   AppendJsonString(out, req.interface);
-  *out += StrFormat(",\"rep\":\"%s\"", RepresentationName(req.representation));
+  *out += ",\"rep\":\"";
+  *out += RepresentationName(req.representation);
+  *out += '"';
   if (!req.function.empty()) {
     *out += ",\"function\":";
     AppendJsonString(out, req.function);
@@ -350,25 +370,30 @@ void AppendRequestJson(const serve::PredictRequest& req, std::string* out) {
         *out += ',';
       }
       AppendJsonString(out, req.attrs[i].first);
-      *out += StrFormat(":%.17g", req.attrs[i].second);
+      *out += ':';
+      AppendDouble(out, req.attrs[i].second);
     }
     *out += '}';
   }
   if (req.children != 0) {
-    *out += StrFormat(",\"children\":%d", req.children);
+    *out += ",\"children\":";
+    AppendInt(out, req.children);
   }
   if (!req.entry_place.empty()) {
     *out += ",\"entry_place\":";
     AppendJsonString(out, req.entry_place);
   }
   if (req.tokens != 1) {
-    *out += StrFormat(",\"tokens\":%d", req.tokens);
+    *out += ",\"tokens\":";
+    AppendInt(out, req.tokens);
   }
   if (req.max_steps != 0) {
-    *out += StrFormat(",\"max_steps\":%llu", static_cast<unsigned long long>(req.max_steps));
+    *out += ",\"max_steps\":";
+    AppendInt(out, req.max_steps);
   }
   if (req.deadline_us != 0) {
-    *out += StrFormat(",\"deadline_us\":%lld", static_cast<long long>(req.deadline_us));
+    *out += ",\"deadline_us\":";
+    AppendInt(out, req.deadline_us);
   }
   if (!req.trace_id.empty()) {
     *out += ",\"trace_id\":";
@@ -506,7 +531,10 @@ void AppendJsonString(std::string* out, std::string_view s) {
       case '\t': *out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
+          static constexpr char kHex[] = "0123456789abcdef";
+          *out += "\\u00";
+          *out += kHex[(c >> 4) & 0xF];
+          *out += kHex[c & 0xF];
         } else {
           out->push_back(c);
         }
@@ -516,6 +544,11 @@ void AppendJsonString(std::string* out, std::string_view s) {
 }
 
 void FrameReader::Append(const char* data, std::size_t n) {
+  // Compact once per Append: popped frames only advance head_, so a read
+  // holding hundreds of lines costs one move here, not one per Pop.
+  buffer_.erase(0, head_);
+  scan_from_ -= head_;
+  head_ = 0;
   if (!skipping_) {
     buffer_.append(data, n);
     return;
@@ -543,37 +576,41 @@ FrameReader::Next FrameReader::Pop(std::string* frame) {
     // One byte of headroom when the buffer ends in '\r': it may be the CR
     // of a CRLF terminator for a frame of exactly max_frame_bytes, which
     // must not be dropped (the CR is framing, not payload).
+    const std::size_t pending = buffered();
     const std::size_t limit =
-        max_frame_bytes_ + (!buffer_.empty() && buffer_.back() == '\r' ? 1 : 0);
-    if (buffer_.size() > limit) {
+        max_frame_bytes_ + (pending > 0 && buffer_.back() == '\r' ? 1 : 0);
+    if (pending > limit) {
       // The frame is already too long even though its newline has not
       // arrived; switch to skip mode so the buffer cannot grow unbounded.
       buffer_.clear();
+      head_ = 0;
       scan_from_ = 0;
       skipping_ = true;
     }
     return Next::kNeedMore;
   }
+  const std::size_t start = head_;
+  head_ = nl + 1;
+  scan_from_ = head_;
   // The size limit applies to the frame *content*: a trailing '\r' is
   // framing, not payload, so it must be excluded before the check — or a
   // CRLF client's frame of exactly max_frame_bytes would be rejected as
   // oversized while the same bytes over LF pass.
-  const std::size_t content = nl > 0 && buffer_[nl - 1] == '\r' ? nl - 1 : nl;
+  const std::size_t len = nl - start;
+  const std::size_t content = len > 0 && buffer_[nl - 1] == '\r' ? len - 1 : len;
   if (content > max_frame_bytes_) {
-    buffer_.erase(0, nl + 1);
-    scan_from_ = 0;
     return Next::kOversized;
   }
   // Tolerate CRLF framing from line-oriented clients (telnet, printf).
-  frame->assign(buffer_, 0, content);
-  buffer_.erase(0, nl + 1);
-  scan_from_ = 0;
+  frame->assign(buffer_, start, content);
   return Next::kFrame;
 }
 
 void EncodeRequestFrame(std::uint64_t id, const std::vector<serve::PredictRequest>& requests,
                         std::string* out) {
-  *out += StrFormat("{\"id\":%llu,\"requests\":[", static_cast<unsigned long long>(id));
+  *out += "{\"id\":";
+  AppendInt(out, id);
+  *out += ",\"requests\":[";
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (i > 0) {
       *out += ',';
@@ -638,16 +675,25 @@ bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
 
 void EncodeResponseLine(std::uint64_t id, std::size_t index,
                         const serve::PredictResponse& response, std::string* out) {
-  *out += StrFormat("{\"id\":%llu,\"index\":%zu,\"status\":\"%s\"",
-                    static_cast<unsigned long long>(id), index,
-                    serve::PredictStatusName(response.status));
+  *out += "{\"id\":";
+  AppendInt(out, id);
+  *out += ",\"index\":";
+  AppendInt(out, index);
+  *out += ",\"status\":\"";
+  *out += serve::PredictStatusName(response.status);
+  *out += '"';
   if (!response.error.empty()) {
     *out += ",\"error\":";
     AppendJsonString(out, response.error);
   }
-  *out += StrFormat(",\"value\":%.17g,\"throughput\":%.17g,\"cache_hit\":%s,\"eval_ns\":%llu",
-                    response.value, response.throughput, response.cache_hit ? "true" : "false",
-                    static_cast<unsigned long long>(response.eval_ns));
+  *out += ",\"value\":";
+  AppendDouble(out, response.value);
+  *out += ",\"throughput\":";
+  AppendDouble(out, response.throughput);
+  *out += ",\"cache_hit\":";
+  *out += response.cache_hit ? "true" : "false";
+  *out += ",\"eval_ns\":";
+  AppendInt(out, response.eval_ns);
   if (!response.trace_id.empty()) {
     *out += ",\"trace_id\":";
     AppendJsonString(out, response.trace_id);
@@ -662,20 +708,29 @@ void EncodeResponseLine(std::uint64_t id, std::size_t index,
     AppendJsonString(out, ex.representation);
     *out += ",\"cache\":";
     AppendJsonString(out, ex.cache);
-    *out += StrFormat(
-        ",\"queue_wait_ns\":%llu,\"eval_ns\":%llu,\"steps\":%llu,\"memo_components\":%llu,"
-        "\"memo_hits\":%llu,\"derived_hits\":%llu,\"param_hits\":%llu,"
-        "\"deadline_limited\":%s,\"shadowed\":%s",
-        static_cast<unsigned long long>(ex.queue_wait_ns),
-        static_cast<unsigned long long>(ex.eval_ns), static_cast<unsigned long long>(ex.steps),
-        static_cast<unsigned long long>(ex.memo_components),
-        static_cast<unsigned long long>(ex.memo_hits),
-        static_cast<unsigned long long>(ex.derived_hits),
-        static_cast<unsigned long long>(ex.param_hits), ex.deadline_limited ? "true" : "false",
-        ex.shadowed ? "true" : "false");
+    *out += ",\"queue_wait_ns\":";
+    AppendInt(out, ex.queue_wait_ns);
+    *out += ",\"eval_ns\":";
+    AppendInt(out, ex.eval_ns);
+    *out += ",\"steps\":";
+    AppendInt(out, ex.steps);
+    *out += ",\"memo_components\":";
+    AppendInt(out, ex.memo_components);
+    *out += ",\"memo_hits\":";
+    AppendInt(out, ex.memo_hits);
+    *out += ",\"derived_hits\":";
+    AppendInt(out, ex.derived_hits);
+    *out += ",\"param_hits\":";
+    AppendInt(out, ex.param_hits);
+    *out += ",\"deadline_limited\":";
+    *out += ex.deadline_limited ? "true" : "false";
+    *out += ",\"shadowed\":";
+    *out += ex.shadowed ? "true" : "false";
     if (ex.shadowed) {
-      *out += StrFormat(",\"shadow_truth\":%.17g,\"shadow_rel_err\":%.17g", ex.shadow_truth,
-                        ex.shadow_rel_err);
+      *out += ",\"shadow_truth\":";
+      AppendDouble(out, ex.shadow_truth);
+      *out += ",\"shadow_rel_err\":";
+      AppendDouble(out, ex.shadow_rel_err);
     }
     *out += '}';
   }
@@ -683,8 +738,9 @@ void EncodeResponseLine(std::uint64_t id, std::size_t index,
 }
 
 void EncodeMalformedLine(std::uint64_t id, std::string_view error, std::string* out) {
-  *out += StrFormat("{\"id\":%llu,\"malformed\":true,\"error\":",
-                    static_cast<unsigned long long>(id));
+  *out += "{\"id\":";
+  AppendInt(out, id);
+  *out += ",\"malformed\":true,\"error\":";
   AppendJsonString(out, error);
   *out += "}\n";
 }

@@ -90,12 +90,15 @@ class FrameReader {
   Next Pop(std::string* frame);
 
   // Bytes buffered but not yet popped (excludes skipped oversized bytes).
-  std::size_t buffered() const { return buffer_.size(); }
+  std::size_t buffered() const { return buffer_.size() - head_; }
 
  private:
   std::size_t max_frame_bytes_;
+  // buffer_[0, head_) was popped already; Append drops it, so a burst of
+  // frames pops in time linear in its bytes.
   std::string buffer_;
-  std::size_t scan_from_ = 0;  // buffer_ prefix already known newline-free
+  std::size_t head_ = 0;
+  std::size_t scan_from_ = 0;  // buffer_[head_, scan_from_) known newline-free
   bool skipping_ = false;      // discarding an oversized frame's tail
   bool report_oversized_ = false;
 };

@@ -459,13 +459,16 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
   if (resolved_inline.empty()) {
     return;
   }
-  // Stream inline-resolved responses before they are counted done: once
-  // remaining hits zero, Wait() may return and the submitter may assume
-  // every callback has finished.
+  // Stream and flush inline-resolved responses before they are counted
+  // done: once remaining hits zero, Wait() may return and the submitter may
+  // assume every callback has finished.
   if (batch->on_complete) {
     for (const std::size_t i : resolved_inline) {
       batch->on_complete(i, responses[i]);
     }
+  }
+  if (batch->on_flush) {
+    batch->on_flush(resolved_inline.size());
   }
   std::lock_guard<std::mutex> lock(batch->mu);
   batch->remaining -= resolved_inline.size();
@@ -504,12 +507,13 @@ std::vector<PredictResponse> PredictionService::PredictBatch(
 }
 
 PredictionService::BatchHandle PredictionService::SubmitBatch(
-    std::vector<PredictRequest> requests, StreamCallback on_complete) {
+    std::vector<PredictRequest> requests, StreamCallback on_complete, FlushCallback on_flush) {
   auto state = std::make_shared<BatchState>();
   state->submitted = Clock::now();
   state->requests = std::move(requests);
   state->responses.resize(state->requests.size());
   state->on_complete = std::move(on_complete);
+  state->on_flush = std::move(on_flush);
   const std::size_t n = state->requests.size();
   if (n == 0) {
     return BatchHandle(std::move(state));  // remaining == 0: already done
@@ -578,6 +582,11 @@ void PredictionService::WorkerLoop() {
       }
     }
     const std::size_t done = job.end - job.begin;
+    if (job.batch->on_flush) {
+      // Close the chunk on this thread, before the batch can be counted
+      // done.
+      job.batch->on_flush(done);
+    }
     pending_requests_.fetch_sub(done, std::memory_order_relaxed);
     {
       // Notify while still holding the mutex: the moment the submitter

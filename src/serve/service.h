@@ -133,6 +133,16 @@ struct ServiceOptions {
 // evaluating.
 using StreamCallback = std::function<void(std::size_t index, const PredictResponse& response)>;
 
+// Per-chunk flush callback for the async API: invoked on the thread that
+// just streamed `n` completions through the StreamCallback, right after the
+// last of them and before that thread makes any other callback — once per
+// worker chunk (at most ServiceOptions::batch_chunk requests), and once
+// after the requests the submitting thread resolves inline. `n` counts the
+// completions since that thread's previous flush, and the batch is counted
+// done only after the flush returns, so a caller can buffer a chunk's
+// completions per thread and hand them on in one piece here.
+using FlushCallback = std::function<void(std::size_t n)>;
+
 class PredictionService {
  private:
   struct BatchState;  // defined below; BatchHandle only holds a pointer
@@ -177,9 +187,11 @@ class PredictionService {
   // Async batch API: returns immediately with a handle; the service owns
   // the requests for the batch's lifetime. A single client thread can keep
   // many batches in flight and consume completions through `on_complete`
-  // (streamed per request) or by polling/waiting on the handles.
+  // (streamed per request) or by polling/waiting on the handles, and close
+  // each chunk's run of completions through `on_flush`.
   BatchHandle SubmitBatch(std::vector<PredictRequest> requests,
-                          StreamCallback on_complete = nullptr);
+                          StreamCallback on_complete = nullptr,
+                          FlushCallback on_flush = nullptr);
 
   // Stops accepting work, drains the queue, joins the workers. Idempotent.
   void Shutdown();
@@ -272,10 +284,12 @@ class PredictionService {
     std::size_t remaining = 0;
     Clock::time_point submitted;
     // Async-only: the batch owns its request/response storage, and
-    // completions stream through on_complete (may be empty).
+    // completions stream through on_complete and chunks close through
+    // on_flush (either may be empty).
     std::vector<PredictRequest> requests;
     std::vector<PredictResponse> responses;
     StreamCallback on_complete;
+    FlushCallback on_flush;
   };
 
   struct Job {
@@ -317,10 +331,10 @@ class PredictionService {
 
   void WorkerLoop();
   // Runs admission over [0, n), resolves shed (and, on shutdown, unqueued)
-  // requests inline — response filled, metrics charged, completion
-  // streamed, batch accounting settled — and enqueues admitted requests as
-  // contiguous chunks. After it returns, every request is either queued or
-  // already resolved.
+  // requests inline — response filled, metrics charged, completions
+  // streamed and flushed, batch accounting settled — and enqueues admitted
+  // requests as contiguous chunks. After it returns, every request is
+  // either queued or already resolved.
   void EnqueueChunks(const PredictRequest* requests, PredictResponse* responses,
                      std::size_t n, BatchState* batch,
                      const std::shared_ptr<BatchState>& keepalive);

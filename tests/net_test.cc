@@ -9,8 +9,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
 #include "src/core/registry.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
@@ -624,6 +630,246 @@ TEST(FrameReader, PendingCarriageReturnAtCapIsNotCountedAgainstPayload) {
   EXPECT_EQ(frame, std::string(8, 'b'));
 }
 
+// A seeded 4096-line stream (LF and CRLF lines, stray CRs, lines just past
+// the cap, one line several reads long) fed at random split points must
+// pop exactly what a straight split of the whole stream gives: each line
+// as a frame with one trailing '\r' stripped, or one kOversized report when
+// that content is over the cap. After every drained Append, buffered() is
+// the unterminated tail, or 0 once that tail has outgrown the cap (it is
+// being skipped).
+TEST(FrameReader, SeededStreamMatchesReferenceSplitterAtRandomSplits) {
+  constexpr std::size_t kMax = 64;
+  constexpr std::size_t kLines = 4096;
+  std::mt19937_64 rng(15);
+  std::string stream;
+  for (std::size_t line = 0; line < kLines; ++line) {
+    std::string content;
+    if (line == kLines / 4) {
+      content.assign(5 * kMax, 'o');
+    } else {
+      content.resize(rng() % (kMax + 3));  // a few lines land past the cap
+      for (char& c : content) {
+        c = rng() % 16 == 0 ? '\r' : static_cast<char>('!' + rng() % 90);
+      }
+    }
+    stream += content;
+    stream += rng() % 2 == 0 ? "\n" : "\r\n";
+  }
+
+  // (oversized, frame) per line of the reference split.
+  std::vector<std::pair<bool, std::string>> expected;
+  for (std::size_t begin = 0; begin < stream.size();) {
+    const std::size_t nl = stream.find('\n', begin);
+    std::string content = stream.substr(begin, nl - begin);
+    if (!content.empty() && content.back() == '\r') {
+      content.pop_back();
+    }
+    if (content.size() > kMax) {
+      expected.emplace_back(true, "");
+    } else {
+      expected.emplace_back(false, content);
+    }
+    begin = nl + 1;
+  }
+  ASSERT_EQ(expected.size(), kLines);
+
+  FrameReader reader(kMax);
+  std::vector<std::pair<bool, std::string>> popped;
+  std::size_t fed = 0;
+  std::size_t tail_start = 0;  // first byte of the unterminated line
+  bool tail_skipped = false;
+  while (fed < stream.size()) {
+    const std::size_t n = std::min<std::size_t>(1 + rng() % 300, stream.size() - fed);
+    reader.Append(stream.data() + fed, n);
+    fed += n;
+    std::string frame;
+    for (;;) {
+      const FrameReader::Next next = reader.Pop(&frame);
+      if (next == FrameReader::Next::kNeedMore) {
+        break;
+      }
+      popped.emplace_back(next == FrameReader::Next::kOversized, frame);
+    }
+    const std::size_t last_nl = stream.rfind('\n', fed - 1);
+    const std::size_t line_start = last_nl == std::string::npos ? 0 : last_nl + 1;
+    if (line_start != tail_start) {
+      tail_start = line_start;
+      tail_skipped = false;
+    }
+    const std::size_t tail = fed - line_start;
+    // The cap gets one byte of headroom while the tail ends in a '\r' that
+    // may yet be CRLF framing.
+    if (tail > kMax + (tail > 0 && stream[fed - 1] == '\r' ? 1 : 0)) {
+      tail_skipped = true;
+    }
+    ASSERT_EQ(reader.buffered(), tail_skipped ? 0 : tail) << "after " << fed << " bytes";
+  }
+  ASSERT_EQ(popped.size(), expected.size());
+  std::size_t oversized = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(popped[i], expected[i]) << "line " << i;
+    oversized += expected[i].first ? 1 : 0;
+  }
+  EXPECT_GT(oversized, 1u);
+}
+
+// The encoders append in one pass (std::to_chars for integers, one
+// snprintf per double), and their bytes must be exactly what the printf
+// formats of the wire spec ("%llu", "%lld", "%.17g") print. Golden lines
+// pin every field; the seeded doubles pin "%.17g" across the whole range.
+TEST(WireCodec, EncodersAreByteIdenticalToPrintf) {
+  for (const auto& [status, name] : std::vector<std::pair<PredictStatus, std::string>>{
+           {PredictStatus::kOk, "OK"},
+           {PredictStatus::kError, "ERROR"},
+           {PredictStatus::kNotFound, "NOT_FOUND"},
+           {PredictStatus::kDeadlineExceeded, "DEADLINE_EXCEEDED"},
+           {PredictStatus::kResourceExhausted, "RESOURCE_EXHAUSTED"},
+           {PredictStatus::kRejected, "REJECTED"}}) {
+    PredictResponse resp;
+    resp.status = status;
+    resp.value = 1.25e6;
+    resp.throughput = 0.125;
+    resp.cache_hit = true;
+    resp.eval_ns = 42;
+    std::string line;
+    EncodeResponseLine(9, 4, resp, &line);
+    EXPECT_EQ(line, "{\"id\":9,\"index\":4,\"status\":\"" + name +
+                        "\",\"value\":1250000,\"throughput\":0.125,\"cache_hit\":true,"
+                        "\"eval_ns\":42}\n");
+  }
+
+  PredictResponse full;
+  full.status = PredictStatus::kError;
+  full.error = "bad \"x\"\n\x01";
+  full.value = 0.1;
+  full.throughput = 0;
+  full.eval_ns = UINT64_MAX;
+  full.trace_id = "cafe0123";
+  full.tenant = "acme";
+  full.explain.filled = true;
+  full.explain.representation = "pnet-memo";
+  full.explain.cache = "miss";
+  full.explain.queue_wait_ns = 7;
+  full.explain.eval_ns = 8;
+  full.explain.steps = 9;
+  full.explain.memo_components = 3;
+  full.explain.memo_hits = 2;
+  full.explain.derived_hits = 1;
+  full.explain.deadline_limited = true;
+  full.explain.shadowed = true;
+  full.explain.shadow_truth = 1e-320;
+  full.explain.shadow_rel_err = -0.0;
+  std::string line = "prefix:";  // encoders append
+  EncodeResponseLine(UINT64_MAX, 1023, full, &line);
+  EXPECT_EQ(line,
+            "prefix:{\"id\":18446744073709551615,\"index\":1023,\"status\":\"ERROR\","
+            "\"error\":\"bad \\\"x\\\"\\n\\u0001\",\"value\":0.10000000000000001,"
+            "\"throughput\":0,\"cache_hit\":false,\"eval_ns\":18446744073709551615,"
+            "\"trace_id\":\"cafe0123\",\"tenant\":\"acme\",\"explain\":{"
+            "\"representation\":\"pnet-memo\",\"cache\":\"miss\",\"queue_wait_ns\":7,"
+            "\"eval_ns\":8,\"steps\":9,\"memo_components\":3,\"memo_hits\":2,"
+            "\"derived_hits\":1,\"param_hits\":0,\"deadline_limited\":true,\"shadowed\":true,"
+            "\"shadow_truth\":9.9998886718268301e-321,\"shadow_rel_err\":-0}}\n");
+
+  line.clear();
+  EncodeMalformedLine(13, "bad \"frame\"\n", &line);
+  EXPECT_EQ(line, "{\"id\":13,\"malformed\":true,\"error\":\"bad \\\"frame\\\"\\n\"}\n");
+
+  PredictRequest req;
+  req.interface = "jpeg_decoder";
+  req.representation = Representation::kPnet;
+  req.function = "latency_jpeg_decode";
+  req.attrs = {{"orig_size", 65536.0}, {"compress_rate", 0.2}, {"weird \"name\"", 1.25}};
+  req.children = 3;
+  req.entry_place = "hdr_in:1,vld_in:8";
+  req.tokens = 9;
+  req.max_steps = 18'446'744'073'709'551'613ULL;
+  req.deadline_us = INT64_MAX - 1;
+  req.trace_id = "t1";
+  req.explain = true;
+  req.tenant = "acme";
+  line.clear();
+  EncodeRequestFrame(77, {req, JpegRequest(1024, 0.5)}, &line);
+  EXPECT_EQ(line,
+            "{\"id\":77,\"requests\":[{\"interface\":\"jpeg_decoder\",\"rep\":\"pnet\","
+            "\"function\":\"latency_jpeg_decode\",\"attrs\":{\"orig_size\":65536,"
+            "\"compress_rate\":0.20000000000000001,\"weird \\\"name\\\"\":1.25},"
+            "\"children\":3,\"entry_place\":\"hdr_in:1,vld_in:8\",\"tokens\":9,"
+            "\"max_steps\":18446744073709551613,\"deadline_us\":9223372036854775806,"
+            "\"trace_id\":\"t1\",\"explain\":true,\"tenant\":\"acme\"},"
+            "{\"interface\":\"jpeg_decoder\",\"rep\":\"auto\",\"function\":\"latency_jpeg_decode\","
+            "\"attrs\":{\"orig_size\":1024,\"compress_rate\":0.5}}]}\n");
+
+  // Integers: the extremes, then seeded values of every width and sign,
+  // through the signed and unsigned request fields.
+  std::vector<std::pair<std::uint64_t, std::int64_t>> ints = {
+      {UINT64_MAX, INT64_MIN}, {1, -1}, {0, INT64_MAX}};
+  std::mt19937_64 rng(7);
+  while (ints.size() < 10'000) {
+    const std::uint64_t u = rng() >> (rng() % 64);
+    ints.emplace_back(u, static_cast<std::int64_t>(rng()) >> (rng() % 64));
+  }
+  for (const auto& [u, i] : ints) {
+    PredictRequest r;
+    r.interface = "x";
+    r.children = static_cast<int>(i);
+    r.max_steps = u;
+    r.deadline_us = i;
+    line.clear();
+    EncodeRequestFrame(u, {r}, &line);
+    std::string expected =
+        StrFormat("{\"id\":%llu,\"requests\":[{\"interface\":\"x\",\"rep\":\"auto\"",
+                  static_cast<unsigned long long>(u));
+    if (r.children != 0) {
+      expected += StrFormat(",\"children\":%d", r.children);
+    }
+    if (u != 0) {
+      expected += StrFormat(",\"max_steps\":%llu", static_cast<unsigned long long>(u));
+    }
+    if (i != 0) {
+      expected += StrFormat(",\"deadline_us\":%lld", static_cast<long long>(i));
+    }
+    expected += "}]}\n";
+    ASSERT_EQ(line, expected);
+  }
+
+  // Doubles: the extremes, then seeded bit patterns (every exponent,
+  // subnormals, NaNs) and integers at or past 2^53.
+  std::vector<double> doubles = {0.0,
+                                 -0.0,
+                                 std::numeric_limits<double>::denorm_min(),
+                                 -std::numeric_limits<double>::denorm_min(),
+                                 std::numeric_limits<double>::min(),
+                                 std::numeric_limits<double>::max(),
+                                 -std::numeric_limits<double>::max(),
+                                 1e308,
+                                 -1e308,
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 9007199254740992.0,
+                                 9007199254740993.0};
+  while (doubles.size() < 100'000) {
+    const std::uint64_t bits = rng();
+    doubles.push_back(std::bit_cast<double>(bits));
+    doubles.push_back(static_cast<double>((bits >> 11) + (std::uint64_t{1} << 53)) *
+                      static_cast<double>(1 + rng() % 1024));
+  }
+  for (const double d : doubles) {
+    PredictResponse resp;
+    resp.status = PredictStatus::kOk;
+    resp.value = d;
+    resp.throughput = -d;
+    line.clear();
+    EncodeResponseLine(1, 0, resp, &line);
+    const std::string expected =
+        StrFormat("{\"id\":1,\"index\":0,\"status\":\"OK\",\"value\":%.17g,\"throughput\":%.17g,"
+                  "\"cache_hit\":false,\"eval_ns\":0}\n",
+                  d, -d);
+    ASSERT_EQ(line, expected);
+  }
+}
+
 TEST(WireCodec, TenantRoundTripsThroughFrameAndResponseLine) {
   PredictRequest req = JpegRequest(65536, 0.2);
   req.tenant = "acme-prod";
@@ -829,6 +1075,189 @@ TEST(NetServer, GracefulStopDrainsAndCloses) {
   ts.reset();  // destructor Stop + service Shutdown must also be clean
 }
 
+// Socket writes (perfiface_net_writes_total) one frame of `requests` costs
+// on a 1-worker service with 32-request chunks, counted across sending the
+// frame, reading every line back and stopping the server (Stop drains, so
+// every flush has been counted by then).
+std::uint64_t WritesToAnswer(std::size_t requests, NetServerOptions nopts = {}) {
+  serve::ServiceOptions sopts;
+  sopts.num_workers = 1;
+  sopts.batch_chunk = 32;
+  TestServer ts(sopts, nopts);
+  const obs::MetricsRegistry::Counter& writes =
+      obs::MetricsRegistry::Global().GetCounter("perfiface_net_writes_total", "");
+  const std::uint64_t before = writes.value();
+  NetClient client;
+  std::string error;
+  EXPECT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  std::vector<PredictRequest> batch;
+  for (std::size_t i = 0; i < requests; ++i) {
+    batch.push_back(JpegRequest(4096.0 + static_cast<double>(i % 8), 0.2));
+  }
+  EXPECT_TRUE(client.SendBatch(1, batch, &error)) << error;
+  for (std::size_t i = 0; i < requests; ++i) {
+    WireResponse wire;
+    if (!client.ReadResponse(&wire, &error) || wire.malformed) {
+      ADD_FAILURE() << "line " << i << ": " << error << wire.response.error;
+      break;
+    }
+  }
+  ts.server.Stop();
+  return writes.value() - before;
+}
+
+TEST(NetServer, ResponsesGoOutOneWritePerWorkerChunk) {
+  EXPECT_EQ(WritesToAnswer(64), 2u);  // two chunks of 32
+  EXPECT_EQ(WritesToAnswer(1), 1u);   // written the moment it resolves
+  NetServerOptions over_window;
+  over_window.max_inflight_batches = 0;  // every frame is answered REJECTED
+  EXPECT_EQ(WritesToAnswer(64, over_window), 1u);
+}
+
+// Polls `done` for up to 10 s (sanitizer builds are slow).
+template <typename Pred>
+bool WaitUntil(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+// A peer that stops reading mid-batch: once its socket buffers fill, a
+// chunk's write blocks for io_timeout_ms and fails, the connection is
+// marked dead, the lines still buffered (and every later chunk's) are
+// dropped, every frame is still counted answered, and a Stop() issued
+// while the write is stuck returns promptly.
+TEST(NetServer, SlowReaderTimesOutMidBatchAndBufferedLinesAreDropped) {
+  NetServerOptions nopts;
+  nopts.io_timeout_ms = 200;
+  TestServer ts(TwoWorkers(), nopts);
+  ASSERT_TRUE(ts.ok);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::MetricsRegistry::Counter& accepted =
+      registry.GetCounter("perfiface_net_connections_total", "");
+  const obs::MetricsRegistry::Counter& bytes_tx =
+      registry.GetCounter("perfiface_net_bytes_tx_total", "");
+  const std::uint64_t accepted_before = accepted.value();
+
+  // A small receive window, so the output outgrows the kernel's buffers
+  // (the sender's send buffer tops out at a few MiB) long before the
+  // batches are answered.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(ts.server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_TRUE(WaitUntil([&] { return accepted.value() > accepted_before; }));
+
+  // 16 frames x 1024 explain lines echoing a long tenant: ~7 MiB of
+  // responses to ~2 MiB of requests.
+  PredictRequest req = JpegRequest(65536, 0.2);
+  req.tenant = std::string(64, 'n');
+  req.explain = true;
+  std::string frame;
+  EncodeRequestFrame(1, std::vector<PredictRequest>(1024, req), &frame);
+  const std::uint64_t tx_before = bytes_tx.value();
+  std::uint64_t frames_sent = 0;
+  for (; frames_sent < 16; ++frames_sent) {
+    // A slow (sanitized) server may time the write out and kill the
+    // connection before every frame is in.
+    std::size_t sent = 0;
+    while (sent < frame.size()) {
+      const ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) {
+        break;
+      }
+      sent += static_cast<std::size_t>(n);
+    }
+    if (sent < frame.size()) {
+      break;
+    }
+  }
+
+  // Every request evaluated (its line sent, buffered or dropped), or the
+  // connection already killed; the peer never reads either way.
+  ASSERT_TRUE(WaitUntil([&] {
+    return ts.service.metrics().total_requests() == frames_sent * 1024 ||
+           ts.server.open_connections() == 0;
+  }));
+  const auto stop_start = std::chrono::steady_clock::now();
+  ts.server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start, std::chrono::seconds(2));
+  EXPECT_EQ(ts.server.open_connections(), 0u);
+  EXPECT_EQ(ts.service.metrics().inflight_batches(), 0);
+
+  // The shortest line any of those requests can earn, times the requests
+  // answered: what the server would have sent had it dropped nothing.
+  PredictResponse shortest;
+  shortest.status = PredictStatus::kOk;
+  shortest.trace_id = serve::GenerateTraceId();
+  shortest.tenant = req.tenant;
+  shortest.explain.filled = true;
+  shortest.explain.representation = "cache";
+  shortest.explain.cache = "hit";
+  std::string line;
+  EncodeResponseLine(1, 0, shortest, &line);
+  const std::uint64_t answered = ts.service.metrics().total_requests();
+  const std::uint64_t tx = bytes_tx.value() - tx_before;
+  EXPECT_GT(answered, 0u);
+  EXPECT_LT(tx, answered * line.size()) << "buffered lines were not dropped";
+
+  // What did arrive ends short of the full answer, then EOF or reset.
+  std::size_t received = 0;
+  char buf[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      break;
+    }
+    received += static_cast<std::size_t>(n);
+  }
+  EXPECT_LE(received, tx);
+  ::close(fd);
+}
+
+// A client that hangs up after the first line of a 1024-request frame: the
+// rest of the frame's writes fail or drop, the connection drains and
+// closes, and the server goes on serving a fresh connection.
+TEST(NetServer, ClientClosingMidFrameLeavesTheServerServing) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+  {
+    NetClient quitter;
+    std::string error;
+    ASSERT_TRUE(quitter.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+    std::vector<PredictRequest> batch;
+    for (std::size_t i = 0; i < 1024; ++i) {
+      batch.push_back(JpegRequest(1000.0 + static_cast<double>(i), 0.2));
+    }
+    ASSERT_TRUE(quitter.SendBatch(1, batch, &error)) << error;
+    WireResponse first;
+    ASSERT_TRUE(quitter.ReadResponse(&first, &error)) << error;
+    EXPECT_EQ(first.response.status, PredictStatus::kOk);
+  }  // closes with the rest of the frame unread
+  ASSERT_TRUE(WaitUntil([&] { return ts.server.open_connections() == 0; }));
+  EXPECT_EQ(ts.service.metrics().inflight_batches(), 0);
+
+  NetClient fresh;
+  std::string error;
+  ASSERT_TRUE(fresh.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  std::vector<PredictResponse> responses;
+  ASSERT_TRUE(fresh.Call({JpegRequest(65536, 0.2), JpegRequest(1024, 0.5)}, &responses, &error))
+      << error;
+  EXPECT_EQ(responses[0].status, PredictStatus::kOk);
+  EXPECT_EQ(responses[1].status, PredictStatus::kOk);
+}
+
 // --- HTTP endpoints --------------------------------------------------------
 
 TEST(NetServerHttp, HealthzAndNotFound) {
@@ -921,6 +1350,7 @@ TEST(NetServerHttp, MetricsScrapePassesStrictParser) {
   EXPECT_TRUE(has("perfiface_net_connections_total"));
   EXPECT_TRUE(has("perfiface_net_bytes_rx_total"));
   EXPECT_TRUE(has("perfiface_net_bytes_tx_total"));
+  EXPECT_TRUE(has("perfiface_net_writes_total"));
   EXPECT_TRUE(has("perfiface_net_frames_malformed_total"));
   EXPECT_TRUE(has("perfiface_net_open_connections"));
   EXPECT_TRUE(has("perfiface_serve_requests_total"));
