@@ -245,9 +245,9 @@ LoadResult DriveLoad(PredictionService* service, const std::vector<PredictReques
     if (m->requests.load() == 0) {
       continue;
     }
-    out.p50_us = std::max(out.p50_us, m->latency.PercentileNs(50) / 1e3);
-    out.p95_us = std::max(out.p95_us, m->latency.PercentileNs(95) / 1e3);
-    out.p99_us = std::max(out.p99_us, m->latency.PercentileNs(99) / 1e3);
+    out.p50_us = std::max(out.p50_us, m->latency.Percentile(0.50) / 1e3);
+    out.p95_us = std::max(out.p95_us, m->latency.Percentile(0.95) / 1e3);
+    out.p99_us = std::max(out.p99_us, m->latency.Percentile(0.99) / 1e3);
   }
   const double hits = static_cast<double>(service->metrics().cache_hits() - hits_before);
   const double misses = static_cast<double>(service->metrics().cache_misses() - misses_before);

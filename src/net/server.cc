@@ -125,20 +125,9 @@ NetServer::NetServer(serve::PredictionService* service, NetServerOptions options
   WritesTotal();
   FramesMalformedTotal();
   BatchesRejectedTotal();
-  metrics_collector_ = obs::MetricsRegistry::Global().RegisterCollector([this](std::string* out) {
-    *out += StrFormat(
-        "# HELP perfiface_net_open_connections Currently open client connections\n"
-        "# TYPE perfiface_net_open_connections gauge\n"
-        "perfiface_net_open_connections %zu\n",
-        open_connections());
-  });
 }
 
-NetServer::~NetServer() {
-  // The collector captures `this`; detach it before any member dies.
-  obs::MetricsRegistry::Global().Unregister(metrics_collector_);
-  Stop();
-}
+NetServer::~NetServer() { Stop(); }
 
 bool NetServer::Start(std::string* error) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -564,9 +553,12 @@ void NetServer::ServeHttp(const std::shared_ptr<Connection>& conn) {
   body.resize(content_length);  // drop pipelined bytes past the declared body
 
   if (method == "GET" && path == "/metrics") {
+    std::string scrape = service_->StatsPrometheus();
+    obs::AppendGauge(&scrape, "perfiface_net_open_connections",
+                     "Currently open client connections",
+                     static_cast<double>(open_connections()));
     TimedWrite(conn.get(),
-               HttpResponse(200, "OK", "text/plain; version=0.0.4; charset=utf-8",
-                            service_->StatsPrometheus()));
+               HttpResponse(200, "OK", "text/plain; version=0.0.4; charset=utf-8", scrape));
     return;
   }
   if (method == "GET" && path == "/healthz") {

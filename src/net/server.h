@@ -8,9 +8,9 @@
 //    write per worker chunk. One connection can keep many batches in
 //    flight.
 //  - anything else — HTTP/1.1, one request per connection: GET /metrics
-//    (the unified obs::MetricsRegistry Prometheus scrape), GET /healthz,
-//    POST /predict (a request frame in the body, response lines in the
-//    body back).
+//    (the service's Prometheus scrape plus the open-connections gauge),
+//    GET /healthz, POST /predict (a request frame in the body, response
+//    lines in the body back).
 //
 // Robustness contract (docs/serving.md "Wire protocol"):
 //  - per-connection read/write timeouts (a stalled peer cannot pin a
@@ -134,8 +134,6 @@ class NetServer {
   std::mutex conns_mu_;
   std::list<std::shared_ptr<Connection>> conns_;
   std::atomic<std::size_t> open_connections_{0};
-
-  std::uint64_t metrics_collector_ = 0;  // obs::MetricsRegistry handle
 };
 
 }  // namespace perfiface::net

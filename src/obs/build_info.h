@@ -32,8 +32,8 @@ double ProcessStartTimeSeconds();
 std::string BuildInfoJson();
 
 // Appends the build-info gauge and process start time in Prometheus
-// exposition format; called from MetricsRegistry::RenderPrometheus so every
-// scrape carries them without collector-registration ordering concerns.
+// exposition format; called from MetricsRegistry::RenderPrometheus, so
+// every scrape starts with them.
 void AppendBuildInfoMetrics(std::string* out);
 
 }  // namespace perfiface::obs

@@ -1,8 +1,9 @@
 #include "src/obs/metrics_registry.h"
 
-#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdio>
 
-#include "src/common/strings.h"
 #include "src/obs/build_info.h"
 
 namespace perfiface::obs {
@@ -29,6 +30,15 @@ std::string EscapeExposition(std::string_view in, bool escape_quote) {
   return out;
 }
 
+// `name{labels} `, without braces when there is no label.
+void AppendSeries(std::string* out, std::string_view name, std::string_view labels) {
+  out->append(name);
+  if (!labels.empty()) {
+    out->append("{").append(labels).append("}");
+  }
+  out->push_back(' ');
+}
+
 }  // namespace
 
 std::string EscapeHelpText(std::string_view text) {
@@ -37,6 +47,60 @@ std::string EscapeHelpText(std::string_view text) {
 
 std::string EscapeLabelValue(std::string_view value) {
   return EscapeExposition(value, /*escape_quote=*/true);
+}
+
+void AppendHeader(std::string* out, std::string_view name, std::string_view type,
+                  std::string_view help) {
+  out->append("# HELP ").append(name).append(" ").append(EscapeHelpText(help));
+  out->append("\n# TYPE ").append(name).append(" ").append(type).append("\n");
+}
+
+void AppendSample(std::string* out, std::string_view name, std::string_view labels,
+                  std::uint64_t value) {
+  AppendSeries(out, name, labels);
+  out->append(std::to_string(value)).push_back('\n');
+}
+
+void AppendSample(std::string* out, std::string_view name, std::string_view labels,
+                  double value) {
+  AppendSeries(out, name, labels);
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.9g\n", value);
+  out->append(text);
+}
+
+void AppendCounter(std::string* out, std::string_view name, std::string_view help,
+                   std::uint64_t value) {
+  AppendHeader(out, name, "counter", help);
+  AppendSample(out, name, "", value);
+}
+
+void AppendGauge(std::string* out, std::string_view name, std::string_view help, double value) {
+  AppendHeader(out, name, "gauge", help);
+  AppendSample(out, name, "", value);
+}
+
+void AppendHistogram(std::string* out, std::string_view name, std::string_view labels,
+                     const Histogram& histogram, double unit) {
+  const std::string series(name);
+  const std::string le = labels.empty() ? "le=\"" : std::string(labels) + ",le=\"";
+  const std::array<std::uint64_t, Histogram::kOctaves> octaves = histogram.Octaves();
+  std::uint64_t cumulative = 0;
+  char edge[32];
+  // The last octave lies above the top edge: only +Inf counts it.
+  for (std::size_t k = 0; k + 1 < octaves.size(); ++k) {
+    if (octaves[k] != 0) {
+      cumulative += octaves[k];
+      std::snprintf(edge, sizeof(edge), "%.9g\"", std::ldexp(unit, static_cast<int>(k)));
+      AppendSample(out, series + "_bucket", le + edge, cumulative);
+    }
+  }
+  // _count and +Inf come from the same bucket snapshot as the edges, so
+  // the series stays cumulative under concurrent Record.
+  cumulative += octaves.back();
+  AppendSample(out, series + "_bucket", le + "+Inf\"", cumulative);
+  AppendSample(out, series + "_sum", labels, static_cast<double>(histogram.sum()) * unit);
+  AppendSample(out, series + "_count", labels, cumulative);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -56,32 +120,12 @@ MetricsRegistry::Counter& MetricsRegistry::GetCounter(const std::string& name,
   return *counters_.back();
 }
 
-std::uint64_t MetricsRegistry::RegisterCollector(std::function<void(std::string*)> collector) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t handle = next_handle_++;
-  collectors_.push_back(CollectorEntry{handle, std::move(collector)});
-  return handle;
-}
-
-void MetricsRegistry::Unregister(std::uint64_t handle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  collectors_.erase(std::remove_if(collectors_.begin(), collectors_.end(),
-                                   [&](const CollectorEntry& e) { return e.handle == handle; }),
-                    collectors_.end());
-}
-
 std::string MetricsRegistry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   AppendBuildInfoMetrics(&out);
   for (const std::unique_ptr<Counter>& c : counters_) {
-    out += StrFormat("# HELP %s %s\n", c->name_.c_str(), EscapeHelpText(c->help_).c_str());
-    out += StrFormat("# TYPE %s counter\n", c->name_.c_str());
-    out += StrFormat("%s %llu\n", c->name_.c_str(),
-                     static_cast<unsigned long long>(c->value()));
-  }
-  for (const CollectorEntry& entry : collectors_) {
-    entry.fn(&out);
+    AppendCounter(&out, c->name_, c->help_, c->value());
   }
   return out;
 }

@@ -1,14 +1,14 @@
-// Process-wide metrics registry with Prometheus text exposition.
+// Process-wide counters of the library layers, and the Prometheus text
+// exposition every scrape is written with.
 //
-// Two kinds of data feed the exposition:
-//  - Counters owned by the registry itself: monotonic uint64 totals that
-//    instrumented layers (interp, pnet, sim) bump with relaxed atomics.
-//    Handles are looked up once (function-local static) so the hot path is
-//    a single fetch_add.
-//  - Collectors: callbacks registered by subsystems that own their metrics
-//    elsewhere (ServiceMetrics with its per-interface histograms). Each
-//    collector appends its own exposition text, so one
-//    MetricsRegistry::RenderPrometheus() call yields the unified scrape.
+// The registry holds monotonic uint64 totals that the layers below any one
+// service — the PerfScript VM and interpreter, the Petri-net simulator, the
+// cycle-level engine, the conv simulator and the network front end — bump
+// with relaxed atomics. Handles are looked up once (function-local static)
+// so the hot path is a single fetch_add. State owned by a service (its
+// request metrics, shadow validation and component tiers) is not here: the
+// service renders it into its own scrape after these counters
+// (PredictionService::StatsPrometheus, docs/observability.md).
 //
 // The text format follows the Prometheus exposition format v0.0.4
 // (`# HELP` / `# TYPE` comments, `name{labels} value` samples).
@@ -17,12 +17,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/obs/histogram.h"
 
 namespace perfiface::obs {
 
@@ -33,6 +34,29 @@ namespace perfiface::obs {
 // whole scrape for the parser.
 std::string EscapeHelpText(std::string_view text);
 std::string EscapeLabelValue(std::string_view value);
+
+// Exposition writers. `labels` is a rendered label list without braces
+// (`interface="jpeg"`), its values already escaped, or empty.
+//
+// The `# HELP` and `# TYPE` lines of a family whose samples follow.
+void AppendHeader(std::string* out, std::string_view name, std::string_view type,
+                  std::string_view help);
+// One sample line, `name{labels} value`.
+void AppendSample(std::string* out, std::string_view name, std::string_view labels,
+                  std::uint64_t value);
+void AppendSample(std::string* out, std::string_view name, std::string_view labels,
+                  double value);
+// An unlabelled counter or gauge family: its HELP and TYPE lines and sample.
+void AppendCounter(std::string* out, std::string_view name, std::string_view help,
+                   std::uint64_t value);
+void AppendGauge(std::string* out, std::string_view name, std::string_view help, double value);
+// One histogram series (the family's header is the caller's): cumulative
+// `_bucket` lines at the power-of-two edges le = 2^k * unit, skipping edges
+// whose octave is empty, then `+Inf`, `_sum` and `_count`. `unit` converts
+// a recorded value to the exported one (1e-9 for ns -> seconds,
+// kErrorUnit for relative errors).
+void AppendHistogram(std::string* out, std::string_view name, std::string_view labels,
+                     const Histogram& histogram, double unit);
 
 class MetricsRegistry {
  public:
@@ -59,27 +83,14 @@ class MetricsRegistry {
   // registry's lifetime. Thread-safe; cache the reference on hot paths.
   Counter& GetCounter(const std::string& name, const std::string& help);
 
-  // Registers a callback that appends exposition text; returns a handle for
-  // Unregister. Collectors run under the registry lock: keep them fast and
-  // never call back into the registry.
-  std::uint64_t RegisterCollector(std::function<void(std::string*)> collector);
-  void Unregister(std::uint64_t handle);
-
-  // Full scrape: every registered counter, then every collector's output.
+  // The build-info gauges, then every registered counter.
   std::string RenderPrometheus() const;
 
  private:
   MetricsRegistry() = default;
 
-  struct CollectorEntry {
-    std::uint64_t handle = 0;
-    std::function<void(std::string*)> fn;
-  };
-
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Counter>> counters_;
-  std::vector<CollectorEntry> collectors_;
-  std::uint64_t next_handle_ = 1;
 };
 
 }  // namespace perfiface::obs

@@ -98,9 +98,9 @@ class ComponentTier {
 
   // The tier's /statusz object.
   virtual std::string SummaryJson() const = 0;
-  // Appends the tier's Prometheus gauges, if any; its counters are
-  // process-wide registry families.
-  virtual void AppendPrometheus(std::string* /*out*/) const {}
+  // Appends the tier's Prometheus families, counters included: they count
+  // this tier's events only, in the scrape of the service that owns it.
+  virtual void AppendPrometheus(std::string* out) const = 0;
 };
 
 }  // namespace perfiface

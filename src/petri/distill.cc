@@ -32,27 +32,6 @@ constexpr double kMaxResidual = 0.49;
 // premise has already failed.
 constexpr std::size_t kMaxFeatures = 24;
 
-obs::MetricsRegistry::Counter& HitsCounter() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_derived_hits_total",
-      "Component results served from distilled closed-form interfaces");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& RefusalsCounter() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_derived_refusals_total",
-      "Derived-tier consultations refused (distillation or serving; fell back to simulation)");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& DistilledCounter() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_derived_distilled_total",
-      "Components successfully distilled into closed-form interfaces");
-  return c;
-}
-
 // --- Canonical-stream infix rendering ---------------------------------
 //
 // CompiledExpr::Canonical() serializes the stack ops as "op:value:slot;"
@@ -252,11 +231,6 @@ DerivedStore::DerivedStore(std::size_t max_models, std::size_t num_shards)
   for (std::size_t i = 0; i < std::max<std::size_t>(1, num_shards); ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  // Touch the counter families eagerly so a scrape shows them at zero
-  // before the first distillation (dashboards want the series to exist).
-  HitsCounter();
-  RefusalsCounter();
-  DistilledCounter();
 }
 
 bool DerivedStore::Lookup(const ComponentQuery& query, std::uint64_t budget,
@@ -509,7 +483,6 @@ std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
 bool DerivedStore::Distill(const ComponentQuery& query) {
   const std::string& key = query.model_key();
   if (key.empty()) {
-    RefusalsCounter().Increment();
     refusals_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -519,10 +492,8 @@ bool DerivedStore::Distill(const ComponentQuery& query) {
   obs::SpanGuard span("pnet", "distill");
   const std::shared_ptr<const Model> model = BuildModel(query);
   if (model->ok) {
-    DistilledCounter().Increment();
     distilled_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    RefusalsCounter().Increment();
     refusals_.fetch_add(1, std::memory_order_relaxed);
     if (!model->cacheable) {
       return false;
@@ -549,7 +520,6 @@ DerivedStore::Outcome DerivedStore::Predict(const std::string& model_key, const 
     return Outcome::kNoModel;
   }
   auto refused = [this](Outcome o) {
-    RefusalsCounter().Increment();
     refusals_.fetch_add(1, std::memory_order_relaxed);
     return o;
   };
@@ -588,7 +558,6 @@ DerivedStore::Outcome DerivedStore::Predict(const std::string& model_key, const 
   }
   out->quiesce_time = static_cast<Cycles>(std::llround(std::max(0.0, y)));
   out->firings = model->firings;
-  HitsCounter().Increment();
   hits_.fetch_add(1, std::memory_order_relaxed);
   return Outcome::kHit;
 }
@@ -604,6 +573,18 @@ std::string DerivedStore::RefusalReason(const std::string& key) const {
 }
 
 std::size_t DerivedStore::size() const { return total_models_.load(std::memory_order_relaxed); }
+
+void DerivedStore::AppendPrometheus(std::string* out) const {
+  obs::AppendCounter(out, "perfiface_derived_hits_total",
+                     "Component results served from distilled closed-form interfaces", hits());
+  obs::AppendCounter(
+      out, "perfiface_derived_refusals_total",
+      "Derived-tier consultations refused (distillation or serving; fell back to simulation)",
+      refusals());
+  obs::AppendCounter(out, "perfiface_derived_distilled_total",
+                     "Components successfully distilled into closed-form interfaces",
+                     distilled());
+}
 
 std::string DerivedStore::SummaryJson() const {
   return StrFormat("{\"models\":%llu,\"distilled\":%llu,\"refusals\":%llu,\"hits\":%llu}",

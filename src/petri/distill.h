@@ -76,6 +76,8 @@ class DerivedStore : public ComponentTier {
 
   // {"models":N,"distilled":N,"refusals":N,"hits":N}.
   std::string SummaryJson() const override;
+  // perfiface_derived_{hits,refusals,distilled}_total.
+  void AppendPrometheus(std::string* out) const override;
 
   // Attempts to distill the query's component into a closed form, probing
   // with restricted simulations seeded from the query token's attribute
@@ -83,13 +85,13 @@ class DerivedStore : public ComponentTier {
   // key, so at most one distillation runs per key (concurrent callers for
   // the same key may both probe; the first insert wins, both results are
   // equivalent). Returns true when a servable model exists afterwards.
-  // Bumps perfiface_derived_{distilled,refusals}_total.
+  // Counts a distillation or a refusal.
   bool Distill(const ComponentQuery& query);
 
-  // Serves the closed form under `model_key`. kHit fills *out and bumps
-  // perfiface_derived_hits_total; every other outcome means the caller
-  // must fall back (simulate / lower tier), which is always bit-identical
-  // to this tier being off.
+  // Serves the closed form under `model_key`. kHit fills *out and counts a
+  // hit; every other outcome counts a refusal and means the caller must
+  // fall back (simulate / lower tier), which is always bit-identical to
+  // this tier being off.
   Outcome Predict(const std::string& model_key, const Token& token, std::uint64_t budget,
                   ComponentResult* out);
 

@@ -17,34 +17,6 @@ double RelErr(double predicted, double truth) {
   return std::abs(predicted - truth) / std::max(std::abs(truth), 1e-12);
 }
 
-obs::MetricsRegistry::Counter& HitsCounter() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_param_memo_hits_total",
-      "Parametric memo predictions served (all gates open, simulation skipped)");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& RefusedHullCounter() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_param_memo_refused_hull_total",
-      "Parametric memo lookups refused because the query left the observed attribute hull");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& RefusedResidualCounter() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_param_memo_refused_residual_total",
-      "Parametric memo lookups refused because the running residual bound was too high");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& FitsCounter() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_param_memo_fits_total",
-      "Exact component results folded into the parametric fitters");
-  return c;
-}
-
 }  // namespace
 
 ParamModelStore::ParamModelStore(ParamGate gate, std::size_t max_models, std::size_t num_shards)
@@ -53,12 +25,6 @@ ParamModelStore::ParamModelStore(ParamGate gate, std::size_t max_models, std::si
   for (std::size_t i = 0; i < std::max<std::size_t>(1, num_shards); ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  // Touch the counter families eagerly so a scrape shows them at zero
-  // before the first lookup (dashboards want the series to exist).
-  HitsCounter();
-  RefusedHullCounter();
-  RefusedResidualCounter();
-  FitsCounter();
 }
 
 bool ParamModelStore::Lookup(const ComponentQuery& query, std::uint64_t budget,
@@ -78,31 +44,26 @@ void ParamModelStore::Observe(const ComponentQuery& query, const ComponentResult
 }
 
 void ParamModelStore::AppendPrometheus(std::string* out) const {
-  *out += "# HELP perfiface_param_memo_models Fitted per-component parametric models "
-          "currently resident.\n";
-  *out += "# TYPE perfiface_param_memo_models gauge\n";
-  *out += StrFormat("perfiface_param_memo_models %zu\n", size());
-  *out += "# HELP perfiface_param_memo_rel_err Prequential |relative error| of the "
-          "parametric fit vs each new exact result, log2 buckets.\n";
-  *out += "# TYPE perfiface_param_memo_rel_err histogram\n";
-  const std::uint64_t count = err_count_.load(std::memory_order_relaxed);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    const std::uint64_t in_bucket = err_buckets_[b].load(std::memory_order_relaxed);
-    cumulative += in_bucket;
-    if (in_bucket == 0 && b + 1 != kBuckets) {
-      continue;  // elide empty buckets, keep the last as the top bound
-    }
-    const double le = std::ldexp(1.0, static_cast<int>(b) - kBucketBias);
-    *out += StrFormat("perfiface_param_memo_rel_err_bucket{le=\"%.9g\"} %llu\n", le,
-                      static_cast<unsigned long long>(cumulative));
-  }
-  *out += StrFormat("perfiface_param_memo_rel_err_bucket{le=\"+Inf\"} %llu\n",
-                    static_cast<unsigned long long>(count));
-  *out += StrFormat("perfiface_param_memo_rel_err_sum %.9g\n",
-                    err_sum_.load(std::memory_order_relaxed));
-  *out += StrFormat("perfiface_param_memo_rel_err_count %llu\n",
-                    static_cast<unsigned long long>(count));
+  obs::AppendGauge(out, "perfiface_param_memo_models",
+                   "Fitted per-component parametric models currently resident.",
+                   static_cast<double>(size()));
+  obs::AppendCounter(out, "perfiface_param_memo_hits_total",
+                     "Parametric memo predictions served (all gates open, simulation skipped)",
+                     hits());
+  obs::AppendCounter(
+      out, "perfiface_param_memo_refused_hull_total",
+      "Parametric memo lookups refused because the query left the observed attribute hull",
+      refused_hull());
+  obs::AppendCounter(
+      out, "perfiface_param_memo_refused_residual_total",
+      "Parametric memo lookups refused because the running residual bound was too high",
+      refused_residual());
+  obs::AppendCounter(out, "perfiface_param_memo_fits_total",
+                     "Exact component results folded into the parametric fitters", fits());
+  obs::AppendHeader(out, "perfiface_param_memo_rel_err", "histogram",
+                    "Prequential |relative error| of the parametric fit vs each new exact "
+                    "result.");
+  obs::AppendHistogram(out, "perfiface_param_memo_rel_err", "", rel_err_, obs::kErrorUnit);
 }
 
 std::size_t ParamModelStore::FeatureCount(std::size_t n) {
@@ -255,20 +216,6 @@ ParamModelStore::Shard& ParamModelStore::ShardFor(const std::string& key) {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-void ParamModelStore::RecordRelErr(double abs_rel_err) {
-  std::size_t bucket = 0;
-  if (abs_rel_err > 0) {
-    const int log2b = static_cast<int>(std::floor(std::log2(abs_rel_err)));
-    bucket = static_cast<std::size_t>(
-        std::clamp(log2b + kBucketBias + 1, 0, static_cast<int>(kBuckets) - 1));
-  }
-  err_buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  err_count_.fetch_add(1, std::memory_order_relaxed);
-  double sum = err_sum_.load(std::memory_order_relaxed);
-  while (!err_sum_.compare_exchange_weak(sum, sum + abs_rel_err, std::memory_order_relaxed)) {
-  }
-}
-
 void ParamModelStore::Observe(const std::string& key, const std::vector<double>& attrs,
                               double quiesce_time, std::uint64_t firings) {
   if (key.empty()) {
@@ -336,9 +283,8 @@ void ParamModelStore::Observe(const std::string& key, const std::vector<double>&
     m.dirty = true;
   }
   fits_.fetch_add(1, std::memory_order_relaxed);
-  FitsCounter().Increment();
   if (prequential >= 0) {
-    RecordRelErr(prequential);
+    rel_err_.Record(obs::ErrorUnits(prequential));
   }
 }
 
@@ -365,7 +311,6 @@ ParamModelStore::Outcome ParamModelStore::Predict(const std::string& key,
   for (std::size_t i = 0; i < m.n; ++i) {
     if (attrs[i] < m.lo[i] || attrs[i] > m.hi[i]) {
       refused_hull_.fetch_add(1, std::memory_order_relaxed);
-      RefusedHullCounter().Increment();
       return Outcome::kOutsideHull;
     }
   }
@@ -373,7 +318,6 @@ ParamModelStore::Outcome ParamModelStore::Predict(const std::string& key,
   if (!m.solvable || m.residual_count < kMinResiduals ||
       ResidualBound(m) > gate_.max_rel_err) {
     refused_residual_.fetch_add(1, std::memory_order_relaxed);
-    RefusedResidualCounter().Increment();
     return Outcome::kResidual;
   }
   // Mirror the exact table's budget rule: the charge must fit strictly
@@ -392,7 +336,6 @@ ParamModelStore::Outcome ParamModelStore::Predict(const std::string& key,
   *quiesce_time = std::max(0.0, predicted);
   *firings = m.max_firings;
   hits_.fetch_add(1, std::memory_order_relaxed);
-  HitsCounter().Increment();
   return Outcome::kHit;
 }
 

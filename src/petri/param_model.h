@@ -41,6 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/histogram.h"
 #include "src/petri/component_tier.h"
 
 namespace perfiface {
@@ -72,7 +73,9 @@ class ParamModelStore : public ComponentTier {
 
   // {"models":N,"fits":N,"hits":N,"refused_hull":N,"refused_residual":N}.
   std::string SummaryJson() const override;
-  // perfiface_param_memo_models and the perfiface_param_memo_rel_err histogram.
+  // perfiface_param_memo_models, the perfiface_param_memo_{hits,
+  // refused_hull,refused_residual,fits}_total counters and the
+  // perfiface_param_memo_rel_err histogram.
   void AppendPrometheus(std::string* out) const override;
 
   // Feeds one exact component result into the fitter. `attrs` is the
@@ -93,8 +96,8 @@ class ParamModelStore : public ComponentTier {
   Outcome Predict(const std::string& key, const std::vector<double>& attrs,
                   std::uint64_t budget, double* quiesce_time, std::uint64_t* firings);
 
-  // Store-local totals (the perfiface_param_memo_* counters aggregate
-  // across stores; these back tests and the /statusz summary).
+  // The totals behind the perfiface_param_memo_* counters and the
+  // /statusz summary.
   std::size_t size() const;
   std::uint64_t fits() const { return fits_.load(std::memory_order_relaxed); }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -145,7 +148,6 @@ class ParamModelStore : public ComponentTier {
   static double ResidualBound(const Model& m);
 
   Shard& ShardFor(const std::string& key);
-  void RecordRelErr(double abs_rel_err);
 
   const ParamGate gate_;
   std::size_t max_models_;
@@ -157,16 +159,8 @@ class ParamModelStore : public ComponentTier {
   std::atomic<std::uint64_t> refused_hull_{0};
   std::atomic<std::uint64_t> refused_residual_{0};
 
-  // Prequential |rel err| histogram over log2 buckets (same scheme as the
-  // shadow validator's): bucket b covers [2^(b-kBucketBias-1),
-  // 2^(b-kBucketBias)); underflow lands in bucket 0, overflow in the last.
-  static constexpr int kBucketBias = 20;
-  static constexpr int kBucketsAboveOne = 4;
-  static constexpr std::size_t kBuckets = kBucketBias + kBucketsAboveOne + 1;
-  std::array<std::atomic<std::uint64_t>, kBuckets> err_buckets_{};
-  std::atomic<std::uint64_t> err_count_{0};
-  // Atomic double via CAS-add: exposition-only, contention is negligible.
-  std::atomic<double> err_sum_{0};
+  // Prequential |rel err| in obs::kErrorUnit units.
+  obs::Histogram rel_err_;
 };
 
 }  // namespace perfiface

@@ -39,14 +39,15 @@ class PnetMemoTable : public ComponentTier {
   explicit PnetMemoTable(std::size_t capacity = 1 << 16, std::size_t num_shards = 16);
 
   // Hit iff the exact key is present AND its stored firing count is
-  // strictly below `budget`. Bumps perfiface_pnet_memo_{hits,misses}_total.
+  // strictly below `budget`.
   bool Lookup(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out) override;
   // Stores the quiesced result under the query's exact key.
   void Observe(const ComponentQuery& query, const ComponentResult& exact) override;
 
   // {"entries":N,"capacity":N,"hits":N,"misses":N,"evictions":N}.
   std::string SummaryJson() const override;
-  // perfiface_pnet_memo_{entries,capacity,evictions_total}.
+  // perfiface_pnet_memo_{hits_total,misses_total,entries,capacity,
+  // evictions_total}.
   void AppendPrometheus(std::string* out) const override;
 
   // Budget-aware outcomes: an entry found but rejected because its firing

@@ -1,60 +1,11 @@
 #include "src/serve/metrics.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 #include "src/common/strings.h"
 #include "src/obs/metrics_registry.h"
 
 namespace perfiface::serve {
-
-namespace {
-
-std::size_t BucketOf(std::uint64_t ns) {
-  const std::size_t b = ns == 0 ? 0 : static_cast<std::size_t>(std::bit_width(ns));
-  return b < LatencyHistogram::kBuckets ? b : LatencyHistogram::kBuckets - 1;
-}
-
-// Geometric midpoint of bucket b, which spans [2^(b-1), 2^b).
-double BucketMidNs(std::size_t b) {
-  if (b == 0) {
-    return 0.0;
-  }
-  const double lo = std::ldexp(1.0, static_cast<int>(b) - 1);
-  return lo * 1.5;
-}
-
-}  // namespace
-
-void LatencyHistogram::Record(std::uint64_t ns) {
-  buckets_[BucketOf(ns)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-}
-
-double LatencyHistogram::mean_ns() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum_ns()) / static_cast<double>(n);
-}
-
-double LatencyHistogram::PercentileNs(double p) const {
-  const std::uint64_t n = count();
-  if (n == 0) {
-    return 0.0;
-  }
-  if (p < 0) p = 0;
-  if (p > 100) p = 100;
-  const double target = p / 100.0 * static_cast<double>(n);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    cumulative += buckets_[b].load(std::memory_order_relaxed);
-    if (static_cast<double>(cumulative) >= target) {
-      return BucketMidNs(b);
-    }
-  }
-  return BucketMidNs(kBuckets - 1);
-}
 
 ServiceMetrics::ServiceMetrics(const std::vector<std::string>& interfaces) {
   per_interface_.reserve(interfaces.size());
@@ -63,15 +14,6 @@ ServiceMetrics::ServiceMetrics(const std::vector<std::string>& interfaces) {
     m->interface = name;
     per_interface_.push_back(std::move(m));
   }
-}
-
-std::size_t ServiceMetrics::IndexOf(const std::string& interface) const {
-  for (std::size_t i = 0; i < per_interface_.size(); ++i) {
-    if (per_interface_[i]->interface == interface) {
-      return i;
-    }
-  }
-  return kNoInterface;
 }
 
 void ServiceMetrics::RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok) {
@@ -187,8 +129,8 @@ std::string ServiceMetrics::DumpText(std::size_t queue_depth) const {
     out += StrFormat("%-18s %10llu %8llu %12.2f %12.2f %12.2f %12.2f\n", m->interface.c_str(),
                      static_cast<unsigned long long>(m->requests.load(std::memory_order_relaxed)),
                      static_cast<unsigned long long>(m->errors.load(std::memory_order_relaxed)),
-                     m->latency.mean_ns() / 1e3, m->latency.PercentileNs(50) / 1e3,
-                     m->latency.PercentileNs(95) / 1e3, m->latency.PercentileNs(99) / 1e3);
+                     m->latency.mean() / 1e3, m->latency.Percentile(0.50) / 1e3,
+                     m->latency.Percentile(0.95) / 1e3, m->latency.Percentile(0.99) / 1e3);
   }
   return out;
 }
@@ -216,8 +158,8 @@ std::string ServiceMetrics::DumpJson(std::size_t queue_depth) const {
         i == 0 ? "" : ",", m.interface.c_str(),
         static_cast<unsigned long long>(m.requests.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
-        m.latency.mean_ns() / 1e3, m.latency.PercentileNs(50) / 1e3,
-        m.latency.PercentileNs(95) / 1e3, m.latency.PercentileNs(99) / 1e3);
+        m.latency.mean() / 1e3, m.latency.Percentile(0.50) / 1e3,
+        m.latency.Percentile(0.95) / 1e3, m.latency.Percentile(0.99) / 1e3);
   }
   out += "]}";
   return out;
@@ -225,53 +167,47 @@ std::string ServiceMetrics::DumpJson(std::size_t queue_depth) const {
 
 std::string ServiceMetrics::DumpPrometheus(std::size_t queue_depth) const {
   std::string out;
-  const auto counter = [&out](const char* name, const char* help, std::uint64_t value) {
-    out += StrFormat("# HELP %s %s\n# TYPE %s counter\n%s %llu\n", name, help, name, name,
-                     static_cast<unsigned long long>(value));
-  };
-  counter("perfiface_serve_requests_total", "Requests answered by the prediction service",
-          total_requests());
-  counter("perfiface_serve_errors_total", "Requests that did not return OK", total_errors());
-  counter("perfiface_serve_cache_hits_total", "Requests answered from the prediction cache",
-          cache_hits());
-  counter("perfiface_serve_cache_misses_total",
-          "Requests that consulted the cache and evaluated", cache_misses());
-  counter("perfiface_serve_deadline_exceeded_total", "Requests past their deadline",
-          deadline_exceeded());
-  counter("perfiface_serve_rejected_total", "Requests rejected at submission", rejected());
-  counter("perfiface_serve_registry_lookup_hot_total",
-          "Registry lookups answered by the lock-free hot tier", lookup_hot());
-  counter("perfiface_serve_registry_lookup_cold_total",
-          "Registry lookups that fell through to the hash index", lookup_cold());
-  out += StrFormat(
-      "# HELP perfiface_serve_inflight_batches Batches submitted and not yet fully resolved\n"
-      "# TYPE perfiface_serve_inflight_batches gauge\n"
-      "perfiface_serve_inflight_batches %lld\n",
-      static_cast<long long>(inflight_batches()));
-  out += StrFormat(
-      "# HELP perfiface_serve_queue_depth Request chunks waiting in the worker queue\n"
-      "# TYPE perfiface_serve_queue_depth gauge\n"
-      "perfiface_serve_queue_depth %zu\n",
-      queue_depth);
+  obs::AppendCounter(&out, "perfiface_serve_requests_total",
+                     "Requests answered by the prediction service", total_requests());
+  obs::AppendCounter(&out, "perfiface_serve_errors_total", "Requests that did not return OK",
+                     total_errors());
+  obs::AppendCounter(&out, "perfiface_serve_cache_hits_total",
+                     "Requests answered from the prediction cache", cache_hits());
+  obs::AppendCounter(&out, "perfiface_serve_cache_misses_total",
+                     "Requests that consulted the cache and evaluated", cache_misses());
+  obs::AppendCounter(&out, "perfiface_serve_deadline_exceeded_total",
+                     "Requests past their deadline", deadline_exceeded());
+  obs::AppendCounter(&out, "perfiface_serve_rejected_total", "Requests rejected at submission",
+                     rejected());
+  obs::AppendCounter(&out, "perfiface_serve_registry_lookup_hot_total",
+                     "Registry lookups answered by the lock-free hot tier", lookup_hot());
+  obs::AppendCounter(&out, "perfiface_serve_registry_lookup_cold_total",
+                     "Registry lookups that fell through to the hash index", lookup_cold());
+  obs::AppendGauge(&out, "perfiface_serve_inflight_batches",
+                   "Batches submitted and not yet fully resolved",
+                   static_cast<double>(inflight_batches()));
+  obs::AppendGauge(&out, "perfiface_serve_queue_depth",
+                   "Request chunks waiting in the worker queue", static_cast<double>(queue_depth));
 
-  out +=
-      "# HELP perfiface_serve_interface_requests_total Requests per interface\n"
-      "# TYPE perfiface_serve_interface_requests_total counter\n";
+  // Interface names are free-form registry strings; escape them per the
+  // exposition format so a quote/backslash/newline cannot corrupt the
+  // scrape (load-bearing once /metrics is network-served).
+  std::vector<std::string> labels;
+  labels.reserve(per_interface_.size());
   for (const auto& m : per_interface_) {
-    // Interface names are free-form registry strings; escape them per the
-    // exposition format so a quote/backslash/newline cannot corrupt the
-    // scrape (load-bearing once /metrics is network-served).
-    out += StrFormat("perfiface_serve_interface_requests_total{interface=\"%s\"} %llu\n",
-                     obs::EscapeLabelValue(m->interface).c_str(),
-                     static_cast<unsigned long long>(m->requests.load(std::memory_order_relaxed)));
+    labels.push_back("interface=\"" + obs::EscapeLabelValue(m->interface) + "\"");
   }
-  out +=
-      "# HELP perfiface_serve_interface_errors_total Errors per interface\n"
-      "# TYPE perfiface_serve_interface_errors_total counter\n";
-  for (const auto& m : per_interface_) {
-    out += StrFormat("perfiface_serve_interface_errors_total{interface=\"%s\"} %llu\n",
-                     obs::EscapeLabelValue(m->interface).c_str(),
-                     static_cast<unsigned long long>(m->errors.load(std::memory_order_relaxed)));
+  obs::AppendHeader(&out, "perfiface_serve_interface_requests_total", "counter",
+                    "Requests per interface");
+  for (std::size_t i = 0; i < per_interface_.size(); ++i) {
+    obs::AppendSample(&out, "perfiface_serve_interface_requests_total", labels[i],
+                      per_interface_[i]->requests.load(std::memory_order_relaxed));
+  }
+  obs::AppendHeader(&out, "perfiface_serve_interface_errors_total", "counter",
+                    "Errors per interface");
+  for (std::size_t i = 0; i < per_interface_.size(); ++i) {
+    obs::AppendSample(&out, "perfiface_serve_interface_errors_total", labels[i],
+                      per_interface_[i]->errors.load(std::memory_order_relaxed));
   }
 
   // Admission families always emit at least the "default" tenant row so
@@ -282,11 +218,10 @@ std::string ServiceMetrics::DumpPrometheus(std::size_t queue_depth) const {
   }
   const auto tenant_counter = [&out, &tenants](const char* name, const char* help,
                                                std::uint64_t TenantAdmissionSnapshot::*field) {
-    out += StrFormat("# HELP %s %s\n# TYPE %s counter\n", name, help, name);
+    obs::AppendHeader(&out, name, "counter", help);
     for (const TenantAdmissionSnapshot& t : tenants) {
-      out += StrFormat("%s{tenant=\"%s\"} %llu\n", name,
-                       obs::EscapeLabelValue(t.tenant).c_str(),
-                       static_cast<unsigned long long>(t.*field));
+      obs::AppendSample(&out, name, "tenant=\"" + obs::EscapeLabelValue(t.tenant) + "\"",
+                        t.*field);
     }
   };
   tenant_counter("perfiface_admission_admitted_total",
@@ -299,62 +234,23 @@ std::string ServiceMetrics::DumpPrometheus(std::size_t queue_depth) const {
                  "Requests shed at enqueue because the tenant token bucket was dry, by tenant",
                  &TenantAdmissionSnapshot::shed_quota);
 
-  out +=
-      "# HELP perfiface_admission_queue_wait_seconds Enqueue-to-worker-pickup wait by "
-      "deadline slack band\n"
-      "# TYPE perfiface_admission_queue_wait_seconds histogram\n";
+  obs::AppendHeader(&out, "perfiface_admission_queue_wait_seconds", "histogram",
+                    "Enqueue-to-worker-pickup wait by deadline slack band");
   for (std::size_t band = 0; band < kDeadlineBucketCount; ++band) {
-    const LatencyHistogram& h = queue_wait_[band];
-    const char* name = DeadlineBucketName(static_cast<DeadlineBucket>(band));
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-      const std::uint64_t n = h.BucketCount(b);
-      cumulative += n;
-      if (n == 0) {
-        continue;  // elide empty buckets; cumulative semantics are preserved
-      }
-      out += StrFormat(
-          "perfiface_admission_queue_wait_seconds_bucket{bucket=\"%s\",le=\"%.9g\"} %llu\n",
-          name, static_cast<double>(LatencyHistogram::BucketUpperNs(b)) / 1e9,
-          static_cast<unsigned long long>(cumulative));
-    }
-    out += StrFormat(
-        "perfiface_admission_queue_wait_seconds_bucket{bucket=\"%s\",le=\"+Inf\"} %llu\n",
-        name, static_cast<unsigned long long>(h.count()));
-    out += StrFormat("perfiface_admission_queue_wait_seconds_sum{bucket=\"%s\"} %.9g\n", name,
-                     static_cast<double>(h.sum_ns()) / 1e9);
-    out += StrFormat("perfiface_admission_queue_wait_seconds_count{bucket=\"%s\"} %llu\n",
-                     name, static_cast<unsigned long long>(h.count()));
+    obs::AppendHistogram(
+        &out, "perfiface_admission_queue_wait_seconds",
+        StrFormat("bucket=\"%s\"", DeadlineBucketName(static_cast<DeadlineBucket>(band))),
+        queue_wait_[band], 1e-9);
   }
 
-  out +=
-      "# HELP perfiface_serve_latency_seconds Service-side request latency\n"
-      "# TYPE perfiface_serve_latency_seconds histogram\n";
-  for (const auto& m : per_interface_) {
+  obs::AppendHeader(&out, "perfiface_serve_latency_seconds", "histogram",
+                    "Service-side request latency");
+  for (std::size_t i = 0; i < per_interface_.size(); ++i) {
     // Skip idle rows: scrape size stays proportional to live traffic.
-    if (m->latency.count() == 0) {
-      continue;
+    if (per_interface_[i]->latency.count() != 0) {
+      obs::AppendHistogram(&out, "perfiface_serve_latency_seconds", labels[i],
+                           per_interface_[i]->latency, 1e-9);
     }
-    const std::string iface = obs::EscapeLabelValue(m->interface);
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-      const std::uint64_t n = m->latency.BucketCount(b);
-      if (n == 0 && b + 1 != LatencyHistogram::kBuckets) {
-        cumulative += n;
-        continue;  // elide empty buckets; cumulative semantics are preserved
-      }
-      cumulative += n;
-      out += StrFormat("perfiface_serve_latency_seconds_bucket{interface=\"%s\",le=\"%.9g\"} %llu\n",
-                       iface.c_str(),
-                       static_cast<double>(LatencyHistogram::BucketUpperNs(b)) / 1e9,
-                       static_cast<unsigned long long>(cumulative));
-    }
-    out += StrFormat("perfiface_serve_latency_seconds_bucket{interface=\"%s\",le=\"+Inf\"} %llu\n",
-                     iface.c_str(), static_cast<unsigned long long>(m->latency.count()));
-    out += StrFormat("perfiface_serve_latency_seconds_sum{interface=\"%s\"} %.9g\n",
-                     iface.c_str(), static_cast<double>(m->latency.sum_ns()) / 1e9);
-    out += StrFormat("perfiface_serve_latency_seconds_count{interface=\"%s\"} %llu\n",
-                     iface.c_str(), static_cast<unsigned long long>(m->latency.count()));
   }
   return out;
 }

@@ -1,12 +1,6 @@
 // Service observability: per-interface latency histograms, cache and
-// status counters, queue-depth gauge, text/JSON dumps.
-//
-// Histograms use power-of-two nanosecond buckets: recording is one relaxed
-// atomic increment (safe and cheap on the hot path), and percentile
-// estimates come from the bucket geometric midpoints — plenty for the
-// p50/p95/p99 tail reporting the benches need. Exact percentiles, when a
-// bench wants them, come from client-side samples through
-// src/common/stats.h's Percentile.
+// status counters, queue-depth gauge, text/JSON/Prometheus dumps. Every
+// distribution is an obs::Histogram (src/obs/histogram.h) of nanoseconds.
 #ifndef SRC_SERVE_METRICS_H_
 #define SRC_SERVE_METRICS_H_
 
@@ -18,37 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/histogram.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
 
 namespace perfiface::serve {
-
-// Log2-bucketed histogram of nanosecond durations. All methods are
-// thread-safe; Record is wait-free.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = 48;  // covers up to ~78 hours
-
-  void Record(std::uint64_t ns);
-
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
-  double mean_ns() const;
-  // Estimated percentile (p in [0,100]) from bucket midpoints; 0 if empty.
-  double PercentileNs(double p) const;
-
-  // Raw bucket access for the Prometheus exposition: bucket b spans
-  // [2^(b-1), 2^b) ns and BucketUpperNs is its inclusive upper bound.
-  std::uint64_t BucketCount(std::size_t b) const {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-  static std::uint64_t BucketUpperNs(std::size_t b) { return 1ULL << b; }
-
- private:
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_ns_{0};
-};
 
 // Most component tiers a service chains (memo, derived, param).
 constexpr std::size_t kMaxComponentTiers = 3;
@@ -57,7 +25,7 @@ constexpr std::size_t kMaxComponentTiers = 3;
 // the hot path never takes a lock to find its histogram.
 struct InterfaceMetrics {
   std::string interface;
-  LatencyHistogram latency;                  // end-to-end service-side time
+  obs::Histogram latency;                    // end-to-end service-side time, ns
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> errors{0};
   // Pnet components each tier of the service's component chain answered
@@ -82,11 +50,13 @@ struct TenantAdmissionSnapshot {
 
 class ServiceMetrics {
  public:
+  // One row per interface, in the given order: the service passes its
+  // entry order, so an entry's index is its row.
   explicit ServiceMetrics(const std::vector<std::string>& interfaces);
 
-  // Index of the interface row, or npos for names outside the registry.
+  // Row index of requests for names outside the registry: such requests
+  // count in the totals only.
   static constexpr std::size_t kNoInterface = static_cast<std::size_t>(-1);
-  std::size_t IndexOf(const std::string& interface) const;
 
   void RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok);
   void RecordStatus(CacheOutcome cache, bool deadline_exceeded, bool rejected);
@@ -120,12 +90,11 @@ class ServiceMetrics {
   // Sorted by tenant name; includes the "default" row once any decision
   // has been recorded.
   std::vector<TenantAdmissionSnapshot> AdmissionSnapshot() const;
-  const LatencyHistogram& queue_wait(DeadlineBucket bucket) const {
-    return queue_wait_[static_cast<std::size_t>(bucket)];
-  }
 
   // One registry lookup, answered by the lock-free hot tier (`hot`) or by
-  // the cold hash index (which then refreshes the hot slot).
+  // the cold hash index (which then refreshes the hot slot). Every request
+  // that reaches evaluation looks its interface up once, including those
+  // whose deadline expired before evaluation started.
   void RecordLookup(bool hot) {
     (hot ? lookup_hot_ : lookup_cold_).fetch_add(1, std::memory_order_relaxed);
   }
@@ -157,7 +126,8 @@ class ServiceMetrics {
   std::string DumpText(std::size_t queue_depth) const;
   std::string DumpJson(std::size_t queue_depth) const;
   // Prometheus text exposition (docs/observability.md): totals, queue-depth
-  // gauge, per-interface counters, and native histograms with log2 buckets.
+  // gauge, per-interface counters, and the latency and queue-wait
+  // histograms in seconds.
   std::string DumpPrometheus(std::size_t queue_depth) const;
 
  private:
@@ -176,7 +146,7 @@ class ServiceMetrics {
   // atomics outside the lock; the lock only guards map shape.
   mutable std::mutex tenant_mu_;
   std::vector<std::pair<std::string, std::unique_ptr<TenantAdmission>>> tenants_;
-  LatencyHistogram queue_wait_[kDeadlineBucketCount];
+  obs::Histogram queue_wait_[kDeadlineBucketCount];  // ns
   std::atomic<std::uint64_t> admission_admitted_{0};
   std::atomic<std::uint64_t> admission_shed_deadline_{0};
   std::atomic<std::uint64_t> admission_shed_quota_{0};

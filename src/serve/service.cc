@@ -122,18 +122,6 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
                         "pnet-param", 1});
     }
   }
-  // One scrape via MetricsRegistry::RenderPrometheus() unifies this
-  // service's families — its tiers' gauges included — with the
-  // process-wide interp/pnet/sim counters (and the shadow-validation
-  // series when the sampler is on).
-  metrics_collector_ = obs::MetricsRegistry::Global().RegisterCollector([this](std::string* out) {
-    *out += metrics_->DumpPrometheus(queue_depth());
-    shadow_->DumpPrometheus(out);
-    for (const ChainTier& t : tiers_) {
-      t.tier->AppendPrometheus(out);
-    }
-  });
-
   std::size_t n = options_.num_workers;
   if (n == 0) {
     n = std::max(1u, std::thread::hardware_concurrency());
@@ -144,11 +132,7 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
   }
 }
 
-PredictionService::~PredictionService() {
-  // The collector captures `this`; detach it before any member dies.
-  obs::MetricsRegistry::Global().Unregister(metrics_collector_);
-  Shutdown();
-}
+PredictionService::~PredictionService() { Shutdown(); }
 
 void PredictionService::Shutdown() {
   std::call_once(shutdown_once_, [this] {
@@ -177,7 +161,13 @@ std::uint64_t PredictionService::DeadlineBudgetSteps(std::int64_t remaining_us,
 }
 
 std::string PredictionService::StatsPrometheus() const {
-  return obs::MetricsRegistry::Global().RenderPrometheus();
+  std::string out = obs::MetricsRegistry::Global().RenderPrometheus();
+  out += metrics_->DumpPrometheus(queue_depth());
+  shadow_->DumpPrometheus(&out);
+  for (const ChainTier& t : tiers_) {
+    t.tier->AppendPrometheus(&out);
+  }
+  return out;
 }
 
 std::string PredictionService::StatuszJson() const {
@@ -266,7 +256,7 @@ std::string PredictionService::StatuszJson() const {
         obs::EscapeLabelValue(m.interface).c_str(), static_cast<unsigned long long>(requests),
         static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
         uptime_s <= 0 ? 0.0 : static_cast<double>(requests) / uptime_s,
-        m.latency.PercentileNs(50) / 1e3, m.latency.PercentileNs(99) / 1e3);
+        m.latency.Percentile(0.50) / 1e3, m.latency.Percentile(0.99) / 1e3);
     for (std::size_t t = 0; t < tiers_.size(); ++t) {
       out += StrFormat(
           "\"%s\":%llu,", tiers_[t].hits_name,
@@ -656,7 +646,11 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     eval_span.SetTraceId(trace_id);
   }
 
-  const std::size_t iface_idx = metrics_->IndexOf(request.interface);
+  // Metrics rows follow entry order, so the entry's index is its row.
+  const Entry* entry = FindEntry(request.interface);
+  const std::size_t entry_idx =
+      entry == nullptr ? ServiceMetrics::kNoInterface
+                       : static_cast<std::size_t>(entry - entries_.data());
   // kNotConsulted until the cache lookup actually runs: early exits
   // (expired deadline, unknown interface/function) must not skew the
   // hit/miss counters.
@@ -672,7 +666,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     r.trace_id = trace_id;
     r.tenant = request.tenant;
     r.eval_ns = ElapsedNs(start, Clock::now());
-    metrics_->RecordRequest(iface_idx, r.eval_ns, r.ok());
+    metrics_->RecordRequest(entry_idx, r.eval_ns, r.ok());
     // Service-time EMA (alpha 1/8) feeding the admission feasibility
     // estimate. Relaxed load/store: a lost update only nudges an estimate.
     const std::uint64_t prev_ema = ema_service_ns_.load(std::memory_order_relaxed);
@@ -684,7 +678,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
                   (static_cast<std::int64_t>(r.eval_ns) - static_cast<std::int64_t>(prev_ema)) /
                       8),
         std::memory_order_relaxed);
-    metrics_->RecordTierHits(iface_idx, detail.tier_hits);
+    metrics_->RecordTierHits(entry_idx, detail.tier_hits);
     metrics_->RecordStatus(cache_outcome, r.status == PredictStatus::kDeadlineExceeded,
                            r.status == PredictStatus::kRejected);
     if (eval_span.active()) {
@@ -738,13 +732,11 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     }
   }
 
-  const Entry* entry = FindEntry(request.interface);
   if (entry == nullptr) {
     response.status = PredictStatus::kNotFound;
     response.error = StrFormat("unknown interface '%s'", request.interface.c_str());
     return finish(response);
   }
-  const std::size_t entry_idx = static_cast<std::size_t>(entry - entries_.data());
 
   Representation rep = request.representation;
   if (rep == Representation::kAuto) {

@@ -204,9 +204,9 @@ class PredictionService {
   // Observability dumps (histograms, counters, queue depth).
   std::string StatsText() const { return metrics_->DumpText(queue_depth()); }
   std::string StatsJson() const { return metrics_->DumpJson(queue_depth()); }
-  // Prometheus scrape: this service's families plus the process-wide
-  // interp/pnet/sim counters (the service registers itself as a collector
-  // with obs::MetricsRegistry; see docs/observability.md).
+  // Prometheus scrape: the process-wide library-layer counters
+  // (obs::MetricsRegistry), then this service's own families — request
+  // metrics, shadow validation and the tiers it runs (docs/observability.md).
   std::string StatsPrometheus() const;
 
   // Interfaces the service can answer for (registry order).
@@ -385,7 +385,6 @@ class PredictionService {
   std::atomic<std::uint64_t> next_flow_id_{1};
   std::vector<std::thread> workers_;
   std::once_flag shutdown_once_;
-  std::uint64_t metrics_collector_ = 0;  // obs::MetricsRegistry handle
 };
 
 }  // namespace perfiface::serve

@@ -105,28 +105,19 @@ ShadowValidator::Outcome ShadowValidator::Validate(std::size_t idx,
                                   "interface", interface_name);
   }
 
-  int bucket = 0;
-  if (abs_err > 0) {
-    const int log2b = static_cast<int>(std::floor(std::log2(abs_err)));
-    bucket = std::clamp(log2b + kBucketBias + 1, 0, static_cast<int>(kBuckets) - 1);
-  }
-
   std::lock_guard<std::mutex> lock(mu_);
   Row& row = rows_[idx];
-  ++row.runs;
   if (outcome.violation) {
     ++row.violations;
   }
   row.signed_sum += outcome.rel_err;
-  row.abs_sum += abs_err;
   row.max_abs = std::max(row.max_abs, abs_err);
-  ++row.buckets[bucket];
+  row.abs_err.Record(obs::ErrorUnits(abs_err));
   return outcome;
 }
 
 std::uint64_t ShadowValidator::runs(std::size_t idx) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rows_[idx].runs;
+  return rows_[idx].abs_err.count();
 }
 
 std::uint64_t ShadowValidator::violations(std::size_t idx) const {
@@ -145,58 +136,46 @@ std::uint64_t ShadowValidator::total_violations() const {
 
 void ShadowValidator::DumpPrometheus(std::string* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  *out += "# HELP perfiface_shadow_runs_total Shadow validations that produced ground truth.\n";
-  *out += "# TYPE perfiface_shadow_runs_total counter\n";
-  *out += "# HELP perfiface_shadow_violations_total Shadow validations whose |relative error| "
-          "exceeded the drift threshold.\n";
-  *out += "# TYPE perfiface_shadow_violations_total counter\n";
-  *out += "# HELP perfiface_shadow_errors_total Sampled requests whose shadow backend was "
-          "missing or failed.\n";
-  *out += "# TYPE perfiface_shadow_errors_total counter\n";
+  std::vector<std::string> labels(rows_.size());
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Row& row = rows_[i];
-    if (row.runs == 0 && row.errors == 0) {
-      continue;
-    }
-    const std::string label = obs::EscapeLabelValue(names_[i]);
-    *out += StrFormat("perfiface_shadow_runs_total{interface=\"%s\"} %llu\n", label.c_str(),
-                      static_cast<unsigned long long>(row.runs));
-    *out += StrFormat("perfiface_shadow_violations_total{interface=\"%s\"} %llu\n",
-                      label.c_str(), static_cast<unsigned long long>(row.violations));
-    *out += StrFormat("perfiface_shadow_errors_total{interface=\"%s\"} %llu\n", label.c_str(),
-                      static_cast<unsigned long long>(row.errors));
+    labels[i] = "interface=\"" + obs::EscapeLabelValue(names_[i]) + "\"";
   }
-
-  *out += "# HELP perfiface_shadow_error_abs |relative error| of shadowed predictions vs the "
-          "simulator, log2 buckets.\n";
-  *out += "# TYPE perfiface_shadow_error_abs histogram\n";
-  *out += "# HELP perfiface_shadow_error_signed_sum Sum of signed relative errors (bias "
-          "direction; divide by runs for the mean).\n";
-  *out += "# TYPE perfiface_shadow_error_signed_sum gauge\n";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Row& row = rows_[i];
-    if (row.runs == 0) {
-      continue;
-    }
-    const std::string label = obs::EscapeLabelValue(names_[i]);
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      cumulative += row.buckets[b];
-      if (row.buckets[b] == 0 && b + 1 != kBuckets) {
-        continue;  // elide empty buckets, keep the implicit +Inf-equivalent last one
+  // Rows that never sampled stay out of the scrape; the error-shaped
+  // families also skip rows whose backend never produced ground truth.
+  const auto counter = [&](const char* name, const char* help,
+                           std::uint64_t (*value)(const Row&)) {
+    obs::AppendHeader(out, name, "counter", help);
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      if (rows_[i].abs_err.count() != 0 || rows_[i].errors != 0) {
+        obs::AppendSample(out, name, labels[i], value(rows_[i]));
       }
-      const double le = std::ldexp(1.0, static_cast<int>(b) - kBucketBias);
-      *out += StrFormat("perfiface_shadow_error_abs_bucket{interface=\"%s\",le=\"%.9g\"} %llu\n",
-                        label.c_str(), le, static_cast<unsigned long long>(cumulative));
     }
-    *out += StrFormat("perfiface_shadow_error_abs_bucket{interface=\"%s\",le=\"+Inf\"} %llu\n",
-                      label.c_str(), static_cast<unsigned long long>(row.runs));
-    *out += StrFormat("perfiface_shadow_error_abs_sum{interface=\"%s\"} %.9g\n", label.c_str(),
-                      row.abs_sum);
-    *out += StrFormat("perfiface_shadow_error_abs_count{interface=\"%s\"} %llu\n", label.c_str(),
-                      static_cast<unsigned long long>(row.runs));
-    *out += StrFormat("perfiface_shadow_error_signed_sum{interface=\"%s\"} %.9g\n",
-                      label.c_str(), row.signed_sum);
+  };
+  counter("perfiface_shadow_runs_total", "Shadow validations that produced ground truth.",
+          [](const Row& row) { return row.abs_err.count(); });
+  counter("perfiface_shadow_violations_total",
+          "Shadow validations whose |relative error| exceeded the drift threshold.",
+          [](const Row& row) { return row.violations; });
+  counter("perfiface_shadow_errors_total",
+          "Sampled requests whose shadow backend was missing or failed.",
+          [](const Row& row) { return row.errors; });
+
+  obs::AppendHeader(out, "perfiface_shadow_error_abs", "histogram",
+                    "|relative error| of shadowed predictions vs the simulator.");
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (rows_[i].abs_err.count() != 0) {
+      obs::AppendHistogram(out, "perfiface_shadow_error_abs", labels[i], rows_[i].abs_err,
+                           obs::kErrorUnit);
+    }
+  }
+  obs::AppendHeader(out, "perfiface_shadow_error_signed_sum", "gauge",
+                    "Sum of signed relative errors (bias direction; divide by runs for the "
+                    "mean).");
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (rows_[i].abs_err.count() != 0) {
+      obs::AppendSample(out, "perfiface_shadow_error_signed_sum", labels[i],
+                        rows_[i].signed_sum);
+    }
   }
 }
 
@@ -206,10 +185,10 @@ std::string ShadowValidator::SummaryJson(std::size_t idx) const {
   return StrFormat(
       "{\"runs\":%llu,\"violations\":%llu,\"errors\":%llu,\"mean_abs_err\":%.9g,"
       "\"max_abs_err\":%.9g}",
-      static_cast<unsigned long long>(row.runs),
+      static_cast<unsigned long long>(row.abs_err.count()),
       static_cast<unsigned long long>(row.violations),
-      static_cast<unsigned long long>(row.errors),
-      row.runs == 0 ? 0.0 : row.abs_sum / static_cast<double>(row.runs), row.max_abs);
+      static_cast<unsigned long long>(row.errors), row.abs_err.mean() * obs::kErrorUnit,
+      row.max_abs);
 }
 
 }  // namespace perfiface::serve

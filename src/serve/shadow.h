@@ -7,7 +7,7 @@
 // validation closes that loop at runtime: a seeded deterministic 1-in-N
 // sampler picks evaluated predictions, re-runs the same workload through
 // the registered ground-truth backend (the simulator), and records the
-// signed relative error into per-interface log2 histograms. Errors past a
+// |relative error| into per-interface histograms. Errors past a
 // configurable drift threshold count as violations — the alert line a
 // fleet controller watches before routing traffic by interface health.
 //
@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/histogram.h"
 #include "src/serve/request.h"
 
 namespace perfiface::serve {
@@ -90,7 +91,7 @@ class ShadowValidator {
   };
 
   // Re-runs `request` through the registered backend for `interface_name`
-  // (if any) and folds the error into interface `idx`'s histogram.
+  // (if any) and folds the error into interface `idx`'s row.
   Outcome Validate(std::size_t idx, const std::string& interface_name,
                    const PredictRequest& request, double predicted);
 
@@ -100,8 +101,8 @@ class ShadowValidator {
   std::uint64_t total_violations() const;
 
   // perfiface_shadow_* exposition: runs/violations/errors totals plus the
-  // log2 |relative error| histogram and signed error sum, all labeled by
-  // interface. Appended to the unified scrape by the service's collector.
+  // |relative error| histogram and signed error sum, all labeled by
+  // interface. Part of the owning service's scrape.
   void DumpPrometheus(std::string* out) const;
 
   // {"runs":N,"violations":N,"mean_abs_err":...,"max_abs_err":...} for the
@@ -109,21 +110,14 @@ class ShadowValidator {
   std::string SummaryJson(std::size_t idx) const;
 
  private:
-  // |rel_err| histogram over log2 buckets: bucket b covers
-  // [2^(b-kBucketBias-1), 2^(b-kBucketBias)); everything below the first
-  // bound lands in bucket 0, everything >= 2^kBucketsAboveOne in the last.
-  static constexpr int kBucketBias = 20;   // first bound 2^-20
-  static constexpr int kBucketsAboveOne = 4;  // last bound 2^4
-  static constexpr std::size_t kBuckets = kBucketBias + kBucketsAboveOne + 1;
-
   struct Row {
-    std::uint64_t runs = 0;        // backend produced ground truth
     std::uint64_t violations = 0;  // |rel_err| > threshold
     std::uint64_t errors = 0;      // backend missing or failed
     double signed_sum = 0;
-    double abs_sum = 0;
     double max_abs = 0;
-    std::uint64_t buckets[kBuckets] = {};
+    // |rel_err| in obs::kErrorUnit units; its count is the runs in which
+    // the backend produced ground truth.
+    obs::Histogram abs_err;
   };
 
   ShadowOptions options_;

@@ -3,7 +3,8 @@
 // nobody can read — this test makes the doc a checked artifact instead of
 // a hopeful one. It exercises the serving, network, pnet-memo, VM,
 // simulator, and shadow-validation paths so lazily-created families are
-// present in the scrape, then diffs the scrape's names (histogram
+// present in the scrape, fetches it from GET /metrics (so the front end's
+// own gauge is linted too), then diffs the scrape's names (histogram
 // _bucket/_sum/_count suffixes stripped to the base family) against the
 // doc's text.
 #include <cstdint>
@@ -104,7 +105,12 @@ TEST(MetricsLint, EveryEmittedFamilyIsDocumented) {
   // Same batch again: cache-hit counters.
   ASSERT_TRUE(client.Call(batch, &responses, &error)) << error;
 
-  const std::string scrape = service.StatsPrometheus();
+  // The HTTP scrape: the service's families plus the server's own gauge.
+  int status = 0;
+  std::string scrape;
+  ASSERT_TRUE(net::HttpGet("127.0.0.1", server.port(), "/metrics", &status, &scrape, &error))
+      << error;
+  ASSERT_EQ(status, 200);
   std::vector<testing::ExpositionSample> samples;
   ASSERT_TRUE(testing::ParseExposition(scrape, &samples, &error)) << error;
 

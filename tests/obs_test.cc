@@ -3,10 +3,13 @@
 // disabled hot path (verified allocation-free via a counting operator new),
 // Chrome trace_event JSON well-formedness (parsed back by a real JSON
 // parser below), the cross-layer acceptance trace (serve + interp + pnet +
-// sim categories in one file), and the Prometheus exposition.
+// sim categories in one file), the log-linear histogram, and the
+// Prometheus exposition.
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <cstdio>
 #include <cstdlib>
@@ -20,8 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/core/registry.h"
+#include "src/obs/histogram.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/interp.h"
@@ -29,6 +35,7 @@
 #include "src/serve/metrics.h"
 #include "src/serve/request.h"
 #include "src/serve/service.h"
+#include "src/serve/shadow.h"
 #include "tests/exposition_parser.h"
 #include "src/sim/engine.h"
 #include "src/sim/fifo.h"
@@ -624,6 +631,157 @@ TEST_F(TracerTest, FlowEventsLinkEnqueueToDequeue) {
 }
 
 // ---------------------------------------------------------------------------
+// obs::Histogram: the one histogram behind every exported distribution.
+
+// Seeded samples from four shapes: each reported percentile sits within
+// one bucket width (3.2%) of the exact one.
+TEST(Histogram, PercentilesWithinBucketWidthOfExact) {
+  SplitMix64 rng(16);
+  const std::vector<std::pair<const char*, std::function<double()>>> shapes = {
+      {"uniform", [&rng] { return 1e3 + rng.NextDouble() * 999e3; }},
+      {"lognormal", [&rng] { return 20e3 * std::exp(rng.NextGaussian()); }},
+      {"bimodal",
+       [&rng] {
+         return rng.NextBool(0.7) ? 5e3 + 500 * rng.NextGaussian()
+                                  : 200e3 + 20e3 * rng.NextGaussian();
+       }},
+      {"constant", [] { return 20e3; }},
+  };
+  for (const auto& [name, draw] : shapes) {
+    obs::Histogram h;
+    std::vector<double> exact;
+    for (int i = 0; i < 100000; ++i) {
+      const double v = std::max(0.0, std::round(draw()));
+      h.Record(static_cast<std::uint64_t>(v));
+      exact.push_back(v);
+    }
+    EXPECT_EQ(h.count(), exact.size()) << name;
+    for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+      const double want = Percentile(exact, q * 100);
+      EXPECT_NEAR(h.Percentile(q), want, 0.032 * want) << name << " q=" << q;
+    }
+  }
+}
+
+TEST(Histogram, PercentilesAreMonotoneInQ) {
+  obs::Histogram h;
+  for (std::uint64_t ns = 1; ns < 100000; ns *= 3) {
+    h.Record(ns);
+  }
+  EXPECT_EQ(h.Percentile(0), 1.0);
+  double prev = 0;
+  for (int i = 0; i <= 1000; ++i) {
+    const double p = h.Percentile(i / 1000.0);
+    EXPECT_LE(prev, p) << i;
+    prev = p;
+  }
+}
+
+// Every bucket holds its value and is at most 1/32 as wide as the values in
+// it, from 0 to UINT64_MAX; 0, 1 and UINT64_MAX record without overflow.
+TEST(Histogram, GeometryCoversTheFullRange) {
+  std::vector<std::uint64_t> values = {0, 1, 63, 64, 65, UINT64_MAX};
+  for (int k = 6; k < 64; ++k) {
+    const std::uint64_t edge = std::uint64_t{1} << k;
+    values.insert(values.end(), {edge - 1, edge, edge + 1});
+  }
+  for (const std::uint64_t v : values) {
+    obs::Histogram h;
+    h.Record(v);
+    const double lo = h.Percentile(0);
+    const double hi = h.Percentile(1);
+    EXPECT_LE(lo, static_cast<double>(v)) << v;
+    EXPECT_GE(hi, static_cast<double>(v)) << v;
+    EXPECT_LE(hi - lo, static_cast<double>(v) / 32) << v;
+  }
+
+  obs::Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.Percentile(0.5), 0.0);
+  h.Record(0);
+  h.Record(1);
+  h.Record(UINT64_MAX);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.sum(), std::uint64_t{0});  // 0 + 1 + UINT64_MAX, modulo 2^64
+  EXPECT_EQ(h.Percentile(0.5), 1.0);
+  const auto octaves = h.Octaves();
+  EXPECT_EQ(octaves.front(), 2u);
+  EXPECT_EQ(octaves.back(), 1u);
+}
+
+// TSan target: the first Records race to allocate the buckets.
+TEST(Histogram, ConcurrentRecordsKeepExactCountAndSum) {
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 100000;
+  obs::Histogram h;
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        h.Record(t * kPerThread + i);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  constexpr std::uint64_t kN = kThreads * kPerThread;
+  EXPECT_EQ(h.count(), kN);
+  EXPECT_EQ(h.sum(), kN * (kN - 1) / 2);
+  std::uint64_t in_octaves = 0;
+  for (const std::uint64_t n : h.Octaves()) {
+    in_octaves += n;
+  }
+  EXPECT_EQ(in_octaves, kN);
+}
+
+// The finite `le` edges of one histogram series, in scrape order, each
+// with its cumulative count.
+std::vector<std::pair<std::string, double>> BucketEdges(const std::string& scrape,
+                                                        const std::string& bucket_family) {
+  std::vector<testing::ExpositionSample> samples;
+  std::string error;
+  EXPECT_TRUE(testing::ParseExposition(scrape, &samples, &error)) << error;
+  std::vector<std::pair<std::string, double>> edges;
+  for (const testing::ExpositionSample& s : samples) {
+    const auto le = s.labels.find("le");
+    if (s.name == bucket_family && le != s.labels.end() && le->second != "+Inf") {
+      edges.emplace_back(le->second, s.value);
+    }
+  }
+  return edges;
+}
+
+// Regression: the log2 histograms closed their buckets below, so a sample
+// of exactly 2^k first appeared one edge up (1024 ns at le="2.048e-06"),
+// and the latency series always ended on an empty top edge.
+TEST(HistogramExposition, SamplesOnAnEdgeCountAtThatEdge) {
+  for (const int k : {0, 5, 10, 20, 30}) {
+    serve::ServiceMetrics metrics({"iface"});
+    metrics.RecordRequest(0, std::uint64_t{1} << k, /*ok=*/true);
+    const std::string text = metrics.DumpPrometheus(0);
+    const auto edges = BucketEdges(text, "perfiface_serve_latency_seconds_bucket");
+    ASSERT_EQ(edges.size(), 1u) << "k=" << k << ": only the edge holding the sample\n" << text;
+    EXPECT_EQ(edges[0].first, StrFormat("%.9g", std::ldexp(1e-9, k))) << k;
+    EXPECT_EQ(edges[0].second, 1.0) << k;
+  }
+
+  serve::ShadowBackendRegistry::Global().Register(
+      "obs_test_edge", [](const serve::PredictRequest&, double* truth, std::string*) {
+        *truth = 64;
+        return true;
+      });
+  serve::ShadowValidator shadow(serve::ShadowOptions{1, 0, 0.5}, {"obs_test_edge"});
+  EXPECT_TRUE(shadow.Validate(0, "obs_test_edge", serve::PredictRequest{}, 65).ran);  // 2^-6
+  std::string text;
+  shadow.DumpPrometheus(&text);
+  const auto edges = BucketEdges(text, "perfiface_shadow_error_abs_bucket");
+  ASSERT_EQ(edges.size(), 1u) << text;
+  EXPECT_EQ(edges[0].first, "0.015625");
+  EXPECT_EQ(edges[0].second, 1.0);
+}
+
+// ---------------------------------------------------------------------------
 // Metrics registry + Prometheus exposition.
 
 TEST(MetricsRegistry, CounterIdentityAndRendering) {
@@ -646,27 +804,17 @@ TEST(MetricsRegistry, CounterIdentityAndRendering) {
             std::string::npos);
 }
 
-TEST(MetricsRegistry, CollectorsAppendAndUnregister) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  const std::uint64_t handle = registry.RegisterCollector(
-      [](std::string* out) { *out += "obs_test_collector_gauge 42\n"; });
-  EXPECT_NE(registry.RenderPrometheus().find("obs_test_collector_gauge 42"), std::string::npos);
-  registry.Unregister(handle);
-  EXPECT_EQ(registry.RenderPrometheus().find("obs_test_collector_gauge"), std::string::npos);
-}
-
 TEST(MetricsRegistry, InstrumentedLayersExposeCounters) {
   // The interp/pnet instrumentation bumps process-wide counters even with
   // tracing off; earlier tests in this binary (and this one's service run)
   // have exercised both layers, so the families must exist by now.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   // Force at least one evaluation through each layer first.
   serve::PredictRequest req;
   req.interface = "jpeg_decoder";
   req.function = "latency_jpeg_decode";
   req.attrs = {{"orig_size", 4096.0}, {"compress_rate", 0.5}};
-  // Program queries run on the bytecode VM. The service stays alive for
-  // the scrape below so its collector contributes the serve families.
+  // Program queries run on the bytecode VM; the service's scrape below
+  // carries the registry counters and its own families.
   serve::PredictionService service(InterfaceRegistry::Default(), {});
   EXPECT_TRUE(service.Predict(req).ok());
   serve::PredictRequest pnet;
@@ -689,23 +837,22 @@ TEST(MetricsRegistry, InstrumentedLayersExposeCounters) {
     EXPECT_TRUE(interp.Call(req.function, {Value::Object(&image)}).ok);
   }
 
-  const std::string text = registry.RenderPrometheus();
+  const std::string text = service.StatsPrometheus();
   EXPECT_NE(text.find("perfiface_psc_vm_calls_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_psc_vm_steps_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_interp_calls_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_interp_steps_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_pnet_runs_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_pnet_firings_total"), std::string::npos);
-  // The service's collector contributes its own families to the same scrape.
+  // The service appends its own families to the same scrape.
   EXPECT_NE(text.find("perfiface_serve_requests_total"), std::string::npos);
   EXPECT_NE(text.find("perfiface_serve_queue_depth"), std::string::npos);
 }
 
 TEST(ServiceMetricsPrometheus, HistogramIsCumulativeAndLabeled) {
   serve::ServiceMetrics metrics({"iface_a", "iface_b"});
-  const std::size_t a = metrics.IndexOf("iface_a");
-  metrics.RecordRequest(a, /*latency_ns=*/1000, /*ok=*/true);
-  metrics.RecordRequest(a, /*latency_ns=*/3000, /*ok=*/true);
+  metrics.RecordRequest(0, /*latency_ns=*/1000, /*ok=*/true);
+  metrics.RecordRequest(0, /*latency_ns=*/3000, /*ok=*/true);
   metrics.RecordStatus(serve::CacheOutcome::kMiss, false, false);
   metrics.RecordStatus(serve::CacheOutcome::kHit, false, false);
 
@@ -749,8 +896,8 @@ TEST(MetricsRegistry, HostileHelpTextAndLabelValuesAreEscaped) {
 TEST(ServiceMetricsPrometheus, HostileInterfaceNamesKeepTheScrapeParseable) {
   const std::string hostile = "evil\"name\\with\nnewline";
   serve::ServiceMetrics metrics({hostile, "plain"});
-  metrics.RecordRequest(metrics.IndexOf(hostile), /*latency_ns=*/1000, /*ok=*/false);
-  metrics.RecordRequest(metrics.IndexOf("plain"), /*latency_ns=*/2000, /*ok=*/true);
+  metrics.RecordRequest(0, /*latency_ns=*/1000, /*ok=*/false);
+  metrics.RecordRequest(1, /*latency_ns=*/2000, /*ok=*/true);
 
   const std::string text = metrics.DumpPrometheus(/*queue_depth=*/0);
   std::vector<testing::ExpositionSample> samples;

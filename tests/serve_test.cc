@@ -17,6 +17,7 @@
 
 #include "src/accel/conv/conv_shadow.h"
 #include "src/accel/jpeg/jpeg_shadow.h"
+#include "src/common/strings.h"
 #include "src/core/program_interface.h"
 #include "src/core/registry.h"
 #include "src/obs/metrics_registry.h"
@@ -200,16 +201,6 @@ TEST(ShardedLruCache, DisabledCacheNeverHits) {
   CachedPrediction out;
   EXPECT_FALSE(cache.Get("a", &out));
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(LatencyHistogram, PercentilesAreMonotone) {
-  LatencyHistogram h;
-  for (std::uint64_t ns = 1; ns < 100000; ns *= 3) {
-    h.Record(ns);
-  }
-  EXPECT_GT(h.count(), 0u);
-  EXPECT_LE(h.PercentileNs(50), h.PercentileNs(95));
-  EXPECT_LE(h.PercentileNs(95), h.PercentileNs(99));
 }
 
 TEST(PredictionService, MatchesDirectEvaluation) {
@@ -601,7 +592,7 @@ TEST(PredictionService, StatsPrometheusUnifiesServiceAndLayerFamilies) {
   PredictionService service(InterfaceRegistry::Default(), options);
   ASSERT_TRUE(service.Predict(JpegRequest(2048, 0.25)).ok());
   const std::string prom = service.StatsPrometheus();
-  // Families owned by the service (via its registered collector)...
+  // Families owned by the service...
   EXPECT_NE(prom.find("perfiface_serve_requests_total"), std::string::npos);
   EXPECT_NE(prom.find("interface=\"jpeg_decoder\""), std::string::npos);
   // ...and process-wide counters bumped by the layer below it (program
@@ -739,7 +730,7 @@ TEST(PredictionServiceMemo, MemoCountersVisibleInPrometheusScrape) {
   const std::string prom = service.StatsPrometheus();
   EXPECT_NE(prom.find("perfiface_pnet_memo_hits_total"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_pnet_memo_misses_total"), std::string::npos);
-  // The table's gauges come from the service's own collector.
+  // The table's gauges come from the service's own tier.
   EXPECT_NE(prom.find("perfiface_pnet_memo_entries 1\n"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_serve_inflight_batches"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_serve_registry_lookup_hot_total"), std::string::npos);
@@ -777,6 +768,50 @@ TEST(PredictionServiceMemo, ServicesDoNotShareTierState) {
   EXPECT_NE(c.StatuszJson().find("\"derived_store\":{\"models\":1,"), std::string::npos);
   EXPECT_NE(d.StatuszJson().find("\"derived_store\":{\"models\":0,"), std::string::npos)
       << d.StatuszJson();
+}
+
+// Each service's scrape holds its own families once: two live services
+// used to share one process-wide scrape, so A's printed the serve
+// families of both, and idle B's reported A's tier counters.
+TEST(PredictionServiceMemo, ScrapeHoldsOnlyTheServicesOwnFamilies) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.enable_derived = true;
+  PredictionService a(InterfaceRegistry::Default(), options);
+  PredictionService b(InterfaceRegistry::Default(), options);
+  PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+  ASSERT_TRUE(a.Predict(req).ok());
+  req.attrs = {{"bits", 1000.0}, {"blocks", 8.0}};
+  ASSERT_TRUE(a.Predict(req).ok());
+
+  const auto count = [](const std::string& text, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const std::string scrape_a = a.StatsPrometheus();
+  EXPECT_EQ(count(scrape_a, "# TYPE perfiface_serve_requests_total "), 1u);
+  EXPECT_NE(scrape_a.find("\nperfiface_serve_requests_total 2\n"), std::string::npos);
+  EXPECT_NE(scrape_a.find(StrFormat("\nperfiface_derived_hits_total %llu\n",
+                                    static_cast<unsigned long long>(
+                                        a.FindTier<DerivedStore>()->hits()))),
+            std::string::npos);
+  EXPECT_NE(scrape_a.find(StrFormat("\nperfiface_pnet_memo_misses_total %llu\n",
+                                    static_cast<unsigned long long>(
+                                        a.FindTier<PnetMemoTable>()->misses()))),
+            std::string::npos);
+  EXPECT_GT(a.FindTier<PnetMemoTable>()->misses(), 0u);
+
+  const std::string scrape_b = b.StatsPrometheus();
+  EXPECT_EQ(count(scrape_b, "# TYPE perfiface_serve_requests_total "), 1u);
+  EXPECT_NE(scrape_b.find("\nperfiface_serve_requests_total 0\n"), std::string::npos);
+  EXPECT_NE(scrape_b.find("\nperfiface_derived_hits_total 0\n"), std::string::npos);
+  EXPECT_NE(scrape_b.find("\nperfiface_pnet_memo_misses_total 0\n"), std::string::npos);
+  // Tier families appear only for the tiers a service runs.
+  EXPECT_EQ(scrape_a.find("perfiface_param_memo_"), std::string::npos);
 }
 
 // --- async batch API ---
