@@ -18,8 +18,9 @@
 // PR 3 adds two rows the hot-path overhaul is judged by:
 //
 //   3. repeated-structure pnet sweep  -> per-query mean latency with the
-//      cross-request sub-net memo on vs off (response cache disabled so
-//      the memo itself is measured); target >= 2x
+//      component tiers (exact derived tier, sub-net memo) on vs off
+//      (response cache disabled so the tiers themselves are measured);
+//      target >= 2x
 //   4. async pipeline                 -> one client thread keeping >= 4
 //      batches in flight via SubmitBatch vs the same batches issued
 //      blocking; target qps >= blocking
@@ -45,22 +46,18 @@
 //      price of continuous validation; the verdict also requires zero
 //      drift violations — the shipped calibration must pass its own check.
 //
-// PR 8 adds the row parametric memoization is judged by:
+// The exact derived tier (src/petri/distill.h) is judged by two rows:
 //
-//   9. param memo sweep               -> jittered near-miss pnet queries
+//   9. near-miss exact sweep          -> jittered near-miss pnet queries
 //      (attributes cluster on Zipf-hot centers but never repeat exactly,
-//      so the exact memo table cannot hit), parametric store off vs on
-//      after an identical warmup; target >= 1.5x on mean latency AND zero
-//      gate-open probe predictions whose relative error against a
-//      param-off ground-truth run exceeds the serving residual bound
-//
-// PR 9 adds the rows the unified expression IR is judged by:
-//
-//  10. derived interface sweep       -> unique-attr deterministic-path
-//      jpeg pnet queries inside the distilled probe hull, derived tier
-//      off vs on with every cache cold; target >= 5x on mean latency AND
-//      bit-identical values on an audited probe set (the distiller's
-//      exactness contract measured end to end)
+//      so the exact memo table cannot hit), component tiers off vs on
+//      after an identical warmup; target >= 1.5x on mean latency AND every
+//      timed query bit-identical to simulation
+//  10. derived interface sweep       -> unique-attr jpeg pnet queries over
+//      sweep_cold's attribute range (bits 64..2^18, blocks 1..16),
+//      component tiers off vs on with every cache cold; target >= 5x on
+//      mean latency AND bit-identical values on every timed query and an
+//      audited probe set
 //
 // PR 10 adds the rows SLO-aware admission control is judged by:
 //
@@ -108,7 +105,6 @@
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/vm.h"
 #include "src/petri/distill.h"
-#include "src/petri/param_model.h"
 #include "src/serve/service.h"
 
 namespace perfiface::serve {
@@ -274,14 +270,12 @@ std::vector<PredictRequest> BuildRepeatedStructurePopulation(std::size_t distinc
   return population;
 }
 
-// Jittered near-miss population for the parametric-memoization sweep: the
-// same pnet structure as the repeated-structure sweep, but every request's
-// attributes are unique — popularity concentrates on a few hot
-// (bits, blocks) centers (Zipf over centers) while the exact bit counts
-// jitter per request, so the exact memo table never hits and only a fitted
-// delay curve can absorb the traffic. Centers sit in the writer-bound
-// regime (large bits), where quiescence is a smooth low-order function of
-// the attributes — the regime the fitter is built for.
+// Jittered near-miss population: the same pnet structure as the
+// repeated-structure sweep, but every request's attributes are unique —
+// popularity concentrates on a few hot (bits, blocks) centers (Zipf over
+// centers) while the exact bit counts jitter per request, so the exact
+// memo table never hits and only the derived tier's max-plus program can
+// absorb the traffic.
 std::vector<PredictRequest> BuildNearMissPopulation(std::size_t count, std::size_t centers,
                                                     std::uint64_t seed) {
   SplitMix64 rng(seed);
@@ -301,13 +295,12 @@ std::vector<PredictRequest> BuildNearMissPopulation(std::size_t count, std::size
   return population;
 }
 
-// Deterministic-path population for the derived-interface sweep: jpeg
-// pnet decodes whose attributes never repeat (continuous bits jitter, so
-// neither the response cache nor the exact memo can hit) but always land
-// inside the hull the distiller probes from the base workload
-// (bits=1000, blocks=8 scaled up to 2x per attribute). Derived-off pays a
-// full event-driven simulation per query; derived-on serves every one
-// from the closed form distilled on the first miss.
+// Population for the derived-interface sweep: jpeg pnet decodes whose
+// attributes never repeat (continuous bits, so neither the response cache
+// nor the exact memo can hit), drawn over sweep_cold's range (bits
+// 64..2^18, blocks 1..16) — both bottleneck regimes. Tiers-off pays a full
+// event-driven simulation per query; tiers-on serves every one from the
+// max-plus program compiled on the plan's first lookup.
 std::vector<PredictRequest> BuildDerivedPopulation(std::size_t count, std::uint64_t seed) {
   SplitMix64 rng(seed);
   std::vector<PredictRequest> population;
@@ -317,19 +310,20 @@ std::vector<PredictRequest> BuildDerivedPopulation(std::size_t count, std::uint6
     req.interface = "jpeg_decoder";
     req.representation = Representation::kPnet;
     req.entry_place = "hdr_in:1,vld_in:256";
-    req.attrs = {{"bits", 1'000.0 + 1'000.0 * rng.NextDouble()},
-                 {"blocks", static_cast<double>(8 + rng.NextBelow(9))}};
+    req.attrs = {{"bits", 64.0 + static_cast<double>(1 << 18) * rng.NextDouble()},
+                 {"blocks", static_cast<double>(1 + rng.NextBelow(16))}};
     population.push_back(std::move(req));
   }
   return population;
 }
 
 // Single client, sequential batches round-robining the population; returns
-// the per-query mean latency. All response-cache hits are impossible by
-// construction (capacity 0), so this times the memo (or the simulation).
+// the per-query mean latency and, when `values` is given, appends every
+// answer in issue order. All response-cache hits are impossible by
+// construction (capacity 0), so this times the tiers (or the simulation).
 double DriveMeanLatencyUs(PredictionService* service,
                           const std::vector<PredictRequest>& population, std::size_t total,
-                          std::size_t batch_size) {
+                          std::size_t batch_size, std::vector<double>* values = nullptr) {
   std::size_t issued = 0;
   std::size_t next = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -344,6 +338,9 @@ double DriveMeanLatencyUs(PredictionService* service,
     const std::vector<PredictResponse> responses = service->PredictBatch(batch);
     for (const PredictResponse& r : responses) {
       PI_CHECK_MSG(r.ok(), r.error.c_str());
+      if (values != nullptr) {
+        values->push_back(r.value);
+      }
     }
     issued += n;
   }
@@ -672,6 +669,35 @@ std::pair<OpenLoopResult, OpenLoopResult> DriveOpenLoopTwo(
 // Serial mean service time of `proto` on a fresh 1-worker service — the
 // denominator every open-loop rate is expressed in (also warms the EMA the
 // feasibility check predicts queue waits with).
+// Host CPU time stolen by other tenants (the steal column of /proc/stat)
+// and the total, in clock ticks; the delta over an interval gives its steal
+// share. Zero when /proc/stat is unreadable.
+struct HostTicks {
+  double steal = 0;
+  double total = 0;
+};
+
+HostTicks ReadHostTicks() {
+  HostTicks t;
+  std::FILE* f = std::fopen("/proc/stat", "r");
+  if (f == nullptr) {
+    return t;
+  }
+  double v[8] = {0, 0, 0, 0, 0, 0, 0, 0};  // user..steal
+  if (std::fscanf(f, "cpu %lf %lf %lf %lf %lf %lf %lf %lf", &v[0], &v[1], &v[2], &v[3], &v[4],
+                  &v[5], &v[6], &v[7]) == 8) {
+    t.steal = v[7];
+    for (const double x : v) t.total += x;
+  }
+  std::fclose(f);
+  return t;
+}
+
+double StealShare(const HostTicks& from, const HostTicks& to) {
+  const double total = to.total - from.total;
+  return total > 0 ? (to.steal - from.steal) / total : 0;
+}
+
 double CalibrateMeanServiceUs(PredictionService* service, const PredictRequest& proto,
                               std::size_t reps) {
   const std::vector<PredictRequest> one{proto};
@@ -683,6 +709,20 @@ double CalibrateMeanServiceUs(PredictionService* service, const PredictRequest& 
     for (const PredictResponse& r : service->PredictBatch(one)) {
       PI_CHECK_MSG(r.ok(), r.error.c_str());
     }
+  }
+  return Seconds(t0, std::chrono::steady_clock::now()) * 1e6 / static_cast<double>(reps);
+}
+
+// Per-request cost of a saturated worker: `reps` copies of `proto` submitted
+// as one batch run back to back, without the two thread wakeups every
+// synchronous call in CalibrateMeanServiceUs also pays — the capacity an
+// overload schedule has to exceed.
+double SaturatedServiceUs(PredictionService* service, const PredictRequest& proto,
+                          std::size_t reps) {
+  const std::vector<PredictRequest> batch(reps, proto);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const PredictResponse& r : service->PredictBatch(batch)) {
+    PI_CHECK_MSG(r.ok(), r.error.c_str());
   }
   return Seconds(t0, std::chrono::steady_clock::now()) * 1e6 / static_cast<double>(reps);
 }
@@ -800,10 +840,11 @@ int main(int argc, char** argv) {
     sweep2_rows.push_back(RowJson(8, cache, r));
   }
 
-  // --- Sweep 3: repeated-structure pnet queries, memo on vs off ---------
-  // Response cache OFF on both sides: this isolates the cross-request
-  // sub-net memo (the response cache would answer the repeats before the
-  // pnet layer ever saw them). Cold-start cost is inside the timed region
+  // --- Sweep 3: repeated-structure pnet queries, tiers on vs off --------
+  // Response cache OFF on both sides: this isolates the component tiers
+  // (the response cache would answer the repeats before the pnet layer
+  // ever saw them); the jpeg plan compiles, so the derived tier answers
+  // and the memo stays cold. Cold-start cost is inside the timed region
   // on both sides, so the speedup is what a real mixed stream would see.
   const std::size_t kMemoDistinct = 16;
   const std::size_t kMemoQueries = smoke ? 1'500 : 20'000;
@@ -1101,106 +1142,72 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(shadow_violations),
       std::strcmp(shadow_verdict, "ok") == 0 ? "[ok]" : "[SHADOW ROW REGRESSED]");
 
-  // --- Sweep: parametric memoization on jittered near-miss traffic ------
+  // --- Sweep: exact derived tier on jittered near-miss traffic ---------
   // Every request's attributes are unique (the exact memo table cannot
-  // hit) but cluster on Zipf-hot centers — the traffic the parametric
-  // store turns into interpolated hits. Both configs pay the same warmup
-  // (which is also what fits the curves when the store is on); the timed
-  // region is fresh jitter from the same centers. The verdict demands
-  // >= 1.5x on mean latency AND zero gate-open probe predictions whose
-  // relative error against a param-off ground-truth run exceeds the
-  // serving residual bound — speed bought with silent inaccuracy is a
-  // regression here, not a win.
-  const std::size_t kParamCenters = 16;
-  const std::size_t kParamWarmup = smoke ? 768 : 4'096;
-  const std::size_t kParamQueries = smoke ? 1'500 : 20'000;
-  const std::size_t kParamProbes = 64;
-  const std::vector<PredictRequest> param_warmup =
-      BuildNearMissPopulation(kParamWarmup, kParamCenters, 0xbeef);
-  const std::vector<PredictRequest> param_timed =
-      BuildNearMissPopulation(kParamQueries, kParamCenters, 0xfade);
-  std::vector<PredictRequest> param_probes =
-      BuildNearMissPopulation(kParamProbes, kParamCenters, 0xd1ce);
-  for (PredictRequest& probe : param_probes) {
-    probe.explain = true;
-  }
-  double param_mean_off = 0;
-  double param_mean_on = 0;
-  double param_max_rel_err_bound = 0;
-  std::uint64_t param_hits_total = 0;
-  std::size_t probe_gate_open = 0;
-  std::size_t probe_violations = 0;
-  std::vector<double> probe_truth(kParamProbes, 0);
-  for (const bool param : {false, true}) {
+  // hit) but cluster on Zipf-hot centers. Both configs pay the same
+  // warmup; the timed region is fresh jitter from the same centers. The
+  // verdict demands >= 1.5x on mean latency AND every timed answer equal
+  // to the tiers-off simulation's — speed bought with a single wrong cycle
+  // is a regression here, not a win.
+  const std::size_t kNearCenters = 16;
+  const std::size_t kNearWarmup = smoke ? 768 : 4'096;
+  const std::size_t kNearQueries = smoke ? 1'500 : 20'000;
+  const std::vector<PredictRequest> near_warmup =
+      BuildNearMissPopulation(kNearWarmup, kNearCenters, 0xbeef);
+  const std::vector<PredictRequest> near_timed =
+      BuildNearMissPopulation(kNearQueries, kNearCenters, 0xfade);
+  double near_mean_off = 0;
+  double near_mean_on = 0;
+  std::uint64_t near_derived_hits = 0;
+  std::vector<double> near_values[2];
+  for (const bool tiers : {false, true}) {
     ServiceOptions options;
     options.num_workers = 2;
     options.cache_capacity = 0;
-    options.enable_param_memo = param;
+    options.enable_pnet_memo = tiers;
     PredictionService service(InterfaceRegistry::Default(), options);
-    (void)DriveMeanLatencyUs(&service, param_warmup, kParamWarmup, kBatch);
-    const double mean_us = DriveMeanLatencyUs(&service, param_timed, kParamQueries, kBatch);
-    const std::vector<PredictResponse> probe_responses = service.PredictBatch(param_probes);
-    if (param) {
-      param_mean_on = mean_us;
-      param_max_rel_err_bound = options.param_memo_max_rel_err;
-      param_hits_total = service.FindTier<ParamModelStore>()->hits();
-      for (std::size_t i = 0; i < probe_responses.size(); ++i) {
-        const PredictResponse& r = probe_responses[i];
-        PI_CHECK_MSG(r.ok(), r.error.c_str());
-        if (r.explain.param_hits == 0) {
-          continue;  // gate closed: bit-identical simulation, nothing to audit
-        }
-        ++probe_gate_open;
-        const double truth = probe_truth[i];
-        const double rel = truth != 0 ? std::fabs(r.value - truth) / std::fabs(truth) : 0;
-        if (rel > options.param_memo_max_rel_err) {
-          ++probe_violations;
-        }
-      }
+    (void)DriveMeanLatencyUs(&service, near_warmup, kNearWarmup, kBatch);
+    const double mean_us = DriveMeanLatencyUs(&service, near_timed, kNearQueries, kBatch,
+                                              &near_values[tiers ? 1 : 0]);
+    if (tiers) {
+      near_mean_on = mean_us;
+      near_derived_hits = service.FindTier<DerivedStore>()->hits();
     } else {
-      param_mean_off = mean_us;
-      // The param-off pass is ground truth for the probe audit: pure
-      // simulation (unique attrs, so even the exact memo stays cold).
-      for (std::size_t i = 0; i < probe_responses.size(); ++i) {
-        PI_CHECK_MSG(probe_responses[i].ok(), probe_responses[i].error.c_str());
-        probe_truth[i] = probe_responses[i].value;
-      }
+      near_mean_off = mean_us;
     }
   }
-  const double param_speedup = param_mean_on > 0 ? param_mean_off / param_mean_on : 0;
-  const char* param_verdict =
-      param_hits_total == 0
-          ? "fitter_never_served"
-          : (probe_violations != 0
-                 ? "gate_open_residual_violations"
-                 : (param_speedup >= 1.5 ? "ok" : "below_1p5x_target"));
+  std::size_t near_divergence = 0;
+  for (std::size_t i = 0; i < kNearQueries; ++i) {
+    near_divergence += near_values[0][i] != near_values[1][i] ? 1 : 0;
+  }
+  const double near_speedup = near_mean_on > 0 ? near_mean_off / near_mean_on : 0;
+  const char* near_verdict =
+      near_derived_hits == 0
+          ? "exact_tier_never_served"
+          : (near_divergence != 0 ? "divergence_nonzero"
+                                  : (near_speedup >= 1.5 ? "ok" : "below_1p5x_target"));
   std::printf(
-      "\nparametric memo sweep (%zu hot centers, %zu jittered queries, cache off, exact memo "
+      "\nnear-miss exact sweep (%zu hot centers, %zu jittered queries, cache off, exact memo "
       "cold):\n"
-      "  param off %.2f us/query, param on %.2f us/query -> %.2fx, %llu param hits, "
-      "probes %zu gate-open / %zu over bound %.3g  %s\n",
-      kParamCenters, kParamQueries, param_mean_off, param_mean_on, param_speedup,
-      static_cast<unsigned long long>(param_hits_total), probe_gate_open, probe_violations,
-      param_max_rel_err_bound,
-      std::strcmp(param_verdict, "ok") == 0 ? "[ok: >= 1.5x, 0 violations]"
-                                            : "[PARAM ROW REGRESSED]");
+      "  tiers off %.2f us/query, tiers on %.2f us/query -> %.2fx, %llu derived hits, "
+      "%zu of %zu answers diverged  %s\n",
+      kNearCenters, kNearQueries, near_mean_off, near_mean_on, near_speedup,
+      static_cast<unsigned long long>(near_derived_hits), near_divergence, kNearQueries,
+      std::strcmp(near_verdict, "ok") == 0 ? "[ok: >= 1.5x, bit-identical]"
+                                           : "[NEAR-MISS ROW REGRESSED]");
 
-  // --- Sweep: derived closed-form interfaces, deterministic-path pnet ---
-  // Unique-attr jpeg pnet queries inside the distilled model's probe hull:
-  // the exact memo table cannot hit (no attrs repeat) and the parametric
-  // store is off, so derived-off pays a full simulation per query while
-  // derived-on serves every one from the closed form distilled on the
-  // first miss. The verdict demands >= 5x on mean latency AND
-  // bit-identical values on an audited probe set — the distiller's
-  // exactness contract (src/petri/distill.h) measured end to end; a fast
-  // answer that differs by even one cycle is a regression, not a win.
+  // --- Sweep: exact derived tier over sweep_cold's attribute range -------
+  // Unique-attr jpeg pnet queries, bits 64..2^18 and blocks 1..16: the
+  // exact memo table cannot hit (no attrs repeat), so tiers-off pays a
+  // full simulation per query while tiers-on serves every one from the
+  // max-plus program compiled on the first lookup. The verdict demands
+  // >= 5x on mean latency AND bit-identical values on every timed query
+  // and an audited probe set — the tier's exactness contract
+  // (src/petri/distill.h) measured end to end.
   const std::size_t kDerivedQueries = smoke ? 1'000 : 10'000;
   const std::size_t kDerivedProbes = 64;
-  std::vector<PredictRequest> derived_timed = BuildDerivedPopulation(kDerivedQueries, 0xdeed);
-  // The first query any config serves sits at the hull base: distillation
-  // probes scale *up* from the seeding token, so only traffic in
-  // [base, 2*base] per attribute lands inside the hull.
-  derived_timed.front().attrs = {{"bits", 1'000.0}, {"blocks", 8.0}};
+  const std::vector<PredictRequest> derived_timed =
+      BuildDerivedPopulation(kDerivedQueries, 0xdeed);
   std::vector<PredictRequest> derived_probes = BuildDerivedPopulation(kDerivedProbes, 0xface);
   for (PredictRequest& probe : derived_probes) {
     probe.explain = true;
@@ -1212,22 +1219,24 @@ int main(int argc, char** argv) {
   std::size_t derived_probe_hits = 0;
   std::size_t derived_divergence = 0;
   std::vector<double> derived_truth(kDerivedProbes, 0);
-  for (const bool derived : {false, true}) {
+  std::vector<double> derived_values[2];
+  for (const bool tiers : {false, true}) {
     ServiceOptions options;
     options.num_workers = 2;
     options.cache_capacity = 0;
-    options.enable_derived = derived;
+    options.enable_pnet_memo = tiers;
     PredictionService service(InterfaceRegistry::Default(), options);
-    // Seed pass: the base query alone, so derived-on distills (and pays
-    // its probe simulations) outside the timed region — the row prices
-    // the steady state, not the one-time distillation.
+    // Seed pass: the first query alone, so tiers-on compiles (and pays its
+    // one recording simulation) outside the timed region — the row prices
+    // the steady state, not the one-time compile.
     const std::vector<PredictRequest> seed_batch{derived_timed.front()};
     for (const PredictResponse& r : service.PredictBatch(seed_batch)) {
       PI_CHECK_MSG(r.ok(), r.error.c_str());
     }
-    const double mean_us = DriveMeanLatencyUs(&service, derived_timed, kDerivedQueries, kBatch);
+    const double mean_us = DriveMeanLatencyUs(&service, derived_timed, kDerivedQueries, kBatch,
+                                              &derived_values[tiers ? 1 : 0]);
     const std::vector<PredictResponse> probe_responses = service.PredictBatch(derived_probes);
-    if (derived) {
+    if (tiers) {
       derived_mean_on = mean_us;
       const DerivedStore& store = *service.FindTier<DerivedStore>();
       derived_hits_total = store.hits();
@@ -1244,25 +1253,27 @@ int main(int argc, char** argv) {
       }
     } else {
       derived_mean_off = mean_us;
-      // The derived-off pass is ground truth for the probe audit: pure
-      // simulation (unique attrs, so even the exact memo stays cold).
+      // The tiers-off pass is ground truth: pure simulation.
       for (std::size_t i = 0; i < probe_responses.size(); ++i) {
         PI_CHECK_MSG(probe_responses[i].ok(), probe_responses[i].error.c_str());
         derived_truth[i] = probe_responses[i].value;
       }
     }
   }
+  for (std::size_t i = 0; i < kDerivedQueries; ++i) {
+    derived_divergence += derived_values[0][i] != derived_values[1][i] ? 1 : 0;
+  }
   const double derived_speedup = derived_mean_on > 0 ? derived_mean_off / derived_mean_on : 0;
   const char* derived_verdict =
       derived_hits_total == 0
-          ? "distiller_never_served"
+          ? "derived_tier_never_served"
           : (derived_divergence != 0
                  ? "derived_divergence_nonzero"
                  : (derived_speedup >= 5.0 ? "ok" : "below_5x_target"));
   std::printf(
       "\nderived interface sweep (%zu unique-attr jpeg pnet queries, all caches cold):\n"
-      "  derived off %.2f us/query, derived on %.2f us/query -> %.2fx, %llu derived hits, "
-      "%llu model(s), probes %zu served derived / %zu diverged  %s\n",
+      "  tiers off %.2f us/query, tiers on %.2f us/query -> %.2fx, %llu derived hits, "
+      "%llu model(s), probes %zu served derived, %zu answers diverged  %s\n",
       kDerivedQueries, derived_mean_off, derived_mean_on, derived_speedup,
       static_cast<unsigned long long>(derived_hits_total),
       static_cast<unsigned long long>(derived_models), derived_probe_hits, derived_divergence,
@@ -1337,61 +1348,66 @@ int main(int argc, char** argv) {
     return o;
   };
 
-  // Every phase runs kAdmTrials identical schedules; reference phases take
-  // the median of the per-trial p99s, stressed phases the minimum (see
-  // MedianOf / MinOf for why the asymmetry is the honest choice).
+  // The three services are built up front and the phases run round by
+  // round (uncontended, shed-early, FIFO), so a host stall lands on every
+  // phase alike instead of on whichever one happened to be running. Each
+  // round's shed-early deadline is that round's uncontended p99. Over the
+  // rounds, reference phases take the median of the per-round p99s,
+  // stressed phases the minimum (see MedianOf / MinOf for why the
+  // asymmetry is the honest choice); each round's steal share is recorded.
   const int kAdmTrials = 5;
-  double adm_mean_us = 0;
-  OpenLoopResult adm_uncontended;
-  std::vector<double> adm_unc_p99s;
-  {
-    PredictionService service(InterfaceRegistry::Default(), admission_options(false));
-    adm_mean_us = CalibrateMeanServiceUs(&service, adm_query, smoke ? 24 : 48);
-    for (int t = 0; t < kAdmTrials; ++t) {
-      const OpenLoopResult r = DriveOpenLoop(
-          &service, adm_query, kAdmCount,
-          static_cast<std::uint64_t>(adm_mean_us * 1e3 / 0.4));
-      adm_unc_p99s.push_back(PercentileUs(r.ok_us, 0.99));
-      PoolInto(&adm_uncontended, r);
-    }
+  PredictionService adm_unc_service(InterfaceRegistry::Default(), admission_options(false));
+  PredictionService adm_shed_service(InterfaceRegistry::Default(), admission_options(true));
+  PredictionService adm_fifo_service(InterfaceRegistry::Default(), admission_options(false));
+  const double adm_mean_us =
+      CalibrateMeanServiceUs(&adm_unc_service, adm_query, smoke ? 24 : 48);
+  // Warm the EMA the feasibility check divides by (a cold controller
+  // deliberately never sheds), and the FIFO service alike.
+  (void)CalibrateMeanServiceUs(&adm_shed_service, adm_query, 16);
+  (void)CalibrateMeanServiceUs(&adm_fifo_service, adm_query, 16);
+  // The overload schedule is 2x the capacity of a saturated worker (the
+  // median of kAdmTrials measurements, so one stall cannot skew it): a
+  // schedule built on the round-trip mean can fall short of overload on a
+  // quiet round, and the FIFO minimum then picks that round.
+  std::vector<double> adm_saturated;
+  for (int t = 0; t < kAdmTrials; ++t) {
+    adm_saturated.push_back(SaturatedServiceUs(&adm_fifo_service, adm_query, 16));
+  }
+  const double adm_saturated_us = MedianOf(adm_saturated);
+  const std::uint64_t overload_interval_ns =
+      static_cast<std::uint64_t>(adm_saturated_us * 1e3 / 2.0);
+  OpenLoopResult adm_uncontended, adm_shed, adm_fifo;
+  std::vector<double> adm_unc_p99s, adm_shed_p99s, adm_fifo_p99s, adm_steal;
+  for (int t = 0; t < kAdmTrials; ++t) {
+    const HostTicks round_start = ReadHostTicks();
+    const OpenLoopResult unc = DriveOpenLoop(&adm_unc_service, adm_query, kAdmCount,
+                                             static_cast<std::uint64_t>(adm_mean_us * 1e3 / 0.4));
+    adm_unc_p99s.push_back(PercentileUs(unc.ok_us, 0.99));
+    PoolInto(&adm_uncontended, unc);
+    // Deadline = this round's uncontended p99: an admitted request then
+    // finishes within ~deadline + one service time <= 2 * p99_u, which is
+    // the verdict bar.
+    PredictRequest slo_query = adm_query;
+    slo_query.deadline_us =
+        std::max<std::int64_t>(static_cast<std::int64_t>(adm_unc_p99s.back()), 1);
+    const OpenLoopResult shed =
+        DriveOpenLoop(&adm_shed_service, slo_query, kAdmCount, overload_interval_ns);
+    adm_shed_p99s.push_back(PercentileUs(shed.ok_us, 0.99));
+    PoolInto(&adm_shed, shed);
+    const OpenLoopResult fifo =
+        DriveOpenLoop(&adm_fifo_service, adm_query, kAdmCount, overload_interval_ns);
+    adm_fifo_p99s.push_back(PercentileUs(fifo.ok_us, 0.99));
+    PoolInto(&adm_fifo, fifo);
+    adm_steal.push_back(StealShare(round_start, ReadHostTicks()));
   }
   const double adm_p99_unc = MedianOf(adm_unc_p99s);
-  // Deadline = uncontended p99: an admitted request then finishes within
-  // ~deadline + one service time <= 2 * p99_u, which is the verdict bar.
   const std::int64_t adm_deadline_us =
       std::max<std::int64_t>(static_cast<std::int64_t>(adm_p99_unc), 1);
-  const std::uint64_t adm_overload_interval_ns =
-      static_cast<std::uint64_t>(adm_mean_us * 1e3 / 2.0);
-
-  PredictRequest adm_slo_query = adm_query;
-  adm_slo_query.deadline_us = adm_deadline_us;
-  OpenLoopResult adm_shed;
-  std::vector<double> adm_shed_p99s;
-  std::uint64_t adm_shed_deadline_total = 0;
-  {
-    PredictionService service(InterfaceRegistry::Default(), admission_options(true));
-    // Warm the EMA the feasibility check divides by (a cold controller
-    // deliberately never sheds).
-    (void)CalibrateMeanServiceUs(&service, adm_query, 16);
-    for (int t = 0; t < kAdmTrials; ++t) {
-      const OpenLoopResult r =
-          DriveOpenLoop(&service, adm_slo_query, kAdmCount, adm_overload_interval_ns);
-      adm_shed_p99s.push_back(PercentileUs(r.ok_us, 0.99));
-      PoolInto(&adm_shed, r);
-    }
-    adm_shed_deadline_total = service.metrics().admission_shed_deadline();
-  }
-  OpenLoopResult adm_fifo;
-  std::vector<double> adm_fifo_p99s;
-  {
-    PredictionService service(InterfaceRegistry::Default(), admission_options(false));
-    (void)CalibrateMeanServiceUs(&service, adm_query, 16);
-    for (int t = 0; t < kAdmTrials; ++t) {
-      const OpenLoopResult r =
-          DriveOpenLoop(&service, adm_query, kAdmCount, adm_overload_interval_ns);
-      adm_fifo_p99s.push_back(PercentileUs(r.ok_us, 0.99));
-      PoolInto(&adm_fifo, r);
-    }
+  const std::uint64_t adm_shed_deadline_total =
+      adm_shed_service.metrics().admission_shed_deadline();
+  std::string adm_steal_json;
+  for (const double share : adm_steal) {
+    adm_steal_json += StrFormat("%s%.4f", adm_steal_json.empty() ? "" : ", ", share);
   }
   const double adm_p99_shed = MinOf(adm_shed_p99s);
   const double adm_p99_fifo = MinOf(adm_fifo_p99s);
@@ -1402,13 +1418,13 @@ int main(int argc, char** argv) {
                  ? "admitted_tail_above_2x"
                  : (adm_p99_fifo >= 4.0 * adm_p99_unc ? "ok" : "fifo_baseline_not_degraded"));
   std::printf(
-      "\nadmission sweep (open loop, 1 worker, mean service %.0f us, deadline %lld us, "
-      "%zu arrivals at 2x capacity x%d trials, median-of-trial p99s for the "
-      "uncontended reference, min for the stressed phases):\n"
+      "\nadmission sweep (open loop, 1 worker, mean service %.0f us, median deadline %lld us, "
+      "%zu arrivals at 2x capacity x%d interleaved rounds, median-of-round p99s for the "
+      "uncontended reference, min for the stressed phases, steal per round [%s]):\n"
       "  uncontended p99 %.0f us; shed-early: admitted %zu / shed %zu, admitted p99 %.0f us "
       "(%.2fx of uncontended); FIFO: all %zu queue, p99 %.0f us (%.2fx)  %s\n",
-      adm_mean_us, static_cast<long long>(adm_deadline_us), kAdmCount, kAdmTrials, adm_p99_unc,
-      adm_shed.ok, adm_shed.rejected, adm_p99_shed,
+      adm_mean_us, static_cast<long long>(adm_deadline_us), kAdmCount, kAdmTrials,
+      adm_steal_json.c_str(), adm_p99_unc, adm_shed.ok, adm_shed.rejected, adm_p99_shed,
       adm_p99_unc > 0 ? adm_p99_shed / adm_p99_unc : 0, adm_fifo.ok, adm_p99_fifo,
       adm_p99_unc > 0 ? adm_p99_fifo / adm_p99_unc : 0,
       std::strcmp(admission_verdict, "ok") == 0 ? "[ok: shed-early beats timeout-late]"
@@ -1568,17 +1584,15 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(shadow_runs),
       static_cast<unsigned long long>(shadow_violations), shadow_verdict);
   json += StrFormat(
-      "  \"param_memo_sweep\": {\"centers\": %zu, \"warmup\": %zu, \"queries\": %zu, "
-      "\"mean_us_param_off\": %.2f, \"mean_us_param_on\": %.2f, \"speedup\": %.3f, "
-      "\"param_hits\": %llu, \"probe_gate_open\": %zu, \"probe_violations\": %zu, "
-      "\"max_rel_err_bound\": %.4f, \"verdict\": \"%s\"},\n",
-      kParamCenters, kParamWarmup, kParamQueries, param_mean_off, param_mean_on, param_speedup,
-      static_cast<unsigned long long>(param_hits_total), probe_gate_open, probe_violations,
-      param_max_rel_err_bound, param_verdict);
+      "  \"nearmiss_exact_sweep\": {\"centers\": %zu, \"warmup\": %zu, \"queries\": %zu, "
+      "\"mean_us_tiers_off\": %.2f, \"mean_us_tiers_on\": %.2f, \"speedup\": %.3f, "
+      "\"derived_hits\": %llu, \"divergence\": %zu, \"verdict\": \"%s\"},\n",
+      kNearCenters, kNearWarmup, kNearQueries, near_mean_off, near_mean_on, near_speedup,
+      static_cast<unsigned long long>(near_derived_hits), near_divergence, near_verdict);
   json += StrFormat(
-      "  \"derived_iface_sweep\": {\"queries\": %zu, \"mean_us_derived_off\": %.2f, "
-      "\"mean_us_derived_on\": %.2f, \"speedup\": %.3f, \"derived_hits\": %llu, "
-      "\"models\": %llu, \"probe_derived_hits\": %zu, \"probe_divergence\": %zu, "
+      "  \"derived_iface_sweep\": {\"queries\": %zu, \"mean_us_tiers_off\": %.2f, "
+      "\"mean_us_tiers_on\": %.2f, \"speedup\": %.3f, \"derived_hits\": %llu, "
+      "\"models\": %llu, \"probe_derived_hits\": %zu, \"divergence\": %zu, "
       "\"verdict\": \"%s\"},\n",
       kDerivedQueries, derived_mean_off, derived_mean_on, derived_speedup,
       static_cast<unsigned long long>(derived_hits_total),
@@ -1589,12 +1603,13 @@ int main(int argc, char** argv) {
       "\"deadline_us\": %lld, \"p99_uncontended_us\": %.2f, \"p99_admitted_us\": %.2f, "
       "\"p999_admitted_us\": %.2f, \"p50_admitted_us\": %.2f, \"p99_fifo_us\": %.2f, "
       "\"admitted\": %zu, \"shed\": %zu, \"shed_deadline_total\": %llu, "
-      "\"fifo_completed\": %zu, \"verdict\": \"%s\"},\n",
+      "\"fifo_completed\": %zu, \"saturated_service_us\": %.2f, \"steal_share\": [%s], "
+      "\"verdict\": \"%s\"},\n",
       kAdmCount, kAdmTrials, adm_mean_us, static_cast<long long>(adm_deadline_us), adm_p99_unc,
       adm_p99_shed, PercentileUs(adm_shed.ok_us, 0.999), PercentileUs(adm_shed.ok_us, 0.50),
       adm_p99_fifo, adm_shed.ok, adm_shed.rejected,
       static_cast<unsigned long long>(adm_shed_deadline_total), adm_fifo.ok,
-      admission_verdict);
+      adm_saturated_us, adm_steal_json.c_str(), admission_verdict);
   json += StrFormat(
       "  \"tenant_isolation\": {\"victim_count\": %zu, \"bully_count\": %zu, \"trials\": %d, "
       "\"bully_quota_qps\": %.1f, \"p99_victim_isolated_us\": %.2f, "

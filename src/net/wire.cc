@@ -720,8 +720,6 @@ void EncodeResponseLine(std::uint64_t id, std::size_t index,
     AppendInt(out, ex.memo_hits);
     *out += ",\"derived_hits\":";
     AppendInt(out, ex.derived_hits);
-    *out += ",\"param_hits\":";
-    AppendInt(out, ex.param_hits);
     *out += ",\"deadline_limited\":";
     *out += ex.deadline_limited ? "true" : "false";
     *out += ",\"shadowed\":";
@@ -842,9 +840,6 @@ bool DecodeResponseLine(std::string_view line, WireResponse* out, std::string* e
     }
     if (const JsonValue* v = explain->Find("derived_hits"); v != nullptr) {
       RawToUint64(*v, &ex.derived_hits);
-    }
-    if (const JsonValue* v = explain->Find("param_hits"); v != nullptr) {
-      RawToUint64(*v, &ex.param_hits);
     }
     if (const JsonValue* v = explain->Find("deadline_limited");
         v != nullptr && v->kind == JsonValue::Kind::kBool) {

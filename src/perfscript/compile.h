@@ -277,12 +277,11 @@ class CompiledExpr {
   // Human-readable listing (pnet_tool --dump-expr-bytecode).
   std::string DisassembleRegs() const;
 
-  // Compile-time shape classification, for the sim fast path and the
-  // interface distiller. kConstant is claimed only for expressions with
-  // no slot reads at all (so it holds for every attribute value,
-  // including NaN/Inf) and whose evaluation provably cannot fail.
-  // Affine coefficients are informational (tooling, distiller feature
-  // selection); bit-exact serving never re-evaluates through them.
+  // Compile-time shape classification, for the sim fast path. kConstant
+  // is claimed only for expressions with no slot reads at all (so it holds
+  // for every attribute value, including NaN/Inf) and whose evaluation
+  // provably cannot fail. Affine coefficients are informational
+  // (tooling); bit-exact serving never re-evaluates through them.
   struct Summary {
     enum class Kind { kConstant, kAffine, kGeneral };
     Kind kind = Kind::kGeneral;

@@ -9,10 +9,8 @@ ComponentQuery::ComponentQuery(const CompiledNet& net, const Token& token,
                                const std::vector<std::pair<PlaceId, int>>& injections)
     : net_(net), token_(token), injections_(injections) {
   const std::vector<std::string>& names = net.source().attr_names();
-  sorted_attrs_.reserve(net.attr_order().size());
   char value[32];
   for (const std::uint32_t slot : net.attr_order()) {
-    sorted_attrs_.push_back(token.Attr(slot));
     std::snprintf(value, sizeof(value), "=%.17g", token.Attr(slot));
     labelled_attrs_ += '\x1f';
     labelled_attrs_ += names[slot];

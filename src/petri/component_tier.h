@@ -3,11 +3,11 @@
 // A pnet query is answered one weakly-connected component at a time
 // (components share no places, src/petri/compiled_net.h). Before a
 // component is simulated, the serving layer asks an ordered chain of
-// cheaper interfaces for it: the exact memo (pnet_memo.h), the distilled
-// closed form (distill.h), the fitted curve (param_model.h). The first tier
-// that answers replaces the simulation; when none does, the component is
-// simulated and every tier observes the exact result — the paper's §2 case
-// in miniature.
+// cheaper, exact interfaces for it: the component's max-plus program
+// (distill.h) and the memo of earlier results (pnet_memo.h). The first
+// tier that answers replaces the simulation; when none does, the component
+// is simulated and every tier observes the exact result — the paper's §2
+// case in miniature.
 //
 // Every tier keeps three rules:
 //   - A hit's `firings` is strictly below the caller's remaining budget
@@ -33,6 +33,11 @@
 
 namespace perfiface {
 
+// The event horizon of every component evaluation, far beyond any real
+// prediction: the serving layer simulates up to it, and a tier must not
+// answer a component whose run would pass it (that run does not quiesce).
+constexpr Cycles kComponentRunHorizon = static_cast<Cycles>(1) << 40;
+
 // A component's time of last completion and what its run cost in firings.
 struct ComponentResult {
   Cycles quiesce_time = 0;
@@ -43,15 +48,15 @@ struct ComponentResult {
 //
 //   model_key  component structural hash + the injection plan restricted
 //              to the component, as sorted, duplicate-merged
-//              (component-local place, count) items. Identifies a
-//              distilled or fitted model: the attributes are its inputs.
+//              (component-local place, count) items. Identifies a derived
+//              model: the attributes are its inputs.
 //   exact_key  model_key + the token's attributes labelled by schema name,
 //              in name order (%.17g round-trips doubles, so workloads never
 //              alias, and nets declaring the same attributes in another
 //              order share entries). Identifies one exact result.
 //
 // Both are empty when the net is unhashable (opaque C++ closures): such
-// nets are never memoized, distilled or fitted. The attribute section is
+// nets are never memoized or derived. The attribute section is
 // formatted once per request; Select points the query at a component and
 // rebuilds both keys in place. Borrows the net, token and injections.
 class ComponentQuery {
@@ -64,8 +69,6 @@ class ComponentQuery {
   const CompiledNet& net() const { return net_; }
   std::size_t component() const { return component_; }
   const Token& token() const { return token_; }
-  // Attribute values in schema-name order: the parametric model's inputs.
-  const std::vector<double>& sorted_attrs() const { return sorted_attrs_; }
   const std::vector<std::pair<PlaceId, int>>& injections() const { return injections_; }
   const std::string& model_key() const { return model_key_; }
   const std::string& exact_key() const { return exact_key_; }
@@ -74,7 +77,6 @@ class ComponentQuery {
   const CompiledNet& net_;
   const Token& token_;
   const std::vector<std::pair<PlaceId, int>>& injections_;
-  std::vector<double> sorted_attrs_;
   std::string labelled_attrs_;
   std::vector<std::pair<std::uint32_t, long long>> plan_;  // Select's scratch
   std::size_t component_ = 0;

@@ -6,7 +6,6 @@
 #include <map>
 #include <utility>
 
-#include "src/common/check.h"
 #include "src/common/strings.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
@@ -17,20 +16,31 @@ namespace perfiface {
 
 namespace {
 
-// Probe runs are bounded independently of any request budget: a component
-// that cannot quiesce within this many firings is refused, never served.
-constexpr std::uint64_t kProbeFiringCap = 1ULL << 26;
-constexpr Cycles kProbeTimeHorizon = static_cast<Cycles>(1) << 40;
+constexpr std::uint32_t kNone = FiringLog::kNone;
 
-// The fit must reproduce every probe to better than half a cycle: quiesce
-// times are integers, so this makes the rounded closed form exact at every
-// probe point.
-constexpr double kMaxResidual = 0.49;
+// A chain of kMaxModelFirings delays, each below 1e15, stays inside Cycles.
+static_assert(static_cast<double>(DerivedStore::kMaxModelFirings) * 1e15 < 1.8e19);
 
-// Distinct delay expressions a component may contribute as fit features.
-// Real interface nets have a handful; past this the "one-page closed form"
-// premise has already failed.
-constexpr std::size_t kMaxFeatures = 24;
+// The vector clocks hold firings x fired transitions entries, twice; a
+// component past this is refused rather than verified.
+constexpr std::size_t kMaxClockEntries = std::size_t{1} << 20;
+
+// A guard the store key carries: one that reads request attributes.
+bool KeyedGuard(const CompiledNet::Transition& t) {
+  return t.guard_code != nullptr && !t.guard_const;
+}
+
+// A keyed guard's outcome on the request token; false when it fails.
+bool EvalGuard(const CompiledNet::Transition& t, const Token& token, bool* on) {
+  double g = 0;
+  std::string error;
+  if (!t.guard_code->EvalRegs([&token](std::uint32_t s) { return token.Attr(s); }, &g,
+                              &error)) {
+    return false;
+  }
+  *on = g != 0;
+  return true;
+}
 
 // --- Canonical-stream infix rendering ---------------------------------
 //
@@ -139,91 +149,34 @@ std::string RenderInfix(const std::string& canonical, const std::vector<std::str
   return stack.front();
 }
 
-// Least squares via column-pivoted modified Gram-Schmidt QR. Exactly
-// proportional feature columns are common here — two transitions whose
-// delays are both pure multiples of the same attribute (jpeg's idct and
-// writer stages, say) — and they make the normal equations singular. A
-// ridge term rescues solvability but biases the fitted values past the
-// sub-cycle exactness check, so instead rank-deficient columns are
-// dropped (coefficient pinned to 0) and the surviving system is solved
-// exactly. Returns false only when no column carries signal or the
-// solution is non-finite; p is tiny (<= 1 + kMaxFeatures).
-bool SolveLeastSquares(const std::vector<std::vector<double>>& rows,
-                       const std::vector<double>& y, std::size_t p, std::vector<double>* coef) {
-  const std::size_t n = rows.size();
-  std::vector<std::vector<double>> q(p, std::vector<double>(n));
-  for (std::size_t j = 0; j < p; ++j) {
-    for (std::size_t r = 0; r < n; ++r) q[j][r] = rows[r][j];
-  }
-  std::vector<double> qty(p, 0.0);
-  std::vector<double> rmat(p * p, 0.0);
-  std::vector<std::size_t> perm(p);
-  for (std::size_t j = 0; j < p; ++j) perm[j] = j;
-
-  double max_norm = 0;
-  for (std::size_t j = 0; j < p; ++j) {
-    double s = 0;
-    for (const double v : q[j]) s += v * v;
-    max_norm = std::max(max_norm, std::sqrt(s));
-  }
-  if (!(max_norm > 0)) return false;
-  const double tol = max_norm * 1e-9;
-
-  std::vector<double> resid = y;  // deflated alongside the columns
-  std::size_t rank = 0;
-  for (std::size_t k = 0; k < p; ++k) {
-    std::size_t best = k;
-    double best_norm = -1;
-    for (std::size_t j = k; j < p; ++j) {
-      double s = 0;
-      for (const double v : q[j]) s += v * v;
-      const double nrm = std::sqrt(s);
-      if (nrm > best_norm) {
-        best_norm = nrm;
-        best = j;
-      }
-    }
-    if (best_norm <= tol) break;  // remaining columns are dependent
-    if (best != k) {
-      std::swap(q[k], q[best]);
-      std::swap(perm[k], perm[best]);
-      for (std::size_t i = 0; i < k; ++i) std::swap(rmat[i * p + k], rmat[i * p + best]);
-    }
-    rmat[k * p + k] = best_norm;
-    for (double& v : q[k]) v /= best_norm;
-    double qy = 0;
-    for (std::size_t r = 0; r < n; ++r) qy += q[k][r] * resid[r];
-    qty[k] = qy;
-    for (std::size_t r = 0; r < n; ++r) resid[r] -= qy * q[k][r];
-    for (std::size_t j = k + 1; j < p; ++j) {
-      double d = 0;
-      for (std::size_t r = 0; r < n; ++r) d += q[k][r] * q[j][r];
-      rmat[k * p + j] = d;
-      for (std::size_t r = 0; r < n; ++r) q[j][r] -= d * q[k][r];
-    }
-    ++rank;
-  }
-  if (rank == 0) return false;
-
-  coef->assign(p, 0.0);
-  for (std::size_t i = rank; i-- > 0;) {
-    double v = qty[i];
-    for (std::size_t j = i + 1; j < rank; ++j) v -= rmat[i * p + j] * (*coef)[perm[j]];
-    (*coef)[perm[i]] = v / rmat[i * p + i];
-  }
-  for (const double c : *coef) {
-    if (!std::isfinite(c)) return false;
-  }
-  return true;
-}
-
-double Dot(const std::vector<double>& coef, const std::vector<double>& phi) {
-  double v = 0;
-  for (std::size_t i = 0; i < coef.size(); ++i) v += coef[i] * phi[i];
-  return v;
-}
-
 }  // namespace
+
+// One accepted component (or a cached refusal).
+struct DerivedStore::Model {
+  std::string refusal;  // empty: accepted
+  // A refusal that only these attributes caused (an expression error, a
+  // run past the horizon): reported as `failure` and never stored.
+  bool cacheable = true;
+  Outcome failure = Outcome::kRefused;
+
+  // Delay slots: the first exprs.size() are evaluated per request, the
+  // rest are constants (constant delays, and delays read off initial-
+  // marking tokens, whose attributes are all zero).
+  std::vector<std::shared_ptr<const CompiledExpr>> exprs;
+  std::vector<Cycles> delays;  // constants in place, expression slots 0
+
+  // The firing table. Times live in one array: [0] is time zero, step i
+  // writes its start at 2i+1 and its end at 2i+2; a predecessor is an
+  // index into that array (0 when unused).
+  struct Step {
+    std::uint32_t delay = 0;
+    std::uint32_t pred[3] = {0, 0, 0};
+  };
+  std::vector<Step> steps;
+  std::vector<std::uint32_t> transition;  // per step; kNone for a join
+  std::uint64_t firings = 0;
+  std::string guards;  // "name=0|1" per keyed guard, for ProgramText
+};
 
 DerivedStore::DerivedStore(std::size_t max_models, std::size_t num_shards)
     : max_models_(max_models) {
@@ -233,356 +186,610 @@ DerivedStore::DerivedStore(std::size_t max_models, std::size_t num_shards)
   }
 }
 
+DerivedStore::~DerivedStore() = default;
+
 bool DerivedStore::Lookup(const ComponentQuery& query, std::uint64_t budget,
                           ComponentResult* out) {
-  Outcome outcome = Predict(query.model_key(), query.token(), budget, out);
-  if (outcome == Outcome::kNoModel && Distill(query)) {
-    outcome = Predict(query.model_key(), query.token(), budget, out);
-  }
-  return outcome == Outcome::kHit;
+  return Predict(query, budget, out) == Outcome::kHit;
 }
 
 DerivedStore::Shard& DerivedStore::ShardFor(const std::string& key) const {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-std::shared_ptr<const DerivedStore::Model> DerivedStore::Find(const std::string& key) const {
+const DerivedStore::Model* DerivedStore::Find(const std::string& key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.models.find(key);
-  return it == shard.models.end() ? nullptr : it->second;
+  return it == shard.models.end() ? nullptr : it->second.get();
 }
 
-std::shared_ptr<const DerivedStore::Model> DerivedStore::BuildModel(
-    const ComponentQuery& query) {
+const std::string* DerivedStore::KeyOf(const ComponentQuery& query) {
+  if (query.model_key().empty()) {
+    return nullptr;
+  }
+  thread_local std::string keyed;
+  bool guarded = false;
+  const Token& token = query.token();
+  const CompiledNet& net = query.net();
+  for (const CompiledNet::Transition& t : net.transitions()) {
+    if (t.component != query.component() || !KeyedGuard(t)) {
+      continue;
+    }
+    bool on = false;
+    if (!EvalGuard(t, token, &on)) {
+      return nullptr;
+    }
+    if (!guarded) {
+      keyed = query.model_key();
+      keyed += "\x1fg";
+      guarded = true;
+    }
+    keyed += on ? '1' : '0';
+  }
+  return guarded ? &keyed : &query.model_key();
+}
+
+std::unique_ptr<DerivedStore::Model> DerivedStore::Compile(const ComponentQuery& query) {
   const CompiledNet& net = query.net();
   const std::size_t component = query.component();
   const Token& token = query.token();
-  auto model = std::make_shared<Model>();
-  auto refuse = [&model](std::string why) {
-    model->ok = false;
-    model->refusal = std::move(why);
-    return model;
-  };
-
-  if (!net.hashable()) {
-    return refuse("net carries opaque closures (unhashable)");
-  }
-
-  // --- Static precheck + feature selection ------------------------------
-  // Deterministic paths require every guard to fold to a compile-time
-  // constant; the non-constant delay expressions (deduplicated by their
-  // canonical text — sibling transitions often share one) become the fit
-  // features, and constant delays fold into the intercept.
   const std::vector<TransitionSpec>& specs = net.source().transitions();
+  const std::vector<Place>& place_specs = net.source().places();
   const std::vector<CompiledNet::Transition>& trans = net.transitions();
-  const std::vector<std::string>& attr_names = net.source().attr_names();
-  std::map<std::string, std::size_t> feature_by_text;
-  std::vector<std::uint32_t> active_slots;
+  const std::vector<CompiledNet::PlaceInfo>& places = net.places();
+  auto model = std::make_unique<Model>();
+  auto refuse = [&model](std::string why) {
+    model->refusal = std::move(why);
+    return std::move(model);
+  };
+  auto fail = [&model, &refuse](Outcome outcome, std::string why) {
+    model->cacheable = false;
+    model->failure = outcome;
+    return refuse(std::move(why));
+  };
+  auto name = [&specs](std::size_t t) { return specs[t].name.c_str(); };
+
+  // --- Static conditions ------------------------------------------------
+  // Which transitions the key enables: constant guards by value, the
+  // attribute-dependent ones by their outcome on the request token.
+  std::vector<bool> enabled(trans.size(), false);
   for (std::size_t t = 0; t < trans.size(); ++t) {
-    if (trans[t].component != component) {
+    const CompiledNet::Transition& tr = trans[t];
+    if (tr.component != component) {
       continue;
     }
-    const TransitionSpec& spec = specs[t];
-    if (spec.has_guard()) {
-      if (!trans[t].guard_const) {
-        return refuse(StrFormat("transition '%s' has an attribute-dependent guard",
-                                spec.name.c_str()));
+    if (tr.servers > 1) {
+      return refuse(StrFormat("transition '%s' has %u servers", name(t), tr.servers));
+    }
+    if (tr.delay_code == nullptr || tr.guard != nullptr) {
+      return refuse(StrFormat("transition '%s' has an opaque delay or guard", name(t)));
+    }
+    bool on = !tr.guard_const || tr.guard_value;
+    if (KeyedGuard(tr)) {
+      if (!EvalGuard(tr, token, &on)) {
+        return fail(Outcome::kEvalFailed, "a guard failed on the request token");
       }
-      if (!trans[t].guard_value) {
-        continue;  // constant-false guard: the transition never fires
+      model->guards += StrFormat("%s%s=%d", model->guards.empty() ? "" : ", ", name(t), on);
+    }
+    enabled[t] = on;
+  }
+  // Places that may hold a token descended from the initial marking: a
+  // transition copies its primary input token to every output.
+  std::vector<bool> initial(places.size(), false);
+  for (std::size_t p = 0; p < places.size(); ++p) {
+    initial[p] = places[p].component == component && places[p].initial_tokens > 0;
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const CompiledNet::Transition& tr : trans) {
+      if (tr.component != component || !initial[net.inputs()[tr.in_begin].place]) {
+        continue;
+      }
+      for (std::uint32_t i = tr.out_begin; i < tr.out_end; ++i) {
+        changed = changed || !initial[net.outputs()[i].place];
+        initial[net.outputs()[i].place] = true;
       }
     }
-    if (trans[t].delay_const) {
-      continue;  // folds into the intercept
+  }
+  std::vector<std::uint32_t> consumer(places.size(), kNone);
+  for (std::size_t t = 0; t < trans.size(); ++t) {
+    const CompiledNet::Transition& tr = trans[t];
+    if (tr.component != component) {
+      continue;
     }
-    if (spec.delay_compiled == nullptr) {
-      return refuse(StrFormat("transition '%s' has no compiled delay expression",
-                              spec.name.c_str()));
+    if (KeyedGuard(tr) && initial[net.inputs()[tr.in_begin].place]) {
+      return refuse(StrFormat(
+          "the guard of transition '%s' can read an initial-marking token", name(t)));
     }
-    if (feature_by_text.emplace(spec.delay_expr, model->features.size()).second) {
-      Feature f;
-      f.expr = spec.delay_compiled;
-      bool rendered = false;
-      f.text = RenderInfix(spec.delay_expr, attr_names, &rendered);
-      if (!rendered) {
-        f.text = "<" + spec.delay_expr + ">";
+    if (!enabled[t]) {
+      continue;
+    }
+    for (std::uint32_t i = tr.in_begin; i < tr.in_end; ++i) {
+      const std::uint32_t p = net.inputs()[i].place;
+      if (consumer[p] != kNone && consumer[p] != t) {
+        return refuse(StrFormat("place '%s' has two enabled consumers, '%s' and '%s'",
+                                place_specs[p].name.c_str(), name(consumer[p]), name(t)));
       }
-      for (const std::uint32_t s : f.expr->used_slots()) {
-        if (std::find(active_slots.begin(), active_slots.end(), s) == active_slots.end()) {
-          active_slots.push_back(s);
+      consumer[p] = static_cast<std::uint32_t>(t);
+    }
+  }
+
+  // --- Recording run ----------------------------------------------------
+  FiringLog log;
+  PetriSim sim(&net, component);
+  sim.set_firing_log(&log);
+  sim.set_max_firings(kMaxModelFirings + 1);
+  sim.InjectPlan(query.injections(), token);
+  const bool quiesced = sim.Run(kComponentRunHorizon);
+  if (!sim.error().empty()) {
+    return fail(Outcome::kEvalFailed, "the recording run failed: " + sim.error());
+  }
+  if (sim.firing_budget_exhausted()) {
+    return refuse(StrFormat("the component takes more than %llu firings",
+                            static_cast<unsigned long long>(kMaxModelFirings)));
+  }
+  if (!quiesced) {
+    return fail(Outcome::kHorizon, "the recording run did not quiesce within the horizon");
+  }
+  const std::vector<FiringLog::Firing>& firings = log.firings();
+  const std::size_t n = firings.size();
+  model->firings = n;
+
+  // --- Happens-before ---------------------------------------------------
+  // Firings of one transition are totally ordered (one server), so "the
+  // first k firings of transition T precede this event" is one count per
+  // transition. started[i*K + T]: firings of T that start no later than
+  // firing i starts; ended[i*K + T]: those that also end by then.
+  std::vector<std::uint32_t> dense(trans.size(), kNone);
+  std::vector<std::uint32_t> ordinal(n);
+  std::vector<std::uint32_t> per_transition;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t& d = dense[firings[i].transition];
+    if (d == kNone) {
+      d = static_cast<std::uint32_t>(per_transition.size());
+      per_transition.push_back(0);
+    }
+    ordinal[i] = per_transition[d]++;
+  }
+  const std::size_t k = per_transition.size();
+  if (n * k > kMaxClockEntries) {
+    return refuse(StrFormat("%zu firings over %zu transitions is too large to verify", n, k));
+  }
+  // A place whose room only one transition ever took hands that room out
+  // in a fixed order; where several did, the order is what the race
+  // checks below must prove, so its room waits cannot serve as evidence.
+  std::vector<bool> shared_room(places.size(), false);
+  for (std::size_t p = 0; p < places.size(); ++p) {
+    for (const std::uint32_t taker : log.room_takers()[p]) {
+      shared_room[p] = shared_room[p] ||
+                       firings[taker].transition != firings[log.room_takers()[p][0]].transition;
+    }
+  }
+  // Enabling events per firing: ends of token producers and of the
+  // server's previous firing, starts of the pops that freed room.
+  std::vector<std::vector<std::uint32_t>> after_end(n), after_start(n);
+  std::vector<std::uint32_t> last(trans.size(), kNone);
+  std::vector<std::uint32_t> started(n * k, 0), ended(n * k, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const FiringLog::Firing& f = firings[i];
+    std::vector<std::uint32_t>& ends = after_end[i];
+    for (const std::uint32_t p : f.producers) {
+      if (p != kNone) {
+        ends.push_back(p);
+      }
+    }
+    if (last[f.transition] != kNone) {
+      ends.push_back(last[f.transition]);
+    }
+    last[f.transition] = static_cast<std::uint32_t>(i);
+    std::uint32_t* s = &started[i * k];
+    std::uint32_t* e = &ended[i * k];
+    auto merge = [&](std::uint32_t pred, bool its_end) {
+      for (std::size_t j = 0; j < k; ++j) {
+        s[j] = std::max(s[j], started[pred * k + j]);
+        e[j] = std::max(e[j], ended[pred * k + j]);
+      }
+      const std::uint32_t d = dense[firings[pred].transition];
+      s[d] = std::max(s[d], ordinal[pred] + 1);
+      if (its_end) {
+        e[d] = std::max(e[d], ordinal[pred] + 1);
+      }
+    };
+    for (const std::uint32_t p : ends) merge(p, true);
+    // room_from follows the transition's bounded output arcs.
+    const CompiledNet::Transition& tr = trans[f.transition];
+    std::size_t r = 0;
+    for (std::uint32_t a = tr.out_begin; a < tr.out_end; ++a) {
+      const std::uint32_t place = net.outputs()[a].place;
+      if (places[place].capacity == 0) {
+        continue;
+      }
+      const std::uint32_t c = f.room_from[r++];
+      if (c != kNone) {
+        after_start[i].push_back(c);
+        if (!shared_room[place]) {
+          merge(c, false);
         }
       }
-      model->features.push_back(std::move(f));
     }
   }
-  if (model->features.size() > kMaxFeatures) {
-    return refuse("too many distinct delay expressions");
-  }
-  std::sort(active_slots.begin(), active_slots.end());
-
-  // --- Probe grid -------------------------------------------------------
-  // Scaled variants of the seed attribute vector: each active attribute
-  // alone at 1.5x and 2x, joint sweeps, then deterministic mixed patterns
-  // until the system is comfortably overdetermined.
-  std::vector<double> base;
-  base.reserve(attr_names.size());
-  for (std::size_t s = 0; s < attr_names.size(); ++s) {
-    base.push_back(token.Attr(s));
-  }
-  const std::size_t p = 1 + model->features.size();
-  std::vector<std::vector<double>> probes;
-  probes.push_back(base);
-  for (const std::uint32_t s : active_slots) {
-    for (const double f : {1.5, 2.0}) {
-      std::vector<double> v = base;
-      v[s] *= f;
-      probes.push_back(std::move(v));
-    }
-  }
-  for (const double f : {1.25, 1.75}) {
-    std::vector<double> v = base;
-    for (const std::uint32_t s : active_slots) v[s] *= f;
-    probes.push_back(std::move(v));
-  }
-  for (std::size_t j = 0; probes.size() < p + 4 && j < p + 16; ++j) {
-    std::vector<double> v = base;
-    for (std::size_t i = 0; i < active_slots.size(); ++i) {
-      v[active_slots[i]] *= 1.0 + static_cast<double>((i + 1) * (j + 2) % 7 + 1) / 8.0;
-    }
-    probes.push_back(std::move(v));
-  }
-
-  // --- Probe simulations + feature evaluation ---------------------------
-  auto eval_features = [&model](const std::vector<double>& attrs,
-                                std::vector<double>* phi) -> bool {
-    phi->clear();
-    phi->push_back(1.0);
-    for (const Feature& f : model->features) {
-      const EvalResult r = f.expr->EvalRegsChecked(
-          [&attrs](std::uint32_t s) { return s < attrs.size() ? attrs[s] : 0.0; });
-      if (!r.ok || !r.value.IsNumber()) {
-        return false;
-      }
-      const double v = r.value.num;
-      if (!(v >= 0 && v < 1e15)) {
-        return false;
-      }
-      phi->push_back(static_cast<double>(std::llround(v)));
-    }
-    return true;
+  // a's end precedes b's start / a's start precedes b's start, for every
+  // choice of delays.
+  auto ends_before = [&](std::uint32_t a, std::uint32_t b) {
+    return ended[b * k + dense[firings[a].transition]] > ordinal[a];
+  };
+  auto starts_before = [&](std::uint32_t a, std::uint32_t b) {
+    return a == b || started[b * k + dense[firings[a].transition]] > ordinal[a];
   };
 
-  std::vector<std::vector<double>> rows;
-  std::vector<double> ys;
-  bool first_probe = true;
-  for (const std::vector<double>& attrs : probes) {
-    std::vector<double> phi;
-    if (!eval_features(attrs, &phi)) {
-      model->cacheable = false;
-      return refuse("a delay expression failed or left [0, 1e15) at a probe point");
-    }
-    Token tk;
-    for (const double a : attrs) {
-      tk.attrs.push_back(a);
-    }
-    PetriSim sim(&net, component);
-    sim.set_max_firings(kProbeFiringCap);
-    sim.InjectPlan(query.injections(), tk);
-    if (!sim.Run(kProbeTimeHorizon)) {
-      model->cacheable = sim.error().empty();
-      return refuse("a probe simulation did not quiesce");
-    }
-    if (first_probe) {
-      model->firings = sim.total_firings();
-      first_probe = false;
-    } else if (sim.total_firings() != model->firings) {
-      // The guards looked constant but the workload still routed
-      // differently across probes (e.g. capacity-induced reordering that
-      // changes the firing count): not a fixed closed form.
-      return refuse("firing count varies across probe points");
-    }
-    rows.push_back(std::move(phi));
-    ys.push_back(static_cast<double>(sim.now()));
-  }
-
-  // --- Fit + exactness check --------------------------------------------
-  std::vector<double> coef;
-  if (!SolveLeastSquares(rows, ys, p, &coef)) {
-    return refuse("probe system is singular");
-  }
-  // The true multiplicities are integers; snap near-integer coefficients
-  // so between-probe predictions are exact, but only keep the snap if it
-  // still reproduces every probe.
-  std::vector<double> snapped = coef;
-  bool snap_valid = false;
-  for (double& c : snapped) {
-    if (std::fabs(c - std::round(c)) < 1e-6) {
-      c = std::round(c);
-    }
-  }
-  auto max_residual = [&rows, &ys](const std::vector<double>& c) {
-    double worst = 0;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      worst = std::max(worst, std::fabs(Dot(c, rows[r]) - ys[r]));
-    }
-    return worst;
-  };
-  if (max_residual(snapped) < kMaxResidual) {
-    coef = std::move(snapped);
-    snap_valid = true;
-  }
-  if (!snap_valid && max_residual(coef) >= kMaxResidual) {
-    return refuse("fit does not reproduce the probes (non-linear in the delay basis)");
-  }
-  model->coef = std::move(coef);
-
-  // --- Hull -------------------------------------------------------------
-  for (const std::uint32_t s : active_slots) {
-    double lo = probes[0][s], hi = probes[0][s];
-    for (const std::vector<double>& attrs : probes) {
-      lo = std::min(lo, attrs[s]);
-      hi = std::max(hi, attrs[s]);
-    }
-    model->hull_slots.push_back(s);
-    model->hull_lo.push_back(lo);
-    model->hull_hi.push_back(hi);
-  }
-
-  // --- PerfScript rendering ---------------------------------------------
-  std::string args;
-  for (std::size_t i = 0; i < model->hull_slots.size(); ++i) {
-    if (i != 0) args += ", ";
-    args += attr_names[model->hull_slots[i]];
-  }
-  model->program = "# Derived performance interface (pnet-derived tier).\n";
-  for (std::size_t i = 0; i < model->hull_slots.size(); ++i) {
-    model->program += StrFormat("# valid: %s in [%s, %s]\n",
-                                attr_names[model->hull_slots[i]].c_str(),
-                                FormatNumber(model->hull_lo[i]).c_str(),
-                                FormatNumber(model->hull_hi[i]).c_str());
-  }
-  model->program += "fn latency(" + args + ") {\n  return " + FormatNumber(model->coef[0]);
-  for (std::size_t i = 0; i < model->features.size(); ++i) {
-    const double c = model->coef[i + 1];
-    if (c == 0) {
+  // --- Races --------------------------------------------------------------
+  for (std::size_t p = 0; p < places.size(); ++p) {
+    if (places[p].component != component) {
       continue;
     }
-    model->program += "\n      + ";
-    if (c != 1) {
-      model->program += FormatNumber(c) + " * ";
+    const std::vector<std::uint32_t>& deposits = log.deposits()[p];
+    for (std::size_t j = 0; log.pops(p) != 0 && j + 1 < deposits.size(); ++j) {
+      const std::uint32_t a = deposits[j], b = deposits[j + 1];
+      if (a != b && !ends_before(a, b)) {
+        return refuse(StrFormat("tokens into place '%s' from '%s' and '%s' race",
+                                place_specs[p].name.c_str(), name(firings[a].transition),
+                                name(firings[b].transition)));
+      }
     }
-    model->program += model->features[i].text;
+    const std::vector<std::uint32_t>& takers = log.room_takers()[p];
+    for (std::size_t j = 0; j + 1 < takers.size(); ++j) {
+      const std::uint32_t a = takers[j], b = takers[j + 1];
+      if (!starts_before(a, b)) {
+        return refuse(StrFormat("'%s' and '%s' race for room in place '%s'",
+                                name(firings[a].transition), name(firings[b].transition),
+                                place_specs[p].name.c_str()));
+      }
+    }
   }
-  model->program += ";\n}\n";
 
-  model->ok = true;
+  // A transition left with its input tokens but no room lost the room to
+  // whoever took it; if that was another transition, timing decided.
+  for (std::size_t t = 0; t < trans.size(); ++t) {
+    const CompiledNet::Transition& tr = trans[t];
+    if (tr.component != component || !enabled[t] || !tr.has_bounded_output) {
+      continue;
+    }
+    bool ready = true;
+    for (std::uint32_t i = tr.in_begin; i < tr.in_end && ready; ++i) {
+      std::uint32_t weight = 0;
+      for (std::uint32_t j = tr.in_begin; j < tr.in_end; ++j) {
+        weight += net.inputs()[j].place == net.inputs()[i].place ? net.inputs()[j].weight : 0;
+      }
+      ready = sim.tokens_at(net.inputs()[i].place) >= weight;
+    }
+    for (std::uint32_t a = tr.out_begin; a < tr.out_end && ready; ++a) {
+      const CompiledNet::CompiledArc& out = net.outputs()[a];
+      const std::uint32_t capacity = places[out.place].capacity;
+      if (capacity == 0 ||
+          sim.tokens_at(out.place) - out.consumed_from_place + out.weight <= capacity) {
+        continue;
+      }
+      for (const std::uint32_t taker : log.room_takers()[out.place]) {
+        if (firings[taker].transition != t) {
+          return refuse(StrFormat("transition '%s' stays blocked on room in place '%s' that '%s' took",
+                                  name(t), place_specs[out.place].name.c_str(),
+                                  name(firings[taker].transition)));
+        }
+      }
+    }
+  }
+
+  // --- Delay slots ----------------------------------------------------------
+  std::vector<std::uint32_t> slot(n);
+  std::map<std::string, std::uint32_t> expr_slot;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t t = firings[i].transition;
+    if (!trans[t].delay_const && !firings[i].primary_initial &&
+        expr_slot.emplace(specs[t].delay_expr, model->exprs.size()).second) {
+      model->exprs.push_back(specs[t].delay_compiled);
+    }
+  }
+  model->delays.assign(model->exprs.size(), 0);
+  std::map<Cycles, std::uint32_t> const_slot;
+  auto constant = [&](Cycles c) {
+    const auto [it, added] =
+        const_slot.emplace(c, static_cast<std::uint32_t>(model->delays.size()));
+    if (added) {
+      model->delays.push_back(c);
+    }
+    return it->second;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t t = firings[i].transition;
+    slot[i] = trans[t].delay_const || firings[i].primary_initial
+                  ? constant(firings[i].delay)
+                  : expr_slot.at(specs[t].delay_expr);
+  }
+
+  // --- Firing table -------------------------------------------------------
+  // Keep the enabling events no other one of them implies, then fold them
+  // three at a time through zero-delay joins.
+  struct Event {
+    std::uint32_t firing;
+    bool end;
+  };
+  auto implies = [&](const Event& later, const Event& x) {
+    if (later.firing == x.firing) {
+      return later.end && !x.end;
+    }
+    return x.end ? ends_before(x.firing, later.firing)
+                 : starts_before(x.firing, later.firing);
+  };
+  std::vector<std::uint32_t> step_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<Event> events;
+    for (const std::uint32_t p : after_end[i]) events.push_back({p, true});
+    for (const std::uint32_t c : after_start[i]) events.push_back({c, false});
+    std::vector<std::uint32_t> refs;
+    for (std::size_t a = 0; a < events.size(); ++a) {
+      bool implied = false;
+      for (std::size_t b = 0; b < events.size() && !implied; ++b) {
+        const bool same = events[a].firing == events[b].firing && events[a].end == events[b].end;
+        implied = same ? b < a : implies(events[b], events[a]);
+      }
+      if (!implied) {
+        refs.push_back(2 * step_of[events[a].firing] + (events[a].end ? 2 : 1));
+      }
+    }
+    while (refs.size() > 3) {
+      Model::Step join;
+      join.delay = constant(0);
+      std::copy(refs.end() - 3, refs.end(), join.pred);
+      refs.resize(refs.size() - 3);
+      refs.push_back(static_cast<std::uint32_t>(2 * model->steps.size() + 2));
+      model->steps.push_back(join);
+      model->transition.push_back(kNone);
+    }
+    Model::Step step;
+    step.delay = slot[i];
+    std::copy(refs.begin(), refs.end(), step.pred);
+    step_of[i] = static_cast<std::uint32_t>(model->steps.size());
+    model->steps.push_back(step);
+    model->transition.push_back(firings[i].transition);
+  }
+
+  // --- Self-check -----------------------------------------------------------
+  // The table, evaluated on the recording's own attributes, must reproduce
+  // the recorded quiesce time and every recorded delay and start.
+  std::vector<Cycles> delays;
+  std::vector<Cycles> times;
+  if (!EvalDelays(*model, token, &delays)) {
+    return refuse("the delay slots do not evaluate on the recorded attributes");
+  }
+  if (RunTable(*model, delays.data(), &times) != sim.now()) {
+    return refuse("the recurrence does not reproduce the recorded quiesce time");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (times[2 * step_of[i] + 1] != firings[i].start || delays[slot[i]] != firings[i].delay) {
+      return refuse(StrFormat("the recurrence does not reproduce the start of firing %zu ('%s')",
+                              i, name(firings[i].transition)));
+    }
+  }
   return model;
 }
 
-bool DerivedStore::Distill(const ComponentQuery& query) {
-  const std::string& key = query.model_key();
-  if (key.empty()) {
-    refusals_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (const std::shared_ptr<const Model> existing = Find(key)) {
-    return existing->ok;
-  }
-  obs::SpanGuard span("pnet", "distill");
-  const std::shared_ptr<const Model> model = BuildModel(query);
-  if (model->ok) {
-    distilled_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    refusals_.fetch_add(1, std::memory_order_relaxed);
-    if (!model->cacheable) {
+bool DerivedStore::EvalDelays(const Model& model, const Token& token,
+                              std::vector<Cycles>* delays) {
+  delays->assign(model.delays.begin(), model.delays.end());
+  for (std::size_t e = 0; e < model.exprs.size(); ++e) {
+    double v = 0;
+    std::string error;
+    if (!model.exprs[e]->EvalRegs([&token](std::uint32_t s) { return token.Attr(s); }, &v,
+                                  &error) ||
+        !(v >= 0 && v < 1e15)) {
       return false;
     }
+    (*delays)[e] = static_cast<Cycles>(std::llround(v));
   }
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.models.find(key);
-  if (it != shard.models.end()) {
-    return it->second->ok;  // a concurrent distiller won the race
-  }
-  if (total_models_.load(std::memory_order_relaxed) >= max_models_) {
-    return false;  // fixed memory, like the parametric store
-  }
-  shard.models.emplace(key, model);
-  total_models_.fetch_add(1, std::memory_order_relaxed);
-  return model->ok;
+  return true;
 }
 
-DerivedStore::Outcome DerivedStore::Predict(const std::string& model_key, const Token& token,
-                                            std::uint64_t budget, ComponentResult* out) {
-  const std::shared_ptr<const Model> model = model_key.empty() ? nullptr : Find(model_key);
-  if (model == nullptr) {
-    return Outcome::kNoModel;
+Cycles DerivedStore::RunTable(const Model& model, const Cycles* delays,
+                              std::vector<Cycles>* times) {
+  times->resize(1 + 2 * model.steps.size());
+  Cycles* t = times->data();
+  t[0] = 0;
+  Cycles quiesce = 0;
+  Cycles* next = t + 1;
+  for (const Model::Step& step : model.steps) {
+    const Cycles start = std::max(t[step.pred[0]], std::max(t[step.pred[1]], t[step.pred[2]]));
+    const Cycles end = start + delays[step.delay];
+    next[0] = start;
+    next[1] = end;
+    next += 2;
+    quiesce = std::max(quiesce, end);
   }
+  return quiesce;
+}
+
+DerivedStore::Outcome DerivedStore::Evaluate(const Model& model, const Token& token,
+                                             std::uint64_t budget, ComponentResult* out) {
+  // Strict, like the memo: PetriSim reports exhaustion when firings reach
+  // the budget exactly.
+  if (model.firings >= budget) {
+    return Outcome::kBudget;
+  }
+  thread_local std::vector<Cycles> delays;
+  thread_local std::vector<Cycles> times;
+  if (!EvalDelays(model, token, &delays)) {
+    return Outcome::kEvalFailed;
+  }
+  const Cycles quiesce = RunTable(model, delays.data(), &times);
+  if (quiesce > kComponentRunHorizon) {
+    return Outcome::kHorizon;
+  }
+  out->quiesce_time = quiesce;
+  out->firings = model.firings;
+  return Outcome::kHit;
+}
+
+DerivedStore::Outcome DerivedStore::Predict(const ComponentQuery& query, std::uint64_t budget,
+                                            ComponentResult* out) {
   auto refused = [this](Outcome o) {
     refusals_.fetch_add(1, std::memory_order_relaxed);
     return o;
   };
-  if (!model->ok) {
+  const std::string* key = KeyOf(query);
+  if (key == nullptr) {
+    return refused(query.model_key().empty() ? Outcome::kRefused : Outcome::kEvalFailed);
+  }
+  const Model* model = Find(*key);
+  if (model == nullptr) {
+    if (total_models_.load(std::memory_order_relaxed) >= max_models_) {
+      return refused(Outcome::kFull);
+    }
+    obs::SpanGuard span("pnet", "distill");
+    std::unique_ptr<const Model> built = Compile(query);
+    if (!built->cacheable) {
+      return refused(built->failure);
+    }
+    Shard& shard = ShardFor(*key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const auto it = shard.models.find(*key);
+    if (it != shard.models.end()) {
+      model = it->second.get();  // a concurrent first lookup won the race
+    } else if (total_models_.load(std::memory_order_relaxed) >= max_models_) {
+      return refused(Outcome::kFull);
+    } else {
+      if (built->refusal.empty()) {
+        distilled_.fetch_add(1, std::memory_order_relaxed);
+      }
+      model = built.get();
+      shard.models.emplace(*key, std::move(built));
+      total_models_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (!model->refusal.empty()) {
     return refused(Outcome::kRefused);
   }
-  for (std::size_t i = 0; i < model->hull_slots.size(); ++i) {
-    const double v = token.Attr(model->hull_slots[i]);
-    if (!(v >= model->hull_lo[i] && v <= model->hull_hi[i])) {
-      return refused(Outcome::kOutsideHull);
-    }
+  const Outcome outcome = Evaluate(*model, query.token(), budget, out);
+  if (outcome != Outcome::kHit) {
+    return refused(outcome);
   }
-  std::vector<double> phi;
-  phi.reserve(model->coef.size());
-  phi.push_back(1.0);
-  for (const Feature& f : model->features) {
-    const EvalResult r =
-        f.expr->EvalRegsChecked([&token](std::uint32_t s) { return token.Attr(s); });
-    if (!r.ok || !r.value.IsNumber()) {
-      return refused(Outcome::kEvalFailed);
-    }
-    const double v = r.value.num;
-    if (!(v >= 0 && v < 1e15)) {
-      return refused(Outcome::kEvalFailed);
-    }
-    phi.push_back(static_cast<double>(std::llround(v)));
-  }
-  const double y = Dot(model->coef, phi);
-  if (!(y > -0.5 && y < 1e15)) {
-    return refused(Outcome::kEvalFailed);
-  }
-  if (model->firings >= budget) {
-    // Mirrors the exact memo rule (firings strictly below the budget), so
-    // a derived hit never hides a budget exhaustion simulation would hit.
-    return refused(Outcome::kBudget);
-  }
-  out->quiesce_time = static_cast<Cycles>(std::llround(std::max(0.0, y)));
-  out->firings = model->firings;
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return Outcome::kHit;
+  return outcome;
 }
 
-std::string DerivedStore::ProgramText(const std::string& key) const {
-  const std::shared_ptr<const Model> model = Find(key);
-  return (model != nullptr && model->ok) ? model->program : std::string();
+std::string DerivedStore::Render(const Model& model, const CompiledNet& net) {
+  const std::vector<std::string>& attrs = net.source().attr_names();
+  const std::vector<TransitionSpec>& specs = net.source().transitions();
+  std::string params;
+  for (const std::uint32_t s : net.attr_order()) {
+    params += (params.empty() ? "" : ", ") + attrs[s];
+  }
+  std::string out = StrFormat(
+      "# Exact derived performance interface (pnet-derived tier): the firing\n"
+      "# DAG of one Petri-net component under one injection plan, %llu\n"
+      "# firings, as a max-plus recurrence. A firing starts at the max of its\n"
+      "# enabling events and ends its delay later; the answer is the last end.\n",
+      static_cast<unsigned long long>(model.firings));
+  if (!model.guards.empty()) {
+    out += "# Valid for the guard outcomes " + model.guards + ".\n";
+  }
+  out += "def latency(" + params + "):\n";
+  for (std::size_t e = 0; e < model.exprs.size(); ++e) {
+    bool ok = false;
+    std::string text = RenderInfix(model.exprs[e]->Canonical(), attrs, &ok);
+    out += StrFormat("  d%zu = floor(%s + 0.5)\n", e, ok ? text.c_str() : "<unrenderable>");
+  }
+  // Time values get names only while some later step still reads them.
+  const std::size_t steps = model.steps.size();
+  std::vector<std::size_t> last_read(1 + 2 * steps, 0);
+  for (std::size_t s = 0; s < steps; ++s) {
+    for (const std::uint32_t p : model.steps[s].pred) {
+      last_read[p] = s;
+    }
+  }
+  std::vector<std::string> value(1 + 2 * steps);
+  value[0] = "0";
+  std::vector<std::string> free_names;
+  std::size_t next_name = 0;
+  std::vector<std::size_t> occurrence(specs.size(), 0);
+  out += "  last = 0\n";
+  for (std::size_t s = 0; s < steps; ++s) {
+    const Model::Step& step = model.steps[s];
+    std::vector<std::string> terms;
+    for (const std::uint32_t p : step.pred) {
+      if (p != 0 && std::find(terms.begin(), terms.end(), value[p]) == terms.end()) {
+        terms.push_back(value[p]);
+      }
+    }
+    std::string start = terms.empty() ? "0" : terms[0];
+    if (terms.size() > 1) {
+      start = "max(" + terms[0];
+      for (std::size_t j = 1; j < terms.size(); ++j) start += ", " + terms[j];
+      start += ")";
+    }
+    for (const std::uint32_t p : step.pred) {
+      if (p != 0 && last_read[p] == s && !value[p].empty()) {
+        free_names.push_back(value[p]);
+        value[p].clear();
+      }
+    }
+    auto take = [&]() {
+      if (free_names.empty()) return StrFormat("t%zu", next_name++);
+      std::string name = free_names.back();
+      free_names.pop_back();
+      return name;
+    };
+    const std::uint32_t t = model.transition[s];
+    const std::string label =
+        t == kNone ? std::string("join")
+                   : StrFormat("%s #%zu", specs[t].name.c_str(), occurrence[t]++);
+    if (last_read[2 * s + 1] > s) {
+      value[2 * s + 1] = take();
+      out += StrFormat("  %s = %s  # %s starts\n", value[2 * s + 1].c_str(), start.c_str(),
+                       label.c_str());
+      start = value[2 * s + 1];
+    }
+    const std::string delay =
+        step.delay < model.exprs.size()
+            ? StrFormat("d%u", step.delay)
+            : FormatNumber(static_cast<double>(model.delays[step.delay]));
+    const std::string end = delay == "0" ? start : start + " + " + delay;
+    if (last_read[2 * s + 2] > s) {
+      value[2 * s + 2] = take();
+      out += StrFormat("  %s = %s  # %s ends\n", value[2 * s + 2].c_str(), end.c_str(),
+                       label.c_str());
+    } else if (t != kNone) {
+      out += StrFormat("  last = max(last, %s)  # %s ends\n", end.c_str(), label.c_str());
+    }
+  }
+  out += "  return last\nend\n";
+  return out;
 }
 
-std::string DerivedStore::RefusalReason(const std::string& key) const {
-  const std::shared_ptr<const Model> model = Find(key);
-  return (model != nullptr && !model->ok) ? model->refusal : std::string();
+std::string DerivedStore::ProgramText(const ComponentQuery& query) const {
+  const std::string* key = KeyOf(query);
+  const Model* model = key == nullptr ? nullptr : Find(*key);
+  return model != nullptr && model->refusal.empty() ? Render(*model, query.net())
+                                                    : std::string();
+}
+
+std::string DerivedStore::RefusalReason(const ComponentQuery& query) const {
+  const std::string* key = KeyOf(query);
+  const Model* model = key == nullptr ? nullptr : Find(*key);
+  return model != nullptr ? model->refusal : std::string();
 }
 
 std::size_t DerivedStore::size() const { return total_models_.load(std::memory_order_relaxed); }
 
 void DerivedStore::AppendPrometheus(std::string* out) const {
   obs::AppendCounter(out, "perfiface_derived_hits_total",
-                     "Component results served from distilled closed-form interfaces", hits());
+                     "Component results served from exact derived (max-plus) interfaces",
+                     hits());
   obs::AppendCounter(
       out, "perfiface_derived_refusals_total",
-      "Derived-tier consultations refused (distillation or serving; fell back to simulation)",
+      "Derived-tier consultations refused (compilation or serving; fell back to simulation)",
       refusals());
   obs::AppendCounter(out, "perfiface_derived_distilled_total",
-                     "Components successfully distilled into closed-form interfaces",
+                     "Components compiled into exact derived (max-plus) interfaces",
                      distilled());
 }
 

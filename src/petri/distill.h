@@ -1,45 +1,48 @@
-// Interface distillation: closed-form performance interfaces derived from
-// the compiled expression IR of a Petri-net component.
+// The exact derived tier: race-free Petri-net components compiled to
+// max-plus programs.
 //
-// The paper argues that an accelerator's latency is usually a *simple
-// function* of the workload — simple enough to print on one page (§2, the
-// "performance interface" itself). The simulator already carries the
-// ingredients: every .pnet transition's delay is a compiled expression
-// over token attributes (src/perfscript/compile.h), and a component whose
-// guards fold to compile-time constants routes tokens the same way for
-// every workload. For such *deterministic-path* components the quiesced
-// delay is a fixed linear combination of the per-transition delay
-// expressions: quiesce(attrs) = c0 + sum_i c_i * delay_i(attrs), where
-// the c_i are (integer) firing/critical-path multiplicities that do not
-// depend on the attributes.
+// The paper argues that an accelerator's latency is a *simple function* of
+// the workload — simple enough to print on one page (§2, the "performance
+// interface" itself). For a large class of components the simulator
+// already proves it: when no firing of a run depended on which of two
+// concurrent events happened first, the run's firing DAG is the same for
+// every attribute vector, and the time of every firing is a max-plus
+// expression over the delays (timed event graphs are linear in max-plus
+// algebra; Baccelli et al., "Synchronization and Linearity", 1992). A
+// firing starts at the max of its enabling events — the completion of each
+// consumed token's producer, its server's release, the start of the
+// consumer that freed each bounded output slot — and ends its delay later.
 //
-// The distiller recovers that combination empirically rather than by full
-// symbolic path analysis: it probes the component with a handful of
-// restricted simulations over scaled attribute vectors (the component
-// partition makes each probe exact for the component, see
-// src/petri/sim.h), solves the small least-squares system for the c_i,
-// and accepts the model only when
-//   - every guard in the component is a compile-time constant (an
-//     attr-dependent guard means data-dependent routing: refuse),
-//   - no transition carries an opaque C++ closure (unhashable nets are
-//     never distilled, mirroring the memo layers),
-//   - every probe quiesced with the *same* firing count (a drifting count
-//     is data-dependent routing the guards did not reveal), and
-//   - the fit reproduces every probe to within 0.49 cycles — since true
-//     quiesce times are integers, that makes the rounded model *exact* at
-//     every probe point.
+// On a key's first lookup the store runs one recording simulation
+// (PetriSim with a FiringLog) and accepts the component only when its
+// firing DAG is race-free:
+//   - every order the engine settled by comparing timestamps follows from
+//     happens-before in the DAG (per-transition vector clocks): token order
+//     within a place, and the order in which producers took a bounded
+//     place's room;
+//   - no place has two consumer transitions enabled under the key;
+//   - no transition has more than one server;
+//   - re-evaluating the DAG with the recorded delays reproduces every
+//     recorded start time.
+// Guards become per-request constants: the service injects copies of one
+// token, so a guard over request tokens takes one value per request. The
+// key is the component's model key (src/petri/component_tier.h) plus the
+// outcome of every attribute-dependent guard on the request token; a
+// guarded transition that can take an initial-marking token (all-zero
+// attributes) as its primary input is refused.
 //
-// Serving is hull-gated like the parametric tier (src/petri/param_model.h):
-// a query outside the probed per-attribute range is refused, and refusal
-// always falls back to bit-identical simulation. Unlike the parametric
-// tier the model is not a statistical fit over observed traffic: it is a
-// closed form over the same compiled expressions the simulator would have
-// evaluated, derived once per model key (component hash + injection plan,
-// src/petri/component_tier.h) on the key's first lookup and also rendered
-// as a PerfScript program (ProgramText) — the distilled human-readable
-// interface.
+// The accepted DAG lowers to a flat table — per firing a delay slot and up
+// to three predecessor times — evaluated in one max/add pass after each
+// distinct delay expression is evaluated once, with the engine's
+// llround, [0, 1e15) and error contract. Serving refuses, and the caller
+// falls back to bit-identical simulation, on an expression error, on
+// firings at or above the remaining budget, on a completion past the run
+// horizon, and on the per-model and per-store caps. ProgramText renders
+// the recurrence as a PerfScript program: the derived interface a person
+// can read.
 //
-// Thread-safety: all methods safe from any thread (sharded mutexes).
+// Thread-safety: all methods safe from any thread (sharded mutexes; models
+// are immutable once stored and never evicted).
 #ifndef SRC_PETRI_DISTILL_H_
 #define SRC_PETRI_DISTILL_H_
 
@@ -58,20 +61,24 @@ namespace perfiface {
 class DerivedStore : public ComponentTier {
  public:
   enum class Outcome {
-    kHit,          // *out is the closed-form result
-    kNoModel,      // nothing distilled for this key yet
-    kRefused,      // distillation was attempted and refused (cached)
-    kOutsideHull,  // query attribute outside the probed range
-    kEvalFailed,   // a feature expression failed on these attributes
-    kBudget,       // firing charge would exhaust the caller's budget
+    kHit,         // *out is the component's exact result
+    kRefused,     // the component is not compilable under this key (cached)
+    kEvalFailed,  // a delay or guard failed on these attributes
+    kBudget,      // firings at or above the caller's remaining budget
+    kHorizon,     // a completion lies past the run horizon
+    kFull,        // the store holds max_models models already
   };
 
-  explicit DerivedStore(std::size_t max_models = 1024, std::size_t num_shards = 16);
+  // Per-model cap on recorded firings. With every delay below 1e15, a
+  // chain of this many firings cannot overflow Cycles.
+  static constexpr std::uint64_t kMaxModelFirings = 1 << 14;
 
-  // Serves the closed form for the query's model key, distilling it on the
-  // key's first lookup. Every outcome short of kHit is a miss.
+  explicit DerivedStore(std::size_t max_models = 1024, std::size_t num_shards = 16);
+  ~DerivedStore() override;
+
+  // Predict() == kHit.
   bool Lookup(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out) override;
-  // Closed forms come from probing, not from traffic: nothing to learn.
+  // Models come from their own recording run, not from traffic.
   void Observe(const ComponentQuery&, const ComponentResult&) override {}
 
   // {"models":N,"distilled":N,"refusals":N,"hits":N}.
@@ -79,72 +86,50 @@ class DerivedStore : public ComponentTier {
   // perfiface_derived_{hits,refusals,distilled}_total.
   void AppendPrometheus(std::string* out) const override;
 
-  // Attempts to distill the query's component into a closed form, probing
-  // with restricted simulations seeded from the query token's attribute
-  // vector. The outcome — model or refusal — is cached under the model
-  // key, so at most one distillation runs per key (concurrent callers for
-  // the same key may both probe; the first insert wins, both results are
-  // equivalent). Returns true when a servable model exists afterwards.
-  // Counts a distillation or a refusal.
-  bool Distill(const ComponentQuery& query);
+  // Serves the query's component from its compiled program, compiling it
+  // on the key's first lookup. kHit fills *out and counts a hit; every
+  // other outcome counts a refusal.
+  Outcome Predict(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out);
 
-  // Serves the closed form under `model_key`. kHit fills *out and counts a
-  // hit; every other outcome counts a refusal and means the caller must
-  // fall back (simulate / lower tier), which is always bit-identical to
-  // this tier being off.
-  Outcome Predict(const std::string& model_key, const Token& token, std::uint64_t budget,
-                  ComponentResult* out);
+  // The query's compiled program rendered as PerfScript — `def latency`
+  // over the net's attributes in name order — or "" when its key has no
+  // accepted model.
+  std::string ProgramText(const ComponentQuery& query) const;
+  // Why the query's key was refused ("" when accepted or never compiled).
+  // Debugging and tests; the text is not a stable API.
+  std::string RefusalReason(const ComponentQuery& query) const;
 
-  // The derived interface rendered as a PerfScript program (the paper's
-  // one-page closed form), or "" when the key has no model
-  // (docs/serving.md "Unified expression IR & derived interfaces").
-  std::string ProgramText(const std::string& key) const;
-
-  // Why the key's distillation was refused ("" when it succeeded or never
-  // ran). Debugging/tests; refusal text is not a stable API.
-  std::string RefusalReason(const std::string& key) const;
-
-  std::size_t size() const;  // cached entries (models + refusals)
+  std::size_t size() const;  // stored models, refusals included
   std::uint64_t distilled() const { return distilled_.load(std::memory_order_relaxed); }
   std::uint64_t refusals() const { return refusals_.load(std::memory_order_relaxed); }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
 
  private:
-  // One delay expression serving as a fit feature. The expression is
-  // co-owned (TransitionSpec::delay_compiled is a shared_ptr) so a cached
-  // model survives the net it was distilled from.
-  struct Feature {
-    std::shared_ptr<const CompiledExpr> expr;
-    std::string text;  // infix rendering, for ProgramText
-  };
-
-  struct Model {
-    bool ok = false;            // false: cached refusal
-    std::string refusal;        // why, when !ok
-    // False for a refusal caused by the seed token's values making an
-    // expression fail (division by zero, delay out of range): the request
-    // that triggered it fails the same way in simulation, and nothing from
-    // a failed evaluation may stay in the store.
-    bool cacheable = true;
-    std::vector<Feature> features;
-    std::vector<double> coef;   // 1 + features.size() entries (intercept first)
-    // Probed per-attribute hull: (slot, lo, hi); queries outside refuse.
-    std::vector<std::uint32_t> hull_slots;
-    std::vector<double> hull_lo, hull_hi;
-    std::uint64_t firings = 0;  // constant across probes
-    std::string program;        // PerfScript rendering
-  };
-
+  struct Model;
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<const Model>> models;
+    std::unordered_map<std::string, std::unique_ptr<const Model>> models;
   };
 
-  // Builds the model (or a refusal) by probing; pure of store state.
-  static std::shared_ptr<const Model> BuildModel(const ComponentQuery& query);
+  // The store key of the query: its model key, followed by the outcome of
+  // every attribute-dependent guard of the component on the request token.
+  // Null when the model key is empty (unhashable net) or a guard fails on
+  // the token. Points at the model key or at thread-local storage.
+  static const std::string* KeyOf(const ComponentQuery& query);
+  // Compiles the component or explains why not; pure of store state.
+  static std::unique_ptr<Model> Compile(const ComponentQuery& query);
+  // Evaluates an accepted model on the token's attributes.
+  static Outcome Evaluate(const Model& model, const Token& token, std::uint64_t budget,
+                          ComponentResult* out);
+  // Fills every delay slot; false when an expression fails or leaves
+  // [0, 1e15), as the engine would report.
+  static bool EvalDelays(const Model& model, const Token& token, std::vector<Cycles>* delays);
+  // The one max/add pass: fills every start and end, returns the last end.
+  static Cycles RunTable(const Model& model, const Cycles* delays, std::vector<Cycles>* times);
+  static std::string Render(const Model& model, const CompiledNet& net);
 
   Shard& ShardFor(const std::string& key) const;
-  std::shared_ptr<const Model> Find(const std::string& key) const;
+  const Model* Find(const std::string& key) const;
 
   std::size_t max_models_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -57,11 +57,24 @@ void PetriSim::Reset() {
       pending_[t] = true;
     }
   }
+  if (log_ != nullptr) {
+    log_->Reset(*cnet_);
+  }
+}
+
+void PetriSim::set_firing_log(FiringLog* log) {
+  log_ = log;
+  if (log_ != nullptr) {
+    log_->Reset(*cnet_);
+  }
 }
 
 void PetriSim::Inject(PlaceId place, Token token) {
   PI_CHECK(place < places_.size());
   token.injected_at = now_;
+  if (log_ != nullptr) {
+    log_->Inject(place);
+  }
   Deposit(place, std::move(token));
 }
 
@@ -196,6 +209,9 @@ bool PetriSim::TryStart(TransitionId t) {
   // Consume inputs into a scheduled slab slot.
   Firing& f = ScheduleFiring(now_ + delay);
   f.transition = t;
+  if (log_ != nullptr) {
+    f.logged = log_->Start(*cnet_, t, now_, delay);
+  }
   f.consumed.resize(0);
   for (std::uint32_t i = trans.in_begin; i < trans.in_end; ++i) {
     PlaceState& ps = places_[in_arcs[i].place];
@@ -254,6 +270,9 @@ void PetriSim::Complete(const Firing& f) {
   const CompiledNet::Transition& trans = cnet_->transitions()[f.transition];
   const std::vector<CompiledNet::CompiledArc>& out_arcs = cnet_->outputs();
   const char* trans_name = cnet_->source().transitions()[f.transition].name.c_str();
+  if (log_ != nullptr) {
+    log_->Complete(*cnet_, f.logged);
+  }
 
   if (trans.fire != nullptr) {
     TokenRefs refs;
@@ -375,6 +394,83 @@ bool PetriSim::Run(Cycles max_time) {
     span.SetArg("firings", static_cast<double>(total_firings_ - firings_before));
   }
   return quiesced;
+}
+
+void FiringLog::Reset(const CompiledNet& net) {
+  const std::size_t n = net.num_places();
+  firings_.clear();
+  deposits_.assign(n, {});
+  room_takers_.assign(n, {});
+  shadow_.assign(n, {});
+  taken_.assign(n, 0);
+  popped_by_.assign(n, {});
+  for (std::size_t p = 0; p < n; ++p) {
+    taken_[p] = net.places()[p].initial_tokens;
+    shadow_[p].assign(net.places()[p].initial_tokens, Shadow{kNone, true});
+  }
+}
+
+void FiringLog::Inject(PlaceId place) {
+  ++taken_[place];
+  shadow_[place].push_back(Shadow{kNone, false});
+}
+
+std::uint32_t FiringLog::Start(const CompiledNet& net, TransitionId t, Cycles now,
+                               Cycles delay) {
+  const CompiledNet::Transition& trans = net.transitions()[t];
+  const auto index = static_cast<std::uint32_t>(firings_.size());
+  Firing f;
+  f.transition = static_cast<std::uint32_t>(t);
+  f.start = now;
+  f.delay = delay;
+  for (std::uint32_t i = trans.in_begin; i < trans.in_end; ++i) {
+    const CompiledNet::CompiledArc& in = net.inputs()[i];
+    for (std::uint32_t k = 0; k < in.weight; ++k) {
+      const Shadow token = shadow_[in.place].front();
+      shadow_[in.place].pop_front();
+      if (f.producers.empty()) {
+        f.primary_initial = token.initial;
+      }
+      f.producers.push_back(token.producer);
+      popped_by_[in.place].push_back(index);
+    }
+  }
+  // The engine admits an output arc when the units taken so far, minus
+  // those popped (this firing's own pops included), leave room for the
+  // arc's weight; the pop that made the last needed unit free is the
+  // enabling event. Each arc is checked against the marking before this
+  // firing's own reservations, as TryStart does.
+  for (std::uint32_t i = trans.out_begin; i < trans.out_end; ++i) {
+    const CompiledNet::CompiledArc& out = net.outputs()[i];
+    const std::uint64_t capacity = net.places()[out.place].capacity;
+    if (capacity == 0) {
+      continue;
+    }
+    const std::uint64_t needed = taken_[out.place] + out.weight;
+    std::uint32_t from = kNone;
+    if (needed > capacity) {
+      from = popped_by_[out.place][needed - capacity - 1];
+    }
+    f.room_from.push_back(from == index ? kNone : from);
+    room_takers_[out.place].push_back(index);
+  }
+  for (std::uint32_t i = trans.out_begin; i < trans.out_end; ++i) {
+    taken_[net.outputs()[i].place] += net.outputs()[i].weight;
+  }
+  firings_.push_back(std::move(f));
+  return index;
+}
+
+void FiringLog::Complete(const CompiledNet& net, std::uint32_t firing) {
+  const CompiledNet::Transition& trans = net.transitions()[firings_[firing].transition];
+  const Shadow made{firing, firings_[firing].primary_initial};
+  for (std::uint32_t i = trans.out_begin; i < trans.out_end; ++i) {
+    const CompiledNet::CompiledArc& out = net.outputs()[i];
+    for (std::uint32_t k = 0; k < out.weight; ++k) {
+      shadow_[out.place].push_back(made);
+      deposits_[out.place].push_back(firing);
+    }
+  }
 }
 
 }  // namespace perfiface

@@ -33,6 +33,68 @@ struct Arrival {
   Token token;
 };
 
+// What enabled each firing of one run: the firing DAG the exact derived
+// tier compiles (src/petri/distill.h). Attach it with
+// PetriSim::set_firing_log before Run; a sim without a log pays one pointer
+// test per firing. Firings are numbered in start order. Only the default
+// token routing is mirrored (the primary input token is copied to every
+// output arc), so the log is meaningful for nets without FireFns, which is
+// every hashable net.
+class FiringLog {
+ public:
+  // Producer of a token that no firing made: a request copy injected at
+  // time 0, or an initial-marking token.
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+  struct Firing {
+    std::uint32_t transition = 0;
+    Cycles start = 0;
+    Cycles delay = 0;
+    // The primary input token descends from the initial marking, so its
+    // delay and guard read all-zero attributes, not the request's.
+    bool primary_initial = false;
+    // Producer firing of every consumed token, in input-arc order.
+    SmallVec<std::uint32_t, 4> producers;
+    // Per bounded output arc: the firing whose start popped the unit of
+    // room this firing needed last (kNone when the room was free at t=0 or
+    // freed by this firing's own pops).
+    SmallVec<std::uint32_t, 2> room_from;
+  };
+
+  const std::vector<Firing>& firings() const { return firings_; }
+  // Per place: the producer firing of every deposit, in deposit order
+  // (initial and injected tokens precede them all).
+  const std::vector<std::vector<std::uint32_t>>& deposits() const { return deposits_; }
+  // Per bounded place: the firings that took room in it, in order.
+  const std::vector<std::vector<std::uint32_t>>& room_takers() const { return room_takers_; }
+  // Per place: how many tokens firings popped from it.
+  std::size_t pops(PlaceId place) const { return popped_by_[place].size(); }
+
+ private:
+  friend class PetriSim;
+
+  struct Shadow {
+    std::uint32_t producer = kNone;
+    bool initial = false;
+  };
+
+  void Reset(const CompiledNet& net);
+  void Inject(PlaceId place);
+  // Called with the firing's tokens still in their places.
+  std::uint32_t Start(const CompiledNet& net, TransitionId t, Cycles now, Cycles delay);
+  void Complete(const CompiledNet& net, std::uint32_t firing);
+
+  std::vector<Firing> firings_;
+  std::vector<std::vector<std::uint32_t>> deposits_;
+  std::vector<std::vector<std::uint32_t>> room_takers_;
+  // Shadow of each place's token FIFO: who made each token.
+  std::vector<std::deque<Shadow>> shadow_;
+  // Units of room ever taken in each place (marking, injections, firings)
+  // and the firing behind each pop, in pop order.
+  std::vector<std::uint64_t> taken_;
+  std::vector<std::vector<std::uint32_t>> popped_by_;
+};
+
 class PetriSim {
  public:
   // Runs every component of the net (the default).
@@ -80,6 +142,10 @@ class PetriSim {
   void set_max_firings(std::uint64_t m) { max_firings_ = m; }
   bool firing_budget_exhausted() const { return budget_exhausted_; }
 
+  // Records every firing's enabling events into `log` (null: none); attach
+  // it before injecting. The log must outlive the run.
+  void set_firing_log(FiringLog* log);
+
   // A compiled delay or guard that divides or takes a modulo by zero, or a
   // delay outside [0, 1e15), stops the run the same clean way (Run returns
   // false). Empty unless that happened; otherwise names the transition,
@@ -89,6 +155,7 @@ class PetriSim {
  private:
   struct Firing {
     TransitionId transition = 0;
+    std::uint32_t logged = 0;  // index in log_, when one is attached
     SmallVec<Token, 4> consumed;
   };
 
@@ -139,6 +206,7 @@ class PetriSim {
   std::uint64_t max_firings_ = 500'000'000;
   bool budget_exhausted_ = false;
   std::string error_;
+  FiringLog* log_ = nullptr;
   // Allocates a slab slot for an in-flight firing and schedules it.
   Firing& ScheduleFiring(Cycles complete_at);
 

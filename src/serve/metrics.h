@@ -18,8 +18,8 @@
 
 namespace perfiface::serve {
 
-// Most component tiers a service chains (memo, derived, param).
-constexpr std::size_t kMaxComponentTiers = 3;
+// Most component tiers a service chains (derived, memo).
+constexpr std::size_t kMaxComponentTiers = 2;
 
 // One row per interface, created when the service loads the registry so
 // the hot path never takes a lock to find its histogram.

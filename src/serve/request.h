@@ -96,11 +96,9 @@ struct ExplainInfo {
   bool filled = false;
   // Which machinery produced the value: "psc-vm", "pnet",
   // "pnet-memo" (every component answered from the memo table),
-  // "pnet-derived" (no simulation; at least one component served from a
-  // distilled closed-form interface, src/petri/distill.h),
-  // "pnet-param" (no simulation; at least one component interpolated from
-  // the fitted parametric model), or "cache" (served from the prediction
-  // cache without evaluating).
+  // "pnet-derived" (no simulation; at least one component served from its
+  // exact max-plus program, src/petri/distill.h), or "cache" (served from
+  // the prediction cache without evaluating).
   std::string representation;
   // Prediction-cache outcome: "hit", "miss", or "not_consulted" (cache
   // disabled or the request never reached lookup).
@@ -112,16 +110,11 @@ struct ExplainInfo {
   // Pnet memo path: components consulted and how many hit the memo table.
   std::uint64_t memo_components = 0;
   std::uint64_t memo_hits = 0;
-  // Components served from a distilled closed-form interface on an
-  // exact-memo miss (docs/serving.md "Unified expression IR & derived
-  // interfaces"). representation reads "pnet-derived" when no component
-  // had to simulate and at least one came from a closed form.
+  // Components served by the exact derived tier (docs/serving.md "Unified
+  // expression IR & derived interfaces"). representation reads
+  // "pnet-derived" when no component had to simulate and at least one
+  // came from a max-plus program.
   std::uint64_t derived_hits = 0;
-  // Components served by the parametric model on an exact-memo miss
-  // (docs/serving.md "Parametric memoization"). representation reads
-  // "pnet-param" when no component had to simulate and at least one was
-  // interpolated.
-  std::uint64_t param_hits = 0;
   // The step budget came from deadline_us rather than max_steps.
   bool deadline_limited = false;
   // Shadow validation (docs/observability.md): set when this request was

@@ -12,17 +12,12 @@
 #include "src/obs/trace.h"
 #include "src/perfscript/kv_object.h"
 #include "src/petri/distill.h"
-#include "src/petri/param_model.h"
 #include "src/petri/pnet_memo.h"
 #include "src/petri/sim.h"
 
 namespace perfiface::serve {
 
 namespace {
-
-// Same event-horizon budget the petri interface adapters use: far beyond
-// any real prediction, only hit by nets that never quiesce.
-constexpr Cycles kPnetRunBudget = 1ULL << 40;
 
 std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
                         std::chrono::steady_clock::time_point to) {
@@ -103,24 +98,15 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
       ShadowOptions{options_.shadow_sample_every, options_.shadow_seed,
                     options_.shadow_drift_threshold},
       names);
-  // The component chain, cheapest and exact first. The derived and
-  // parametric tiers sit on the per-component path the memo opens, so
-  // they run only with it. The closed form outranks interpolation, which
-  // outranks exact replay, in the representation label.
+  // The component chain. Both tiers are exact, so the order changes cost,
+  // not answers: the derived tier goes first because a compiled component
+  // costs one table pass, less than the memo's exact-key probe, and the
+  // memo answers repeats of the components the derived tier refuses.
   if (options_.enable_pnet_memo) {
+    tiers_.push_back({std::make_unique<DerivedStore>(), "derived_lookup", "derived_store",
+                      "derived_hits", &ExplainInfo::derived_hits, "pnet-derived"});
     tiers_.push_back({std::make_unique<PnetMemoTable>(), "memo_lookup", "pnet_memo",
-                      "memo_hits", &ExplainInfo::memo_hits, "pnet-memo", 0});
-    if (options_.enable_derived) {
-      tiers_.push_back({std::make_unique<DerivedStore>(), "derived_lookup", "derived_store",
-                        "derived_hits", &ExplainInfo::derived_hits, "pnet-derived", 2});
-    }
-    if (options_.enable_param_memo) {
-      tiers_.push_back({std::make_unique<ParamModelStore>(
-                            ParamGate{options_.param_memo_min_samples,
-                                      options_.param_memo_max_rel_err}),
-                        "param_lookup", "param_store", "param_hits", &ExplainInfo::param_hits,
-                        "pnet-param", 1});
-    }
+                      "memo_hits", &ExplainInfo::memo_hits, "pnet-memo"});
   }
   std::size_t n = options_.num_workers;
   if (n == 0) {
@@ -178,14 +164,11 @@ std::string PredictionService::StatuszJson() const {
   out += "\"build\":" + obs::BuildInfoJson() + ",";
   out += StrFormat(
       "\"options\":{\"workers\":%zu,\"queue_capacity\":%zu,\"batch_chunk\":%zu,"
-      "\"cache_capacity\":%zu,\"cache_shards\":%zu,\"pnet_memo\":%s,\"param_memo\":%s,"
-      "\"param_memo_min_samples\":%zu,\"param_memo_max_rel_err\":%.9g,\"derived\":%s,"
+      "\"cache_capacity\":%zu,\"cache_shards\":%zu,\"pnet_memo\":%s,"
       "\"default_max_steps\":%llu,\"steps_per_us\":%llu,\"shadow_sample_every\":%llu,"
       "\"shadow_seed\":%llu,\"shadow_drift_threshold\":%.9g,\"span_ring\":%s},",
       workers_.size(), options_.queue_capacity, options_.batch_chunk, options_.cache_capacity,
       options_.cache_shards, options_.enable_pnet_memo ? "true" : "false",
-      options_.enable_param_memo ? "true" : "false", options_.param_memo_min_samples,
-      options_.param_memo_max_rel_err, options_.enable_derived ? "true" : "false",
       static_cast<unsigned long long>(options_.default_max_steps),
       static_cast<unsigned long long>(options_.steps_per_us),
       static_cast<unsigned long long>(options_.shadow_sample_every),
@@ -236,9 +219,8 @@ std::string PredictionService::StatuszJson() const {
     }
     out += "]},";
   }
-  // Tier attribution: occupancy/eviction pressure on the exact table next
-  // to the derived and parametric stores' totals, for the tiers this
-  // service runs.
+  // Tier attribution: the derived store's totals next to occupancy and
+  // eviction pressure on the memo table, for the tiers this service runs.
   for (const ChainTier& t : tiers_) {
     out += StrFormat("\"%s\":", t.statusz) + t.tier->SummaryJson() + ",";
   }
@@ -947,7 +929,7 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
         PetriSim sim(&cnet, c);
         sim.set_max_firings(remaining);
         sim.InjectPlan(injections, token);
-        const bool q = sim.Run(kPnetRunBudget);
+        const bool q = sim.Run(kComponentRunHorizon);
         result.quiesce_time = sim.now();
         result.firings = sim.total_firings();
         if (!q) {
@@ -966,24 +948,21 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
       value = std::max(value, result.quiesce_time);
     }
     if (answered != 0 && answered == detail->memo_components) {
-      // No component simulated: the highest-ranked tier that answered one
-      // names the representation.
-      const ChainTier* label = nullptr;
-      for (std::size_t t = 0; t < tiers_.size(); ++t) {
-        if (detail->tier_hits[t] != 0 &&
-            (label == nullptr || tiers_[t].label_rank > label->label_rank)) {
-          label = &tiers_[t];
-        }
+      // No component simulated: the first tier that answered one names the
+      // representation.
+      std::size_t t = 0;
+      while (detail->tier_hits[t] == 0) {
+        ++t;
       }
-      detail->representation = label->representation;
+      detail->representation = tiers_[t].representation;
     }
   } else {
-    // Memo off (or net unhashable: opaque C++ closures): one whole-net
+    // Tiers off (or net unhashable: opaque C++ closures): one whole-net
     // run over the shared pre-compiled form.
     PetriSim sim(&cnet);
     sim.set_max_firings(budget);
     sim.InjectPlan(injections, token);
-    quiesced = sim.Run(kPnetRunBudget);
+    quiesced = sim.Run(kComponentRunHorizon);
     firing_budget_hit = sim.firing_budget_exhausted();
     sim_error = sim.error();
     value = sim.now();

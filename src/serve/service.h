@@ -14,14 +14,15 @@
 //                             program — Vms are stateful and are never
 //                             shared) ──▶ sharded LRU cache
 //                                          └──▶ component-tier chain:
-//                                               memo → derived → param
+//                                               derived → memo
 //                                               (src/petri/component_tier.h)
 //
 // Responses memoize (interface, function, canonicalized workload) →
 // prediction, so hot workloads skip evaluation entirely; below that, pnet
 // evaluations go per weakly-connected component through the service's own
-// tier chain (two services share no tier state), whose exact memo is keyed
-// by structural hash, so repeated *structure* is cheap even across nets.
+// tier chain (two services share no tier state): race-free components are
+// answered by their exact max-plus program, the rest from a memo keyed by
+// structural hash, so repeated *structure* is cheap even across nets.
 // Registry lookups go through a lock-free direct-mapped hot tier over a
 // hash index — no linear scan on the hot path. Per-request deadlines ride
 // on the VM's step budget (docs/serving.md).
@@ -72,31 +73,13 @@ struct ServiceOptions {
   // Total cache entries (0 disables caching) and shard count.
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 64;
-  // Cross-request per-component Petri-net memoization (the service's own
-  // table, src/petri/pnet_memo.h). Off, every pnet query simulates from
-  // scratch — useful for benchmarking and for verifying equivalence.
+  // The per-component Petri-net tiers (src/petri/component_tier.h): the
+  // exact derived tier (src/petri/distill.h), which answers race-free
+  // components from their max-plus program, and the service's memo table
+  // (src/petri/pnet_memo.h). Both are exact, so their answers equal
+  // simulation bit for bit. Off, every pnet query simulates the whole net
+  // from scratch — useful for benchmarking and for verifying equivalence.
   bool enable_pnet_memo = true;
-  // Parametric memoization (src/petri/param_model.h): on an exact-memo
-  // miss, consult the per-component delay curve fitted online from prior
-  // exact results and serve the interpolated value when the gates open
-  // (enough samples, query inside the observed attribute hull, running
-  // residual bound under param_memo_max_rel_err). Off by default: enabling
-  // it trades bit-exact replay of the simulation for interpolated answers
-  // on near-miss traffic. Gate-closed queries are bit-identical to the
-  // memo-only path either way. Requires enable_pnet_memo (the exact fills
-  // are what feed the fitter).
-  bool enable_param_memo = false;
-  std::size_t param_memo_min_samples = 32;
-  double param_memo_max_rel_err = 0.02;
-  // Derived closed-form interfaces (src/petri/distill.h): on an exact-memo
-  // miss — and before the parametric tier — serve deterministic-path
-  // components from the closed form distilled out of their compiled delay
-  // expressions. Distillation runs once per (component, injection plan),
-  // probing with a handful of restricted simulations; any refusal (attr-
-  // dependent guards, drifting firing counts, query outside the probed
-  // hull) falls back to the lower tiers bit-identically. Off by default.
-  // Requires enable_pnet_memo (the tier lives on the per-component path).
-  bool enable_derived = false;
   // Default evaluation budget: VM steps (program queries) or net firings
   // (pnet queries).
   std::uint64_t default_max_steps = 5'000'000;
@@ -212,9 +195,9 @@ class PredictionService {
   // Interfaces the service can answer for (registry order).
   std::vector<std::string> InterfaceNames() const;
 
-  // The chain's tier of concrete type T (PnetMemoTable, DerivedStore,
-  // ParamModelStore), or null when this service does not run it. Tests and
-  // benches read store counters through this.
+  // The chain's tier of concrete type T (DerivedStore, PnetMemoTable), or
+  // null when this service does not run it. Tests and benches read store
+  // counters through this.
   template <typename T>
   const T* FindTier() const {
     for (const ChainTier& t : tiers_) {
@@ -269,9 +252,8 @@ class PredictionService {
     const char* hits_name;       // its explain and /statusz hit count
     std::uint64_t ExplainInfo::*explain_hits;
     // Explain representation when every component was answered from the
-    // chain; among the tiers that answered one, the highest rank names it.
+    // chain; among the tiers that answered one, the first names it.
     const char* representation;
-    int label_rank;
   };
 
   // Completion state shared between a batch submitter and the workers.
@@ -321,7 +303,7 @@ class PredictionService {
   // without re-deriving them. Static strings only — no per-request
   // allocation unless the client asked to explain.
   struct EvalDetail {
-    // "psc-vm" | "pnet" | "pnet-memo" | "pnet-derived" | "pnet-param"
+    // "psc-vm" | "pnet" | "pnet-memo" | "pnet-derived"
     const char* representation = "";
     std::uint64_t steps = 0;          // VM steps or net firings
     std::uint64_t memo_components = 0;

@@ -3,12 +3,11 @@
 // The canonical serialization of a compiled delay/guard expression is what
 // the .pnet loader records as TransitionSpec::delay_expr/guard_expr, which
 // is in turn the *only* expression input to CompiledNet's structural hash —
-// the key under which every cross-request memo entry (pnet_memo.h), every
-// parametric model (param_model.h), and every derived interface
-// (distill.h) is stored. If the format drifts — a reordered ExprOp enum, a
-// different float rendering, an "optimized" emission order — every one of
-// those keys silently changes: caches go cold, fitted models orphan, and
-// nothing fails loudly. This test snapshots the canonical string of every
+// the key under which every cross-request memo entry (pnet_memo.h) and
+// every derived model (distill.h) is stored. If the format drifts — a
+// reordered ExprOp enum, a different float rendering, an "optimized"
+// emission order — every one of those keys silently changes: caches go
+// cold, compiled models orphan, and nothing fails loudly. This test snapshots the canonical string of every
 // shipped .pnet delay and guard into a checked-in golden file so such a
 // drift fails CI with an explanation instead.
 #include <string>
@@ -51,8 +50,8 @@ TEST(CanonicalGolden, ShippedPnetExpressionsAreByteIdentical) {
       << "CompiledExpr::Canonical() output changed for a shipped .pnet "
          "expression.\n"
          "This is not cosmetic: the canonical string keys the cross-request "
-         "pnet memo table,\nthe parametric model store, and the derived-"
-         "interface store (via CompiledNet's\nstructural hash). If the new "
+         "pnet memo table\nand the derived-interface store (via CompiledNet's "
+         "structural hash).\nIf the new "
          "format is intentional, every persisted/cross-version\nkey space "
          "just changed — update " << golden_path
       << "\nonly after confirming no consumer relies on key stability.\n"

@@ -1,10 +1,10 @@
-// The derived tier's correctness contract (src/petri/distill.h): a
-// distilled closed form must reproduce the simulator exactly — same
-// quiesce time, same firing count — everywhere inside its probed hull,
-// and must refuse everything else (attr-dependent guards, unhashable
-// nets, out-of-hull queries, budget exhaustion), falling back to
-// bit-identical simulation. These tests drive a local DerivedStore
-// against the shipped jpeg interface and small hand-built nets.
+// The exact derived tier's serving contract (src/petri/distill.h): a
+// compiled component answers exactly what simulation answers, and every
+// edge the engine treats specially — the firing budget, the run horizon,
+// expression errors, the model caps — refuses, so the service falls back
+// to the simulation's own answer. The differential suite over many nets
+// is tests/maxplus_diff_test.cc; these tests pin the edges on the shipped
+// jpeg interface and small hand-built nets.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -14,15 +14,25 @@
 #include <gtest/gtest.h>
 
 #include "src/core/pnet.h"
+#include "src/core/registry.h"
+#include "src/perfscript/compile.h"
+#include "src/perfscript/parser.h"
+#include "src/perfscript/vm.h"
 #include "src/petri/compiled_net.h"
 #include "src/petri/component_tier.h"
 #include "src/petri/distill.h"
 #include "src/petri/net.h"
 #include "src/petri/sim.h"
 #include "src/petri/token.h"
+#include "src/serve/service.h"
 
 namespace perfiface {
 namespace {
+
+using Outcome = DerivedStore::Outcome;
+using Plan = std::vector<std::pair<PlaceId, int>>;
+
+constexpr std::uint64_t kBudget = 1u << 30;
 
 LoadedNet LoadShipped(const std::string& name) {
   return LoadPnetFile(std::string(PERFIFACE_SOURCE_DIR) + "/src/core/interfaces/" +
@@ -36,156 +46,282 @@ Token JpegToken(double bits, double blocks) {
   return tok;
 }
 
-// The jpeg decode entry plan the serving layer uses: one header token,
-// eight MCU tokens.
-std::vector<std::pair<PlaceId, int>> JpegInjections(const PetriNet& net) {
-  return {{net.PlaceByName("hdr_in"), 1}, {net.PlaceByName("vld_in"), 8}};
+Plan JpegPlan(const PetriNet& net, int stripes) {
+  return {{net.PlaceByName("hdr_in"), 1}, {net.PlaceByName("vld_in"), stripes}};
 }
 
-TEST(Distill, JpegDistillsAndMatchesSimulationAcrossTheHull) {
+ComponentResult Simulate(const CompiledNet& cnet, const Plan& plan, const Token& tok) {
+  PetriSim sim(&cnet, 0);
+  sim.InjectPlan(plan, tok);
+  EXPECT_TRUE(sim.Run(kComponentRunHorizon));
+  return {sim.now(), sim.total_firings()};
+}
+
+serve::PredictRequest JpegRequest(const std::string& plan,
+                                  std::vector<std::pair<std::string, double>> attrs) {
+  serve::PredictRequest req;
+  req.interface = "jpeg_decoder";
+  req.representation = serve::Representation::kPnet;
+  req.entry_place = plan;
+  req.attrs = std::move(attrs);
+  req.explain = true;
+  return req;
+}
+
+// One service with the component tiers, one that always simulates.
+struct Services {
+  Services() : tiers(InterfaceRegistry::Default(), Options(true)),
+               sim(InterfaceRegistry::Default(), Options(false)) {}
+  static serve::ServiceOptions Options(bool tiers_on) {
+    serve::ServiceOptions options;
+    options.num_workers = 1;
+    options.cache_capacity = 0;
+    options.enable_pnet_memo = tiers_on;
+    return options;
+  }
+  const DerivedStore& derived() const { return *tiers.FindTier<DerivedStore>(); }
+  serve::PredictionService tiers;
+  serve::PredictionService sim;
+};
+
+void ExpectSameAnswer(const serve::PredictResponse& got, const serve::PredictResponse& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.value, want.value);
+}
+
+TEST(Distill, JpegCompilesOnFirstLookupAndMatchesSimulationEverywhere) {
   const LoadedNet loaded = LoadShipped("jpeg");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet cnet(loaded.net.get());
   ASSERT_TRUE(cnet.hashable());
   ASSERT_EQ(cnet.num_components(), 1u);
-
-  const auto injections = JpegInjections(*loaded.net);
-  const Token seed = JpegToken(1000, 8);
-  ComponentQuery query(cnet, seed, injections);
-  query.Select(0);
-  const std::string& key = query.model_key();
-  ASSERT_FALSE(key.empty());
+  const Plan plan = JpegPlan(*loaded.net, 8);
   DerivedStore store;
-  ASSERT_TRUE(store.Distill(query)) << store.RefusalReason(key);
-  EXPECT_EQ(store.distilled(), 1u);
-  EXPECT_EQ(store.refusals(), 0u);
-
-  // The rendered program is the paper's human-readable artifact.
-  const std::string program = store.ProgramText(key);
-  EXPECT_NE(program.find("fn latency"), std::string::npos) << program;
-  EXPECT_NE(program.find("bits"), std::string::npos) << program;
-
-  // Exactness everywhere inside the probed hull, including points no
-  // probe visited: the closed form must equal a fresh simulation, cycle
-  // for cycle, firing for firing.
-  for (const double bits : {1000.0, 1100.0, 1250.0, 1600.0, 1999.0, 2000.0}) {
-    for (const double blocks : {8.0, 9.0, 11.0, 13.0, 15.0, 16.0}) {
+  // No hull: the model compiled at bits=1000 answers six orders of
+  // magnitude away, cycle for cycle and firing for firing.
+  for (const double bits : {1000.0, 1.0, 64.0, 1999.0, 50000.0, 262144.0, 1048576.0}) {
+    for (const double blocks : {1.0, 4.0, 8.0, 16.0}) {
       const Token tok = JpegToken(bits, blocks);
-      ComponentResult pred;
-      ASSERT_EQ(store.Predict(key, tok, /*budget=*/1u << 30, &pred),
-                DerivedStore::Outcome::kHit)
-          << "bits=" << bits << " blocks=" << blocks;
-
-      PetriSim sim(&cnet, 0);
-      for (const auto& [place, count] : injections) {
-        for (int i = 0; i < count; ++i) sim.Inject(place, tok);
-      }
-      ASSERT_TRUE(sim.Run(static_cast<Cycles>(1) << 40));
-      EXPECT_EQ(pred.quiesce_time, sim.now())
-          << "bits=" << bits << " blocks=" << blocks;
-      EXPECT_EQ(pred.firings, sim.total_firings())
-          << "bits=" << bits << " blocks=" << blocks;
+      ComponentQuery query(cnet, tok, plan);
+      query.Select(0);
+      ComponentResult got;
+      ASSERT_EQ(store.Predict(query, kBudget, &got), Outcome::kHit)
+          << "bits=" << bits << " blocks=" << blocks << ": " << store.RefusalReason(query);
+      const ComponentResult want = Simulate(cnet, plan, tok);
+      EXPECT_EQ(got.quiesce_time, want.quiesce_time) << "bits=" << bits << " blocks=" << blocks;
+      EXPECT_EQ(got.firings, want.firings) << "bits=" << bits << " blocks=" << blocks;
     }
   }
-  EXPECT_GT(store.hits(), 0u);
+  EXPECT_EQ(store.distilled(), 1u);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.refusals(), 0u);
+  EXPECT_EQ(store.hits(), 28u);
 }
 
-TEST(Distill, OutsideHullAndBudgetRefuseToServe) {
+// firings == remaining budget: the simulation reports exhaustion at
+// exactly the budget, so the tier refuses and the service answers what a
+// tier-less service answers.
+TEST(Distill, BudgetEqualToTheFiringCountRefuses) {
   const LoadedNet loaded = LoadShipped("jpeg");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet cnet(loaded.net.get());
-  const auto injections = JpegInjections(*loaded.net);
-  const Token seed = JpegToken(1000, 8);
-  ComponentQuery query(cnet, seed, injections);
+  const Plan plan = JpegPlan(*loaded.net, 32);
+  const Token tok = JpegToken(5000, 8);
+  ComponentQuery query(cnet, tok, plan);
   query.Select(0);
-  const std::string& key = query.model_key();
   DerivedStore store;
-  ASSERT_TRUE(store.Distill(query)) << store.RefusalReason(key);
+  ComponentResult got;
+  ASSERT_EQ(store.Predict(query, kBudget, &got), Outcome::kHit);
+  ASSERT_EQ(got.firings, 97u);
+  EXPECT_EQ(store.Predict(query, 97, &got), Outcome::kBudget);
+  EXPECT_EQ(store.Predict(query, 98, &got), Outcome::kHit);
 
-  ComponentResult pred;
-  // Outside the probed attribute range: refuse, never extrapolate.
-  EXPECT_EQ(store.Predict(key, JpegToken(50000, 8), 1u << 30, &pred),
-            DerivedStore::Outcome::kOutsideHull);
-  EXPECT_EQ(store.Predict(key, JpegToken(1000, 4), 1u << 30, &pred),
-            DerivedStore::Outcome::kOutsideHull);
-  // A hit charges its firing count against the caller's budget exactly
-  // like a memo hit; an exhausted budget refuses the same way the
-  // simulator would have.
-  EXPECT_EQ(store.Predict(key, JpegToken(1000, 8), /*budget=*/1, &pred),
-            DerivedStore::Outcome::kBudget);
-  // An unknown key reports kNoModel, not a refusal.
-  EXPECT_EQ(store.Predict("no-such-key", JpegToken(1000, 8), 1u << 30, &pred),
-            DerivedStore::Outcome::kNoModel);
+  Services services;
+  serve::PredictRequest req = JpegRequest("hdr_in:1,vld_in:32", {{"bits", 5000}, {"blocks", 8}});
+  ASSERT_EQ(services.tiers.Predict(req).explain.representation, "pnet-derived");
+  req.max_steps = 97;
+  const serve::PredictResponse at_budget = services.tiers.Predict(req);
+  EXPECT_EQ(at_budget.status, serve::PredictStatus::kResourceExhausted);
+  ExpectSameAnswer(at_budget, services.sim.Predict(req));
+  req.max_steps = 98;
+  const serve::PredictResponse above = services.tiers.Predict(req);
+  EXPECT_EQ(above.explain.representation, "pnet-derived");
+  ExpectSameAnswer(above, services.sim.Predict(req));
 }
 
-// As a tier, the store distills on a key's first lookup and serves the
-// closed form from then on; the first answer is already exact.
-TEST(Distill, LookupDistillsOnFirstMissThenServes) {
+// bits=1e-7 makes one vld delay ~7e12 cycles: inside the delay range, past
+// the 2^40 run horizon. Whether the model already exists or the request is
+// the key's first, the service answers as simulation does.
+TEST(Distill, CompletionPastTheHorizonFallsBackToSimulation) {
+  const serve::PredictRequest normal =
+      JpegRequest("hdr_in:1,vld_in:8", {{"bits", 5000}, {"blocks", 8}});
+  const serve::PredictRequest slow =
+      JpegRequest("hdr_in:1,vld_in:8", {{"bits", 1e-7}, {"blocks", 8}});
+  for (const bool compiled_first : {true, false}) {
+    Services services;
+    if (compiled_first) {
+      ASSERT_EQ(services.tiers.Predict(normal).explain.representation, "pnet-derived");
+    }
+    const serve::PredictResponse got = services.tiers.Predict(slow);
+    EXPECT_EQ(got.status, serve::PredictStatus::kResourceExhausted);
+    EXPECT_EQ(got.error, "net did not quiesce within the time horizon");
+    ExpectSameAnswer(got, services.sim.Predict(slow));
+    // Nothing about the failed run is kept.
+    EXPECT_EQ(services.derived().size(), compiled_first ? 1u : 0u);
+    EXPECT_EQ(services.tiers.Predict(normal).explain.representation, "pnet-derived");
+  }
+}
+
+// Zero attributes divide by zero in the vld delay; negative bits leave
+// [0, 1e15). Both answer the simulation's ERROR, and nothing is stored.
+TEST(Distill, ExpressionErrorsAnswerTheSimulationsErrorAndKeepNothing) {
   const LoadedNet loaded = LoadShipped("jpeg");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet cnet(loaded.net.get());
-  const auto injections = JpegInjections(*loaded.net);
+  const Plan plan = JpegPlan(*loaded.net, 8);
   DerivedStore store;
-  for (const double bits : {1000.0, 1500.0}) {
-    const Token tok = JpegToken(bits, 8);
-    ComponentQuery query(cnet, tok, injections);
+  for (const Token& tok : {JpegToken(0, 0), JpegToken(-8000, 8)}) {
+    ComponentQuery query(cnet, tok, plan);
     query.Select(0);
     ComponentResult got;
-    ASSERT_TRUE(store.Lookup(query, /*budget=*/1u << 30, &got)) << "bits=" << bits;
-    PetriSim sim(&cnet, 0);
-    for (const auto& [place, count] : injections) {
-      for (int i = 0; i < count; ++i) sim.Inject(place, tok);
-    }
-    ASSERT_TRUE(sim.Run(static_cast<Cycles>(1) << 40));
-    EXPECT_EQ(got.quiesce_time, sim.now()) << "bits=" << bits;
-    EXPECT_EQ(got.firings, sim.total_firings()) << "bits=" << bits;
+    EXPECT_EQ(store.Predict(query, kBudget, &got), Outcome::kEvalFailed);
+    EXPECT_EQ(store.size(), 0u);
   }
-  EXPECT_EQ(store.distilled(), 1u);
-  EXPECT_EQ(store.hits(), 2u);
+  // After a model exists, the same requests still refuse per request.
+  const Token good = JpegToken(5000, 8);
+  ComponentQuery query(cnet, good, plan);
+  query.Select(0);
+  ComponentResult got;
+  ASSERT_EQ(store.Predict(query, kBudget, &got), Outcome::kHit);
+  const Token negative = JpegToken(-8000, 8);
+  ComponentQuery bad(cnet, negative, plan);
+  bad.Select(0);
+  EXPECT_EQ(store.Predict(bad, kBudget, &got), Outcome::kEvalFailed);
+  EXPECT_EQ(store.size(), 1u);
+
+  Services services;
+  for (const auto& req :
+       {JpegRequest("hdr_in:1,vld_in:1", {}),
+        JpegRequest("hdr_in:1,vld_in:8", {{"bits", -8000}, {"blocks", 8}})}) {
+    const serve::PredictResponse want = services.sim.Predict(req);
+    ASSERT_EQ(want.status, serve::PredictStatus::kError);
+    EXPECT_EQ(want.error.rfind("transition 'vld': delay: ", 0), 0u) << want.error;
+    ExpectSameAnswer(services.tiers.Predict(req), want);
+    EXPECT_EQ(services.derived().size(), 0u);
+  }
 }
 
-TEST(Distill, AttrDependentGuardRefuses) {
-  // A guard over a token attribute means data-dependent routing: the
-  // firing pattern is not a fixed function of the injection plan, so the
-  // distiller must refuse (the shipped conv/vta/protoacc nets all carry
-  // such guards and are covered by the serving-layer tests).
-  const char* src =
+TEST(Distill, PerModelFiringCapRefusesAndTheRefusalIsCached) {
+  const LoadedNet loaded = LoadShipped("jpeg");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const CompiledNet cnet(loaded.net.get());
+  // Three firings per stripe plus the header: past kMaxModelFirings.
+  const int stripes = static_cast<int>(DerivedStore::kMaxModelFirings / 3 + 1);
+  const Plan plan = JpegPlan(*loaded.net, stripes);
+  const Token tok = JpegToken(5000, 8);
+  ComponentQuery query(cnet, tok, plan);
+  query.Select(0);
+  DerivedStore store;
+  ComponentResult got;
+  EXPECT_EQ(store.Predict(query, kBudget, &got), Outcome::kRefused);
+  EXPECT_NE(store.RefusalReason(query).find("more than 16384 firings"), std::string::npos)
+      << store.RefusalReason(query);
+  EXPECT_EQ(store.Predict(query, kBudget, &got), Outcome::kRefused);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.distilled(), 0u);
+  EXPECT_EQ(store.refusals(), 2u);
+}
+
+TEST(Distill, PerStoreCapRefusesNewKeysWithoutCompiling) {
+  const LoadedNet loaded = LoadShipped("jpeg");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const CompiledNet cnet(loaded.net.get());
+  const Token tok = JpegToken(5000, 8);
+  DerivedStore store(/*max_models=*/1);
+  const Plan first = JpegPlan(*loaded.net, 8);
+  const Plan second = JpegPlan(*loaded.net, 4);
+  ComponentQuery q1(cnet, tok, first), q2(cnet, tok, second);
+  q1.Select(0);
+  q2.Select(0);
+  ComponentResult got;
+  ASSERT_EQ(store.Predict(q1, kBudget, &got), Outcome::kHit);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    EXPECT_EQ(store.Predict(q2, kBudget, &got), Outcome::kFull);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_TRUE(store.RefusalReason(q2).empty());
+  }
+  EXPECT_EQ(store.distilled(), 1u);
+  EXPECT_EQ(store.refusals(), 2u);
+  EXPECT_EQ(store.Predict(q1, kBudget, &got), Outcome::kHit);
+}
+
+// The rendered recurrence is a PerfScript program: run through the
+// bytecode VM it reproduces the tier's answers.
+TEST(Distill, ProgramTextRunsOnTheVmAndReproducesTheTier) {
+  const LoadedNet loaded = LoadShipped("jpeg");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const CompiledNet cnet(loaded.net.get());
+  const Plan plan = JpegPlan(*loaded.net, 8);
+  DerivedStore store;
+  const Token seed = JpegToken(1000, 8);
+  ComponentQuery query(cnet, seed, plan);
+  query.Select(0);
+  ComponentResult got;
+  ASSERT_EQ(store.Predict(query, kBudget, &got), Outcome::kHit);
+  const std::string program = store.ProgramText(query);
+  ASSERT_NE(program.find("def latency(bits, blocks):"), std::string::npos) << program;
+
+  ParseResult parsed = ParseProgram(program);
+  ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << program;
+  const CompileProgramResult compiled = CompileProgram(parsed.program, {});
+  ASSERT_TRUE(compiled.ok()) << compiled.error << "\n" << program;
+  Vm vm(compiled.program);
+  for (const auto& [bits, blocks] : std::vector<std::pair<double, double>>{
+           {1000, 8}, {64, 1}, {4096, 3}, {262144, 16}, {1048576, 8}}) {
+    const Token tok = JpegToken(bits, blocks);
+    ComponentQuery q(cnet, tok, plan);
+    q.Select(0);
+    ASSERT_EQ(store.Predict(q, kBudget, &got), Outcome::kHit);
+    const EvalResult r = vm.Call("latency", {Value::Number(bits), Value::Number(blocks)});
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.value.num, static_cast<double>(got.quiesce_time))
+        << "bits=" << bits << " blocks=" << blocks;
+  }
+}
+
+// An attribute-dependent guard is a per-request constant: each outcome
+// vector keys its own model, and both are exact.
+TEST(Distill, AttrDependentGuardsKeyTheirOwnModels) {
+  const LoadedNet loaded = LoadPnet(
       "net guarded\n"
       "attr x\n"
       "place in\n"
       "place out\n"
-      "trans t in=in out=out delay=\"5 + x\" guard=\"x > 2\"\n";
-  const LoadedNet loaded = LoadPnet(src);
+      "trans t in=in out=out delay=\"5 + x\" guard=\"x > 2\"\n");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet cnet(loaded.net.get());
   ASSERT_TRUE(cnet.hashable());
-
-  Token tok;
-  tok.attrs.push_back(7);
-  const std::vector<std::pair<PlaceId, int>> injections = {
-      {loaded.net->PlaceByName("in"), 3}};
-  ComponentQuery query(cnet, tok, injections);
-  query.Select(0);
-  const std::string& key = query.model_key();
-  ASSERT_FALSE(key.empty());
+  const Plan plan = {{loaded.net->PlaceByName("in"), 3}};
   DerivedStore store;
-  EXPECT_FALSE(store.Distill(query));
-  EXPECT_EQ(store.distilled(), 0u);
-  EXPECT_EQ(store.refusals(), 1u);
-  EXPECT_NE(store.RefusalReason(key).find("guard"), std::string::npos)
-      << store.RefusalReason(key);
-  // The refusal is cached: probing again must not re-simulate or flip.
-  EXPECT_FALSE(store.Distill(query));
-  EXPECT_EQ(store.refusals(), 1u);
-  ComponentResult pred;
-  EXPECT_EQ(store.Predict(key, tok, 1u << 30, &pred), DerivedStore::Outcome::kRefused);
-  EXPECT_FALSE(store.Lookup(query, 1u << 30, &pred));
+  for (const double x : {7.0, 1.0, 9.0, 0.5}) {
+    Token tok;
+    tok.attrs.push_back(x);
+    ComponentQuery query(cnet, tok, plan);
+    query.Select(0);
+    ComponentResult got;
+    ASSERT_EQ(store.Predict(query, kBudget, &got), Outcome::kHit) << "x=" << x;
+    const ComponentResult want = Simulate(cnet, plan, tok);
+    EXPECT_EQ(got.quiesce_time, want.quiesce_time) << "x=" << x;
+    EXPECT_EQ(got.firings, want.firings) << "x=" << x;
+    EXPECT_EQ(got.firings, x > 2 ? 3u : 0u);
+  }
+  EXPECT_EQ(store.distilled(), 2u);
 }
 
 TEST(Distill, UnhashableNetRefuses) {
   // An opaque C++ delay closure has no canonical text, so the net has no
-  // structural hash, no key, and no derived model — same rule as the
-  // memo layers.
+  // structural hash, no key, and no derived model — same rule as the memo.
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
@@ -198,41 +334,38 @@ TEST(Distill, UnhashableNetRefuses) {
                      nullptr});
   const CompiledNet cnet(&net);
   ASSERT_FALSE(cnet.hashable());
-
-  const std::vector<std::pair<PlaceId, int>> injections = {{in, 1}};
+  const Plan plan = {{in, 1}};
   const Token tok;
-  ComponentQuery query(cnet, tok, injections);
+  ComponentQuery query(cnet, tok, plan);
   query.Select(0);
   EXPECT_TRUE(query.model_key().empty());
   DerivedStore store;
-  EXPECT_FALSE(store.Distill(query));
-  EXPECT_EQ(store.distilled(), 0u);
+  ComponentResult got;
+  EXPECT_EQ(store.Predict(query, kBudget, &got), Outcome::kRefused);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(Distill, DistinctInjectionPlansGetDistinctModels) {
-  // The firing multiplicities depend on how many tokens enter the
-  // pipeline, so the injection plan is part of the model's identity.
+  // The firing DAG depends on how many tokens enter the pipeline, so the
+  // injection plan is part of the model's identity.
   const LoadedNet loaded = LoadShipped("jpeg");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet cnet(loaded.net.get());
-  const std::vector<std::pair<PlaceId, int>> plan8 = JpegInjections(*loaded.net);
-  const std::vector<std::pair<PlaceId, int>> plan4 = {
-      {loaded.net->PlaceByName("hdr_in"), 1}, {loaded.net->PlaceByName("vld_in"), 4}};
   const Token seed = JpegToken(1000, 8);
+  const Plan plan8 = JpegPlan(*loaded.net, 8);
+  const Plan plan4 = JpegPlan(*loaded.net, 4);
   ComponentQuery q8(cnet, seed, plan8);
   ComponentQuery q4(cnet, seed, plan4);
   q8.Select(0);
   q4.Select(0);
   EXPECT_NE(q8.model_key(), q4.model_key());
-
   DerivedStore store;
-  ASSERT_TRUE(store.Distill(q8));
-  ASSERT_TRUE(store.Distill(q4));
   ComponentResult p8, p4;
-  ASSERT_EQ(store.Predict(q8.model_key(), seed, 1u << 30, &p8), DerivedStore::Outcome::kHit);
-  ASSERT_EQ(store.Predict(q4.model_key(), seed, 1u << 30, &p4), DerivedStore::Outcome::kHit);
+  ASSERT_EQ(store.Predict(q8, kBudget, &p8), Outcome::kHit);
+  ASSERT_EQ(store.Predict(q4, kBudget, &p4), Outcome::kHit);
   EXPECT_NE(p8.quiesce_time, p4.quiesce_time);
   EXPECT_NE(p8.firings, p4.firings);
+  EXPECT_EQ(store.distilled(), 2u);
 }
 
 }  // namespace

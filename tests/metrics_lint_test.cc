@@ -1,7 +1,7 @@
 // Metrics lint: every perfiface_* family the process emits must be named
 // in docs/observability.md. A metric nobody documented is a dashboard
 // nobody can read — this test makes the doc a checked artifact instead of
-// a hopeful one. It exercises the serving, network, pnet-memo, VM,
+// a hopeful one. It exercises the serving, network, pnet tier, VM,
 // simulator, and shadow-validation paths so lazily-created families are
 // present in the scrape, fetches it from GET /metrics (so the front end's
 // own gauge is linted too), then diffs the scrape's names (histogram
@@ -53,9 +53,9 @@ std::string BaseFamily(const std::string& name) {
 
 TEST(MetricsLint, EveryEmittedFamilyIsDocumented) {
   // Drive every layer that contributes families: program queries (VM
-  // counters), pnet queries (memo table + parametric
-  // store), conv queries with shadow validation on (conv sim + shadow
-  // families), and the TCP front end (net counters).
+  // counters), pnet queries (derived store + memo table), conv queries
+  // with shadow validation on (conv sim + shadow families), and the TCP
+  // front end (net counters).
   conv::RegisterConvShadowBackend();
   jpeg::RegisterJpegShadowBackend();
   // None of the shipped registry expressions happens to trigger a peephole
@@ -74,8 +74,6 @@ TEST(MetricsLint, EveryEmittedFamilyIsDocumented) {
   options.num_workers = 2;
   options.cache_capacity = 64;
   options.shadow_sample_every = 1;
-  options.enable_param_memo = true;
-  options.enable_derived = true;
   serve::PredictionService service(InterfaceRegistry::Default(), options);
   net::NetServer server(&service);
   std::string error;

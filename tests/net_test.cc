@@ -768,7 +768,7 @@ TEST(WireCodec, EncodersAreByteIdenticalToPrintf) {
             "\"trace_id\":\"cafe0123\",\"tenant\":\"acme\",\"explain\":{"
             "\"representation\":\"pnet-memo\",\"cache\":\"miss\",\"queue_wait_ns\":7,"
             "\"eval_ns\":8,\"steps\":9,\"memo_components\":3,\"memo_hits\":2,"
-            "\"derived_hits\":1,\"param_hits\":0,\"deadline_limited\":true,\"shadowed\":true,"
+            "\"derived_hits\":1,\"deadline_limited\":true,\"shadowed\":true,"
             "\"shadow_truth\":9.9998886718268301e-321,\"shadow_rel_err\":-0}}\n");
 
   line.clear();

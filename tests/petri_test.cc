@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/pnet.h"
 #include "src/obs/trace.h"
 #include "src/petri/analysis.h"
 #include "src/petri/compiled_net.h"
@@ -529,6 +530,41 @@ TEST(PnetMemo, LookupRespectsFiringBudget) {
   EXPECT_EQ(out.firings, 10u);
   EXPECT_EQ(table.hits(), 1u);
   EXPECT_EQ(table.misses(), 2u);
+}
+
+// The model key is the exact memo key minus the attribute section: same
+// component hash, same canonical plan — so queries that differ only in
+// their attributes share one derived model while keeping separate memo
+// entries.
+TEST(ComponentQuery, KeyIsMemoKeyWithoutAttributes) {
+  const LoadedNet loaded = LoadPnet(
+      "net affine\n"
+      "attr x\n"
+      "attr y\n"
+      "place in\n"
+      "place out\n"
+      "trans t in=in out=out delay=\"100 + 3 * x + 7 * y\"\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const CompiledNet compiled(loaded.net.get());
+  ASSERT_TRUE(compiled.hashable());
+
+  const std::vector<std::pair<PlaceId, int>> plan = {{loaded.net->PlaceByName("in"), 3}};
+  Token t1;
+  t1.attrs = {1.0, 2.0};
+  Token t2;
+  t2.attrs = {9.0, 4.0};
+  ComponentQuery q1(compiled, t1, plan);
+  ComponentQuery q2(compiled, t2, plan);
+  q1.Select(0);
+  q2.Select(0);
+  EXPECT_FALSE(q1.model_key().empty());
+  EXPECT_NE(q1.exact_key(), q2.exact_key());  // attrs separate exact entries...
+  EXPECT_EQ(q1.model_key(), q2.model_key());  // ...but not models,
+  // and the exact key is the model key extended by the attributes.
+  for (const ComponentQuery* q : {&q1, &q2}) {
+    EXPECT_GT(q->exact_key().size(), q->model_key().size());
+    EXPECT_EQ(q->exact_key().compare(0, q->model_key().size(), q->model_key()), 0);
+  }
 }
 
 }  // namespace

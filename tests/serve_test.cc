@@ -25,7 +25,6 @@
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
 #include "src/petri/distill.h"
-#include "src/petri/param_model.h"
 #include "src/petri/pnet_memo.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
@@ -67,6 +66,10 @@ PredictRequest PnetRequest(const std::string& iface, const std::string& entry_pl
   req.attrs = {{"bits", 800.0}, {"blocks", 8.0}, {"words", 64.0}, {"num_fields", 6.0}};
   return req;
 }
+
+// A jpeg plan past the derived tier's per-model firing cap (three firings
+// per stripe): the tier refuses it, so its repeats reach the memo table.
+constexpr const char* kUncompiledJpegPlan = "hdr_in:1,vld_in:5500";
 
 // Cache key of a pnet request, from its parsed injection plan (the
 // service's own path). The spec must be well formed.
@@ -391,29 +394,23 @@ TEST(PredictionService, PnetQueryQuiescesAndPredicts) {
 // A delay expression that divides by zero (the jpeg vld stage divides by
 // `bits` and `blocks`, which a request may leave at 0) or leaves [0, 1e15)
 // used to abort the whole process. It must answer ERROR naming the
-// transition — on the whole-net path, the memo path and the derived path —
-// keep nothing in the service's memo, derived or parametric stores, and
-// leave the service answering.
+// transition — on the whole-net path and on the component-tier path —
+// keep nothing in the service's derived or memo stores, and leave the
+// service answering.
 TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
   struct Path {
     const char* name;
-    bool memo;
-    bool derived;
+    bool tiers;
   };
-  for (const Path& path : {Path{"whole-net", false, false}, Path{"memo", true, false},
-                           Path{"derived", true, true}}) {
+  for (const Path& path : {Path{"whole-net", false}, Path{"tiers", true}}) {
     ServiceOptions options;
     options.num_workers = 1;
-    options.enable_pnet_memo = path.memo;
-    options.enable_param_memo = path.memo;
-    options.enable_derived = path.derived;
+    options.enable_pnet_memo = path.tiers;
     PredictionService service(InterfaceRegistry::Default(), options);
     const PnetMemoTable* memo = service.FindTier<PnetMemoTable>();
-    const ParamModelStore* params = service.FindTier<ParamModelStore>();
     const DerivedStore* derived = service.FindTier<DerivedStore>();
-    ASSERT_EQ(memo != nullptr, path.memo) << path.name;
-    ASSERT_EQ(params != nullptr, path.memo) << path.name;
-    ASSERT_EQ(derived != nullptr, path.derived) << path.name;
+    ASSERT_EQ(memo != nullptr, path.tiers) << path.name;
+    ASSERT_EQ(derived != nullptr, path.tiers) << path.name;
 
     PredictRequest zero_attrs;
     zero_attrs.interface = "jpeg_decoder";
@@ -431,7 +428,6 @@ TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
         EXPECT_EQ(resp.status, PredictStatus::kError) << path.name;
         EXPECT_EQ(resp.error.rfind(message, 0), 0u) << path.name << ": " << resp.error;
         EXPECT_TRUE(memo == nullptr || memo->size() == 0u) << path.name;
-        EXPECT_TRUE(params == nullptr || params->size() == 0u) << path.name;
         EXPECT_TRUE(derived == nullptr || derived->size() == 0u) << path.name;
       }
     }
@@ -685,19 +681,30 @@ TEST(PredictionServiceMemo, MemoizedMatchesUnmemoizedAcrossRegistry) {
   }
   EXPECT_GT(ok_predictions, 0);  // the sweep must not be vacuous
 
-  // The realistic multi-place JPEG injection, and proof the warm repeat
-  // actually came from the memo table.
-  const PredictRequest jpeg = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+  // The realistic multi-place JPEG injection, answered by its compiled
+  // max-plus program; and a plan too large to compile, whose warm repeat
+  // comes from the memo table.
+  const DerivedStore& derived = *memo_on.FindTier<DerivedStore>();
   const PnetMemoTable& memo = *memo_on.FindTier<PnetMemoTable>();
-  const std::uint64_t hits_before = memo.hits();
-  const PredictResponse base = memo_off.Predict(jpeg);
-  const PredictResponse cold = memo_on.Predict(jpeg);
-  const PredictResponse warm = memo_on.Predict(jpeg);
-  ASSERT_TRUE(base.ok()) << base.error;
-  EXPECT_DOUBLE_EQ(cold.value, base.value);
-  EXPECT_DOUBLE_EQ(warm.value, base.value);
-  EXPECT_GT(memo.hits(), hits_before);
+  for (const char* plan : {"hdr_in:1,vld_in:8", kUncompiledJpegPlan}) {
+    const PredictRequest jpeg = PnetRequest("jpeg_decoder", plan);
+    const std::uint64_t derived_before = derived.hits();
+    const std::uint64_t memo_before = memo.hits();
+    const PredictResponse base = memo_off.Predict(jpeg);
+    const PredictResponse cold = memo_on.Predict(jpeg);
+    const PredictResponse warm = memo_on.Predict(jpeg);
+    ASSERT_TRUE(base.ok()) << base.error;
+    EXPECT_DOUBLE_EQ(cold.value, base.value) << plan;
+    EXPECT_DOUBLE_EQ(warm.value, base.value) << plan;
+    if (std::string(plan) == kUncompiledJpegPlan) {
+      EXPECT_EQ(derived.hits(), derived_before);
+      EXPECT_EQ(memo.hits(), memo_before + 1);
+    } else {
+      EXPECT_EQ(derived.hits(), derived_before + 2);
+    }
+  }
   EXPECT_EQ(memo_off.FindTier<PnetMemoTable>(), nullptr);
+  EXPECT_EQ(memo_off.FindTier<DerivedStore>(), nullptr);
 }
 
 // A memo hit must never hide a budget exhaustion the simulation would
@@ -709,7 +716,7 @@ TEST(PredictionServiceMemo, MemoHitNeverMasksFiringBudgetExhaustion) {
   options.cache_capacity = 0;
   PredictionService service(InterfaceRegistry::Default(), options);
 
-  PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+  PredictRequest req = PnetRequest("jpeg_decoder", kUncompiledJpegPlan);
   ASSERT_TRUE(service.Predict(req).ok());  // warms the memo with a quiesced run
 
   req.max_steps = 2;  // far below what the decode fires
@@ -718,6 +725,7 @@ TEST(PredictionServiceMemo, MemoHitNeverMasksFiringBudgetExhaustion) {
   // And with the budget restored the memo answers again.
   req.max_steps = 0;
   EXPECT_TRUE(service.Predict(req).ok());
+  EXPECT_EQ(service.FindTier<PnetMemoTable>()->hits(), 1u);
 }
 
 // Acceptance: the memo and async-API families are visible through one
@@ -726,7 +734,7 @@ TEST(PredictionServiceMemo, MemoCountersVisibleInPrometheusScrape) {
   ServiceOptions options;
   options.num_workers = 1;
   PredictionService service(InterfaceRegistry::Default(), options);
-  ASSERT_TRUE(service.Predict(PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8")).ok());
+  ASSERT_TRUE(service.Predict(PnetRequest("jpeg_decoder", kUncompiledJpegPlan)).ok());
   const std::string prom = service.StatsPrometheus();
   EXPECT_NE(prom.find("perfiface_pnet_memo_hits_total"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_pnet_memo_misses_total"), std::string::npos);
@@ -737,12 +745,12 @@ TEST(PredictionServiceMemo, MemoCountersVisibleInPrometheusScrape) {
 }
 
 // Each service builds and owns its component tiers: what one service
-// memoized or distilled is invisible to another live in the same process.
+// memoized or compiled is invisible to another live in the same process.
 TEST(PredictionServiceMemo, ServicesDoNotShareTierState) {
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;  // every repeat reaches the tiers
-  PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+  PredictRequest req = PnetRequest("jpeg_decoder", kUncompiledJpegPlan);
   req.explain = true;
 
   PredictionService a(InterfaceRegistry::Default(), options);
@@ -757,13 +765,14 @@ TEST(PredictionServiceMemo, ServicesDoNotShareTierState) {
   EXPECT_EQ(b_first.explain.representation, "pnet");
   EXPECT_EQ(b_first.value, a_again.value);
 
-  ServiceOptions derived = options;
-  derived.enable_derived = true;
-  PredictionService c(InterfaceRegistry::Default(), derived);
-  PredictionService d(InterfaceRegistry::Default(), derived);
-  // Attrs no service has seen: C distills instead of replaying a memo entry.
-  req.attrs = {{"bits", 1000.0}, {"blocks", 8.0}};
-  ASSERT_TRUE(c.Predict(req).ok());
+  PredictionService c(InterfaceRegistry::Default(), options);
+  PredictionService d(InterfaceRegistry::Default(), options);
+  // A plan C can compile: its first lookup records and compiles the
+  // component, and D, idle, holds no model.
+  req.entry_place = "hdr_in:1,vld_in:8";
+  const PredictResponse c_first = c.Predict(req);
+  ASSERT_TRUE(c_first.ok()) << c_first.error;
+  EXPECT_EQ(c_first.explain.representation, "pnet-derived");
   EXPECT_EQ(c.FindTier<DerivedStore>()->distilled(), 1u);
   EXPECT_NE(c.StatuszJson().find("\"derived_store\":{\"models\":1,"), std::string::npos);
   EXPECT_NE(d.StatuszJson().find("\"derived_store\":{\"models\":0,"), std::string::npos)
@@ -776,12 +785,11 @@ TEST(PredictionServiceMemo, ServicesDoNotShareTierState) {
 TEST(PredictionServiceMemo, ScrapeHoldsOnlyTheServicesOwnFamilies) {
   ServiceOptions options;
   options.num_workers = 1;
-  options.enable_derived = true;
   PredictionService a(InterfaceRegistry::Default(), options);
   PredictionService b(InterfaceRegistry::Default(), options);
   PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
   ASSERT_TRUE(a.Predict(req).ok());
-  req.attrs = {{"bits", 1000.0}, {"blocks", 8.0}};
+  req.entry_place = kUncompiledJpegPlan;  // refused by the derived tier: a memo miss
   ASSERT_TRUE(a.Predict(req).ok());
 
   const auto count = [](const std::string& text, const std::string& needle) {
@@ -810,8 +818,8 @@ TEST(PredictionServiceMemo, ScrapeHoldsOnlyTheServicesOwnFamilies) {
   EXPECT_NE(scrape_b.find("\nperfiface_serve_requests_total 0\n"), std::string::npos);
   EXPECT_NE(scrape_b.find("\nperfiface_derived_hits_total 0\n"), std::string::npos);
   EXPECT_NE(scrape_b.find("\nperfiface_pnet_memo_misses_total 0\n"), std::string::npos);
-  // Tier families appear only for the tiers a service runs.
-  EXPECT_EQ(scrape_a.find("perfiface_param_memo_"), std::string::npos);
+  // Only the tiers a service runs render families: none is parametric.
+  EXPECT_EQ(scrape_a.find("perfiface_param_"), std::string::npos);
 }
 
 // --- async batch API ---
@@ -1072,9 +1080,10 @@ TEST(PredictionServiceConcurrency, DeadlineExpiryUnderLoad) {
 }
 
 // Async submissions from many clients, all funneling pnet work through
-// the service's memo table (response cache off so every request takes the
-// memo path): concurrent key building, Lookup and Observe on overlapping
-// keys plus the async completion machinery, under TSan in CI.
+// the service's component tiers (response cache off so every request takes
+// the tier path): concurrent key building, first lookups and predictions
+// of the derived tier on overlapping keys plus the async completion
+// machinery, under TSan in CI.
 TEST(PredictionServiceConcurrency, AsyncBatchesShareTheMemoTable) {
   ServiceOptions options;
   options.num_workers = 4;
@@ -1128,7 +1137,7 @@ TEST(PredictionServiceConcurrency, AsyncBatchesShareTheMemoTable) {
   }
   EXPECT_EQ(callbacks.load(), kClients * kBatches * kBatch);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(service.FindTier<PnetMemoTable>()->hits(), 0u);
+  EXPECT_GT(service.FindTier<DerivedStore>()->hits(), 0u);
   EXPECT_EQ(service.metrics().inflight_batches(), 0);
 }
 
@@ -1283,7 +1292,7 @@ TEST(PredictionServiceExplain, PnetMemoRepresentationProgression) {
   options.cache_capacity = 0;  // no response cache: the second query re-evaluates
   PredictionService service(InterfaceRegistry::Default(), options);
 
-  PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+  PredictRequest req = PnetRequest("jpeg_decoder", kUncompiledJpegPlan);
   req.explain = true;
   const PredictResponse first = service.Predict(req);
   ASSERT_TRUE(first.ok()) << first.error;
@@ -1296,6 +1305,14 @@ TEST(PredictionServiceExplain, PnetMemoRepresentationProgression) {
   EXPECT_EQ(second.explain.representation, "pnet-memo");
   EXPECT_EQ(second.explain.memo_hits, second.explain.memo_components);
   EXPECT_EQ(second.value, first.value);
+
+  // A compilable plan reads pnet-derived from its first answer on.
+  req.entry_place = "hdr_in:1,vld_in:8";
+  const PredictResponse derived = service.Predict(req);
+  ASSERT_TRUE(derived.ok()) << derived.error;
+  EXPECT_EQ(derived.explain.representation, "pnet-derived");
+  EXPECT_EQ(derived.explain.derived_hits, derived.explain.memo_components);
+  EXPECT_EQ(derived.explain.memo_hits, 0u);
 }
 
 TEST(PredictionService, StatuszJsonCoversBuildOptionsAndInterfaces) {
@@ -1311,10 +1328,9 @@ TEST(PredictionService, StatuszJsonCoversBuildOptionsAndInterfaces) {
   }
 }
 
-// --- parametric memoization (docs/serving.md "Parametric memoization") ---
+// --- jpeg shadow backend (src/accel/jpeg/jpeg_shadow.h) ---
 
-// A jpeg stripe query with a distinct coded-bit count: the near-miss
-// traffic shape the parametric tier exists for.
+// A jpeg stripe query with a given coded-bit count.
 PredictRequest JpegStripeRequest(double bits, const std::string& plan = "hdr_in:1,vld_in:8") {
   PredictRequest req;
   req.interface = "jpeg_decoder";
@@ -1323,137 +1339,6 @@ PredictRequest JpegStripeRequest(double bits, const std::string& plan = "hdr_in:
   req.attrs = {{"bits", bits}, {"blocks", 8.0}};
   return req;
 }
-
-// Acceptance: with every gate held shut (min_samples unreachable), the
-// param-enabled service must serve values bit-identical to a service that
-// always simulates — the parametric tier may only ever *add* hits, never
-// change a fallback answer.
-TEST(PredictionServiceParam, GateClosedServesBitIdenticalValues) {
-  ServiceOptions strict;
-  strict.num_workers = 1;
-  strict.cache_capacity = 0;
-  strict.enable_pnet_memo = false;  // simulates every query from scratch
-  ServiceOptions gated = strict;
-  gated.enable_pnet_memo = true;
-  gated.enable_param_memo = true;
-  gated.param_memo_min_samples = static_cast<std::size_t>(1) << 40;  // never opens
-  PredictionService sim_svc(InterfaceRegistry::Default(), strict);
-  PredictionService gated_svc(InterfaceRegistry::Default(), gated);
-  const ParamModelStore& params = *gated_svc.FindTier<ParamModelStore>();
-
-  const std::uint64_t hits_before = params.hits();
-  for (int i = 0; i < 24; ++i) {
-    PredictRequest req = JpegStripeRequest(40000.0 + 613.0 * i);
-    req.explain = true;
-    const PredictResponse base = sim_svc.Predict(req);
-    const PredictResponse got = gated_svc.Predict(req);
-    ASSERT_TRUE(base.ok() && got.ok()) << base.error << got.error;
-    EXPECT_EQ(got.value, base.value) << i;
-    EXPECT_EQ(got.throughput, base.throughput) << i;
-    ASSERT_TRUE(got.explain.filled);
-    EXPECT_EQ(got.explain.param_hits, 0u) << i;
-    EXPECT_NE(got.explain.representation, "pnet-param") << i;
-  }
-  // The gate never opened, but every exact result still fed the fitter.
-  EXPECT_EQ(params.hits(), hits_before);
-  EXPECT_GT(params.fits(), 0u);
-}
-
-// Out-of-hull and high-residual queries must fall back to simulation and
-// reproduce the strict path's value exactly.
-TEST(PredictionServiceParam, RefusedGatesFallBackBitIdentically) {
-  ServiceOptions strict;
-  strict.num_workers = 1;
-  strict.cache_capacity = 0;
-  strict.enable_pnet_memo = false;
-  PredictionService sim_svc(InterfaceRegistry::Default(), strict);
-
-  // Hull gate: warm a narrow bit range with the residual gate loose, then
-  // query far below it — clamped extrapolation must be refused.
-  ServiceOptions hull = strict;
-  hull.enable_pnet_memo = true;
-  hull.enable_param_memo = true;
-  hull.param_memo_min_samples = 4;
-  hull.param_memo_max_rel_err = 0.5;
-  PredictionService hull_svc(InterfaceRegistry::Default(), hull);
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(hull_svc.Predict(JpegStripeRequest(40000.0 + 613.0 * i)).ok());
-  }
-  const ParamModelStore& hull_params = *hull_svc.FindTier<ParamModelStore>();
-  const std::uint64_t hull_refusals = hull_params.refused_hull();
-  PredictRequest below = JpegStripeRequest(200.0);
-  below.explain = true;
-  const PredictResponse hull_base = sim_svc.Predict(below);
-  const PredictResponse hull_got = hull_svc.Predict(below);
-  ASSERT_TRUE(hull_base.ok() && hull_got.ok());
-  EXPECT_EQ(hull_got.value, hull_base.value);
-  EXPECT_EQ(hull_got.explain.param_hits, 0u);
-  EXPECT_GT(hull_params.refused_hull(), hull_refusals);
-
-  // Residual gate: a different injection plan (its own model) over the
-  // VLD-sensitive bit range, with an impossible residual bound. The 1/bits
-  // delay curve leaves nonzero prequential residuals, so the gate refuses
-  // even for interior queries.
-  ServiceOptions resid = hull;
-  resid.param_memo_max_rel_err = 0.0;
-  PredictionService resid_svc(InterfaceRegistry::Default(), resid);
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(
-        resid_svc.Predict(JpegStripeRequest(200.0 + 25.0 * i, "hdr_in:1,vld_in:9")).ok());
-  }
-  const ParamModelStore& resid_params = *resid_svc.FindTier<ParamModelStore>();
-  const std::uint64_t resid_refusals = resid_params.refused_residual();
-  PredictRequest mid = JpegStripeRequest(437.0, "hdr_in:1,vld_in:9");
-  mid.explain = true;
-  const PredictResponse resid_base = sim_svc.Predict(mid);
-  const PredictResponse resid_got = resid_svc.Predict(mid);
-  ASSERT_TRUE(resid_base.ok() && resid_got.ok());
-  EXPECT_EQ(resid_got.value, resid_base.value);
-  EXPECT_EQ(resid_got.explain.param_hits, 0u);
-  EXPECT_GT(resid_params.refused_residual(), resid_refusals);
-}
-
-// The payoff path: after enough exact fills, an unseen interior workload
-// is served from the fitted curve — representation "pnet-param", the hit
-// attributed in explain and /statusz, and the value within the gate's own
-// error budget of the simulated truth.
-TEST(PredictionServiceParam, NearMissServesPnetParamWithProvenance) {
-  ServiceOptions strict;
-  strict.num_workers = 1;
-  strict.cache_capacity = 0;
-  strict.enable_pnet_memo = false;
-  PredictionService sim_svc(InterfaceRegistry::Default(), strict);
-
-  ServiceOptions on = strict;
-  on.enable_pnet_memo = true;
-  on.enable_param_memo = true;
-  on.param_memo_min_samples = 16;
-  on.param_memo_max_rel_err = 0.02;
-  PredictionService svc(InterfaceRegistry::Default(), on);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(svc.Predict(JpegStripeRequest(40000.0 + 977.0 * i)).ok());
-  }
-
-  PredictRequest probe = JpegStripeRequest(40500.0);  // unseen, inside the hull
-  probe.explain = true;
-  const PredictResponse base = sim_svc.Predict(probe);
-  const PredictResponse got = svc.Predict(probe);
-  ASSERT_TRUE(base.ok() && got.ok()) << base.error << got.error;
-  ASSERT_TRUE(got.explain.filled);
-  EXPECT_EQ(got.explain.representation, "pnet-param");
-  EXPECT_GT(got.explain.param_hits, 0u);
-  EXPECT_EQ(got.explain.memo_hits + got.explain.param_hits, got.explain.memo_components);
-  EXPECT_NEAR(got.value, base.value, 0.02 * base.value);
-  EXPECT_GT(svc.FindTier<ParamModelStore>()->hits(), 0u);
-
-  const std::string status = svc.StatuszJson();
-  for (const char* needle : {"\"param_memo\":true", "\"param_store\"", "\"models\"",
-                             "\"param_hits\"", "\"pnet_memo\"", "\"evictions\""}) {
-    EXPECT_NE(status.find(needle), std::string::npos) << needle;
-  }
-}
-
-// --- jpeg shadow backend (src/accel/jpeg/jpeg_shadow.h) ---
 
 // End-to-end: the registered jpeg backend replays both the program query
 // and the standard stripe query against the cycle-level simulator, and the

@@ -15,7 +15,8 @@
 //                          (default 7077)
 //   --workers N            worker threads (default: hardware concurrency)
 //   --cache N              prediction cache entries (0 disables)
-//   --no-memo              disable the cross-request sub-net memo table
+//   --no-memo              disable the per-component tiers (exact derived
+//                          programs, sub-net memo) and simulate every net
 //   --max-conns N          max concurrent connections (default 64)
 //   --io-timeout-ms N      per-connection read/write timeout (default 30000)
 //   --max-frame-bytes N    max request frame size (default 1 MiB)
@@ -26,17 +27,6 @@
 //   --shadow-threshold X   relative error above which a shadow run counts
 //                          as a drift violation (default 0.15)
 //   --shadow-seed N        seed for the deterministic shadow sampler
-//   --param-memo           serve exact-memo misses from per-component
-//                          fitted delay curves when the gates pass
-//                          (docs/serving.md "Parametric memoization")
-//   --param-min-samples N  exact results required before a curve serves
-//                          (default 32)
-//   --param-max-rel-err X  running residual bound above which the model
-//                          refuses to serve (default 0.02)
-//   --derived              serve exact-memo misses from closed-form
-//                          interfaces distilled out of the compiled delay
-//                          expressions (docs/serving.md "Unified
-//                          expression IR & derived interfaces")
 //   --quota T=QPS[:BURST]  token-bucket quota for tenant T (repeatable;
 //                          T "*" sets the default quota for tenants
 //                          without an explicit entry); over-quota
@@ -84,8 +74,6 @@ int Usage() {
                "                        [--io-timeout-ms N] [--max-frame-bytes N]\n"
                "                        [--max-inflight N] [--shadow-every N]\n"
                "                        [--shadow-threshold X] [--shadow-seed N]\n"
-               "                        [--param-memo] [--param-min-samples N]\n"
-               "                        [--param-max-rel-err X] [--derived]\n"
                "                        [--quota TENANT=QPS[:BURST]] [--admission]\n");
   return 2;
 }
@@ -151,14 +139,6 @@ int Main(int argc, char** argv) {
       service_options.shadow_drift_threshold = std::atof(v);
     } else if (arg == "--shadow-seed" && (v = value()) != nullptr) {
       service_options.shadow_seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--param-memo") {
-      service_options.enable_param_memo = true;
-    } else if (arg == "--param-min-samples" && (v = value()) != nullptr) {
-      service_options.param_memo_min_samples = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--param-max-rel-err" && (v = value()) != nullptr) {
-      service_options.param_memo_max_rel_err = std::atof(v);
-    } else if (arg == "--derived") {
-      service_options.enable_derived = true;
     } else if (arg == "--quota" && (v = value()) != nullptr) {
       std::string tenant;
       serve::TenantQuota quota;

@@ -4,7 +4,7 @@
 //   pnet_tool show <file.pnet>               summary (after `use` expansion)
 //       [--dump-expr-bytecode]  register bytecode + shape class of every
 //                               delay/guard expression (the unified IR the
-//                               sim fast path and the distiller execute)
+//                               sim and the exact derived tier execute)
 //   pnet_tool expand <file.pnet>             print the flattened document
 //   pnet_tool run <file.pnet> <inject place attr=v[,attr=v...] xN> ...
 //       [--observe place] [--until T]
@@ -69,7 +69,7 @@ int CmdLint(const std::string& path) {
 }
 
 // --dump-expr-bytecode: the register form every delay/guard expression was
-// lowered onto (the same bytecode the sim fast path and the distiller
+// lowered onto (the same bytecode the sim and the exact derived tier
 // execute), plus its compile-time shape classification.
 void DumpExprBytecode(const LoadedNet& loaded) {
   for (const TransitionSpec& t : loaded.net->transitions()) {

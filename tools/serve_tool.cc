@@ -32,19 +32,9 @@
 //   --admission            in-process: shed requests whose deadline is
 //                          infeasible at the current queue depth
 //   --repeat N             run: repeat the query file N times (cache demo)
-//   --no-memo              disable the cross-request sub-net memo table
-//                          (docs/serving.md)
-//   --param-memo           serve exact-memo misses from per-component
-//                          fitted delay curves when the gates pass
-//                          (docs/serving.md "Parametric memoization")
-//   --param-min-samples N  exact results required before a curve serves
-//                          (default 32)
-//   --param-max-rel-err X  running residual bound above which the model
-//                          refuses to serve (default 0.02)
-//   --derived              serve exact-memo misses from closed-form
-//                          interfaces distilled out of the compiled delay
-//                          expressions (docs/serving.md "Unified
-//                          expression IR & derived interfaces")
+//   --no-memo              disable the per-component tiers (exact derived
+//                          programs and the sub-net memo table) and
+//                          simulate every net query (docs/serving.md)
 //   --async                run: submit through the async SubmitBatch API
 //                          and stream completions instead of blocking
 //   --json                 machine-readable responses and stats
@@ -96,8 +86,7 @@ int Usage() {
                "options: --rep program|pnet --children N --tokens N --entry SPEC\n"
                "         --deadline-us N --tenant NAME --max-steps N --explain\n"
                "         --workers N --cache N --quota T=QPS[:BURST] --admission\n"
-               "         --repeat N --no-memo --param-memo --param-min-samples N\n"
-               "         --param-max-rel-err X --derived --async --json --stats\n"
+               "         --repeat N --no-memo --async --json --stats\n"
                "         --stats-format text|json|prometheus\n"
                "         --trace FILE --trace-sample N --metrics\n"
                "         --connect HOST:PORT (query a perfiface_server over TCP)\n");
@@ -344,22 +333,6 @@ std::size_t ParseOption(const std::vector<std::string>& args, std::size_t i,
     cli->service.enable_pnet_memo = false;
     return 1;
   }
-  if (arg == "--param-memo") {
-    cli->service.enable_param_memo = true;
-    return 1;
-  }
-  if (arg == "--param-min-samples" && value(&v)) {
-    cli->service.param_memo_min_samples = static_cast<std::size_t>(std::atoll(v));
-    return 2;
-  }
-  if (arg == "--param-max-rel-err" && value(&v)) {
-    cli->service.param_memo_max_rel_err = std::atof(v);
-    return 2;
-  }
-  if (arg == "--derived") {
-    cli->service.enable_derived = true;
-    return 1;
-  }
   if (arg == "--async") {
     cli->async = true;
     return 1;
@@ -388,7 +361,7 @@ void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool 
           ",\"explain\":{\"representation\":\"%s\",\"cache\":\"%s\","
           "\"queue_wait_ns\":%llu,\"eval_ns\":%llu,\"steps\":%llu,"
           "\"memo_components\":%llu,\"memo_hits\":%llu,\"derived_hits\":%llu,"
-          "\"param_hits\":%llu,\"deadline_limited\":%s,\"shadowed\":%s}",
+          "\"deadline_limited\":%s,\"shadowed\":%s}",
           ex.representation.c_str(), ex.cache.c_str(),
           static_cast<unsigned long long>(ex.queue_wait_ns),
           static_cast<unsigned long long>(ex.eval_ns),
@@ -396,7 +369,7 @@ void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool 
           static_cast<unsigned long long>(ex.memo_components),
           static_cast<unsigned long long>(ex.memo_hits),
           static_cast<unsigned long long>(ex.derived_hits),
-          static_cast<unsigned long long>(ex.param_hits), ex.deadline_limited ? "true" : "false",
+          ex.deadline_limited ? "true" : "false",
           ex.shadowed ? "true" : "false");
     }
     std::printf(
@@ -425,7 +398,7 @@ void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool 
               resp.cache_hit ? "  [cached]" : "", trace_suffix.c_str());
   if (resp.explain.filled) {
     const ExplainInfo& ex = resp.explain;
-    std::printf("  explain: rep=%s cache=%s queue=%lluns eval=%lluns steps=%llu memo=%llu/%llu%s%s%s%s\n",
+    std::printf("  explain: rep=%s cache=%s queue=%lluns eval=%lluns steps=%llu memo=%llu/%llu%s%s%s\n",
                 ex.representation.c_str(), ex.cache.c_str(),
                 static_cast<unsigned long long>(ex.queue_wait_ns),
                 static_cast<unsigned long long>(ex.eval_ns),
@@ -435,10 +408,6 @@ void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool 
                 ex.derived_hits != 0
                     ? StrFormat(" derived=%llu",
                                 static_cast<unsigned long long>(ex.derived_hits))
-                          .c_str()
-                    : "",
-                ex.param_hits != 0
-                    ? StrFormat(" param=%llu", static_cast<unsigned long long>(ex.param_hits))
                           .c_str()
                     : "",
                 ex.deadline_limited ? " deadline-limited" : "",
