@@ -18,9 +18,8 @@
 // PR 3 adds two rows the hot-path overhaul is judged by:
 //
 //   3. repeated-structure pnet sweep  -> per-query mean latency with the
-//      component tiers (exact derived tier, sub-net memo) on vs off
-//      (response cache disabled so the tiers themselves are measured);
-//      target >= 2x
+//      exact derived tier on vs whole-net simulation (response cache
+//      disabled so the tier itself is measured); target >= 2x
 //   4. async pipeline                 -> one client thread keeping >= 4
 //      batches in flight via SubmitBatch vs the same batches issued
 //      blocking; target qps >= blocking
@@ -50,12 +49,12 @@
 //
 //   9. near-miss exact sweep          -> jittered near-miss pnet queries
 //      (attributes cluster on Zipf-hot centers but never repeat exactly,
-//      so the exact memo table cannot hit), component tiers off vs on
-//      after an identical warmup; target >= 1.5x on mean latency AND every
-//      timed query bit-identical to simulation
+//      so the response cache cannot hit), derived tier off vs on after an
+//      identical warmup; target >= 1.5x on mean latency AND every timed
+//      query bit-identical to simulation
 //  10. derived interface sweep       -> unique-attr jpeg pnet queries over
 //      sweep_cold's attribute range (bits 64..2^18, blocks 1..16),
-//      component tiers off vs on with every cache cold; target >= 5x on
+//      derived tier off vs on with every cache cold; target >= 5x on
 //      mean latency AND bit-identical values on every timed query and an
 //      audited probe set
 //
@@ -252,9 +251,8 @@ LoadResult DriveLoad(PredictionService* service, const std::vector<PredictReques
 }
 
 // Repeated-structure population: the same JPEG decode *structure* over a
-// small set of distinct workloads — exactly the traffic the sub-net memo
-// table targets (same component hash + same attrs + same injection plan
-// repeats across requests).
+// small set of distinct workloads (same component hash + same injection
+// plan repeats across requests), so one derived model serves them all.
 std::vector<PredictRequest> BuildRepeatedStructurePopulation(std::size_t distinct) {
   std::vector<PredictRequest> population;
   population.reserve(distinct);
@@ -273,8 +271,8 @@ std::vector<PredictRequest> BuildRepeatedStructurePopulation(std::size_t distinc
 // Jittered near-miss population: the same pnet structure as the
 // repeated-structure sweep, but every request's attributes are unique —
 // popularity concentrates on a few hot (bits, blocks) centers (Zipf over
-// centers) while the exact bit counts jitter per request, so the exact
-// memo table never hits and only the derived tier's max-plus program can
+// centers) while the exact bit counts jitter per request, so no cache of
+// exact answers could hit and only the derived tier's max-plus program can
 // absorb the traffic.
 std::vector<PredictRequest> BuildNearMissPopulation(std::size_t count, std::size_t centers,
                                                     std::uint64_t seed) {
@@ -296,8 +294,8 @@ std::vector<PredictRequest> BuildNearMissPopulation(std::size_t count, std::size
 }
 
 // Population for the derived-interface sweep: jpeg pnet decodes whose
-// attributes never repeat (continuous bits, so neither the response cache
-// nor the exact memo can hit), drawn over sweep_cold's range (bits
+// attributes never repeat (continuous bits, so the response cache cannot
+// hit), drawn over sweep_cold's range (bits
 // 64..2^18, blocks 1..16) — both bottleneck regimes. Tiers-off pays a full
 // event-driven simulation per query; tiers-on serves every one from the
 // max-plus program compiled on the plan's first lookup.
@@ -840,12 +838,12 @@ int main(int argc, char** argv) {
     sweep2_rows.push_back(RowJson(8, cache, r));
   }
 
-  // --- Sweep 3: repeated-structure pnet queries, tiers on vs off --------
-  // Response cache OFF on both sides: this isolates the component tiers
-  // (the response cache would answer the repeats before the pnet layer
-  // ever saw them); the jpeg plan compiles, so the derived tier answers
-  // and the memo stays cold. Cold-start cost is inside the timed region
-  // on both sides, so the speedup is what a real mixed stream would see.
+  // --- Sweep 3: repeated-structure pnet queries, derived tier vs sim ----
+  // Response cache OFF on both sides: this isolates the derived tier (the
+  // response cache would answer the repeats before the pnet layer ever
+  // saw them) against whole-net simulation. Cold-start cost is inside the
+  // timed region on both sides, so the speedup is what a real mixed
+  // stream would see.
   const std::size_t kMemoDistinct = 16;
   const std::size_t kMemoQueries = smoke ? 1'500 : 20'000;
   const std::vector<PredictRequest> repeated = BuildRepeatedStructurePopulation(kMemoDistinct);
@@ -864,7 +862,7 @@ int main(int argc, char** argv) {
   const char* memo_verdict = memo_speedup >= 2.0 ? "ok" : "below_2x_target";
   std::printf(
       "\nrepeated-structure pnet sweep (%zu distinct, %zu queries, response cache off):\n"
-      "  memo off %.2f us/query, memo on %.2f us/query -> %.2fx  %s\n",
+      "  whole-net sim %.2f us/query, derived tier %.2f us/query -> %.2fx  %s\n",
       kMemoDistinct, kMemoQueries, memo_mean_off, memo_mean_on, memo_speedup,
       memo_speedup >= 2.0 ? "[ok: >= 2x]" : "[BELOW 2x TARGET]");
 
@@ -1143,8 +1141,8 @@ int main(int argc, char** argv) {
       std::strcmp(shadow_verdict, "ok") == 0 ? "[ok]" : "[SHADOW ROW REGRESSED]");
 
   // --- Sweep: exact derived tier on jittered near-miss traffic ---------
-  // Every request's attributes are unique (the exact memo table cannot
-  // hit) but cluster on Zipf-hot centers. Both configs pay the same
+  // Every request's attributes are unique (the response cache cannot hit)
+  // but cluster on Zipf-hot centers. Both configs pay the same
   // warmup; the timed region is fresh jitter from the same centers. The
   // verdict demands >= 1.5x on mean latency AND every timed answer equal
   // to the tiers-off simulation's — speed bought with a single wrong cycle
@@ -1171,7 +1169,7 @@ int main(int argc, char** argv) {
                                               &near_values[tiers ? 1 : 0]);
     if (tiers) {
       near_mean_on = mean_us;
-      near_derived_hits = service.FindTier<DerivedStore>()->hits();
+      near_derived_hits = service.derived_store()->hits();
     } else {
       near_mean_off = mean_us;
     }
@@ -1187,8 +1185,7 @@ int main(int argc, char** argv) {
           : (near_divergence != 0 ? "divergence_nonzero"
                                   : (near_speedup >= 1.5 ? "ok" : "below_1p5x_target"));
   std::printf(
-      "\nnear-miss exact sweep (%zu hot centers, %zu jittered queries, cache off, exact memo "
-      "cold):\n"
+      "\nnear-miss exact sweep (%zu hot centers, %zu jittered queries, cache off):\n"
       "  tiers off %.2f us/query, tiers on %.2f us/query -> %.2fx, %llu derived hits, "
       "%zu of %zu answers diverged  %s\n",
       kNearCenters, kNearQueries, near_mean_off, near_mean_on, near_speedup,
@@ -1197,8 +1194,8 @@ int main(int argc, char** argv) {
                                            : "[NEAR-MISS ROW REGRESSED]");
 
   // --- Sweep: exact derived tier over sweep_cold's attribute range -------
-  // Unique-attr jpeg pnet queries, bits 64..2^18 and blocks 1..16: the
-  // exact memo table cannot hit (no attrs repeat), so tiers-off pays a
+  // Unique-attr jpeg pnet queries, bits 64..2^18 and blocks 1..16: no
+  // cache of exact answers can hit (no attrs repeat), so tiers-off pays a
   // full simulation per query while tiers-on serves every one from the
   // max-plus program compiled on the first lookup. The verdict demands
   // >= 5x on mean latency AND bit-identical values on every timed query
@@ -1238,7 +1235,7 @@ int main(int argc, char** argv) {
     const std::vector<PredictResponse> probe_responses = service.PredictBatch(derived_probes);
     if (tiers) {
       derived_mean_on = mean_us;
-      const DerivedStore& store = *service.FindTier<DerivedStore>();
+      const DerivedStore& store = *service.derived_store();
       derived_hits_total = store.hits();
       derived_models = store.distilled();
       for (std::size_t i = 0; i < probe_responses.size(); ++i) {
@@ -1311,7 +1308,7 @@ int main(int argc, char** argv) {
               qps_trace_off > 0 ? 100.0 * (1.0 - qps_trace_on / qps_trace_off) : 0.0);
 
   // --- Sweep: SLO-aware admission under 2x overload (open loop) ---------
-  // One worker, every cache off (memo included) so each evaluation pays
+  // One worker, every cache and the derived tier off, so each evaluation pays
   // the same full simulation — the service is a deterministic-ish D/D/1
   // queue and "2x overload" means exactly what it says. Three runs over
   // the same query:

@@ -1,16 +1,14 @@
 #include "src/accel/jpeg/jpeg_shadow.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/accel/jpeg/codec.h"
 #include "src/accel/jpeg/decoder_sim.h"
 #include "src/common/strings.h"
+#include "src/serve/request.h"
 #include "src/serve/shadow.h"
 
 namespace perfiface::jpeg {
@@ -124,31 +122,22 @@ bool PnetTruth(const serve::PredictRequest& request, double* truth, std::string*
     *error = "jpeg shadow: default-entry pnet queries are not replayable";
     return false;
   }
+  // The service's own parser: its items are sorted and duplicate-merged.
+  const serve::InjectionPlan plan = serve::ParseInjectionPlan(request);
+  if (!plan.ok()) {
+    *error = "jpeg shadow: " + plan.error;
+    return false;
+  }
   std::uint64_t hdr_tokens = 0;
   std::uint64_t vld_tokens = 0;
-  for (std::string item : SplitString(request.entry_place, ',')) {
-    // Whitespace-insensitive, same as the service's own plan parser.
-    item.erase(std::remove_if(item.begin(), item.end(),
-                              [](unsigned char ch) { return std::isspace(ch) != 0; }),
-               item.end());
-    std::string name = item;
-    std::uint64_t count = std::max(1, request.tokens);
-    const std::size_t colon = item.find(':');
-    if (colon != std::string::npos) {
-      name = item.substr(0, colon);
-      const long long parsed = std::atoll(item.c_str() + colon + 1);
-      if (parsed < 1) {
-        *error = StrFormat("jpeg shadow: bad entry place item '%s'", item.c_str());
-        return false;
-      }
-      count = static_cast<std::uint64_t>(parsed);
-    }
-    if (name == "hdr_in") {
-      hdr_tokens += count;
-    } else if (name == "vld_in") {
-      vld_tokens += count;
+  for (const serve::InjectionPlan::Item& item : plan.items) {
+    if (item.place == "hdr_in") {
+      hdr_tokens = static_cast<std::uint64_t>(item.count);
+    } else if (item.place == "vld_in") {
+      vld_tokens = static_cast<std::uint64_t>(item.count);
     } else {
-      *error = StrFormat("jpeg shadow: injection into '%s' is not replayable", name.c_str());
+      *error =
+          StrFormat("jpeg shadow: injection into '%s' is not replayable", item.place.c_str());
       return false;
     }
   }

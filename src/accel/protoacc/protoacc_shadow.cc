@@ -1,10 +1,7 @@
 #include "src/accel/protoacc/protoacc_shadow.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +11,7 @@
 #include "src/accel/protoacc/serializer_sim.h"
 #include "src/accel/protoacc/wire.h"
 #include "src/common/strings.h"
+#include "src/serve/request.h"
 #include "src/serve/shadow.h"
 
 namespace perfiface::protoacc {
@@ -177,31 +175,22 @@ bool PnetTruth(const serve::PredictRequest& request, double* truth, std::string*
     *error = "protoacc shadow: default-entry pnet queries are not replayable";
     return false;
   }
-  std::uint64_t node_tokens = 0;
-  std::uint64_t msg_tokens = 0;
-  for (std::string item : SplitString(request.entry_place, ',')) {
-    item.erase(std::remove_if(item.begin(), item.end(),
-                              [](unsigned char ch) { return std::isspace(ch) != 0; }),
-               item.end());
-    std::string name = item;
-    std::uint64_t count = std::max(1, request.tokens);
-    const std::size_t colon = item.find(':');
-    if (colon != std::string::npos) {
-      name = item.substr(0, colon);
-      const long long parsed = std::atoll(item.c_str() + colon + 1);
-      if (parsed < 1) {
-        *error = StrFormat("protoacc shadow: bad entry place item '%s'", item.c_str());
-        return false;
-      }
-      count = static_cast<std::uint64_t>(parsed);
-    }
-    if (name == "node_q") {
-      node_tokens += count;
-    } else if (name == "msg_q") {
-      msg_tokens += count;
+  // The service's own parser: its items are sorted and duplicate-merged.
+  const serve::InjectionPlan plan = serve::ParseInjectionPlan(request);
+  if (!plan.ok()) {
+    *error = "protoacc shadow: " + plan.error;
+    return false;
+  }
+  int node_tokens = 0;
+  int msg_tokens = 0;
+  for (const serve::InjectionPlan::Item& item : plan.items) {
+    if (item.place == "node_q") {
+      node_tokens = item.count;
+    } else if (item.place == "msg_q") {
+      msg_tokens = item.count;
     } else {
-      *error =
-          StrFormat("protoacc shadow: injection into '%s' is not replayable", name.c_str());
+      *error = StrFormat("protoacc shadow: injection into '%s' is not replayable",
+                         item.place.c_str());
       return false;
     }
   }

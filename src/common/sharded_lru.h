@@ -1,11 +1,9 @@
 // Generic sharded LRU map: canonical string keys → small copyable values.
 //
-// Two subsystems memoize expensive evaluations behind string keys: the
-// prediction service's response cache (src/serve/lru_cache.h) and the
-// Petri-net sub-net memo table (src/petri/pnet_memo.h). Both want the same
-// storage shape — N power-of-two shards, each an independently locked
-// unordered_map + intrusive LRU list, so concurrent probes on different
-// shards never contend — so the shape lives here once, below both layers.
+// The prediction service's response cache (src/serve/lru_cache.h) is its
+// one user. The storage shape is N power-of-two shards, each an
+// independently locked unordered_map + intrusive LRU list, so concurrent
+// probes on different shards never contend.
 //
 // Thread-safety: all public methods are safe to call from any thread.
 #ifndef SRC_COMMON_SHARDED_LRU_H_

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -273,6 +274,11 @@ class JsonParser {
     out->number = std::strtod(out->raw_number.c_str(), &end);
     if (end != out->raw_number.c_str() + out->raw_number.size()) {
       return Fail("bad number");
+    }
+    // Past the double range strtod answers +-inf, which no JSON encoder
+    // (ours included) can write back.
+    if (!std::isfinite(out->number)) {
+      return Fail("number out of range");
     }
     return true;
   }
@@ -716,8 +722,6 @@ void EncodeResponseLine(std::uint64_t id, std::size_t index,
     AppendInt(out, ex.steps);
     *out += ",\"memo_components\":";
     AppendInt(out, ex.memo_components);
-    *out += ",\"memo_hits\":";
-    AppendInt(out, ex.memo_hits);
     *out += ",\"derived_hits\":";
     AppendInt(out, ex.derived_hits);
     *out += ",\"deadline_limited\":";
@@ -834,9 +838,6 @@ bool DecodeResponseLine(std::string_view line, WireResponse* out, std::string* e
     }
     if (const JsonValue* v = explain->Find("memo_components"); v != nullptr) {
       RawToUint64(*v, &ex.memo_components);
-    }
-    if (const JsonValue* v = explain->Find("memo_hits"); v != nullptr) {
-      RawToUint64(*v, &ex.memo_hits);
     }
     if (const JsonValue* v = explain->Find("derived_hits"); v != nullptr) {
       RawToUint64(*v, &ex.derived_hits);

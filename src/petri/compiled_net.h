@@ -13,14 +13,14 @@
 //    changes) replacing the per-place watcher vectors;
 //  - the weakly-connected component partition of the net. Disconnected
 //    components (e.g. independent pipelines composed into one interface
-//    file) evolve independently, so they can be simulated — and their
-//    results memoized — separately (src/petri/component_tier.h);
+//    file) evolve independently, so they can be simulated — and compiled
+//    to derived programs — separately (src/petri/distill.h);
 //  - a structural hash per component, covering capacities, initial
 //    markings, arc shapes, server counts, and the *source text* of delay
 //    and guard expressions. Nets whose closures were not compiled from
 //    text (hand-built C++ lambdas, custom FireFns) are unhashable: their
-//    behavior cannot be compared across nets, so memo layers must skip
-//    them (hashable() == false).
+//    behavior cannot be compared across nets, so the derived tier must
+//    skip them (hashable() == false).
 //
 // Thread-safety: a CompiledNet is immutable after construction and borrows
 // the PetriNet it was compiled from (which must outlive it). One compiled
@@ -74,7 +74,7 @@ class CompiledNet {
     std::uint32_t initial_tokens = 0;
     std::uint32_t component = 0;
     // Index of this place within its component (declaration order), used
-    // to key per-component memo entries independently of where the
+    // to key per-component derived models independently of where the
     // component sits inside the full net.
     std::uint32_t local_index = 0;
     std::uint32_t watch_begin = 0, watch_end = 0;  // range into watchers()
@@ -108,8 +108,8 @@ class CompiledNet {
   // Hash of the whole net (all components combined); 0 if !hashable().
   std::uint64_t structural_hash() const { return hashable_ ? structural_hash_ : 0; }
 
-  // Token-schema slots sorted by attribute name: the canonical attribute
-  // order of the component keys (src/petri/component_tier.h).
+  // Token-schema slots sorted by attribute name: the parameter order of
+  // derived programs (DerivedStore::ProgramText, src/petri/distill.h).
   const std::vector<std::uint32_t>& attr_order() const { return attr_order_; }
 
  private:

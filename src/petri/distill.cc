@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <utility>
@@ -151,6 +152,40 @@ std::string RenderInfix(const std::string& canonical, const std::vector<std::str
 
 }  // namespace
 
+void ComponentQuery::Select(std::size_t component) {
+  component_ = component;
+  model_key_.clear();
+  if (!net_.hashable()) {
+    return;
+  }
+  char item[48];
+  std::snprintf(item, sizeof(item), "%016llx",
+                static_cast<unsigned long long>(net_.component_hash(component)));
+  model_key_ += item;
+
+  // The plan restricted to this component, as (local place index, count)
+  // pairs: the same sub-net keys identically wherever it sits inside the
+  // enclosing net. All injected tokens carry the same attributes, so
+  // per-place counts describe the plan fully.
+  plan_.clear();
+  for (const auto& [place, count] : injections_) {
+    const CompiledNet::PlaceInfo& info = net_.places()[place];
+    if (info.component == component) {
+      plan_.emplace_back(info.local_index, count);
+    }
+  }
+  std::sort(plan_.begin(), plan_.end());
+  // A place listed twice injects the sum.
+  for (std::size_t i = 0; i < plan_.size(); ++i) {
+    long long count = plan_[i].second;
+    while (i + 1 < plan_.size() && plan_[i + 1].first == plan_[i].first) {
+      count += plan_[++i].second;
+    }
+    std::snprintf(item, sizeof(item), "\x1f@%u:%lld", plan_[i].first, count);
+    model_key_ += item;
+  }
+}
+
 // One accepted component (or a cached refusal).
 struct DerivedStore::Model {
   std::string refusal;  // empty: accepted
@@ -187,11 +222,6 @@ DerivedStore::DerivedStore(std::size_t max_models, std::size_t num_shards)
 }
 
 DerivedStore::~DerivedStore() = default;
-
-bool DerivedStore::Lookup(const ComponentQuery& query, std::uint64_t budget,
-                          ComponentResult* out) {
-  return Predict(query, budget, out) == Outcome::kHit;
-}
 
 DerivedStore::Shard& DerivedStore::ShardFor(const std::string& key) const {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
@@ -610,8 +640,8 @@ Cycles DerivedStore::RunTable(const Model& model, const Cycles* delays,
 
 DerivedStore::Outcome DerivedStore::Evaluate(const Model& model, const Token& token,
                                              std::uint64_t budget, ComponentResult* out) {
-  // Strict, like the memo: PetriSim reports exhaustion when firings reach
-  // the budget exactly.
+  // Strict: PetriSim reports exhaustion when firings reach the budget
+  // exactly.
   if (model.firings >= budget) {
     return Outcome::kBudget;
   }

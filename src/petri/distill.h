@@ -26,7 +26,7 @@
 //     recorded start time.
 // Guards become per-request constants: the service injects copies of one
 // token, so a guard over request tokens takes one value per request. The
-// key is the component's model key (src/petri/component_tier.h) plus the
+// key is the component's model key (ComponentQuery below) plus the
 // outcome of every attribute-dependent guard on the request token; a
 // guarded transition that can take an initial-marking token (all-zero
 // attributes) as its primary input is refused.
@@ -41,8 +41,13 @@
 // the recurrence as a PerfScript program: the derived interface a person
 // can read.
 //
-// Thread-safety: all methods safe from any thread (sharded mutexes; models
-// are immutable once stored and never evicted).
+// A pnet query is answered one weakly-connected component at a time
+// (components share no places, src/petri/compiled_net.h): the service asks
+// this store for each component and simulates the ones it refuses.
+//
+// Thread-safety: a ComponentQuery belongs to one request; all DerivedStore
+// methods are safe from any thread (sharded mutexes; models are immutable
+// once stored and never evicted).
 #ifndef SRC_PETRI_DISTILL_H_
 #define SRC_PETRI_DISTILL_H_
 
@@ -52,13 +57,57 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "src/petri/component_tier.h"
+#include "src/common/types.h"
+#include "src/petri/compiled_net.h"
+#include "src/petri/token.h"
 
 namespace perfiface {
 
-class DerivedStore : public ComponentTier {
+// The event horizon of every component evaluation, far beyond any real
+// prediction: the service simulates up to it, and the store must not
+// answer a component whose run would pass it (that run does not quiesce).
+constexpr Cycles kComponentRunHorizon = static_cast<Cycles>(1) << 40;
+
+// A component's time of last completion and what its run cost in firings.
+struct ComponentResult {
+  Cycles quiesce_time = 0;
+  std::uint64_t firings = 0;
+};
+
+// One component of one request and its model key: the component's
+// structural hash + the injection plan restricted to the component, as
+// sorted, duplicate-merged (component-local place, count) items. The key
+// identifies a derived model; the attributes are its inputs and never
+// enter the key. Empty when the net is unhashable (opaque C++ closures):
+// such nets are never derived. Select points the query at a component and
+// rebuilds the key in place. Borrows the net, token and injections.
+class ComponentQuery {
+ public:
+  ComponentQuery(const CompiledNet& net, const Token& token,
+                 const std::vector<std::pair<PlaceId, int>>& injections)
+      : net_(net), token_(token), injections_(injections) {}
+
+  void Select(std::size_t component);
+
+  const CompiledNet& net() const { return net_; }
+  std::size_t component() const { return component_; }
+  const Token& token() const { return token_; }
+  const std::vector<std::pair<PlaceId, int>>& injections() const { return injections_; }
+  const std::string& model_key() const { return model_key_; }
+
+ private:
+  const CompiledNet& net_;
+  const Token& token_;
+  const std::vector<std::pair<PlaceId, int>>& injections_;
+  std::vector<std::pair<std::uint32_t, long long>> plan_;  // Select's scratch
+  std::size_t component_ = 0;
+  std::string model_key_;
+};
+
+class DerivedStore {
  public:
   enum class Outcome {
     kHit,         // *out is the component's exact result
@@ -74,21 +123,24 @@ class DerivedStore : public ComponentTier {
   static constexpr std::uint64_t kMaxModelFirings = 1 << 14;
 
   explicit DerivedStore(std::size_t max_models = 1024, std::size_t num_shards = 16);
-  ~DerivedStore() override;
+  ~DerivedStore();
 
-  // Predict() == kHit.
-  bool Lookup(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out) override;
-  // Models come from their own recording run, not from traffic.
-  void Observe(const ComponentQuery&, const ComponentResult&) override {}
-
-  // {"models":N,"distilled":N,"refusals":N,"hits":N}.
-  std::string SummaryJson() const override;
-  // perfiface_derived_{hits,refusals,distilled}_total.
-  void AppendPrometheus(std::string* out) const override;
+  // {"models":N,"distilled":N,"refusals":N,"hits":N}: the /statusz object.
+  std::string SummaryJson() const;
+  // perfiface_derived_{hits,refusals,distilled}_total, counting this
+  // store's events only, in the scrape of the service that owns it.
+  void AppendPrometheus(std::string* out) const;
 
   // Serves the query's component from its compiled program, compiling it
   // on the key's first lookup. kHit fills *out and counts a hit; every
-  // other outcome counts a refusal.
+  // other outcome counts a refusal. Three rules keep the answers equal to
+  // simulation:
+  //   - A hit's `firings` is strictly below the caller's remaining budget
+  //     (PetriSim reports exhaustion at exactly the budget), so a hit
+  //     never hides a budget exhaustion the simulation would have reported.
+  //   - A refusal changes nothing the caller sees: the simulation answers,
+  //     bit-identically to the store being off.
+  //   - A model is only compiled from a recording run that quiesced.
   Outcome Predict(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out);
 
   // The query's compiled program rendered as PerfScript — `def latency`

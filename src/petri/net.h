@@ -78,9 +78,9 @@ struct TransitionSpec {
   GuardFn guard;  // optional
   // Source text pinning down the delay/guard behavior (the compiled
   // expressions' Canonical() form for .pnet files). Optional, but
-  // load-bearing for memoization: CompiledNet only assigns a structural
-  // hash — the key cross-request sub-net memoization is allowed to use —
-  // when every transition's behavior is pinned down by text (an opaque C++
+  // load-bearing for the derived tier: CompiledNet only assigns a
+  // structural hash — the key derived models are stored under — when
+  // every transition's behavior is pinned down by text (an opaque C++
   // lambda cannot be compared across nets, so nets carrying one are
   // unhashable).
   std::string delay_expr;

@@ -107,7 +107,7 @@ class PetriSim {
   // given, only that weakly-connected component's transitions may fire:
   // disconnected components evolve independently, so a restricted run
   // predicts exactly what the full run predicts for that component (the
-  // basis for the per-component tiers, src/petri/component_tier.h).
+  // basis for the per-component derived tier, src/petri/distill.h).
   explicit PetriSim(const CompiledNet* compiled, std::size_t component = kAllComponents);
 
   // Deposits a token into a place at the current time. Typically used to

@@ -16,7 +16,8 @@ ServiceMetrics::ServiceMetrics(const std::vector<std::string>& interfaces) {
   }
 }
 
-void ServiceMetrics::RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok) {
+void ServiceMetrics::RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok,
+                                   std::uint64_t derived_hits) {
   total_requests_.fetch_add(1, std::memory_order_relaxed);
   if (!ok) {
     total_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -27,6 +28,9 @@ void ServiceMetrics::RecordRequest(std::size_t iface_idx, std::uint64_t latency_
     m.latency.Record(latency_ns);
     if (!ok) {
       m.errors.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (derived_hits != 0) {
+      m.derived_hits.fetch_add(derived_hits, std::memory_order_relaxed);
     }
   }
 }

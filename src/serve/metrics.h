@@ -4,7 +4,6 @@
 #ifndef SRC_SERVE_METRICS_H_
 #define SRC_SERVE_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -18,9 +17,6 @@
 
 namespace perfiface::serve {
 
-// Most component tiers a service chains (derived, memo).
-constexpr std::size_t kMaxComponentTiers = 2;
-
 // One row per interface, created when the service loads the registry so
 // the hot path never takes a lock to find its histogram.
 struct InterfaceMetrics {
@@ -28,10 +24,9 @@ struct InterfaceMetrics {
   obs::Histogram latency;                    // end-to-end service-side time, ns
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> errors{0};
-  // Pnet components each tier of the service's component chain answered
-  // (src/petri/component_tier.h), by chain position; feeds the /statusz
-  // per-interface summary.
-  std::array<std::atomic<std::uint64_t>, kMaxComponentTiers> tier_hits{};
+  // Pnet components the exact derived tier answered (src/petri/distill.h);
+  // feeds the /statusz per-interface summary.
+  std::atomic<std::uint64_t> derived_hits{0};
 };
 
 // What the cache saw for one request. Requests that are resolved before the
@@ -58,16 +53,10 @@ class ServiceMetrics {
   // count in the totals only.
   static constexpr std::size_t kNoInterface = static_cast<std::size_t>(-1);
 
-  void RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok);
+  // `derived_hits`: the request's pnet components the derived tier answered.
+  void RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok,
+                     std::uint64_t derived_hits = 0);
   void RecordStatus(CacheOutcome cache, bool deadline_exceeded, bool rejected);
-  void RecordTierHits(std::size_t iface_idx,
-                      const std::array<std::uint64_t, kMaxComponentTiers>& hits) {
-    for (std::size_t t = 0; t < hits.size() && iface_idx < per_interface_.size(); ++t) {
-      if (hits[t] != 0) {
-        per_interface_[iface_idx]->tier_hits[t].fetch_add(hits[t], std::memory_order_relaxed);
-      }
-    }
-  }
 
   // One admission decision for `tenant` (empty = "default"). Rows are
   // created on first sight and capped: past kMaxTenantRows distinct

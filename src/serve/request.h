@@ -94,9 +94,8 @@ bool PredictStatusFromName(std::string_view name, PredictStatus* out);
 // tracks; requesting it costs a few string copies, not extra evaluation.
 struct ExplainInfo {
   bool filled = false;
-  // Which machinery produced the value: "psc-vm", "pnet",
-  // "pnet-memo" (every component answered from the memo table),
-  // "pnet-derived" (no simulation; at least one component served from its
+  // Which machinery produced the value: "psc-vm", "pnet" (at least one
+  // component simulated), "pnet-derived" (every component served from its
   // exact max-plus program, src/petri/distill.h), or "cache" (served from
   // the prediction cache without evaluating).
   std::string representation;
@@ -107,13 +106,11 @@ struct ExplainInfo {
   std::uint64_t eval_ns = 0;        // same clock as PredictResponse::eval_ns
   // VM steps (program) or net firings consumed (pnet).
   std::uint64_t steps = 0;
-  // Pnet memo path: components consulted and how many hit the memo table.
+  // Pnet per-component path: the net's components (0 when the whole net
+  // was simulated in one run; the wire name predates the derived tier) and
+  // how many the exact derived tier served (docs/serving.md "Unified
+  // expression IR & derived interfaces").
   std::uint64_t memo_components = 0;
-  std::uint64_t memo_hits = 0;
-  // Components served by the exact derived tier (docs/serving.md "Unified
-  // expression IR & derived interfaces"). representation reads
-  // "pnet-derived" when no component had to simulate and at least one
-  // came from a max-plus program.
   std::uint64_t derived_hits = 0;
   // The step budget came from deadline_us rather than max_steps.
   bool deadline_limited = false;

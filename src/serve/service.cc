@@ -11,8 +11,6 @@
 #include "src/obs/span_ring.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/kv_object.h"
-#include "src/petri/distill.h"
-#include "src/petri/pnet_memo.h"
 #include "src/petri/sim.h"
 
 namespace perfiface::serve {
@@ -98,15 +96,8 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
       ShadowOptions{options_.shadow_sample_every, options_.shadow_seed,
                     options_.shadow_drift_threshold},
       names);
-  // The component chain. Both tiers are exact, so the order changes cost,
-  // not answers: the derived tier goes first because a compiled component
-  // costs one table pass, less than the memo's exact-key probe, and the
-  // memo answers repeats of the components the derived tier refuses.
   if (options_.enable_pnet_memo) {
-    tiers_.push_back({std::make_unique<DerivedStore>(), "derived_lookup", "derived_store",
-                      "derived_hits", &ExplainInfo::derived_hits, "pnet-derived"});
-    tiers_.push_back({std::make_unique<PnetMemoTable>(), "memo_lookup", "pnet_memo",
-                      "memo_hits", &ExplainInfo::memo_hits, "pnet-memo"});
+    derived_ = std::make_unique<DerivedStore>();
   }
   std::size_t n = options_.num_workers;
   if (n == 0) {
@@ -150,8 +141,8 @@ std::string PredictionService::StatsPrometheus() const {
   std::string out = obs::MetricsRegistry::Global().RenderPrometheus();
   out += metrics_->DumpPrometheus(queue_depth());
   shadow_->DumpPrometheus(&out);
-  for (const ChainTier& t : tiers_) {
-    t.tier->AppendPrometheus(&out);
+  if (derived_ != nullptr) {
+    derived_->AppendPrometheus(&out);
   }
   return out;
 }
@@ -219,10 +210,8 @@ std::string PredictionService::StatuszJson() const {
     }
     out += "]},";
   }
-  // Tier attribution: the derived store's totals next to occupancy and
-  // eviction pressure on the memo table, for the tiers this service runs.
-  for (const ChainTier& t : tiers_) {
-    out += StrFormat("\"%s\":", t.statusz) + t.tier->SummaryJson() + ",";
+  if (derived_ != nullptr) {
+    out += "\"derived_store\":" + derived_->SummaryJson() + ",";
   }
   out += "\"interfaces\":[";
   const auto& rows = metrics_->interfaces();
@@ -239,10 +228,10 @@ std::string PredictionService::StatuszJson() const {
         static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
         uptime_s <= 0 ? 0.0 : static_cast<double>(requests) / uptime_s,
         m.latency.Percentile(0.50) / 1e3, m.latency.Percentile(0.99) / 1e3);
-    for (std::size_t t = 0; t < tiers_.size(); ++t) {
+    if (derived_ != nullptr) {
       out += StrFormat(
-          "\"%s\":%llu,", tiers_[t].hits_name,
-          static_cast<unsigned long long>(m.tier_hits[t].load(std::memory_order_relaxed)));
+          "\"derived_hits\":%llu,",
+          static_cast<unsigned long long>(m.derived_hits.load(std::memory_order_relaxed)));
     }
     out += "\"shadow\":" + shadow_->SummaryJson(i) + "}";
   }
@@ -648,7 +637,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     r.trace_id = trace_id;
     r.tenant = request.tenant;
     r.eval_ns = ElapsedNs(start, Clock::now());
-    metrics_->RecordRequest(entry_idx, r.eval_ns, r.ok());
+    metrics_->RecordRequest(entry_idx, r.eval_ns, r.ok(), detail.derived_hits);
     // Service-time EMA (alpha 1/8) feeding the admission feasibility
     // estimate. Relaxed load/store: a lost update only nudges an estimate.
     const std::uint64_t prev_ema = ema_service_ns_.load(std::memory_order_relaxed);
@@ -660,7 +649,6 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
                   (static_cast<std::int64_t>(r.eval_ns) - static_cast<std::int64_t>(prev_ema)) /
                       8),
         std::memory_order_relaxed);
-    metrics_->RecordTierHits(entry_idx, detail.tier_hits);
     metrics_->RecordStatus(cache_outcome, r.status == PredictStatus::kDeadlineExceeded,
                            r.status == PredictStatus::kRejected);
     if (eval_span.active()) {
@@ -677,9 +665,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
       ex.eval_ns = r.eval_ns;
       ex.steps = detail.steps;
       ex.memo_components = detail.memo_components;
-      for (std::size_t t = 0; t < tiers_.size(); ++t) {
-        ex.*tiers_[t].explain_hits = detail.tier_hits[t];
-      }
+      ex.derived_hits = detail.derived_hits;
       ex.deadline_limited = deadline_limited;
       ex.shadowed = shadow_outcome.ran;
       ex.shadow_truth = shadow_outcome.truth;
@@ -896,35 +882,30 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   bool firing_budget_hit = false;
   std::string sim_error;  // a delay/guard expression failed (PetriSim::error)
 
-  if (!tiers_.empty() && cnet.hashable()) {
+  if (derived_ != nullptr && cnet.hashable()) {
     // Weakly-connected components share no places, so they evolve
-    // independently: answer each on its own — from the first tier of the
-    // chain that can, else by simulation — charging firings against one
-    // shared budget so budget-exhaustion statuses match a whole-net run
-    // exactly (the total work is identical, only the interleaving
-    // differs). Every component must run — one with no injected tokens can
-    // still fire off its initial marking.
+    // independently: answer each on its own — from its derived program
+    // when the tier serves it, else by simulation — charging firings
+    // against one shared budget so budget-exhaustion statuses match a
+    // whole-net run exactly (the total work is identical, only the
+    // interleaving differs). Every component must run — one with no
+    // injected tokens can still fire off its initial marking.
     ComponentQuery query(cnet, token, injections);
     std::uint64_t remaining = budget;
-    std::uint64_t answered = 0;
     detail->memo_components = cnet.num_components();
     for (std::size_t c = 0; c < cnet.num_components(); ++c) {
       query.Select(c);
       ComponentResult result;
-      std::size_t t = 0;
-      for (; t < tiers_.size(); ++t) {
-        obs::SpanGuard lookup_span("serve", tiers_[t].span);
-        const bool hit = tiers_[t].tier->Lookup(query, remaining, &result);
+      bool hit = false;
+      {
+        obs::SpanGuard lookup_span("serve", "derived_lookup");
+        hit = derived_->Predict(query, remaining, &result) == DerivedStore::Outcome::kHit;
         if (lookup_span.active()) {
           lookup_span.SetArg("hit", hit ? 1.0 : 0.0);
         }
-        if (hit) {
-          break;
-        }
       }
-      if (t < tiers_.size()) {
-        ++detail->tier_hits[t];
-        ++answered;
+      if (hit) {
+        ++detail->derived_hits;
       } else {
         PetriSim sim(&cnet, c);
         sim.set_max_firings(remaining);
@@ -938,26 +919,16 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
           sim_error = sim.error();
           break;
         }
-        // Only quiesced runs reach the tiers (component_tier.h contract).
-        for (const ChainTier& tier : tiers_) {
-          tier.tier->Observe(query, result);
-        }
       }
       remaining -= result.firings;
       detail->steps += result.firings;
       value = std::max(value, result.quiesce_time);
     }
-    if (answered != 0 && answered == detail->memo_components) {
-      // No component simulated: the first tier that answered one names the
-      // representation.
-      std::size_t t = 0;
-      while (detail->tier_hits[t] == 0) {
-        ++t;
-      }
-      detail->representation = tiers_[t].representation;
+    if (detail->derived_hits != 0 && detail->derived_hits == detail->memo_components) {
+      detail->representation = "pnet-derived";  // no component simulated
     }
   } else {
-    // Tiers off (or net unhashable: opaque C++ closures): one whole-net
+    // Tier off (or net unhashable: opaque C++ closures): one whole-net
     // run over the shared pre-compiled form.
     PetriSim sim(&cnet);
     sim.set_max_firings(budget);

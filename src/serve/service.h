@@ -13,16 +13,16 @@
 //                             workers (one bytecode Vm per thread per
 //                             program — Vms are stateful and are never
 //                             shared) ──▶ sharded LRU cache
-//                                          └──▶ component-tier chain:
-//                                               derived → memo
-//                                               (src/petri/component_tier.h)
+//                                          └──▶ exact derived tier
+//                                               (src/petri/distill.h)
 //
 // Responses memoize (interface, function, canonicalized workload) →
 // prediction, so hot workloads skip evaluation entirely; below that, pnet
 // evaluations go per weakly-connected component through the service's own
-// tier chain (two services share no tier state): race-free components are
-// answered by their exact max-plus program, the rest from a memo keyed by
-// structural hash, so repeated *structure* is cheap even across nets.
+// derived store (two services share no tier state): race-free components
+// are answered by their exact max-plus program, keyed by structural hash
+// so repeated *structure* is cheap even across nets, and the rest are
+// simulated.
 // Registry lookups go through a lock-free direct-mapped hot tier over a
 // hash index — no linear scan on the hot path. Per-request deadlines ride
 // on the VM's step budget (docs/serving.md).
@@ -52,7 +52,7 @@
 #include "src/core/registry.h"
 #include "src/perfscript/vm.h"
 #include "src/petri/compiled_net.h"
-#include "src/petri/component_tier.h"
+#include "src/petri/distill.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
 #include "src/serve/lru_cache.h"
@@ -73,12 +73,12 @@ struct ServiceOptions {
   // Total cache entries (0 disables caching) and shard count.
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 64;
-  // The per-component Petri-net tiers (src/petri/component_tier.h): the
-  // exact derived tier (src/petri/distill.h), which answers race-free
-  // components from their max-plus program, and the service's memo table
-  // (src/petri/pnet_memo.h). Both are exact, so their answers equal
-  // simulation bit for bit. Off, every pnet query simulates the whole net
-  // from scratch — useful for benchmarking and for verifying equivalence.
+  // Per-component Petri-net evaluation: each component is answered by the
+  // exact derived tier (src/petri/distill.h), which keeps a per-key memo
+  // of compiled max-plus programs, or else simulated on its own. The tier
+  // is exact, so answers equal simulation bit for bit. Off, every pnet
+  // query simulates the whole net from scratch — the reference for
+  // benchmarking and for verifying equivalence.
   bool enable_pnet_memo = true;
   // Default evaluation budget: VM steps (program queries) or net firings
   // (pnet queries).
@@ -195,18 +195,9 @@ class PredictionService {
   // Interfaces the service can answer for (registry order).
   std::vector<std::string> InterfaceNames() const;
 
-  // The chain's tier of concrete type T (DerivedStore, PnetMemoTable), or
-  // null when this service does not run it. Tests and benches read store
-  // counters through this.
-  template <typename T>
-  const T* FindTier() const {
-    for (const ChainTier& t : tiers_) {
-      if (const T* found = dynamic_cast<const T*>(t.tier.get())) {
-        return found;
-      }
-    }
-    return nullptr;
-  }
+  // The service's derived store, or null when the tier is off. Tests and
+  // benches read its counters through this.
+  const DerivedStore* derived_store() const { return derived_.get(); }
 
   // Shadow-validation bookkeeping (always constructed; inert when
   // ServiceOptions::shadow_sample_every is 0).
@@ -242,18 +233,6 @@ class PredictionService {
     std::optional<ProgramInterface> program;  // shared parse + constants
     LoadedNet pnet;                           // pnet.net null if none shipped
     std::unique_ptr<CompiledNet> compiled;    // non-null iff pnet.net is
-  };
-
-  // One tier of the component chain and the names it reports under.
-  struct ChainTier {
-    std::unique_ptr<ComponentTier> tier;
-    const char* span;            // serve.<span> around each lookup
-    const char* statusz;         // key of its /statusz block
-    const char* hits_name;       // its explain and /statusz hit count
-    std::uint64_t ExplainInfo::*explain_hits;
-    // Explain representation when every component was answered from the
-    // chain; among the tiers that answered one, the first names it.
-    const char* representation;
   };
 
   // Completion state shared between a batch submitter and the workers.
@@ -303,12 +282,11 @@ class PredictionService {
   // without re-deriving them. Static strings only — no per-request
   // allocation unless the client asked to explain.
   struct EvalDetail {
-    // "psc-vm" | "pnet" | "pnet-memo" | "pnet-derived"
+    // "psc-vm" | "pnet" | "pnet-derived"
     const char* representation = "";
     std::uint64_t steps = 0;          // VM steps or net firings
     std::uint64_t memo_components = 0;
-    // Components each chain tier answered, by chain position.
-    std::array<std::uint64_t, kMaxComponentTiers> tier_hits{};
+    std::uint64_t derived_hits = 0;   // components the derived tier answered
   };
 
   void WorkerLoop();
@@ -352,8 +330,8 @@ class PredictionService {
   mutable std::array<std::atomic<std::uint32_t>, kHotSlots> hot_;
   std::unique_ptr<ServiceMetrics> metrics_;
   std::unique_ptr<ShadowValidator> shadow_;
-  // Tried in order for each pnet component; empty when the memo is off.
-  std::vector<ChainTier> tiers_;
+  // Asked for each pnet component; null when the tier is off.
+  std::unique_ptr<DerivedStore> derived_;
   Clock::time_point service_start_{};
   ShardedLruCache cache_;
   DeadlineQueue<Job> queue_;

@@ -3,11 +3,10 @@
 // The canonical serialization of a compiled delay/guard expression is what
 // the .pnet loader records as TransitionSpec::delay_expr/guard_expr, which
 // is in turn the *only* expression input to CompiledNet's structural hash —
-// the key under which every cross-request memo entry (pnet_memo.h) and
-// every derived model (distill.h) is stored. If the format drifts — a
-// reordered ExprOp enum, a different float rendering, an "optimized"
-// emission order — every one of those keys silently changes: caches go
-// cold, compiled models orphan, and nothing fails loudly. This test snapshots the canonical string of every
+// the key under which every derived model (distill.h) is stored. If the
+// format drifts — a reordered ExprOp enum, a different float rendering, an
+// "optimized" emission order — every one of those keys silently changes:
+// compiled models orphan and nothing fails loudly. This test snapshots the canonical string of every
 // shipped .pnet delay and guard into a checked-in golden file so such a
 // drift fails CI with an explanation instead.
 #include <string>
@@ -49,9 +48,8 @@ TEST(CanonicalGolden, ShippedPnetExpressionsAreByteIdentical) {
   EXPECT_EQ(golden, actual)
       << "CompiledExpr::Canonical() output changed for a shipped .pnet "
          "expression.\n"
-         "This is not cosmetic: the canonical string keys the cross-request "
-         "pnet memo table\nand the derived-interface store (via CompiledNet's "
-         "structural hash).\nIf the new "
+         "This is not cosmetic: the canonical string keys the "
+         "derived-interface store\n(via CompiledNet's structural hash).\nIf the new "
          "format is intentional, every persisted/cross-version\nkey space "
          "just changed — update " << golden_path
       << "\nonly after confirming no consumer relies on key stability.\n"

@@ -19,7 +19,6 @@
 #include "src/perfscript/parser.h"
 #include "src/perfscript/vm.h"
 #include "src/petri/compiled_net.h"
-#include "src/petri/component_tier.h"
 #include "src/petri/distill.h"
 #include "src/petri/net.h"
 #include "src/petri/sim.h"
@@ -79,7 +78,7 @@ struct Services {
     options.enable_pnet_memo = tiers_on;
     return options;
   }
-  const DerivedStore& derived() const { return *tiers.FindTier<DerivedStore>(); }
+  const DerivedStore& derived() const { return *tiers.derived_store(); }
   serve::PredictionService tiers;
   serve::PredictionService sim;
 };
@@ -321,7 +320,7 @@ TEST(Distill, AttrDependentGuardsKeyTheirOwnModels) {
 
 TEST(Distill, UnhashableNetRefuses) {
   // An opaque C++ delay closure has no canonical text, so the net has no
-  // structural hash, no key, and no derived model — same rule as the memo.
+  // structural hash, no key, and no derived model.
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");

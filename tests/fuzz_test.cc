@@ -1,17 +1,22 @@
 // Robustness ("never crash on bad input") sweeps for the two shipped
-// artifact parsers. Interfaces come from vendors; a corrupted file must
-// produce a clean error, not undefined behaviour. Each TEST_P applies a
-// seeded corruption to a shipped artifact and requires the parser to
-// either accept it or reject it with a message.
+// artifact parsers and the NDJSON wire decoders. Interfaces come from
+// vendors and frames from any client on the network; a corrupted input
+// must produce a clean error, not undefined behaviour. Each TEST_P applies
+// a seeded corruption to a shipped artifact or to real encoder output and
+// requires the parser to either accept it or reject it with a message.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/common/loc.h"
 #include "src/common/rng.h"
 #include "src/core/pnet.h"
 #include "src/core/registry.h"
+#include "src/net/wire.h"
 #include "src/perfscript/parser.h"
+#include "src/serve/request.h"
 
 namespace perfiface {
 namespace {
@@ -107,6 +112,152 @@ TEST_P(ExprFuzz, RandomExpressionStringsNeverCrashTheParser) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExprFuzz, ::testing::Range<std::uint64_t>(1, 5));
+
+// --- NDJSON wire decoders (src/net/wire.h) ----------------------------------
+
+// Mutants per seed and decoder: 8 seeds make 20,000 per decoder.
+constexpr std::uint64_t kWireMutantsPerSeed = 2'500;
+
+// One frame, newline stripped as the server's FrameReader strips it.
+std::string RequestFrame(std::uint64_t id, const std::vector<serve::PredictRequest>& requests) {
+  std::string frame;
+  net::EncodeRequestFrame(id, requests, &frame);
+  frame.pop_back();
+  return frame;
+}
+
+// Encoder output for every request field: a program query, attributes at
+// both ends of the double range, a pnet query with an entry plan, explain,
+// tenant, trace_id, deadline, max_steps and children, one request per
+// frame and all of them in one frame.
+std::vector<std::string> RequestCorpus() {
+  serve::PredictRequest program;
+  program.interface = "jpeg_decoder";
+  program.representation = serve::Representation::kProgram;
+  program.function = "latency_jpeg_decode";
+  program.attrs = {{"orig_size", 65536.0}, {"compress_rate", 0.2}};
+  serve::PredictRequest extreme = program;
+  extreme.attrs = {{"orig_size", 1.5e308}, {"compress_rate", 5e-324}};
+  serve::PredictRequest pnet;
+  pnet.interface = "jpeg_decoder";
+  pnet.representation = serve::Representation::kPnet;
+  pnet.entry_place = "hdr_in:1,vld_in:8";
+  pnet.tokens = 3;
+  pnet.attrs = {{"bits", 800.0}, {"blocks", 8.0}};
+  serve::PredictRequest explain = program;
+  explain.explain = true;
+  serve::PredictRequest tenant = program;
+  tenant.tenant = "acme";
+  serve::PredictRequest traced = pnet;
+  traced.trace_id = "trace-0123456789abcdef";
+  serve::PredictRequest deadline = program;
+  deadline.deadline_us = 250'000;
+  serve::PredictRequest budget = pnet;
+  budget.max_steps = 5'000'000;
+  serve::PredictRequest children;
+  children.interface = "protoacc";
+  children.function = "tput_protoacc_ser";
+  children.attrs = {{"num_fields", 6.0}, {"num_writes", 9.0}};
+  children.children = 12;
+  const std::vector<serve::PredictRequest> all = {program, extreme,  pnet,   explain, tenant,
+                                                  traced,  deadline, budget, children};
+  std::vector<std::string> corpus;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    corpus.push_back(RequestFrame(i + 1, {all[i]}));
+  }
+  corpus.push_back(RequestFrame(UINT64_MAX, all));
+  return corpus;
+}
+
+// OK, ERROR and explain response lines, and a malformed-frame line.
+std::vector<std::string> ResponseCorpus() {
+  serve::PredictResponse ok;
+  ok.status = serve::PredictStatus::kOk;
+  ok.value = 71234.0;
+  ok.throughput = 0.125;
+  ok.cache_hit = true;
+  ok.eval_ns = 1234;
+  ok.trace_id = "trace-1";
+  ok.tenant = "acme";
+  serve::PredictResponse error;
+  error.status = serve::PredictStatus::kError;
+  error.error = "transition 'vld': delay: line 1: division by zero \"q\"\n";
+  error.trace_id = "trace-2";
+  serve::PredictResponse explained = ok;
+  explained.cache_hit = false;
+  serve::ExplainInfo& ex = explained.explain;
+  ex.filled = true;
+  ex.representation = "pnet-derived";
+  ex.cache = "miss";
+  ex.queue_wait_ns = 7;
+  ex.eval_ns = 8;
+  ex.steps = 97;
+  ex.memo_components = 1;
+  ex.derived_hits = 1;
+  ex.deadline_limited = true;
+  ex.shadowed = true;
+  ex.shadow_truth = 70000.5;
+  ex.shadow_rel_err = -0.0125;
+  std::vector<std::string> corpus(4);
+  net::EncodeResponseLine(7, 0, ok, &corpus[0]);
+  net::EncodeResponseLine(7, 1, error, &corpus[1]);
+  net::EncodeResponseLine(UINT64_MAX, 2, explained, &corpus[2]);
+  net::EncodeMalformedLine(8, "bad \"frame\"", &corpus[3]);
+  for (std::string& line : corpus) {
+    line.pop_back();  // the client decodes lines without their newline
+  }
+  return corpus;
+}
+
+class WireFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The server's decoder: every mutant is accepted or refused with a
+// message, and an accepted frame re-encodes to a fixed point (encode ->
+// decode -> encode gives the same bytes), so what the server understood
+// is exactly what a client could have sent.
+TEST_P(WireFuzz, CorruptedRequestFramesDecodeOrFailCleanly) {
+  const std::vector<std::string> corpus = RequestCorpus();
+  std::uint64_t accepted = 0;
+  for (std::uint64_t i = 0; i < kWireMutantsPerSeed; ++i) {
+    const std::string mutated =
+        Corrupt(corpus[i % corpus.size()], DeriveSeed(GetParam() + 2000, i));
+    std::uint64_t id = 0;
+    std::vector<serve::PredictRequest> requests;
+    std::string error;
+    if (!net::DecodeRequestFrame(mutated, &id, &requests, &error)) {
+      EXPECT_FALSE(error.empty()) << mutated;
+      continue;
+    }
+    ++accepted;
+    const std::string once = RequestFrame(id, requests);
+    std::uint64_t again_id = 0;
+    std::vector<serve::PredictRequest> again;
+    ASSERT_TRUE(net::DecodeRequestFrame(once, &again_id, &again, &error))
+        << "mutant: " << mutated << "\nre-encoded: " << once << "\nerror: " << error;
+    EXPECT_EQ(RequestFrame(again_id, again), once) << "mutant: " << mutated;
+  }
+  EXPECT_GT(accepted, 0u);  // the sweep must reach the accept path
+}
+
+// The client's decoder: every mutant is accepted or refused with a message.
+TEST_P(WireFuzz, CorruptedResponseLinesDecodeOrFailCleanly) {
+  const std::vector<std::string> corpus = ResponseCorpus();
+  std::uint64_t accepted = 0;
+  for (std::uint64_t i = 0; i < kWireMutantsPerSeed; ++i) {
+    const std::string mutated =
+        Corrupt(corpus[i % corpus.size()], DeriveSeed(GetParam() + 3000, i));
+    net::WireResponse response;
+    std::string error;
+    if (net::DecodeResponseLine(mutated, &response, &error)) {
+      ++accepted;
+    } else {
+      EXPECT_FALSE(error.empty()) << mutated;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace perfiface

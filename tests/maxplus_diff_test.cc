@@ -19,7 +19,6 @@
 #include "src/common/strings.h"
 #include "src/core/pnet.h"
 #include "src/petri/compiled_net.h"
-#include "src/petri/component_tier.h"
 #include "src/petri/distill.h"
 #include "src/petri/sim.h"
 
@@ -497,7 +496,7 @@ TEST(MaxPlusDiffConcurrency, ConcurrentFirstLookupAndPredict) {
           ComponentQuery query(cnet, tokens[i], plans[p]);
           query.Select(0);
           ComponentResult got;
-          ASSERT_TRUE(store.Lookup(query, kBudget, &got));
+          ASSERT_EQ(store.Predict(query, kBudget, &got), DerivedStore::Outcome::kHit);
           EXPECT_EQ(got.quiesce_time, want[p][i].quiesce_time);
           EXPECT_EQ(got.firings, want[p][i].firings);
         }

@@ -53,7 +53,7 @@ std::string BaseFamily(const std::string& name) {
 
 TEST(MetricsLint, EveryEmittedFamilyIsDocumented) {
   // Drive every layer that contributes families: program queries (VM
-  // counters), pnet queries (derived store + memo table), conv queries
+  // counters), pnet queries (derived store), conv queries
   // with shadow validation on (conv sim + shadow families), and the TCP
   // front end (net counters).
   conv::RegisterConvShadowBackend();

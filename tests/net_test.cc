@@ -6,11 +6,14 @@
 // in CI alongside serve_test.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -84,12 +87,11 @@ serve::ServiceOptions TwoWorkers() {
   return o;
 }
 
-// Sends a raw HTTP/1.1 request to 127.0.0.1:port and returns the whole
-// response (headers + body). Empty string on any socket failure.
-std::string RawHttp(std::uint16_t port, const std::string& request) {
+// A raw TCP connection to 127.0.0.1:port; -1 on failure.
+int ConnectLoopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    return "";
+    return -1;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -97,6 +99,16 @@ std::string RawHttp(std::uint16_t port, const std::string& request) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Sends a raw HTTP/1.1 request to 127.0.0.1:port and returns the whole
+// response (headers + body). Empty string on any socket failure.
+std::string RawHttp(std::uint16_t port, const std::string& request) {
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) {
     return "";
   }
   std::size_t sent = 0;
@@ -311,6 +323,35 @@ TEST(WireCodec, RejectsBadFrames) {
   // server's error line can echo it.
   EXPECT_FALSE(DecodeRequestFrame(R"({"id":42,"requests":[{}]})", &id, &decoded, &error));
   EXPECT_EQ(id, 42u);
+}
+
+// A number past the double range used to decode to +-inf, and the frame
+// then re-encoded as invalid JSON ("inf"). Such numbers are refused; ones
+// that underflow, and the range's extremes, still decode and round-trip.
+TEST(WireCodec, NumbersPastTheDoubleRangeAreRefused) {
+  std::uint64_t id = 0;
+  std::vector<PredictRequest> decoded;
+  std::string error;
+  for (const char* number : {"1e999", "-1e999", "1.8e308"}) {
+    const std::string frame =
+        StrFormat(R"({"id":1,"requests":[{"interface":"x","attrs":{"a":%s}}]})", number);
+    EXPECT_FALSE(DecodeRequestFrame(frame, &id, &decoded, &error)) << number;
+    EXPECT_NE(error.find("number out of range"), std::string::npos) << number << ": " << error;
+  }
+  WireResponse response;
+  EXPECT_FALSE(DecodeResponseLine(R"({"id":1,"index":0,"status":"OK","value":1e999})",
+                                  &response, &error));
+  EXPECT_NE(error.find("number out of range"), std::string::npos) << error;
+
+  ASSERT_TRUE(DecodeRequestFrame(
+      R"({"id":1,"requests":[{"interface":"x","attrs":{"a":1e-999,"b":1.7976931348623157e308}}]})",
+      &id, &decoded, &error))
+      << error;
+  std::string encoded;
+  EncodeRequestFrame(id, decoded, &encoded);
+  EXPECT_EQ(encoded,
+            "{\"id\":1,\"requests\":[{\"interface\":\"x\",\"rep\":\"auto\",\"attrs\":{\"a\":0,"
+            "\"b\":1.7976931348623157e+308}}]}\n");
 }
 
 TEST(WireCodec, ResponseLineRoundTripsEveryStatus) {
@@ -747,13 +788,12 @@ TEST(WireCodec, EncodersAreByteIdenticalToPrintf) {
   full.trace_id = "cafe0123";
   full.tenant = "acme";
   full.explain.filled = true;
-  full.explain.representation = "pnet-memo";
+  full.explain.representation = "pnet-derived";
   full.explain.cache = "miss";
   full.explain.queue_wait_ns = 7;
   full.explain.eval_ns = 8;
   full.explain.steps = 9;
   full.explain.memo_components = 3;
-  full.explain.memo_hits = 2;
   full.explain.derived_hits = 1;
   full.explain.deadline_limited = true;
   full.explain.shadowed = true;
@@ -766,8 +806,8 @@ TEST(WireCodec, EncodersAreByteIdenticalToPrintf) {
             "\"error\":\"bad \\\"x\\\"\\n\\u0001\",\"value\":0.10000000000000001,"
             "\"throughput\":0,\"cache_hit\":false,\"eval_ns\":18446744073709551615,"
             "\"trace_id\":\"cafe0123\",\"tenant\":\"acme\",\"explain\":{"
-            "\"representation\":\"pnet-memo\",\"cache\":\"miss\",\"queue_wait_ns\":7,"
-            "\"eval_ns\":8,\"steps\":9,\"memo_components\":3,\"memo_hits\":2,"
+            "\"representation\":\"pnet-derived\",\"cache\":\"miss\",\"queue_wait_ns\":7,"
+            "\"eval_ns\":8,\"steps\":9,\"memo_components\":3,"
             "\"derived_hits\":1,\"deadline_limited\":true,\"shadowed\":true,"
             "\"shadow_truth\":9.9998886718268301e-321,\"shadow_rel_err\":-0}}\n");
 
@@ -1073,6 +1113,97 @@ TEST(NetServer, GracefulStopDrainsAndCloses) {
   WireResponse wire;
   EXPECT_FALSE(client.ReadResponse(&wire, &error));
   ts.reset();  // destructor Stop + service Shutdown must also be clean
+}
+
+// Chaos: Stop() while one connection holds a full pipelining window of
+// slow frames (a jpeg plan the derived tier refuses, cache off) and four
+// frames past it. Stop() returns once the window drains; the client reads
+// only whole lines, every frame is answered in full or not at all, and the
+// connection then reads EOF.
+TEST(NetServer, StopWithAFullPipeliningWindow) {
+  serve::ServiceOptions sopts = TwoWorkers();
+  sopts.cache_capacity = 0;
+  NetServerOptions nopts;
+  nopts.max_inflight_batches = 4;
+  TestServer ts(sopts, nopts);
+  ASSERT_TRUE(ts.ok);
+
+  constexpr std::size_t kFrames = 4 + 4;  // the window, then four past it
+  constexpr std::size_t kPerFrame = 2;
+  std::string frames;
+  for (std::size_t f = 1; f <= kFrames; ++f) {
+    std::vector<PredictRequest> batch;
+    for (std::size_t i = 0; i < kPerFrame; ++i) {
+      PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:5500");
+      req.attrs = {{"bits", 800.0 + static_cast<double>(f * kPerFrame + i)}, {"blocks", 8.0}};
+      batch.push_back(std::move(req));
+    }
+    EncodeRequestFrame(f, batch, &frames);
+  }
+  const int fd = ConnectLoopback(ts.server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, frames.data(), frames.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frames.size()));
+
+  // Once every frame past the window has been answered REJECTED, the
+  // server has read them all and its window is full: stop it then (or
+  // after 5 s without a byte, so a slow host cannot hang the test).
+  std::atomic<bool> stopped{false};
+  std::jthread stopper;
+  const auto stop = [&] {
+    if (!stopper.joinable()) {
+      stopper = std::jthread([&] {
+        ts.server.Stop();
+        stopped = true;
+      });
+    }
+  };
+  std::vector<std::size_t> lines(kFrames + 1, 0);
+  std::size_t rejected = 0;
+  std::string pending;
+  char buf[4096];
+  for (;;) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5'000) == 0) {
+      stop();
+      continue;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GE(n, 0) << std::strerror(errno);
+    if (n == 0) {
+      break;  // EOF
+    }
+    pending.append(buf, static_cast<std::size_t>(n));
+    for (std::size_t nl = pending.find('\n'); nl != std::string::npos; nl = pending.find('\n')) {
+      WireResponse wire;
+      std::string error;
+      ASSERT_TRUE(DecodeResponseLine(std::string_view(pending).substr(0, nl), &wire, &error))
+          << error << ": " << pending.substr(0, nl);
+      pending.erase(0, nl + 1);
+      ASSERT_FALSE(wire.malformed) << wire.response.error;
+      ASSERT_GE(wire.id, 1u);
+      ASSERT_LE(wire.id, kFrames);
+      ++lines[wire.id];
+      if (wire.response.status == PredictStatus::kRejected) {
+        EXPECT_NE(wire.response.error.find("in flight"), std::string::npos);
+        ++rejected;
+      } else {
+        EXPECT_EQ(wire.response.status, PredictStatus::kOk) << wire.response.error;
+      }
+    }
+    if (rejected == (kFrames - 4) * kPerFrame) {
+      stop();
+    }
+  }
+  ::close(fd);
+  ASSERT_TRUE(stopper.joinable());
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  EXPECT_EQ(pending, "");  // only whole lines
+  for (std::size_t f = 1; f <= kFrames; ++f) {
+    EXPECT_TRUE(lines[f] == 0 || lines[f] == kPerFrame) << "frame " << f << ": " << lines[f];
+  }
+  EXPECT_EQ(ts.server.open_connections(), 0u);
 }
 
 // Socket writes (perfiface_net_writes_total) one frame of `requests` costs

@@ -9,9 +9,8 @@
 #include "src/obs/trace.h"
 #include "src/petri/analysis.h"
 #include "src/petri/compiled_net.h"
-#include "src/petri/component_tier.h"
+#include "src/petri/distill.h"
 #include "src/petri/net.h"
-#include "src/petri/pnet_memo.h"
 #include "src/petri/sim.h"
 #include "src/sim/pipeline_model.h"
 
@@ -379,13 +378,12 @@ TEST(CompiledNet, OpaqueClosuresAreUnhashable) {
   EXPECT_FALSE(cnet.hashable());
   EXPECT_EQ(cnet.structural_hash(), 0u);
   EXPECT_EQ(cnet.component_hash(0), 0u);
-  // Unhashable nets must not produce memo keys.
+  // Unhashable nets must not produce model keys.
   const Token token;
   const std::vector<std::pair<PlaceId, int>> plan = {{in, 1}};
   ComponentQuery query(cnet, token, plan);
   query.Select(0);
   EXPECT_TRUE(query.model_key().empty());
-  EXPECT_TRUE(query.exact_key().empty());
 }
 
 TEST(PetriSim, ComponentRestrictedRunMatchesFullRun) {
@@ -465,19 +463,17 @@ TEST(PetriSim, BudgetStopEmitsTraceInstant) {
 }
 
 // ---------------------------------------------------------------------------
-// Component keys (src/petri/component_tier.h) and budget-respecting memo
-// hits.
+// Component model keys (ComponentQuery, src/petri/distill.h).
 
-// Both keys of `component` under `plan`, as the tiers see them.
-std::pair<std::string, std::string> ComponentKeys(
-    const CompiledNet& cnet, std::size_t component, const Token& token,
-    const std::vector<std::pair<PlaceId, int>>& plan) {
+// The model key of `component` under `plan`, as the derived tier sees it.
+std::string ModelKey(const CompiledNet& cnet, std::size_t component, const Token& token,
+                     const std::vector<std::pair<PlaceId, int>>& plan) {
   ComponentQuery query(cnet, token, plan);
   query.Select(component);
-  return {query.model_key(), query.exact_key()};
+  return query.model_key();
 }
 
-TEST(PnetMemo, KeyMergesAndCanonicalizesInjections) {
+TEST(ComponentQuery, KeyMergesAndCanonicalizesInjections) {
   const PetriNet net = TwoChainNet("");
   const CompiledNet cnet(&net);
   const PlaceId b_in = net.PlaceByName("b_in");
@@ -485,86 +481,54 @@ TEST(PnetMemo, KeyMergesAndCanonicalizesInjections) {
   const PlaceId a_in = net.PlaceByName("a_in");
 
   Token token;
-  const auto keys = ComponentKeys(cnet, 1, token, {{b_in, 2}, {b_mid, 1}, {b_in, 3}});
-  ASSERT_FALSE(keys.first.empty());
-  ASSERT_FALSE(keys.second.empty());
+  const std::string key = ModelKey(cnet, 1, token, {{b_in, 2}, {b_mid, 1}, {b_in, 3}});
+  ASSERT_FALSE(key.empty());
   // Reordered and duplicate-merged plans key identically; injections into
-  // other components are irrelevant to this component's keys.
-  EXPECT_EQ(keys, ComponentKeys(cnet, 1, token, {{b_mid, 1}, {b_in, 5}}));
-  EXPECT_EQ(keys, ComponentKeys(cnet, 1, token, {{a_in, 7}, {b_in, 5}, {b_mid, 1}}));
-  const auto fewer = ComponentKeys(cnet, 1, token, {{b_in, 4}, {b_mid, 1}});
-  EXPECT_NE(keys.first, fewer.first);
-  EXPECT_NE(keys.second, fewer.second);
+  // other components are irrelevant to this component's key.
+  EXPECT_EQ(key, ModelKey(cnet, 1, token, {{b_mid, 1}, {b_in, 5}}));
+  EXPECT_EQ(key, ModelKey(cnet, 1, token, {{a_in, 7}, {b_in, 5}, {b_mid, 1}}));
+  EXPECT_NE(key, ModelKey(cnet, 1, token, {{b_in, 4}, {b_mid, 1}}));
   // The same plan keys other components differently (component hash).
   const std::vector<std::pair<PlaceId, int>> plan = {{b_mid, 1}, {b_in, 5}};
-  const auto other = ComponentKeys(cnet, 0, token, plan);
-  EXPECT_NE(keys.first, other.first);
-  EXPECT_NE(keys.second, other.second);
-  // One query re-pointed across components rebuilds both keys in place.
+  const std::string other = ModelKey(cnet, 0, token, plan);
+  EXPECT_NE(key, other);
+  // One query re-pointed across components rebuilds its key in place.
   ComponentQuery query(cnet, token, plan);
   for (const std::size_t component : {1, 0, 1}) {
     query.Select(component);
-    const auto& want = component == 1 ? keys : other;
-    EXPECT_EQ(query.model_key(), want.first) << component;
-    EXPECT_EQ(query.exact_key(), want.second) << component;
+    EXPECT_EQ(query.model_key(), component == 1 ? key : other) << component;
   }
 }
 
-TEST(PnetMemo, LookupRespectsFiringBudget) {
-  PnetMemoTable table(/*capacity=*/64, /*num_shards=*/2);
-  const PetriNet net = TwoChainNet("");
-  const CompiledNet cnet(&net);
-  const Token token;
-  const std::vector<std::pair<PlaceId, int>> plan = {{net.PlaceByName("a_in"), 3}};
-  ComponentQuery query(cnet, token, plan);
-  query.Select(0);
-  ComponentResult out;
-  EXPECT_FALSE(table.Lookup(query, 1000, &out));
-  table.Observe(query, ComponentResult{/*quiesce_time=*/42, /*firings=*/10});
-
-  // A stored run of 10 firings would have exhausted a budget of 10 (the sim
-  // flags exhaustion when firings reach the budget), so only 11+ hits.
-  EXPECT_FALSE(table.Lookup(query, 10, &out));
-  ASSERT_TRUE(table.Lookup(query, 11, &out));
-  EXPECT_EQ(out.quiesce_time, 42u);
-  EXPECT_EQ(out.firings, 10u);
-  EXPECT_EQ(table.hits(), 1u);
-  EXPECT_EQ(table.misses(), 2u);
-}
-
-// The model key is the exact memo key minus the attribute section: same
-// component hash, same canonical plan — so queries that differ only in
-// their attributes share one derived model while keeping separate memo
-// entries.
-TEST(ComponentQuery, KeyIsMemoKeyWithoutAttributes) {
+// The model key names a derived model, whose inputs are the attributes:
+// queries that differ only in their attributes share one key, whatever
+// the values, and the key never spells an attribute name or value.
+TEST(ComponentQuery, AttributesNeverEnterTheModelKey) {
   const LoadedNet loaded = LoadPnet(
       "net affine\n"
-      "attr x\n"
-      "attr y\n"
+      "attr xattr\n"
+      "attr yattr\n"
       "place in\n"
       "place out\n"
-      "trans t in=in out=out delay=\"100 + 3 * x + 7 * y\"\n");
+      "trans t in=in out=out delay=\"100 + 3 * xattr + 7 * yattr\"\n");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet compiled(loaded.net.get());
   ASSERT_TRUE(compiled.hashable());
 
   const std::vector<std::pair<PlaceId, int>> plan = {{loaded.net->PlaceByName("in"), 3}};
-  Token t1;
-  t1.attrs = {1.0, 2.0};
-  Token t2;
-  t2.attrs = {9.0, 4.0};
-  ComponentQuery q1(compiled, t1, plan);
-  ComponentQuery q2(compiled, t2, plan);
-  q1.Select(0);
-  q2.Select(0);
-  EXPECT_FALSE(q1.model_key().empty());
-  EXPECT_NE(q1.exact_key(), q2.exact_key());  // attrs separate exact entries...
-  EXPECT_EQ(q1.model_key(), q2.model_key());  // ...but not models,
-  // and the exact key is the model key extended by the attributes.
-  for (const ComponentQuery* q : {&q1, &q2}) {
-    EXPECT_GT(q->exact_key().size(), q->model_key().size());
-    EXPECT_EQ(q->exact_key().compare(0, q->model_key().size(), q->model_key()), 0);
+  Token zero;
+  zero.attrs = {0.0, 0.0};
+  const std::string key = ModelKey(compiled, 0, zero, plan);
+  ASSERT_FALSE(key.empty());
+  for (const auto& [x, y] : std::vector<std::pair<double, double>>{
+           {1.0, 2.0}, {9.0, 4.0}, {-0.5, 1e300}, {0.125, 0.0}}) {
+    Token token;
+    token.attrs = {x, y};
+    EXPECT_EQ(ModelKey(compiled, 0, token, plan), key) << x << "," << y;
   }
+  EXPECT_EQ(key.find("xattr"), std::string::npos) << key;
+  EXPECT_EQ(key.find("yattr"), std::string::npos) << key;
+  EXPECT_EQ(key.find('.'), std::string::npos) << key;  // no formatted value
 }
 
 }  // namespace

@@ -171,7 +171,7 @@ TEST(PnetCompose, ErrorsSurfaceCleanly) {
 
 // Loader-produced nets record the canonical compiled form of every delay
 // and guard expression, which is what makes them structurally hashable —
-// the precondition for cross-request sub-net memoization (pnet_memo.h).
+// the precondition for the exact derived tier's model keys (distill.h).
 TEST(Pnet, LoadedNetsAreHashable) {
   const char* src =
       "net demo\n"

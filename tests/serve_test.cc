@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "src/accel/conv/conv_shadow.h"
 #include "src/accel/jpeg/jpeg_shadow.h"
+#include "src/accel/protoacc/protoacc_shadow.h"
 #include "src/common/strings.h"
 #include "src/core/program_interface.h"
 #include "src/core/registry.h"
@@ -25,7 +27,6 @@
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
 #include "src/petri/distill.h"
-#include "src/petri/pnet_memo.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
 #include "src/serve/lru_cache.h"
@@ -68,7 +69,7 @@ PredictRequest PnetRequest(const std::string& iface, const std::string& entry_pl
 }
 
 // A jpeg plan past the derived tier's per-model firing cap (three firings
-// per stripe): the tier refuses it, so its repeats reach the memo table.
+// per stripe): the tier refuses it, so every answer is simulated.
 constexpr const char* kUncompiledJpegPlan = "hdr_in:1,vld_in:5500";
 
 // Cache key of a pnet request, from its parsed injection plan (the
@@ -395,8 +396,8 @@ TEST(PredictionService, PnetQueryQuiescesAndPredicts) {
 // `bits` and `blocks`, which a request may leave at 0) or leaves [0, 1e15)
 // used to abort the whole process. It must answer ERROR naming the
 // transition — on the whole-net path and on the component-tier path —
-// keep nothing in the service's derived or memo stores, and leave the
-// service answering.
+// keep nothing in the service's derived store, and leave the service
+// answering.
 TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
   struct Path {
     const char* name;
@@ -407,9 +408,7 @@ TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
     options.num_workers = 1;
     options.enable_pnet_memo = path.tiers;
     PredictionService service(InterfaceRegistry::Default(), options);
-    const PnetMemoTable* memo = service.FindTier<PnetMemoTable>();
-    const DerivedStore* derived = service.FindTier<DerivedStore>();
-    ASSERT_EQ(memo != nullptr, path.tiers) << path.name;
+    const DerivedStore* derived = service.derived_store();
     ASSERT_EQ(derived != nullptr, path.tiers) << path.name;
 
     PredictRequest zero_attrs;
@@ -427,7 +426,6 @@ TEST(PredictionService, PnetExpressionErrorsAnswerErrorAndKeepNothing) {
         const PredictResponse resp = service.Predict(*request);
         EXPECT_EQ(resp.status, PredictStatus::kError) << path.name;
         EXPECT_EQ(resp.error.rfind(message, 0), 0u) << path.name << ": " << resp.error;
-        EXPECT_TRUE(memo == nullptr || memo->size() == 0u) << path.name;
         EXPECT_TRUE(derived == nullptr || derived->size() == 0u) << path.name;
       }
     }
@@ -644,12 +642,12 @@ TEST(PredictionService, RepeatedLookupsHitHotTier) {
   EXPECT_GE(service.metrics().lookup_cold(), 1u);
 }
 
-// --- sub-net memoization ---
+// --- per-component evaluation (exact derived tier) ---
 
-// Acceptance: memoized and unmemoized evaluation must produce identical
-// predictions for every registry entry that ships a pnet. The response
-// cache is disabled on both services so every repeat actually exercises
-// the memo (or simulation) path.
+// Acceptance: per-component evaluation (derived tier, else per-component
+// simulation) and whole-net simulation must produce identical predictions
+// for every registry entry that ships a pnet. The response cache is
+// disabled on both services so every repeat actually reaches the tier.
 TEST(PredictionServiceMemo, MemoizedMatchesUnmemoizedAcrossRegistry) {
   ServiceOptions on;
   on.num_workers = 2;
@@ -664,8 +662,8 @@ TEST(PredictionServiceMemo, MemoizedMatchesUnmemoizedAcrossRegistry) {
     for (int tokens : {1, 4}) {
       const PredictRequest req = PnetRequest(name, "", tokens);
       const PredictResponse base = memo_off.Predict(req);
-      // Cold (memo miss, inserts) then warm (memo hit): both must agree
-      // with the from-scratch answer, down to the status.
+      // Cold (the key's first lookup) then warm: both must agree with the
+      // from-scratch answer, down to the status.
       const PredictResponse cold = memo_on.Predict(req);
       const PredictResponse warm = memo_on.Predict(req);
       EXPECT_EQ(cold.status, base.status) << name;
@@ -682,98 +680,68 @@ TEST(PredictionServiceMemo, MemoizedMatchesUnmemoizedAcrossRegistry) {
   EXPECT_GT(ok_predictions, 0);  // the sweep must not be vacuous
 
   // The realistic multi-place JPEG injection, answered by its compiled
-  // max-plus program; and a plan too large to compile, whose warm repeat
-  // comes from the memo table.
-  const DerivedStore& derived = *memo_on.FindTier<DerivedStore>();
-  const PnetMemoTable& memo = *memo_on.FindTier<PnetMemoTable>();
+  // max-plus program; and a plan too large to compile, simulated per
+  // component both cold and warm.
+  const DerivedStore& derived = *memo_on.derived_store();
   for (const char* plan : {"hdr_in:1,vld_in:8", kUncompiledJpegPlan}) {
-    const PredictRequest jpeg = PnetRequest("jpeg_decoder", plan);
+    PredictRequest jpeg = PnetRequest("jpeg_decoder", plan);
+    jpeg.explain = true;
     const std::uint64_t derived_before = derived.hits();
-    const std::uint64_t memo_before = memo.hits();
     const PredictResponse base = memo_off.Predict(jpeg);
     const PredictResponse cold = memo_on.Predict(jpeg);
     const PredictResponse warm = memo_on.Predict(jpeg);
     ASSERT_TRUE(base.ok()) << base.error;
-    EXPECT_DOUBLE_EQ(cold.value, base.value) << plan;
-    EXPECT_DOUBLE_EQ(warm.value, base.value) << plan;
+    for (const PredictResponse* got : {&cold, &warm}) {
+      EXPECT_EQ(got->status, base.status) << plan;
+      EXPECT_DOUBLE_EQ(got->value, base.value) << plan;
+    }
     if (std::string(plan) == kUncompiledJpegPlan) {
+      EXPECT_EQ(cold.explain.representation, "pnet");
+      EXPECT_EQ(warm.explain.representation, "pnet");
       EXPECT_EQ(derived.hits(), derived_before);
-      EXPECT_EQ(memo.hits(), memo_before + 1);
     } else {
       EXPECT_EQ(derived.hits(), derived_before + 2);
     }
   }
-  EXPECT_EQ(memo_off.FindTier<PnetMemoTable>(), nullptr);
-  EXPECT_EQ(memo_off.FindTier<DerivedStore>(), nullptr);
+  EXPECT_EQ(memo_off.derived_store(), nullptr);
 }
 
-// A memo hit must never hide a budget exhaustion the simulation would
-// have reported: entries remember their firing cost, and Lookup rejects
-// when that cost does not fit the request's remaining budget.
-TEST(PredictionServiceMemo, MemoHitNeverMasksFiringBudgetExhaustion) {
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.cache_capacity = 0;
-  PredictionService service(InterfaceRegistry::Default(), options);
-
-  PredictRequest req = PnetRequest("jpeg_decoder", kUncompiledJpegPlan);
-  ASSERT_TRUE(service.Predict(req).ok());  // warms the memo with a quiesced run
-
-  req.max_steps = 2;  // far below what the decode fires
-  EXPECT_EQ(service.Predict(req).status, PredictStatus::kResourceExhausted);
-
-  // And with the budget restored the memo answers again.
-  req.max_steps = 0;
-  EXPECT_TRUE(service.Predict(req).ok());
-  EXPECT_EQ(service.FindTier<PnetMemoTable>()->hits(), 1u);
-}
-
-// Acceptance: the memo and async-API families are visible through one
-// Prometheus scrape of the service (the --metrics endpoint's payload).
+// Acceptance: the derived tier's and the async API's families are visible
+// through one Prometheus scrape of the service (the --metrics endpoint's
+// payload), and no sub-net memo family is.
 TEST(PredictionServiceMemo, MemoCountersVisibleInPrometheusScrape) {
   ServiceOptions options;
   options.num_workers = 1;
   PredictionService service(InterfaceRegistry::Default(), options);
+  ASSERT_TRUE(service.Predict(PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8")).ok());
   ASSERT_TRUE(service.Predict(PnetRequest("jpeg_decoder", kUncompiledJpegPlan)).ok());
   const std::string prom = service.StatsPrometheus();
-  EXPECT_NE(prom.find("perfiface_pnet_memo_hits_total"), std::string::npos);
-  EXPECT_NE(prom.find("perfiface_pnet_memo_misses_total"), std::string::npos);
-  // The table's gauges come from the service's own tier.
-  EXPECT_NE(prom.find("perfiface_pnet_memo_entries 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("\nperfiface_derived_hits_total 1\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nperfiface_derived_refusals_total 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("\nperfiface_derived_distilled_total 1\n"), std::string::npos);
+  EXPECT_EQ(prom.find("pnet_memo"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_serve_inflight_batches"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_serve_registry_lookup_hot_total"), std::string::npos);
 }
 
-// Each service builds and owns its component tiers: what one service
-// memoized or compiled is invisible to another live in the same process.
+// Each service builds and owns its derived store: what one service
+// compiled is invisible to another live in the same process.
 TEST(PredictionServiceMemo, ServicesDoNotShareTierState) {
   ServiceOptions options;
   options.num_workers = 1;
-  options.cache_capacity = 0;  // every repeat reaches the tiers
-  PredictRequest req = PnetRequest("jpeg_decoder", kUncompiledJpegPlan);
+  options.cache_capacity = 0;  // every repeat reaches the tier
+  PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
   req.explain = true;
-
-  PredictionService a(InterfaceRegistry::Default(), options);
-  PredictionService b(InterfaceRegistry::Default(), options);
-  ASSERT_TRUE(a.Predict(req).ok());
-  const PredictResponse a_again = a.Predict(req);
-  ASSERT_TRUE(a_again.ok()) << a_again.error;
-  EXPECT_EQ(a_again.explain.representation, "pnet-memo");
-  const PredictResponse b_first = b.Predict(req);
-  ASSERT_TRUE(b_first.ok()) << b_first.error;
-  EXPECT_EQ(b_first.explain.memo_hits, 0u);
-  EXPECT_EQ(b_first.explain.representation, "pnet");
-  EXPECT_EQ(b_first.value, a_again.value);
 
   PredictionService c(InterfaceRegistry::Default(), options);
   PredictionService d(InterfaceRegistry::Default(), options);
   // A plan C can compile: its first lookup records and compiles the
   // component, and D, idle, holds no model.
-  req.entry_place = "hdr_in:1,vld_in:8";
   const PredictResponse c_first = c.Predict(req);
   ASSERT_TRUE(c_first.ok()) << c_first.error;
   EXPECT_EQ(c_first.explain.representation, "pnet-derived");
-  EXPECT_EQ(c.FindTier<DerivedStore>()->distilled(), 1u);
+  EXPECT_EQ(c.derived_store()->distilled(), 1u);
+  EXPECT_EQ(d.derived_store()->size(), 0u);
   EXPECT_NE(c.StatuszJson().find("\"derived_store\":{\"models\":1,"), std::string::npos);
   EXPECT_NE(d.StatuszJson().find("\"derived_store\":{\"models\":0,"), std::string::npos)
       << d.StatuszJson();
@@ -789,7 +757,7 @@ TEST(PredictionServiceMemo, ScrapeHoldsOnlyTheServicesOwnFamilies) {
   PredictionService b(InterfaceRegistry::Default(), options);
   PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
   ASSERT_TRUE(a.Predict(req).ok());
-  req.entry_place = kUncompiledJpegPlan;  // refused by the derived tier: a memo miss
+  req.entry_place = kUncompiledJpegPlan;  // refused by the derived tier: simulated
   ASSERT_TRUE(a.Predict(req).ok());
 
   const auto count = [](const std::string& text, const std::string& needle) {
@@ -805,19 +773,19 @@ TEST(PredictionServiceMemo, ScrapeHoldsOnlyTheServicesOwnFamilies) {
   EXPECT_NE(scrape_a.find("\nperfiface_serve_requests_total 2\n"), std::string::npos);
   EXPECT_NE(scrape_a.find(StrFormat("\nperfiface_derived_hits_total %llu\n",
                                     static_cast<unsigned long long>(
-                                        a.FindTier<DerivedStore>()->hits()))),
+                                        a.derived_store()->hits()))),
             std::string::npos);
-  EXPECT_NE(scrape_a.find(StrFormat("\nperfiface_pnet_memo_misses_total %llu\n",
+  EXPECT_NE(scrape_a.find(StrFormat("\nperfiface_derived_refusals_total %llu\n",
                                     static_cast<unsigned long long>(
-                                        a.FindTier<PnetMemoTable>()->misses()))),
+                                        a.derived_store()->refusals()))),
             std::string::npos);
-  EXPECT_GT(a.FindTier<PnetMemoTable>()->misses(), 0u);
+  EXPECT_GT(a.derived_store()->refusals(), 0u);
 
   const std::string scrape_b = b.StatsPrometheus();
   EXPECT_EQ(count(scrape_b, "# TYPE perfiface_serve_requests_total "), 1u);
   EXPECT_NE(scrape_b.find("\nperfiface_serve_requests_total 0\n"), std::string::npos);
   EXPECT_NE(scrape_b.find("\nperfiface_derived_hits_total 0\n"), std::string::npos);
-  EXPECT_NE(scrape_b.find("\nperfiface_pnet_memo_misses_total 0\n"), std::string::npos);
+  EXPECT_NE(scrape_b.find("\nperfiface_derived_refusals_total 0\n"), std::string::npos);
   // Only the tiers a service runs render families: none is parametric.
   EXPECT_EQ(scrape_a.find("perfiface_param_"), std::string::npos);
 }
@@ -1057,6 +1025,87 @@ TEST(PredictionServiceConcurrency, CacheConsistencyUnderContention) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// Chaos: Shutdown() lands while four clients keep submitting async
+// batches with streaming and flush callbacks. Every request resolves
+// exactly once — evaluated, or rejected at submission — every chunk's
+// flush is delivered, and every handle's Wait() returns.
+TEST(PredictionServiceConcurrency, ShutdownRacingSubmitBatch) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.batch_chunk = 4;
+  options.queue_capacity = 8;  // full queues: submitters block in Push
+  options.cache_capacity = 0;
+  PredictionService service(InterfaceRegistry::Default(), options);
+
+  constexpr int kClients = 4;
+  constexpr std::size_t kBatch = 16;
+  struct Batch {
+    PredictionService::BatchHandle handle;
+    std::vector<std::atomic<int>> completions = std::vector<std::atomic<int>>(kBatch);
+    std::atomic<std::size_t> flushed{0};
+  };
+  std::atomic<int> submitted{0};
+  std::atomic<bool> shut_down{false};
+  std::vector<std::vector<std::unique_ptr<Batch>>> batches(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      // Submit until one whole batch went in after Shutdown() returned.
+      for (;;) {
+        const bool after_shutdown = shut_down.load();
+        std::vector<PredictRequest> requests(kBatch, JpegRequest(65536, 0.2));
+        auto batch = std::make_unique<Batch>();
+        Batch* b = batch.get();
+        b->handle = service.SubmitBatch(
+            std::move(requests),
+            [b](std::size_t index, const PredictResponse&) { b->completions[index]++; },
+            [b](std::size_t n) { b->flushed += n; });
+        batches[c].push_back(std::move(batch));
+        submitted++;
+        if (after_shutdown) {
+          break;
+        }
+      }
+    });
+  }
+  while (submitted.load() < 3 * kClients) {
+    std::this_thread::yield();
+  }
+  service.Shutdown();
+  shut_down = true;
+  for (std::thread& t : clients) {
+    t.join();
+  }
+
+  std::size_t ok = 0;
+  std::size_t rejected = 0;
+  for (const auto& client : batches) {
+    for (const std::unique_ptr<Batch>& b : client) {
+      ASSERT_TRUE(b->handle.WaitFor(std::chrono::seconds(30)));
+      ASSERT_TRUE(b->handle.done());
+      EXPECT_EQ(b->flushed.load(), kBatch);
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        EXPECT_EQ(b->completions[i].load(), 1) << i;
+        const PredictResponse& r = b->handle.Responses()[i];
+        if (r.ok()) {
+          ++ok;
+        } else {
+          ++rejected;
+          EXPECT_EQ(r.status, PredictStatus::kRejected) << r.error;
+          EXPECT_EQ(r.error, "service is shut down");
+        }
+      }
+    }
+    // The last batch of every client went in after Shutdown() returned.
+    for (const PredictResponse& r : client.back()->handle.Responses()) {
+      EXPECT_EQ(r.status, PredictStatus::kRejected);
+    }
+  }
+  EXPECT_GT(ok, 0u);
+  EXPECT_GE(rejected, kClients * kBatch);
+  EXPECT_EQ(service.metrics().inflight_batches(), 0);
+}
+
 TEST(PredictionServiceConcurrency, DeadlineExpiryUnderLoad) {
   ServiceOptions options;
   options.num_workers = 2;
@@ -1080,11 +1129,11 @@ TEST(PredictionServiceConcurrency, DeadlineExpiryUnderLoad) {
 }
 
 // Async submissions from many clients, all funneling pnet work through
-// the service's component tiers (response cache off so every request takes
+// the service's derived store (response cache off so every request takes
 // the tier path): concurrent key building, first lookups and predictions
 // of the derived tier on overlapping keys plus the async completion
 // machinery, under TSan in CI.
-TEST(PredictionServiceConcurrency, AsyncBatchesShareTheMemoTable) {
+TEST(PredictionServiceConcurrency, AsyncBatchesShareTheDerivedStore) {
   ServiceOptions options;
   options.num_workers = 4;
   options.cache_capacity = 0;
@@ -1108,8 +1157,8 @@ TEST(PredictionServiceConcurrency, AsyncBatchesShareTheMemoTable) {
         std::vector<PredictRequest> requests;
         for (int i = 0; i < kBatch; ++i) {
           // Even slots repeat one workload across every client (contended
-          // memo hits of the same key); odd slots cycle a few variants
-          // (interleaved inserts).
+          // hits on one model); odd slots cycle a few attribute variants of
+          // the same model key.
           PredictRequest req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
           if (i % 2 == 1) {
             req.attrs[1].second = 1.0 + i % 4;  // blocks
@@ -1137,7 +1186,7 @@ TEST(PredictionServiceConcurrency, AsyncBatchesShareTheMemoTable) {
   }
   EXPECT_EQ(callbacks.load(), kClients * kBatches * kBatch);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(service.FindTier<DerivedStore>()->hits(), 0u);
+  EXPECT_GT(service.derived_store()->hits(), 0u);
   EXPECT_EQ(service.metrics().inflight_batches(), 0);
 }
 
@@ -1299,11 +1348,13 @@ TEST(PredictionServiceExplain, PnetMemoRepresentationProgression) {
   ASSERT_TRUE(first.explain.filled);
   EXPECT_EQ(first.explain.representation, "pnet");
   EXPECT_GT(first.explain.memo_components, 0u);
+  EXPECT_EQ(first.explain.derived_hits, 0u);
 
+  // The refused plan is simulated again: nothing caches its answer.
   const PredictResponse second = service.Predict(req);
   ASSERT_TRUE(second.explain.filled);
-  EXPECT_EQ(second.explain.representation, "pnet-memo");
-  EXPECT_EQ(second.explain.memo_hits, second.explain.memo_components);
+  EXPECT_EQ(second.explain.representation, "pnet");
+  EXPECT_EQ(second.explain.derived_hits, 0u);
   EXPECT_EQ(second.value, first.value);
 
   // A compilable plan reads pnet-derived from its first answer on.
@@ -1312,7 +1363,6 @@ TEST(PredictionServiceExplain, PnetMemoRepresentationProgression) {
   ASSERT_TRUE(derived.ok()) << derived.error;
   EXPECT_EQ(derived.explain.representation, "pnet-derived");
   EXPECT_EQ(derived.explain.derived_hits, derived.explain.memo_components);
-  EXPECT_EQ(derived.explain.memo_hits, 0u);
 }
 
 TEST(PredictionService, StatuszJsonCoversBuildOptionsAndInterfaces) {
@@ -1370,6 +1420,18 @@ TEST(ShadowValidation, JpegBackendReplaysProgramAndStripeQueries) {
   // realignment stall — well inside 5%.
   EXPECT_LT(std::abs(q.explain.shadow_rel_err), 0.05);
   EXPECT_EQ(service.shadow().total_violations(), 0u);
+
+  // The backend reads plans as the service does: whitespace-insensitive,
+  // duplicates merged, order irrelevant.
+  double canonical = 0;
+  double spelled = 0;
+  std::string error;
+  ASSERT_TRUE(jpeg::JpegShadowTruth(JpegStripeRequest(800.0), &canonical, &error)) << error;
+  ASSERT_TRUE(jpeg::JpegShadowTruth(JpegStripeRequest(800.0, " vld_in:4 , hdr_in:1, vld_in:4"),
+                                    &spelled, &error))
+      << error;
+  EXPECT_EQ(spelled, canonical);
+  EXPECT_EQ(q.explain.shadow_truth, canonical);
 }
 
 // Requests outside the replayable vocabulary are refused (shadow errors),
@@ -1400,6 +1462,11 @@ TEST(ShadowValidation, JpegBackendRefusesOutsideVocabulary) {
   // Default-entry pnet query (tokens into hdr_in only): no image to decode.
   PredictRequest default_entry = JpegStripeRequest(800.0, "");
   EXPECT_FALSE(jpeg::JpegShadowTruth(default_entry, &truth, &error));
+  // A malformed count is refused with the service parser's message, not
+  // read as its leading digits.
+  EXPECT_FALSE(
+      jpeg::JpegShadowTruth(JpegStripeRequest(800.0, "hdr_in:1,vld_in:8x"), &truth, &error));
+  EXPECT_EQ(error, "jpeg shadow: bad token count in entry place item 'vld_in:8x'");
 
   // The well-formed variants of the same queries replay fine.
   EXPECT_TRUE(jpeg::JpegShadowTruth(JpegRequest(65536, 0.2), &truth, &error)) << error;
@@ -1407,6 +1474,33 @@ TEST(ShadowValidation, JpegBackendRefusesOutsideVocabulary) {
   PredictRequest single = JpegStripeRequest(500.0, "hdr_in:1,vld_in:1");
   single.attrs = {{"bits", 500.0}, {"blocks", 5.0}};  // one partial stripe: fine
   EXPECT_TRUE(jpeg::JpegShadowTruth(single, &truth, &error)) << error;
+}
+
+// The protoacc backend replays only the single-node plan, parsed as the
+// service parses it.
+TEST(ShadowValidation, ProtoaccBackendRefusesOutsideVocabulary) {
+  const auto node = [](const std::string& plan) {
+    PredictRequest req;
+    req.interface = "protoacc";
+    req.representation = Representation::kPnet;
+    req.entry_place = plan;
+    req.attrs = {{"groups", 2.0}, {"first", 1.0}, {"writes", 12.0}};
+    return req;
+  };
+  double truth = 0;
+  std::string error;
+  EXPECT_FALSE(protoacc::ProtoaccShadowTruth(node(""), &truth, &error));
+  EXPECT_FALSE(protoacc::ProtoaccShadowTruth(node("node_q:2,msg_q:1"), &truth, &error));
+  EXPECT_FALSE(protoacc::ProtoaccShadowTruth(node("node_q:1,msg_q:1,fifo:1"), &truth, &error));
+  EXPECT_FALSE(protoacc::ProtoaccShadowTruth(node("node_q:1,msg_q:1x"), &truth, &error));
+  EXPECT_EQ(error, "protoacc shadow: bad token count in entry place item 'msg_q:1x'");
+
+  ASSERT_TRUE(protoacc::ProtoaccShadowTruth(node("node_q:1,msg_q:1"), &truth, &error)) << error;
+  EXPECT_GT(truth, 0.0);
+  double spelled = 0;
+  ASSERT_TRUE(protoacc::ProtoaccShadowTruth(node(" msg_q : 1 ,node_q"), &spelled, &error))
+      << error;
+  EXPECT_EQ(spelled, truth);
 }
 
 // shared read-only — the documented thread-safety contract of interp.h.

@@ -15,8 +15,9 @@
 //                          (default 7077)
 //   --workers N            worker threads (default: hardware concurrency)
 //   --cache N              prediction cache entries (0 disables)
-//   --no-memo              disable the per-component tiers (exact derived
-//                          programs, sub-net memo) and simulate every net
+//   --no-memo              disable the exact derived tier (its per-key memo
+//                          of compiled max-plus programs) and simulate
+//                          every net query whole
 //   --max-conns N          max concurrent connections (default 64)
 //   --io-timeout-ms N      per-connection read/write timeout (default 30000)
 //   --max-frame-bytes N    max request frame size (default 1 MiB)

@@ -32,9 +32,9 @@
 //   --admission            in-process: shed requests whose deadline is
 //                          infeasible at the current queue depth
 //   --repeat N             run: repeat the query file N times (cache demo)
-//   --no-memo              disable the per-component tiers (exact derived
-//                          programs and the sub-net memo table) and
-//                          simulate every net query (docs/serving.md)
+//   --no-memo              disable the exact derived tier (its per-key memo
+//                          of compiled max-plus programs) and simulate
+//                          every net query whole (docs/serving.md)
 //   --async                run: submit through the async SubmitBatch API
 //                          and stream completions instead of blocking
 //   --json                 machine-readable responses and stats
@@ -360,14 +360,13 @@ void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool 
       extras += StrFormat(
           ",\"explain\":{\"representation\":\"%s\",\"cache\":\"%s\","
           "\"queue_wait_ns\":%llu,\"eval_ns\":%llu,\"steps\":%llu,"
-          "\"memo_components\":%llu,\"memo_hits\":%llu,\"derived_hits\":%llu,"
+          "\"memo_components\":%llu,\"derived_hits\":%llu,"
           "\"deadline_limited\":%s,\"shadowed\":%s}",
           ex.representation.c_str(), ex.cache.c_str(),
           static_cast<unsigned long long>(ex.queue_wait_ns),
           static_cast<unsigned long long>(ex.eval_ns),
           static_cast<unsigned long long>(ex.steps),
           static_cast<unsigned long long>(ex.memo_components),
-          static_cast<unsigned long long>(ex.memo_hits),
           static_cast<unsigned long long>(ex.derived_hits),
           ex.deadline_limited ? "true" : "false",
           ex.shadowed ? "true" : "false");
@@ -398,18 +397,13 @@ void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool 
               resp.cache_hit ? "  [cached]" : "", trace_suffix.c_str());
   if (resp.explain.filled) {
     const ExplainInfo& ex = resp.explain;
-    std::printf("  explain: rep=%s cache=%s queue=%lluns eval=%lluns steps=%llu memo=%llu/%llu%s%s%s\n",
+    std::printf("  explain: rep=%s cache=%s queue=%lluns eval=%lluns steps=%llu derived=%llu/%llu%s%s\n",
                 ex.representation.c_str(), ex.cache.c_str(),
                 static_cast<unsigned long long>(ex.queue_wait_ns),
                 static_cast<unsigned long long>(ex.eval_ns),
                 static_cast<unsigned long long>(ex.steps),
-                static_cast<unsigned long long>(ex.memo_hits),
+                static_cast<unsigned long long>(ex.derived_hits),
                 static_cast<unsigned long long>(ex.memo_components),
-                ex.derived_hits != 0
-                    ? StrFormat(" derived=%llu",
-                                static_cast<unsigned long long>(ex.derived_hits))
-                          .c_str()
-                    : "",
                 ex.deadline_limited ? " deadline-limited" : "",
                 ex.shadowed ? StrFormat(" shadow_rel_err=%.4g", ex.shadow_rel_err).c_str() : "");
   }
