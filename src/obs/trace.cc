@@ -52,6 +52,10 @@ void AppendArgs(std::string* out, const TraceEvent& e) {
     *out += StrFormat("%s\"%s\":%.17g", first ? "" : ",", e.num_key, e.num_val);
     first = false;
   }
+  if (e.num_key2 != nullptr) {
+    *out += StrFormat("%s\"%s\":%.17g", first ? "" : ",", e.num_key2, e.num_val2);
+    first = false;
+  }
   if (e.str_key != nullptr) {
     *out += StrFormat("%s\"%s\":\"", first ? "" : ",", e.str_key);
     AppendJsonEscaped(out, e.str_val);

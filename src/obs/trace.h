@@ -25,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,6 +58,8 @@ struct TraceEvent {
   // Optional args rendered into the Chrome "args" object.
   const char* num_key = nullptr;
   double num_val = 0;
+  const char* num_key2 = nullptr;  // spans only: a second numeric arg
+  double num_val2 = 0;
   const char* str_key = nullptr;
   std::string str_val;
   // Wire-propagated trace context (docs/observability.md "Trace context"):
@@ -142,8 +145,9 @@ class Tracer {
 
 // RAII span: captures the start time at construction (if the tracer is
 // enabled and this thread's sampler selects it) and records a complete
-// Chrome "X" event at destruction. Args attached via SetArg show up in the
-// trace viewer's detail pane.
+// Chrome "X" event at destruction. Args attached via SetArg (up to two
+// numeric args and one string arg) show up in the trace viewer's detail
+// pane.
 class SpanGuard {
  public:
   SpanGuard(const char* cat, const char* name) {
@@ -171,6 +175,8 @@ class SpanGuard {
     e.dur_ns = tracer.NowNs() - start_ns_;
     e.num_key = num_key_;
     e.num_val = num_val_;
+    e.num_key2 = num_key2_;
+    e.num_val2 = num_val2_;
     e.str_key = str_key_;
     e.str_val = std::move(str_val_);
     e.trace_id = std::move(trace_id_);
@@ -183,10 +189,18 @@ class SpanGuard {
   // True when this span was selected for recording (tracing on + sampled).
   bool active() const { return cat_ != nullptr; }
 
+  // A numeric arg under a new key fills the second slot; the same key (or
+  // a third key) overwrites.
   void SetArg(const char* key, double value) {
-    if (active()) {
+    if (!active()) {
+      return;
+    }
+    if (num_key_ == nullptr || std::strcmp(num_key_, key) == 0) {
       num_key_ = key;
       num_val_ = value;
+    } else {
+      num_key2_ = key;
+      num_val2_ = value;
     }
   }
   void SetArg(const char* key, std::string value) {
@@ -209,6 +223,8 @@ class SpanGuard {
   std::uint64_t start_ns_ = 0;
   const char* num_key_ = nullptr;
   double num_val_ = 0;
+  const char* num_key2_ = nullptr;
+  double num_val2_ = 0;
   const char* str_key_ = nullptr;
   std::string str_val_;
   std::string trace_id_;

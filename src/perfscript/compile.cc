@@ -519,7 +519,10 @@ Operand FunctionCompiler::LowerBinary(const Expr& e, std::uint32_t w) {
     }
   }
 
-  l = Materialize(l, w, e.line);
+  // A constant lhs loads above a temp rhs, which may sit at w.
+  const std::uint32_t w_l =
+      l.is_const && !r.is_const && r.reg >= num_locals_ ? std::max(w, r.reg + 1) : w;
+  l = Materialize(l, w_l, e.line);
   std::uint32_t w_m = l.reg >= num_locals_ ? std::max(w, l.reg + 1) : w;
   r = Materialize(r, w_m, e.line);
   Op generic = Op::kAdd;
@@ -801,12 +804,6 @@ void FunctionCompiler::LowerStmt(const Stmt& s, std::uint32_t w) {
       Operand iter = LowerExpr(*s.value, w);
       if (!ok_) return;
       iter = Materialize(iter, w, s.line);
-      std::uint32_t wl = iter.reg >= num_locals_ ? std::max(w, iter.reg + 1) : w;
-      const std::uint32_t rn = Temp(wl);
-      const std::uint32_t ri = Temp(wl + 1);
-      if (!ok_) return;
-      Emit(Op::kIterLen, rn, iter.reg, 0, 0, s.line);
-      Emit(Op::kLoadConst, ri, 0, 0, ConstIdx(0.0), s.line);
 
       // Names assigned anywhere in the body: reads of them inside the body
       // resolve differently on iteration 1 vs 2+ unless definitely assigned
@@ -816,6 +813,21 @@ void FunctionCompiler::LowerStmt(const Stmt& s, std::uint32_t w) {
       CollectAssignedNames(s.body, &body_assigned);
       std::set<std::string> assigned_set(body_assigned.begin(), body_assigned.end());
       assigned_set.insert(s.target);
+
+      std::uint32_t wl = iter.reg >= num_locals_ ? std::max(w, iter.reg + 1) : w;
+      // The interpreter evaluates the iterable once, so a local that the
+      // loop variable or the body reassigns is iterated from a snapshot.
+      if (iter.reg < num_locals_ && assigned_set.count(local_names_[iter.reg]) > 0) {
+        const std::uint32_t snapshot = Temp(wl);
+        Emit(Op::kMove, snapshot, iter.reg, 0, 0, s.line);
+        iter = Operand::Reg(snapshot, false);
+        wl = snapshot + 1;
+      }
+      const std::uint32_t rn = Temp(wl);
+      const std::uint32_t ri = Temp(wl + 1);
+      if (!ok_) return;
+      Emit(Op::kIterLen, rn, iter.reg, 0, 0, s.line);
+      Emit(Op::kLoadConst, ri, 0, 0, ConstIdx(0.0), s.line);
 
       const DefiniteMap before = definite_;
       for (const std::string& name : body_assigned) {

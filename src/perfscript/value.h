@@ -5,6 +5,13 @@
 // message) to an interface program: the program reads attributes
 // (`img.orig_size`) and iterates sub-objects (`for sub_msg in msg:`), exactly
 // like the paper's Python interfaces do.
+//
+// Contract for ScriptObject implementations: during one top-level call
+// (Vm::Call), an object's answers (attributes, child count, children) do
+// not change, and Child(i) returns distinct objects unless they are
+// observationally identical. The bytecode VM's call memo compares objects
+// by address and relies on both (vm.h). Every in-tree object complies;
+// KvObject::AddUniformChildren aliases one immutable child on purpose.
 #ifndef SRC_PERFSCRIPT_VALUE_H_
 #define SRC_PERFSCRIPT_VALUE_H_
 

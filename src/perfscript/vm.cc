@@ -1,6 +1,8 @@
 #include "src/perfscript/vm.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
@@ -30,6 +32,40 @@ void EnterFunction(const CompiledFunction& fn, Value* frame) {
   }
 }
 
+// MemoEntry::state; a zeroed entry is empty.
+constexpr std::uint8_t kMemoPending = 1;
+constexpr std::uint8_t kMemoDone = 2;
+// MemoEntry::kinds: bits 0..3 mark object arguments, this bit an object
+// result.
+constexpr std::uint8_t kResultObject = 1 << 4;
+constexpr std::uint8_t kArgKinds = kResultObject - 1;
+
+constexpr std::size_t kMemoMinSlots = 16;
+constexpr std::size_t kMemoMaxSlots = 256;
+// The slot is the top bits of a multiplicative hash over the callee and
+// one independent product per argument word.
+constexpr std::uint64_t kMemoHashMul = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kMemoArgMul[] = {0xbf58476d1ce4e5b9ULL, 0x94d049bb133111ebULL,
+                                         0xd6e8feb86659fd93ULL, 0xff51afd7ed558ccdULL};
+
+// A value as a memo key or result word: the IEEE bits of a number, the
+// address of an object.
+std::uint64_t MemoWord(const Value& v) {
+  if (!v.IsNumber()) return reinterpret_cast<std::uintptr_t>(v.obj);
+  std::uint64_t bits;
+  std::memcpy(&bits, &v.num, sizeof bits);
+  return bits;
+}
+
+Value MemoValue(std::uint64_t word, bool object) {
+  if (object) {
+    return Value::Object(reinterpret_cast<const ScriptObject*>(static_cast<std::uintptr_t>(word)));
+  }
+  double num;
+  std::memcpy(&num, &word, sizeof num);
+  return Value::Number(num);
+}
+
 }  // namespace
 
 Vm::Vm(std::shared_ptr<const CompiledProgram> program) : program_(std::move(program)) {
@@ -42,6 +78,23 @@ Vm::Vm(std::shared_ptr<const CompiledProgram> program) : program_(std::move(prog
   regs_.resize(std::max<std::size_t>(64, 4 * max_frame));
   frames_.reserve(max_depth_ + 1);
   ic_.assign(program_->attr_names.size(), 0);
+
+  // Four memo slots per call site, a power of two from 16 to 256; a
+  // program without calls gets no table.
+  std::size_t call_sites = 0;
+  for (const CompiledFunction& fn : program_->functions) {
+    call_sites += std::count_if(fn.code.begin(), fn.code.end(),
+                                [](const Instr& ins) { return ins.op == Op::kCall; });
+  }
+  if (call_sites > 0) {
+    std::size_t slots = kMemoMinSlots;
+    memo_shift_ = 60;
+    while (slots < 4 * call_sites && slots < kMemoMaxSlots) {
+      slots *= 2;
+      --memo_shift_;
+    }
+    memo_.assign(slots, MemoEntry{});
+  }
 }
 
 EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args) {
@@ -51,6 +104,10 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
       "perfiface_psc_vm_steps_total", "PerfScript bytecode VM instructions executed");
   static obs::MetricsRegistry::Counter& errors_total = obs::MetricsRegistry::Global().GetCounter(
       "perfiface_psc_vm_errors_total", "PerfScript bytecode VM calls that failed");
+  static obs::MetricsRegistry::Counter& memo_hits_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "perfiface_psc_vm_memo_hits_total",
+          "PerfScript bytecode VM calls taken from the call memo instead of run");
   obs::SpanGuard span("vm", "call");
   if (span.active()) {
     span.SetArg("function", function);
@@ -59,6 +116,10 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
   EvalResult out;
   steps_ = 0;
   frames_.clear();
+  // Entries of earlier calls go stale: their object addresses may be reused.
+  ++gen_;
+  memo_hits_ = 0;
+  deepest_ = 1;
 
   const int fidx = program_->FindIndex(function);
   if (fidx < 0) {
@@ -294,7 +355,50 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
           fail(ins.line, "recursion depth limit exceeded");
           break;
         }
-        frames_.push_back(Frame{fn, base, pc, ins.a});
+        // Every program with a kCall has a memo table.
+        std::uint16_t memo_slot = kNoMemoSlot;
+        if (ins.c <= kMemoMaxArgs) {
+          const Value* call_args = R + ins.b;
+          std::uint8_t kinds = 0;
+          std::uint64_t h = (ins.imm + 1ULL) * kMemoHashMul;
+          for (std::uint32_t i = 0; i < ins.c; ++i) {
+            kinds |= call_args[i].IsNumber() ? 0 : 1 << i;
+            h += MemoWord(call_args[i]) * kMemoArgMul[i];
+          }
+          h ^= h >> 29;
+          const std::size_t slot = (h * kMemoHashMul) >> memo_shift_;
+          MemoEntry& e = memo_[slot];
+          const bool live = e.gen == gen_;
+          bool same = live && e.state == kMemoDone && e.fn == ins.imm &&
+                      (e.kinds & kArgKinds) == kinds;
+          for (std::uint32_t i = 0; same && i < ins.c; ++i) {
+            same = e.args[i] == MemoWord(call_args[i]);
+          }
+          if (same) {
+            // Reuse only what the call itself would have completed: its
+            // steps within the budget, its nesting within the depth limit.
+            if (e.steps <= max_steps_ - steps_ && frames_.size() + 1 + e.height <= max_depth_) {
+              steps_ += e.steps;
+              deepest_ = std::max(deepest_,
+                                  static_cast<std::uint32_t>(frames_.size() + 1 + e.height));
+              R[ins.a] = MemoValue(e.result, (e.kinds & kResultObject) != 0);
+              ++memo_hits_;
+              break;
+            }
+          } else if (!live || e.state == kMemoDone) {
+            // Claim the slot; the call fills in its outcome when it returns.
+            // A pending slot belongs to a call still running and stays.
+            e.gen = gen_;
+            e.fn = ins.imm;
+            e.kinds = kinds;
+            for (std::uint32_t i = 0; i < ins.c; ++i) {
+              e.args[i] = MemoWord(call_args[i]);
+            }
+            e.state = kMemoPending;
+            memo_slot = static_cast<std::uint16_t>(slot);
+          }
+        }
+        frames_.push_back(Frame{fn, steps_, base, pc, deepest_, memo_slot, ins.a});
         const CompiledFunction* callee = &program_->functions[ins.imm];
         base += ins.b;
         EnsureRegs(base + callee->num_regs);
@@ -303,6 +407,7 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         pc = 0;
         R = regs_.data() + base;
         EnterFunction(*fn, R);
+        deepest_ = static_cast<std::uint32_t>(frames_.size() + 1);
         break;
       }
       case Op::kRet: {
@@ -313,6 +418,16 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         }
         const Frame f = frames_.back();
         frames_.pop_back();
+        if (f.memo_slot != kNoMemoSlot) {
+          MemoEntry& e = memo_[f.memo_slot];
+          e.result = MemoWord(v);
+          e.kinds |= v.IsNumber() ? 0 : kResultObject;
+          e.steps = steps_ - f.entry_steps;
+          // The callee ran at depth frames_.size() + 2.
+          e.height = deepest_ - static_cast<std::uint32_t>(frames_.size() + 1);
+          e.state = kMemoDone;
+        }
+        deepest_ = std::max(deepest_, f.caller_deepest);
         regs_[f.base + f.dst] = v;
         fn = f.fn;
         base = f.base;
@@ -412,8 +527,12 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
 
 done:
   steps_total.Add(steps_);
+  if (memo_hits_ > 0) {
+    memo_hits_total.Add(memo_hits_);
+  }
   if (span.active()) {
     span.SetArg("steps", static_cast<double>(steps_));
+    span.SetArg("memo_hits", static_cast<double>(memo_hits_));
   }
   if (failed) {
     errors_total.Increment();

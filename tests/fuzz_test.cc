@@ -1,12 +1,16 @@
 // Robustness ("never crash on bad input") sweeps for the two shipped
-// artifact parsers and the NDJSON wire decoders. Interfaces come from
-// vendors and frames from any client on the network; a corrupted input
-// must produce a clean error, not undefined behaviour. Each TEST_P applies
-// a seeded corruption to a shipped artifact or to real encoder output and
-// requires the parser to either accept it or reject it with a message.
+// artifact parsers, the program compiler and VM, and the NDJSON wire
+// decoders. Interfaces come from vendors and frames from any client on the
+// network; a corrupted input must produce a clean error, not undefined
+// behaviour. Each TEST_P applies a seeded corruption to a shipped artifact
+// or to real encoder output and requires the parser to either accept it or
+// reject it with a message; accepted programs must also compile and run on
+// the VM exactly as the reference interpreter runs them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,7 +19,11 @@
 #include "src/core/pnet.h"
 #include "src/core/registry.h"
 #include "src/net/wire.h"
+#include "src/perfscript/compile.h"
+#include "src/perfscript/interp.h"
+#include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
+#include "src/perfscript/vm.h"
 #include "src/serve/request.h"
 
 namespace perfiface {
@@ -76,16 +84,113 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PnetFuzz, ::testing::Range<std::uint64_t>(1, 9))
 
 class PscFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PscFuzz, CorruptedProgramsParseOrFailCleanly) {
-  const std::string original =
-      ReadFileOrDie(InterfaceRegistry::Default().Get("protoacc").program_path);
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    const std::string mutated = Corrupt(original, DeriveSeed(GetParam() + 1000, i));
-    const ParseResult parsed = ParseProgram(mutated);
-    if (!parsed.ok) {
-      EXPECT_FALSE(parsed.error.empty());
+// Bit-exact: -0.0 and 0.0 differ, and so do NaN payloads.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.kind != b.kind) {
+    return false;
+  }
+  if (!a.IsNumber()) {
+    return a.obj == b.obj;
+  }
+  std::uint64_t ab, bb;
+  std::memcpy(&ab, &a.num, sizeof ab);
+  std::memcpy(&bb, &b.num, sizeof bb);
+  return ab == bb;
+}
+
+// Every attribute the shipped programs read, so mutants reach past their
+// attribute reads.
+const char* const kProgramAttrs[] = {
+    "orig_size", "compress_rate", "num_fields", "num_writes",  "wire_bytes",
+    "total_fields", "total_nodes", "varint_extra", "input_bytes", "matches",
+    "tokens", "height", "width", "channels", "filters", "kernel_h", "kernel_w",
+    "stride", "pad", "tile_h", "tile_w", "tile_k"};
+
+// Two seeded workloads: uniform children (one aliased object), and
+// distinct children with grandchildren beside uniform ones.
+std::vector<std::unique_ptr<KvObject>> FuzzWorkloads(std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<std::unique_ptr<KvObject>> out;
+  for (int w = 0; w < 2; ++w) {
+    auto object = std::make_unique<KvObject>();
+    for (const char* name : kProgramAttrs) {
+      object->Set(name, static_cast<double>(rng.NextBelow(64)) + (rng.NextBool(0.2) ? 0.5 : 0));
+    }
+    if (w == 1) {
+      for (int i = 0; i < 2; ++i) {
+        auto child = std::make_unique<KvObject>();
+        child->Set("num_fields", 1 + i);
+        child->Set("num_writes", 3);
+        child->AddUniformChildren(i + 1);
+        object->AddChild(std::move(child));
+      }
+    }
+    object->AddUniformChildren(3);
+    out.push_back(std::move(object));
+  }
+  return out;
+}
+
+// Every shipped program, corrupted: a mutant parses or is refused with a
+// message; one that parses compiles or is refused with a size-limit
+// message; and for every function on both workloads, the VM agrees with
+// the interpreter on ok, error text and value bits whenever neither
+// exhausts its step budget.
+TEST_P(PscFuzz, CorruptedProgramsParseCompileAndEvaluateAlike) {
+  const InterfaceRegistry& registry = InterfaceRegistry::Default();
+  std::uint64_t stream = 0;
+  std::uint64_t compared = 0;
+  for (const InterfaceBundle& bundle : registry.bundles()) {
+    if (bundle.program_path.empty()) {
+      continue;
+    }
+    const std::string original = ReadFileOrDie(bundle.program_path);
+    for (std::uint64_t i = 0; i < 40; ++i, ++stream) {
+      const std::string mutated = Corrupt(original, DeriveSeed(GetParam() + 1000, stream));
+      const ParseResult parsed = ParseProgram(mutated);
+      if (!parsed.ok) {
+        EXPECT_FALSE(parsed.error.empty());
+        continue;
+      }
+      const CompileProgramResult compiled = CompileProgram(parsed.program, bundle.constants);
+      if (!compiled.ok()) {
+        EXPECT_FALSE(compiled.error.empty()) << mutated;
+        continue;
+      }
+      Interpreter interp(&parsed.program);
+      for (const auto& [name, value] : bundle.constants) {
+        interp.SetGlobal(name, value);
+      }
+      interp.set_max_steps(200'000);
+      Vm vm(compiled.program);
+      vm.set_max_steps(200'000);
+      const auto workloads = FuzzWorkloads(DeriveSeed(GetParam() + 4000, stream));
+      for (const FunctionDef& fn : parsed.program.functions) {
+        for (const auto& workload : workloads) {
+          // The workload goes to the first parameter, numbers to the rest.
+          std::vector<Value> args;
+          for (std::size_t p = 0; p < fn.params.size(); ++p) {
+            args.push_back(p == 0 ? Value::Object(workload.get())
+                                  : Value::Number(static_cast<double>(p + 1)));
+          }
+          const EvalResult want = interp.Call(fn.name, args);
+          const EvalResult got = vm.Call(fn.name, args);
+          if (interp.step_budget_exhausted() || vm.step_budget_exhausted()) {
+            continue;
+          }
+          ++compared;
+          ASSERT_EQ(want.ok, got.ok) << mutated << "\nfunction " << fn.name << ": interpreter '"
+                                     << want.error << "', vm '" << got.error << "'";
+          if (want.ok) {
+            EXPECT_TRUE(SameValue(want.value, got.value)) << mutated << "\nfunction " << fn.name;
+          } else {
+            EXPECT_EQ(want.error, got.error) << mutated << "\nfunction " << fn.name;
+          }
+        }
+      }
     }
   }
+  EXPECT_GT(compared, 0u);  // the sweep must reach evaluation
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PscFuzz, ::testing::Range<std::uint64_t>(1, 9));

@@ -32,6 +32,7 @@
 #include "src/obs/trace.h"
 #include "src/perfscript/interp.h"
 #include "src/perfscript/kv_object.h"
+#include "src/perfscript/vm.h"
 #include "src/serve/metrics.h"
 #include "src/serve/request.h"
 #include "src/serve/service.h"
@@ -339,6 +340,38 @@ TEST_F(TracerTest, SpanNestingAcrossThreads) {
     EXPECT_GE(inner.ts, outer.ts);
     EXPECT_LE(inner.ts + inner.dur, outer.ts + outer.dur + 1e-3);
   }
+}
+
+// A vm.call span carries two numeric args: the steps charged and the calls
+// the call memo reused. A protoacc message with 50 uniform children prices
+// one aliased sub-message, so read_cost runs once and is reused 49 times.
+TEST_F(TracerTest, VmCallSpanCarriesStepsAndMemoHits) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  Vm vm(InterfaceRegistry::Default().LoadProgram("protoacc").compiled());
+  KvObject message;
+  message.Set("num_fields", 6);
+  message.Set("num_writes", 9);
+  message.AddUniformChildren(50);
+  tracer.Start();
+  ASSERT_TRUE(vm.Call("tput_protoacc_ser", {Value::Object(&message)}).ok);
+  tracer.Stop();
+
+  int spans = 0;
+  for (const JsonValue& e : ExportedEvents()) {
+    const JsonValue* cat = e.Find("cat");
+    if (cat == nullptr || cat->str != "vm" || e.Find("name")->str != "call") {
+      continue;
+    }
+    ++spans;
+    const JsonValue* args = e.Find("args");
+    ASSERT_NE(args, nullptr);
+    ASSERT_NE(args->Find("steps"), nullptr);
+    ASSERT_NE(args->Find("memo_hits"), nullptr);
+    EXPECT_EQ(args->Find("steps")->number, static_cast<double>(vm.steps_used()));
+    EXPECT_EQ(args->Find("memo_hits")->number, 49.0);
+    EXPECT_EQ(args->Find("function")->str, "tput_protoacc_ser");
+  }
+  EXPECT_EQ(spans, 1);
 }
 
 TEST_F(TracerTest, SamplingIsDeterministicPerSeed) {

@@ -580,6 +580,25 @@ TEST(PredictionService, VmAnswersMatchTheInterpreterOracle) {
   }
 }
 
+// A protoacc message with children=50 prices one aliased sub-message 50
+// times: the VM's call memo runs read_cost once and reuses it 49 times,
+// and the scrape carries the count.
+TEST(PredictionService, ProgramQueryCountsVmMemoHits) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_capacity = 0;
+  obs::MetricsRegistry::Counter& memo_hits = obs::MetricsRegistry::Global().GetCounter(
+      "perfiface_psc_vm_memo_hits_total",
+      "PerfScript bytecode VM calls taken from the call memo instead of run");
+  PredictionService service(InterfaceRegistry::Default(), options);
+  const std::uint64_t before = memo_hits.value();
+  const PredictResponse response = service.Predict(ProtoaccRequest(6, 9, 50));
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(memo_hits.value() - before, 49u);
+  EXPECT_NE(service.StatsPrometheus().find("perfiface_psc_vm_memo_hits_total"),
+            std::string::npos);
+}
+
 TEST(PredictionService, StatsPrometheusUnifiesServiceAndLayerFamilies) {
   ServiceOptions options;
   options.num_workers = 1;

@@ -4,8 +4,11 @@
 // registry ships and over targeted edge-case programs. The interpreter is
 // the oracle; the VM is the only evaluator on the serving path.
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -14,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/loc.h"
 #include "src/core/program_interface.h"
 #include "src/core/registry.h"
 #include "src/perfscript/compile.h"
@@ -90,15 +94,13 @@ std::unique_ptr<KvObject> MakeWorkload(const std::set<std::string>& attr_names,
   return workload;
 }
 
+// Bit-exact: -0.0 and 0.0 differ, and so do NaN payloads.
 bool SameValue(const Value& a, const Value& b) {
   if (a.kind != b.kind) {
     return false;
   }
   if (a.kind == Value::Kind::kObject) {
     return a.obj == b.obj;
-  }
-  if (std::isnan(a.num) && std::isnan(b.num)) {
-    return true;
   }
   std::uint64_t ab, bb;
   std::memcpy(&ab, &a.num, sizeof ab);
@@ -235,6 +237,17 @@ TEST(VmDiff, EdgeCaseProgramsEquivalence) {
       "def f(w):\n  return w.x.y\nend\n",
       // Implicit return and bare-expression statements.
       "def f(w):\n  w.x + 1\nend\n",
+      // A loop whose variable or body reassigns the iterable's local: the
+      // iterable is evaluated once, as in the interpreter.
+      "def f(w):\n  n = 0\n  for w in w:\n    n += 1\n  end\n  return n\nend\n",
+      "def f(w):\n  n = 0\n  for c in w:\n    n += c.x\n    w = 5\n  end\n  return n + w\nend\n",
+      // A constant lhs of a comparison or modulo whose rhs is a temp (a
+      // fuzzed conv mutant, `4 < ceil(words / 8) * ...`, found the
+      // constant loaded over the rhs).
+      "def f(w):\n  return 4 < w.x * 2\nend\n"
+      "def g(w):\n  return 4 % (w.x * 2 + 1)\nend\n"
+      "def h(w):\n  return 6 == w.x + w.y\nend\n"
+      "def k(w):\n  return 4 <= w.x\nend\n",
   };
   for (const char* source : kPrograms) {
     const ProgramInterface iface = Compiled(source);
@@ -312,6 +325,361 @@ TEST(VmDiff, MaybeAssignedReadsMatchInterpreter) {
       }
     }
   }
+}
+
+// The call memo (vm.h) reuses a call's result for a later call to the same
+// function with bit-identical arguments. Against the interpreter, which
+// runs every call, values must stay bit-exact and errors identical: -0.0
+// and 0.0 and NaN payloads are different keys, an object returned from a
+// call is the same object, distinct children are distinct keys, and a
+// 5-argument callee is never memoized.
+TEST(VmDiff, CallMemoMatchesInterpreter) {
+  struct Case {
+    const char* source;
+    bool hits;  // whether the workloads below make the memo reuse calls
+  };
+  const Case kCases[] = {
+      // A pure helper called repeatedly with the same object and numbers.
+      {"def cost(o, k):\n  return o.x * k + o.y\nend\n"
+       "def f(w):\n  t = 0\n  for c in w:\n    t += cost(c, 2) + cost(w, 3)\n  end\n"
+       "  return t + cost(w, 2) + cost(w, 2)\nend\n",
+       true},
+      // Signed zeros: id(0) then id(0 * -1) must return -0.0, at compile
+      // time and at run time.
+      {"def id(v):\n  return v\nend\n"
+       "def f(w):\n  a = id(0)\n  return id(0 * -1)\nend\n"
+       "def g(w):\n  a = id(w.x * 0)\n  return id(w.x * 0 * -1)\nend\n",
+       false},
+      // NaN arguments: a sign-flipped NaN is a different key.
+      {"def id(v):\n  return v\nend\n"
+       "def f(w):\n  n = sqrt(0 - 1 - w.x * w.x)\n  a = id(n)\n  b = id(n)\n"
+       "  return id(0 - n) + 0 * a + 0 * b\nend\n"
+       "def g(w):\n  n = sqrt(0 - 1 - w.x * w.x)\n  a = id(n)\n  return id(-n)\nend\n",
+       true},
+      // A function that returns its object argument, reused.
+      {"def pick(o):\n  return o\nend\n"
+       "def f(w):\n  t = 0\n  for c in w:\n    t += pick(c).x + len(pick(w))\n  end\n"
+       "  return pick(w).y + t\nend\n",
+       true},
+      // Recursion over a tree: distinct children are distinct keys.
+      {"def cost(m):\n  t = m.x\n  for s in m:\n    t += cost(s)\n  end\n  return t\nend\n"
+       "def f(w):\n  return cost(w) + cost(w) * 2\nend\n",
+       true},
+      // More than four arguments: never memoized.
+      {"def five(a, b, c, d, e):\n  return a * b + c * d + e\nend\n"
+       "def f(w):\n  return five(w.x, 1, 2, 3, 4) + five(w.x, 1, 2, 3, 4)\nend\n",
+       false},
+  };
+  const double kXs[] = {3, 0, -1};
+  for (const Case& c : kCases) {
+    const ProgramInterface iface = Compiled(c.source);
+    ASSERT_NE(iface.compiled(), nullptr) << c.source;
+    Backends backends(iface);
+    std::uint64_t hits = 0;
+    for (const double x : kXs) {
+      // Uniform children alias one object; the tree's children are
+      // distinct objects with distinct attributes, two with grandchildren.
+      std::vector<std::unique_ptr<KvObject>> workloads;
+      for (const int children : {0, 1, 4}) {
+        auto uniform = std::make_unique<KvObject>();
+        uniform->Set("x", x);
+        uniform->Set("y", 2);
+        uniform->AddUniformChildren(children);
+        workloads.push_back(std::move(uniform));
+      }
+      auto tree = std::make_unique<KvObject>();
+      tree->Set("x", x);
+      tree->Set("y", 5);
+      for (int i = 0; i < 3; ++i) {
+        auto child = std::make_unique<KvObject>();
+        child->Set("x", x + i);
+        child->Set("y", i);
+        child->AddUniformChildren(i);
+        tree->AddChild(std::move(child));
+      }
+      tree->AddUniformChildren(2);
+      workloads.push_back(std::move(tree));
+
+      for (const FunctionDef& fn : iface.program()->functions) {
+        if (fn.params.size() != 1) {
+          continue;
+        }
+        for (std::size_t i = 0; i < workloads.size(); ++i) {
+          const std::string context = Cat(c.source, " fn ", fn.name, " x=", x, " workload ", i);
+          ExpectSame(&backends.interp, &backends.vm, fn.name,
+                     {Value::Object(workloads[i].get())}, context);
+          hits += backends.vm.memo_hits();
+        }
+      }
+    }
+    EXPECT_EQ(hits > 0, c.hits) << c.source << " reused " << hits << " calls";
+  }
+}
+
+// A memoized call is reused only where its recorded nesting fits under the
+// depth limit. deep(5) is first recorded near the top, and a(5) is recorded
+// around a reuse of it, so a's nesting must count deep's. wrap(k, 5) calls
+// a(5) again k frames deeper, where past the limit a(5) and then deep(5)
+// must run and fail exactly where the interpreter fails.
+TEST(VmDiff, CallMemoRespectsTheDepthLimit) {
+  const ProgramInterface iface = Compiled(
+      "def deep(n):\n  if n <= 0:\n    return 0\n  end\n  return deep(n - 1) + 1\nend\n"
+      "def a(n):\n  return deep(n)\nend\n"
+      "def wrap(k, n):\n  if k <= 0:\n    return a(n)\n  end\n  return wrap(k - 1, n)\nend\n"
+      "def f(k):\n  return deep(5) + a(5) + wrap(k, 5)\nend\n");
+  ASSERT_NE(iface.compiled(), nullptr);
+  Backends backends(iface);
+  backends.interp.set_max_depth(15);
+  backends.vm.set_max_depth(15);
+  for (int k = 0; k <= 10; ++k) {
+    ExpectSame(&backends.interp, &backends.vm, "f", {Value::Number(k)}, Cat("k=", k));
+  }
+}
+
+// Keys compare the kind of each argument, not only its 64 bits: a number
+// whose IEEE bits equal an object's address is a different argument.
+TEST(VmDiff, CallMemoKeysOnArgumentKind) {
+  const ProgramInterface iface = Compiled(
+      "def id(v):\n  return v\nend\n"
+      "def f(o, x):\n  t = id(o)\n  return id(x)\nend\n");
+  ASSERT_NE(iface.compiled(), nullptr);
+  Backends backends(iface);
+  KvObject object;
+  const std::uint64_t address = reinterpret_cast<std::uintptr_t>(&object);
+  double aliasing_number;
+  std::memcpy(&aliasing_number, &address, sizeof aliasing_number);
+  ExpectSame(&backends.interp, &backends.vm, "f",
+             {Value::Object(&object), Value::Number(aliasing_number)}, "aliasing bits");
+}
+
+// --- Pinned VM outcomes -------------------------------------------------------
+//
+// The interpreter cannot be the oracle for charged steps (the VM counts per
+// instruction, the interpreter per AST node), so the VM's own observables
+// on every shipped program are pinned in tests/golden/vm_outcomes.golden:
+// one line per call with its value bits, steps_used() and error text, over
+// seeded workloads, every step budget from S-64 to S+1 around a call of S
+// steps, and every depth limit 1..8.
+
+bool IsVar(const Expr& e, const std::string& name) {
+  return e.kind == ExprKind::kVar && e.name == name;
+}
+
+using ObjectParamMap = std::map<std::string, std::vector<bool>>;
+
+// Whether `e` uses the variable `name` as an object: reads an attribute of
+// it, takes its len(), or passes it to a callee parameter that is one.
+bool UsesAsObject(const Expr& e, const std::string& name, const ObjectParamMap& objects) {
+  if (e.kind == ExprKind::kAttr && IsVar(*e.children[0], name)) {
+    return true;
+  }
+  if (e.kind == ExprKind::kCall) {
+    if (e.name == "len" && e.children.size() == 1 && IsVar(*e.children[0], name)) {
+      return true;
+    }
+    const auto it = objects.find(e.name);
+    for (std::size_t i = 0; it != objects.end() && i < e.children.size(); ++i) {
+      if (i < it->second.size() && it->second[i] && IsVar(*e.children[i], name)) {
+        return true;
+      }
+    }
+  }
+  for (const ExprPtr& c : e.children) {
+    if (UsesAsObject(*c, name, objects)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool UsesAsObject(const std::vector<StmtPtr>& block, const std::string& name,
+                  const ObjectParamMap& objects) {
+  for (const StmtPtr& s : block) {
+    if (s->kind == StmtKind::kFor && IsVar(*s->value, name)) {
+      return true;
+    }
+    if ((s->value != nullptr && UsesAsObject(*s->value, name, objects)) ||
+        UsesAsObject(s->body, name, objects) || UsesAsObject(s->else_body, name, objects)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Per function, which parameters are objects (a fixed point over calls), so
+// the golden hands the workload to `l` in conv's iload_time(l, th, tw) and
+// numbers to `th`, `tw` and dma_xfer's `words`.
+ObjectParamMap ObjectParams(const Program& program) {
+  ObjectParamMap objects;
+  for (const FunctionDef& f : program.functions) {
+    objects[f.name].assign(f.params.size(), false);
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const FunctionDef& f : program.functions) {
+      for (std::size_t i = 0; i < f.params.size(); ++i) {
+        if (!objects[f.name][i] && UsesAsObject(f.body, f.params[i], objects)) {
+          objects[f.name][i] = true;
+          changed = true;
+        }
+      }
+    }
+  }
+  return objects;
+}
+
+// `positive` draws mostly small positive integers (success paths); the
+// other mix adds zeros, fractions and negatives (error paths).
+double SeededValue(std::uint64_t* rng, bool positive) {
+  const std::uint64_t r = NextRand(rng);
+  if (positive) {
+    return r % 8 == 0 ? static_cast<double>(r % 4096) + 0.25 : static_cast<double>(1 + r % 64);
+  }
+  switch (r % 4) {
+    case 0: return 0.0;
+    case 1: return static_cast<double>(r % 4096) + 0.25;
+    case 2: return -static_cast<double>(r % 100);
+    default: return static_cast<double>(1 + r % 64);
+  }
+}
+
+std::unique_ptr<KvObject> SeededObject(const std::set<std::string>& attr_names,
+                                       std::uint64_t* rng, bool positive) {
+  auto object = std::make_unique<KvObject>();
+  for (const std::string& name : attr_names) {
+    object->Set(name, SeededValue(rng, positive));
+  }
+  return object;
+}
+
+std::string OutcomeLine(const std::string& program, const std::string& function,
+                        const std::string& workload, const Vm& vm, const EvalResult& r) {
+  std::string bits = "-";
+  if (r.ok && !r.value.IsNumber()) {
+    bits = "object";
+  } else if (r.ok) {
+    std::uint64_t raw;
+    std::memcpy(&raw, &r.value.num, sizeof raw);
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(raw));
+    bits = buf;
+  }
+  return Cat(program, ' ', function, ' ', workload, ' ', r.ok ? "ok" : "fail", ' ', bits, ' ',
+             vm.steps_used(), ' ', r.ok ? "-" : r.error, '\n');
+}
+
+// One call at every budget from S-64 to S+1 and every depth limit 1..8,
+// where S is the call's steps under the default limits.
+void SweepLimits(const std::string& program, const std::string& function,
+                 const std::string& id, const ScriptObject& workload, Vm* vm,
+                 std::string* out) {
+  const std::vector<Value> args = {Value::Object(&workload)};
+  const EvalResult full = vm->Call(function, args);
+  *out += OutcomeLine(program, function, id, *vm, full);
+  const std::uint64_t s = vm->steps_used();
+  for (std::uint64_t budget = s < 64 ? 0 : s - 64; budget <= s + 1; ++budget) {
+    vm->set_max_steps(budget);
+    const EvalResult r = vm->Call(function, args);
+    *out += OutcomeLine(program, function, Cat(id, "/steps<=", budget), *vm, r);
+  }
+  vm->set_max_steps(50'000'000);
+  for (std::size_t depth = 1; depth <= 8; ++depth) {
+    vm->set_max_depth(depth);
+    const EvalResult r = vm->Call(function, args);
+    *out += OutcomeLine(program, function, Cat(id, "/depth<=", depth), *vm, r);
+  }
+  vm->set_max_depth(200);
+}
+
+std::string VmOutcomes() {
+  const InterfaceRegistry& registry = InterfaceRegistry::Default();
+  std::string out;
+  std::uint64_t program_seed = 0x601d0000;
+  for (const InterfaceBundle& bundle : registry.bundles()) {
+    if (bundle.program_path.empty()) {
+      continue;
+    }
+    const ProgramInterface iface = registry.LoadProgram(bundle.accelerator);
+    const std::string& name = bundle.accelerator;
+    // One Vm per program, reused across every call as in a serve worker.
+    Vm vm(iface.compiled());
+    const std::set<std::string> attr_names = AttrNamesOf(*iface.program());
+    const ObjectParamMap objects = ObjectParams(*iface.program());
+    std::uint64_t rng = ++program_seed;
+
+    const auto run_all = [&](const ScriptObject& workload, const std::string& id, bool positive) {
+      for (const FunctionDef& fn : iface.program()->functions) {
+        std::vector<Value> args;
+        for (std::size_t p = 0; p < fn.params.size(); ++p) {
+          args.push_back(objects.at(fn.name)[p] ? Value::Object(&workload)
+                                                : Value::Number(SeededValue(&rng, positive)));
+        }
+        const EvalResult r = vm.Call(fn.name, args);
+        out += OutcomeLine(name, fn.name, id, vm, r);
+      }
+    };
+    for (const int children : {0, 1, 2, 5, 50, 220}) {
+      for (const int seed : {0, 1}) {
+        auto workload = SeededObject(attr_names, &rng, seed == 0);
+        workload->AddUniformChildren(children);
+        run_all(*workload, Cat('c', children, "/s", seed), seed == 0);
+      }
+    }
+    // A tree of distinct children, two of them with uniform grandchildren.
+    auto tree = SeededObject(attr_names, &rng, true);
+    for (int i = 0; i < 3; ++i) {
+      auto child = SeededObject(attr_names, &rng, true);
+      child->AddUniformChildren(i);
+      tree->AddChild(std::move(child));
+    }
+    tree->AddUniformChildren(4);
+    run_all(*tree, "tree", true);
+  }
+
+  KvObject message;
+  message.Set("num_fields", 6);
+  message.Set("num_writes", 9);
+  message.AddUniformChildren(50);
+  Vm protoacc(registry.LoadProgram("protoacc").compiled());
+  SweepLimits("protoacc", "tput_protoacc_ser", "c50", message, &protoacc, &out);
+
+  KvObject layer;
+  const std::pair<const char*, double> kLayer[] = {
+      {"height", 28}, {"width", 28}, {"channels", 16}, {"filters", 16}, {"kernel_h", 3},
+      {"kernel_w", 3}, {"stride", 1}, {"pad", 1}, {"tile_h", 4}, {"tile_w", 28}, {"tile_k", 8}};
+  for (const auto& kv : kLayer) {
+    layer.Set(kv.first, kv.second);
+  }
+  Vm conv(registry.LoadProgram("conv").compiled());
+  SweepLimits("conv", "latency_conv", "layer", layer, &conv, &out);
+  return out;
+}
+
+TEST(VmDiffGolden, ShippedProgramOutcomesAreByteIdentical) {
+  const std::string actual = VmOutcomes();
+  const std::string golden_path =
+      std::string(PERFIFACE_SOURCE_DIR) + "/tests/golden/vm_outcomes.golden";
+  const std::string golden = ReadFileOrDie(golden_path);
+  if (golden == actual) {
+    return;
+  }
+  const std::string actual_path = ::testing::TempDir() + "/vm_outcomes.actual";
+  std::ofstream(actual_path) << actual;
+  std::istringstream want(golden);
+  std::istringstream got(actual);
+  std::string want_line;
+  std::string got_line;
+  int line = 0;
+  do {
+    ++line;
+    if (!std::getline(want, want_line)) want_line = "<end of file>";
+    if (!std::getline(got, got_line)) got_line = "<end of output>";
+  } while (want_line == got_line);
+  ADD_FAILURE() << "VM outcomes differ from " << golden_path << " at line " << line
+                << "\n  golden: " << want_line << "\n  actual: " << got_line
+                << "\nA value, steps_used() or error text of a shipped program changed. "
+                   "The full output is in "
+                << actual_path;
 }
 
 // The only compile refusals are bytecode size limits, reported as an error
