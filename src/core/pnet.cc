@@ -97,15 +97,8 @@ bool ParseArcs(const std::string& list, std::vector<ArcSpec>* out, std::string* 
   return true;
 }
 
-// Compiles a delay/guard expression against a net's attribute schema and
-// constants via the shared standalone-expression backend (CompiledExpr,
-// perfscript/compile.h). Delay and guard expressions run on every firing
-// attempt, so they are bound once at net-load time: variable names resolve
-// here to inlined constant values or token attribute slots, and evaluation
-// performs no lookups or allocations. CompiledExpr::Canonical() keeps the
-// exact serialization format this loader has always recorded as
-// TransitionSpec::delay_expr/guard_expr (CompiledNet's structural hash and
-// the cross-request memo key both depend on it).
+}  // namespace
+
 std::shared_ptr<const CompiledExpr> CompileNetExpr(const std::string& source,
                                                    const PetriNet& net,
                                                    const std::map<std::string, double>& consts,
@@ -128,8 +121,6 @@ std::shared_ptr<const CompiledExpr> CompileNetExpr(const std::string& source,
       },
       error, options);
 }
-
-}  // namespace
 
 LoadedNet LoadPnet(std::string_view text) {
   LoadedNet out;
@@ -248,23 +239,17 @@ LoadedNet LoadPnet(std::string_view text) {
       }
       spec.servers = static_cast<std::size_t>(servers);
 
-      // The simulator evaluates the compiled expressions directly
-      // (TransitionSpec::delay_compiled); loaded transitions carry no
-      // closures.
       spec.delay_compiled = CompileNetExpr(opts.Get("delay"), net, consts, &err);
       if (spec.delay_compiled == nullptr) {
         fail(StrFormat("delay: %s", err.c_str()));
         return out;
       }
-      spec.delay_expr = spec.delay_compiled->Canonical();
-
       if (opts.Has("guard")) {
         spec.guard_compiled = CompileNetExpr(opts.Get("guard"), net, consts, &err);
         if (spec.guard_compiled == nullptr) {
           fail(StrFormat("guard: %s", err.c_str()));
           return out;
         }
-        spec.guard_expr = spec.guard_compiled->Canonical();
       }
       net.AddTransition(std::move(spec));
     } else {

@@ -23,6 +23,7 @@
 #ifndef SRC_CORE_PNET_H_
 #define SRC_CORE_PNET_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -48,6 +49,17 @@ struct LoadedNet {
 // Parses a .pnet document. Attribute slots are registered in declaration
 // order, so token producers can map attributes by PetriNet::FindAttr.
 LoadedNet LoadPnet(std::string_view text);
+
+// Compiles one delay or guard expression as the loader does, against the
+// attributes `net` has registered so far and the named constants: names
+// resolve once, here, to inlined constants or token attribute slots, so
+// evaluation on every firing attempt performs no lookups or allocations.
+// Returns null and sets *error on a parse or binding error. Nets built in
+// code compile their transitions' text through this too.
+std::shared_ptr<const CompiledExpr> CompileNetExpr(const std::string& source,
+                                                   const PetriNet& net,
+                                                   const std::map<std::string, double>& consts,
+                                                   std::string* error);
 
 // Reads and parses a .pnet file; aborts on I/O failure, returns parse errors
 // in LoadedNet::error. `use` directives are expanded relative to the file's

@@ -526,29 +526,6 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
   return JsonParser(text, error).Parse(out);
 }
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          *out += "\\u00";
-          *out += kHex[(c >> 4) & 0xF];
-          *out += kHex[c & 0xF];
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void FrameReader::Append(const char* data, std::size_t n) {
   // Compact once per Append: popped frames only advance head_, so a read
   // holding hundreds of lines costs one move here, not one per Pop.

@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/serve/request.h"
 
 namespace perfiface::net {
@@ -66,8 +67,8 @@ struct JsonValue {
 // Nesting is capped (64 levels) so hostile input cannot blow the stack.
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
 
-// Appends `s` as a JSON string literal (quotes included) to `out`.
-void AppendJsonString(std::string* out, std::string_view s);
+// The JSON string encoder every JSON writer shares (src/common/strings.h).
+using ::perfiface::AppendJsonString;
 
 // --- Frame reader ----------------------------------------------------------
 

@@ -44,11 +44,15 @@ const char* BuildType() { return PERFIFACE_BUILD_TYPE; }
 double ProcessStartTimeSeconds() { return kProcessStartSeconds; }
 
 std::string BuildInfoJson() {
-  std::string out = "{";
-  out += StrFormat("\"version\":\"%s\",", EscapeLabelValue(BuildVersion()).c_str());
-  out += StrFormat("\"git\":\"%s\",", EscapeLabelValue(BuildGitDescribe()).c_str());
-  out += StrFormat("\"compiler\":\"%s\",", EscapeLabelValue(BuildCompiler()).c_str());
-  out += StrFormat("\"build_type\":\"%s\"}", EscapeLabelValue(BuildType()).c_str());
+  std::string out = "{\"version\":";
+  AppendJsonString(&out, BuildVersion());
+  out += ",\"git\":";
+  AppendJsonString(&out, BuildGitDescribe());
+  out += ",\"compiler\":";
+  AppendJsonString(&out, BuildCompiler());
+  out += ",\"build_type\":";
+  AppendJsonString(&out, BuildType());
+  out += '}';
   return out;
 }
 

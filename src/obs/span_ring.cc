@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string_view>
 
 #include "src/common/strings.h"
 
@@ -10,34 +9,16 @@ namespace perfiface::obs {
 
 namespace {
 
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void AppendEntryJson(std::string* out, const SpanRing::Entry& e) {
-  *out += "{\"cat\":\"";
-  AppendJsonEscaped(out, e.cat);
-  *out += "\",\"name\":\"";
-  AppendJsonEscaped(out, e.name);
-  *out += "\",\"trace_id\":\"";
-  AppendJsonEscaped(out, e.trace_id);
-  *out += "\",\"detail\":\"";
-  AppendJsonEscaped(out, e.detail);
-  *out += StrFormat("\",\"start_us\":%.3f,\"dur_us\":%.3f}",
+  *out += "{\"cat\":";
+  AppendJsonString(out, e.cat);
+  *out += ",\"name\":";
+  AppendJsonString(out, e.name);
+  *out += ",\"trace_id\":";
+  AppendJsonString(out, e.trace_id);
+  *out += ",\"detail\":";
+  AppendJsonString(out, e.detail);
+  *out += StrFormat(",\"start_us\":%.3f,\"dur_us\":%.3f}",
                     static_cast<double>(e.start_ns) / 1e3, static_cast<double>(e.dur_ns) / 1e3);
 }
 

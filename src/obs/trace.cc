@@ -11,36 +11,6 @@ namespace perfiface::obs {
 
 namespace {
 
-// JSON string escaping for names/args that may carry arbitrary bytes
-// (interface names, error text). Control characters become \u00XX.
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void AppendArgs(std::string* out, const TraceEvent& e) {
   *out += ",\"args\":{";
   bool first = true;
@@ -57,15 +27,13 @@ void AppendArgs(std::string* out, const TraceEvent& e) {
     first = false;
   }
   if (e.str_key != nullptr) {
-    *out += StrFormat("%s\"%s\":\"", first ? "" : ",", e.str_key);
-    AppendJsonEscaped(out, e.str_val);
-    *out += '"';
+    *out += StrFormat("%s\"%s\":", first ? "" : ",", e.str_key);
+    AppendJsonString(out, e.str_val);
     first = false;
   }
   if (!e.trace_id.empty()) {
-    *out += StrFormat("%s\"trace_id\":\"", first ? "" : ",");
-    AppendJsonEscaped(out, e.trace_id);
-    *out += '"';
+    *out += StrFormat("%s\"trace_id\":", first ? "" : ",");
+    AppendJsonString(out, e.trace_id);
   }
   *out += '}';
 }
@@ -233,11 +201,11 @@ std::string Tracer::ExportChromeJson() const {
     out += i == 0 ? "\n" : ",\n";
     out += "{\"pid\":1,";
     out += StrFormat("\"tid\":%u,", tids[i]);
-    out += "\"cat\":\"";
-    AppendJsonEscaped(&out, e.cat);
-    out += "\",\"name\":\"";
-    AppendJsonEscaped(&out, e.EffectiveName());
-    out += "\",";
+    out += "\"cat\":";
+    AppendJsonString(&out, e.cat);
+    out += ",\"name\":";
+    AppendJsonString(&out, e.EffectiveName());
+    out += ",";
     // Chrome timestamps are microseconds (fractions allowed).
     out += StrFormat("\"ts\":%.3f", static_cast<double>(e.ts_ns) / 1e3);
     switch (e.kind) {

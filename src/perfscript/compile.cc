@@ -1396,12 +1396,17 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expr& expr, const Expr
     *error = "expression too deep";
     return nullptr;
   }
-  // ops_ is final (Canonical() serializes it); the register form and the
-  // shape summary are derived views on top.
+  // ops_ is final; the canonical text, the register form and the shape
+  // summary are derived views on top.
   if (!compiled->LowerToRegs(error)) {
     return nullptr;
   }
   compiled->Summarize();
+  compiled->canonical_.reserve(compiled->ops_.size() * 8);
+  for (const ExprInstr& op : compiled->ops_) {
+    compiled->canonical_ +=
+        StrFormat("%u:%.17g:%u;", static_cast<unsigned>(op.op), op.value, op.slot);
+  }
   return compiled;
 }
 
@@ -1415,15 +1420,6 @@ std::unique_ptr<CompiledExpr> CompiledExpr::CompileSource(std::string_view sourc
     return nullptr;
   }
   return Compile(*parsed.expr, binder, error, options);
-}
-
-std::string CompiledExpr::Canonical() const {
-  std::string out;
-  out.reserve(ops_.size() * 8);
-  for (const ExprInstr& op : ops_) {
-    out += StrFormat("%u:%.17g:%u;", static_cast<unsigned>(op.op), op.value, op.slot);
-  }
-  return out;
 }
 
 bool CompiledExpr::Emit(const Expr& e, const ExprBinder& binder,

@@ -253,13 +253,13 @@ class CompiledExpr {
   template <typename SlotFn>
   EvalResult EvalRegsChecked(SlotFn&& slot) const;
 
-  // Canonical serialization of the compiled ops, recorded by the .pnet
-  // loader as TransitionSpec::delay_expr/guard_expr: constants are inlined
-  // and attributes slot-resolved, so this pins down behavior exactly, which
-  // is what CompiledNet's structural hash keys on. The format (and the
-  // opcode numbering it exposes) must stay stable across refactors or
-  // every cross-request memo key changes.
-  std::string Canonical() const;
+  // Canonical serialization of the compiled ops, rendered once by Compile:
+  // constants are inlined and attributes slot-resolved, so the text pins
+  // down behavior exactly. CompiledNet's structural hash (the derived
+  // tier's model key) reads it, and the derived tier dedupes delay slots
+  // by it. The format and the opcode numbering it exposes are pinned
+  // (tests/golden/pnet_canonical.golden): a change moves every model key.
+  const std::string& Canonical() const { return canonical_; }
 
   std::size_t num_ops() const { return ops_.size(); }
 
@@ -315,6 +315,7 @@ class CompiledExpr {
   void Summarize();
 
   std::vector<ExprInstr> ops_;
+  std::string canonical_;
   std::vector<Instr> rcode_;
   std::vector<double> rconsts_;
   std::vector<std::uint32_t> used_slots_;

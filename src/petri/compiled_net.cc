@@ -115,31 +115,22 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
     const TransitionSpec& spec = specs[t];
     Transition& info = transitions_[t];
     info.servers = static_cast<std::uint32_t>(spec.servers);
-    info.delay = spec.delay ? &spec.delay : nullptr;
-    info.guard = spec.guard ? &spec.guard : nullptr;
-    info.fire = spec.fire ? &spec.fire : nullptr;
 
-    // Classify compiled expressions for the firing loop. A constant delay
-    // must already be a valid Cycles to qualify; an out-of-range constant
-    // stays general so the range check reports it at the first firing.
-    if (spec.delay_compiled != nullptr) {
-      const CompiledExpr& e = *spec.delay_compiled;
-      info.delay_code = &e;
-      const CompiledExpr::Summary& s = e.summary();
-      if (s.kind == CompiledExpr::Summary::Kind::kConstant && s.constant >= 0 &&
-          s.constant < 1e15) {
-        info.delay_const = true;
-        info.const_delay = static_cast<Cycles>(std::llround(s.constant));
-      }
+    // Classify the expressions for the firing loop. A constant delay must
+    // already be a valid Cycles to qualify; an out-of-range constant stays
+    // general so the range check reports it at the first firing.
+    info.delay_code = spec.delay_compiled.get();
+    const CompiledExpr::Summary& delay = info.delay_code->summary();
+    if (delay.kind == CompiledExpr::Summary::Kind::kConstant && delay.constant >= 0 &&
+        delay.constant < 1e15) {
+      info.delay_const = true;
+      info.const_delay = static_cast<Cycles>(std::llround(delay.constant));
     }
-    if (spec.guard_compiled != nullptr) {
-      const CompiledExpr& e = *spec.guard_compiled;
-      info.guard_code = &e;
-      const CompiledExpr::Summary& s = e.summary();
-      if (s.kind == CompiledExpr::Summary::Kind::kConstant) {
-        info.guard_const = true;
-        info.guard_value = s.constant != 0.0;
-      }
+    info.guard_code = spec.guard_compiled.get();
+    if (info.guard_code != nullptr &&
+        info.guard_code->summary().kind == CompiledExpr::Summary::Kind::kConstant) {
+      info.guard_const = true;
+      info.guard_value = info.guard_code->summary().constant != 0.0;
     }
 
     info.in_begin = static_cast<std::uint32_t>(inputs_.size());
@@ -187,53 +178,41 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
   }
 
   // --- Structural hashes ------------------------------------------------
-  // A net is hashable only when every transition's behavior is pinned down
-  // by source text: the delay (and guard, if present) carries its
-  // expression string and no transition ships a custom FireFn. Names are
-  // deliberately excluded — renamed copies of the same structure share
-  // hashes.
-  hashable_ = true;
-  for (const TransitionSpec& spec : specs) {
-    if (spec.delay_expr.empty() || (spec.has_guard() && spec.guard_expr.empty()) || spec.fire) {
-      hashable_ = false;
-      break;
+  // Names are deliberately excluded: renamed copies of the same structure
+  // share hashes.
+  component_hashes_.assign(num_components, kFnvOffset);
+  for (std::size_t p = 0; p < places.size(); ++p) {
+    std::uint64_t* h = &component_hashes_[places_[p].component];
+    HashBytes(h, "P");
+    HashU64(h, places_[p].local_index);
+    HashU64(h, places_[p].capacity);
+    HashU64(h, places_[p].initial_tokens);
+  }
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const TransitionSpec& spec = specs[t];
+    std::uint64_t* h = &component_hashes_[transitions_[t].component];
+    HashBytes(h, "T");
+    HashU64(h, spec.servers);
+    for (const Arc& a : spec.inputs) {
+      HashBytes(h, "i");
+      HashU64(h, places_[a.place].local_index);
+      HashU64(h, a.weight);
+    }
+    for (const Arc& a : spec.outputs) {
+      HashBytes(h, "o");
+      HashU64(h, places_[a.place].local_index);
+      HashU64(h, a.weight);
+    }
+    HashBytes(h, "D");
+    HashBytes(h, spec.delay_compiled->Canonical());
+    if (spec.has_guard()) {
+      HashBytes(h, "G");
+      HashBytes(h, spec.guard_compiled->Canonical());
     }
   }
-  component_hashes_.assign(num_components, kFnvOffset);
-  if (hashable_) {
-    for (std::size_t p = 0; p < places.size(); ++p) {
-      std::uint64_t* h = &component_hashes_[places_[p].component];
-      HashBytes(h, "P");
-      HashU64(h, places_[p].local_index);
-      HashU64(h, places_[p].capacity);
-      HashU64(h, places_[p].initial_tokens);
-    }
-    for (std::size_t t = 0; t < specs.size(); ++t) {
-      const TransitionSpec& spec = specs[t];
-      std::uint64_t* h = &component_hashes_[transitions_[t].component];
-      HashBytes(h, "T");
-      HashU64(h, spec.servers);
-      for (const Arc& a : spec.inputs) {
-        HashBytes(h, "i");
-        HashU64(h, places_[a.place].local_index);
-        HashU64(h, a.weight);
-      }
-      for (const Arc& a : spec.outputs) {
-        HashBytes(h, "o");
-        HashU64(h, places_[a.place].local_index);
-        HashU64(h, a.weight);
-      }
-      HashBytes(h, "D");
-      HashBytes(h, spec.delay_expr);
-      if (spec.has_guard()) {
-        HashBytes(h, "G");
-        HashBytes(h, spec.guard_expr);
-      }
-    }
-    structural_hash_ = kFnvOffset;
-    for (const std::uint64_t ch : component_hashes_) {
-      HashU64(&structural_hash_, ch);
-    }
+  structural_hash_ = kFnvOffset;
+  for (const std::uint64_t ch : component_hashes_) {
+    HashU64(&structural_hash_, ch);
   }
 
   const std::vector<std::string>& attr_names = net_->attr_names();

@@ -16,11 +16,11 @@
 //    file) evolve independently, so they can be simulated — and compiled
 //    to derived programs — separately (src/petri/distill.h);
 //  - a structural hash per component, covering capacities, initial
-//    markings, arc shapes, server counts, and the *source text* of delay
-//    and guard expressions. Nets whose closures were not compiled from
-//    text (hand-built C++ lambdas, custom FireFns) are unhashable: their
-//    behavior cannot be compared across nets, so the derived tier must
-//    skip them (hashable() == false).
+//    markings, arc shapes, server counts, and the canonical text of the
+//    delay and guard expressions (CompiledExpr::Canonical()), which pins
+//    down every transition's behaviour: the derived tier's model key;
+//  - each compiled expression classified once, so constant guards and
+//    delays skip evaluation in the firing loop.
 //
 // Thread-safety: a CompiledNet is immutable after construction and borrows
 // the PetriNet it was compiled from (which must outlive it). One compiled
@@ -53,14 +53,8 @@ class CompiledNet {
     std::uint32_t total_input_weight = 0;
     std::uint32_t component = 0;
     bool has_bounded_output = false;  // skip the capacity loop entirely
-    // Borrowed closures (null when absent); stable for the source net's
-    // lifetime. Hand-built nets only.
-    const DelayFn* delay = nullptr;
-    const GuardFn* guard = nullptr;
-    const FireFn* fire = nullptr;
-    // Compiled delay/guard expressions (.pnet nets; null for hand-built
-    // ones), classified once here so constant guards and delays skip
-    // evaluation entirely.
+    // The source transition's expressions (guard_code null when it has no
+    // guard); stable for the source net's lifetime.
     const CompiledExpr* delay_code = nullptr;
     const CompiledExpr* guard_code = nullptr;
     bool guard_const = false;  // guard folds to a constant at compile time
@@ -98,15 +92,12 @@ class CompiledNet {
   // (transition declaration order, then orphan places).
   std::size_t num_components() const { return component_hashes_.size(); }
 
-  // True when every closure in the net carries source text (see header
-  // comment); only then do structural hashes mean anything.
-  bool hashable() const { return hashable_; }
-  // Hash of one component's structure + expression text; 0 if !hashable().
+  // Hash of one component's structure + expression text.
   std::uint64_t component_hash(std::size_t component) const {
-    return hashable_ ? component_hashes_[component] : 0;
+    return component_hashes_[component];
   }
-  // Hash of the whole net (all components combined); 0 if !hashable().
-  std::uint64_t structural_hash() const { return hashable_ ? structural_hash_ : 0; }
+  // Hash of the whole net (all components combined).
+  std::uint64_t structural_hash() const { return structural_hash_; }
 
   // Token-schema slots sorted by attribute name: the parameter order of
   // derived programs (DerivedStore::ProgramText, src/petri/distill.h).
@@ -122,7 +113,6 @@ class CompiledNet {
   std::vector<std::uint64_t> component_hashes_;
   std::vector<std::uint32_t> attr_order_;
   std::uint64_t structural_hash_ = 0;
-  bool hashable_ = false;
 };
 
 }  // namespace perfiface

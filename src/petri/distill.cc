@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include "src/common/strings.h"
@@ -155,9 +156,6 @@ std::string RenderInfix(const std::string& canonical, const std::vector<std::str
 void ComponentQuery::Select(std::size_t component) {
   component_ = component;
   model_key_.clear();
-  if (!net_.hashable()) {
-    return;
-  }
   char item[48];
   std::snprintf(item, sizeof(item), "%016llx",
                 static_cast<unsigned long long>(net_.component_hash(component)));
@@ -235,9 +233,6 @@ const DerivedStore::Model* DerivedStore::Find(const std::string& key) const {
 }
 
 const std::string* DerivedStore::KeyOf(const ComponentQuery& query) {
-  if (query.model_key().empty()) {
-    return nullptr;
-  }
   thread_local std::string keyed;
   bool guarded = false;
   const Token& token = query.token();
@@ -291,9 +286,6 @@ std::unique_ptr<DerivedStore::Model> DerivedStore::Compile(const ComponentQuery&
     }
     if (tr.servers > 1) {
       return refuse(StrFormat("transition '%s' has %u servers", name(t), tr.servers));
-    }
-    if (tr.delay_code == nullptr || tr.guard != nullptr) {
-      return refuse(StrFormat("transition '%s' has an opaque delay or guard", name(t)));
     }
     bool on = !tr.guard_const || tr.guard_value;
     if (KeyedGuard(tr)) {
@@ -512,11 +504,11 @@ std::unique_ptr<DerivedStore::Model> DerivedStore::Compile(const ComponentQuery&
 
   // --- Delay slots ----------------------------------------------------------
   std::vector<std::uint32_t> slot(n);
-  std::map<std::string, std::uint32_t> expr_slot;
+  std::map<std::string_view, std::uint32_t> expr_slot;  // by canonical text
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t t = firings[i].transition;
     if (!trans[t].delay_const && !firings[i].primary_initial &&
-        expr_slot.emplace(specs[t].delay_expr, model->exprs.size()).second) {
+        expr_slot.emplace(trans[t].delay_code->Canonical(), model->exprs.size()).second) {
       model->exprs.push_back(specs[t].delay_compiled);
     }
   }
@@ -534,7 +526,7 @@ std::unique_ptr<DerivedStore::Model> DerivedStore::Compile(const ComponentQuery&
     const std::size_t t = firings[i].transition;
     slot[i] = trans[t].delay_const || firings[i].primary_initial
                   ? constant(firings[i].delay)
-                  : expr_slot.at(specs[t].delay_expr);
+                  : expr_slot.at(trans[t].delay_code->Canonical());
   }
 
   // --- Firing table -------------------------------------------------------
@@ -667,7 +659,7 @@ DerivedStore::Outcome DerivedStore::Predict(const ComponentQuery& query, std::ui
   };
   const std::string* key = KeyOf(query);
   if (key == nullptr) {
-    return refused(query.model_key().empty() ? Outcome::kRefused : Outcome::kEvalFailed);
+    return refused(Outcome::kEvalFailed);
   }
   const Model* model = Find(*key);
   if (model == nullptr) {

@@ -81,9 +81,8 @@ struct ComponentResult {
 // structural hash + the injection plan restricted to the component, as
 // sorted, duplicate-merged (component-local place, count) items. The key
 // identifies a derived model; the attributes are its inputs and never
-// enter the key. Empty when the net is unhashable (opaque C++ closures):
-// such nets are never derived. Select points the query at a component and
-// rebuilds the key in place. Borrows the net, token and injections.
+// enter the key. Select points the query at a component and rebuilds the
+// key in place. Borrows the net, token and injections.
 class ComponentQuery {
  public:
   ComponentQuery(const CompiledNet& net, const Token& token,
@@ -165,8 +164,8 @@ class DerivedStore {
 
   // The store key of the query: its model key, followed by the outcome of
   // every attribute-dependent guard of the component on the request token.
-  // Null when the model key is empty (unhashable net) or a guard fails on
-  // the token. Points at the model key or at thread-local storage.
+  // Null when such a guard fails on the token. Points at the model key or
+  // at thread-local storage.
   static const std::string* KeyOf(const ComponentQuery& query);
   // Compiles the component or explains why not; pure of store state.
   static std::unique_ptr<Model> Compile(const ComponentQuery& query);

@@ -17,10 +17,7 @@ PlaceId PetriNet::AddPlace(std::string name, std::size_t capacity, std::size_t i
 }
 
 TransitionId PetriNet::AddTransition(TransitionSpec spec) {
-  // Exactly one delay form, at most one guard form (net.h).
-  PI_CHECK_MSG(static_cast<bool>(spec.delay) != (spec.delay_compiled != nullptr),
-               spec.name.c_str());
-  PI_CHECK_MSG(!(spec.guard && spec.guard_compiled != nullptr), spec.name.c_str());
+  PI_CHECK_MSG(spec.delay_compiled != nullptr, spec.name.c_str());
   PI_CHECK_MSG(!spec.inputs.empty(), spec.name.c_str());
   PI_CHECK(spec.servers >= 1);
   for (const Arc& a : spec.inputs) {

@@ -137,23 +137,14 @@ bool PetriSim::TryStart(TransitionId t) {
   const std::vector<CompiledNet::CompiledArc>& in_arcs = cnet_->inputs();
   const std::vector<CompiledNet::CompiledArc>& out_arcs = cnet_->outputs();
 
-  // Check input availability and collect front-token refs for the guard.
-  TokenRefs refs;
   for (std::uint32_t i = trans.in_begin; i < trans.in_end; ++i) {
     if (places_[in_arcs[i].place].tokens.size() < in_arcs[i].weight) {
       return false;
     }
   }
-  for (std::uint32_t i = trans.in_begin; i < trans.in_end; ++i) {
-    for (std::uint32_t k = 0; k < in_arcs[i].weight; ++k) {
-      refs.push_back(&places_[in_arcs[i].place].tokens[k]);
-    }
-  }
-  // Compiled expressions read the primary (first) input token.
-  const Token* primary = refs.front();
-  const auto attr = [primary](std::uint32_t slot) { return primary->Attr(slot); };
-  // Guard: a compile-time constant, the compiled expression, or the
-  // hand-built closure.
+  // The expressions read the primary input token: the first arc's front.
+  const Token& primary = places_[in_arcs[trans.in_begin].place].tokens.front();
+  const auto attr = [&primary](std::uint32_t slot) { return primary.Attr(slot); };
   if (trans.guard_const) {
     if (!trans.guard_value) {
       return false;
@@ -166,8 +157,6 @@ bool PetriSim::TryStart(TransitionId t) {
     if (g == 0.0) {
       return false;
     }
-  } else if (trans.guard != nullptr && !(*trans.guard)(refs)) {
-    return false;
   }
 
   // Check output room (blocking-before-service). Consumption by this firing
@@ -187,12 +176,10 @@ bool PetriSim::TryStart(TransitionId t) {
     }
   }
 
-  // Compute delay while the token refs are still valid. Constant delays
-  // were range-checked and rounded at net-compile time.
-  Cycles delay;
-  if (trans.delay_const) {
-    delay = trans.const_delay;
-  } else if (trans.delay_code != nullptr) {
+  // Compute the delay while the primary token is still in its place.
+  // Constant delays were range-checked and rounded at net-compile time.
+  Cycles delay = trans.const_delay;
+  if (!trans.delay_const) {
     double v = 0;
     if (!trans.delay_code->EvalRegs(attr, &v, &error_)) {
       return Fail(t, "delay");
@@ -202,21 +189,19 @@ bool PetriSim::TryStart(TransitionId t) {
       return Fail(t, "delay");
     }
     delay = static_cast<Cycles>(std::llround(v));
-  } else {
-    delay = (*trans.delay)(refs);
   }
 
-  // Consume inputs into a scheduled slab slot.
+  // Consume inputs into a scheduled slab slot; only the primary token
+  // travels on.
   Firing& f = ScheduleFiring(now_ + delay);
   f.transition = t;
   if (log_ != nullptr) {
     f.logged = log_->Start(*cnet_, t, now_, delay);
   }
-  f.consumed.resize(0);
+  f.primary = std::move(places_[in_arcs[trans.in_begin].place].tokens.front());
   for (std::uint32_t i = trans.in_begin; i < trans.in_end; ++i) {
     PlaceState& ps = places_[in_arcs[i].place];
     for (std::uint32_t k = 0; k < in_arcs[i].weight; ++k) {
-      f.consumed.push_back(std::move(ps.tokens.front()));
       ps.tokens.pop_front();
     }
     // Popping frees capacity: upstream producers may become enabled.
@@ -269,45 +254,15 @@ void PetriSim::StartAll() {
 void PetriSim::Complete(const Firing& f) {
   const CompiledNet::Transition& trans = cnet_->transitions()[f.transition];
   const std::vector<CompiledNet::CompiledArc>& out_arcs = cnet_->outputs();
-  const char* trans_name = cnet_->source().transitions()[f.transition].name.c_str();
   if (log_ != nullptr) {
     log_->Complete(*cnet_, f.logged);
   }
-
-  if (trans.fire != nullptr) {
-    TokenRefs refs;
-    for (const Token& tok : f.consumed) {
-      refs.push_back(&tok);
-    }
-    const std::size_t num_outputs = trans.out_end - trans.out_begin;
-    std::vector<std::vector<Token>> outputs(num_outputs);
-    (*trans.fire)(refs, outputs);
-    for (std::size_t i = 0; i < num_outputs; ++i) {
-      const CompiledNet::CompiledArc& out = out_arcs[trans.out_begin + i];
-      PI_CHECK_MSG(outputs[i].size() == out.weight, trans_name);
-      PI_CHECK(places_[out.place].reserved >= out.weight);
-      places_[out.place].reserved -= out.weight;
-      for (Token& tok : outputs[i]) {
-        // Preserve the primary input's injection stamp unless the FireFn
-        // produced fresh tokens (injected_at == 0 default): latency
-        // measurement follows the primary path.
-        if (!f.consumed.empty() && tok.injected_at == 0) {
-          tok.injected_at = f.consumed.front().injected_at;
-        }
-        Deposit(out.place, std::move(tok));
-      }
-    }
-  } else {
-    // Default: replicate the primary (first) input token, allocation-free.
-    PI_CHECK_MSG(!f.consumed.empty(), trans_name);
-    const Token& primary = f.consumed.front();
-    for (std::uint32_t i = trans.out_begin; i < trans.out_end; ++i) {
-      const CompiledNet::CompiledArc& out = out_arcs[i];
-      PI_CHECK(places_[out.place].reserved >= out.weight);
-      places_[out.place].reserved -= out.weight;
-      for (std::uint32_t k = 0; k < out.weight; ++k) {
-        Deposit(out.place, primary);
-      }
+  for (std::uint32_t i = trans.out_begin; i < trans.out_end; ++i) {
+    const CompiledNet::CompiledArc& out = out_arcs[i];
+    PI_CHECK(places_[out.place].reserved >= out.weight);
+    places_[out.place].reserved -= out.weight;
+    for (std::uint32_t k = 0; k < out.weight; ++k) {
+      Deposit(out.place, f.primary);
     }
   }
 

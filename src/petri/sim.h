@@ -36,10 +36,7 @@ struct Arrival {
 // What enabled each firing of one run: the firing DAG the exact derived
 // tier compiles (src/petri/distill.h). Attach it with
 // PetriSim::set_firing_log before Run; a sim without a log pays one pointer
-// test per firing. Firings are numbered in start order. Only the default
-// token routing is mirrored (the primary input token is copied to every
-// output arc), so the log is meaningful for nets without FireFns, which is
-// every hashable net.
+// test per firing. Firings are numbered in start order.
 class FiringLog {
  public:
   // Producer of a token that no firing made: a request copy injected at
@@ -156,7 +153,7 @@ class PetriSim {
   struct Firing {
     TransitionId transition = 0;
     std::uint32_t logged = 0;  // index in log_, when one is attached
-    SmallVec<Token, 4> consumed;
+    Token primary;             // copied to every output arc on completion
   };
 
   // Heap entries reference slab slots so that sifting moves 24 bytes, not

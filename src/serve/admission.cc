@@ -1,9 +1,17 @@
 #include "src/serve/admission.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace perfiface::serve {
 namespace {
+
+// A whole, positive number: strtod must consume all of `text`.
+bool ParsePositive(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && *out > 0;
+}
 
 bool QuotaActive(const TenantQuota& quota) { return quota.qps > 0.0; }
 
@@ -12,6 +20,27 @@ double BurstFor(const TenantQuota& quota) {
 }
 
 }  // namespace
+
+bool ApplyQuotaFlag(const std::string& spec, AdmissionOptions* options) {
+  const std::size_t eq = spec.find('=');
+  if (eq == std::string::npos || eq == 0) {
+    return false;
+  }
+  const std::string tenant = spec.substr(0, eq);
+  const std::string rate = spec.substr(eq + 1);
+  const std::size_t colon = rate.find(':');
+  TenantQuota quota;
+  if (!ParsePositive(rate.substr(0, colon), &quota.qps) ||
+      (colon != std::string::npos && !ParsePositive(rate.substr(colon + 1), &quota.burst))) {
+    return false;
+  }
+  if (tenant == "*") {
+    options->default_quota = quota;
+  } else {
+    options->tenant_quotas.emplace_back(tenant, quota);
+  }
+  return true;
+}
 
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(std::move(options)) {

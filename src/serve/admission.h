@@ -39,6 +39,12 @@ struct AdmissionOptions {
   std::vector<std::pair<std::string, TenantQuota>> tenant_quotas;
 };
 
+// Parses one --quota flag, "TENANT=QPS[:BURST]", and applies it: tenant
+// "*" sets the default quota, any other name adds a per-tenant entry. QPS
+// and BURST must be positive numbers with nothing after them. Returns false
+// and leaves `options` unchanged on a malformed spec.
+bool ApplyQuotaFlag(const std::string& spec, AdmissionOptions* options);
+
 // Why a request was shed (or not).
 enum class AdmissionDecision : std::uint8_t {
   kAdmit = 0,

@@ -123,10 +123,7 @@ std::string ServiceMetrics::DumpText(std::size_t queue_depth) const {
   out += StrFormat("deadline_exceeded=%llu rejected=%llu queue_depth=%zu ",
                    static_cast<unsigned long long>(deadline_exceeded()),
                    static_cast<unsigned long long>(rejected()), queue_depth);
-  out += StrFormat("inflight_batches=%lld lookup_hot=%llu lookup_cold=%llu\n",
-                   static_cast<long long>(inflight_batches()),
-                   static_cast<unsigned long long>(lookup_hot()),
-                   static_cast<unsigned long long>(lookup_cold()));
+  out += StrFormat("inflight_batches=%lld\n", static_cast<long long>(inflight_batches()));
   out += StrFormat("%-18s %10s %8s %12s %12s %12s %12s\n", "interface", "requests", "errors",
                    "mean_us", "p50_us", "p95_us", "p99_us");
   for (const auto& m : per_interface_) {
@@ -144,22 +141,21 @@ std::string ServiceMetrics::DumpJson(std::size_t queue_depth) const {
   out += StrFormat(
       "\"requests\":%llu,\"errors\":%llu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
       "\"deadline_exceeded\":%llu,\"rejected\":%llu,\"queue_depth\":%zu,"
-      "\"inflight_batches\":%lld,\"lookup_hot\":%llu,\"lookup_cold\":%llu,\"interfaces\":[",
+      "\"inflight_batches\":%lld,\"interfaces\":[",
       static_cast<unsigned long long>(total_requests()),
       static_cast<unsigned long long>(total_errors()),
       static_cast<unsigned long long>(cache_hits()),
       static_cast<unsigned long long>(cache_misses()),
       static_cast<unsigned long long>(deadline_exceeded()),
       static_cast<unsigned long long>(rejected()), queue_depth,
-      static_cast<long long>(inflight_batches()),
-      static_cast<unsigned long long>(lookup_hot()),
-      static_cast<unsigned long long>(lookup_cold()));
+      static_cast<long long>(inflight_batches()));
   for (std::size_t i = 0; i < per_interface_.size(); ++i) {
     const InterfaceMetrics& m = *per_interface_[i];
+    out += i == 0 ? "{\"interface\":" : ",{\"interface\":";
+    AppendJsonString(&out, m.interface);
     out += StrFormat(
-        "%s{\"interface\":\"%s\",\"requests\":%llu,\"errors\":%llu,\"mean_us\":%.3f,"
+        ",\"requests\":%llu,\"errors\":%llu,\"mean_us\":%.3f,"
         "\"p50_us\":%.3f,\"p95_us\":%.3f,\"p99_us\":%.3f}",
-        i == 0 ? "" : ",", m.interface.c_str(),
         static_cast<unsigned long long>(m.requests.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
         m.latency.mean() / 1e3, m.latency.Percentile(0.50) / 1e3,
@@ -183,10 +179,6 @@ std::string ServiceMetrics::DumpPrometheus(std::size_t queue_depth) const {
                      "Requests past their deadline", deadline_exceeded());
   obs::AppendCounter(&out, "perfiface_serve_rejected_total", "Requests rejected at submission",
                      rejected());
-  obs::AppendCounter(&out, "perfiface_serve_registry_lookup_hot_total",
-                     "Registry lookups answered by the lock-free hot tier", lookup_hot());
-  obs::AppendCounter(&out, "perfiface_serve_registry_lookup_cold_total",
-                     "Registry lookups that fell through to the hash index", lookup_cold());
   obs::AppendGauge(&out, "perfiface_serve_inflight_batches",
                    "Batches submitted and not yet fully resolved",
                    static_cast<double>(inflight_batches()));

@@ -80,14 +80,6 @@ class ServiceMetrics {
   // has been recorded.
   std::vector<TenantAdmissionSnapshot> AdmissionSnapshot() const;
 
-  // One registry lookup, answered by the lock-free hot tier (`hot`) or by
-  // the cold hash index (which then refreshes the hot slot). Every request
-  // that reaches evaluation looks its interface up once, including those
-  // whose deadline expired before evaluation started.
-  void RecordLookup(bool hot) {
-    (hot ? lookup_hot_ : lookup_cold_).fetch_add(1, std::memory_order_relaxed);
-  }
-
   // Batches (sync or async) currently submitted and not yet fully resolved.
   void IncrementInflight() { inflight_batches_.fetch_add(1, std::memory_order_relaxed); }
   void DecrementInflight() { inflight_batches_.fetch_sub(1, std::memory_order_relaxed); }
@@ -100,8 +92,6 @@ class ServiceMetrics {
     return deadline_exceeded_.load(std::memory_order_relaxed);
   }
   std::uint64_t rejected() const { return rejected_.load(std::memory_order_relaxed); }
-  std::uint64_t lookup_hot() const { return lookup_hot_.load(std::memory_order_relaxed); }
-  std::uint64_t lookup_cold() const { return lookup_cold_.load(std::memory_order_relaxed); }
   std::int64_t inflight_batches() const {
     return inflight_batches_.load(std::memory_order_relaxed);
   }
@@ -145,8 +135,6 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> lookup_hot_{0};
-  std::atomic<std::uint64_t> lookup_cold_{0};
   std::atomic<std::int64_t> inflight_batches_{0};
 };
 

@@ -88,9 +88,6 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     index_.emplace(entries_[i].name, i);
   }
-  for (std::atomic<std::uint32_t>& slot : hot_) {
-    slot.store(UINT32_MAX, std::memory_order_relaxed);
-  }
   metrics_ = std::make_unique<ServiceMetrics>(names);
   shadow_ = std::make_unique<ShadowValidator>(
       ShadowOptions{options_.shadow_sample_every, options_.shadow_seed,
@@ -157,14 +154,13 @@ std::string PredictionService::StatuszJson() const {
       "\"options\":{\"workers\":%zu,\"queue_capacity\":%zu,\"batch_chunk\":%zu,"
       "\"cache_capacity\":%zu,\"cache_shards\":%zu,\"pnet_memo\":%s,"
       "\"default_max_steps\":%llu,\"steps_per_us\":%llu,\"shadow_sample_every\":%llu,"
-      "\"shadow_seed\":%llu,\"shadow_drift_threshold\":%.9g,\"span_ring\":%s},",
+      "\"shadow_seed\":%llu,\"shadow_drift_threshold\":%.9g},",
       workers_.size(), options_.queue_capacity, options_.batch_chunk, options_.cache_capacity,
       options_.cache_shards, options_.enable_pnet_memo ? "true" : "false",
       static_cast<unsigned long long>(options_.default_max_steps),
       static_cast<unsigned long long>(options_.steps_per_us),
       static_cast<unsigned long long>(options_.shadow_sample_every),
-      static_cast<unsigned long long>(options_.shadow_seed), options_.shadow_drift_threshold,
-      options_.enable_span_ring ? "true" : "false");
+      static_cast<unsigned long long>(options_.shadow_seed), options_.shadow_drift_threshold);
   out += StrFormat("\"queue_depth\":%zu,", queue_depth());
   // Admission summary: configured quotas merged with observed per-tenant
   // decision counters, so a tenant shows up whether it has traffic, a
@@ -200,10 +196,11 @@ std::string PredictionService::StatuszJson() const {
       const TenantAdmissionSnapshot& row = rows[i];
       const TenantQuota quota =
           admission_.QuotaFor(row.tenant == "default" ? std::string() : row.tenant);
+      out += i == 0 ? "{\"tenant\":" : ",{\"tenant\":";
+      AppendJsonString(&out, row.tenant);
       out += StrFormat(
-          "%s{\"tenant\":\"%s\",\"admitted\":%llu,\"shed_deadline\":%llu,"
+          ",\"admitted\":%llu,\"shed_deadline\":%llu,"
           "\"shed_quota\":%llu,\"quota_qps\":%.9g,\"quota_burst\":%.9g}",
-          i == 0 ? "" : ",", obs::EscapeLabelValue(row.tenant).c_str(),
           static_cast<unsigned long long>(row.admitted),
           static_cast<unsigned long long>(row.shed_deadline),
           static_cast<unsigned long long>(row.shed_quota), quota.qps, quota.burst);
@@ -218,13 +215,12 @@ std::string PredictionService::StatuszJson() const {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const InterfaceMetrics& m = *rows[i];
     const std::uint64_t requests = m.requests.load(std::memory_order_relaxed);
-    if (i != 0) {
-      out += ',';
-    }
+    out += i == 0 ? "{\"name\":" : ",{\"name\":";
+    AppendJsonString(&out, m.interface);
     out += StrFormat(
-        "{\"name\":\"%s\",\"requests\":%llu,\"errors\":%llu,\"qps\":%.2f,"
+        ",\"requests\":%llu,\"errors\":%llu,\"qps\":%.2f,"
         "\"p50_us\":%.2f,\"p99_us\":%.2f,",
-        obs::EscapeLabelValue(m.interface).c_str(), static_cast<unsigned long long>(requests),
+        static_cast<unsigned long long>(requests),
         static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
         uptime_s <= 0 ? 0.0 : static_cast<double>(requests) / uptime_s,
         m.latency.Percentile(0.50) / 1e3, m.latency.Percentile(0.99) / 1e3);
@@ -258,23 +254,8 @@ std::vector<PredictionService::InterfaceInfo> PredictionService::InterfaceInfos(
 }
 
 const PredictionService::Entry* PredictionService::FindEntry(const std::string& name) const {
-  // Hot tier: a direct-mapped slot of entry indices. Whatever the slot
-  // holds is validated by a name compare before use, so a stale or
-  // colliding value costs one extra map lookup, never a wrong answer.
-  std::atomic<std::uint32_t>& slot = hot_[std::hash<std::string>{}(name) & (kHotSlots - 1)];
-  const std::uint32_t cached = slot.load(std::memory_order_relaxed);
-  if (cached < entries_.size() && entries_[cached].name == name) {
-    metrics_->RecordLookup(/*hot=*/true);
-    return &entries_[cached];
-  }
   const auto it = index_.find(name);
-  if (it == index_.end()) {
-    metrics_->RecordLookup(/*hot=*/false);
-    return nullptr;
-  }
-  slot.store(static_cast<std::uint32_t>(it->second), std::memory_order_relaxed);
-  metrics_->RecordLookup(/*hot=*/false);
-  return &entries_[it->second];
+  return it == index_.end() ? nullptr : &entries_[it->second];
 }
 
 PredictResponse PredictionService::Predict(const PredictRequest& request) {
@@ -586,16 +567,14 @@ PredictResponse PredictionService::QueueExpiredResponse(const PredictRequest& re
     response.explain.cache = "not_consulted";
     response.explain.queue_wait_ns = queue_wait_ns;
   }
-  if (options_.enable_span_ring) {
-    obs::SpanRing::Entry ring_entry;
-    ring_entry.cat = "serve";
-    ring_entry.name = "expired";
-    ring_entry.trace_id = response.trace_id;
-    ring_entry.detail = request.interface + " DEADLINE_EXCEEDED";
-    ring_entry.start_ns = obs::SpanRing::Global().NowNs();
-    ring_entry.dur_ns = 0;
-    obs::SpanRing::Global().Record(std::move(ring_entry));
-  }
+  obs::SpanRing::Entry ring_entry;
+  ring_entry.cat = "serve";
+  ring_entry.name = "expired";
+  ring_entry.trace_id = response.trace_id;
+  ring_entry.detail = request.interface + " DEADLINE_EXCEEDED";
+  ring_entry.start_ns = obs::SpanRing::Global().NowNs();
+  ring_entry.dur_ns = 0;
+  obs::SpanRing::Global().Record(std::move(ring_entry));
   return response;
 }
 
@@ -603,8 +582,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
                                             Clock::time_point submitted, WorkerState* state) {
   const Clock::time_point start = Clock::now();
   const std::uint64_t queue_wait_ns = ElapsedNs(submitted, start);
-  const std::uint64_t ring_start_ns =
-      options_.enable_span_ring ? obs::SpanRing::Global().NowNs() : 0;
+  const std::uint64_t ring_start_ns = obs::SpanRing::Global().NowNs();
   PredictResponse response;
   // Every response carries a trace id: the client's when supplied, a fresh
   // one otherwise (docs/observability.md "Trace context"). Held in a local
@@ -671,16 +649,14 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
       ex.shadow_truth = shadow_outcome.truth;
       ex.shadow_rel_err = shadow_outcome.rel_err;
     }
-    if (options_.enable_span_ring) {
-      obs::SpanRing::Entry ring_entry;
-      ring_entry.cat = "serve";
-      ring_entry.name = "eval";
-      ring_entry.trace_id = r.trace_id;
-      ring_entry.detail = request.interface + ' ' + PredictStatusName(r.status);
-      ring_entry.start_ns = ring_start_ns;
-      ring_entry.dur_ns = r.eval_ns;
-      obs::SpanRing::Global().Record(std::move(ring_entry));
-    }
+    obs::SpanRing::Entry ring_entry;
+    ring_entry.cat = "serve";
+    ring_entry.name = "eval";
+    ring_entry.trace_id = r.trace_id;
+    ring_entry.detail = request.interface + ' ' + PredictStatusName(r.status);
+    ring_entry.start_ns = ring_start_ns;
+    ring_entry.dur_ns = r.eval_ns;
+    obs::SpanRing::Global().Record(std::move(ring_entry));
     return r;
   };
 
@@ -882,7 +858,7 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   bool firing_budget_hit = false;
   std::string sim_error;  // a delay/guard expression failed (PetriSim::error)
 
-  if (derived_ != nullptr && cnet.hashable()) {
+  if (derived_ != nullptr) {
     // Weakly-connected components share no places, so they evolve
     // independently: answer each on its own — from its derived program
     // when the tier serves it, else by simulation — charging firings
@@ -928,8 +904,8 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
       detail->representation = "pnet-derived";  // no component simulated
     }
   } else {
-    // Tier off (or net unhashable: opaque C++ closures): one whole-net
-    // run over the shared pre-compiled form.
+    // Tier off: one whole-net run over the shared pre-compiled form, the
+    // reference the per-component answers must match.
     PetriSim sim(&cnet);
     sim.set_max_firings(budget);
     sim.InjectPlan(injections, token);

@@ -23,16 +23,14 @@
 // are answered by their exact max-plus program, keyed by structural hash
 // so repeated *structure* is cheap even across nets, and the rest are
 // simulated.
-// Registry lookups go through a lock-free direct-mapped hot tier over a
-// hash index — no linear scan on the hot path. Per-request deadlines ride
-// on the VM's step budget (docs/serving.md).
+// Registry lookups go through a hash index built at construction.
+// Per-request deadlines ride on the VM's step budget (docs/serving.md).
 //
 // Thread-safety: all public methods are safe from any thread. Shutdown
 // (or destruction) drains accepted work, then rejects later submissions.
 #ifndef SRC_SERVE_SERVICE_H_
 #define SRC_SERVE_SERVICE_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -96,10 +94,6 @@ struct ServiceOptions {
   // drift violation. The default leaves headroom over conv's calibrated
   // worst case (~7.7% program max error in tests/conv_test.cc).
   double shadow_drift_threshold = 0.15;
-  // Record one coarse entry per evaluated request into the process-wide
-  // obs::SpanRing behind GET /tracez. Cheap (a mutex + small copies), but
-  // can be disabled for closed-loop microbenchmarks.
-  bool enable_span_ring = true;
   // Admission control (docs/serving.md "Admission control & tenancy"):
   // per-tenant token-bucket quotas plus optional deadline-feasibility
   // shedding, applied at enqueue so overload is rejected early instead of
@@ -320,14 +314,8 @@ class PredictionService {
 
   ServiceOptions options_;
   std::vector<Entry> entries_;
-  // Registry lookup, two tiers: a direct-mapped, lock-free hot tier of
-  // entry indices validated by name compare (one hash + one compare for a
-  // repeated interface name), backed by a hash index built at
-  // construction. Both are read-mostly; the hot tier's slots are plain
-  // relaxed atomics because any value they hold is validated before use.
-  static constexpr std::size_t kHotSlots = 64;  // power of two
+  // Registry lookup: entry index by name, immutable after construction.
   std::unordered_map<std::string, std::size_t> index_;
-  mutable std::array<std::atomic<std::uint32_t>, kHotSlots> hot_;
   std::unique_ptr<ServiceMetrics> metrics_;
   std::unique_ptr<ShadowValidator> shadow_;
   // Asked for each pnet component; null when the tier is off.

@@ -1,9 +1,8 @@
 // Golden pin for CompiledExpr::Canonical().
 //
-// The canonical serialization of a compiled delay/guard expression is what
-// the .pnet loader records as TransitionSpec::delay_expr/guard_expr, which
-// is in turn the *only* expression input to CompiledNet's structural hash —
-// the key under which every derived model (distill.h) is stored. If the
+// The canonical serialization of a compiled delay/guard expression is the
+// *only* expression input to CompiledNet's structural hash — the key under
+// which every derived model (distill.h) is stored. If the
 // format drifts — a reordered ExprOp enum, a different float rendering, an
 // "optimized" emission order — every one of those keys silently changes:
 // compiled models orphan and nothing fails loudly. This test snapshots the canonical string of every
@@ -16,6 +15,7 @@
 
 #include "src/common/loc.h"
 #include "src/core/pnet.h"
+#include "src/perfscript/compile.h"
 
 namespace perfiface {
 namespace {
@@ -35,9 +35,9 @@ TEST(CanonicalGolden, ShippedPnetExpressionsAreByteIdentical) {
     ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.error;
     actual += std::string("# ") + name + "\n";
     for (const TransitionSpec& t : loaded.net->transitions()) {
-      actual += name + (":" + t.name) + ":delay=" + t.delay_expr + "\n";
-      if (!t.guard_expr.empty()) {
-        actual += name + (":" + t.name) + ":guard=" + t.guard_expr + "\n";
+      actual += name + (":" + t.name) + ":delay=" + t.delay_compiled->Canonical() + "\n";
+      if (t.has_guard()) {
+        actual += name + (":" + t.name) + ":guard=" + t.guard_compiled->Canonical() + "\n";
       }
     }
   }

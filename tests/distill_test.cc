@@ -93,7 +93,6 @@ TEST(Distill, JpegCompilesOnFirstLookupAndMatchesSimulationEverywhere) {
   const LoadedNet loaded = LoadShipped("jpeg");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet cnet(loaded.net.get());
-  ASSERT_TRUE(cnet.hashable());
   ASSERT_EQ(cnet.num_components(), 1u);
   const Plan plan = JpegPlan(*loaded.net, 8);
   DerivedStore store;
@@ -300,7 +299,6 @@ TEST(Distill, AttrDependentGuardsKeyTheirOwnModels) {
       "trans t in=in out=out delay=\"5 + x\" guard=\"x > 2\"\n");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet cnet(loaded.net.get());
-  ASSERT_TRUE(cnet.hashable());
   const Plan plan = {{loaded.net->PlaceByName("in"), 3}};
   DerivedStore store;
   for (const double x : {7.0, 1.0, 9.0, 0.5}) {
@@ -316,32 +314,6 @@ TEST(Distill, AttrDependentGuardsKeyTheirOwnModels) {
     EXPECT_EQ(got.firings, x > 2 ? 3u : 0u);
   }
   EXPECT_EQ(store.distilled(), 2u);
-}
-
-TEST(Distill, UnhashableNetRefuses) {
-  // An opaque C++ delay closure has no canonical text, so the net has no
-  // structural hash, no key, and no derived model.
-  PetriNet net;
-  const PlaceId in = net.AddPlace("in");
-  const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t",
-                     {{in, 1}},
-                     {{out, 1}},
-                     1,
-                     [](const TokenRefs&) -> Cycles { return 7; },
-                     nullptr,
-                     nullptr});
-  const CompiledNet cnet(&net);
-  ASSERT_FALSE(cnet.hashable());
-  const Plan plan = {{in, 1}};
-  const Token tok;
-  ComponentQuery query(cnet, tok, plan);
-  query.Select(0);
-  EXPECT_TRUE(query.model_key().empty());
-  DerivedStore store;
-  ComponentResult got;
-  EXPECT_EQ(store.Predict(query, kBudget, &got), Outcome::kRefused);
-  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(Distill, DistinctInjectionPlansGetDistinctModels) {

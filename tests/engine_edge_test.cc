@@ -6,29 +6,20 @@
 #include "src/petri/analysis.h"
 #include "src/petri/net.h"
 #include "src/petri/sim.h"
+#include "tests/net_builder.h"
 
 namespace perfiface {
 namespace {
 
-DelayFn Const(Cycles c) {
-  return [c](const TokenRefs&) { return c; };
-}
+using testing::ExprTransition;
 
 TEST(PetriEdge, MultiWeightInputConsumesInFifoOrder) {
   PetriNet net;
-  const std::size_t slot = net.RegisterAttr("v");
+  net.RegisterAttr("v");
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  // Consumes pairs; delay = first (older) token's value.
-  net.AddTransition({"pair",
-                     {{in, 2}},
-                     {{out, 1}},
-                     1,
-                     [slot](const TokenRefs& toks) {
-                       return static_cast<Cycles>(toks.front()->Attr(slot));
-                     },
-                     nullptr,
-                     nullptr});
+  // Consumes pairs; delay = first (older, primary) token's value.
+  net.AddTransition(ExprTransition(net, "pair", {{in, 2}}, {{out, 1}}, "v"));
   PetriSim sim(&net);
   sim.Observe(out);
   for (double v : {10.0, 99.0, 20.0, 99.0}) {
@@ -46,7 +37,7 @@ TEST(PetriEdge, MultiOutputWeightsDepositAllCopies) {
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"dup", {{in, 1}}, {{out, 3}}, 1, Const(5), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "dup", {{in, 1}}, {{out, 3}}, "5"));
   PetriSim sim(&net);
   sim.Observe(out);
   sim.Inject(in, Token{});
@@ -61,8 +52,8 @@ TEST(PetriEdge, CompetingUnguardedTransitionsAlternateDeterministically) {
   const PlaceId in = net.AddPlace("in");
   const PlaceId a = net.AddPlace("a");
   const PlaceId b = net.AddPlace("b");
-  net.AddTransition({"ta", {{in, 1}}, {{a, 1}}, 1, Const(10), nullptr, nullptr});
-  net.AddTransition({"tb", {{in, 1}}, {{b, 1}}, 1, Const(10), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "ta", {{in, 1}}, {{a, 1}}, "10"));
+  net.AddTransition(ExprTransition(net, "tb", {{in, 1}}, {{b, 1}}, "10"));
 
   auto run = [&] {
     PetriSim sim(&net);
@@ -87,8 +78,8 @@ TEST(PetriEdge, ZeroDelayChainsCompleteInOneInstant) {
   const PlaceId p0 = net.AddPlace("p0");
   const PlaceId p1 = net.AddPlace("p1");
   const PlaceId p2 = net.AddPlace("p2");
-  net.AddTransition({"t0", {{p0, 1}}, {{p1, 1}}, 1, Const(0), nullptr, nullptr});
-  net.AddTransition({"t1", {{p1, 1}}, {{p2, 1}}, 1, Const(0), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t0", {{p0, 1}}, {{p1, 1}}, "0"));
+  net.AddTransition(ExprTransition(net, "t1", {{p1, 1}}, {{p2, 1}}, "0"));
   PetriSim sim(&net);
   sim.Observe(p2);
   sim.Inject(p0, Token{});
@@ -103,7 +94,7 @@ TEST(PetriEdge, FiringBudgetStopsRunawayLoopCleanly) {
   // untrusted net can reject it and keep running.
   PetriNet net;
   const PlaceId p = net.AddPlace("p", 0, 1);
-  net.AddTransition({"loop", {{p, 1}}, {{p, 1}}, 1, Const(0), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "loop", {{p, 1}}, {{p, 1}}, "0"));
   PetriSim sim(&net);
   sim.set_max_firings(1000);
   EXPECT_FALSE(sim.Run(100));
@@ -120,50 +111,13 @@ TEST(PetriEdge, InjectionStampSurvivesMultipleHops) {
   const PlaceId p0 = net.AddPlace("p0");
   const PlaceId p1 = net.AddPlace("p1");
   const PlaceId p2 = net.AddPlace("p2");
-  net.AddTransition({"t0", {{p0, 1}}, {{p1, 1}}, 1, Const(7), nullptr, nullptr});
-  net.AddTransition({"t1", {{p1, 1}}, {{p2, 1}}, 1, Const(9), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t0", {{p0, 1}}, {{p1, 1}}, "7"));
+  net.AddTransition(ExprTransition(net, "t1", {{p1, 1}}, {{p2, 1}}, "9"));
   PetriSim sim(&net);
   sim.Observe(p2);
   sim.Inject(p0, Token{});
   ASSERT_TRUE(sim.Run(100));
   EXPECT_EQ(ArrivalLatency(sim, p2, 0), 16u);
-}
-
-TEST(PetriEdge, CustomFireFnTransformsTokens) {
-  PetriNet net;
-  const std::size_t slot = net.RegisterAttr("v");
-  const PlaceId in = net.AddPlace("in");
-  const PlaceId out = net.AddPlace("out");
-  TransitionSpec spec;
-  spec.name = "double";
-  spec.inputs = {{in, 1}};
-  spec.outputs = {{out, 1}};
-  spec.delay = Const(1);
-  spec.fire = [slot](const TokenRefs& inputs, std::vector<std::vector<Token>>& outputs) {
-    Token t = *inputs.front();
-    t.attrs[slot] = t.attrs[slot] * 2;
-    outputs[0].push_back(t);
-  };
-  net.AddTransition(std::move(spec));
-
-  // A second transition reads the transformed value as its delay.
-  const PlaceId done = net.AddPlace("done");
-  net.AddTransition({"sink",
-                     {{out, 1}},
-                     {{done, 1}},
-                     1,
-                     [slot](const TokenRefs& toks) {
-                       return static_cast<Cycles>(toks.front()->Attr(slot));
-                     },
-                     nullptr,
-                     nullptr});
-  PetriSim sim(&net);
-  sim.Observe(done);
-  Token t;
-  t.attrs = {21};
-  sim.Inject(in, t);
-  ASSERT_TRUE(sim.Run(1000));
-  EXPECT_EQ(sim.arrivals(done)[0].time, 1u + 42u);
 }
 
 TEST(PetriEdge, SelfLoopOnBoundedPlaceDoesNotDeadlock) {
@@ -174,7 +128,7 @@ TEST(PetriEdge, SelfLoopOnBoundedPlaceDoesNotDeadlock) {
   const PlaceId mutex = net.AddPlace("mutex", 1, 1);
   const PlaceId out = net.AddPlace("out");
   net.AddTransition(
-      {"t", {{in, 1}, {mutex, 1}}, {{out, 1}, {mutex, 1}}, 1, Const(4), nullptr, nullptr});
+      ExprTransition(net, "t", {{in, 1}, {mutex, 1}}, {{out, 1}, {mutex, 1}}, "4"));
   PetriSim sim(&net);
   sim.Observe(out);
   for (int i = 0; i < 5; ++i) {
@@ -191,13 +145,8 @@ TEST(PetriEdge, MultiServerWithCreditInteraction) {
   const PlaceId in = net.AddPlace("in");
   const PlaceId credits = net.AddPlace("credits", 0, 2);
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t",
-                     {{in, 1}, {credits, 1}},
-                     {{out, 1}, {credits, 1}},
-                     3,
-                     Const(10),
-                     nullptr,
-                     nullptr});
+  net.AddTransition(
+      ExprTransition(net, "t", {{in, 1}, {credits, 1}}, {{out, 1}, {credits, 1}}, "10", 3));
   PetriSim sim(&net);
   sim.Observe(out);
   for (int i = 0; i < 4; ++i) {
@@ -212,7 +161,7 @@ TEST(PetriEdge, RunIsResumable) {
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t", {{in, 1}}, {{out, 1}}, 1, Const(100), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}}, {{out, 1}}, "100"));
   PetriSim sim(&net);
   sim.Observe(out);
   sim.Inject(in, Token{});
@@ -220,37 +169,6 @@ TEST(PetriEdge, RunIsResumable) {
   EXPECT_EQ(sim.now(), 50u);
   EXPECT_TRUE(sim.Run(1000));  // resumes and completes
   EXPECT_EQ(sim.arrivals(out)[0].time, 100u);
-}
-
-TEST(PetriEdge, GuardSeesFrontTokensOfAllInputs) {
-  PetriNet net;
-  const std::size_t slot = net.RegisterAttr("v");
-  const PlaceId a = net.AddPlace("a");
-  const PlaceId b = net.AddPlace("b");
-  const PlaceId out = net.AddPlace("out");
-  // Fires only when the two front tokens carry equal attrs.
-  net.AddTransition({"match",
-                     {{a, 1}, {b, 1}},
-                     {{out, 1}},
-                     1,
-                     Const(1),
-                     nullptr,
-                     [slot](const TokenRefs& toks) {
-                       return toks[0]->Attr(slot) == toks[1]->Attr(slot);
-                     }});
-  PetriSim sim(&net);
-  sim.Observe(out);
-  Token t1;
-  t1.attrs = {1};
-  Token t2;
-  t2.attrs = {2};
-  sim.Inject(a, t1);
-  sim.Inject(b, t2);  // mismatch: never fires
-  EXPECT_TRUE(sim.Run(100));
-  EXPECT_EQ(sim.arrivals(out).size(), 0u);
-  sim.Inject(b, t2);  // still mismatched fronts
-  EXPECT_TRUE(sim.Run(200));
-  EXPECT_EQ(sim.arrivals(out).size(), 0u);
 }
 
 }  // namespace

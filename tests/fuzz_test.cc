@@ -5,13 +5,15 @@
 // behaviour. Each TEST_P applies a seeded corruption to a shipped artifact
 // or to real encoder output and requires the parser to either accept it or
 // reject it with a message; accepted programs must also compile and run on
-// the VM exactly as the reference interpreter runs them.
+// the VM exactly as the reference interpreter runs them, and accepted nets
+// must get from the exact derived tier what simulation answers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/loc.h"
@@ -24,6 +26,9 @@
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
 #include "src/perfscript/vm.h"
+#include "src/petri/compiled_net.h"
+#include "src/petri/distill.h"
+#include "src/petri/sim.h"
 #include "src/serve/request.h"
 
 namespace perfiface {
@@ -64,20 +69,73 @@ std::string Corrupt(const std::string& text, std::uint64_t seed) {
 
 class PnetFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// A seeded request token: every attribute a small integer (zero included),
+// now and then plus a half or replaced by a large value, so mutated guards
+// and delays take both branches and meet their error paths.
+Token FuzzToken(const PetriNet& net, SplitMix64* rng) {
+  Token token;
+  for (std::size_t a = 0; a < net.attr_names().size(); ++a) {
+    double v = static_cast<double>(rng->NextBelow(9));
+    if (rng->NextBool(0.1)) v += 0.5;
+    if (rng->NextBool(0.05)) v = 1e9;
+    token.attrs.push_back(v);
+  }
+  return token;
+}
+
+// Every shipped net (flattened: `use` expanded), corrupted: a mutant loads
+// or is refused with a message. Every component of one that loads is run
+// on two seeded tokens under one seeded plan, through a DerivedStore (the
+// first token compiles the model, the second is answered from it) and
+// through a fresh component PetriSim; whenever the tier answers, its
+// quiesce time and firing count must be the simulation's.
 TEST_P(PnetFuzz, CorruptedNetsParseOrFailCleanly) {
-  const std::string original =
-      ReadFileOrDie(InterfaceRegistry::Default().Get("vta").pnet_path);
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    const std::string mutated = Corrupt(original, DeriveSeed(GetParam(), i));
-    const LoadedNet loaded = LoadPnet(mutated);
-    if (!loaded.ok()) {
-      EXPECT_FALSE(loaded.error.empty());
-    } else {
-      // Accepted mutants must be safely inspectable (a comment-only mutant
-      // is a legal, empty net).
-      EXPECT_GE(loaded.net->places().size() + 1, 1u);
+  constexpr std::uint64_t kBudget = 20'000;
+  const std::string dir = InterfaceRegistry::InterfaceDir();
+  std::uint64_t stream = 0;
+  std::uint64_t compared = 0;
+  for (const char* name : {"jpeg.pnet", "conv.pnet", "protoacc.pnet", "vta.pnet",
+                           "components/dram_channel.pnet"}) {
+    const PnetExpansion original = ExpandPnetIncludes(ReadFileOrDie(dir + "/" + name), dir);
+    ASSERT_TRUE(original.ok) << name << ": " << original.error;
+    for (std::uint64_t i = 0; i < 40; ++i, ++stream) {
+      const std::string mutated = Corrupt(original.text, DeriveSeed(GetParam(), stream));
+      const LoadedNet loaded = LoadPnet(mutated);
+      if (!loaded.ok()) {
+        EXPECT_FALSE(loaded.error.empty());
+        continue;
+      }
+      const PetriNet& net = *loaded.net;
+      const CompiledNet cnet(&net);
+      SplitMix64 rng(DeriveSeed(GetParam() + 2000, stream));
+      std::vector<std::pair<PlaceId, int>> plan;
+      for (std::size_t k = rng.NextBelow(3); k < 3 && !net.places().empty(); ++k) {
+        plan.emplace_back(rng.NextBelow(net.places().size()), 1 + rng.NextBelow(32));
+      }
+      const Token tokens[2] = {FuzzToken(net, &rng), FuzzToken(net, &rng)};
+      DerivedStore store;
+      for (std::size_t c = 0; c < cnet.num_components(); ++c) {
+        for (const Token& token : tokens) {
+          ComponentQuery query(cnet, token, plan);
+          query.Select(c);
+          ComponentResult got;
+          const DerivedStore::Outcome outcome = store.Predict(query, kBudget, &got);
+          PetriSim sim(&cnet, c);
+          sim.set_max_firings(kBudget);
+          sim.InjectPlan(plan, token);
+          const bool quiesced = sim.Run(kComponentRunHorizon);
+          if (outcome != DerivedStore::Outcome::kHit) {
+            continue;
+          }
+          ++compared;
+          ASSERT_TRUE(quiesced) << mutated << "\ncomponent " << c << ": " << sim.error();
+          EXPECT_EQ(got.quiesce_time, sim.now()) << mutated << "\ncomponent " << c;
+          EXPECT_EQ(got.firings, sim.total_firings()) << mutated << "\ncomponent " << c;
+        }
+      }
     }
   }
+  EXPECT_GT(compared, 0u);  // the sweep must reach the tier
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PnetFuzz, ::testing::Range<std::uint64_t>(1, 9));

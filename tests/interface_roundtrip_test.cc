@@ -82,8 +82,6 @@ TEST(InterfaceRoundTrip, PnetCanonicalTextPreservesStructuralHash) {
 
     const CompiledNet original_compiled(original.net.get());
     const CompiledNet reloaded_compiled(reloaded.net.get());
-    ASSERT_TRUE(original_compiled.hashable());
-    ASSERT_TRUE(reloaded_compiled.hashable());
     EXPECT_EQ(original_compiled.structural_hash(), reloaded_compiled.structural_hash());
     ASSERT_EQ(original_compiled.num_components(), reloaded_compiled.num_components());
     for (std::size_t c = 0; c < original_compiled.num_components(); ++c) {

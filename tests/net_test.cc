@@ -1061,6 +1061,65 @@ TEST(NetServer, TenantEchoesThroughLoopbackAndAdmissionShedsOverQuota) {
   EXPECT_NE(body.find("\"tenant\":\"acme\""), std::string::npos) << body;
 }
 
+// A tenant is client bytes (up to 64), and /statusz is JSON: a tab and a
+// control byte in a tenant name must come back escaped, so the document
+// parses and names the tenant byte for byte.
+TEST(NetServerHttp, StatuszEscapesControlBytesInTenantNames) {
+  serve::ServiceOptions sopts = TwoWorkers();
+  sopts.admission.shed_deadline = true;
+  TestServer ts(sopts);
+  ASSERT_TRUE(ts.ok);
+
+  // Encoded on the wire as "tenant":"a\tb\u0001".
+  const std::string tenant("a\tb\x01");
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  PredictRequest req = JpegRequest(65536, 0.2);
+  req.tenant = tenant;
+  std::vector<PredictResponse> responses;
+  ASSERT_TRUE(client.Call({req}, &responses, &error)) << error;
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, PredictStatus::kOk) << responses[0].error;
+  EXPECT_EQ(responses[0].tenant, tenant);
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet("127.0.0.1", ts.server.port(), "/statusz", &status, &body, &error))
+      << error;
+  EXPECT_EQ(status, 200);
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(body, &doc, &error)) << error << ": " << body;
+  const JsonValue* admission = doc.Find("admission");
+  ASSERT_NE(admission, nullptr);
+  const JsonValue* tenants = admission->Find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  ASSERT_EQ(tenants->kind, JsonValue::Kind::kArray);
+  bool found = false;
+  for (const auto& row : tenants->array) {
+    const JsonValue* name = row->Find("tenant");
+    ASSERT_NE(name, nullptr);
+    found = found || name->str == tenant;
+  }
+  EXPECT_TRUE(found) << body;
+}
+
+// StatsJson is JSON too: a hostile interface name comes back escaped and
+// decodes to the original bytes.
+TEST(ServiceMetricsJson, HostileInterfaceNamesKeepStatsJsonParseable) {
+  const std::string hostile = "evil\"name\\with\nnewline\x01";
+  serve::ServiceMetrics metrics({hostile, "plain"});
+  JsonValue doc;
+  std::string error;
+  const std::string json = metrics.DumpJson(0);
+  ASSERT_TRUE(ParseJson(json, &doc, &error)) << error << ": " << json;
+  const JsonValue* rows = doc.Find("interfaces");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->array.size(), 2u);
+  ASSERT_NE(rows->array[0]->Find("interface"), nullptr);
+  EXPECT_EQ(rows->array[0]->Find("interface")->str, hostile);
+}
+
 TEST(NetServer, ConnectionCapRefusesExtraClients) {
   NetServerOptions nopts;
   nopts.max_connections = 1;

@@ -13,13 +13,12 @@
 #include "src/petri/net.h"
 #include "src/petri/sim.h"
 #include "src/sim/pipeline_model.h"
+#include "tests/net_builder.h"
 
 namespace perfiface {
 namespace {
 
-DelayFn Const(Cycles c) {
-  return [c](const TokenRefs&) { return c; };
-}
+using testing::ExprTransition;
 
 TEST(PetriNet, AttrRegistrationIsIdempotent) {
   PetriNet net;
@@ -35,7 +34,7 @@ TEST(PetriSim, SingleTransitionDelay) {
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t", {{in, 1}}, {{out, 1}}, 1, Const(7), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}}, {{out, 1}}, "7"));
 
   PetriSim sim(&net);
   sim.Observe(out);
@@ -49,7 +48,7 @@ TEST(PetriSim, SingleServerSerializes) {
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t", {{in, 1}}, {{out, 1}}, 1, Const(10), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}}, {{out, 1}}, "10"));
 
   PetriSim sim(&net);
   sim.Observe(out);
@@ -65,7 +64,7 @@ TEST(PetriSim, MultiServerOverlaps) {
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t", {{in, 1}}, {{out, 1}}, 3, Const(10), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}}, {{out, 1}}, "10", 3));
 
   PetriSim sim(&net);
   sim.Observe(out);
@@ -78,18 +77,10 @@ TEST(PetriSim, MultiServerOverlaps) {
 
 TEST(PetriSim, DelayDependsOnTokenAttrs) {
   PetriNet net;
-  const std::size_t slot = net.RegisterAttr("work");
+  net.RegisterAttr("work");
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t",
-                     {{in, 1}},
-                     {{out, 1}},
-                     1,
-                     [slot](const TokenRefs& toks) {
-                       return static_cast<Cycles>(toks.front()->Attr(slot));
-                     },
-                     nullptr,
-                     nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}}, {{out, 1}}, "work"));
 
   PetriSim sim(&net);
   sim.Observe(out);
@@ -106,14 +97,12 @@ TEST(PetriSim, DelayDependsOnTokenAttrs) {
 
 TEST(PetriSim, GuardBlocksFiring) {
   PetriNet net;
-  const std::size_t slot = net.RegisterAttr("kind");
+  net.RegisterAttr("kind");
   const PlaceId in = net.AddPlace("in");
   const PlaceId a = net.AddPlace("a");
   const PlaceId b = net.AddPlace("b");
-  GuardFn is_one = [slot](const TokenRefs& toks) { return toks.front()->Attr(slot) == 1; };
-  GuardFn is_two = [slot](const TokenRefs& toks) { return toks.front()->Attr(slot) == 2; };
-  net.AddTransition({"to_a", {{in, 1}}, {{a, 1}}, 1, Const(1), nullptr, is_one});
-  net.AddTransition({"to_b", {{in, 1}}, {{b, 1}}, 1, Const(1), nullptr, is_two});
+  net.AddTransition(ExprTransition(net, "to_a", {{in, 1}}, {{a, 1}}, "1", 1, "kind == 1"));
+  net.AddTransition(ExprTransition(net, "to_b", {{in, 1}}, {{b, 1}}, "1", 1, "kind == 2"));
 
   PetriSim sim(&net);
   sim.Observe(a);
@@ -137,9 +126,9 @@ TEST(PetriSim, CreditPlaceLimitsConcurrency) {
   const PlaceId credits = net.AddPlace("credits", 0, 2);
   const PlaceId mid = net.AddPlace("mid");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"use", {{in, 1}, {credits, 1}}, {{mid, 1}}, 4, Const(1), nullptr, nullptr});
-  net.AddTransition({"restore", {{mid, 1}}, {{out, 1}, {credits, 1}}, 4, Const(10), nullptr,
-                     nullptr});
+  net.AddTransition(ExprTransition(net, "use", {{in, 1}, {credits, 1}}, {{mid, 1}}, "1", 4));
+  net.AddTransition(
+      ExprTransition(net, "restore", {{mid, 1}}, {{out, 1}, {credits, 1}}, "10", 4));
 
   PetriSim sim(&net);
   sim.Observe(out);
@@ -159,8 +148,8 @@ TEST(PetriSim, BoundedPlaceBackpressure) {
   const PlaceId in = net.AddPlace("in");
   const PlaceId buf = net.AddPlace("buf", 1);
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"fast", {{in, 1}}, {{buf, 1}}, 1, Const(1), nullptr, nullptr});
-  net.AddTransition({"slow", {{buf, 1}}, {{out, 1}}, 1, Const(10), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "fast", {{in, 1}}, {{buf, 1}}, "1"));
+  net.AddTransition(ExprTransition(net, "slow", {{buf, 1}}, {{out, 1}}, "10"));
 
   PetriSim sim(&net);
   sim.Observe(out);
@@ -182,21 +171,16 @@ TEST(PetriSim, MatchesPipelineModelExactly) {
   PipelineModel model({s0, s1, s2}, {cap, cap});
 
   PetriNet net;
-  const std::size_t slot0 = net.RegisterAttr("c0");
-  const std::size_t slot1 = net.RegisterAttr("c1");
-  const std::size_t slot2 = net.RegisterAttr("c2");
+  net.RegisterAttr("c0");
+  net.RegisterAttr("c1");
+  net.RegisterAttr("c2");
   const PlaceId in = net.AddPlace("in");
   const PlaceId f1 = net.AddPlace("f1", cap);
   const PlaceId f2 = net.AddPlace("f2", cap);
   const PlaceId out = net.AddPlace("out");
-  auto delay_from = [](std::size_t slot) {
-    return [slot](const TokenRefs& toks) {
-      return static_cast<Cycles>(toks.front()->Attr(slot));
-    };
-  };
-  net.AddTransition({"s0", {{in, 1}}, {{f1, 1}}, 1, delay_from(slot0), nullptr, nullptr});
-  net.AddTransition({"s1", {{f1, 1}}, {{f2, 1}}, 1, delay_from(slot1), nullptr, nullptr});
-  net.AddTransition({"s2", {{f2, 1}}, {{out, 1}}, 1, delay_from(slot2), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "s0", {{in, 1}}, {{f1, 1}}, "c0"));
+  net.AddTransition(ExprTransition(net, "s1", {{f1, 1}}, {{f2, 1}}, "c1"));
+  net.AddTransition(ExprTransition(net, "s2", {{f2, 1}}, {{out, 1}}, "c2"));
 
   PetriSim sim(&net);
   sim.Observe(out);
@@ -217,7 +201,7 @@ TEST(PetriSim, LatencyStampsPreserved) {
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t", {{in, 1}}, {{out, 1}}, 1, Const(5), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}}, {{out, 1}}, "5"));
   PetriSim sim(&net);
   sim.Observe(out);
   sim.Inject(in, Token{});
@@ -232,8 +216,7 @@ TEST(PetriSim, ResetRestoresInitialMarking) {
   const PlaceId in = net.AddPlace("in");
   const PlaceId credits = net.AddPlace("credits", 0, 3);
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition(
-      {"t", {{in, 1}, {credits, 1}}, {{out, 1}}, 1, Const(1), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}, {credits, 1}}, {{out, 1}}, "1"));
   PetriSim sim(&net);
   sim.Inject(in, Token{});
   EXPECT_TRUE(sim.Run(100));
@@ -247,7 +230,7 @@ TEST(PetriSim, RunStopsAtMaxTime) {
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t", {{in, 1}}, {{out, 1}}, 1, Const(100), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}}, {{out, 1}}, "100"));
   PetriSim sim(&net);
   sim.Inject(in, Token{});
   EXPECT_FALSE(sim.Run(50));
@@ -258,7 +241,7 @@ TEST(Analysis, SummarizeCountsElements) {
   PetriNet net;
   const PlaceId a = net.AddPlace("a", 2);
   const PlaceId b = net.AddPlace("b", 3);
-  net.AddTransition({"t", {{a, 1}}, {{b, 1}}, 1, Const(1), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{a, 1}}, {{b, 1}}, "1"));
   const NetSummary s = Summarize(net);
   EXPECT_EQ(s.places, 2u);
   EXPECT_EQ(s.transitions, 1u);
@@ -271,7 +254,7 @@ TEST(Analysis, LintFlagsDisconnectedAndCappedSinks) {
   net.AddPlace("orphan");
   const PlaceId a = net.AddPlace("a");
   const PlaceId sink = net.AddPlace("sink", 1);
-  net.AddTransition({"t", {{a, 1}}, {{sink, 1}}, 1, Const(1), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{a, 1}}, {{sink, 1}}, "1"));
   const auto issues = LintNet(net);
   EXPECT_EQ(issues.size(), 2u);
 }
@@ -280,7 +263,7 @@ TEST(Analysis, SteadyStateThroughput) {
   PetriNet net;
   const PlaceId in = net.AddPlace("in");
   const PlaceId out = net.AddPlace("out");
-  net.AddTransition({"t", {{in, 1}}, {{out, 1}}, 1, Const(4), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "t", {{in, 1}}, {{out, 1}}, "4"));
   PetriSim sim(&net);
   sim.Observe(out);
   for (int i = 0; i < 10; ++i) {
@@ -293,20 +276,6 @@ TEST(Analysis, SteadyStateThroughput) {
 // ---------------------------------------------------------------------------
 // CompiledNet: lowering, components, structural hashing.
 
-// A transition whose delay closure carries canonical source text, which is
-// what makes a hand-built net hashable (loader-produced nets get this from
-// BoundExpr::Canonical()).
-TransitionSpec ExprTransition(std::string name, std::vector<Arc> inputs, std::vector<Arc> outputs,
-                              Cycles delay, std::string delay_expr) {
-  TransitionSpec spec;
-  spec.name = std::move(name);
-  spec.inputs = std::move(inputs);
-  spec.outputs = std::move(outputs);
-  spec.delay = Const(delay);
-  spec.delay_expr = std::move(delay_expr);
-  return spec;
-}
-
 // Two disconnected chains plus an orphan place. `scale` shifts the delay
 // expression so structurally-identical and structurally-different variants
 // come from the same builder.
@@ -318,10 +287,10 @@ PetriNet TwoChainNet(const char* prefix, Cycles chain_b_delay = 3) {
   const PlaceId b_mid = net.AddPlace(std::string(prefix) + "b_mid", 2);
   const PlaceId b_out = net.AddPlace(std::string(prefix) + "b_out");
   net.AddPlace(std::string(prefix) + "orphan");
-  net.AddTransition(ExprTransition("a0", {{a_in, 1}}, {{a_out, 1}}, 5, "5"));
-  net.AddTransition(ExprTransition("b0", {{b_in, 1}}, {{b_mid, 1}}, chain_b_delay,
-                                   std::to_string(chain_b_delay)));
-  net.AddTransition(ExprTransition("b1", {{b_mid, 1}}, {{b_out, 1}}, 2, "2"));
+  net.AddTransition(ExprTransition(net, "a0", {{a_in, 1}}, {{a_out, 1}}, "5"));
+  net.AddTransition(
+      ExprTransition(net, "b0", {{b_in, 1}}, {{b_mid, 1}}, std::to_string(chain_b_delay)));
+  net.AddTransition(ExprTransition(net, "b1", {{b_mid, 1}}, {{b_out, 1}}, "2"));
   return net;
 }
 
@@ -329,7 +298,6 @@ TEST(CompiledNet, PartitionsDisconnectedComponents) {
   const PetriNet net = TwoChainNet("");
   const CompiledNet cnet(&net);
   ASSERT_EQ(cnet.num_components(), 3u);  // chain a, chain b, orphan place
-  EXPECT_TRUE(cnet.hashable());
 
   // Chain a is discovered first (transition declaration order), the orphan
   // place last.
@@ -366,24 +334,6 @@ TEST(CompiledNet, StructuralHashIgnoresNamesButNotStructure) {
   EXPECT_NE(c_base.component_hash(1), c_diff.component_hash(1));
   EXPECT_EQ(c_base.component_hash(2), c_diff.component_hash(2));
   EXPECT_NE(c_base.structural_hash(), c_diff.structural_hash());
-}
-
-TEST(CompiledNet, OpaqueClosuresAreUnhashable) {
-  PetriNet net;
-  const PlaceId in = net.AddPlace("in");
-  const PlaceId out = net.AddPlace("out");
-  // No delay_expr: the closure's behavior is not pinned down by text.
-  net.AddTransition({"t", {{in, 1}}, {{out, 1}}, 1, Const(7), nullptr, nullptr});
-  const CompiledNet cnet(&net);
-  EXPECT_FALSE(cnet.hashable());
-  EXPECT_EQ(cnet.structural_hash(), 0u);
-  EXPECT_EQ(cnet.component_hash(0), 0u);
-  // Unhashable nets must not produce model keys.
-  const Token token;
-  const std::vector<std::pair<PlaceId, int>> plan = {{in, 1}};
-  ComponentQuery query(cnet, token, plan);
-  query.Select(0);
-  EXPECT_TRUE(query.model_key().empty());
 }
 
 TEST(PetriSim, ComponentRestrictedRunMatchesFullRun) {
@@ -445,7 +395,7 @@ TEST(PetriSim, ComponentRestrictedRunMatchesFullRun) {
 TEST(PetriSim, BudgetStopEmitsTraceInstant) {
   PetriNet net;
   const PlaceId loop = net.AddPlace("loop", 0, 1);
-  net.AddTransition({"spin", {{loop, 1}}, {{loop, 1}}, 1, Const(0), nullptr, nullptr});
+  net.AddTransition(ExprTransition(net, "spin", {{loop, 1}}, {{loop, 1}}, "0"));
 
   obs::Tracer& tracer = obs::Tracer::Global();
   obs::TracerOptions options;
@@ -513,7 +463,6 @@ TEST(ComponentQuery, AttributesNeverEnterTheModelKey) {
       "trans t in=in out=out delay=\"100 + 3 * xattr + 7 * yattr\"\n");
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const CompiledNet compiled(loaded.net.get());
-  ASSERT_TRUE(compiled.hashable());
 
   const std::vector<std::pair<PlaceId, int>> plan = {{loaded.net->PlaceByName("in"), 3}};
   Token zero;

@@ -169,9 +169,8 @@ TEST(PnetCompose, ErrorsSurfaceCleanly) {
           .ok);  // malformed bind
 }
 
-// Loader-produced nets record the canonical compiled form of every delay
-// and guard expression, which is what makes them structurally hashable —
-// the precondition for the exact derived tier's model keys (distill.h).
+// The structural hash covers the canonical compiled form of every delay
+// and guard expression: the exact derived tier's model keys (distill.h).
 TEST(Pnet, LoadedNetsAreHashable) {
   const char* src =
       "net demo\n"
@@ -184,7 +183,6 @@ TEST(Pnet, LoadedNetsAreHashable) {
   ASSERT_TRUE(a.ok() && b.ok());
   const CompiledNet ca(a.net.get());
   const CompiledNet cb(b.net.get());
-  EXPECT_TRUE(ca.hashable());
   EXPECT_NE(ca.structural_hash(), 0u);
   // Two loads of the same text must agree — that is what lets two
   // *different* nets sharing a component share memo entries.
@@ -211,7 +209,6 @@ TEST(Pnet, ConstValueChangeAltersStructuralHash) {
   ASSERT_TRUE(a.ok() && b.ok());
   const CompiledNet ca(a.net.get());
   const CompiledNet cb(b.net.get());
-  ASSERT_TRUE(ca.hashable() && cb.hashable());
   EXPECT_NE(ca.structural_hash(), cb.structural_hash());
 }
 
@@ -221,7 +218,6 @@ TEST(Pnet, ShippedNetsAreHashable) {
                                           "/src/core/interfaces/" + name + ".pnet");
     ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.error;
     const CompiledNet compiled(loaded.net.get());
-    EXPECT_TRUE(compiled.hashable()) << name;
     EXPECT_NE(compiled.structural_hash(), 0u) << name;
   }
 }

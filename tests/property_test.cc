@@ -21,6 +21,7 @@
 #include "src/workload/image_gen.h"
 #include "src/workload/message_gen.h"
 #include "src/workload/vta_gen.h"
+#include "tests/net_builder.h"
 
 namespace perfiface {
 namespace {
@@ -48,9 +49,8 @@ TEST_P(PipelineEquivalence, PetriMatchesRecurrenceExactly) {
   const PipelineModel model(costs, caps);
 
   PetriNet net;
-  std::vector<std::size_t> slots;
   for (std::size_t s = 0; s < stages; ++s) {
-    slots.push_back(net.RegisterAttr("c" + std::to_string(s)));
+    net.RegisterAttr("c" + std::to_string(s));
   }
   std::vector<PlaceId> places;
   places.push_back(net.AddPlace("in"));
@@ -59,16 +59,8 @@ TEST_P(PipelineEquivalence, PetriMatchesRecurrenceExactly) {
   }
   places.push_back(net.AddPlace("out"));
   for (std::size_t s = 0; s < stages; ++s) {
-    const std::size_t slot = slots[s];
-    net.AddTransition({"s" + std::to_string(s),
-                       {{places[s], 1}},
-                       {{places[s + 1], 1}},
-                       1,
-                       [slot](const TokenRefs& toks) {
-                         return static_cast<Cycles>(toks.front()->Attr(slot));
-                       },
-                       nullptr,
-                       nullptr});
+    net.AddTransition(testing::ExprTransition(net, "s" + std::to_string(s), {{places[s], 1}},
+                                              {{places[s + 1], 1}}, "c" + std::to_string(s)));
   }
 
   PetriSim sim(&net);

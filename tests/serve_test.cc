@@ -649,18 +649,6 @@ TEST(PredictionService, EntryPlaceWhitespaceAndDuplicatesEvaluateIdentically) {
   EXPECT_DOUBLE_EQ(split.value, tight.value);
 }
 
-TEST(PredictionService, RepeatedLookupsHitHotTier) {
-  ServiceOptions options;
-  options.num_workers = 1;
-  PredictionService service(InterfaceRegistry::Default(), options);
-  ASSERT_TRUE(service.Predict(JpegRequest(1024, 0.2)).ok());
-  ASSERT_TRUE(service.Predict(JpegRequest(2048, 0.2)).ok());
-  // First lookup populates the direct-mapped slot (cold), the repeat is
-  // answered from it (hot).
-  EXPECT_GE(service.metrics().lookup_hot(), 1u);
-  EXPECT_GE(service.metrics().lookup_cold(), 1u);
-}
-
 // --- per-component evaluation (exact derived tier) ---
 
 // Acceptance: per-component evaluation (derived tier, else per-component
@@ -740,7 +728,6 @@ TEST(PredictionServiceMemo, MemoCountersVisibleInPrometheusScrape) {
   EXPECT_NE(prom.find("\nperfiface_derived_distilled_total 1\n"), std::string::npos);
   EXPECT_EQ(prom.find("pnet_memo"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_serve_inflight_batches"), std::string::npos);
-  EXPECT_NE(prom.find("perfiface_serve_registry_lookup_hot_total"), std::string::npos);
 }
 
 // Each service builds and owns its derived store: what one service
@@ -1727,6 +1714,43 @@ TEST(AdmissionControl, PredictedWaitSaturatesInsteadOfOverflowing) {
   EXPECT_EQ(AdmissionController::PredictedWaitNs(UINT64_MAX, UINT64_MAX, 1), UINT64_MAX);
   // workers == 0 is treated as 1 rather than dividing by zero.
   EXPECT_EQ(AdmissionController::PredictedWaitNs(4, 1'000, 0), 4'000u);
+}
+
+// The one --quota parser both CLIs share.
+TEST(AdmissionControl, QuotaFlagParsesWellFormedSpecsAndRefusesMalformedOnes) {
+  AdmissionOptions opts;
+  ASSERT_TRUE(ApplyQuotaFlag("acme=5", &opts));
+  ASSERT_TRUE(ApplyQuotaFlag("beta=2.5:10", &opts));
+  ASSERT_TRUE(ApplyQuotaFlag("*=100:3", &opts));
+  ASSERT_EQ(opts.tenant_quotas.size(), 2u);
+  EXPECT_EQ(opts.tenant_quotas[0].first, "acme");
+  EXPECT_EQ(opts.tenant_quotas[0].second.qps, 5.0);
+  EXPECT_EQ(opts.tenant_quotas[0].second.burst, 0.0);  // defaulted at admission
+  EXPECT_EQ(opts.tenant_quotas[1].first, "beta");
+  EXPECT_EQ(opts.tenant_quotas[1].second.qps, 2.5);
+  EXPECT_EQ(opts.tenant_quotas[1].second.burst, 10.0);
+  // "*" is the default quota, not a tenant named "*".
+  EXPECT_EQ(opts.default_quota.qps, 100.0);
+  EXPECT_EQ(opts.default_quota.burst, 3.0);
+
+  for (const char* bad : {
+           "acme",         // no '='
+           "=5",           // empty tenant
+           "acme=0",       // qps <= 0
+           "acme=-1",
+           "acme=",        // empty qps
+           "acme=5:",      // empty burst
+           "acme=5:0",     // zero burst
+           "acme=5:-2",    // negative burst
+           "acme=5x",      // trailing garbage after qps
+           "acme=5:2x",    // trailing garbage after burst
+           "acme=5:2:3",
+       }) {
+    AdmissionOptions untouched;
+    EXPECT_FALSE(ApplyQuotaFlag(bad, &untouched)) << bad;
+    EXPECT_TRUE(untouched.tenant_quotas.empty()) << bad;
+    EXPECT_EQ(untouched.default_quota.qps, 0.0) << bad;
+  }
 }
 
 TEST(AdmissionControl, IdenticalArrivalSchedulesProduceIdenticalDecisions) {

@@ -79,30 +79,6 @@ int Usage() {
   return 2;
 }
 
-// Parses "tenant=qps[:burst]" (tenant "*" = the default quota). False on
-// any malformed piece.
-bool ParseQuotaFlag(const char* text, std::string* tenant, serve::TenantQuota* quota) {
-  const std::string s = text;
-  const std::size_t eq = s.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    return false;
-  }
-  *tenant = s.substr(0, eq);
-  std::string rate = s.substr(eq + 1);
-  quota->burst = 0.0;
-  if (const std::size_t colon = rate.find(':'); colon != std::string::npos) {
-    char* end = nullptr;
-    quota->burst = std::strtod(rate.c_str() + colon + 1, &end);
-    if (end == rate.c_str() + colon + 1 || *end != '\0' || quota->burst <= 0) {
-      return false;
-    }
-    rate.resize(colon);
-  }
-  char* end = nullptr;
-  quota->qps = std::strtod(rate.c_str(), &end);
-  return end != rate.c_str() && *end == '\0' && quota->qps > 0;
-}
-
 int Main(int argc, char** argv) {
   serve::ServiceOptions service_options;
   NetServerOptions net_options;
@@ -141,15 +117,8 @@ int Main(int argc, char** argv) {
     } else if (arg == "--shadow-seed" && (v = value()) != nullptr) {
       service_options.shadow_seed = static_cast<std::uint64_t>(std::atoll(v));
     } else if (arg == "--quota" && (v = value()) != nullptr) {
-      std::string tenant;
-      serve::TenantQuota quota;
-      if (!ParseQuotaFlag(v, &tenant, &quota)) {
+      if (!serve::ApplyQuotaFlag(v, &service_options.admission)) {
         return Usage();
-      }
-      if (tenant == "*") {
-        service_options.admission.default_quota = quota;
-      } else {
-        service_options.admission.tenant_quotas.emplace_back(tenant, quota);
       }
     } else if (arg == "--admission") {
       service_options.admission.shed_deadline = true;

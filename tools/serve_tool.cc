@@ -109,30 +109,6 @@ struct CliOptions {
   std::string connect;  // HOST:PORT; empty = in-process service
 };
 
-// Parses "tenant=qps[:burst]" (tenant "*" = the default quota). False on
-// any malformed piece.
-bool ParseQuotaSpec(const char* text, std::string* tenant, TenantQuota* quota) {
-  const std::string s = text;
-  const std::size_t eq = s.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    return false;
-  }
-  *tenant = s.substr(0, eq);
-  std::string rate = s.substr(eq + 1);
-  quota->burst = 0.0;
-  if (const std::size_t colon = rate.find(':'); colon != std::string::npos) {
-    char* end = nullptr;
-    quota->burst = std::strtod(rate.c_str() + colon + 1, &end);
-    if (end == rate.c_str() + colon + 1 || *end != '\0' || quota->burst <= 0) {
-      return false;
-    }
-    rate.resize(colon);
-  }
-  char* end = nullptr;
-  quota->qps = std::strtod(rate.c_str(), &end);
-  return end != rate.c_str() && *end == '\0' && quota->qps > 0;
-}
-
 // Splits "HOST:PORT"; false if the port is missing or out of range.
 bool ParseHostPort(const std::string& spec, std::string* host, std::uint16_t* port) {
   const std::size_t colon = spec.rfind(':');
@@ -313,17 +289,7 @@ std::size_t ParseOption(const std::vector<std::string>& args, std::size_t i,
     return 2;
   }
   if (arg == "--quota" && value(&v)) {
-    std::string tenant;
-    TenantQuota quota;
-    if (!ParseQuotaSpec(v, &tenant, &quota)) {
-      return 0;
-    }
-    if (tenant == "*") {
-      cli->service.admission.default_quota = quota;
-    } else {
-      cli->service.admission.tenant_quotas.emplace_back(tenant, quota);
-    }
-    return 2;
+    return ApplyQuotaFlag(v, &cli->service.admission) ? 2 : 0;
   }
   if (arg == "--admission") {
     cli->service.admission.shed_deadline = true;
