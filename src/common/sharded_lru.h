@@ -50,22 +50,19 @@ class ShardedLru {
   }
 
   // On hit, copies the entry into *out, refreshes its recency, and returns
-  // true. Counts a hit/miss either way.
+  // true. (The service counts hits and misses in its own metrics.)
   bool Get(const std::string& key, V* out) {
     if (!enabled()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(std::string_view(key));
     if (it == shard.index.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     *out = it->second->second;
-    hits_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
@@ -94,8 +91,6 @@ class ShardedLru {
 
   bool enabled() const { return capacity_ > 0; }
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   std::uint64_t evictions() const { return evictions_.load(std::memory_order_relaxed); }
 
   std::size_t size() const {
@@ -129,8 +124,6 @@ class ShardedLru {
   std::size_t per_shard_capacity_ = 0;
   std::size_t shard_mask_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
 };
 

@@ -1,5 +1,7 @@
 #include "src/core/pnet.h"
 
+#include <charconv>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -68,6 +70,55 @@ bool ParseOption(const std::string& word, Options* opts, std::string* error) {
   return true;
 }
 
+// A count: decimal digits only, at most INT_MAX.
+bool ParseCount(std::string_view text, int* out) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+// Count option `key`, `fallback` when absent, at least `min`.
+bool GetCount(const Options& opts, const char* key, int fallback, int min, int* out,
+              std::string* error) {
+  *out = fallback;
+  if (!opts.Has(key)) {
+    return true;
+  }
+  const std::string text = opts.Get(key);
+  if (ParseCount(text, out) && *out >= min) {
+    return true;
+  }
+  *error = StrFormat("bad %s '%s' (expected a count from %d to %d)", key, text.c_str(), min,
+                     std::numeric_limits<int>::max());
+  return false;
+}
+
+// cap= and init= of a `place` line. A bounded place cannot start over its
+// capacity, and `*net_initial` (the initial tokens of the places read so
+// far, this one added) stays within kMaxInjectedTokens.
+bool GetPlaceCounts(const Options& opts, int* cap, int* init, std::int64_t* net_initial,
+                    std::string* error) {
+  if (!GetCount(opts, "cap", 0, 0, cap, error) || !GetCount(opts, "init", 0, 0, init, error)) {
+    return false;
+  }
+  if (*cap > 0 && *init > *cap) {
+    *error = StrFormat("init=%d exceeds cap=%d", *init, *cap);
+    return false;
+  }
+  *net_initial += *init;
+  if (*net_initial > kMaxInjectedTokens) {
+    *error = StrFormat("more than %lld initial tokens in the net",
+                       static_cast<long long>(kMaxInjectedTokens));
+    return false;
+  }
+  return true;
+}
+
 struct ArcSpec {
   std::string place;
   std::size_t weight = 1;
@@ -85,8 +136,8 @@ bool ParseArcs(const std::string& list, std::vector<ArcSpec>* out, std::string* 
       arc.place = part;
     } else {
       arc.place = part.substr(0, colon);
-      const int w = std::atoi(part.c_str() + colon + 1);
-      if (w < 1) {
+      int w = 0;
+      if (!ParseCount(std::string_view(part).substr(colon + 1), &w) || w < 1) {
         *error = StrFormat("bad arc weight in '%s'", part.c_str());
         return false;
       }
@@ -127,6 +178,7 @@ LoadedNet LoadPnet(std::string_view text) {
   out.net = std::make_unique<PetriNet>();
   PetriNet& net = *out.net;
   std::map<std::string, double> consts;
+  std::int64_t net_initial = 0;
 
   int line_no = 0;
   for (const std::string& raw_line : SplitString(text, '\n')) {
@@ -178,10 +230,10 @@ LoadedNet LoadPnet(std::string_view text) {
           return out;
         }
       }
-      const int cap = std::atoi(opts.Get("cap", "0").c_str());
-      const int init = std::atoi(opts.Get("init", "0").c_str());
-      if (cap < 0 || init < 0) {
-        fail("negative cap/init");
+      int cap = 0;
+      int init = 0;
+      if (!GetPlaceCounts(opts, &cap, &init, &net_initial, &err)) {
+        fail(err);
         return out;
       }
       if (net.HasPlace(words[1])) {
@@ -232,9 +284,9 @@ LoadedNet LoadPnet(std::string_view text) {
         }
         spec.outputs.push_back(Arc{net.PlaceByName(a.place), a.weight});
       }
-      const int servers = std::atoi(opts.Get("servers", "1").c_str());
-      if (servers < 1) {
-        fail("servers must be >= 1");
+      int servers = 1;
+      if (!GetCount(opts, "servers", 1, 1, &servers, &err)) {
+        fail(err);
         return out;
       }
       spec.servers = static_cast<std::size_t>(servers);
@@ -444,6 +496,7 @@ std::string CanonicalArcList(const std::vector<ArcSpec>& arcs) {
 
 std::string CanonicalPnetText(std::string_view text, std::string* error) {
   std::string canonical;
+  std::int64_t net_initial = 0;
   int line_no = 0;
   for (const std::string& raw_line : SplitString(text, '\n')) {
     ++line_no;
@@ -486,12 +539,12 @@ std::string CanonicalPnetText(std::string_view text, std::string* error) {
           return fail(err);
         }
       }
-      canonical += "place " + words[1];
-      const int cap = std::atoi(opts.Get("cap", "0").c_str());
-      const int init = std::atoi(opts.Get("init", "0").c_str());
-      if (cap < 0 || init < 0) {
-        return fail("negative cap/init");
+      int cap = 0;
+      int init = 0;
+      if (!GetPlaceCounts(opts, &cap, &init, &net_initial, &err)) {
+        return fail(err);
       }
+      canonical += "place " + words[1];
       if (cap > 0) {
         canonical += StrFormat(" cap=%d", cap);
       }
@@ -528,9 +581,9 @@ std::string CanonicalPnetText(std::string_view text, std::string* error) {
         canonical += " guard=\"" + opts.Get("guard") + "\"";
       }
       canonical += " delay=\"" + opts.Get("delay") + "\"";
-      const int servers = std::atoi(opts.Get("servers", "1").c_str());
-      if (servers < 1) {
-        return fail("servers must be >= 1");
+      int servers = 1;
+      if (!GetCount(opts, "servers", 1, 1, &servers, &err)) {
+        return fail(err);
       }
       if (servers > 1) {
         canonical += StrFormat(" servers=%d", servers);

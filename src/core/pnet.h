@@ -20,6 +20,13 @@
 // Arc syntax: comma-separated `place` or `place:weight`. Optional per-
 // transition `guard="expr"` enables the firing only when the expression is
 // non-zero on the front token (used for instruction routing by opcode).
+//
+// Counts (cap=, init=, servers=, arc weights) are decimal digits only, at
+// most INT_MAX; servers and weights are at least 1. A bounded place (cap
+// above 0) cannot start with more than cap tokens, and one net declares at
+// most kMaxInjectedTokens (65536, src/petri/net.h) initial tokens in all:
+// every simulation allocates each of them first. Anything else is a load
+// error naming its line.
 #ifndef SRC_CORE_PNET_H_
 #define SRC_CORE_PNET_H_
 

@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <vector>
 
@@ -112,6 +112,49 @@ std::string HttpResponse(int status, const char* reason, const char* content_typ
 }
 
 }  // namespace
+
+HttpHead ParseHttpHead(std::string_view head, std::size_t max_body_bytes) {
+  const auto refuse = [](int status) {
+    HttpHead refused;
+    refused.status = status;
+    return refused;
+  };
+  const std::size_t line_end = std::min(head.find("\r\n"), head.size());
+  const std::string_view request_line = head.substr(0, line_end);
+  const std::size_t sp1 = request_line.find(' ');
+  const std::size_t sp2 =
+      sp1 == std::string_view::npos ? sp1 : request_line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) {
+    return refuse(400);
+  }
+  HttpHead out;
+  out.method = request_line.substr(0, sp1);
+  out.path = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+
+  bool has_length = false;
+  for (const std::string& line : SplitString(head.substr(line_end), '\n')) {
+    const std::string_view header = StripWhitespace(line);
+    if (!HeaderNameIs(header, "content-length")) {
+      continue;
+    }
+    const std::string_view value = StripWhitespace(header.substr(header.find(':') + 1));
+    const char* end = value.data() + value.size();
+    std::uint64_t length = 0;
+    const auto [ptr, ec] = std::from_chars(value.data(), end, length);
+    if (ptr != end || ec == std::errc::invalid_argument) {
+      return refuse(400);  // not all decimal digits
+    }
+    if (ec == std::errc::result_out_of_range || length > max_body_bytes) {
+      return refuse(413);
+    }
+    if (has_length && length != out.content_length) {
+      return refuse(400);  // which body length to trust is ambiguous
+    }
+    has_length = true;
+    out.content_length = static_cast<std::size_t>(length);
+  }
+  return out;
+}
 
 NetServer::NetServer(serve::PredictionService* service, NetServerOptions options)
     : service_(service), options_(std::move(options)) {
@@ -361,24 +404,13 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
       if (conn->inflight >= options_.max_inflight_batches) {
         lock.unlock();
         BatchesRejectedTotal().Increment();
-        // Parity with serve-layer rejections: every line echoes its own
-        // request's trace_id (already minted by FillTraceIds above) and
-        // tenant, and explain-flagged requests still get an explain block
-        // — a shared anonymous response once dropped all three, so a
-        // pipelined client could not attribute the rejections.
         std::string lines;
         for (std::size_t i = 0; i < requests.size(); ++i) {
-          serve::PredictResponse rejected;
-          rejected.status = serve::PredictStatus::kRejected;
-          rejected.error = "too many batches in flight on this connection";
-          rejected.trace_id = requests[i].trace_id;
-          rejected.tenant = requests[i].tenant;
-          if (requests[i].explain) {
-            rejected.explain.filled = true;
-            rejected.explain.representation = "rejected";
-            rejected.explain.cache = "not_consulted";
-          }
-          EncodeResponseLine(id, i, rejected, &lines);
+          EncodeResponseLine(id, i,
+                             serve::UnevaluatedResponse(
+                                 requests[i], serve::PredictStatus::kRejected,
+                                 "too many batches in flight on this connection"),
+                             &lines);
         }
         TimedWrite(conn.get(), lines);
         return;
@@ -501,41 +533,23 @@ void NetServer::ServeHttp(const std::shared_ptr<Connection>& conn) {
     header_end = data.find("\r\n\r\n");
   }
 
-  // Request line: METHOD SP PATH SP VERSION.
-  const std::size_t line_end = data.find("\r\n");
-  const std::string request_line = data.substr(0, line_end);
-  const std::size_t sp1 = request_line.find(' ');
-  const std::size_t sp2 = request_line.find(' ', sp1 == std::string::npos ? 0 : sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
-    TimedWrite(conn.get(), HttpResponse(400, "Bad Request", "text/plain", "bad request line\n"));
+  const HttpHead head = ParseHttpHead(std::string_view(data).substr(0, header_end),
+                                      options_.max_frame_bytes);
+  if (head.status != 0) {
+    TimedWrite(conn.get(),
+               head.status == 413
+                   ? HttpResponse(413, "Payload Too Large", "text/plain", "body too large\n")
+                   : HttpResponse(400, "Bad Request", "text/plain", "bad request head\n"));
     return;
   }
-  const std::string method = request_line.substr(0, sp1);
-  const std::string path = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::string& method = head.method;
+  const std::string& path = head.path;
   if (request_span.active()) {
     request_span.SetArg("path", path);
   }
 
-  std::size_t content_length = 0;
-  for (const std::string& header :
-       SplitString(data.substr(line_end + 2, header_end - line_end - 2), '\n')) {
-    if (HeaderNameIs(StripWhitespace(header), "content-length")) {
-      const std::string_view value = StripWhitespace(
-          std::string_view(header).substr(header.find(':') + 1));
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed = std::strtoull(std::string(value).c_str(), &end, 10);
-      if (errno == ERANGE || parsed > options_.max_frame_bytes) {
-        TimedWrite(conn.get(),
-                   HttpResponse(413, "Payload Too Large", "text/plain", "body too large\n"));
-        return;
-      }
-      content_length = static_cast<std::size_t>(parsed);
-    }
-  }
-
   std::string body = data.substr(header_end + 4);
-  while (body.size() < content_length) {
+  while (body.size() < head.content_length) {
     pollfd pfd{conn->fd, POLLIN, 0};
     if (::poll(&pfd, 1, options_.io_timeout_ms) <= 0) {
       return;
@@ -550,7 +564,7 @@ void NetServer::ServeHttp(const std::shared_ptr<Connection>& conn) {
     BytesRxTotal().Add(static_cast<std::uint64_t>(n));
     body.append(buf.data(), static_cast<std::size_t>(n));
   }
-  body.resize(content_length);  // drop pipelined bytes past the declared body
+  body.resize(head.content_length);  // drop pipelined bytes past the declared body
 
   if (method == "GET" && path == "/metrics") {
     std::string scrape = service_->StatsPrometheus();

@@ -37,11 +37,28 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "src/serve/service.h"
 
 namespace perfiface::net {
+
+// The request line and body length of one HTTP/1.1 request head.
+struct HttpHead {
+  int status = 0;  // 0: well formed; else the status to answer (400 or 413)
+  std::string method;
+  std::string path;
+  std::size_t content_length = 0;
+};
+
+// Parses `head`, the bytes before the blank line that ends an HTTP/1.1
+// header block (NetServer answers 431 before one grows past its frame
+// limit). The request line is METHOD SP PATH SP VERSION; fewer than two
+// spaces is 400. Content-Length (any case) must be digits between optional
+// whitespace, else 400; above `max_body_bytes` it is 413, and repeated
+// with a different value it is 400. No header means no body.
+HttpHead ParseHttpHead(std::string_view head, std::size_t max_body_bytes);
 
 struct NetServerOptions {
   std::string host = "127.0.0.1";

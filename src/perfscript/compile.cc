@@ -1396,12 +1396,11 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expr& expr, const Expr
     *error = "expression too deep";
     return nullptr;
   }
-  // ops_ is final; the canonical text, the register form and the shape
-  // summary are derived views on top.
+  // ops_ is final; the canonical text and the register form are derived
+  // views on top.
   if (!compiled->LowerToRegs(error)) {
     return nullptr;
   }
-  compiled->Summarize();
   compiled->canonical_.reserve(compiled->ops_.size() * 8);
   for (const ExprInstr& op : compiled->ops_) {
     compiled->canonical_ +=
@@ -1830,152 +1829,12 @@ bool CompiledExpr::LowerToRegs(std::string* error) {
   return true;
 }
 
-// Compile-time shape classification over ops_. The affine tracker never
-// claims kConstant for an expression that reads any slot (so the claim holds
-// for NaN/Inf attribute values too) and never folds an op whose evaluation
-// could fail (zero divisors stay general).
-void CompiledExpr::Summarize() {
-  struct Lin {
-    int kind = 2;  // 0 constant, 1 affine, 2 general
-    double c0 = 0;
-    std::map<std::uint32_t, double> co;
-  };
-  std::vector<Lin> stk;
-  stk.reserve(16);
-  bool any_slot = false;
-  auto push_const = [&](double v) {
-    Lin l;
-    l.kind = 0;
-    l.c0 = v;
-    stk.push_back(std::move(l));
-  };
-  auto push_general = [&]() { stk.push_back(Lin{}); };
-
-  for (const ExprInstr& op : ops_) {
-    switch (op.op) {
-      case ExprOp::kConst:
-        push_const(op.value);
-        break;
-      case ExprOp::kSlot: {
-        any_slot = true;
-        Lin l;
-        l.kind = 1;
-        l.co[op.slot] = 1;
-        stk.push_back(std::move(l));
-        break;
-      }
-      case ExprOp::kNeg:
-      case ExprOp::kNot:
-      case ExprOp::kCeil:
-      case ExprOp::kFloor:
-      case ExprOp::kAbs:
-      case ExprOp::kSqrt: {
-        Lin v = std::move(stk.back());
-        stk.pop_back();
-        if (v.kind == 0) {
-          switch (op.op) {
-            case ExprOp::kNeg: push_const(-v.c0); break;
-            case ExprOp::kNot: push_const(v.c0 == 0 ? 1 : 0); break;
-            case ExprOp::kCeil: push_const(std::ceil(v.c0)); break;
-            case ExprOp::kFloor: push_const(std::floor(v.c0)); break;
-            case ExprOp::kAbs: push_const(std::fabs(v.c0)); break;
-            default: push_const(std::sqrt(v.c0)); break;
-          }
-        } else if (op.op == ExprOp::kNeg && v.kind == 1) {
-          v.c0 = -v.c0;
-          for (auto& kv : v.co) kv.second = -kv.second;
-          stk.push_back(std::move(v));
-        } else {
-          push_general();
-        }
-        break;
-      }
-      default: {
-        Lin b = std::move(stk.back());
-        stk.pop_back();
-        Lin a = std::move(stk.back());
-        stk.pop_back();
-        if (a.kind == 0 && b.kind == 0) {
-          const double x = a.c0;
-          const double y = b.c0;
-          bool folded = true;
-          double r = 0;
-          switch (op.op) {
-            case ExprOp::kAdd: r = x + y; break;
-            case ExprOp::kSub: r = x - y; break;
-            case ExprOp::kMul: r = x * y; break;
-            case ExprOp::kDiv:
-              if (y == 0) folded = false;
-              else r = x / y;
-              break;
-            case ExprOp::kMod:
-              if (y == 0) folded = false;
-              else r = std::fmod(x, y);
-              break;
-            case ExprOp::kLt: r = x < y ? 1 : 0; break;
-            case ExprOp::kLe: r = x <= y ? 1 : 0; break;
-            case ExprOp::kGt: r = x > y ? 1 : 0; break;
-            case ExprOp::kGe: r = x >= y ? 1 : 0; break;
-            case ExprOp::kEq: r = x == y ? 1 : 0; break;
-            case ExprOp::kNe: r = x != y ? 1 : 0; break;
-            case ExprOp::kAnd: r = (x != 0 && y != 0) ? 1 : 0; break;
-            case ExprOp::kOr: r = (x != 0 || y != 0) ? 1 : 0; break;
-            case ExprOp::kMin: r = std::fmin(x, y); break;
-            case ExprOp::kMax: r = std::fmax(x, y); break;
-            default: folded = false; break;
-          }
-          if (folded) push_const(r);
-          else push_general();
-          break;
-        }
-        const bool both_lin = a.kind <= 1 && b.kind <= 1;
-        if (op.op == ExprOp::kAdd && both_lin) {
-          a.kind = 1;
-          a.c0 += b.c0;
-          for (const auto& kv : b.co) a.co[kv.first] += kv.second;
-          stk.push_back(std::move(a));
-        } else if (op.op == ExprOp::kSub && both_lin) {
-          a.kind = 1;
-          a.c0 -= b.c0;
-          for (const auto& kv : b.co) a.co[kv.first] -= kv.second;
-          stk.push_back(std::move(a));
-        } else if (op.op == ExprOp::kMul && both_lin &&
-                   (a.kind == 0 || b.kind == 0)) {
-          Lin& lin = a.kind == 0 ? b : a;
-          const double s = a.kind == 0 ? a.c0 : b.c0;
-          lin.kind = 1;
-          lin.c0 *= s;
-          for (auto& kv : lin.co) kv.second *= s;
-          stk.push_back(std::move(lin));
-        } else if (op.op == ExprOp::kDiv && a.kind <= 1 && b.kind == 0 &&
-                   b.c0 != 0) {
-          a.kind = 1;
-          a.c0 /= b.c0;
-          for (auto& kv : a.co) kv.second /= b.c0;
-          stk.push_back(std::move(a));
-        } else {
-          push_general();
-        }
-        break;
-      }
-    }
+std::optional<double> CompiledExpr::ConstantValue() const {
+  if (!used_slots_.empty() || rcode_.size() != 2 || rcode_[0].op != Op::kLoadConst ||
+      rcode_[1].op != Op::kRet || rcode_[1].a != rcode_[0].a) {
+    return std::nullopt;
   }
-
-  summary_ = Summary{};
-  if (stk.size() != 1) return;
-  const Lin& r = stk.back();
-  if (r.kind == 0 && !any_slot) {
-    summary_.kind = Summary::Kind::kConstant;
-    summary_.constant = r.c0;
-  } else if (r.kind <= 1) {
-    summary_.kind = Summary::Kind::kAffine;
-    summary_.base = r.c0;
-    for (const auto& kv : r.co) {
-      if (kv.second != 0) summary_.terms.emplace_back(kv.first, kv.second);
-    }
-  } else {
-    summary_.kind = Summary::Kind::kGeneral;
-  }
+  return rconsts_[rcode_[0].imm];
 }
 
 std::string CompiledExpr::DisassembleRegs() const {

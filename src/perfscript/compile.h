@@ -277,19 +277,11 @@ class CompiledExpr {
   // Human-readable listing (pnet_tool --dump-expr-bytecode).
   std::string DisassembleRegs() const;
 
-  // Compile-time shape classification, for the sim fast path. kConstant
-  // is claimed only for expressions with no slot reads at all (so it holds
-  // for every attribute value, including NaN/Inf) and whose evaluation
-  // provably cannot fail. Affine coefficients are informational
-  // (tooling); bit-exact serving never re-evaluates through them.
-  struct Summary {
-    enum class Kind { kConstant, kAffine, kGeneral };
-    Kind kind = Kind::kGeneral;
-    double constant = 0;  // kConstant: the folded value
-    double base = 0;      // kAffine: constant term
-    std::vector<std::pair<std::uint32_t, double>> terms;  // slot, coeff
-  };
-  const Summary& summary() const { return summary_; }
+  // The value of an expression that reads no attribute slot and cannot
+  // fail, for the sim's constant delays and guards: exactly those lower to
+  // `loadc r, k; ret r` (a zero divisor stays a runtime op). Empty
+  // otherwise.
+  std::optional<double> ConstantValue() const;
 
  private:
   // Numbering is load-bearing: Canonical() serializes the raw enum values.
@@ -297,8 +289,8 @@ class CompiledExpr {
     kConst, kSlot, kAdd, kSub, kMul, kDiv, kMod, kLt, kLe, kGt, kGe, kEq, kNe,
     kAnd, kOr, kNeg, kNot, kCeil, kFloor, kAbs, kSqrt, kMin, kMax,
   };
-  // Postfix form of the parsed expression: the source of Canonical(), the
-  // shape summary and the register lowering. Never executed directly.
+  // Postfix form of the parsed expression: the source of Canonical() and
+  // the register lowering. Never executed directly.
   struct ExprInstr {
     ExprOp op = ExprOp::kConst;
     double value = 0;
@@ -311,8 +303,6 @@ class CompiledExpr {
             std::string* error);
   // Builds rcode_/rconsts_ from ops_; false (with *error) on a size limit.
   bool LowerToRegs(std::string* error);
-  // Fills summary_ from ops_.
-  void Summarize();
 
   std::vector<ExprInstr> ops_;
   std::string canonical_;
@@ -320,7 +310,6 @@ class CompiledExpr {
   std::vector<double> rconsts_;
   std::vector<std::uint32_t> used_slots_;
   std::uint32_t num_regs_ = 0;
-  Summary summary_;
 };
 
 }  // namespace perfiface

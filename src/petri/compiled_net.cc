@@ -120,17 +120,17 @@ CompiledNet::CompiledNet(const PetriNet* net) : net_(net) {
     // already be a valid Cycles to qualify; an out-of-range constant stays
     // general so the range check reports it at the first firing.
     info.delay_code = spec.delay_compiled.get();
-    const CompiledExpr::Summary& delay = info.delay_code->summary();
-    if (delay.kind == CompiledExpr::Summary::Kind::kConstant && delay.constant >= 0 &&
-        delay.constant < 1e15) {
+    const std::optional<double> delay = info.delay_code->ConstantValue();
+    if (delay.has_value() && *delay >= 0 && *delay < 1e15) {
       info.delay_const = true;
-      info.const_delay = static_cast<Cycles>(std::llround(delay.constant));
+      info.const_delay = static_cast<Cycles>(std::llround(*delay));
     }
     info.guard_code = spec.guard_compiled.get();
-    if (info.guard_code != nullptr &&
-        info.guard_code->summary().kind == CompiledExpr::Summary::Kind::kConstant) {
+    const std::optional<double> guard =
+        info.guard_code == nullptr ? std::nullopt : info.guard_code->ConstantValue();
+    if (guard.has_value()) {
       info.guard_const = true;
-      info.guard_value = info.guard_code->summary().constant != 0.0;
+      info.guard_value = *guard != 0.0;
     }
 
     info.in_begin = static_cast<std::uint32_t>(inputs_.size());

@@ -11,6 +11,7 @@
 #define SRC_PETRI_NET_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -24,6 +25,13 @@ class CompiledExpr;  // src/perfscript/compile.h
 
 using PlaceId = std::size_t;
 using TransitionId = std::size_t;
+
+// Most tokens a simulation is handed before its first firing, since
+// PetriSim allocates each one up front: a net's initial marking (the .pnet
+// loader refuses more) and a serve request's injection plan (the service
+// answers RESOURCE_EXHAUSTED past it) are each held to it. The largest
+// plan in the tree, hdr_in:1,vld_in:256, injects 257.
+constexpr std::int64_t kMaxInjectedTokens = 1 << 16;
 
 struct Place {
   std::string name;

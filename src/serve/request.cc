@@ -41,6 +41,24 @@ std::string GenerateTraceId() {
   return StrFormat("%016llx", static_cast<unsigned long long>(id));
 }
 
+PredictResponse UnevaluatedResponse(const PredictRequest& request, PredictStatus status,
+                                    std::string error, std::uint64_t queue_wait_ns) {
+  PI_CHECK(status == PredictStatus::kRejected || status == PredictStatus::kDeadlineExceeded);
+  PredictResponse response;
+  response.status = status;
+  response.error = std::move(error);
+  response.trace_id = request.trace_id.empty() ? GenerateTraceId() : request.trace_id;
+  response.tenant = request.tenant;
+  if (request.explain) {
+    response.explain.filled = true;
+    response.explain.representation =
+        status == PredictStatus::kRejected ? "rejected" : "expired";
+    response.explain.cache = "not_consulted";
+    response.explain.queue_wait_ns = queue_wait_ns;
+  }
+  return response;
+}
+
 const char* PredictStatusName(PredictStatus s) {
   switch (s) {
     case PredictStatus::kOk: return "OK";

@@ -152,6 +152,17 @@ struct PredictResponse {
 // clock and pid at first use so concurrent processes don't collide.
 std::string GenerateTraceId();
 
+// The one builder of responses to requests that are answered without being
+// evaluated: kRejected (shed at admission, service shut down, a connection's
+// pipelining window full) or kDeadlineExceeded (expired in the queue). It
+// keeps the provenance contract of evaluated responses: the trace id is
+// echoed (minted when empty) and the tenant echoed, so a pipelined
+// multi-tenant client can attribute every line, and an explain-flagged
+// request gets an explain block ("rejected" or "expired", cache
+// "not_consulted", and the queue wait).
+PredictResponse UnevaluatedResponse(const PredictRequest& request, PredictStatus status,
+                                    std::string error, std::uint64_t queue_wait_ns = 0);
+
 // A pnet request's entry_place spec, parsed once: which places receive the
 // workload tokens and how many each. Items are sorted by place name with
 // duplicate places merged, so permuted specs that inject the same marking
@@ -173,11 +184,6 @@ struct InjectionPlan {
 
   bool ok() const { return error.empty(); }
 };
-
-// Most tokens one plan may inject, whatever the firing budget: every token
-// is allocated before the first firing, and max_steps is a client field.
-// The largest plan in the tree, hdr_in:1,vld_in:256, injects 257.
-constexpr std::int64_t kMaxInjectedTokens = 1 << 16;
 
 // Parses req.entry_place: comma-separated `place[:count]` items, whitespace
 // insignificant. An item without a count, or an empty spec, injects

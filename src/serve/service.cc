@@ -17,6 +17,9 @@ namespace perfiface::serve {
 
 namespace {
 
+// Response-cache shards: enough that the workers rarely share a lock.
+constexpr std::size_t kCacheShards = 64;
+
 std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
                         std::chrono::steady_clock::time_point to) {
   return static_cast<std::uint64_t>(
@@ -65,7 +68,7 @@ const std::vector<PredictResponse>& PredictionService::BatchHandle::Responses() 
 PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceOptions options)
     : options_(options),
       service_start_(Clock::now()),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity, kCacheShards),
       queue_(options.queue_capacity),
       admission_(options.admission) {
   // Pre-parse everything the registry ships: queries never touch the
@@ -152,12 +155,11 @@ std::string PredictionService::StatuszJson() const {
   out += "\"build\":" + obs::BuildInfoJson() + ",";
   out += StrFormat(
       "\"options\":{\"workers\":%zu,\"queue_capacity\":%zu,\"batch_chunk\":%zu,"
-      "\"cache_capacity\":%zu,\"cache_shards\":%zu,\"pnet_memo\":%s,"
-      "\"default_max_steps\":%llu,\"steps_per_us\":%llu,\"shadow_sample_every\":%llu,"
+      "\"cache_capacity\":%zu,\"pnet_memo\":%s,"
+      "\"steps_per_us\":%llu,\"shadow_sample_every\":%llu,"
       "\"shadow_seed\":%llu,\"shadow_drift_threshold\":%.9g},",
       workers_.size(), options_.queue_capacity, options_.batch_chunk, options_.cache_capacity,
-      options_.cache_shards, options_.enable_pnet_memo ? "true" : "false",
-      static_cast<unsigned long long>(options_.default_max_steps),
+      options_.enable_pnet_memo ? "true" : "false",
       static_cast<unsigned long long>(options_.steps_per_us),
       static_cast<unsigned long long>(options_.shadow_sample_every),
       static_cast<unsigned long long>(options_.shadow_seed), options_.shadow_drift_threshold);
@@ -262,26 +264,80 @@ PredictResponse PredictionService::Predict(const PredictRequest& request) {
   return PredictBatch(std::span<const PredictRequest>(&request, 1))[0];
 }
 
-void PredictionService::FillRejected(const PredictRequest& request, const char* error,
-                                     PredictResponse* out) {
-  out->status = PredictStatus::kRejected;
-  out->error = error;
-  // Same provenance contract as evaluated responses: the trace id is
-  // echoed (or minted) and the tenant echoed even on the rejection path,
-  // so a pipelined multi-tenant client can attribute every line.
-  out->trace_id = request.trace_id.empty() ? GenerateTraceId() : request.trace_id;
-  out->tenant = request.tenant;
-  if (request.explain) {
-    out->explain.filled = true;
-    out->explain.representation = "rejected";
-    out->explain.cache = "not_consulted";
+std::vector<PredictResponse> PredictionService::PredictBatch(
+    std::span<const PredictRequest> requests) {
+  // The caller waits for the batch, so it lends its requests instead of
+  // copying them into the batch.
+  auto batch = std::make_shared<BatchState>();
+  batch->requests = requests;
+  BatchHandle handle = Submit(std::move(batch));
+  handle.Wait();
+  // Done: no worker touches the responses again, so they can move out.
+  return std::move(handle.state_->responses);
+}
+
+PredictionService::BatchHandle PredictionService::SubmitBatch(
+    std::vector<PredictRequest> requests, StreamCallback on_complete, FlushCallback on_flush) {
+  auto batch = std::make_shared<BatchState>();
+  batch->owned_requests = std::move(requests);
+  batch->requests = batch->owned_requests;
+  batch->on_complete = std::move(on_complete);
+  batch->on_flush = std::move(on_flush);
+  return Submit(std::move(batch));
+}
+
+PredictionService::BatchHandle PredictionService::Submit(std::shared_ptr<BatchState> batch) {
+  batch->submitted = Clock::now();
+  batch->responses.resize(batch->requests.size());
+  if (batch->requests.empty()) {
+    return BatchHandle(std::move(batch));  // remaining == 0: already done
+  }
+  {
+    std::lock_guard<std::mutex> lock(batch->mu);
+    batch->remaining = batch->requests.size();
+  }
+  metrics_->IncrementInflight();
+  EnqueueChunks(batch);
+  if (obs::Tracer::Global().enabled()) {
+    obs::Tracer::Global().Counter("serve", "queue_depth",
+                                  static_cast<double>(queue_.size()));
+  }
+  return BatchHandle(std::move(batch));
+}
+
+void PredictionService::Resolve(BatchState& batch, std::size_t i, PredictResponse response) {
+  batch.responses[i] = std::move(response);
+  if (batch.on_complete) {
+    batch.on_complete(i, batch.responses[i]);
   }
 }
 
-void PredictionService::EnqueueChunks(const PredictRequest* requests,
-                                      PredictResponse* responses, std::size_t n,
-                                      BatchState* batch,
-                                      const std::shared_ptr<BatchState>& keepalive) {
+void PredictionService::CloseRun(BatchState& batch, std::size_t n) {
+  // Flush before counting done: once remaining hits zero, Wait() may
+  // return and the submitter may assume every callback has finished.
+  if (batch.on_flush) {
+    batch.on_flush(n);
+  }
+  bool batch_done = false;
+  {
+    std::lock_guard<std::mutex> lock(batch.mu);
+    batch.remaining -= n;
+    batch_done = batch.remaining == 0;
+    if (batch_done) {
+      // Under the lock, so a waiter that sees the batch done sees the
+      // in-flight gauge drop too.
+      metrics_->DecrementInflight();
+    }
+  }
+  // The caller holds a reference to the batch, so it outlives the notify.
+  if (batch_done) {
+    batch.cv.notify_all();
+  }
+}
+
+void PredictionService::EnqueueChunks(const std::shared_ptr<BatchState>& batch) {
+  const std::span<const PredictRequest> requests = batch->requests;
+  const std::size_t n = requests.size();
   const std::size_t chunk = std::max<std::size_t>(1, options_.batch_chunk);
   obs::Tracer& tracer = obs::Tracer::Global();
   obs::SpanGuard enqueue_span("serve", "enqueue");
@@ -291,13 +347,21 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
   const std::int64_t elapsed_us =
       static_cast<std::int64_t>(ElapsedNs(batch->submitted, now) / 1000);
 
+  // Requests answered here without evaluation: never queued, so they never
+  // consulted the cache and the hit/miss counters must not move.
+  std::size_t resolved_inline = 0;
+  const auto reject = [&](std::size_t i, const char* error) {
+    Resolve(*batch, i, UnevaluatedResponse(requests[i], PredictStatus::kRejected, error));
+    metrics_->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/false,
+                           /*rejected=*/true);
+    ++resolved_inline;
+  };
+
   // Admission pass: decide every request up front so shedding happens
   // before any queueing (REJECTED now beats DEADLINE_EXCEEDED later). An
   // empty `admitted` means admission is inert and everything proceeds —
   // the per-request metrics work is skipped entirely on that hot path.
   std::vector<bool> admitted;
-  std::vector<std::size_t> resolved_inline;  // shed here, or unqueued at shutdown
-  std::size_t shed = 0;
   if (admission_.enabled()) {
     obs::SpanGuard admission_span("serve", "admission");
     const std::uint64_t now_ns = static_cast<std::uint64_t>(
@@ -310,28 +374,20 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
           request.deadline_us > 0 ? request.deadline_us - elapsed_us : 0;
       const AdmissionDecision decision = admission_.Decide(
           request.tenant, remaining_us, now_ns,
-          pending_requests_.load(std::memory_order_relaxed) + (i - shed), ema,
+          pending_requests_.load(std::memory_order_relaxed) + (i - resolved_inline), ema,
           workers_.size());
       metrics_->RecordAdmission(request.tenant, decision);
       if (decision == AdmissionDecision::kAdmit) {
         continue;
       }
       admitted[i] = false;
-      ++shed;
-      resolved_inline.push_back(i);
-      FillRejected(request,
-                   decision == AdmissionDecision::kShedQuota
-                       ? "admission: tenant quota exhausted"
-                       : "admission: deadline infeasible at current queue depth",
-                   &responses[i]);
-      // Shed requests never consulted the cache: the hit/miss counters
-      // must not move.
-      metrics_->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/false,
-                             /*rejected=*/true);
+      reject(i, decision == AdmissionDecision::kShedQuota
+                    ? "admission: tenant quota exhausted"
+                    : "admission: deadline infeasible at current queue depth");
     }
     if (admission_span.active()) {
-      admission_span.SetArg("admitted", static_cast<double>(n - shed));
-      admission_span.SetArg("shed", static_cast<double>(shed));
+      admission_span.SetArg("admitted", static_cast<double>(n - resolved_inline));
+      admission_span.SetArg("shed", static_cast<double>(resolved_inline));
     }
   }
 
@@ -349,12 +405,9 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
       ++end;
     }
     Job job;
-    job.requests = requests;
-    job.responses = responses;
+    job.batch = batch;
     job.begin = begin;
     job.end = end;
-    job.batch = batch;
-    job.keepalive = keepalive;
     job.enqueued = now;
     std::int64_t tightest_us = 0;  // 0 = no deadline in the run
     for (std::size_t i = begin; i < end; ++i) {
@@ -368,7 +421,8 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
         }
       }
     }
-    job.bucket = ClassifyDeadline(tightest_us);
+    const DeadlineBucket bucket = ClassifyDeadline(tightest_us);
+    job.bucket = bucket;
     if (tracer.enabled()) {
       // Each chunk gets a flow arrow from this enqueue span to the dequeue
       // span of whichever worker pops it (the queue-wait handoff the flat
@@ -378,103 +432,23 @@ void PredictionService::EnqueueChunks(const PredictRequest* requests,
       tracer.FlowBegin("serve", "queue", job.flow_id, requests[begin].trace_id);
     }
     pending_requests_.fetch_add(end - begin, std::memory_order_relaxed);
-    if (!queue_.Push(job, job.bucket)) {
+    if (!queue_.Push(std::move(job), bucket)) {
       pending_requests_.fetch_sub(end - begin, std::memory_order_relaxed);
       // Service shut down mid-submission: answer the unqueued tail
-      // directly (skipping indices admission already resolved). These
-      // requests never consulted the cache, so the hit/miss counters must
-      // not move (the miss counter once did, skewing the hit rate).
+      // directly (skipping indices admission already resolved).
       for (std::size_t i = begin; i < n; ++i) {
-        if (!admitted.empty() && !admitted[i]) {
-          continue;
+        if (admitted.empty() || admitted[i]) {
+          reject(i, "service is shut down");
         }
-        FillRejected(requests[i], "service is shut down", &responses[i]);
-        metrics_->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/false,
-                               /*rejected=*/true);
-        resolved_inline.push_back(i);
       }
       break;
     }
     begin = end;
   }
 
-  if (resolved_inline.empty()) {
-    return;
+  if (resolved_inline != 0) {
+    CloseRun(*batch, resolved_inline);
   }
-  // Stream and flush inline-resolved responses before they are counted
-  // done: once remaining hits zero, Wait() may return and the submitter may
-  // assume every callback has finished.
-  if (batch->on_complete) {
-    for (const std::size_t i : resolved_inline) {
-      batch->on_complete(i, responses[i]);
-    }
-  }
-  if (batch->on_flush) {
-    batch->on_flush(resolved_inline.size());
-  }
-  std::lock_guard<std::mutex> lock(batch->mu);
-  batch->remaining -= resolved_inline.size();
-  if (batch->remaining == 0) {
-    metrics_->DecrementInflight();
-    batch->cv.notify_all();
-  }
-}
-
-std::vector<PredictResponse> PredictionService::PredictBatch(
-    std::span<const PredictRequest> requests) {
-  std::vector<PredictResponse> responses(requests.size());
-  if (requests.empty()) {
-    return responses;
-  }
-
-  BatchState batch;
-  batch.submitted = Clock::now();
-  {
-    std::lock_guard<std::mutex> lock(batch.mu);
-    batch.remaining = requests.size();
-  }
-  metrics_->IncrementInflight();
-
-  // EnqueueChunks resolves shed and shutdown-rejected requests inline
-  // (response, metrics, batch accounting); everything else is queued.
-  EnqueueChunks(requests.data(), responses.data(), requests.size(), &batch, nullptr);
-  if (obs::Tracer::Global().enabled()) {
-    obs::Tracer::Global().Counter("serve", "queue_depth",
-                                  static_cast<double>(queue_.size()));
-  }
-
-  std::unique_lock<std::mutex> lock(batch.mu);
-  batch.cv.wait(lock, [&] { return batch.remaining == 0; });
-  return responses;
-}
-
-PredictionService::BatchHandle PredictionService::SubmitBatch(
-    std::vector<PredictRequest> requests, StreamCallback on_complete, FlushCallback on_flush) {
-  auto state = std::make_shared<BatchState>();
-  state->submitted = Clock::now();
-  state->requests = std::move(requests);
-  state->responses.resize(state->requests.size());
-  state->on_complete = std::move(on_complete);
-  state->on_flush = std::move(on_flush);
-  const std::size_t n = state->requests.size();
-  if (n == 0) {
-    return BatchHandle(std::move(state));  // remaining == 0: already done
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->remaining = n;
-  }
-  metrics_->IncrementInflight();
-
-  // EnqueueChunks resolves shed and shutdown-rejected requests inline from
-  // this (submitting) thread — responses filled, completions streamed,
-  // batch accounting settled; everything else is queued.
-  EnqueueChunks(state->requests.data(), state->responses.data(), n, state.get(), state);
-  if (obs::Tracer::Global().enabled()) {
-    obs::Tracer::Global().Counter("serve", "queue_depth",
-                                  static_cast<double>(queue_.size()));
-  }
-  return BatchHandle(std::move(state));
 }
 
 void PredictionService::WorkerLoop() {
@@ -494,88 +468,46 @@ void PredictionService::WorkerLoop() {
         // Terminate the enqueue->dequeue flow inside this span (the export
         // binds "f" events to their enclosing slice).
         obs::Tracer::Global().FlowEnd("serve", "queue", job.flow_id,
-                                      job.requests[job.begin].trace_id);
+                                      job.batch->requests[job.begin].trace_id);
       }
     }
     if (obs::Tracer::Global().enabled()) {
       obs::Tracer::Global().Counter("serve", "queue_depth",
                                     static_cast<double>(queue_.size()));
     }
+    BatchState& batch = *job.batch;
     const Clock::time_point popped = Clock::now();
     const std::uint64_t queue_wait_ns = ElapsedNs(job.enqueued, popped);
     for (std::size_t i = job.begin; i < job.end; ++i) {
-      const PredictRequest& request = job.requests[i];
+      const PredictRequest& request = batch.requests[i];
       metrics_->RecordQueueWait(job.bucket, queue_wait_ns);
+      if (request.deadline_us <= 0 ||
+          static_cast<std::int64_t>(ElapsedNs(batch.submitted, popped) / 1000) <
+              request.deadline_us) {
+        Resolve(batch, i, Evaluate(request, batch.submitted, &state));
+        continue;
+      }
       // A deadline that expired while the chunk sat in the queue is
       // answered here, before any cache or registry work starts — the
       // eval-path metrics and the shadow sampler never see the request.
-      if (request.deadline_us > 0 &&
-          static_cast<std::int64_t>(ElapsedNs(job.batch->submitted, popped) / 1000) >=
-              request.deadline_us) {
-        job.responses[i] = QueueExpiredResponse(request, queue_wait_ns);
-      } else {
-        job.responses[i] = Evaluate(request, job.batch->submitted, &state);
-      }
-      if (job.batch->on_complete) {
-        // Stream each completion before the request is counted done: once
-        // remaining hits zero, Wait() may return and the submitter may
-        // assume every callback has finished.
-        job.batch->on_complete(i, job.responses[i]);
-      }
+      // The deadline counter moves (operators alert on it) but
+      // RecordRequest does not: the latency histogram and per-interface
+      // request/error counters describe evaluated traffic.
+      PredictResponse expired = UnevaluatedResponse(
+          request, PredictStatus::kDeadlineExceeded, "deadline expired while queued",
+          queue_wait_ns);
+      metrics_->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/true,
+                             /*rejected=*/false);
+      obs::SpanRing& ring = obs::SpanRing::Global();
+      ring.Record({"serve", "expired", expired.trace_id,
+                   request.interface + " DEADLINE_EXCEEDED", ring.NowNs(), 0});
+      Resolve(batch, i, std::move(expired));
     }
-    const std::size_t done = job.end - job.begin;
-    if (job.batch->on_flush) {
-      // Close the chunk on this thread, before the batch can be counted
-      // done.
-      job.batch->on_flush(done);
-    }
-    pending_requests_.fetch_sub(done, std::memory_order_relaxed);
-    {
-      // Notify while still holding the mutex: the moment the submitter
-      // observes remaining == 0 it may destroy the BatchState (sync
-      // batches stack-allocate it), so the worker must not touch it after
-      // releasing the lock. Async batches are additionally pinned by the
-      // keepalive below.
-      std::lock_guard<std::mutex> lock(job.batch->mu);
-      job.batch->remaining -= done;
-      if (job.batch->remaining == 0) {
-        metrics_->DecrementInflight();
-        job.batch->cv.notify_all();
-      }
-    }
-    // Release the async batch promptly rather than at the next Pop.
-    job.keepalive.reset();
+    pending_requests_.fetch_sub(job.end - job.begin, std::memory_order_relaxed);
+    CloseRun(batch, job.end - job.begin);
+    // Release the batch promptly rather than at the next Pop.
+    job.batch.reset();
   }
-}
-
-PredictResponse PredictionService::QueueExpiredResponse(const PredictRequest& request,
-                                                        std::uint64_t queue_wait_ns) {
-  PredictResponse response;
-  response.status = PredictStatus::kDeadlineExceeded;
-  response.error = "deadline expired while queued";
-  response.trace_id = request.trace_id.empty() ? GenerateTraceId() : request.trace_id;
-  response.tenant = request.tenant;
-  // The deadline counter moves (operators alert on it) but RecordRequest
-  // does not: the latency histogram and per-interface request/error
-  // counters describe evaluated traffic, and this request was never
-  // evaluated. The cache was not consulted either.
-  metrics_->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/true,
-                         /*rejected=*/false);
-  if (request.explain) {
-    response.explain.filled = true;
-    response.explain.representation = "expired";
-    response.explain.cache = "not_consulted";
-    response.explain.queue_wait_ns = queue_wait_ns;
-  }
-  obs::SpanRing::Entry ring_entry;
-  ring_entry.cat = "serve";
-  ring_entry.name = "expired";
-  ring_entry.trace_id = response.trace_id;
-  ring_entry.detail = request.interface + " DEADLINE_EXCEEDED";
-  ring_entry.start_ns = obs::SpanRing::Global().NowNs();
-  ring_entry.dur_ns = 0;
-  obs::SpanRing::Global().Record(std::move(ring_entry));
-  return response;
 }
 
 PredictResponse PredictionService::Evaluate(const PredictRequest& request,
@@ -607,7 +539,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
   // Deadline bookkeeping: queue-expired requests are answered without
   // evaluating; live ones get a step budget capped by the time remaining.
   std::uint64_t budget =
-      request.max_steps != 0 ? request.max_steps : options_.default_max_steps;
+      request.max_steps != 0 ? request.max_steps : kDefaultMaxSteps;
   bool deadline_limited = false;
   EvalDetail detail;
   ShadowValidator::Outcome shadow_outcome;

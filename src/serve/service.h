@@ -68,9 +68,8 @@ struct ServiceOptions {
   // Batch submissions are split into chunks of this many requests; the
   // chunk is the unit of queue handoff, so its cost amortizes.
   std::size_t batch_chunk = 32;
-  // Total cache entries (0 disables caching) and shard count.
+  // Total cache entries (0 disables caching).
   std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 64;
   // Per-component Petri-net evaluation: each component is answered by the
   // exact derived tier (src/petri/distill.h), which keeps a per-key memo
   // of compiled max-plus programs, or else simulated on its own. The tier
@@ -78,9 +77,6 @@ struct ServiceOptions {
   // query simulates the whole net from scratch — the reference for
   // benchmarking and for verifying equivalence.
   bool enable_pnet_memo = true;
-  // Default evaluation budget: VM steps (program queries) or net firings
-  // (pnet queries).
-  std::uint64_t default_max_steps = 5'000'000;
   // Deadline→budget conversion: a request with deadline_us left gets at
   // most deadline_us * steps_per_us steps (docs/serving.md).
   std::uint64_t steps_per_us = 200;
@@ -120,6 +116,10 @@ using StreamCallback = std::function<void(std::size_t index, const PredictRespon
 // completions per thread and hand them on in one piece here.
 using FlushCallback = std::function<void(std::size_t n)>;
 
+// Evaluation budget of a request whose max_steps is 0: VM steps (program
+// queries) or net firings (pnet queries).
+constexpr std::uint64_t kDefaultMaxSteps = 5'000'000;
+
 class PredictionService {
  private:
   struct BatchState;  // defined below; BatchHandle only holds a pointer
@@ -157,8 +157,9 @@ class PredictionService {
   // Synchronous single query (a batch of one).
   PredictResponse Predict(const PredictRequest& request);
 
-  // Batch API: responses[i] answers requests[i]; blocks until the whole
-  // batch is resolved. Requests are processed by the pool concurrently.
+  // Synchronous batch: submitted as SubmitBatch submits, then waited for;
+  // responses[i] answers requests[i]. The batch borrows `requests`, which
+  // outlive the wait.
   std::vector<PredictResponse> PredictBatch(std::span<const PredictRequest> requests);
 
   // Async batch API: returns immediately with a handle; the service owns
@@ -174,7 +175,6 @@ class PredictionService {
   void Shutdown();
 
   const ServiceMetrics& metrics() const { return *metrics_; }
-  const ShardedLruCache& cache() const { return cache_; }
   std::size_t queue_depth() const { return queue_.size(); }
   std::size_t num_workers() const { return workers_.size(); }
 
@@ -229,31 +229,28 @@ class PredictionService {
     std::unique_ptr<CompiledNet> compiled;    // non-null iff pnet.net is
   };
 
-  // Completion state shared between a batch submitter and the workers.
-  // Synchronous batches stack-allocate it (the submitter outlives the
-  // batch by construction); async batches heap-allocate it and the Jobs
-  // carry a keepalive reference so fire-and-forget is safe.
+  // One submitted batch, owned jointly by its handles and its queued Jobs
+  // (so fire-and-forget is safe): the requests, their responses, the
+  // callbacks (either may be empty) and the completion count.
   struct BatchState {
     std::mutex mu;
     std::condition_variable cv;
     std::size_t remaining = 0;
     Clock::time_point submitted;
-    // Async-only: the batch owns its request/response storage, and
-    // completions stream through on_complete and chunks close through
-    // on_flush (either may be empty).
-    std::vector<PredictRequest> requests;
+    // owned_requests for SubmitBatch; PredictBatch, which waits for the
+    // batch, lends its caller's.
+    std::span<const PredictRequest> requests;
+    std::vector<PredictRequest> owned_requests;
     std::vector<PredictResponse> responses;
     StreamCallback on_complete;
     FlushCallback on_flush;
   };
 
+  // One queued chunk: requests [begin, end) of its batch.
   struct Job {
-    const PredictRequest* requests = nullptr;
-    PredictResponse* responses = nullptr;
+    std::shared_ptr<BatchState> batch;
     std::size_t begin = 0;
     std::size_t end = 0;
-    BatchState* batch = nullptr;
-    std::shared_ptr<BatchState> keepalive;  // non-null for async batches
     // Links this chunk's enqueue span to the dequeue span of whichever
     // worker picks it up (trace flow arrow). 0 = tracing was off at
     // submission, no flow recorded.
@@ -284,24 +281,19 @@ class PredictionService {
   };
 
   void WorkerLoop();
-  // Runs admission over [0, n), resolves shed (and, on shutdown, unqueued)
-  // requests inline — response filled, metrics charged, completions
-  // streamed and flushed, batch accounting settled — and enqueues admitted
-  // requests as contiguous chunks. After it returns, every request is
-  // either queued or already resolved.
-  void EnqueueChunks(const PredictRequest* requests, PredictResponse* responses,
-                     std::size_t n, BatchState* batch,
-                     const std::shared_ptr<BatchState>& keepalive);
-  // Fills a REJECTED response with the trace-id/tenant echo and
-  // explain-presence parity every evaluated response gets.
-  static void FillRejected(const PredictRequest& request, const char* error,
-                           PredictResponse* out);
-  // DEADLINE_EXCEEDED for a request whose deadline expired while queued:
-  // detected at dequeue, before any cache/registry work, charging the
-  // deadline counter but not the eval-path latency/request metrics or the
-  // shadow sampler.
-  PredictResponse QueueExpiredResponse(const PredictRequest& request,
-                                       std::uint64_t queue_wait_ns);
+  // Every batch starts here: sizes its responses, counts it in flight and
+  // hands it to EnqueueChunks.
+  BatchHandle Submit(std::shared_ptr<BatchState> batch);
+  // Runs admission over the batch, resolves shed (and, on shutdown,
+  // unqueued) requests inline — response built, metrics charged, run
+  // closed — and enqueues admitted requests as contiguous chunks. After it
+  // returns, every request is either queued or already resolved.
+  void EnqueueChunks(const std::shared_ptr<BatchState>& batch);
+  // Stores response i of `batch` and streams it through on_complete.
+  static void Resolve(BatchState& batch, std::size_t i, PredictResponse response);
+  // Closes a run of `n` requests this thread just resolved: on_flush(n),
+  // then counts them done and wakes the waiters once the batch is.
+  void CloseRun(BatchState& batch, std::size_t n);
   const Entry* FindEntry(const std::string& name) const;
   PredictResponse Evaluate(const PredictRequest& request, Clock::time_point submitted,
                            WorkerState* state);

@@ -21,6 +21,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -215,35 +217,44 @@ std::optional<std::string> QuotedOption(const std::string& line, const std::stri
   return line.substr(begin, line.find('"', begin) - begin);
 }
 
+// A shipped net and what the reference needs beside it: the constants and
+// each transition's delay and guard source, which the loaded net keeps only
+// in compiled form, read from the flattened document.
+struct ShippedNet {
+  LoadedNet loaded;
+  std::map<std::string, double> consts;
+  std::map<std::string, std::pair<std::string, std::optional<std::string>>> sources;
+};
+
+void LoadShippedNet(const std::string& name, ShippedNet* out) {
+  const std::string path =
+      std::string(PERFIFACE_SOURCE_DIR) + "/src/core/interfaces/" + name + ".pnet";
+  out->loaded = LoadPnetFile(path);
+  ASSERT_TRUE(out->loaded.ok()) << name << ": " << out->loaded.error;
+  const PnetExpansion expanded =
+      ExpandPnetIncludes(ReadFileOrDie(path), path.substr(0, path.rfind('/')));
+  ASSERT_TRUE(expanded.ok) << expanded.error;
+  for (const std::string& raw : SplitString(expanded.text, '\n')) {
+    const std::string line(StripWhitespace(raw));
+    const std::vector<std::string> words = SplitString(line, ' ');
+    if (words.size() == 3 && words[0] == "const") {
+      out->consts[words[1]] = std::atof(words[2].c_str());
+    } else if (words.size() > 1 && words[0] == "trans") {
+      out->sources[words[1]] = {QuotedOption(line, "delay").value(), QuotedOption(line, "guard")};
+    }
+  }
+}
+
 TEST(ExprDiff, ShippedNetExpressionsAgree) {
   std::uint64_t rng = 0x9d1f29a4c0ffee01ULL;
   std::size_t checked = 0;
   for (const char* name : {"jpeg", "protoacc", "vta", "conv"}) {
-    const std::string path =
-        std::string(PERFIFACE_SOURCE_DIR) + "/src/core/interfaces/" + name + ".pnet";
-    const LoadedNet loaded = LoadPnetFile(path);
-    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.error;
-    // The reference needs the expressions' source text and the constants,
-    // which the loaded net keeps only in compiled form: read them from the
-    // flattened document.
-    const PnetExpansion expanded =
-        ExpandPnetIncludes(ReadFileOrDie(path), path.substr(0, path.rfind('/')));
-    ASSERT_TRUE(expanded.ok) << expanded.error;
-    std::map<std::string, double> consts;
-    std::map<std::string, std::pair<std::string, std::optional<std::string>>> sources;
-    for (const std::string& raw : SplitString(expanded.text, '\n')) {
-      const std::string line(StripWhitespace(raw));
-      const std::vector<std::string> words = SplitString(line, ' ');
-      if (words.size() == 3 && words[0] == "const") {
-        consts[words[1]] = std::atof(words[2].c_str());
-      } else if (words.size() > 1 && words[0] == "trans") {
-        sources[words[1]] = {QuotedOption(line, "delay").value(), QuotedOption(line, "guard")};
-      }
-    }
-    const ExprBinder binder = NetBinder(*loaded.net, consts);
-    const std::size_t num_attrs = loaded.net->attr_names().size();
-    for (const TransitionSpec& spec : loaded.net->transitions()) {
-      const auto& [delay_source, guard_source] = sources.at(spec.name);
+    ShippedNet shipped;
+    ASSERT_NO_FATAL_FAILURE(LoadShippedNet(name, &shipped));
+    const ExprBinder binder = NetBinder(*shipped.loaded.net, shipped.consts);
+    const std::size_t num_attrs = shipped.loaded.net->attr_names().size();
+    for (const TransitionSpec& spec : shipped.loaded.net->transitions()) {
+      const auto& [delay_source, guard_source] = shipped.sources.at(spec.name);
       for (const auto& [compiled, source] :
            {std::pair{spec.delay_compiled, std::optional<std::string>(delay_source)},
             std::pair{spec.guard_compiled, guard_source}}) {
@@ -271,30 +282,30 @@ TEST(ExprDiff, ShippedNetExpressionsAgree) {
 
 const char* const kLeafConsts[] = {"0", "1", "2", "0.5", "3", "8", "4096", "1.5", "7"};
 
-std::string GenExpr(std::uint64_t* rng, int depth) {
+// A random expression over the full operator set; with `slots` false its
+// leaves are all constants.
+std::string GenExpr(std::uint64_t* rng, int depth, bool slots = true) {
   if (depth <= 0 || NextRand(rng) % 100 < 25) {
-    switch (NextRand(rng) % 6) {
-      case 0: return "a";
-      case 1: return "b";
-      case 2: return "c";
-      default:
-        return kLeafConsts[NextRand(rng) % (sizeof(kLeafConsts) / sizeof(kLeafConsts[0]))];
+    const std::uint64_t leaf = NextRand(rng) % 6;
+    if (slots && leaf < 3) {
+      return std::string(1, static_cast<char>('a' + leaf));
     }
+    return kLeafConsts[NextRand(rng) % (sizeof(kLeafConsts) / sizeof(kLeafConsts[0]))];
   }
   const char* const kBinOps[] = {"+", "-",  "*",  "/",  "%",   "<",  "<=",
                                  ">", ">=", "==", "!=", "and", "or"};
   switch (NextRand(rng) % 20) {
-    case 0: return "(-" + GenExpr(rng, depth - 1) + ")";
-    case 1: return "(not " + GenExpr(rng, depth - 1) + ")";
-    case 2: return "ceil(" + GenExpr(rng, depth - 1) + ")";
-    case 3: return "floor(" + GenExpr(rng, depth - 1) + ")";
-    case 4: return "abs(" + GenExpr(rng, depth - 1) + ")";
-    case 5: return "sqrt(" + GenExpr(rng, depth - 1) + ")";
-    case 6: return "min(" + GenExpr(rng, depth - 1) + ", " + GenExpr(rng, depth - 1) + ")";
-    case 7: return "max(" + GenExpr(rng, depth - 1) + ", " + GenExpr(rng, depth - 1) + ")";
+    case 0: return "(-" + GenExpr(rng, depth - 1, slots) + ")";
+    case 1: return "(not " + GenExpr(rng, depth - 1, slots) + ")";
+    case 2: return "ceil(" + GenExpr(rng, depth - 1, slots) + ")";
+    case 3: return "floor(" + GenExpr(rng, depth - 1, slots) + ")";
+    case 4: return "abs(" + GenExpr(rng, depth - 1, slots) + ")";
+    case 5: return "sqrt(" + GenExpr(rng, depth - 1, slots) + ")";
+    case 6: return "min(" + GenExpr(rng, depth - 1, slots) + ", " + GenExpr(rng, depth - 1, slots) + ")";
+    case 7: return "max(" + GenExpr(rng, depth - 1, slots) + ", " + GenExpr(rng, depth - 1, slots) + ")";
     default: {
       const char* op = kBinOps[NextRand(rng) % (sizeof(kBinOps) / sizeof(kBinOps[0]))];
-      return "(" + GenExpr(rng, depth - 1) + " " + op + " " + GenExpr(rng, depth - 1) + ")";
+      return "(" + GenExpr(rng, depth - 1, slots) + " " + op + " " + GenExpr(rng, depth - 1, slots) + ")";
     }
   }
 }
@@ -376,6 +387,100 @@ TEST(ExprDiff, SuperinstructionShapesAgree) {
        {"x + y * 2 >= 1 and x * 3 + 1 > 0", "max(x, y) >= 0 and y + 1 > 0",
         "x * y + 1 > 0 and x >= 0", "x + 1 > 0 and y * 2 >= 0"}) {
     CheckSource(guard, binder, 2, 64, &rng);
+  }
+}
+
+// True if the parsed expression names an attribute slot anywhere.
+bool ReadsSlot(const Expr& e, const ExprBinder& binder) {
+  if (e.kind == ExprKind::kVar) {
+    const std::optional<ExprBinding> b = binder(e.name);
+    return b.has_value() && b->kind == ExprBinding::Kind::kSlot;
+  }
+  for (const ExprPtr& c : e.children) {
+    if (ReadsSlot(*c, binder)) return true;
+  }
+  return false;
+}
+
+// ConstantValue is present exactly when the expression reads no slot and
+// the reference evaluates it without error, and then it is the reference's
+// value bit for bit. Returns whether it was present.
+bool ExpectConstantMatchesReference(const CompiledExpr& compiled, const std::string& source,
+                                    const ExprBinder& binder) {
+  const ParseExprResult parsed = ParseExpression(source);
+  EXPECT_TRUE(parsed.ok) << source << ": " << parsed.error;
+  if (!parsed.ok) return false;
+  double want = 0;
+  std::string error;
+  const bool constant =
+      !ReadsSlot(*parsed.expr, binder) && RefEval(*parsed.expr, binder, {}, &want, &error);
+  const std::optional<double> got = compiled.ConstantValue();
+  EXPECT_EQ(got.has_value(), constant) << source;
+  if (got.has_value() && constant) {
+    EXPECT_TRUE(BitEqual(*got, want)) << source << ": " << *got << " vs " << want;
+  }
+  return got.has_value();
+}
+
+// The constant delays and guards the simulator skips evaluating. Over the
+// shipped nets the test also pins which expressions are constant (jpeg 1,
+// conv 9, protoacc 1, vta 3) and the disassembly of every expression,
+// rendered as `pnet_tool show --dump-expr-bytecode` prints them, against
+// tests/golden/net_expr_bytecode.golden.
+TEST(ExprDiff, ConstantValueMatchesTheReference) {
+  std::string rendered;
+  std::map<std::string, int> constants;
+  for (const char* name : {"jpeg", "conv", "protoacc", "vta", "components/dram_channel"}) {
+    ShippedNet shipped;
+    ASSERT_NO_FATAL_FAILURE(LoadShippedNet(name, &shipped));
+    const ExprBinder binder = NetBinder(*shipped.loaded.net, shipped.consts);
+    rendered += StrFormat("# %s.pnet\n", name);
+    constants[name] = 0;
+    for (const TransitionSpec& spec : shipped.loaded.net->transitions()) {
+      const auto& [delay_source, guard_source] = shipped.sources.at(spec.name);
+      for (const auto& [label, compiled, source] :
+           {std::tuple{"delay", spec.delay_compiled.get(), std::optional(delay_source)},
+            std::tuple{"guard", spec.guard_compiled.get(), guard_source}}) {
+        if (compiled == nullptr) continue;
+        constants[name] += ExpectConstantMatchesReference(*compiled, *source, binder);
+        const std::optional<double> constant = compiled->ConstantValue();
+        rendered += constant.has_value()
+                        ? StrFormat("  %s.%s: constant = %.17g\n", spec.name.c_str(), label,
+                                    *constant)
+                        : StrFormat("  %s.%s: general\n", spec.name.c_str(), label);
+        rendered += compiled->DisassembleRegs();
+      }
+    }
+  }
+  const std::map<std::string, int> want = {
+      {"jpeg", 1}, {"conv", 9}, {"protoacc", 1}, {"vta", 3}, {"components/dram_channel", 0}};
+  EXPECT_EQ(constants, want);
+  EXPECT_EQ(rendered, ReadFileOrDie(std::string(PERFIFACE_SOURCE_DIR) +
+                                    "/tests/golden/net_expr_bytecode.golden"));
+
+  // The random corpus, and one with constant leaves only: zero divisors,
+  // NaN from sqrt of a negative, and `and`/`or` decided by one side.
+  ExprCompileOptions options;
+  options.domain = "net expressions";
+  int slot_free_constants = 0;
+  for (const bool slots : {true, false}) {
+    std::uint64_t rng = slots ? 0x5eed5eed5eed5eedULL : 0xc0257a47c0257a47ULL;
+    for (int i = 0; i < 400; ++i) {
+      const std::string source = GenExpr(&rng, 5, slots);
+      std::string error;
+      const auto compiled = CompiledExpr::CompileSource(source, kAbcBinder, &error, options);
+      ASSERT_NE(compiled, nullptr) << source << ": " << error;
+      slot_free_constants += !slots && ExpectConstantMatchesReference(*compiled, source, kAbcBinder);
+    }
+  }
+  EXPECT_GT(slot_free_constants, 100);  // most slot-free expressions cannot fail
+  for (const char* source : {"a and 0", "0 * a", "(1 / 0) and 0", "1 % 0", "sqrt(0 - 1)"}) {
+    std::string error;
+    const auto compiled = CompiledExpr::CompileSource(source, kAbcBinder, &error, options);
+    ASSERT_NE(compiled, nullptr) << source << ": " << error;
+    EXPECT_EQ(ExpectConstantMatchesReference(*compiled, source, kAbcBinder),
+              std::string_view(source) == "sqrt(0 - 1)")
+        << source;
   }
 }
 

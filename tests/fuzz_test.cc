@@ -1,6 +1,6 @@
 // Robustness ("never crash on bad input") sweeps for the two shipped
-// artifact parsers, the program compiler and VM, and the NDJSON wire
-// decoders. Interfaces come from vendors and frames from any client on the
+// artifact parsers, the program compiler and VM, the NDJSON wire decoders
+// and the HTTP request-head parser. Interfaces come from vendors and frames from any client on the
 // network; a corrupted input must produce a clean error, not undefined
 // behaviour. Each TEST_P applies a seeded corruption to a shipped artifact
 // or to real encoder output and requires the parser to either accept it or
@@ -20,6 +20,7 @@
 #include "src/common/rng.h"
 #include "src/core/pnet.h"
 #include "src/core/registry.h"
+#include "src/net/server.h"
 #include "src/net/wire.h"
 #include "src/perfscript/compile.h"
 #include "src/perfscript/interp.h"
@@ -421,6 +422,67 @@ TEST_P(WireFuzz, CorruptedResponseLinesDecodeOrFailCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Range<std::uint64_t>(1, 9));
+
+// --- HTTP request head (src/net/server.h) -----------------------------------
+
+// Heads as the front end hands them to ParseHttpHead (everything before the
+// blank line): the scrape, the status page, a predict POST, and the POST
+// with duplicate, negative, overflowing and junk-suffixed lengths.
+std::vector<std::string> HttpHeadCorpus() {
+  const std::string predict =
+      "POST /predict HTTP/1.1\r\nHost: 127.0.0.1:7077\r\nContent-Type: application/json\r\n";
+  std::vector<std::string> corpus = {
+      "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1:7077\r\nAccept: */*",
+      "GET /statusz HTTP/1.1\r\nHost: localhost\r\nUser-Agent: curl/8.5.0\r\nAccept: */*",
+      predict + "Content-Length: 142",
+  };
+  for (const char* length :
+       {"Content-Length: 5\r\ncontent-length: 5", "Content-Length: 5\r\nContent-Length: 6",
+        "Content-Length: -1", "Content-Length: 18446744073709551616",
+        "Content-Length: 99999999999999999999999", "Content-Length: 142abc",
+        "Content-Length: 0x10", "Content-Length: 1 2", "CONTENT-LENGTH:\t 0042 "}) {
+    corpus.push_back(predict + length);
+  }
+  return corpus;
+}
+
+class HttpFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Every head is accepted or refused with 400/413. An accepted head's
+// fields survive a round trip: the minimal head spelling them out parses
+// to the same method, path and body length, and the length is within the
+// limit.
+TEST_P(HttpFuzz, CorruptedRequestHeadsParseOrAnswerAStatus) {
+  constexpr std::size_t kMaxBody = 1 << 20;
+  const std::vector<std::string> corpus = HttpHeadCorpus();
+  std::uint64_t accepted = 0;
+  std::uint64_t refused = 0;
+  for (std::uint64_t i = 0; i < kWireMutantsPerSeed; ++i) {
+    const std::string& original = corpus[i % corpus.size()];
+    const std::string mutated =
+        i < corpus.size() ? original : Corrupt(original, DeriveSeed(GetParam() + 4000, i));
+    const net::HttpHead head = net::ParseHttpHead(mutated, kMaxBody);
+    if (head.status != 0) {
+      EXPECT_TRUE(head.status == 400 || head.status == 413) << head.status << ": " << mutated;
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    EXPECT_LE(head.content_length, kMaxBody) << mutated;
+    const net::HttpHead again = net::ParseHttpHead(
+        head.method + " " + head.path + " HTTP/1.1\r\nContent-Length: " +
+            std::to_string(head.content_length),
+        kMaxBody);
+    EXPECT_EQ(again.status, 0) << mutated;
+    EXPECT_EQ(again.method, head.method) << mutated;
+    EXPECT_EQ(again.path, head.path) << mutated;
+    EXPECT_EQ(again.content_length, head.content_length) << mutated;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HttpFuzz, ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace perfiface

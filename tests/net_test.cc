@@ -1769,5 +1769,65 @@ TEST(NetServerHttp, PostPredictRejectsBadBody) {
   EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
 }
 
+// The request head parser: digits only, one unambiguous length, a limit.
+TEST(HttpHead, ContentLengthIsDigitsWithinTheLimitAndUnambiguous) {
+  const std::string post = "POST /predict HTTP/1.1\r\nHost: t\r\n";
+  const struct {
+    std::string head;
+    int status;
+    std::size_t length;
+  } kCases[] = {
+      {"GET /metrics HTTP/1.1", 0, 0},
+      {"GET /metrics HTTP/1.1\r\nHost: t", 0, 0},
+      {post + "Content-Length: 142", 0, 142},
+      {post + "CONTENT-LENGTH:\t 0042 ", 0, 42},
+      {post + "Content-Length: 5\r\ncontent-length: 5", 0, 5},
+      {post + "Content-Length: 1048576", 0, 1 << 20},
+      {post + "Content-Length: 1048577", 413, 0},
+      {post + "Content-Length: 18446744073709551616", 413, 0},
+      {post + "Content-Length: 5\r\nContent-Length: 6", 400, 0},
+      {post + "Content-Length: -1", 400, 0},
+      {post + "Content-Length: 142abc", 400, 0},
+      {post + "Content-Length: 0x10", 400, 0},
+      {post + "Content-Length:", 400, 0},
+      {"GET /metrics", 400, 0},
+      {"", 400, 0},
+  };
+  for (const auto& c : kCases) {
+    const HttpHead head = ParseHttpHead(c.head, 1 << 20);
+    EXPECT_EQ(head.status, c.status) << c.head;
+    EXPECT_EQ(head.content_length, c.length) << c.head;
+  }
+  const HttpHead get = ParseHttpHead("GET /statusz?x=1 HTTP/1.1\r\nAccept: */*", 1 << 20);
+  EXPECT_EQ(get.method, "GET");
+  EXPECT_EQ(get.path, "/statusz?x=1");
+}
+
+// A length with a junk suffix is refused, not read as its digits: the
+// front end once parsed "Content-Length: 142abc" as 142 and answered.
+TEST(NetServerHttp, JunkSuffixedContentLengthIsABadRequest) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+  const std::string frame =
+      "{\"id\":21,\"requests\":[{\"interface\":\"jpeg_decoder\","
+      "\"function\":\"latency_jpeg_decode\","
+      "\"attrs\":{\"orig_size\":65536,\"compress_rate\":0.2}}]}";
+  const std::string response = RawHttp(
+      ts.server.port(), "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+                            std::to_string(frame.size()) + "abc\r\nConnection: close\r\n\r\n" +
+                            frame);
+  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+}
+
+// Only the head is parsed for headers: a head with no header lines once
+// had the bytes after its blank line scanned as headers too.
+TEST(NetServerHttp, BodyBytesAreNeverReadAsHeaders) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+  const std::string response =
+      RawHttp(ts.server.port(), "GET /healthz HTTP/1.1\r\n\r\nContent-Length: 2000000\r\n\r\n");
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+}
+
 }  // namespace
 }  // namespace perfiface::net

@@ -108,6 +108,61 @@ TEST(Pnet, ErrorsAreReported) {
   EXPECT_FALSE(LoadPnet("net d\nplace p cap=-1\n").ok());  // negative cap
 }
 
+// Counts are digits only, at most INT_MAX. Read with std::atoi, each of
+// these loaded: a junk suffix was dropped, a value past INT_MAX wrapped,
+// init over a bounded cap aborted the process in PetriNet::AddPlace, and
+// two billion initial tokens loaded for every simulation to allocate.
+// LoadPnet and CanonicalPnetText refuse the same inputs with the same
+// line-numbered message.
+TEST(Pnet, CountsAreStrictAndInitialTokensBounded) {
+  const struct {
+    const char* lines;
+    const char* error;
+  } kBad[] = {
+      {"place p cap=1 init=2\n", "line 2: init=2 exceeds cap=1"},
+      {"place credits init=2000000000\n", "line 2: more than 65536 initial tokens in the net"},
+      {"place a init=40000\nplace b init=30000\n",
+       "line 3: more than 65536 initial tokens in the net"},
+      {"place p\ntrans t in=p delay=\"1\" servers=3x\n",
+       "line 3: bad servers '3x' (expected a count from 1 to 2147483647)"},
+      {"place p\ntrans t in=p delay=\"1\" servers=0\n",
+       "line 3: bad servers '0' (expected a count from 1 to 2147483647)"},
+      {"place p cap=4x\n", "line 2: bad cap '4x' (expected a count from 0 to 2147483647)"},
+      {"place p cap=\n", "line 2: bad cap '' (expected a count from 0 to 2147483647)"},
+      {"place p cap=-1\n", "line 2: bad cap '-1' (expected a count from 0 to 2147483647)"},
+      {"place p init=2147483648\n",
+       "line 2: bad init '2147483648' (expected a count from 0 to 2147483647)"},
+      {"place p init=+3\n", "line 2: bad init '+3' (expected a count from 0 to 2147483647)"},
+      {"place p\ntrans t in=p:2x delay=\"1\"\n", "line 3: bad arc weight in 'p:2x'"},
+      {"place p\nplace q\ntrans t in=p out=q:4294967297 delay=\"1\"\n",
+       "line 4: bad arc weight in 'q:4294967297'"},
+  };
+  for (const auto& bad : kBad) {
+    const std::string text = std::string("net d\n") + bad.lines;
+    const LoadedNet loaded = LoadPnet(text);
+    EXPECT_EQ(loaded.error, bad.error) << text;
+    std::string error;
+    EXPECT_EQ(CanonicalPnetText(text, &error), "") << text;
+    EXPECT_EQ(error, bad.error) << text;
+  }
+
+  // At the limits: a bounded place may start full, leading zeros are
+  // digits, and exactly kMaxInjectedTokens initial tokens load.
+  const LoadedNet full = LoadPnet(
+      "net d\nplace p cap=00000000004 init=4\nplace q init=65532\n"
+      "trans t in=p:0002 out=q delay=\"1\" servers=2147483647\n");
+  ASSERT_TRUE(full.ok()) << full.error;
+  EXPECT_EQ(full.net->places()[0].capacity, 4u);
+  EXPECT_EQ(full.net->places()[0].initial_tokens, 4u);
+  EXPECT_EQ(full.net->places()[1].initial_tokens, 65532u);
+  EXPECT_EQ(full.net->transitions()[0].inputs[0].weight, 2u);
+  EXPECT_EQ(full.net->transitions()[0].servers, 2147483647u);
+  std::string error;
+  EXPECT_EQ(CanonicalPnetText("net d\nplace p cap=00000000004 init=4\n", &error),
+            "net d\nplace p cap=4 init=4\n")
+      << error;
+}
+
 TEST(Pnet, LineNumbersInErrors) {
   const LoadedNet loaded = LoadPnet("net d\nplace p\nbogus\n");
   ASSERT_FALSE(loaded.ok());

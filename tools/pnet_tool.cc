@@ -2,9 +2,10 @@
 //
 //   pnet_tool lint <file.pnet>               parse + structural lint
 //   pnet_tool show <file.pnet>               summary (after `use` expansion)
-//       [--dump-expr-bytecode]  register bytecode + shape class of every
-//                               delay/guard expression (the unified IR the
-//                               sim and the exact derived tier execute)
+//       [--dump-expr-bytecode]  register bytecode of every delay/guard
+//                               expression (the unified IR the sim and the
+//                               exact derived tier execute) and its value
+//                               when it is a constant
 //   pnet_tool expand <file.pnet>             print the flattened document
 //   pnet_tool run <file.pnet> <inject place attr=v[,attr=v...] xN> ...
 //       [--observe place] [--until T]
@@ -70,7 +71,7 @@ int CmdLint(const std::string& path) {
 
 // --dump-expr-bytecode: the register form every delay/guard expression was
 // lowered onto (the same bytecode the sim and the exact derived tier
-// execute), plus its compile-time shape classification.
+// execute), and its value when it is a constant.
 void DumpExprBytecode(const LoadedNet& loaded) {
   for (const TransitionSpec& t : loaded.net->transitions()) {
     for (const auto& [label, compiled] :
@@ -79,15 +80,12 @@ void DumpExprBytecode(const LoadedNet& loaded) {
       if (compiled == nullptr) {
         continue;
       }
-      const CompiledExpr::Summary& s = compiled->summary();
-      const char* kind = s.kind == CompiledExpr::Summary::Kind::kConstant ? "constant"
-                         : s.kind == CompiledExpr::Summary::Kind::kAffine ? "affine"
-                                                                          : "general";
-      std::printf("  %s.%s: %s", t.name.c_str(), label, kind);
-      if (s.kind == CompiledExpr::Summary::Kind::kConstant) {
-        std::printf(" = %.17g", s.constant);
+      const std::optional<double> constant = compiled->ConstantValue();
+      if (constant.has_value()) {
+        std::printf("  %s.%s: constant = %.17g\n", t.name.c_str(), label, *constant);
+      } else {
+        std::printf("  %s.%s: general\n", t.name.c_str(), label);
       }
-      std::printf("\n");
       std::fputs(compiled->DisassembleRegs().c_str(), stdout);
     }
   }

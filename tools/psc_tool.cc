@@ -181,24 +181,24 @@ int CmdEval(const std::string& path, const std::string& function,
   if (metrics) {
     std::fputs(obs::MetricsRegistry::Global().RenderPrometheus().c_str(), stdout);
   }
-  if (!result.ok) {
-    if (json) {
-      // Errors also go to stdout in JSON mode so one stream is parseable.
-      std::printf("{\"ok\":false,\"function\":\"%s\",\"error\":\"%s\"}\n", function.c_str(),
-                  result.error.c_str());
-    } else {
-      std::fprintf(stderr, "runtime error: %s\n", result.error.c_str());
-    }
-    return 1;
-  }
   if (json) {
-    if (result.value.IsNumber()) {
-      std::printf("{\"ok\":true,\"function\":\"%s\",\"value\":%.17g}\n", function.c_str(),
-                  result.value.num);
+    // Errors also go to stdout in JSON mode so one stream is parseable.
+    std::string out = result.ok ? "{\"ok\":true,\"function\":" : "{\"ok\":false,\"function\":";
+    AppendJsonString(&out, function);
+    if (!result.ok) {
+      out += ",\"error\":";
+      AppendJsonString(&out, result.error);
+    } else if (result.value.IsNumber()) {
+      out += StrFormat(",\"value\":%.17g", result.value.num);
     } else {
-      std::printf("{\"ok\":true,\"function\":\"%s\",\"value\":null}\n", function.c_str());
+      out += ",\"value\":null";
     }
-    return 0;
+    std::printf("%s}\n", out.c_str());
+    return result.ok ? 0 : 1;
+  }
+  if (!result.ok) {
+    std::fprintf(stderr, "runtime error: %s\n", result.error.c_str());
+    return 1;
   }
   if (result.value.IsNumber()) {
     std::printf("%.10g\n", result.value.num);

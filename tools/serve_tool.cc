@@ -35,8 +35,8 @@
 //   --no-memo              disable the exact derived tier (its per-key memo
 //                          of compiled max-plus programs) and simulate
 //                          every net query whole (docs/serving.md)
-//   --async                run: submit through the async SubmitBatch API
-//                          and stream completions instead of blocking
+//   --async                run --connect: pipeline every repeat before
+//                          collecting (an in-process run ignores it)
 //   --json                 machine-readable responses and stats
 //   --stats                print the service stats dump after the queries
 //   --stats-format FMT     stats flavor: text|json|prometheus (implies --stats)
@@ -313,38 +313,47 @@ std::size_t ParseOption(const std::vector<std::string>& args, std::size_t i,
 void PrintResponse(const PredictRequest& req, const PredictResponse& resp, bool json,
                    bool show_trace = false) {
   if (json) {
-    std::string attrs;
-    for (const auto& kv : req.attrs) {
-      attrs += StrFormat("%s\"%s\":%.17g", attrs.empty() ? "" : ",", kv.first.c_str(), kv.second);
+    std::string out = "{\"interface\":";
+    AppendJsonString(&out, req.interface);
+    out += ",\"function\":";
+    AppendJsonString(&out, req.function);
+    out += ",\"attrs\":{";
+    for (std::size_t i = 0; i < req.attrs.size(); ++i) {
+      out += i == 0 ? "" : ",";
+      AppendJsonString(&out, req.attrs[i].first);
+      out += StrFormat(":%.17g", req.attrs[i].second);
     }
-    std::string extras;
+    out += StrFormat("},\"status\":\"%s\",\"value\":%.17g,\"throughput\":%.17g,"
+                     "\"cache_hit\":%s,\"eval_ns\":%llu",
+                     PredictStatusName(resp.status), resp.value, resp.throughput,
+                     resp.cache_hit ? "true" : "false",
+                     static_cast<unsigned long long>(resp.eval_ns));
     if (!resp.trace_id.empty()) {
-      extras += StrFormat(",\"trace_id\":\"%s\"", resp.trace_id.c_str());
+      out += ",\"trace_id\":";
+      AppendJsonString(&out, resp.trace_id);
     }
     if (resp.explain.filled) {
       const ExplainInfo& ex = resp.explain;
-      extras += StrFormat(
-          ",\"explain\":{\"representation\":\"%s\",\"cache\":\"%s\","
-          "\"queue_wait_ns\":%llu,\"eval_ns\":%llu,\"steps\":%llu,"
+      out += ",\"explain\":{\"representation\":";
+      AppendJsonString(&out, ex.representation);
+      out += ",\"cache\":";
+      AppendJsonString(&out, ex.cache);
+      out += StrFormat(
+          ",\"queue_wait_ns\":%llu,\"eval_ns\":%llu,\"steps\":%llu,"
           "\"memo_components\":%llu,\"derived_hits\":%llu,"
           "\"deadline_limited\":%s,\"shadowed\":%s}",
-          ex.representation.c_str(), ex.cache.c_str(),
           static_cast<unsigned long long>(ex.queue_wait_ns),
           static_cast<unsigned long long>(ex.eval_ns),
           static_cast<unsigned long long>(ex.steps),
           static_cast<unsigned long long>(ex.memo_components),
           static_cast<unsigned long long>(ex.derived_hits),
-          ex.deadline_limited ? "true" : "false",
-          ex.shadowed ? "true" : "false");
+          ex.deadline_limited ? "true" : "false", ex.shadowed ? "true" : "false");
     }
-    std::printf(
-        "{\"interface\":\"%s\",\"function\":\"%s\",\"attrs\":{%s},\"status\":\"%s\","
-        "\"value\":%.17g,\"throughput\":%.17g,\"cache_hit\":%s,\"eval_ns\":%llu%s%s%s%s}\n",
-        req.interface.c_str(), req.function.c_str(), attrs.c_str(),
-        PredictStatusName(resp.status), resp.value, resp.throughput,
-        resp.cache_hit ? "true" : "false", static_cast<unsigned long long>(resp.eval_ns),
-        extras.c_str(), resp.error.empty() ? "" : ",\"error\":\"", resp.error.c_str(),
-        resp.error.empty() ? "" : "\"");
+    if (!resp.error.empty()) {
+      out += ",\"error\":";
+      AppendJsonString(&out, resp.error);
+    }
+    std::printf("%s}\n", out.c_str());
     return;
   }
   const std::string trace_suffix =
@@ -595,11 +604,7 @@ int CmdRun(const std::vector<std::string>& args) {
   PredictionService service(InterfaceRegistry::Default(), cli.service);
   int failures = 0;
   for (int r = 0; r < std::max(1, cli.repeat); ++r) {
-    // --async drives the same queries through SubmitBatch: the handle owns
-    // the requests, the submitter is free immediately, and Responses()
-    // joins at the end (the streaming callback is exercised in tests).
-    const std::vector<PredictResponse> responses =
-        cli.async ? service.SubmitBatch(requests).Responses() : service.PredictBatch(requests);
+    const std::vector<PredictResponse> responses = service.PredictBatch(requests);
     // Print only the last repetition; earlier ones just warm the cache.
     if (r == std::max(1, cli.repeat) - 1) {
       for (std::size_t i = 0; i < requests.size(); ++i) {
