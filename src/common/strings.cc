@@ -1,5 +1,6 @@
 #include "src/common/strings.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 
@@ -47,6 +48,72 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+namespace {
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// Whether a number from_chars found past the double range lies below it
+// (strtod reads such a number as zero) rather than above it. `text` is the
+// unsigned number; the decimal exponent of its leading nonzero digit plus
+// its exponent part says which, as the range ends near 1e-324 and 1e308.
+bool BelowTheRange(std::string_view text) {
+  std::size_t i = 0;
+  long long lead = 0;  // decimal exponent of the leading nonzero digit
+  bool seen = false;
+  for (; i < text.size() && IsDigit(text[i]); ++i) {
+    lead += seen ? 1 : 0;
+    seen = seen || text[i] != '0';
+  }
+  if (i < text.size() && text[i] == '.') {
+    for (++i; i < text.size() && IsDigit(text[i]); ++i) {
+      if (!seen) {
+        --lead;
+        seen = text[i] != '0';
+      }
+    }
+  }
+  long long exponent = 0;
+  if (i < text.size() && (text[i] == 'e' || text[i] == 'E')) {
+    ++i;
+    const bool negative = i < text.size() && text[i] == '-';
+    if (i < text.size() && (text[i] == '-' || text[i] == '+')) {
+      ++i;
+    }
+    for (; i < text.size() && IsDigit(text[i]); ++i) {
+      exponent = std::min(exponent * 10 + (text[i] - '0'), 1'000'000'000LL);
+    }
+    exponent = negative ? -exponent : exponent;
+  }
+  return lead + exponent < 0;
+}
+
+}  // namespace
+
+std::errc ParseDecimal(std::string_view text, double* out) {
+  const bool negative = !text.empty() && text[0] == '-';
+  if (!text.empty() && (text[0] == '-' || text[0] == '+')) {
+    text.remove_prefix(1);
+  }
+  // A digit or '.' must lead: from_chars would also read "inf" and "nan".
+  if (text.empty() || !(IsDigit(text[0]) || text[0] == '.')) {
+    return std::errc::invalid_argument;
+  }
+  double value = 0;
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value, std::chars_format::general);
+  if (ptr != last || ec == std::errc::invalid_argument) {
+    return std::errc::invalid_argument;
+  }
+  if (ec == std::errc::result_out_of_range) {
+    if (!BelowTheRange(text)) {
+      return ec;
+    }
+    value = 0;
+  }
+  *out = negative ? -value : value;
+  return std::errc();
 }
 
 void AppendJsonString(std::string* out, std::string_view s) {

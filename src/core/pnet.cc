@@ -211,7 +211,12 @@ LoadedNet LoadPnet(std::string_view text) {
         fail("const takes a name and a value");
         return out;
       }
-      consts[words[1]] = std::atof(words[2].c_str());
+      double value = 0;
+      if (ParseDecimal(words[2], &value) != std::errc()) {
+        fail(StrFormat("bad const value '%s' (expected a decimal number)", words[2].c_str()));
+        return out;
+      }
+      consts[words[1]] = value;
     } else if (directive == "attr") {
       if (words.size() != 2) {
         fail("attr takes exactly one name");
@@ -527,8 +532,12 @@ std::string CanonicalPnetText(std::string_view text, std::string* error) {
       if (words.size() != 3) {
         return fail("const takes a name and a value");
       }
-      canonical += "const " + words[1] + " " + CanonicalNumber(std::atof(words[2].c_str())) +
-                   "\n";
+      double value = 0;
+      if (ParseDecimal(words[2], &value) != std::errc()) {
+        return fail(
+            StrFormat("bad const value '%s' (expected a decimal number)", words[2].c_str()));
+      }
+      canonical += "const " + words[1] + " " + CanonicalNumber(value) + "\n";
     } else if (directive == "place") {
       if (words.size() < 2) {
         return fail("place needs a name");

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/common/strings.h"
@@ -188,11 +187,12 @@ bool HttpGet(const std::string& host, std::uint16_t port, const std::string& pat
   }
   ::close(fd);
 
-  if (!StartsWith(data, "HTTP/1.1 ") || data.size() < 12) {
+  // "HTTP/1.1 200 OK": the status is the three digits after the version.
+  if (!StartsWith(data, "HTTP/1.1 ") || data.size() < 12 ||
+      ParseDecimal(std::string_view(data).substr(9, 3), status) != std::errc()) {
     *error = "bad HTTP response";
     return false;
   }
-  *status = std::atoi(data.c_str() + 9);
   const std::size_t header_end = data.find("\r\n\r\n");
   if (header_end == std::string::npos) {
     *error = "truncated HTTP response";

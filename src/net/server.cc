@@ -443,7 +443,7 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     // decode + enqueue (responses stream asynchronously and are timed by
     // their own serve/eval entries).
     obs::SpanRing& ring = obs::SpanRing::Global();
-    ring.Record({"net", "frame", frame_trace_id, StrFormat("%zu requests", batch_size),
+    ring.Record({"net", "frame", frame_trace_id, std::to_string(batch_size) + " requests",
                  frame_start_ns, ring.NowNs() - frame_start_ns});
   };
 

@@ -1,11 +1,9 @@
 #include "src/net/wire.h"
 
-#include <cctype>
-#include <cerrno>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "src/common/strings.h"
 
@@ -13,91 +11,101 @@ namespace perfiface::net {
 
 namespace {
 
-// Nesting cap: hostile "[[[[..." input must not blow the parser's stack.
+// Nesting cap: hostile "[[[[..." input must not blow the reader's stack.
 constexpr int kMaxDepth = 64;
 
-class JsonParser {
+// The one JSON reader of the wire: a cursor over one frame that checks the
+// syntax of every value it passes and decodes only what a caller asks for,
+// so no tree is built. Each value at nesting `depth` is read by exactly one
+// of ReadScalar, ReadObject, ReadArray or SkipValue. A syntax error stops
+// the read; error() then holds "<what> at byte <offset>", the first error
+// in text order.
+class JsonReader {
  public:
-  JsonParser(std::string_view text, std::string* error) : text_(text), error_(error) {}
+  // A string, number or boolean, decoded; null, objects and arrays are
+  // checked and skipped as kOther.
+  struct Scalar {
+    enum class Kind { kString, kNumber, kBool, kOther };
+    Kind kind = Kind::kOther;
+    std::string str;
+    std::string_view raw;  // a number's text, read again by the integer fields
+    double number = 0;
+    bool boolean = false;
+  };
 
-  bool Parse(JsonValue* out) {
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  const std::string& error() const { return error_; }
+
+  // The whole text is one value, read by read_root() from its first byte,
+  // followed by whitespace only.
+  template <typename ReadRoot>
+  bool Document(ReadRoot&& read_root) {
     SkipWs();
-    if (!ParseValue(out, 0)) {
+    if (!read_root()) {
       return false;
     }
     SkipWs();
-    if (pos_ != text_.size()) {
-      return Fail("trailing garbage after JSON document");
-    }
-    return true;
+    return pos_ == text_.size() || Fail("trailing garbage after JSON document");
   }
 
- private:
-  bool Fail(const char* msg) {
-    if (error_ != nullptr && error_->empty()) {
-      *error_ = StrFormat("%s at byte %zu", msg, pos_);
-    }
-    return false;
-  }
+  // Whether the value at the cursor starts with `c` ('{' or '[').
+  bool At(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
 
-  void SkipWs() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-        break;
-      }
-      ++pos_;
-    }
-  }
-
-  bool ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) {
-      return Fail("nesting too deep");
-    }
-    if (pos_ >= text_.size()) {
-      return Fail("unexpected end of input");
+  bool ReadScalar(int depth, Scalar* out) {
+    if (!BeginValue(depth)) {
+      return false;
     }
     switch (text_[pos_]) {
-      case '{': return ParseObject(out, depth);
-      case '[': return ParseArray(out, depth);
       case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->str);
+        out->kind = Scalar::Kind::kString;
+        return ReadString(&out->str);
       case 't':
-      case 'f': return ParseBool(out);
-      case 'n': return ParseNull(out);
-      default: return ParseNumber(out);
+      case 'f':
+        out->kind = Scalar::Kind::kBool;
+        return ReadBool(&out->boolean);
+      case '{':
+      case '[':
+      case 'n':
+        out->kind = Scalar::Kind::kOther;
+        return SkipValue(depth);
+      default:
+        out->kind = Scalar::Kind::kNumber;
+        return ReadNumber(&out->raw, &out->number);
     }
   }
 
-  bool ParseObject(JsonValue* out, int depth) {
-    out->kind = JsonValue::Kind::kObject;
+  // The object at the cursor (At('{')): on_member(key, depth + 1) must read
+  // each member's value, and may take the key's buffer.
+  template <typename OnMember>
+  bool ReadObject(int depth, OnMember&& on_member) {
+    if (!BeginValue(depth)) {
+      return false;
+    }
     ++pos_;  // '{'
     SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
+    if (At('}')) {
       ++pos_;
       return true;
     }
+    std::string key;
     for (;;) {
       SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
+      if (!At('"')) {
         return Fail("expected object key");
       }
-      std::string key;
-      if (!ParseString(&key)) {
+      if (!ReadString(&key)) {
         return false;
       }
       SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
+      if (!At(':')) {
         return Fail("expected ':' after object key");
       }
       ++pos_;
       SkipWs();
-      auto value = std::make_unique<JsonValue>();
-      if (!ParseValue(value.get(), depth + 1)) {
+      if (!on_member(key, depth + 1)) {
         return false;
       }
-      out->object[key] = std::move(value);  // last duplicate key wins
       SkipWs();
       if (pos_ >= text_.size()) {
         return Fail("unterminated object");
@@ -114,21 +122,24 @@ class JsonParser {
     }
   }
 
-  bool ParseArray(JsonValue* out, int depth) {
-    out->kind = JsonValue::Kind::kArray;
+  // The array at the cursor (At('[')): on_item(depth + 1) must read each
+  // element.
+  template <typename OnItem>
+  bool ReadArray(int depth, OnItem&& on_item) {
+    if (!BeginValue(depth)) {
+      return false;
+    }
     ++pos_;  // '['
     SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
+    if (At(']')) {
       ++pos_;
       return true;
     }
     for (;;) {
       SkipWs();
-      auto value = std::make_unique<JsonValue>();
-      if (!ParseValue(value.get(), depth + 1)) {
+      if (!on_item(depth + 1)) {
         return false;
       }
-      out->array.push_back(std::move(value));
       SkipWs();
       if (pos_ >= text_.size()) {
         return Fail("unterminated array");
@@ -145,52 +156,125 @@ class JsonParser {
     }
   }
 
-  bool ParseString(std::string* out) {
-    ++pos_;  // opening quote
-    out->clear();
+  bool SkipValue(int depth) {
+    if (!BeginValue(depth)) {
+      return false;
+    }
+    switch (text_[pos_]) {
+      case '{':
+        return ReadObject(depth, [this](std::string&, int d) { return SkipValue(d); });
+      case '[': return ReadArray(depth, [this](int d) { return SkipValue(d); });
+      case '"': return ReadString(nullptr);
+      case 't':
+      case 'f': {
+        bool ignored = false;
+        return ReadBool(&ignored);
+      }
+      case 'n':
+        if (text_.substr(pos_, 4) == "null") {
+          pos_ += 4;
+          return true;
+        }
+        return Fail("bad literal");
+      default: {
+        std::string_view raw;
+        double ignored = 0;
+        return ReadNumber(&raw, &ignored);
+      }
+    }
+  }
+
+ private:
+  bool Fail(const char* msg) {
+    if (error_.empty()) {
+      error_ = msg;
+      error_ += " at byte ";
+      error_ += std::to_string(pos_);
+    }
+    return false;
+  }
+
+  void SkipWs() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
-      if (c == '"') {
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
+        break;
+      }
+      ++pos_;
+    }
+  }
+
+  // The checks every value starts with, nesting before end of input.
+  bool BeginValue(int depth) {
+    if (depth > kMaxDepth) {
+      return Fail("nesting too deep");
+    }
+    return pos_ < text_.size() || Fail("unexpected end of input");
+  }
+
+  // The string at the cursor, unescaped into *out (skipped when null).
+  bool ReadString(std::string* out) {
+    ++pos_;  // opening quote
+    if (out != nullptr) {
+      out->clear();
+    }
+    for (;;) {
+      std::size_t run = pos_;
+      while (run < text_.size()) {
+        const unsigned char c = static_cast<unsigned char>(text_[run]);
+        if (c == '"' || c == '\\' || c < 0x20) {
+          break;
+        }
+        ++run;
+      }
+      if (out != nullptr) {
+        out->append(text_.data() + pos_, run - pos_);
+      }
+      pos_ = run;
+      if (pos_ >= text_.size()) {
+        return Fail("unterminated string");
+      }
+      if (text_[pos_] == '"') {
         ++pos_;
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
+      if (text_[pos_] != '\\') {
         return Fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        ++pos_;
-        continue;
       }
       if (pos_ + 1 >= text_.size()) {
         return Fail("truncated escape");
       }
       const char esc = text_[pos_ + 1];
       pos_ += 2;
+      char byte = 0;
       switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
+        case '"': byte = '"'; break;
+        case '\\': byte = '\\'; break;
+        case '/': byte = '/'; break;
+        case 'b': byte = '\b'; break;
+        case 'f': byte = '\f'; break;
+        case 'n': byte = '\n'; break;
+        case 'r': byte = '\r'; break;
+        case 't': byte = '\t'; break;
         case 'u': {
           unsigned code = 0;
-          if (!ParseHex4(&code)) {
+          if (!ReadHex4(&code)) {
             return false;
           }
-          AppendUtf8(out, code);
-          break;
+          if (out != nullptr) {
+            AppendUtf8(out, code);
+          }
+          continue;
         }
         default: return Fail("unknown escape");
       }
+      if (out != nullptr) {
+        out->push_back(byte);
+      }
     }
-    return Fail("unterminated string");
   }
 
-  bool ParseHex4(unsigned* out) {
+  bool ReadHex4(unsigned* out) {
     if (pos_ + 4 > text_.size()) {
       return Fail("truncated \\u escape");
     }
@@ -213,8 +297,8 @@ class JsonParser {
     return true;
   }
 
-  // Encodes a BMP code point as UTF-8. Surrogates are passed through as
-  //-is (the wire never emits them; replacement would be equally fine).
+  // Encodes a BMP code point as UTF-8. Surrogates are passed through as-is
+  // (the wire never emits them; replacement would be equally fine).
   static void AppendUtf8(std::string* out, unsigned code) {
     if (code < 0x80) {
       out->push_back(static_cast<char>(code));
@@ -228,102 +312,64 @@ class JsonParser {
     }
   }
 
-  bool ParseBool(JsonValue* out) {
+  bool ReadBool(bool* out) {
     if (text_.substr(pos_, 4) == "true") {
-      out->kind = JsonValue::Kind::kBool;
-      out->bool_value = true;
+      *out = true;
       pos_ += 4;
       return true;
     }
     if (text_.substr(pos_, 5) == "false") {
-      out->kind = JsonValue::Kind::kBool;
-      out->bool_value = false;
+      *out = false;
       pos_ += 5;
       return true;
     }
     return Fail("bad literal");
   }
 
-  bool ParseNull(JsonValue* out) {
-    if (text_.substr(pos_, 4) == "null") {
-      out->kind = JsonValue::Kind::kNull;
-      pos_ += 4;
-      return true;
-    }
-    return Fail("bad literal");
-  }
-
-  bool ParseNumber(JsonValue* out) {
+  // A number is the longest run of sign, digit, '.' and exponent bytes,
+  // which must be one ParseDecimal number: finite, and decimal by
+  // construction (no byte of "0x", "inf" or "nan" can join the run).
+  bool ReadNumber(std::string_view* raw, double* out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
+    if (At('-')) {
       ++pos_;
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+            c == '-')) {
+        break;
+      }
       ++pos_;
     }
     if (pos_ == start) {
       return Fail("expected value");
     }
-    out->kind = JsonValue::Kind::kNumber;
-    out->raw_number.assign(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    errno = 0;
-    out->number = std::strtod(out->raw_number.c_str(), &end);
-    if (end != out->raw_number.c_str() + out->raw_number.size()) {
-      return Fail("bad number");
-    }
-    // Past the double range strtod answers +-inf, which no JSON encoder
-    // (ours included) can write back.
-    if (!std::isfinite(out->number)) {
+    *raw = text_.substr(start, pos_ - start);
+    const std::errc ec = ParseDecimal(*raw, out);
+    if (ec == std::errc::result_out_of_range) {
+      // Past the double range a number would decode to +-inf, which no
+      // JSON encoder (ours included) can write back.
       return Fail("number out of range");
     }
-    return true;
+    return ec == std::errc() || Fail("bad number");
   }
 
   std::string_view text_;
-  std::string* error_;
+  std::string error_;
   std::size_t pos_ = 0;
 };
 
-// Exact integer decode off the raw digit text: doubles hold only 53
-// mantissa bits, so id/deadline_us/max_steps near INT64_MAX would be
-// silently rounded if they went through `number`.
-bool RawToInt64(const JsonValue& v, std::int64_t* out) {
-  if (v.kind != JsonValue::Kind::kNumber ||
-      v.raw_number.find_first_of(".eE") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v.raw_number.c_str(), &end, 10);
-  if (end != v.raw_number.c_str() + v.raw_number.size() || errno == ERANGE) {
-    return false;
-  }
-  *out = parsed;
-  return true;
+using Scalar = JsonReader::Scalar;
+
+// Integer fields are read off the number's raw text, never through double,
+// so values near INT64_MAX round-trip exactly.
+template <typename Int>
+bool ScalarToInt(const Scalar& v, Int* out) {
+  return v.kind == Scalar::Kind::kNumber && ParseDecimal(v.raw, out) == std::errc();
 }
 
-bool RawToUint64(const JsonValue& v, std::uint64_t* out) {
-  if (v.kind != JsonValue::Kind::kNumber || v.raw_number.empty() || v.raw_number[0] == '-' ||
-      v.raw_number.find_first_of(".eE") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.raw_number.c_str(), &end, 10);
-  if (end != v.raw_number.c_str() + v.raw_number.size() || errno == ERANGE) {
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-// Number formatting for the encoders, appended in place: integers through
-// std::to_chars, doubles through one "%.17g" snprintf into a stack buffer
-// (17 significant digits round-trip every double).
+// Number formatting for the encoders, appended in place through std::to_chars.
 template <typename Int>
 void AppendInt(std::string* out, Int v) {
   char buf[20];  // INT64_MIN and UINT64_MAX both print in 20
@@ -331,10 +377,13 @@ void AppendInt(std::string* out, Int v) {
   out->append(buf, r.ptr);
 }
 
+// 17 significant digits in general form: the bytes "%.17g" prints, and
+// they round-trip every double.
 void AppendDouble(std::string* out, double v) {
-  char buf[32];  // the longest %.17g output, "-2.2250738585072014e-308", is 24
-  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf, static_cast<std::size_t>(n));
+  char buf[32];  // the longest, "-2.2250738585072014e-308", is 24
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
 }
 
 const char* RepresentationName(serve::Representation rep) {
@@ -415,116 +464,190 @@ void AppendRequestJson(const serve::PredictRequest& req, std::string* out) {
   *out += '}';
 }
 
-bool DecodeRequestObject(const JsonValue& obj, serve::PredictRequest* req, std::string* error) {
-  if (obj.kind != JsonValue::Kind::kObject) {
-    *error = "request must be a JSON object";
-    return false;
-  }
-  const JsonValue* iface = obj.Find("interface");
-  if (iface == nullptr || iface->kind != JsonValue::Kind::kString || iface->str.empty()) {
-    *error = "request needs a non-empty string 'interface'";
-    return false;
-  }
-  req->interface = iface->str;
-  if (const JsonValue* rep = obj.Find("rep"); rep != nullptr) {
-    if (rep->kind != JsonValue::Kind::kString ||
-        !RepresentationFromName(rep->str, &req->representation)) {
-      *error = "'rep' must be \"auto\", \"program\", or \"pnet\"";
-      return false;
+// A request object's fields, in the order their errors are reported: of
+// several bad fields the first in this order is named, wherever it stands
+// in the object.
+enum RequestField {
+  kInterface,
+  kRep,
+  kFunction,
+  kAttrs,
+  kChildren,
+  kEntryPlace,
+  kTokens,
+  kMaxSteps,
+  kDeadlineUs,
+  kTraceId,
+  kExplain,
+  kTenant,
+  kNumRequestFields,
+  kUnknownField = kNumRequestFields,
+};
+
+constexpr struct {
+  std::string_view name;
+  const char* error;
+} kRequestFields[kNumRequestFields] = {
+    {"interface", "request needs a non-empty string 'interface'"},
+    {"rep", "'rep' must be \"auto\", \"program\", or \"pnet\""},
+    {"function", "'function' must be a string"},
+    {"attrs", "'attrs' must be an object of numbers"},
+    {"children", "'children' must be an integer in [0, 1000000]"},
+    {"entry_place", "'entry_place' must be a string"},
+    {"tokens", "'tokens' must be an integer in [1, 1e9]"},
+    {"max_steps", "'max_steps' must be a non-negative integer"},
+    {"deadline_us", "'deadline_us' must be a non-negative integer"},
+    {"trace_id", "'trace_id' must be a string of at most 128 bytes"},
+    {"explain", "'explain' must be a boolean"},
+    {"tenant", "'tenant' must be a string of at most 64 bytes"},
+};
+
+RequestField RequestFieldOf(std::string_view key) {
+  for (int f = 0; f < kNumRequestFields; ++f) {
+    if (key == kRequestFields[f].name) {
+      return static_cast<RequestField>(f);
     }
   }
-  if (const JsonValue* fn = obj.Find("function"); fn != nullptr) {
-    if (fn->kind != JsonValue::Kind::kString) {
-      *error = "'function' must be a string";
+  return kUnknownField;
+}
+
+// Stands in for an attribute whose value is not a number: ParseDecimal
+// reads finite numbers only.
+constexpr double kNotANumber = std::numeric_limits<double>::quiet_NaN();
+
+// Whether the value of `field`'s occurrence is acceptable; a good one is
+// stored into *req.
+bool TakeRequestField(RequestField field, Scalar* v, serve::PredictRequest* req) {
+  // A string of min..max bytes moves into *out.
+  const auto take_string = [v](std::string* out, std::size_t min, std::size_t max) {
+    if (v->kind != Scalar::Kind::kString || v->str.size() < min || v->str.size() > max) {
       return false;
     }
-    req->function = fn->str;
-  }
-  if (const JsonValue* attrs = obj.Find("attrs"); attrs != nullptr) {
-    if (attrs->kind != JsonValue::Kind::kObject) {
-      *error = "'attrs' must be an object of numbers";
+    *out = std::move(v->str);
+    return true;
+  };
+  const auto take_int = [v](int* out, std::int64_t min, std::int64_t max) {
+    std::int64_t n = 0;
+    if (!ScalarToInt(*v, &n) || n < min || n > max) {
       return false;
     }
-    for (const auto& [name, value] : attrs->object) {
-      if (value->kind != JsonValue::Kind::kNumber) {
-        *error = StrFormat("attr '%s' must be a number", name.c_str());
+    *out = static_cast<int>(n);
+    return true;
+  };
+  constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+  switch (field) {
+    case kInterface: return take_string(&req->interface, 1, kUnbounded);
+    case kRep:
+      return v->kind == Scalar::Kind::kString &&
+             RepresentationFromName(v->str, &req->representation);
+    case kFunction: return take_string(&req->function, 0, kUnbounded);
+    case kChildren: return take_int(&req->children, 0, 1'000'000);
+    case kEntryPlace: return take_string(&req->entry_place, 0, kUnbounded);
+    case kTokens: return take_int(&req->tokens, 1, 1'000'000'000);
+    case kMaxSteps: return ScalarToInt(*v, &req->max_steps);
+    case kDeadlineUs: return ScalarToInt(*v, &req->deadline_us) && req->deadline_us >= 0;
+    // Bounded: the trace id is echoed into every span and response line,
+    // and the tenant into responses and a metrics label, so a hostile
+    // client must not get to inflate them arbitrarily.
+    case kTraceId: return take_string(&req->trace_id, 0, 128);
+    case kTenant: return take_string(&req->tenant, 0, 64);
+    case kExplain:
+      if (v->kind != Scalar::Kind::kBool) {
         return false;
       }
-      req->attrs.emplace_back(name, value->number);
-    }
+      req->explain = v->boolean;
+      return true;
+    default: return false;
   }
-  if (const JsonValue* children = obj.Find("children"); children != nullptr) {
-    std::int64_t n = 0;
-    if (!RawToInt64(*children, &n) || n < 0 || n > 1'000'000) {
-      *error = "'children' must be an integer in [0, 1000000]";
+}
+
+// JSON objects are unordered: attrs come out sorted by name, and of a name
+// given twice the last value stands.
+void SortAttrs(std::vector<std::pair<std::string, double>>* attrs) {
+  const auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (std::adjacent_find(attrs->begin(), attrs->end(), [](const auto& a, const auto& b) {
+        return a.first >= b.first;
+      }) == attrs->end()) {
+    return;  // already sorted, no name twice
+  }
+  std::stable_sort(attrs->begin(), attrs->end(), by_name);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < attrs->size(); ++i) {
+    if (i + 1 < attrs->size() && (*attrs)[i + 1].first == (*attrs)[i].first) {
+      continue;
+    }
+    if (out != i) {
+      (*attrs)[out] = std::move((*attrs)[i]);
+    }
+    ++out;
+  }
+  attrs->resize(out);
+}
+
+// A field's last occurrence in an object, if any, and whether it was good.
+enum class Seen : unsigned char { kAbsent, kGood, kBad };
+
+// Reads the request object at the cursor into *req. A field given twice
+// counts at its last occurrence. Returns false on a syntax error; a bad
+// field sets *field_error instead (the first bad field in RequestField
+// order), and then *req is not a request.
+bool ReadRequest(JsonReader* reader, int depth, serve::PredictRequest* req,
+                 std::string* field_error) {
+  Seen seen[kNumRequestFields] = {};
+  Scalar v;
+  const bool read = reader->ReadObject(depth, [&](std::string& key, int d) {
+    const RequestField field = RequestFieldOf(key);
+    if (field == kUnknownField) {
+      return reader->SkipValue(d);
+    }
+    if (field == kAttrs) {
+      req->attrs.clear();
+      if (!reader->At('{')) {
+        seen[kAttrs] = Seen::kBad;
+        return reader->SkipValue(d);
+      }
+      seen[kAttrs] = Seen::kGood;
+      return reader->ReadObject(d, [&](std::string& name, int vd) {
+        if (!reader->ReadScalar(vd, &v)) {
+          return false;
+        }
+        req->attrs.emplace_back(std::move(name),
+                                v.kind == Scalar::Kind::kNumber ? v.number : kNotANumber);
+        return true;
+      });
+    }
+    if (!reader->ReadScalar(d, &v)) {
       return false;
     }
-    req->children = static_cast<int>(n);
+    seen[field] = TakeRequestField(field, &v, req) ? Seen::kGood : Seen::kBad;
+    return true;
+  });
+  if (!read) {
+    return false;
   }
-  if (const JsonValue* place = obj.Find("entry_place"); place != nullptr) {
-    if (place->kind != JsonValue::Kind::kString) {
-      *error = "'entry_place' must be a string";
-      return false;
+  SortAttrs(&req->attrs);
+  for (int f = 0; f < kNumRequestFields; ++f) {
+    if (seen[f] == Seen::kBad || (f == kInterface && seen[f] == Seen::kAbsent)) {
+      *field_error = kRequestFields[f].error;
+      return true;
     }
-    req->entry_place = place->str;
-  }
-  if (const JsonValue* tokens = obj.Find("tokens"); tokens != nullptr) {
-    std::int64_t n = 0;
-    if (!RawToInt64(*tokens, &n) || n < 1 || n > 1'000'000'000) {
-      *error = "'tokens' must be an integer in [1, 1e9]";
-      return false;
+    if (f != kAttrs) {
+      continue;
     }
-    req->tokens = static_cast<int>(n);
-  }
-  if (const JsonValue* steps = obj.Find("max_steps"); steps != nullptr) {
-    if (!RawToUint64(*steps, &req->max_steps)) {
-      *error = "'max_steps' must be a non-negative integer";
-      return false;
+    for (const auto& [name, value] : req->attrs) {
+      if (std::isnan(value)) {
+        // The name ends at a NUL byte, as it always has in this message.
+        *field_error = "attr '";
+        *field_error += name.c_str();
+        *field_error += "' must be a number";
+        return true;
+      }
     }
-  }
-  if (const JsonValue* deadline = obj.Find("deadline_us"); deadline != nullptr) {
-    if (!RawToInt64(*deadline, &req->deadline_us) || req->deadline_us < 0) {
-      *error = "'deadline_us' must be a non-negative integer";
-      return false;
-    }
-  }
-  if (const JsonValue* trace = obj.Find("trace_id"); trace != nullptr) {
-    // Bounded: the id is echoed into every span and response line, so a
-    // hostile client must not get to inflate them arbitrarily.
-    if (trace->kind != JsonValue::Kind::kString || trace->str.size() > 128) {
-      *error = "'trace_id' must be a string of at most 128 bytes";
-      return false;
-    }
-    req->trace_id = trace->str;
-  }
-  if (const JsonValue* explain = obj.Find("explain"); explain != nullptr) {
-    if (explain->kind != JsonValue::Kind::kBool) {
-      *error = "'explain' must be a boolean";
-      return false;
-    }
-    req->explain = explain->bool_value;
-  }
-  if (const JsonValue* tenant = obj.Find("tenant"); tenant != nullptr) {
-    // Bounded like trace_id: the tenant is echoed into responses and
-    // becomes a metrics label, so a hostile client must not get to inflate
-    // either arbitrarily.
-    if (tenant->kind != JsonValue::Kind::kString || tenant->str.size() > 64) {
-      *error = "'tenant' must be a string of at most 64 bytes";
-      return false;
-    }
-    req->tenant = tenant->str;
   }
   return true;
 }
 
 }  // namespace
-
-bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
-  return JsonParser(text, error).Parse(out);
-}
 
 void FrameReader::Append(const char* data, std::size_t n) {
   // Compact once per Append: popped frames only advance head_, so a read
@@ -607,54 +730,103 @@ bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
                         std::vector<serve::PredictRequest>* requests, std::string* error) {
   *id = 0;
   requests->clear();
-  JsonValue root;
-  if (!ParseJson(frame, &root, error)) {
-    return false;
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
-    *error = "frame must be a JSON object";
-    return false;
-  }
-  if (const JsonValue* idv = root.Find("id"); idv != nullptr) {
-    if (!RawToUint64(*idv, id)) {
-      *error = "'id' must be a non-negative integer";
+  error->clear();
+  JsonReader reader(frame);
+  // The last "id" and "requests" members; requests past the first bad one
+  // are checked for syntax only.
+  bool object = false;
+  Seen id_seen = Seen::kAbsent;
+  std::uint64_t id_value = 0;
+  enum class Shape { kAbsent, kObject, kArray, kOther } shape = Shape::kAbsent;
+  std::size_t count = 0;
+  std::size_t bad_index = 0;
+  std::string item_error;
+  Scalar v;
+  const auto read_item = [&](int depth) {
+    const std::size_t index = count++;
+    if (!item_error.empty()) {
+      return reader.SkipValue(depth);
+    }
+    bad_index = index;
+    if (!reader.At('{')) {
+      item_error = "request must be a JSON object";
+      return reader.SkipValue(depth);
+    }
+    if (!ReadRequest(&reader, depth, &requests->emplace_back(), &item_error)) {
       return false;
     }
-  }
-  const JsonValue* reqs = root.Find("requests");
-  if (reqs == nullptr) {
-    *error = "frame needs a 'requests' array";
-    return false;
-  }
-  // Single-object shorthand: {"id":1,"requests":{...}} is a batch of one.
-  if (reqs->kind == JsonValue::Kind::kObject) {
-    serve::PredictRequest req;
-    if (!DecodeRequestObject(*reqs, &req, error)) {
-      return false;
+    if (!item_error.empty()) {
+      requests->pop_back();
     }
-    requests->push_back(std::move(req));
     return true;
-  }
-  if (reqs->kind != JsonValue::Kind::kArray) {
-    *error = "'requests' must be an array (or a single request object)";
-    return false;
-  }
-  if (reqs->array.empty()) {
-    *error = "'requests' must not be empty";
-    return false;
-  }
-  requests->reserve(reqs->array.size());
-  for (std::size_t i = 0; i < reqs->array.size(); ++i) {
-    serve::PredictRequest req;
-    std::string item_error;
-    if (!DecodeRequestObject(*reqs->array[i], &req, &item_error)) {
-      *error = StrFormat("requests[%zu]: %s", i, item_error.c_str());
-      return false;
+  };
+  const bool parsed = reader.Document([&] {
+    if (!reader.At('{')) {
+      return reader.SkipValue(0);
     }
-    requests->push_back(std::move(req));
+    object = true;
+    return reader.ReadObject(0, [&](std::string& key, int depth) {
+      if (key == "id") {
+        if (!reader.ReadScalar(depth, &v)) {
+          return false;
+        }
+        id_seen = ScalarToInt(v, &id_value) ? Seen::kGood : Seen::kBad;
+        return true;
+      }
+      if (key != "requests") {
+        return reader.SkipValue(depth);
+      }
+      requests->clear();
+      count = 0;
+      item_error.clear();
+      if (reader.At('{')) {
+        shape = Shape::kObject;
+        return read_item(depth);
+      }
+      if (reader.At('[')) {
+        shape = Shape::kArray;
+        return reader.ReadArray(depth, read_item);
+      }
+      shape = Shape::kOther;
+      return reader.SkipValue(depth);
+    });
+  });
+  // The checks in the order they report: frame, id, then requests.
+  const char* fail = nullptr;
+  if (!parsed) {
+    *error = reader.error();
+  } else if (!object) {
+    fail = "frame must be a JSON object";
+  } else if (id_seen == Seen::kBad) {
+    fail = "'id' must be a non-negative integer";
+  } else {
+    *id = id_value;
+    if (shape == Shape::kAbsent) {
+      fail = "frame needs a 'requests' array";
+    } else if (shape == Shape::kOther) {
+      fail = "'requests' must be an array (or a single request object)";
+    } else if (count == 0) {
+      fail = "'requests' must not be empty";
+    } else if (!item_error.empty()) {
+      // Requests before the bad one stay decoded.
+      if (shape == Shape::kArray) {
+        *error = "requests[";
+        *error += std::to_string(bad_index);
+        *error += "]: ";
+      }
+      *error += item_error;
+      return false;
+    } else {
+      return true;
+    }
   }
-  return true;
+  if (fail != nullptr) {
+    *error = fail;
+  }
+  requests->clear();
+  return false;
 }
+
 
 void EncodeResponseLine(std::uint64_t id, std::size_t index,
                         const serve::PredictResponse& response, std::string* out) {
@@ -726,117 +898,147 @@ void EncodeMalformedLine(std::uint64_t id, std::string_view error, std::string* 
 
 bool DecodeResponseLine(std::string_view line, WireResponse* out, std::string* error) {
   *out = WireResponse();
-  JsonValue root;
-  if (!ParseJson(line, &root, error)) {
+  error->clear();
+  JsonReader reader(line);
+  // Every member is read into `last` (a field given twice counts at its
+  // last occurrence), then copied into *out in the order the fields are
+  // checked, so a refused line leaves *out as filled up to its bad field.
+  WireResponse last;
+  serve::PredictResponse& r = last.response;
+  bool object = false;
+  Seen id_seen = Seen::kAbsent;
+  Seen index_seen = Seen::kAbsent;
+  Seen eval_ns_seen = Seen::kAbsent;
+  bool status_good = false;
+  std::uint64_t index = 0;
+  Scalar v;
+  const auto number = [&v] { return v.kind == Scalar::Kind::kNumber ? v.number : 0.0; };
+  const auto boolean = [&v] { return v.kind == Scalar::Kind::kBool && v.boolean; };
+  const auto string = [&v] {
+    return v.kind == Scalar::Kind::kString ? std::move(v.str) : std::string();
+  };
+  const auto count = [&v] {
+    std::uint64_t n = 0;
+    ScalarToInt(v, &n);
+    return n;
+  };
+  const auto read_explain = [&](std::string& key, int depth) {
+    if (!reader.ReadScalar(depth, &v)) {
+      return false;
+    }
+    serve::ExplainInfo& ex = r.explain;
+    if (key == "representation") {
+      ex.representation = string();
+    } else if (key == "cache") {
+      ex.cache = string();
+    } else if (key == "queue_wait_ns") {
+      ex.queue_wait_ns = count();
+    } else if (key == "eval_ns") {
+      ex.eval_ns = count();
+    } else if (key == "steps") {
+      ex.steps = count();
+    } else if (key == "memo_components") {
+      ex.memo_components = count();
+    } else if (key == "derived_hits") {
+      ex.derived_hits = count();
+    } else if (key == "deadline_limited") {
+      ex.deadline_limited = boolean();
+    } else if (key == "shadowed") {
+      ex.shadowed = boolean();
+    } else if (key == "shadow_truth") {
+      ex.shadow_truth = number();
+    } else if (key == "shadow_rel_err") {
+      ex.shadow_rel_err = number();
+    }
+    return true;
+  };
+  const bool parsed = reader.Document([&] {
+    if (!reader.At('{')) {
+      return reader.SkipValue(0);
+    }
+    object = true;
+    return reader.ReadObject(0, [&](std::string& key, int depth) {
+      if (key == "explain") {
+        r.explain = serve::ExplainInfo();
+        if (!reader.At('{')) {
+          return reader.SkipValue(depth);
+        }
+        r.explain.filled = true;
+        return reader.ReadObject(depth, read_explain);
+      }
+      if (!reader.ReadScalar(depth, &v)) {
+        return false;
+      }
+      if (key == "id") {
+        id_seen = ScalarToInt(v, &last.id) ? Seen::kGood : Seen::kBad;
+      } else if (key == "malformed") {
+        last.malformed = boolean();
+      } else if (key == "index") {
+        index_seen = ScalarToInt(v, &index) ? Seen::kGood : Seen::kBad;
+      } else if (key == "status") {
+        status_good =
+            v.kind == Scalar::Kind::kString && serve::PredictStatusFromName(v.str, &r.status);
+      } else if (key == "error") {
+        r.error = string();
+      } else if (key == "value") {
+        r.value = number();
+      } else if (key == "throughput") {
+        r.throughput = number();
+      } else if (key == "cache_hit") {
+        r.cache_hit = boolean();
+      } else if (key == "eval_ns") {
+        eval_ns_seen = ScalarToInt(v, &r.eval_ns) ? Seen::kGood : Seen::kBad;
+      } else if (key == "trace_id") {
+        r.trace_id = string();
+      } else if (key == "tenant") {
+        r.tenant = string();
+      }
+      return true;
+    });
+  });
+  if (!parsed) {
+    *error = reader.error();
     return false;
   }
-  if (root.kind != JsonValue::Kind::kObject) {
+  if (!object) {
     *error = "response line must be a JSON object";
     return false;
   }
-  if (const JsonValue* idv = root.Find("id"); idv != nullptr) {
-    if (!RawToUint64(*idv, &out->id)) {
-      *error = "'id' must be a non-negative integer";
-      return false;
-    }
+  if (id_seen == Seen::kBad) {
+    *error = "'id' must be a non-negative integer";
+    return false;
   }
-  if (const JsonValue* mal = root.Find("malformed");
-      mal != nullptr && mal->kind == JsonValue::Kind::kBool && mal->bool_value) {
+  out->id = last.id;
+  if (last.malformed) {
     out->malformed = true;
-    if (const JsonValue* err = root.Find("error");
-        err != nullptr && err->kind == JsonValue::Kind::kString) {
-      out->response.error = err->str;
-    }
+    out->response.error = std::move(r.error);
     return true;
   }
-  std::uint64_t index = 0;
-  const JsonValue* idx = root.Find("index");
-  if (idx == nullptr || !RawToUint64(*idx, &index)) {
+  if (index_seen != Seen::kGood) {
     *error = "response line needs an integer 'index'";
     return false;
   }
   out->index = static_cast<std::size_t>(index);
-  const JsonValue* status = root.Find("status");
-  if (status == nullptr || status->kind != JsonValue::Kind::kString ||
-      !serve::PredictStatusFromName(status->str, &out->response.status)) {
+  if (!status_good) {
     *error = "response line needs a valid 'status'";
     return false;
   }
-  if (const JsonValue* err = root.Find("error");
-      err != nullptr && err->kind == JsonValue::Kind::kString) {
-    out->response.error = err->str;
+  serve::PredictResponse& o = out->response;
+  o.status = r.status;
+  o.error = std::move(r.error);
+  o.value = r.value;
+  o.throughput = r.throughput;
+  o.cache_hit = r.cache_hit;
+  if (eval_ns_seen == Seen::kBad) {
+    *error = "'eval_ns' must be a non-negative integer";
+    return false;
   }
-  if (const JsonValue* value = root.Find("value");
-      value != nullptr && value->kind == JsonValue::Kind::kNumber) {
-    out->response.value = value->number;
-  }
-  if (const JsonValue* tput = root.Find("throughput");
-      tput != nullptr && tput->kind == JsonValue::Kind::kNumber) {
-    out->response.throughput = tput->number;
-  }
-  if (const JsonValue* hit = root.Find("cache_hit");
-      hit != nullptr && hit->kind == JsonValue::Kind::kBool) {
-    out->response.cache_hit = hit->bool_value;
-  }
-  if (const JsonValue* ns = root.Find("eval_ns"); ns != nullptr) {
-    if (!RawToUint64(*ns, &out->response.eval_ns)) {
-      *error = "'eval_ns' must be a non-negative integer";
-      return false;
-    }
-  }
-  if (const JsonValue* trace = root.Find("trace_id");
-      trace != nullptr && trace->kind == JsonValue::Kind::kString) {
-    out->response.trace_id = trace->str;
-  }
-  if (const JsonValue* tenant = root.Find("tenant");
-      tenant != nullptr && tenant->kind == JsonValue::Kind::kString) {
-    out->response.tenant = tenant->str;
-  }
-  if (const JsonValue* explain = root.Find("explain");
-      explain != nullptr && explain->kind == JsonValue::Kind::kObject) {
-    serve::ExplainInfo& ex = out->response.explain;
-    ex.filled = true;
-    if (const JsonValue* v = explain->Find("representation");
-        v != nullptr && v->kind == JsonValue::Kind::kString) {
-      ex.representation = v->str;
-    }
-    if (const JsonValue* v = explain->Find("cache");
-        v != nullptr && v->kind == JsonValue::Kind::kString) {
-      ex.cache = v->str;
-    }
-    if (const JsonValue* v = explain->Find("queue_wait_ns"); v != nullptr) {
-      RawToUint64(*v, &ex.queue_wait_ns);
-    }
-    if (const JsonValue* v = explain->Find("eval_ns"); v != nullptr) {
-      RawToUint64(*v, &ex.eval_ns);
-    }
-    if (const JsonValue* v = explain->Find("steps"); v != nullptr) {
-      RawToUint64(*v, &ex.steps);
-    }
-    if (const JsonValue* v = explain->Find("memo_components"); v != nullptr) {
-      RawToUint64(*v, &ex.memo_components);
-    }
-    if (const JsonValue* v = explain->Find("derived_hits"); v != nullptr) {
-      RawToUint64(*v, &ex.derived_hits);
-    }
-    if (const JsonValue* v = explain->Find("deadline_limited");
-        v != nullptr && v->kind == JsonValue::Kind::kBool) {
-      ex.deadline_limited = v->bool_value;
-    }
-    if (const JsonValue* v = explain->Find("shadowed");
-        v != nullptr && v->kind == JsonValue::Kind::kBool) {
-      ex.shadowed = v->bool_value;
-    }
-    if (const JsonValue* v = explain->Find("shadow_truth");
-        v != nullptr && v->kind == JsonValue::Kind::kNumber) {
-      ex.shadow_truth = v->number;
-    }
-    if (const JsonValue* v = explain->Find("shadow_rel_err");
-        v != nullptr && v->kind == JsonValue::Kind::kNumber) {
-      ex.shadow_rel_err = v->number;
-    }
-  }
+  o.eval_ns = r.eval_ns;
+  o.trace_id = std::move(r.trace_id);
+  o.tenant = std::move(r.tenant);
+  o.explain = std::move(r.explain);
   return true;
 }
+
 
 }  // namespace perfiface::net

@@ -15,10 +15,13 @@
 // true, "error": "..."}) and never kills the connection. Ids are opaque to
 // the server — clients pick them to demultiplex pipelined batches.
 //
-// Integer fields (id, max_steps, deadline_us, eval_ns) are encoded as bare
-// JSON integers and decoded from the raw digit text, never through double,
-// so values near INT64_MAX round-trip exactly (docs/serving.md "Wire
-// protocol" documents the full frame schema).
+// Both decoders are one single-pass JSON reader: it writes the fields
+// straight into the request or response and builds no tree. Numbers are
+// ParseDecimal numbers (src/common/strings.h). Integer fields (id,
+// max_steps, deadline_us, eval_ns) are encoded as bare JSON integers and
+// decoded from the raw digit text, never through double, so values near
+// INT64_MAX round-trip exactly (docs/serving.md "Wire protocol" documents
+// the full frame schema).
 //
 // Requests may carry a "tenant" string (at most 64 bytes) naming the
 // tenant for per-tenant admission quotas and metrics; it is echoed in
@@ -29,8 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,33 +40,6 @@
 #include "src/serve/request.h"
 
 namespace perfiface::net {
-
-// --- Minimal JSON parser ---------------------------------------------------
-//
-// Just enough JSON for the wire protocol: objects, arrays, strings (with
-// escapes; \uXXXX decodes to UTF-8), numbers, true/false/null. Numbers keep
-// their raw source text so integer fields can be re-parsed exactly.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-
-  bool bool_value = false;
-  double number = 0;
-  std::string raw_number;  // exact source text, e.g. "9223372036854775807"
-  std::string str;
-  std::map<std::string, std::unique_ptr<JsonValue>> object;
-  std::vector<std::unique_ptr<JsonValue>> array;
-
-  const JsonValue* Find(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : it->second.get();
-  }
-};
-
-// Parses exactly one JSON document; trailing non-whitespace is an error.
-// Nesting is capped (64 levels) so hostile input cannot blow the stack.
-bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
 
 // The JSON string encoder every JSON writer shares (src/common/strings.h).
 using ::perfiface::AppendJsonString;
@@ -120,9 +94,12 @@ struct WireResponse {
 void EncodeRequestFrame(std::uint64_t id, const std::vector<serve::PredictRequest>& requests,
                         std::string* out);
 
-// Decodes a request frame. On failure returns false with a diagnostic in
-// *error; *id is still filled when the frame parsed far enough to carry
-// one (so the error line can echo it back).
+// Decodes a request frame. attrs come out sorted by name; of a key given
+// twice the last occurrence counts. On failure returns false with a
+// diagnostic in *error: a syntax error anywhere outranks a bad field, and of
+// bad fields the one checked first is named. *id is still filled when the
+// frame parsed and its id is good (so the error line can echo it back), and
+// *requests keeps those decoded before a bad one.
 bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
                         std::vector<serve::PredictRequest>* requests, std::string* error);
 
@@ -135,7 +112,8 @@ void EncodeResponseLine(std::uint64_t id, std::size_t index,
 // Error line for a frame the server could not parse.
 void EncodeMalformedLine(std::uint64_t id, std::string_view error, std::string* out);
 
-// Decodes either a response or a malformed line.
+// Decodes either a response or a malformed line. A refused line leaves
+// *out filled with the fields checked before the bad one.
 bool DecodeResponseLine(std::string_view line, WireResponse* out, std::string* error);
 
 }  // namespace perfiface::net

@@ -593,8 +593,8 @@ Operand FunctionCompiler::LowerCall(const Expr& e, std::uint32_t w) {
       if (all_const()) {
         double best = args[0].cval;
         for (std::size_t i = 1; i < n; ++i) {
-          best = builtin == Builtin::kMin ? std::fmin(best, args[i].cval)
-                                          : std::fmax(best, args[i].cval);
+          best = builtin == Builtin::kMin ? MinNum(best, args[i].cval)
+                                          : MaxNum(best, args[i].cval);
         }
         return Operand::Const(best);
       }
@@ -1056,7 +1056,8 @@ std::size_t FuseSuperinstructions(std::vector<Instr>* code_ptr,
           f.c = x.c;
           fused = true;
           // min/max against a just-loaded constant. Only the const-second
-          // form fuses: fmin's operand order is observable for signed zeros.
+          // form fuses, so operands keep their order (of two NaNs MinNum
+          // returns the second).
         } else if (x.op == Op::kLoadConst && (y.op == Op::kMin2 || y.op == Op::kMax2) &&
                    y.c == x.a && y.b != x.a && temp_dead_elsewhere(x.a, i, i + 1)) {
           f.op = y.op == Op::kMin2 ? Op::kMinC : Op::kMaxC;
@@ -1064,7 +1065,7 @@ std::size_t FuseSuperinstructions(std::vector<Instr>* code_ptr,
           f.b = y.b;
           f.imm = x.imm;
           fused = true;
-          // clamp: (t = fmin(b, C1); a = fmax(t, C2)) -> clampcc. Reaches
+          // clamp: (t = MinNum(b, C1); a = MaxNum(t, C2)) -> clampcc. Reaches
           // fixpoint on the second pass once minc/maxc exist.
         } else if (x.op == Op::kMinC && y.op == Op::kMaxC && y.b == x.a && y.imm <= 255 &&
                    temp_dead_elsewhere(x.a, i, i + 1)) {
@@ -1664,8 +1665,8 @@ bool CompiledExpr::LowerToRegs(std::string* error) {
             case ExprOp::kNe: r = x != y ? 1 : 0; break;
             case ExprOp::kAnd: r = (x != 0 && y != 0) ? 1 : 0; break;
             case ExprOp::kOr: r = (x != 0 || y != 0) ? 1 : 0; break;
-            case ExprOp::kMin: r = std::fmin(x, y); break;
-            case ExprOp::kMax: r = std::fmax(x, y); break;
+            case ExprOp::kMin: r = MinNum(x, y); break;
+            case ExprOp::kMax: r = MaxNum(x, y); break;
             default: ok = false; break;
           }
           if (folded) {

@@ -58,7 +58,7 @@ enum class Op : std::uint8_t {
   kNot,   // r[a] = r[b] == 0 ? 1 : 0
   kBool,  // r[a] = r[b] != 0 ? 1 : 0
   kCeil, kFloor, kAbs, kSqrt,  // r[a] = f(r[b])
-  kMin2, kMax2,                // r[a] = fmin/fmax(r[b], r[c])
+  kMin2, kMax2,                // r[a] = MinNum/MaxNum(r[b], r[c]) (value.h)
   kLen,                        // r[a] = NumChildren(r[b])
   kCheckNum,   // error "<whats[imm]> must be a number" unless r[a] numeric
   kAttr,       // r[a] = r[b].<attr_names[imm]>; imm doubles as the IC slot
@@ -79,9 +79,9 @@ enum class Op : std::uint8_t {
   kMulAddCC,   // r[a] = r[b] * consts[imm] + consts[c]  (c indexes consts)
   kMulAddC,    // r[a] = r[b] * consts[imm] + r[c]; r[c] checked at runtime
   kFma,        // r[a] = r[a] + r[b] * r[c]; all three checked at runtime
-  kMinC,       // r[a] = fmin(r[b], consts[imm])
-  kMaxC,       // r[a] = fmax(r[b], consts[imm])
-  kClampCC,    // r[a] = fmax(fmin(r[b], consts[imm]), consts[c])
+  kMinC,       // r[a] = MinNum(r[b], consts[imm])
+  kMaxC,       // r[a] = MaxNum(r[b], consts[imm])
+  kClampCC,    // r[a] = MaxNum(MinNum(r[b], consts[imm]), consts[c])
   kCmpBranch,  // if cmp<c&7>(r[a], r[b]) == bool(c&8): pc = imm; both checked
   kAnd2,       // r[a] = (r[b] != 0 && r[c] != 0) ? 1 : 0
   kOr2,        // r[a] = (r[b] != 0 || r[c] != 0) ? 1 : 0

@@ -74,13 +74,13 @@ bool CompiledExpr::EvalRegs(SlotFn&& slot, double* value, std::string* error) co
       case Op::kFloor: regs[ins.a] = std::floor(regs[ins.b]); break;
       case Op::kAbs: regs[ins.a] = std::fabs(regs[ins.b]); break;
       case Op::kSqrt: regs[ins.a] = std::sqrt(regs[ins.b]); break;
-      case Op::kMin2: regs[ins.a] = std::fmin(regs[ins.b], regs[ins.c]); break;
-      case Op::kMax2: regs[ins.a] = std::fmax(regs[ins.b], regs[ins.c]); break;
-      case Op::kMinC: regs[ins.a] = std::fmin(regs[ins.b], consts[ins.imm]); break;
-      case Op::kMaxC: regs[ins.a] = std::fmax(regs[ins.b], consts[ins.imm]); break;
+      case Op::kMin2: regs[ins.a] = MinNum(regs[ins.b], regs[ins.c]); break;
+      case Op::kMax2: regs[ins.a] = MaxNum(regs[ins.b], regs[ins.c]); break;
+      case Op::kMinC: regs[ins.a] = MinNum(regs[ins.b], consts[ins.imm]); break;
+      case Op::kMaxC: regs[ins.a] = MaxNum(regs[ins.b], consts[ins.imm]); break;
       case Op::kClampCC:
         regs[ins.a] =
-            std::fmax(std::fmin(regs[ins.b], consts[ins.imm]), consts[ins.c]);
+            MaxNum(MinNum(regs[ins.b], consts[ins.imm]), consts[ins.c]);
         break;
       case Op::kMulAddCC:
         regs[ins.a] = RoundBarrier(regs[ins.b] * consts[ins.imm]) + consts[ins.c];

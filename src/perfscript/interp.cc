@@ -87,7 +87,7 @@ Value Interpreter::CallBuiltin(const Expr& call, std::vector<Value> args, bool* 
     double best = NumOrError(args[0], line, "min/max argument");
     for (std::size_t i = 1; i < args.size() && !failed_; ++i) {
       const double v = NumOrError(args[i], line, "min/max argument");
-      best = call.name == "min" ? std::fmin(best, v) : std::fmax(best, v);
+      best = call.name == "min" ? MinNum(best, v) : MaxNum(best, v);
     }
     return Value::Number(best);
   }

@@ -15,11 +15,43 @@
 #ifndef SRC_PERFSCRIPT_VALUE_H_
 #define SRC_PERFSCRIPT_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string_view>
 
 namespace perfiface {
+
+// PerfScript's min and max of two numbers, the one rule of every evaluator
+// (interpreter, VM, compiled expressions, constant folding): a NaN operand
+// yields the other operand, and a tie of +0 and -0 is -0 for min and +0
+// for max in either order. std::fmin/fmax leave that tie open, and the
+// compiler may resolve it differently from one build to the next.
+inline double MinNum(double a, double b) {
+  if (a < b) {
+    return a;
+  }
+  if (b < a) {
+    return b;
+  }
+  if (a == b) {
+    return std::signbit(a) ? a : b;
+  }
+  return std::isnan(a) ? b : a;
+}
+
+inline double MaxNum(double a, double b) {
+  if (a > b) {
+    return a;
+  }
+  if (b > a) {
+    return b;
+  }
+  if (a == b) {
+    return std::signbit(a) ? b : a;
+  }
+  return std::isnan(a) ? b : a;
+}
 
 class ScriptObject {
  public:

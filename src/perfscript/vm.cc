@@ -276,10 +276,10 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         R[ins.a] = Value::Number(std::sqrt(R[ins.b].num));
         break;
       case Op::kMin2:
-        R[ins.a] = Value::Number(std::fmin(R[ins.b].num, R[ins.c].num));
+        R[ins.a] = Value::Number(MinNum(R[ins.b].num, R[ins.c].num));
         break;
       case Op::kMax2:
-        R[ins.a] = Value::Number(std::fmax(R[ins.b].num, R[ins.c].num));
+        R[ins.a] = Value::Number(MaxNum(R[ins.b].num, R[ins.c].num));
         break;
       case Op::kLen: {
         const Value& vb = R[ins.b];
@@ -474,14 +474,14 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         break;
       }
       case Op::kMinC:
-        R[ins.a] = Value::Number(std::fmin(R[ins.b].num, program_->consts[ins.imm]));
+        R[ins.a] = Value::Number(MinNum(R[ins.b].num, program_->consts[ins.imm]));
         break;
       case Op::kMaxC:
-        R[ins.a] = Value::Number(std::fmax(R[ins.b].num, program_->consts[ins.imm]));
+        R[ins.a] = Value::Number(MaxNum(R[ins.b].num, program_->consts[ins.imm]));
         break;
       case Op::kClampCC:
-        R[ins.a] = Value::Number(std::fmax(
-            std::fmin(R[ins.b].num, program_->consts[ins.imm]), program_->consts[ins.c]));
+        R[ins.a] = Value::Number(MaxNum(
+            MinNum(R[ins.b].num, program_->consts[ins.imm]), program_->consts[ins.c]));
         break;
       case Op::kCmpBranch: {
         const Value& va = R[ins.a];

@@ -1,16 +1,15 @@
 #include "src/serve/admission.h"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "src/common/strings.h"
 
 namespace perfiface::serve {
 namespace {
 
-// A whole, positive number: strtod must consume all of `text`.
+// A whole, positive decimal number.
 bool ParsePositive(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0' && *out > 0;
+  return ParseDecimal(text, out) == std::errc() && *out > 0;
 }
 
 bool QuotaActive(const TenantQuota& quota) { return quota.qps > 0.0; }

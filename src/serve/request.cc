@@ -4,10 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 
 #include "src/common/check.h"
@@ -25,6 +24,20 @@ std::uint64_t Mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// LEB128: seven bits a byte, low bits first, the top bit marking "more".
+void AppendVarint(std::string* out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>(v | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+void AppendLengthPrefixed(std::string* out, std::string_view s) {
+  AppendVarint(out, s.size());
+  out->append(s);
+}
+
 }  // namespace
 
 std::string GenerateTraceId() {
@@ -37,8 +50,13 @@ std::string GenerateTraceId() {
                                      .count()) ^
       (static_cast<std::uint64_t>(::getpid()) << 32));
   static std::atomic<std::uint64_t> counter{0};
-  const std::uint64_t id = Mix64(kBase + counter.fetch_add(1, std::memory_order_relaxed));
-  return StrFormat("%016llx", static_cast<unsigned long long>(id));
+  std::uint64_t id = Mix64(kBase + counter.fetch_add(1, std::memory_order_relaxed));
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, id >>= 4) {
+    out[i] = kHex[id & 0xF];
+  }
+  return out;
 }
 
 PredictResponse UnevaluatedResponse(const PredictRequest& request, PredictStatus status,
@@ -102,13 +120,9 @@ InjectionPlan ParseInjectionPlan(const PredictRequest& req) {
       plan.items.push_back({std::move(item), default_count});
       continue;
     }
-    char* end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(item.c_str() + colon + 1, &end, 10);
-    // ERANGE matters on LP64 too: strtoll clamps an overflowing count to
-    // LLONG_MAX, which must be rejected, not truncated.
-    if (end == item.c_str() + colon + 1 || *end != '\0' || errno == ERANGE || parsed < 1 ||
-        parsed > std::numeric_limits<int>::max()) {
+    long long parsed = 0;
+    if (ParseDecimal(std::string_view(item).substr(colon + 1), &parsed) != std::errc() ||
+        parsed < 1 || parsed > std::numeric_limits<int>::max()) {
       plan.error = StrFormat("bad token count in entry place item '%s'", item.c_str());
       return plan;
     }
@@ -152,46 +166,47 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
   PI_CHECK(resolved != Representation::kAuto);
   PI_CHECK(resolved == Representation::kProgram || (plan != nullptr && plan->ok()));
   std::string key;
-  key.reserve(64 + 24 * req.attrs.size());
-  key += req.interface;
-  key += '\x1f';
+  key.reserve(24 + req.interface.size() + req.function.size() + 24 * req.attrs.size());
+  AppendLengthPrefixed(&key, req.interface);
   key += resolved == Representation::kProgram ? 'p' : 'n';
-  key += '\x1f';
   if (resolved == Representation::kProgram) {
-    key += req.function;
-  } else if (plan->items.empty()) {
-    // Empty spec means "first declared place, `tokens` copies" — the count
-    // is the only degree of freedom left.
-    key += StrFormat("@first:%lld", static_cast<long long>(plan->total));
+    AppendLengthPrefixed(&key, req.function);
   } else {
     // Every count is explicit in the plan, so the `tokens` field no longer
     // matters: "vld_in" with tokens=8 and "vld_in:8" with tokens=1 are the
-    // same query.
-    for (std::size_t i = 0; i < plan->items.size(); ++i) {
-      if (i > 0) {
-        key += ',';
-      }
-      key += plan->items[i].place;
-      key += StrFormat(":%d", plan->items[i].count);
+    // same query. No items means "first declared place, `total` copies".
+    AppendVarint(&key, plan->items.size());
+    for (const InjectionPlan::Item& item : plan->items) {
+      AppendLengthPrefixed(&key, item.place);
+      AppendVarint(&key, static_cast<std::uint64_t>(item.count));
+    }
+    if (plan->items.empty()) {
+      AppendVarint(&key, static_cast<std::uint64_t>(plan->total));
     }
   }
-  key += '\x1f';
-  key += StrFormat("c%d", req.children);
+  AppendVarint(&key, static_cast<std::uint32_t>(req.children));
 
   // Sort attribute names without copying the request: order-insensitive
   // keys are what make "same workload, different builder" queries collide.
-  std::vector<const std::pair<std::string, double>*> sorted;
-  sorted.reserve(req.attrs.size());
+  // A name given twice keeps its request order (the last value is the one
+  // evaluated), so the two orders of a duplicate stay apart. The pointer
+  // vector is per thread, so a key allocates nothing but itself.
+  thread_local std::vector<const std::pair<std::string, double>*> sorted;
+  sorted.clear();
   for (const auto& kv : req.attrs) {
     sorted.push_back(&kv);
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+  std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
+    return a->first != b->first ? a->first < b->first : a < b;
+  });
+  AppendVarint(&key, sorted.size());
   for (const auto* kv : sorted) {
-    key += '\x1f';
-    key += kv->first;
-    // %.17g round-trips doubles exactly, so distinct workloads never alias.
-    key += StrFormat("=%.17g", kv->second);
+    AppendLengthPrefixed(&key, kv->first);
+    // The value's IEEE-754 bits: exact, so distinct workloads never alias.
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(kv->second);
+    for (int shift = 0; shift < 64; shift += 8) {
+      key.push_back(static_cast<char>(bits >> shift));
+    }
   }
   return key;
 }

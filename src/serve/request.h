@@ -191,12 +191,15 @@ struct InjectionPlan {
 // service resolves them against the net).
 InjectionPlan ParseInjectionPlan(const PredictRequest& req);
 
-// Canonical cache key: representation-resolved, attribute order and float
-// formatting normalized, and for kPnet the injection plan spelled out with
-// every count explicit, so permuted but identical queries share an entry.
-// `resolved` must be kProgram or kPnet (kAuto is resolved by the service
-// before keying); kPnet needs the request's well-formed `plan`. Resource
-// limits are deliberately excluded: the cache stores ground-truth
+// Canonical cache key: an exact binary encoding of what the request asks,
+// representation-resolved, with attributes sorted by name and, for kPnet,
+// the injection plan spelled out with every count explicit, so permuted but
+// identical queries share an entry. Every string is length-prefixed (LEB128
+// varint), counts are varints, and each attribute's value is its raw
+// IEEE-754 bits, so two requests share a key only when they ask the same
+// thing. `resolved` must be kProgram or kPnet (kAuto is resolved by the
+// service before keying); kPnet needs the request's well-formed `plan`.
+// Resource limits are deliberately excluded: the cache stores ground-truth
 // predictions, and limits only bound *evaluation* cost.
 std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved,
                               const InjectionPlan* plan = nullptr);

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/common/loc.h"
 #include "src/common/rng.h"
@@ -158,6 +163,68 @@ TEST(Strings, StartsWith) {
 TEST(Strings, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 3, "x"), "3-x");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
+}
+
+// ParseDecimal accepts exactly the text strtod reads whole as a finite
+// decimal number, with the same bits; past the range's top it reports
+// result_out_of_range (strtod's +-inf). Random text over the number bytes,
+// then numbers whose exponents straddle both ends of the double range.
+TEST(Strings, ParseDecimalReadsWhatStrtodReadsWhole) {
+  SplitMix64 rng(23);
+  std::vector<std::string> corpus = {"+5", "-0", ".5", "1.", "00012", "1e", "1e+", "-.5e-3",
+                                     "4e-320", "1e-400", "-1e-400", "1e400", "1.5e+3088", "+",
+                                     "-", ".", "e5", "--1", "+-1"};
+  const char kBytes[] = "0123456789.eE+-";
+  while (corpus.size() < 50'000) {
+    std::string text(1 + rng.NextBelow(10), ' ');
+    for (char& c : text) {
+      c = kBytes[rng.NextBelow(sizeof(kBytes) - 1)];
+    }
+    corpus.push_back(text);
+    std::string number = rng.NextBool(0.2) ? "-" : "";
+    for (std::size_t d = 1 + rng.NextBelow(25); d > 0; --d) {
+      number += static_cast<char>('0' + rng.NextBelow(10));
+    }
+    number.insert(number.begin() + 1 + rng.NextBelow(number.size()), '.');
+    number += 'e';
+    number += std::to_string(static_cast<int>(rng.NextBelow(800)) - 400);
+    corpus.push_back(number);
+  }
+  for (const std::string& text : corpus) {
+    char* end = nullptr;
+    const double want = std::strtod(text.c_str(), &end);
+    const bool whole = !text.empty() && end == text.c_str() + text.size();
+    double got = 0;
+    const std::errc ec = ParseDecimal(text, &got);
+    if (!whole) {
+      EXPECT_EQ(ec, std::errc::invalid_argument) << text;
+    } else if (!std::isfinite(want)) {
+      EXPECT_EQ(ec, std::errc::result_out_of_range) << text;
+    } else {
+      ASSERT_EQ(ec, std::errc()) << text;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want)) << text;
+    }
+  }
+  double unused = 0;
+  for (const char* text : {"inf", "-nan", "0x10", " 1", "1 ", ""}) {
+    EXPECT_EQ(ParseDecimal(text, &unused), std::errc::invalid_argument) << text;
+  }
+}
+
+TEST(Strings, ParseDecimalIntegersAreSignedDigitsInRange) {
+  int i = 0;
+  EXPECT_EQ(ParseDecimal("+42", &i), std::errc());
+  EXPECT_EQ(i, 42);
+  EXPECT_EQ(ParseDecimal("-0", &i), std::errc());
+  EXPECT_EQ(i, 0);
+  EXPECT_EQ(ParseDecimal("2147483648", &i), std::errc::result_out_of_range);
+  std::uint64_t u = 7;
+  EXPECT_EQ(ParseDecimal("18446744073709551615", &u), std::errc());
+  EXPECT_EQ(u, UINT64_MAX);
+  for (const char* bad : {"-0", "-1", "+-1", "+", "1.0", "1e3", "12x", " 1", ""}) {
+    EXPECT_NE(ParseDecimal(bad, &u), std::errc()) << bad;
+  }
+  EXPECT_EQ(u, UINT64_MAX);  // untouched on failure
 }
 
 TEST(Loc, CountsCodeLinesOnly) {

@@ -13,6 +13,7 @@
 // and the long fusion-heavy shapes of an expression-bound net — all swept
 // across attribute vectors that include 0, negatives, non-integers, huge
 // magnitudes, NaN, and +/-Inf.
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -32,7 +33,9 @@
 #include "src/core/pnet.h"
 #include "src/perfscript/compile.h"
 #include "src/perfscript/interp.h"
+#include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
+#include "src/perfscript/vm.h"
 #include "src/petri/net.h"
 
 namespace perfiface {
@@ -116,7 +119,7 @@ bool RefEval(const Expr& e, const ExprBinder& binder, const std::vector<double>&
       if (e.name == "min" || e.name == "max") {
         double r = args.at(0);
         for (std::size_t i = 1; i < args.size(); ++i) {
-          r = e.name == "min" ? std::fmin(r, args[i]) : std::fmax(r, args[i]);
+          r = e.name == "min" ? MinNum(r, args[i]) : MaxNum(r, args[i]);
         }
         *out = r;
       } else if (e.name == "ceil") {
@@ -294,18 +297,28 @@ std::string GenExpr(std::uint64_t* rng, int depth, bool slots = true) {
   }
   const char* const kBinOps[] = {"+", "-",  "*",  "/",  "%",   "<",  "<=",
                                  ">", ">=", "==", "!=", "and", "or"};
-  switch (NextRand(rng) % 20) {
+  const std::uint64_t op_kind = NextRand(rng) % 20;
+  switch (op_kind) {
     case 0: return "(-" + GenExpr(rng, depth - 1, slots) + ")";
     case 1: return "(not " + GenExpr(rng, depth - 1, slots) + ")";
     case 2: return "ceil(" + GenExpr(rng, depth - 1, slots) + ")";
     case 3: return "floor(" + GenExpr(rng, depth - 1, slots) + ")";
     case 4: return "abs(" + GenExpr(rng, depth - 1, slots) + ")";
     case 5: return "sqrt(" + GenExpr(rng, depth - 1, slots) + ")";
-    case 6: return "min(" + GenExpr(rng, depth - 1, slots) + ", " + GenExpr(rng, depth - 1, slots) + ")";
-    case 7: return "max(" + GenExpr(rng, depth - 1, slots) + ", " + GenExpr(rng, depth - 1, slots) + ")";
+    case 6:
+    case 7: {
+      // Operands are drawn in order: the operands of one `+` chain are
+      // evaluated in an unspecified order, which would make the corpus
+      // depend on the build.
+      const std::string lhs = GenExpr(rng, depth - 1, slots);
+      const std::string rhs = GenExpr(rng, depth - 1, slots);
+      return std::string(op_kind == 6 ? "min(" : "max(") + lhs + ", " + rhs + ")";
+    }
     default: {
       const char* op = kBinOps[NextRand(rng) % (sizeof(kBinOps) / sizeof(kBinOps[0]))];
-      return "(" + GenExpr(rng, depth - 1, slots) + " " + op + " " + GenExpr(rng, depth - 1, slots) + ")";
+      const std::string lhs = GenExpr(rng, depth - 1, slots);
+      const std::string rhs = GenExpr(rng, depth - 1, slots);
+      return "(" + lhs + " " + op + " " + rhs + ")";
     }
   }
 }
@@ -339,6 +352,60 @@ TEST(ExprDiff, RandomExpressionCorpusAgrees) {
   std::uint64_t rng = 0x5eed5eed5eed5eedULL;
   for (int i = 0; i < 400; ++i) {
     CheckSource(GenExpr(&rng, 5), kAbcBinder, 3, 16, &rng);
+  }
+}
+
+// A tie of +0 and -0 is -0 for min and +0 for max, in either order, in
+// every evaluator: the interpreter, the VM, CompiledExpr::EvalRegs and the
+// constant folders of programs and of expressions.
+TEST(ExprDiff, SignedZeroTiesOfMinAndMaxFollowOneRule) {
+  struct Case {
+    const char* fn;
+    double a, b, want;
+  };
+  const Case cases[] = {{"min", 0.0, -0.0, -0.0},
+                        {"min", -0.0, 0.0, -0.0},
+                        {"max", 0.0, -0.0, 0.0},
+                        {"max", -0.0, 0.0, 0.0}};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto literal = [](double v) { return std::string(std::signbit(v) ? "(-0)" : "0"); };
+  for (const Case& c : cases) {
+    const std::string fn = c.fn;
+    const std::string what = fn + StrFormat("(%g, %g)", c.a, c.b);
+    const std::string folded = fn + "(" + literal(c.a) + ", " + literal(c.b) + ")";
+    const ParseResult parsed = ParseProgram("def f(w):\n  return " + fn +
+                                            "(w.a, w.b)\nend\ndef g():\n  return " + folded +
+                                            "\nend\n");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    KvObject w;
+    w.Set("a", c.a);
+    w.Set("b", c.b);
+    Interpreter interp(&parsed.program);
+    const CompileProgramResult program = CompileProgram(parsed.program, {});
+    ASSERT_NE(program.program, nullptr) << program.error;
+    Vm vm(program.program);
+    for (const char* function : {"f", "g"}) {
+      const std::vector<Value> args =
+          function[0] == 'f' ? std::vector<Value>{Value::Object(&w)} : std::vector<Value>{};
+      const EvalResult by_interp = interp.Call(function, args);
+      const EvalResult by_vm = vm.Call(function, args);
+      ASSERT_TRUE(by_interp.ok && by_vm.ok) << by_interp.error << by_vm.error;
+      EXPECT_EQ(bits(by_interp.value.num), bits(c.want)) << what << " interpreter " << function;
+      EXPECT_EQ(bits(by_vm.value.num), bits(c.want)) << what << " vm " << function;
+    }
+
+    std::string error;
+    const auto on_slots = CompiledExpr::CompileSource(fn + "(a, b)", kAbcBinder, &error);
+    ASSERT_NE(on_slots, nullptr) << error;
+    const double slots[] = {c.a, c.b, 0.0};
+    const EvalResult by_regs =
+        on_slots->EvalRegsChecked([&slots](std::uint32_t s) { return slots[s]; });
+    ASSERT_TRUE(by_regs.ok) << by_regs.error;
+    EXPECT_EQ(bits(by_regs.value.num), bits(c.want)) << what << " EvalRegs";
+    const auto constant = CompiledExpr::CompileSource(folded, kAbcBinder, &error);
+    ASSERT_NE(constant, nullptr) << error;
+    ASSERT_TRUE(constant->ConstantValue().has_value()) << folded;
+    EXPECT_EQ(bits(*constant->ConstantValue()), bits(c.want)) << what << " expression folder";
   }
 }
 

@@ -31,6 +31,7 @@
 #include "src/petri/distill.h"
 #include "src/petri/sim.h"
 #include "src/serve/request.h"
+#include "tests/wire_oracle.h"
 
 namespace perfiface {
 namespace {
@@ -378,13 +379,17 @@ class WireFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 // The server's decoder: every mutant is accepted or refused with a
 // message, and an accepted frame re-encodes to a fixed point (encode ->
 // decode -> encode gives the same bytes), so what the server understood
-// is exactly what a client could have sent.
+// is exactly what a client could have sent. Every mutant also decodes as
+// the JSON DOM oracle decodes it (tests/wire_oracle.h): the same verdict,
+// error bytes, id and fields.
 TEST_P(WireFuzz, CorruptedRequestFramesDecodeOrFailCleanly) {
   const std::vector<std::string> corpus = RequestCorpus();
   std::uint64_t accepted = 0;
   for (std::uint64_t i = 0; i < kWireMutantsPerSeed; ++i) {
     const std::string mutated =
         Corrupt(corpus[i % corpus.size()], DeriveSeed(GetParam() + 2000, i));
+    const auto [decoded, oracle] = net::oracle::DecodeRequestFrameBothWays(mutated);
+    ASSERT_EQ(decoded, oracle) << "mutant: " << mutated;
     std::uint64_t id = 0;
     std::vector<serve::PredictRequest> requests;
     std::string error;
@@ -403,13 +408,16 @@ TEST_P(WireFuzz, CorruptedRequestFramesDecodeOrFailCleanly) {
   EXPECT_GT(accepted, 0u);  // the sweep must reach the accept path
 }
 
-// The client's decoder: every mutant is accepted or refused with a message.
+// The client's decoder: every mutant is accepted or refused with a message,
+// and decodes as the DOM oracle decodes it.
 TEST_P(WireFuzz, CorruptedResponseLinesDecodeOrFailCleanly) {
   const std::vector<std::string> corpus = ResponseCorpus();
   std::uint64_t accepted = 0;
   for (std::uint64_t i = 0; i < kWireMutantsPerSeed; ++i) {
     const std::string mutated =
         Corrupt(corpus[i % corpus.size()], DeriveSeed(GetParam() + 3000, i));
+    const auto [decoded, oracle] = net::oracle::DecodeResponseLineBothWays(mutated);
+    ASSERT_EQ(decoded, oracle) << "mutant: " << mutated;
     net::WireResponse response;
     std::string error;
     if (net::DecodeResponseLine(mutated, &response, &error)) {

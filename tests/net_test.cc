@@ -37,10 +37,13 @@
 #include "src/serve/request.h"
 #include "src/serve/service.h"
 #include "tests/exposition_parser.h"
+#include "tests/wire_oracle.h"
 
 namespace perfiface::net {
 namespace {
 
+using oracle::JsonValue;
+using oracle::ParseJson;
 using serve::PredictRequest;
 using serve::PredictResponse;
 using serve::PredictStatus;
@@ -400,6 +403,264 @@ TEST(WireCodec, MalformedLineRoundTrips) {
   EXPECT_EQ(wire.response.error, "bad \"frame\"\n");
 }
 
+// --- The single-pass reader against the DOM oracle ---------------------------
+
+// Decodes `frame` with the reader, requiring the DOM oracle's outcome byte
+// for byte (verdict, error, id, every field); returns the reader's verdict.
+bool DecodeLikeTheOracle(std::string_view frame, std::uint64_t* id,
+                         std::vector<PredictRequest>* requests, std::string* error) {
+  const auto [decoded, oracle] = oracle::DecodeRequestFrameBothWays(frame);
+  EXPECT_EQ(decoded, oracle) << frame;
+  return DecodeRequestFrame(frame, id, requests, error);
+}
+
+// A frame of one request whose fields after "interface" are `fields`.
+std::string OneRequest(const std::string& fields) {
+  return R"({"id":1,"requests":[{"interface":"x",)" + fields + "}]}";
+}
+
+// Every frame and line the WireCodec tests decode, plus encoder output for
+// every field, decodes as the DOM decodes it.
+TEST(WireDecoder, GoldenFramesDecodeAsTheDomDecodes) {
+  PredictRequest full;
+  full.interface = "jpeg_decoder";
+  full.representation = Representation::kPnet;
+  full.function = "latency_jpeg_decode";
+  full.attrs = {{"orig_size", 65536.0}, {"compress_rate", 0.2}, {"weird \"name\"", 1.25}};
+  full.children = 3;
+  full.entry_place = "hdr_in:1,vld_in:8";
+  full.tokens = 9;
+  full.max_steps = 18'446'744'073'709'551'613ULL;
+  full.deadline_us = INT64_MAX - 1;
+  full.trace_id = "t1";
+  full.explain = true;
+  full.tenant = "acme-prod";
+  std::string encoded;
+  EncodeRequestFrame(77, {full, JpegRequest(1024, 0.5)}, &encoded);
+  encoded.pop_back();
+  std::vector<std::string> frames = {
+      encoded,
+      R"({"id":3,"requests":{"interface":"jpeg_decoder","function":"f"}})",
+      "not json",
+      "[1,2]",
+      R"({"id":1})",
+      R"({"id":1,"requests":[]})",
+      R"({"id":1,"requests":[{}]})",
+      R"({"id":1,"requests":[{"interface":""}]})",
+      R"({"id":1,"requests":[{"interface":"x","rep":"quantum"}]})",
+      R"({"id":1,"requests":[{"interface":"x","attrs":{"a":"str"}}]})",
+      R"({"id":1,"requests":[{"interface":"x","deadline_us":1.5}]})",
+      R"({"id":42,"requests":[{}]})",
+      R"({"id":1,"requests":[{"interface":"x","attrs":{"a":1e-999,"b":1.7976931348623157e308}}]})",
+      "{\"id\":1,\"requests\":[{\"interface\":\"x\",\"tenant\":\"" + std::string(65, 't') +
+          "\"}]}",
+      R"({"id":4,"requests":{"interface":"jpeg_decoder","function":"f",)"
+      R"("tenant":"acme","trace_id":"cafe0123"}})",
+      R"({"a":1} {"b":2})",
+      "",
+      "{",
+      R"({"a")",
+      R"("unterminated)",
+      R"({"a":01x})",
+      std::string(10'000, '[') + std::string(10'000, ']'),
+  };
+  for (const char* number : {"1e999", "-1e999", "1.8e308"}) {
+    frames.push_back(StrFormat(R"({"id":1,"requests":[{"interface":"x","attrs":{"a":%s}}]})",
+                               number));
+  }
+  // Each check against the next, duplicates, and every field's bounds.
+  for (const char* frame : {
+           R"({"id":"x"})",
+           R"({"requests":[{"interface":"x"}],"id":1.5})",
+           R"({"id":18446744073709551616,"requests":[{"interface":"x"}]})",
+           R"({"id":1,"requests":[{"interface":"x"}],"requests":{"interface":""}})",
+           R"({"id":1,"requests":{"interface":""},"requests":[{"interface":"x"}]})",
+           R"({"id":1,"requests":[{"interface":"x"},5,{"rep":1}]})",
+           R"({"id":1,"requests":"x"})",
+           R"({"id":1,"requests":null})",
+           R"({"id":1,"requests":[{"interface":"x","attrs":[]}]})",
+           R"({"id":1,"requests":[{"interface":"x","attrs":{"a":1},"attrs":5}]})",
+           R"({"id":1,"requests":[{"interface":"x","tokens":1e9,"children":-1}]})",
+           R"({"id":1,"requests":[{"interface":"x","tokens":1000000001}]})",
+           R"({"id":1,"requests":[{"interface":"x","children":1000001}]})",
+           R"({"id":1,"requests":[{"interface":"x","max_steps":-0,"deadline_us":-0}]})",
+           R"({"id":1,"requests":[{"interface":"x","deadline_us":9223372036854775808}]})",
+           R"({"id":1,"requests":[{"interface":"x","explain":1,"function":2}]})",
+           R"({"id":1,"requests":[{"interface":"x","entry_place":[],"tenant":{}}]})",
+       }) {
+    frames.emplace_back(frame);
+  }
+  frames.push_back(OneRequest(R"("trace_id":")" + std::string(129, 't') + "\""));
+  for (const std::string& frame : frames) {
+    const auto [decoded, oracle] = oracle::DecodeRequestFrameBothWays(frame);
+    EXPECT_EQ(decoded, oracle) << frame;
+  }
+
+  PredictResponse resp;
+  resp.status = PredictStatus::kError;
+  resp.error = "oops \"quoted\"\nnewline\\slash";
+  resp.value = 1.25e6;
+  resp.throughput = 0.125;
+  resp.cache_hit = true;
+  resp.eval_ns = 18'446'744'073'709'551'610ULL;
+  resp.trace_id = "cafe0123";
+  resp.tenant = "acme-prod";
+  resp.explain.filled = true;
+  resp.explain.representation = "pnet-derived";
+  resp.explain.cache = "miss";
+  resp.explain.queue_wait_ns = 7;
+  resp.explain.steps = 9;
+  resp.explain.shadowed = true;
+  resp.explain.shadow_truth = 1e-320;
+  resp.explain.shadow_rel_err = -0.0;
+  std::vector<std::string> lines(2);
+  EncodeResponseLine(9, 4, resp, &lines[0]);
+  EncodeMalformedLine(13, "bad \"frame\"\n", &lines[1]);
+  for (std::string& line : lines) {
+    line.pop_back();
+  }
+  for (const char* line : {
+           R"({"id":1,"index":0,"status":"OK","value":1e999})",
+           R"({"id":1,"index":0,"status":"OK","explain":{"steps":5},"explain":{"cache":"hit"}})",
+           R"({"id":1,"index":0,"status":"OK","explain":{"steps":5},"explain":7})",
+           R"({"id":1,"malformed":true,"malformed":false,"index":2,"status":"ERROR","error":5})",
+           R"({"id":1,"malformed":true,"error":["x"]})",
+           R"({"id":1,"index":-1,"status":"OK"})",
+           R"({"id":1,"index":0,"status":"OKAY"})",
+           R"({"id":1,"index":0,"status":"OK","eval_ns":1.5,"value":2,"error":"e"})",
+           R"({"id":1,"index":0,"status":"OK","value":"x","throughput":true,"cache_hit":1,)"
+           R"("trace_id":5,"tenant":null})",
+           R"({"id":1,"index":0,"status":"OK","explain":{"queue_wait_ns":-1,"eval_ns":1.5,)"
+           R"("steps":"x","deadline_limited":1,"shadowed":true,"shadow_truth":"x",)"
+           R"("shadow_rel_err":-0,"representation":7}})",
+           R"({"id":"x"})",
+           "[1]",
+           "5",
+       }) {
+    lines.emplace_back(line);
+  }
+  for (const std::string& line : lines) {
+    const auto [decoded, oracle] = oracle::DecodeResponseLineBothWays(line);
+    EXPECT_EQ(decoded, oracle) << line;
+  }
+}
+
+// Numbers where std::from_chars and the strtod/strtoll the DOM read with
+// differ: a leading '+', magnitudes past either end of the double range,
+// subnormals, and the forms strtod takes beyond JSON's grammar.
+TEST(WireDecoder, NumbersReadAsStrtodReadThem) {
+  std::uint64_t id = 0;
+  std::vector<PredictRequest> decoded;
+  std::string error;
+  ASSERT_TRUE(DecodeLikeTheOracle(OneRequest(R"("children":+5,"attrs":{"a":+1})"), &id,
+                                  &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded[0].children, 5);
+  EXPECT_EQ(decoded[0].attrs[0].second, 1.0);
+
+  // Past the bottom of the range strtod reads a signed zero, where
+  // from_chars reports result_out_of_range; subnormals read exactly.
+  ASSERT_TRUE(DecodeLikeTheOracle(
+      OneRequest(R"("attrs":{"a":1e-400,"b":-1e-400,"c":4e-320,"d":.5,"e":1.,"f":00012})"),
+      &id, &decoded, &error))
+      << error;
+  ASSERT_EQ(decoded[0].attrs.size(), 6u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded[0].attrs[0].second), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded[0].attrs[1].second),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(decoded[0].attrs[2].second, std::strtod("4e-320", nullptr));
+  EXPECT_EQ(decoded[0].attrs[3].second, 0.5);
+  EXPECT_EQ(decoded[0].attrs[4].second, 1.0);
+  EXPECT_EQ(decoded[0].attrs[5].second, 12.0);
+
+  for (const char* number : {"1e400", "1.5e+3088"}) {
+    EXPECT_FALSE(DecodeLikeTheOracle(OneRequest(StrFormat(R"("attrs":{"a":%s})", number)), &id,
+                                     &decoded, &error));
+    EXPECT_NE(error.find("number out of range"), std::string::npos) << number << ": " << error;
+  }
+  EXPECT_FALSE(DecodeLikeTheOracle(OneRequest(R"("attrs":{"a":1e})"), &id, &decoded, &error));
+  EXPECT_EQ(error, "bad number at byte 52");
+  EXPECT_FALSE(DecodeLikeTheOracle(OneRequest(R"("attrs":{"a":0x10})"), &id, &decoded, &error));
+  EXPECT_EQ(error, "expected ',' or '}' in object at byte 51");
+
+  // An id is unsigned: "-0" is refused, though strtoull would read 0.
+  EXPECT_FALSE(DecodeLikeTheOracle(R"({"id":-0,"requests":[{"interface":"x"}]})", &id, &decoded,
+                                   &error));
+  EXPECT_EQ(error, "'id' must be a non-negative integer");
+  EXPECT_EQ(id, 0u);
+}
+
+TEST(WireDecoder, KeysEscapesDuplicatesAndNestingDecodeAsTheDomDecodes) {
+  std::uint64_t id = 0;
+  std::vector<PredictRequest> decoded;
+  std::string error;
+  // An escaped key names the same field.
+  ASSERT_TRUE(DecodeLikeTheOracle(R"({"id":2,"requests":[{"inter\u0066ace":"jpeg_decoder"}]})",
+                                  &id, &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded[0].interface, "jpeg_decoder");
+
+  // Of a key given twice the last counts, so an invalid value followed by
+  // a valid one is accepted, and the reverse refused.
+  ASSERT_TRUE(DecodeLikeTheOracle(
+      OneRequest(R"("tokens":0,"tokens":4,"attrs":{"a":"x","a":2},"attrs":{"b":3,"b":"y","b":5})"),
+      &id, &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded[0].tokens, 4);
+  ASSERT_EQ(decoded[0].attrs.size(), 1u);
+  EXPECT_EQ(decoded[0].attrs[0], (std::pair<std::string, double>{"b", 5.0}));
+  EXPECT_FALSE(
+      DecodeLikeTheOracle(OneRequest(R"("tokens":4,"tokens":0)"), &id, &decoded, &error));
+  EXPECT_EQ(error, "requests[0]: 'tokens' must be an integer in [1, 1e9]");
+
+  // Fields are checked in a fixed order, wherever they stand.
+  EXPECT_FALSE(DecodeLikeTheOracle(OneRequest(R"("tenant":7,"attrs":{"z":true,"m":null})"), &id,
+                                   &decoded, &error));
+  EXPECT_EQ(error, "requests[0]: attr 'm' must be a number");
+  // A syntax error anywhere outranks a bad field.
+  EXPECT_FALSE(DecodeLikeTheOracle(R"({"id":1,"requests":[{"interface":""},{"interface":"x",]})",
+                                   &id, &decoded, &error));
+  EXPECT_EQ(error, "expected object key at byte 54");
+
+  // \u0000 decodes to a NUL byte (an error message names the attribute up
+  // to it); surrogate escapes pass through as 3-byte sequences.
+  ASSERT_TRUE(DecodeLikeTheOracle(OneRequest(R"("tenant":"a\u0000b\ud800\udc00")"), &id,
+                                  &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded[0].tenant, std::string("a\0b\xed\xa0\x80\xed\xb0\x80", 9));
+  EXPECT_FALSE(DecodeLikeTheOracle(OneRequest(R"("attrs":{"n\u0000m":[]})"), &id, &decoded,
+                                   &error));
+  EXPECT_EQ(error, "requests[0]: attr 'n' must be a number");
+
+  // An unknown field's value is skipped, under the 64-level nesting cap.
+  for (const std::size_t levels : {63, 64, 65}) {
+    // The root object is level 0 and "x"'s outermost array level 1.
+    const std::string deep = std::string(levels, '[') + std::string(levels, ']');
+    const bool at_root = DecodeLikeTheOracle(
+        R"({"id":1,"x":)" + deep + R"(,"requests":[{"interface":"x"}]})", &id, &decoded, &error);
+    EXPECT_EQ(at_root, levels <= 64) << levels << ": " << error;
+    // Inside a request the field's value starts at level 3.
+    const std::string inner = std::string(levels - 2, '[') + std::string(levels - 2, ']');
+    const bool in_request = DecodeLikeTheOracle(OneRequest(R"("x":)" + inner), &id, &decoded,
+                                                &error);
+    EXPECT_EQ(in_request, levels <= 64) << levels << ": " << error;
+    if (levels > 64) {
+      EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+    }
+  }
+
+  // The single-object shorthand decodes through the same fields, and names
+  // a bad one without an index.
+  ASSERT_TRUE(DecodeLikeTheOracle(R"({"id":5,"requests":{"interface":"x","children":+2}})", &id,
+                                  &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded[0].children, 2);
+  EXPECT_FALSE(DecodeLikeTheOracle(R"({"requests":{"interface":"x","rep":1},"id":6})", &id,
+                                   &decoded, &error));
+  EXPECT_EQ(error, "'rep' must be \"auto\", \"program\", or \"pnet\"");
+  EXPECT_EQ(id, 6u);
+}
+
 // --- Server over loopback --------------------------------------------------
 
 TEST(NetServer, RoundTripMatchesInProcessService) {
@@ -493,6 +754,40 @@ TEST(NetServer, MalformedFramesNeverKillTheConnection) {
     ASSERT_TRUE(client.Call({JpegRequest(2048, 0.3)}, &responses, &error)) << frame << ": " << error;
     EXPECT_EQ(responses[0].status, PredictStatus::kOk);
   }
+}
+
+// The cache key's regression over the wire, where a forged attribute name
+// arrives escaped: B's one attribute is named after the text key A once
+// built, and B after A on one connection must answer what B answers on a
+// fresh server.
+TEST(NetServer, AttributeNameCannotForgeAnotherRequestsCacheKey) {
+  const std::string a =
+      R"({"id":1,"requests":{"interface":"jpeg_decoder","function":"latency_jpeg_decode",)"
+      R"("attrs":{"compress_rate":0.2,"orig_size":65536}}})" "\n";
+  const std::string b =
+      R"({"id":2,"requests":{"interface":"jpeg_decoder","function":"latency_jpeg_decode",)"
+      R"("attrs":{"compress_rate=0.20000000000000001\u001forig_size":65536}}})" "\n";
+  const auto last_answer = [](const std::vector<std::string>& frames) {
+    TestServer ts;
+    EXPECT_TRUE(ts.ok);
+    NetClient client;
+    std::string error;
+    EXPECT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+    WireResponse wire;
+    for (const std::string& frame : frames) {
+      EXPECT_TRUE(client.SendRaw(frame, &error)) << error;
+      EXPECT_TRUE(client.ReadResponse(&wire, &error)) << error;
+      EXPECT_FALSE(wire.malformed) << wire.response.error;
+    }
+    return wire.response;
+  };
+  const PredictResponse alone = last_answer({b});
+  EXPECT_EQ(alone.status, PredictStatus::kError);
+  EXPECT_NE(alone.error.find("has no attribute 'orig_size'"), std::string::npos) << alone.error;
+  const PredictResponse after = last_answer({a, b});
+  EXPECT_EQ(after.status, alone.status);
+  EXPECT_EQ(after.error, alone.error);
+  EXPECT_FALSE(after.cache_hit);
 }
 
 // A request whose net delay divides by zero (jpeg vld with the attributes
@@ -754,8 +1049,8 @@ TEST(FrameReader, SeededStreamMatchesReferenceSplitterAtRandomSplits) {
   EXPECT_GT(oversized, 1u);
 }
 
-// The encoders append in one pass (std::to_chars for integers, one
-// snprintf per double), and their bytes must be exactly what the printf
+// The encoders append in one pass (std::to_chars for integers and
+// doubles), and their bytes must be exactly what the printf
 // formats of the wire spec ("%llu", "%lld", "%.17g") print. Golden lines
 // pin every field; the seeded doubles pin "%.17g" across the whole range.
 TEST(WireCodec, EncodersAreByteIdenticalToPrintf) {

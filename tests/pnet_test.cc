@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
 #include "src/core/pnet.h"
 #include "src/core/registry.h"
 #include "src/obs/metrics_registry.h"
@@ -114,6 +115,26 @@ TEST(Pnet, ErrorsAreReported) {
 // two billion initial tokens loaded for every simulation to allocate.
 // LoadPnet and CanonicalPnetText refuse the same inputs with the same
 // line-numbered message.
+// A const value is one decimal number: "52x" used to load as 52 and "abc"
+// as 0, and both passed `pnet_tool lint`.
+TEST(Pnet, ConstValuesAreDecimalNumbers) {
+  for (const char* value : {"52x", "abc", "", "0x10", "inf", "nan", "1e", "--1", "1e400"}) {
+    const std::string text = std::string("net d\nconst burst_lat ") + value + "\n";
+    const std::string want =
+        std::string("line 2: ") +
+        (*value == '\0' ? "const takes a name and a value"
+                        : StrFormat("bad const value '%s' (expected a decimal number)", value));
+    EXPECT_EQ(LoadPnet(text).error, want) << text;
+    std::string error;
+    EXPECT_EQ(CanonicalPnetText(text, &error), "") << text;
+    EXPECT_EQ(error, want) << text;
+  }
+  std::string error;
+  EXPECT_EQ(CanonicalPnetText("net d\nconst k 1.5e1\nconst h .5\nconst m -0\n", &error),
+            "net d\nconst k 15\nconst h 0.5\nconst m -0\n")
+      << error;
+}
+
 TEST(Pnet, CountsAreStrictAndInitialTokensBounded) {
   const struct {
     const char* lines;

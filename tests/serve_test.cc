@@ -107,6 +107,35 @@ TEST(CanonicalCacheKey, DistinguishesWorkloads) {
             CanonicalCacheKey(without, Representation::kProgram));
 }
 
+// An attribute name can hold any bytes, so it must not be able to spell
+// out another request's key: B's one attribute is named after the text key
+// A once built, and B after A must answer what B answers on its own.
+TEST(CanonicalCacheKey, AttributeNamesCannotForgeAnotherRequestsKey) {
+  const PredictRequest a = JpegRequest(65536, 0.2);
+  PredictRequest b;
+  b.interface = "jpeg_decoder";
+  b.function = "latency_jpeg_decode";
+  b.attrs = {{"compress_rate=0.20000000000000001\x1forig_size", 65536}};
+  EXPECT_NE(CanonicalCacheKey(a, Representation::kProgram),
+            CanonicalCacheKey(b, Representation::kProgram));
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_capacity = 64;
+  PredictionService fresh(InterfaceRegistry::Default(), options);
+  const PredictResponse alone = fresh.Predict(b);
+  EXPECT_EQ(alone.status, PredictStatus::kError);
+  EXPECT_NE(alone.error.find("has no attribute 'orig_size'"), std::string::npos) << alone.error;
+
+  PredictionService service(InterfaceRegistry::Default(), options);
+  const PredictResponse first = service.Predict(a);
+  ASSERT_TRUE(first.ok()) << first.error;
+  const PredictResponse after = service.Predict(b);
+  EXPECT_EQ(after.status, alone.status);
+  EXPECT_EQ(after.error, alone.error);
+  EXPECT_FALSE(after.cache_hit);
+}
+
 // Satellite: the entry-place spec is canonicalized — whitespace stripped,
 // items sorted, default counts made explicit, duplicate places merged — so
 // permuted but identical pnet queries share one cache entry.
@@ -1339,6 +1368,36 @@ TEST(PredictionServiceExplain, BreakdownCoversRepresentationCacheAndTiming) {
   req.trace_id = "client-supplied-id";
   EXPECT_EQ(service.Predict(req).trace_id, "client-supplied-id");
   EXPECT_NE(GenerateTraceId(), GenerateTraceId());
+}
+
+// Trace ids are 16 lowercase hex digits, and no two are alike, also when
+// threads mint them at once.
+TEST(TraceIds, AreSixteenLowercaseHexDigitsAndUniqueAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  std::vector<std::vector<std::string>> minted(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&minted, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        minted[t].push_back(GenerateTraceId());
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::set<std::string> unique;
+  for (const std::vector<std::string>& ids : minted) {
+    for (const std::string& id : ids) {
+      ASSERT_EQ(id.size(), 16u) << id;
+      for (const char c : id) {
+        ASSERT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << id;
+      }
+      unique.insert(id);
+    }
+  }
+  EXPECT_EQ(unique.size(), static_cast<std::size_t>(kThreads * kPerThread));
 }
 
 TEST(PredictionServiceExplain, PnetMemoRepresentationProgression) {

@@ -45,13 +45,13 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/accel/conv/conv_shadow.h"
 #include "src/accel/jpeg/jpeg_shadow.h"
 #include "src/accel/protoacc/protoacc_shadow.h"
+#include "src/common/strings.h"
 #include "src/core/registry.h"
 #include "src/net/server.h"
 #include "src/serve/service.h"
@@ -88,41 +88,44 @@ int Main(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     const char* v = nullptr;
+    // A numeric flag's value must be a whole ParseDecimal number of the
+    // option's type (src/common/strings.h).
+    const auto number = [&](auto* out) {
+      return (v = value()) != nullptr && ParseDecimal(v, out) == std::errc();
+    };
+    bool ok = true;
     if (arg == "--host" && (v = value()) != nullptr) {
       net_options.host = v;
-    } else if (arg == "--port" && (v = value()) != nullptr) {
-      const long port = std::atol(v);
-      if (port < 0 || port > 65535) {
-        return Usage();
-      }
-      net_options.port = static_cast<std::uint16_t>(port);
-    } else if (arg == "--workers" && (v = value()) != nullptr) {
-      service_options.num_workers = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--cache" && (v = value()) != nullptr) {
-      service_options.cache_capacity = static_cast<std::size_t>(std::atoll(v));
+    } else if (arg == "--port") {
+      ok = number(&net_options.port);
+    } else if (arg == "--workers") {
+      ok = number(&service_options.num_workers);
+    } else if (arg == "--cache") {
+      ok = number(&service_options.cache_capacity);
     } else if (arg == "--no-memo") {
       service_options.enable_pnet_memo = false;
-    } else if (arg == "--max-conns" && (v = value()) != nullptr) {
-      net_options.max_connections = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--io-timeout-ms" && (v = value()) != nullptr) {
-      net_options.io_timeout_ms = std::atoi(v);
-    } else if (arg == "--max-frame-bytes" && (v = value()) != nullptr) {
-      net_options.max_frame_bytes = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--max-inflight" && (v = value()) != nullptr) {
-      net_options.max_inflight_batches = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--shadow-every" && (v = value()) != nullptr) {
-      service_options.shadow_sample_every = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--shadow-threshold" && (v = value()) != nullptr) {
-      service_options.shadow_drift_threshold = std::atof(v);
-    } else if (arg == "--shadow-seed" && (v = value()) != nullptr) {
-      service_options.shadow_seed = static_cast<std::uint64_t>(std::atoll(v));
+    } else if (arg == "--max-conns") {
+      ok = number(&net_options.max_connections);
+    } else if (arg == "--io-timeout-ms") {
+      ok = number(&net_options.io_timeout_ms);
+    } else if (arg == "--max-frame-bytes") {
+      ok = number(&net_options.max_frame_bytes);
+    } else if (arg == "--max-inflight") {
+      ok = number(&net_options.max_inflight_batches);
+    } else if (arg == "--shadow-every") {
+      ok = number(&service_options.shadow_sample_every);
+    } else if (arg == "--shadow-threshold") {
+      ok = number(&service_options.shadow_drift_threshold);
+    } else if (arg == "--shadow-seed") {
+      ok = number(&service_options.shadow_seed);
     } else if (arg == "--quota" && (v = value()) != nullptr) {
-      if (!serve::ApplyQuotaFlag(v, &service_options.admission)) {
-        return Usage();
-      }
+      ok = serve::ApplyQuotaFlag(v, &service_options.admission);
     } else if (arg == "--admission") {
       service_options.admission.shed_deadline = true;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       return Usage();
     }
   }

@@ -153,7 +153,10 @@ int CmdRun(const std::string& path, const std::vector<std::string>& args) {
       sim.Observe(observed.back());
       i += 2;
     } else if (arg == "--until" && i + 1 < args.size()) {
-      until = static_cast<Cycles>(std::strtoull(args[i + 1].c_str(), nullptr, 10));
+      if (ParseDecimal(args[i + 1], &until) != std::errc()) {
+        std::fprintf(stderr, "error: bad --until '%s'\n", args[i + 1].c_str());
+        return 1;
+      }
       i += 2;
     } else if (arg == "--trace" && i + 1 < args.size()) {
       trace_path = args[i + 1];
@@ -175,7 +178,10 @@ int CmdRun(const std::string& path, const std::vector<std::string>& args) {
       while (i < args.size() && args[i] != "inject" && !StartsWith(args[i], "--")) {
         if (args[i].size() > 1 && args[i][0] == 'x' &&
             std::isdigit(static_cast<unsigned char>(args[i][1]))) {
-          inj.count = static_cast<std::size_t>(std::atoll(args[i].c_str() + 1));
+          if (ParseDecimal(std::string_view(args[i]).substr(1), &inj.count) != std::errc()) {
+            std::fprintf(stderr, "error: bad repeat count '%s'\n", args[i].c_str());
+            return 1;
+          }
         } else {
           for (const std::string& kv : SplitString(args[i], ',')) {
             const auto eq = kv.find('=');
@@ -188,7 +194,11 @@ int CmdRun(const std::string& path, const std::vector<std::string>& args) {
               std::fprintf(stderr, "error: unknown attr '%s'\n", kv.substr(0, eq).c_str());
               return 1;
             }
-            inj.token.attrs[slot] = std::atof(kv.c_str() + eq + 1);
+            if (ParseDecimal(std::string_view(kv).substr(eq + 1), &inj.token.attrs[slot]) !=
+                std::errc()) {
+              std::fprintf(stderr, "error: bad number in '%s'\n", kv.c_str());
+              return 1;
+            }
           }
         }
         ++i;

@@ -118,10 +118,12 @@ int CmdEval(const std::string& path, const std::string& function,
     }
     if (args[i] == "--const" && i + 1 < args.size()) {
       const auto eq = args[i + 1].find('=');
-      if (eq == std::string::npos) {
+      double value = 0;
+      if (eq == std::string::npos ||
+          ParseDecimal(std::string_view(args[i + 1]).substr(eq + 1), &value) != std::errc()) {
         return Usage();
       }
-      constants.emplace_back(args[i + 1].substr(0, eq), std::atof(args[i + 1].c_str() + eq + 1));
+      constants.emplace_back(args[i + 1].substr(0, eq), value);
       i += 2;
       continue;
     }
@@ -130,10 +132,14 @@ int CmdEval(const std::string& path, const std::string& function,
       return Usage();
     }
     const std::string key = args[i].substr(0, eq);
-    const double value = std::atof(args[i].c_str() + eq + 1);
-    if (key == "children") {
-      children = static_cast<int>(value);
-    } else {
+    const std::string_view text = std::string_view(args[i]).substr(eq + 1);
+    double value = 0;
+    if (key == "children" ? ParseDecimal(text, &children) != std::errc()
+                          : ParseDecimal(text, &value) != std::errc()) {
+      std::fprintf(stderr, "bad number in '%s'\n", args[i].c_str());
+      return Usage();
+    }
+    if (key != "children") {
       root.Set(key, value);
     }
     ++i;

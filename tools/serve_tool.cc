@@ -62,7 +62,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -115,12 +114,11 @@ bool ParseHostPort(const std::string& spec, std::string* host, std::uint16_t* po
   if (colon == std::string::npos || colon == 0) {
     return false;
   }
-  const long parsed = std::atol(spec.c_str() + colon + 1);
-  if (parsed < 1 || parsed > 65535) {
+  if (ParseDecimal(std::string_view(spec).substr(colon + 1), port) != std::errc() ||
+      *port == 0) {
     return false;
   }
   *host = spec.substr(0, colon);
-  *port = static_cast<std::uint16_t>(parsed);
   return true;
 }
 
@@ -231,8 +229,7 @@ std::size_t ParseOption(const std::vector<std::string>& args, std::size_t i,
     return 2;
   }
   if (arg == "--trace-sample" && value(&v)) {
-    cli->trace_sample = static_cast<std::uint64_t>(std::atoll(v));
-    return 2;
+    return ParseDecimal(v, &cli->trace_sample) == std::errc() ? 2 : 0;
   }
   if (arg == "--metrics") {
     cli->metrics = true;
@@ -249,44 +246,37 @@ std::size_t ParseOption(const std::vector<std::string>& args, std::size_t i,
     return 2;
   }
   if (arg == "--children" && value(&v)) {
-    req->children = std::atoi(v);
-    return 2;
+    return ParseDecimal(v, &req->children) == std::errc() ? 2 : 0;
   }
   if (arg == "--tokens" && value(&v)) {
-    req->tokens = std::atoi(v);
-    return 2;
+    return ParseDecimal(v, &req->tokens) == std::errc() ? 2 : 0;
   }
   if (arg == "--entry" && value(&v)) {
     req->entry_place = v;
     return 2;
   }
   if (arg == "--deadline-us" && value(&v)) {
-    req->deadline_us = std::atoll(v);
-    return 2;
+    return ParseDecimal(v, &req->deadline_us) == std::errc() ? 2 : 0;
   }
   if (arg == "--tenant" && value(&v)) {
     req->tenant = v;
     return 2;
   }
   if (arg == "--max-steps" && value(&v)) {
-    req->max_steps = static_cast<std::uint64_t>(std::atoll(v));
-    return 2;
+    return ParseDecimal(v, &req->max_steps) == std::errc() ? 2 : 0;
   }
   if (arg == "--explain") {
     req->explain = true;
     return 1;
   }
   if (arg == "--workers" && value(&v)) {
-    cli->service.num_workers = static_cast<std::size_t>(std::atoi(v));
-    return 2;
+    return ParseDecimal(v, &cli->service.num_workers) == std::errc() ? 2 : 0;
   }
   if (arg == "--cache" && value(&v)) {
-    cli->service.cache_capacity = static_cast<std::size_t>(std::atoll(v));
-    return 2;
+    return ParseDecimal(v, &cli->service.cache_capacity) == std::errc() ? 2 : 0;
   }
   if (arg == "--repeat" && value(&v)) {
-    cli->repeat = std::atoi(v);
-    return 2;
+    return ParseDecimal(v, &cli->repeat) == std::errc() ? 2 : 0;
   }
   if (arg == "--quota" && value(&v)) {
     return ApplyQuotaFlag(v, &cli->service.admission) ? 2 : 0;
@@ -417,10 +407,14 @@ bool ParseQueryWords(const std::vector<std::string>& words, PredictRequest* req)
       return false;
     }
     const std::string key = words[i].substr(0, eq);
-    const double value = std::atof(words[i].c_str() + eq + 1);
-    if (key == "children") {
-      req->children = static_cast<int>(value);
-    } else {
+    const std::string_view text = std::string_view(words[i]).substr(eq + 1);
+    double value = 0;
+    if (key == "children" ? ParseDecimal(text, &req->children) != std::errc()
+                          : ParseDecimal(text, &value) != std::errc()) {
+      std::fprintf(stderr, "bad number in '%s'\n", words[i].c_str());
+      return false;
+    }
+    if (key != "children") {
       req->attrs.emplace_back(key, value);
     }
   }
