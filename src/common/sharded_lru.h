@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -80,13 +81,30 @@ class ShardedLru {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return;
     }
-    if (shard.lru.size() >= per_shard_capacity_) {
-      shard.index.erase(std::string_view(shard.lru.back().first));
-      shard.lru.pop_back();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (shard.lru.size() < per_shard_capacity_) {
+      shard.lru.emplace_front(key, value);
+      shard.index.emplace(std::string_view(shard.lru.front().first), shard.lru.begin());
+      return;
     }
-    shard.lru.emplace_front(key, value);
-    shard.index.emplace(std::string_view(shard.lru.front().first), shard.lru.begin());
+    // At capacity the evicted entry becomes the new one: its list node moves
+    // to the front with the key assigned in place, and its index node is
+    // re-keyed, so the insert allocates nothing once the key buffer fits.
+    // A buffer too small, or more than twice the key's size, is replaced by
+    // one of the key's size, so keys of mixed lengths never hold more than
+    // twice the memory fresh inserts' would.
+    const auto victim = std::prev(shard.lru.end());
+    auto node = shard.index.extract(std::string_view(victim->first));
+    std::string& stored = victim->first;
+    if (key.size() <= stored.capacity() && stored.capacity() <= 2 * key.size()) {
+      stored.assign(key);
+    } else {
+      stored = std::string(key);
+    }
+    victim->second = value;
+    shard.lru.splice(shard.lru.begin(), shard.lru, victim);
+    node.key() = std::string_view(victim->first);
+    shard.index.insert(std::move(node));
+    evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 
   bool enabled() const { return capacity_ > 0; }

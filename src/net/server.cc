@@ -85,11 +85,12 @@ bool HeaderNameIs(std::string_view header, std::string_view name) {
 
 // Every request entering the service carries a trace_id from here on:
 // client-supplied ids pass through untouched, the rest are minted at the
-// network edge so queue flow events and response lines share one id.
+// network edge, into the request's own string, so queue flow events and
+// response lines share one id.
 void FillTraceIds(std::vector<serve::PredictRequest>* requests) {
   for (serve::PredictRequest& request : *requests) {
     if (request.trace_id.empty()) {
-      request.trace_id = serve::GenerateTraceId();
+      serve::GenerateTraceId(&request.trace_id);
     }
   }
 }
@@ -338,6 +339,30 @@ void NetServer::TimedWrite(Connection* conn, std::string_view data) {
   BytesTxTotal().Add(sent);
 }
 
+void NetServer::ReturnFrame(std::unique_ptr<Frame> frame, bool lent) {
+  // Heap bytes the requests keep for the next decode (SSO buffers count
+  // too: the bound only needs to hold from above).
+  std::size_t bytes = frame->requests.capacity() * sizeof(serve::PredictRequest);
+  for (const serve::PredictRequest& r : frame->requests) {
+    bytes += r.interface.capacity() + r.function.capacity() + r.entry_place.capacity() +
+             r.trace_id.capacity() + r.tenant.capacity() +
+             r.attrs.capacity() * sizeof(r.attrs.front());
+    for (const auto& attr : r.attrs) {
+      bytes += attr.first.capacity();
+    }
+  }
+  Connection* conn = frame->conn;
+  std::lock_guard<std::mutex> lock(conn->inflight_mu);
+  if (bytes <= options_.max_frame_bytes &&
+      conn->spare_frames.size() < options_.max_inflight_batches) {
+    conn->spare_frames.push_back(std::move(frame));
+  }
+  if (lent) {
+    --conn->inflight;
+    conn->inflight_cv.notify_all();
+  }
+}
+
 void NetServer::DrainInflight(Connection* conn) {
   std::unique_lock<std::mutex> lock(conn->inflight_mu);
   conn->inflight_cv.wait(lock, [conn] { return conn->inflight == 0; });
@@ -364,14 +389,31 @@ void NetServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
 void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
   FrameReader reader(options_.max_frame_bytes);
   std::vector<char> buf(64 * 1024);
+  std::string frame;
+  obs::SpanRing::Entry frame_entry;  // the /tracez entry, rebuilt per frame
+  frame_entry.cat = "net";
+  frame_entry.name = "frame";
 
-  const auto handle_frame = [&](const std::string& frame) {
+  const auto handle_frame = [&] {
     obs::SpanGuard request_span("net", "request");
     const std::uint64_t frame_start_ns = obs::SpanRing::Global().NowNs();
+    std::unique_ptr<Frame> pending;
+    {
+      std::lock_guard<std::mutex> lock(conn->inflight_mu);
+      if (!conn->spare_frames.empty()) {
+        pending = std::move(conn->spare_frames.back());
+        conn->spare_frames.pop_back();
+      }
+    }
+    if (pending == nullptr) {
+      pending = std::make_unique<Frame>();
+      pending->conn = conn.get();
+    }
+    std::vector<serve::PredictRequest>& requests = pending->requests;
     std::uint64_t id = 0;
-    std::vector<serve::PredictRequest> requests;
     std::string error;
     if (!DecodeRequestFrame(frame, &id, &requests, &error)) {
+      ReturnFrame(std::move(pending), /*lent=*/false);
       FramesMalformedTotal().Increment();
       std::string line;
       EncodeMalformedLine(id, error, &line);
@@ -379,10 +421,12 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
       return;
     }
     if (requests.size() > options_.max_batch_requests) {
+      const std::size_t size = requests.size();
+      ReturnFrame(std::move(pending), /*lent=*/false);
       FramesMalformedTotal().Increment();
       std::string line;
       EncodeMalformedLine(
-          id, StrFormat("frame has %zu requests; limit is %zu", requests.size(),
+          id, StrFormat("frame has %zu requests; limit is %zu", size,
                         options_.max_batch_requests),
           &line);
       TimedWrite(conn.get(), line);
@@ -391,8 +435,6 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     FillTraceIds(&requests);
     if (request_span.active()) {
       request_span.SetArg("requests", static_cast<double>(requests.size()));
-    }
-    if (!requests.empty()) {
       request_span.SetTraceId(requests.front().trace_id);
     }
 
@@ -412,39 +454,42 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
                                  "too many batches in flight on this connection"),
                              &lines);
         }
+        ReturnFrame(std::move(pending), /*lent=*/false);
         TimedWrite(conn.get(), lines);
         return;
       }
       ++conn->inflight;
     }
 
-    const std::size_t batch_size = requests.size();
-    const std::string frame_trace_id = requests.empty() ? std::string() : requests.front().trace_id;
+    frame_entry.trace_id = requests.front().trace_id;
+    frame_entry.detail = std::to_string(requests.size());
+    frame_entry.detail += " requests";
     // Lines go out one write per chunk (so a one-request frame is written
     // the moment it resolves), and the frame counts as answered only after
     // its last chunk's write: DrainInflight then means every line has been
-    // flushed or, on a dead connection, dropped.
-    auto remaining = std::make_shared<std::atomic<std::size_t>>(requests.size());
+    // flushed or, on a dead connection, dropped. The service reads the lent
+    // requests only before that last flush, which hands the frame back.
+    pending->unanswered.store(requests.size(), std::memory_order_relaxed);
+    Frame* lent = pending.release();
     service_->SubmitBatch(
-        std::move(requests),
+        std::span<const serve::PredictRequest>(lent->requests),
         [id](std::size_t index, const serve::PredictResponse& response) {
           EncodeResponseLine(id, index, response, &chunk_lines);
         },
-        [this, conn, remaining](std::size_t n) {
-          TimedWrite(conn.get(), chunk_lines);
+        [this, lent](std::size_t n) {
+          TimedWrite(lent->conn, chunk_lines);
           chunk_lines.clear();
-          if (remaining->fetch_sub(n, std::memory_order_acq_rel) == n) {
-            std::lock_guard<std::mutex> lock(conn->inflight_mu);
-            --conn->inflight;
-            conn->inflight_cv.notify_all();
+          if (lent->unanswered.fetch_sub(n, std::memory_order_acq_rel) == n) {
+            ReturnFrame(std::unique_ptr<Frame>(lent), /*lent=*/true);
           }
         });
     // /tracez provenance: one ring entry per accepted frame, covering
     // decode + enqueue (responses stream asynchronously and are timed by
     // their own serve/eval entries).
     obs::SpanRing& ring = obs::SpanRing::Global();
-    ring.Record({"net", "frame", frame_trace_id, std::to_string(batch_size) + " requests",
-                 frame_start_ns, ring.NowNs() - frame_start_ns});
+    frame_entry.start_ns = frame_start_ns;
+    frame_entry.dur_ns = ring.NowNs() - frame_start_ns;
+    ring.Record(frame_entry);
   };
 
   for (;;) {
@@ -478,7 +523,6 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     BytesRxTotal().Add(static_cast<std::uint64_t>(n));
     reader.Append(buf.data(), static_cast<std::size_t>(n));
 
-    std::string frame;
     for (;;) {
       const FrameReader::Next next = reader.Pop(&frame);
       if (next == FrameReader::Next::kNeedMore) {
@@ -493,7 +537,7 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
         TimedWrite(conn.get(), line);
         continue;
       }
-      handle_frame(frame);
+      handle_frame();
     }
     if (conn->dead.load(std::memory_order_relaxed)) {
       break;

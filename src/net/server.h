@@ -39,6 +39,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "src/serve/service.h"
 
@@ -105,8 +106,19 @@ class NetServer {
   }
 
  private:
-  // One accepted connection; owned by conns_, pinned by response
-  // callbacks via shared_ptr until its last batch resolves.
+  struct Connection;
+
+  // One NDJSON frame's requests, lent to the service while it is answered.
+  struct Frame {
+    Connection* conn = nullptr;
+    std::vector<serve::PredictRequest> requests;
+    // Requests whose response lines are not written yet.
+    std::atomic<std::size_t> unanswered{0};
+  };
+
+  // One accepted connection; owned by conns_. Its thread drains every
+  // batch it submitted before exiting, so response callbacks never outlive
+  // it.
   struct Connection {
     int fd = -1;
     std::thread thread;
@@ -124,6 +136,11 @@ class NetServer {
     std::mutex inflight_mu;
     std::condition_variable inflight_cv;
     std::size_t inflight = 0;
+    // Each frame decodes into a Frame taken from here (or a new one) and
+    // lends its requests to the service; the on_flush that answers the
+    // frame's last request puts it back (ReturnFrame). They die with the
+    // connection.
+    std::vector<std::unique_ptr<Frame>> spare_frames;
   };
 
   void AcceptLoop();
@@ -133,6 +150,12 @@ class NetServer {
   // Writes all of `data`, respecting io_timeout_ms per poll; on failure
   // marks the connection dead and half-closes it so the reader unblocks.
   void TimedWrite(Connection* conn, std::string_view data);
+  // Puts a frame back among its connection's spares, counting the frame
+  // answered when its requests were lent to the service. It is kept only
+  // while the spares number fewer than max_inflight_batches and its
+  // storage is at most max_frame_bytes, so one connection's spares hold at
+  // most a full window of frames; otherwise it is freed.
+  void ReturnFrame(std::unique_ptr<Frame> frame, bool lent);
   // Blocks until every batch submitted on this connection has resolved.
   static void DrainInflight(Connection* conn);
   void ReapFinished(bool all);

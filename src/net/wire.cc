@@ -52,6 +52,9 @@ class JsonReader {
   // Whether the value at the cursor starts with `c` ('{' or '[').
   bool At(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
 
+  // The string at the cursor (At('"')), unescaped into *out.
+  bool ReadString(int depth, std::string* out) { return BeginValue(depth) && ReadString(out); }
+
   bool ReadScalar(int depth, Scalar* out) {
     if (!BeginValue(depth)) {
       return false;
@@ -515,50 +518,76 @@ RequestField RequestFieldOf(std::string_view key) {
 // reads finite numbers only.
 constexpr double kNotANumber = std::numeric_limits<double>::quiet_NaN();
 
-// Whether the value of `field`'s occurrence is acceptable; a good one is
-// stored into *req.
-bool TakeRequestField(RequestField field, Scalar* v, serve::PredictRequest* req) {
-  // A string of min..max bytes moves into *out.
-  const auto take_string = [v](std::string* out, std::size_t min, std::size_t max) {
-    if (v->kind != Scalar::Kind::kString || v->str.size() < min || v->str.size() > max) {
-      return false;
-    }
-    *out = std::move(v->str);
-    return true;
-  };
-  const auto take_int = [v](int* out, std::int64_t min, std::int64_t max) {
+// Where a string field is stored and how many bytes it may hold; a null
+// `text` for the other fields. Strings are read straight into the request,
+// so a reused request keeps their storage.
+struct StringSlot {
+  std::string* text = nullptr;
+  std::size_t min = 0;
+  std::size_t max = 0;
+};
+
+StringSlot StringSlotOf(RequestField field, serve::PredictRequest* req) {
+  constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+  switch (field) {
+    case kInterface: return {&req->interface, 1, kUnbounded};
+    case kFunction: return {&req->function, 0, kUnbounded};
+    case kEntryPlace: return {&req->entry_place, 0, kUnbounded};
+    // Bounded: the trace id is echoed into every span and response line,
+    // and the tenant into responses and a metrics label, so a hostile
+    // client must not get to inflate them arbitrarily.
+    case kTraceId: return {&req->trace_id, 0, 128};
+    case kTenant: return {&req->tenant, 0, 64};
+    default: return {};
+  }
+}
+
+// Whether the value of a non-string `field`'s occurrence is acceptable; a
+// good one is stored into *req.
+bool TakeRequestField(RequestField field, const Scalar& v, serve::PredictRequest* req) {
+  const auto take_int = [&v](int* out, std::int64_t min, std::int64_t max) {
     std::int64_t n = 0;
-    if (!ScalarToInt(*v, &n) || n < min || n > max) {
+    if (!ScalarToInt(v, &n) || n < min || n > max) {
       return false;
     }
     *out = static_cast<int>(n);
     return true;
   };
-  constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
   switch (field) {
-    case kInterface: return take_string(&req->interface, 1, kUnbounded);
     case kRep:
-      return v->kind == Scalar::Kind::kString &&
-             RepresentationFromName(v->str, &req->representation);
-    case kFunction: return take_string(&req->function, 0, kUnbounded);
+      return v.kind == Scalar::Kind::kString &&
+             RepresentationFromName(v.str, &req->representation);
     case kChildren: return take_int(&req->children, 0, 1'000'000);
-    case kEntryPlace: return take_string(&req->entry_place, 0, kUnbounded);
     case kTokens: return take_int(&req->tokens, 1, 1'000'000'000);
-    case kMaxSteps: return ScalarToInt(*v, &req->max_steps);
-    case kDeadlineUs: return ScalarToInt(*v, &req->deadline_us) && req->deadline_us >= 0;
-    // Bounded: the trace id is echoed into every span and response line,
-    // and the tenant into responses and a metrics label, so a hostile
-    // client must not get to inflate them arbitrarily.
-    case kTraceId: return take_string(&req->trace_id, 0, 128);
-    case kTenant: return take_string(&req->tenant, 0, 64);
+    case kMaxSteps: return ScalarToInt(v, &req->max_steps);
+    case kDeadlineUs: return ScalarToInt(v, &req->deadline_us) && req->deadline_us >= 0;
     case kExplain:
-      if (v->kind != Scalar::Kind::kBool) {
+      if (v.kind != Scalar::Kind::kBool) {
         return false;
       }
-      req->explain = v->boolean;
+      req->explain = v.boolean;
       return true;
     default: return false;
   }
+}
+
+// Restores every field of *req to its default, keeping the storage of its
+// strings and attrs for the decode that refills it. A field added to
+// PredictRequest must be reset here: WireFuzz decodes into requests left
+// over from other frames and compares every field with the oracle.
+void ResetRequest(serve::PredictRequest* req) {
+  req->interface.clear();
+  req->representation = serve::Representation::kAuto;
+  req->function.clear();
+  req->attrs.clear();
+  req->children = 0;
+  req->entry_place.clear();
+  req->tokens = 1;
+  req->max_steps = 0;
+  req->deadline_us = 0;
+  req->trace_id.clear();
+  req->explain = false;
+  req->tenant.clear();
 }
 
 // JSON objects are unordered: attrs come out sorted by name, and of a name
@@ -570,7 +599,16 @@ void SortAttrs(std::vector<std::pair<std::string, double>>* attrs) {
       }) == attrs->end()) {
     return;  // already sorted, no name twice
   }
-  std::stable_sort(attrs->begin(), attrs->end(), by_name);
+  // A request's few attributes are insertion-sorted, which is stable like
+  // std::stable_sort but needs no buffer; long lists take the n log n sort.
+  constexpr std::size_t kInsertionSortMax = 32;
+  if (attrs->size() <= kInsertionSortMax) {
+    for (auto it = attrs->begin() + 1; it != attrs->end(); ++it) {
+      std::rotate(std::upper_bound(attrs->begin(), it, *it, by_name), it, it + 1);
+    }
+  } else {
+    std::stable_sort(attrs->begin(), attrs->end(), by_name);
+  }
   std::size_t out = 0;
   for (std::size_t i = 0; i < attrs->size(); ++i) {
     if (i + 1 < attrs->size() && (*attrs)[i + 1].first == (*attrs)[i].first) {
@@ -611,15 +649,26 @@ bool ReadRequest(JsonReader* reader, int depth, serve::PredictRequest* req,
         if (!reader->ReadScalar(vd, &v)) {
           return false;
         }
-        req->attrs.emplace_back(std::move(name),
-                                v.kind == Scalar::Kind::kNumber ? v.number : kNotANumber);
+        req->attrs.emplace_back(name, v.kind == Scalar::Kind::kNumber ? v.number : kNotANumber);
         return true;
       });
+    }
+    if (const StringSlot slot = StringSlotOf(field, req); slot.text != nullptr) {
+      if (!reader->At('"')) {
+        seen[field] = Seen::kBad;
+        return reader->SkipValue(d);
+      }
+      if (!reader->ReadString(d, slot.text)) {
+        return false;
+      }
+      const std::size_t size = slot.text->size();
+      seen[field] = size >= slot.min && size <= slot.max ? Seen::kGood : Seen::kBad;
+      return true;
     }
     if (!reader->ReadScalar(d, &v)) {
       return false;
     }
-    seen[field] = TakeRequestField(field, &v, req) ? Seen::kGood : Seen::kBad;
+    seen[field] = TakeRequestField(field, v, req) ? Seen::kGood : Seen::kBad;
     return true;
   });
   if (!read) {
@@ -729,16 +778,18 @@ void EncodeRequestFrame(std::uint64_t id, const std::vector<serve::PredictReques
 bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
                         std::vector<serve::PredictRequest>* requests, std::string* error) {
   *id = 0;
-  requests->clear();
   error->clear();
   JsonReader reader(frame);
   // The last "id" and "requests" members; requests past the first bad one
-  // are checked for syntax only.
+  // are checked for syntax only. The first `decoded` elements of *requests
+  // are this frame's; the rest are storage left from an earlier decode,
+  // which each request is decoded into before the vector grows.
   bool object = false;
   Seen id_seen = Seen::kAbsent;
   std::uint64_t id_value = 0;
   enum class Shape { kAbsent, kObject, kArray, kOther } shape = Shape::kAbsent;
   std::size_t count = 0;
+  std::size_t decoded = 0;
   std::size_t bad_index = 0;
   std::string item_error;
   Scalar v;
@@ -752,11 +803,14 @@ bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
       item_error = "request must be a JSON object";
       return reader.SkipValue(depth);
     }
-    if (!ReadRequest(&reader, depth, &requests->emplace_back(), &item_error)) {
+    serve::PredictRequest& request =
+        decoded < requests->size() ? (*requests)[decoded] : requests->emplace_back();
+    ResetRequest(&request);
+    if (!ReadRequest(&reader, depth, &request, &item_error)) {
       return false;
     }
-    if (!item_error.empty()) {
-      requests->pop_back();
+    if (item_error.empty()) {
+      ++decoded;
     }
     return true;
   };
@@ -776,8 +830,8 @@ bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
       if (key != "requests") {
         return reader.SkipValue(depth);
       }
-      requests->clear();
       count = 0;
+      decoded = 0;
       item_error.clear();
       if (reader.At('{')) {
         shape = Shape::kObject;
@@ -809,6 +863,7 @@ bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
       fail = "'requests' must not be empty";
     } else if (!item_error.empty()) {
       // Requests before the bad one stay decoded.
+      requests->resize(decoded);
       if (shape == Shape::kArray) {
         *error = "requests[";
         *error += std::to_string(bad_index);
@@ -817,6 +872,7 @@ bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
       *error += item_error;
       return false;
     } else {
+      requests->resize(decoded);
       return true;
     }
   }

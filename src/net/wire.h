@@ -99,7 +99,10 @@ void EncodeRequestFrame(std::uint64_t id, const std::vector<serve::PredictReques
 // diagnostic in *error: a syntax error anywhere outranks a bad field, and of
 // bad fields the one checked first is named. *id is still filled when the
 // frame parsed and its id is good (so the error line can echo it back), and
-// *requests keeps those decoded before a bad one.
+// *requests keeps those decoded before a bad one. Requests are decoded
+// into the elements *requests already holds, reusing their strings' and
+// attrs' storage, and the vector then shrinks to the decoded count: what
+// comes out never depends on what the vector held before.
 bool DecodeRequestFrame(std::string_view frame, std::uint64_t* id,
                         std::vector<serve::PredictRequest>* requests, std::string* error);
 

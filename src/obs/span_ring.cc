@@ -46,23 +46,25 @@ std::uint64_t SpanRing::NowNs() const {
   return now - epoch_ns_;
 }
 
-void SpanRing::Record(Entry entry) {
+void SpanRing::Record(const Entry& entry) {
   std::lock_guard<std::mutex> lock(mu_);
   ++total_;
-  // Slow-outlier capture first (Record consumes `entry` into the ring).
   if (slow_.size() < kSlowCapacity || entry.dur_ns > slow_.back().dur_ns) {
     const auto pos = std::upper_bound(
         slow_.begin(), slow_.end(), entry,
         [](const Entry& a, const Entry& b) { return a.dur_ns > b.dur_ns; });
-    slow_.insert(pos, entry);
-    if (slow_.size() > kSlowCapacity) {
-      slow_.pop_back();
+    if (slow_.size() < kSlowCapacity) {
+      slow_.insert(pos, entry);
+    } else {
+      // The outlier it displaces lends its storage.
+      slow_.back() = entry;
+      std::rotate(pos, slow_.end() - 1, slow_.end());
     }
   }
   if (ring_.size() < kRingCapacity) {
-    ring_.push_back(std::move(entry));
+    ring_.push_back(entry);
   } else {
-    ring_[next_] = std::move(entry);
+    ring_[next_] = entry;
   }
   next_ = (next_ + 1) % kRingCapacity;
 }

@@ -39,7 +39,9 @@ class SpanRing {
   // Entry::start_ns with this so /tracez timestamps share one clock.
   std::uint64_t NowNs() const;
 
-  void Record(Entry entry);
+  // Copies `entry` into the oldest slot, assigning into the slot's own
+  // strings, so a warm ring records without allocating.
+  void Record(const Entry& entry);
 
   // Oldest-to-newest snapshot of the ring (up to `max` newest entries).
   std::vector<Entry> Recent(std::size_t max = kRingCapacity) const;

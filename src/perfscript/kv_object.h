@@ -80,6 +80,18 @@ class KvObject : public ScriptObject {
   void AddChild(std::unique_ptr<KvObject> child) { children_.push_back(std::move(child)); }
   const std::vector<std::pair<std::string, double>>& attrs() const { return attrs_; }
 
+  // Forgets every attribute and child but keeps the storage, so an object
+  // rebuilt for each request (a service worker's workload) stops
+  // allocating once it has held its largest workload.
+  void Clear() {
+    attrs_.clear();
+    children_.clear();
+    if (!uniform_runs_.empty()) {
+      spare_child_ = std::move(uniform_runs_.back().child);
+    }
+    uniform_runs_.clear();
+  }
+
   // Attaches `n` children, each carrying this object's current attributes
   // (the psc_tool / serve "children=N" shorthand for recursive interfaces).
   // The children are identical and immutable once built, so one object
@@ -91,7 +103,8 @@ class KvObject : public ScriptObject {
     if (n <= 0) {
       return;
     }
-    auto child = std::make_unique<KvObject>();
+    std::unique_ptr<KvObject> child =
+        spare_child_ != nullptr ? std::move(spare_child_) : std::make_unique<KvObject>();
     child->attrs_ = attrs_;
     uniform_runs_.push_back(UniformRun{static_cast<std::size_t>(n), std::move(child)});
   }
@@ -105,6 +118,8 @@ class KvObject : public ScriptObject {
   std::vector<std::pair<std::string, double>> attrs_;
   std::vector<std::unique_ptr<KvObject>> children_;
   std::vector<UniformRun> uniform_runs_;
+  // A uniform child Clear() kept for the next AddUniformChildren.
+  std::unique_ptr<KvObject> spare_child_;
 };
 
 }  // namespace perfiface

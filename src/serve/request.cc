@@ -41,6 +41,12 @@ void AppendLengthPrefixed(std::string* out, std::string_view s) {
 }  // namespace
 
 std::string GenerateTraceId() {
+  std::string out;
+  GenerateTraceId(&out);
+  return out;
+}
+
+void GenerateTraceId(std::string* out) {
   // One wall-clock+pid sample per process, then a counter: ids are unique
   // within the process by construction and across concurrent processes with
   // overwhelming probability.
@@ -52,11 +58,10 @@ std::string GenerateTraceId() {
   static std::atomic<std::uint64_t> counter{0};
   std::uint64_t id = Mix64(kBase + counter.fetch_add(1, std::memory_order_relaxed));
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
+  out->resize(16);
   for (int i = 15; i >= 0; --i, id >>= 4) {
-    out[i] = kHex[id & 0xF];
+    (*out)[i] = kHex[id & 0xF];
   }
-  return out;
 }
 
 PredictResponse UnevaluatedResponse(const PredictRequest& request, PredictStatus status,
@@ -104,68 +109,92 @@ bool PredictStatusFromName(std::string_view name, PredictStatus* out) {
 
 InjectionPlan ParseInjectionPlan(const PredictRequest& req) {
   InjectionPlan plan;
+  ParseInjectionPlan(req, &plan);
+  return plan;
+}
+
+void ParseInjectionPlan(const PredictRequest& req, InjectionPlan* plan) {
+  std::vector<InjectionPlan::Item>& items = plan->items;
+  items.clear();
+  plan->total = 0;
+  plan->error.clear();
   const int default_count = std::max(1, req.tokens);
   if (req.entry_place.empty()) {
-    plan.total = default_count;
-    return plan;
+    plan->total = default_count;
+    return;
   }
-  for (std::string item : SplitString(req.entry_place, ',')) {
+  const std::string_view spec = req.entry_place;
+  for (std::size_t start = 0; start <= spec.size();) {
+    const std::size_t comma = std::min(spec.find(',', start), spec.size());
     // Whitespace is insignificant ("vld_in : 8"): place names are
     // identifiers, so dropping every space cannot merge two names.
-    item.erase(std::remove_if(item.begin(), item.end(),
-                              [](unsigned char c) { return std::isspace(c) != 0; }),
-               item.end());
-    const std::size_t colon = item.find(':');
+    InjectionPlan::Item& item = items.emplace_back();
+    for (const char c : spec.substr(start, comma - start)) {
+      if (std::isspace(static_cast<unsigned char>(c)) == 0) {
+        item.place.push_back(c);
+      }
+    }
+    start = comma + 1;
+    const std::size_t colon = item.place.find(':');
     if (colon == std::string::npos) {
-      plan.items.push_back({std::move(item), default_count});
+      item.count = default_count;
       continue;
     }
     long long parsed = 0;
-    if (ParseDecimal(std::string_view(item).substr(colon + 1), &parsed) != std::errc() ||
+    if (ParseDecimal(std::string_view(item.place).substr(colon + 1), &parsed) != std::errc() ||
         parsed < 1 || parsed > std::numeric_limits<int>::max()) {
-      plan.error = StrFormat("bad token count in entry place item '%s'", item.c_str());
-      return plan;
+      plan->error =
+          StrFormat("bad token count in entry place item '%s'", item.place.c_str());
+      items.pop_back();
+      return;
     }
-    item.resize(colon);
-    plan.items.push_back({std::move(item), static_cast<int>(parsed)});
+    item.place.resize(colon);
+    item.count = static_cast<int>(parsed);
   }
-  std::sort(plan.items.begin(), plan.items.end(),
+  std::sort(items.begin(), items.end(),
             [](const InjectionPlan::Item& a, const InjectionPlan::Item& b) {
               return a.place < b.place;
             });
   // Merge duplicate places: the same place listed twice injects the sum,
   // which must still be a valid count.
   std::size_t out = 0;
-  for (std::size_t i = 0; i < plan.items.size(); ++i) {
-    InjectionPlan::Item& item = plan.items[i];
-    if (out > 0 && plan.items[out - 1].place == item.place) {
-      InjectionPlan::Item& merged = plan.items[out - 1];
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    InjectionPlan::Item& item = items[i];
+    if (out > 0 && items[out - 1].place == item.place) {
+      InjectionPlan::Item& merged = items[out - 1];
       if (merged.count > std::numeric_limits<int>::max() - item.count) {
-        plan.error = StrFormat("bad token count in entry place item '%s:%lld'",
-                               item.place.c_str(),
-                               static_cast<long long>(merged.count) + item.count);
-        return plan;
+        plan->error = StrFormat("bad token count in entry place item '%s:%lld'",
+                                item.place.c_str(),
+                                static_cast<long long>(merged.count) + item.count);
+        return;
       }
       merged.count += item.count;
     } else {
       if (out != i) {
-        plan.items[out] = std::move(item);
+        items[out] = std::move(item);
       }
       ++out;
     }
   }
-  plan.items.resize(out);
-  for (const InjectionPlan::Item& item : plan.items) {
-    plan.total += item.count;
+  items.resize(out);
+  for (const InjectionPlan::Item& item : items) {
+    plan->total += item.count;
   }
-  return plan;
 }
 
 std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved,
                               const InjectionPlan* plan) {
+  std::string key;
+  CanonicalCacheKey(req, resolved, plan, &key);
+  return key;
+}
+
+void CanonicalCacheKey(const PredictRequest& req, Representation resolved,
+                       const InjectionPlan* plan, std::string* out) {
   PI_CHECK(resolved != Representation::kAuto);
   PI_CHECK(resolved == Representation::kProgram || (plan != nullptr && plan->ok()));
-  std::string key;
+  std::string& key = *out;
+  key.clear();
   key.reserve(24 + req.interface.size() + req.function.size() + 24 * req.attrs.size());
   AppendLengthPrefixed(&key, req.interface);
   key += resolved == Representation::kProgram ? 'p' : 'n';
@@ -190,7 +219,7 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
   // keys are what make "same workload, different builder" queries collide.
   // A name given twice keeps its request order (the last value is the one
   // evaluated), so the two orders of a duplicate stay apart. The pointer
-  // vector is per thread, so a key allocates nothing but itself.
+  // vector is per thread, so a key allocates nothing once *out fits it.
   thread_local std::vector<const std::pair<std::string, double>*> sorted;
   sorted.clear();
   for (const auto& kv : req.attrs) {
@@ -208,7 +237,6 @@ std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved
       key.push_back(static_cast<char>(bits >> shift));
     }
   }
-  return key;
 }
 
 }  // namespace perfiface::serve

@@ -20,6 +20,8 @@ namespace perfiface::serve {
 // executable program and falls back to the Petri net.
 enum class Representation { kAuto, kProgram, kPnet };
 
+// A field added here must also be reset by the wire decoder, which decodes
+// into requests left over from earlier frames (ResetRequest, src/net/wire.cc).
 struct PredictRequest {
   std::string interface;  // registry accelerator name, e.g. "jpeg_decoder"
   Representation representation = Representation::kAuto;
@@ -151,6 +153,8 @@ struct PredictResponse {
 // Process-unique trace id: 16 lowercase hex chars, seeded from the wall
 // clock and pid at first use so concurrent processes don't collide.
 std::string GenerateTraceId();
+// The same, minted into *out in place (its storage is reused).
+void GenerateTraceId(std::string* out);
 
 // The one builder of responses to requests that are answered without being
 // evaluated: kRejected (shed at admission, service shut down, a connection's
@@ -190,6 +194,9 @@ struct InjectionPlan {
 // max(1, req.tokens) tokens. Unknown place names are not checked here (the
 // service resolves them against the net).
 InjectionPlan ParseInjectionPlan(const PredictRequest& req);
+// The same, into *plan, reusing its storage (a service worker parses every
+// pnet request into one plan).
+void ParseInjectionPlan(const PredictRequest& req, InjectionPlan* plan);
 
 // Canonical cache key: an exact binary encoding of what the request asks,
 // representation-resolved, with attributes sorted by name and, for kPnet,
@@ -203,6 +210,9 @@ InjectionPlan ParseInjectionPlan(const PredictRequest& req);
 // predictions, and limits only bound *evaluation* cost.
 std::string CanonicalCacheKey(const PredictRequest& req, Representation resolved,
                               const InjectionPlan* plan = nullptr);
+// The same key, written over *key (its storage is reused).
+void CanonicalCacheKey(const PredictRequest& req, Representation resolved,
+                       const InjectionPlan* plan, std::string* key);
 
 }  // namespace perfiface::serve
 

@@ -286,6 +286,15 @@ PredictionService::BatchHandle PredictionService::SubmitBatch(
   return Submit(std::move(batch));
 }
 
+PredictionService::BatchHandle PredictionService::SubmitBatch(
+    std::span<const PredictRequest> requests, StreamCallback on_complete, FlushCallback on_flush) {
+  auto batch = std::make_shared<BatchState>();
+  batch->requests = requests;
+  batch->on_complete = std::move(on_complete);
+  batch->on_flush = std::move(on_flush);
+  return Submit(std::move(batch));
+}
+
 PredictionService::BatchHandle PredictionService::Submit(std::shared_ptr<BatchState> batch) {
   batch->submitted = Clock::now();
   batch->responses.resize(batch->requests.size());
@@ -454,6 +463,8 @@ void PredictionService::EnqueueChunks(const std::shared_ptr<BatchState>& batch) 
 void PredictionService::WorkerLoop() {
   WorkerState state;
   state.vms.resize(entries_.size());
+  state.queries.resize(entries_.size());
+  state.args.assign(1, Value::Object(&state.workload));
   Job job;
   for (;;) {
     {
@@ -517,14 +528,17 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
   const std::uint64_t ring_start_ns = obs::SpanRing::Global().NowNs();
   PredictResponse response;
   // Every response carries a trace id: the client's when supplied, a fresh
-  // one otherwise (docs/observability.md "Trace context"). Held in a local
-  // because `response` is wholesale-replaced by the evaluator's result.
-  const std::string trace_id = request.trace_id.empty() ? GenerateTraceId() : request.trace_id;
+  // one otherwise (docs/observability.md "Trace context").
+  if (request.trace_id.empty()) {
+    GenerateTraceId(&response.trace_id);
+  } else {
+    response.trace_id = request.trace_id;
+  }
 
   obs::SpanGuard eval_span("serve", "eval");
   if (eval_span.active()) {
     eval_span.SetArg("interface", request.interface);
-    eval_span.SetTraceId(trace_id);
+    eval_span.SetTraceId(response.trace_id);
   }
 
   // Metrics rows follow entry order, so the entry's index is its row.
@@ -543,8 +557,8 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
   bool deadline_limited = false;
   EvalDetail detail;
   ShadowValidator::Outcome shadow_outcome;
-  auto finish = [&](PredictResponse r) {
-    r.trace_id = trace_id;
+  auto finish = [&]() {
+    PredictResponse& r = response;
     r.tenant = request.tenant;
     r.eval_ns = ElapsedNs(start, Clock::now());
     metrics_->RecordRequest(entry_idx, r.eval_ns, r.ok(), detail.derived_hits);
@@ -581,15 +595,17 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
       ex.shadow_truth = shadow_outcome.truth;
       ex.shadow_rel_err = shadow_outcome.rel_err;
     }
-    obs::SpanRing::Entry ring_entry;
+    obs::SpanRing::Entry& ring_entry = state->ring_entry;
     ring_entry.cat = "serve";
     ring_entry.name = "eval";
     ring_entry.trace_id = r.trace_id;
-    ring_entry.detail = request.interface + ' ' + PredictStatusName(r.status);
+    ring_entry.detail = request.interface;
+    ring_entry.detail += ' ';
+    ring_entry.detail += PredictStatusName(r.status);
     ring_entry.start_ns = ring_start_ns;
     ring_entry.dur_ns = r.eval_ns;
-    obs::SpanRing::Global().Record(std::move(ring_entry));
-    return r;
+    obs::SpanRing::Global().Record(ring_entry);
+    return std::move(response);
   };
 
   if (request.deadline_us > 0) {
@@ -598,7 +614,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     if (remaining_us <= 0) {
       response.status = PredictStatus::kDeadlineExceeded;
       response.error = "deadline expired before evaluation started";
-      return finish(response);
+      return finish();
     }
     const std::uint64_t deadline_steps =
         DeadlineBudgetSteps(remaining_us, options_.steps_per_us);
@@ -611,7 +627,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
   if (entry == nullptr) {
     response.status = PredictStatus::kNotFound;
     response.error = StrFormat("unknown interface '%s'", request.interface.c_str());
-    return finish(response);
+    return finish();
   }
 
   Representation rep = request.representation;
@@ -620,33 +636,33 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
       response.status = PredictStatus::kNotFound;
       response.error = StrFormat("'%s' ships only a text interface (nothing executable)",
                                  request.interface.c_str());
-      return finish(response);
+      return finish();
     }
     rep = entry->program.has_value() ? Representation::kProgram : Representation::kPnet;
   }
   if (rep == Representation::kProgram && !entry->program.has_value()) {
     response.status = PredictStatus::kNotFound;
     response.error = StrFormat("'%s' ships no executable interface", request.interface.c_str());
-    return finish(response);
+    return finish();
   }
   if (rep == Representation::kPnet && entry->pnet.net == nullptr) {
     response.status = PredictStatus::kNotFound;
     response.error = StrFormat("'%s' ships no Petri-net interface", request.interface.c_str());
-    return finish(response);
+    return finish();
   }
 
   // The entry-place spec is parsed once, here: the plan keys the cache and
   // drives injection. A malformed spec can never have a cached answer.
-  InjectionPlan plan;
   if (rep == Representation::kPnet) {
-    plan = ParseInjectionPlan(request);
-    if (!plan.ok()) {
+    ParseInjectionPlan(request, &state->plan);
+    if (!state->plan.ok()) {
       response.status = PredictStatus::kError;
-      response.error = plan.error;
-      return finish(response);
+      response.error = state->plan.error;
+      return finish();
     }
   }
-  const std::string key = CanonicalCacheKey(request, rep, &plan);
+  const std::string& key = state->key;
+  CanonicalCacheKey(request, rep, &state->plan, &state->key);
   CachedPrediction cached;
   if (cache_.Get(key, &cached)) {
     cache_outcome = CacheOutcome::kHit;
@@ -656,14 +672,17 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     response.value = cached.value;
     response.throughput = cached.throughput;
     response.cache_hit = true;
-    return finish(response);
+    return finish();
   }
   cache_outcome = CacheOutcome::kMiss;
 
-  response = rep == Representation::kProgram
-                 ? EvaluateProgram(request, *entry, entry_idx, budget, deadline_limited, state,
-                                   &detail)
-                 : EvaluatePnet(request, *entry, plan, budget, deadline_limited, &detail);
+  if (rep == Representation::kProgram) {
+    EvaluateProgram(request, *entry, entry_idx, budget, deadline_limited, state, &detail,
+                    &response);
+  } else {
+    EvaluatePnet(request, *entry, entry_idx, budget, deadline_limited, state, &detail,
+                 &response);
+  }
   if (response.ok()) {
     // Shadow validation rides the miss path only: a cached prediction was
     // already sampled (same key, same decision) when first evaluated.
@@ -673,23 +692,23 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     obs::SpanGuard fill_span("serve", "cache_fill");
     cache_.Put(key, CachedPrediction{response.value, response.throughput});
   }
-  return finish(response);
+  return finish();
 }
 
-PredictResponse PredictionService::EvaluateProgram(const PredictRequest& request,
-                                                   const Entry& entry, std::size_t entry_idx,
-                                                   std::uint64_t budget, bool deadline_limited,
-                                                   WorkerState* state, EvalDetail* detail) {
-  PredictResponse response;
+void PredictionService::EvaluateProgram(const PredictRequest& request, const Entry& entry,
+                                        std::size_t entry_idx, std::uint64_t budget,
+                                        bool deadline_limited, WorkerState* state,
+                                        EvalDetail* detail, PredictResponse* response) {
   const ProgramInterface& iface = *entry.program;
   if (!iface.Has(request.function)) {
-    response.status = PredictStatus::kNotFound;
-    response.error = StrFormat("'%s' has no function '%s'", request.interface.c_str(),
-                               request.function.c_str());
-    return response;
+    response->status = PredictStatus::kNotFound;
+    response->error = StrFormat("'%s' has no function '%s'", request.interface.c_str(),
+                                request.function.c_str());
+    return;
   }
 
-  KvObject workload;
+  KvObject& workload = state->workload;
+  workload.Clear();
   for (const auto& kv : request.attrs) {
     workload.Set(kv.first, kv.second);
   }
@@ -703,53 +722,54 @@ PredictResponse PredictionService::EvaluateProgram(const PredictRequest& request
   }
   Vm& vm = *slot;
   vm.set_max_steps(budget);
-  const EvalResult result = vm.Call(request.function, {Value::Object(&workload)});
+  const EvalResult result = vm.Call(request.function, state->args);
   detail->representation = "psc-vm";
   detail->steps = vm.steps_used();
 
   if (!result.ok) {
     if (vm.step_budget_exhausted()) {
-      response.status =
+      response->status =
           deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;
     } else {
-      response.status = PredictStatus::kError;
+      response->status = PredictStatus::kError;
     }
-    response.error = result.error;
-    return response;
+    response->error = result.error;
+    return;
   }
   if (!result.value.IsNumber()) {
-    response.status = PredictStatus::kError;
-    response.error = "interface returned a non-numeric result";
-    return response;
+    response->status = PredictStatus::kError;
+    response->error = "interface returned a non-numeric result";
+    return;
   }
-  response.status = PredictStatus::kOk;
-  response.value = result.value.num;
+  response->status = PredictStatus::kOk;
+  response->value = result.value.num;
   if (StartsWith(request.function, "tput")) {
-    response.throughput = response.value;
+    response->throughput = response->value;
   }
-  return response;
 }
 
-PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, const Entry& entry,
-                                                const InjectionPlan& plan, std::uint64_t budget,
-                                                bool deadline_limited, EvalDetail* detail) {
-  PredictResponse response;
+void PredictionService::EvaluatePnet(const PredictRequest& request, const Entry& entry,
+                                     std::size_t entry_idx, std::uint64_t budget,
+                                     bool deadline_limited, WorkerState* state,
+                                     EvalDetail* detail, PredictResponse* response) {
   detail->representation = "pnet";
   const PetriNet& net = *entry.pnet.net;
   const CompiledNet& cnet = *entry.compiled;
+  const InjectionPlan& plan = state->plan;
 
   // Resolve the plan's place names: an empty plan means the first declared
   // place.
-  std::vector<std::pair<PlaceId, int>> injections;
+  std::vector<std::pair<PlaceId, int>>& injections = state->injections;
+  injections.clear();
   if (plan.items.empty()) {
     injections.emplace_back(PlaceId{0}, static_cast<int>(plan.total));
   }
   for (const InjectionPlan::Item& item : plan.items) {
     if (!net.HasPlace(item.place)) {
-      response.status = PredictStatus::kNotFound;
-      response.error =
+      response->status = PredictStatus::kNotFound;
+      response->error =
           StrFormat("net '%s' has no place '%s'", entry.name.c_str(), item.place.c_str());
-      return response;
+      return;
     }
     injections.emplace_back(net.PlaceByName(item.place), item.count);
   }
@@ -759,24 +779,24 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   const PredictStatus budget_status =
       deadline_limited ? PredictStatus::kDeadlineExceeded : PredictStatus::kResourceExhausted;
   if (static_cast<std::uint64_t>(plan.total) > budget) {
-    response.status = budget_status;
-    response.error = StrFormat("injection plan of %lld tokens exceeds the firing budget of %llu",
-                               static_cast<long long>(plan.total),
-                               static_cast<unsigned long long>(budget));
-    return response;
+    response->status = budget_status;
+    response->error = StrFormat("injection plan of %lld tokens exceeds the firing budget of %llu",
+                                static_cast<long long>(plan.total),
+                                static_cast<unsigned long long>(budget));
+    return;
   }
   if (plan.total > kMaxInjectedTokens) {
-    response.status = PredictStatus::kResourceExhausted;
-    response.error = StrFormat("injection plan of %lld tokens exceeds the cap of %lld",
-                               static_cast<long long>(plan.total),
-                               static_cast<long long>(kMaxInjectedTokens));
-    return response;
+    response->status = PredictStatus::kResourceExhausted;
+    response->error = StrFormat("injection plan of %lld tokens exceeds the cap of %lld",
+                                static_cast<long long>(plan.total),
+                                static_cast<long long>(kMaxInjectedTokens));
+    return;
   }
 
   // Map workload attributes onto the net's token schema; names the schema
   // does not declare are ignored so mixed program/pnet query sets can share
   // one workload description.
-  Token token;
+  Token& token = state->token;
   token.attrs.assign(net.attr_names().size(), 0.0);
   for (const auto& kv : request.attrs) {
     const std::size_t slot = net.FindAttr(kv.first);
@@ -798,7 +818,11 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
     // whole-net run exactly (the total work is identical, only the
     // interleaving differs). Every component must run — one with no
     // injected tokens can still fire off its initial marking.
-    ComponentQuery query(cnet, token, injections);
+    std::unique_ptr<ComponentQuery>& query_slot = state->queries[entry_idx];
+    if (query_slot == nullptr) {
+      query_slot = std::make_unique<ComponentQuery>(cnet, token, injections);
+    }
+    ComponentQuery& query = *query_slot;
     std::uint64_t remaining = budget;
     detail->memo_components = cnet.num_components();
     for (std::size_t c = 0; c < cnet.num_components(); ++c) {
@@ -849,20 +873,19 @@ PredictResponse PredictionService::EvaluatePnet(const PredictRequest& request, c
   }
 
   if (!sim_error.empty()) {
-    response.status = PredictStatus::kError;
-    response.error = std::move(sim_error);
-    return response;
+    response->status = PredictStatus::kError;
+    response->error = std::move(sim_error);
+    return;
   }
   if (!quiesced) {
-    response.status = budget_status;
-    response.error = firing_budget_hit ? "net firing budget exhausted"
-                                       : "net did not quiesce within the time horizon";
-    return response;
+    response->status = budget_status;
+    response->error = firing_budget_hit ? "net firing budget exhausted"
+                                        : "net did not quiesce within the time horizon";
+    return;
   }
-  response.status = PredictStatus::kOk;
-  response.value = static_cast<double>(value);
-  response.throughput = value == 0 ? 0.0 : static_cast<double>(plan.total) / response.value;
-  return response;
+  response->status = PredictStatus::kOk;
+  response->value = static_cast<double>(value);
+  response->throughput = value == 0 ? 0.0 : static_cast<double>(plan.total) / response->value;
 }
 
 }  // namespace perfiface::serve

@@ -48,6 +48,8 @@
 #include "src/core/program_interface.h"
 #include "src/core/pnet.h"
 #include "src/core/registry.h"
+#include "src/obs/span_ring.h"
+#include "src/perfscript/kv_object.h"
 #include "src/perfscript/vm.h"
 #include "src/petri/compiled_net.h"
 #include "src/petri/distill.h"
@@ -171,6 +173,15 @@ class PredictionService {
                           StreamCallback on_complete = nullptr,
                           FlushCallback on_flush = nullptr);
 
+  // The same, but the caller lends the requests: they must stay alive and
+  // unchanged until the service is done reading them, which is before the
+  // on_flush call that completes the batch (the one whose `n` brings the
+  // flushed total to requests.size()) — or, when on_flush is empty, before
+  // the handle reports done. A caller that counts its flushes can take the
+  // storage back inside that call.
+  BatchHandle SubmitBatch(std::span<const PredictRequest> requests, StreamCallback on_complete,
+                          FlushCallback on_flush);
+
   // Stops accepting work, drains the queue, joins the workers. Idempotent.
   void Shutdown();
 
@@ -237,8 +248,8 @@ class PredictionService {
     std::condition_variable cv;
     std::size_t remaining = 0;
     Clock::time_point submitted;
-    // owned_requests for SubmitBatch; PredictBatch, which waits for the
-    // batch, lends its caller's.
+    // owned_requests for the owning SubmitBatch; PredictBatch, which waits
+    // for the batch, and the lending SubmitBatch point at their caller's.
     std::span<const PredictRequest> requests;
     std::vector<PredictRequest> owned_requests;
     std::vector<PredictResponse> responses;
@@ -263,9 +274,21 @@ class PredictionService {
   };
 
   // Per-worker evaluation state: one bytecode Vm per program, created
-  // lazily and reused across requests (Call resets per-call state).
+  // lazily and reused across requests (Call resets per-call state), and the
+  // scratch every request rebuilds in place, so a warm worker evaluates a
+  // request without allocating. Lives on the worker's stack: the queries
+  // and `args` point into it.
   struct WorkerState {
     std::vector<std::unique_ptr<Vm>> vms;  // by entry index
+    std::string key;                       // the cache key
+    KvObject workload;                     // a program query's argument
+    std::vector<Value> args;               // {workload}
+    InjectionPlan plan;                    // a pnet query's entry places
+    std::vector<std::pair<PlaceId, int>> injections;
+    Token token;
+    // One per pnet entry, over `token` and `injections`, created lazily.
+    std::vector<std::unique_ptr<ComponentQuery>> queries;  // by entry index
+    obs::SpanRing::Entry ring_entry;  // the eval entry for /tracez
   };
 
   // Evaluation-path facts threaded out of EvaluateProgram/EvaluatePnet so
@@ -297,12 +320,13 @@ class PredictionService {
   const Entry* FindEntry(const std::string& name) const;
   PredictResponse Evaluate(const PredictRequest& request, Clock::time_point submitted,
                            WorkerState* state);
-  PredictResponse EvaluateProgram(const PredictRequest& request, const Entry& entry,
-                                  std::size_t entry_idx, std::uint64_t budget,
-                                  bool deadline_limited, WorkerState* state, EvalDetail* detail);
-  PredictResponse EvaluatePnet(const PredictRequest& request, const Entry& entry,
-                               const InjectionPlan& plan, std::uint64_t budget,
-                               bool deadline_limited, EvalDetail* detail);
+  // Fill the outcome fields (status, error, value, throughput) of *response.
+  void EvaluateProgram(const PredictRequest& request, const Entry& entry, std::size_t entry_idx,
+                       std::uint64_t budget, bool deadline_limited, WorkerState* state,
+                       EvalDetail* detail, PredictResponse* response);
+  void EvaluatePnet(const PredictRequest& request, const Entry& entry, std::size_t entry_idx,
+                    std::uint64_t budget, bool deadline_limited, WorkerState* state,
+                    EvalDetail* detail, PredictResponse* response);
 
   ServiceOptions options_;
   std::vector<Entry> entries_;

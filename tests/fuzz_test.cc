@@ -9,8 +9,10 @@
 // must get from the exact derived tier what simulation answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -427,6 +429,198 @@ TEST_P(WireFuzz, CorruptedResponseLinesDecodeOrFailCleanly) {
     }
   }
   EXPECT_GT(accepted, 0u);
+}
+
+// The members of every object in `json` (valid JSON), each as the span
+// from its key's opening quote to the end of its value.
+std::vector<std::vector<std::pair<std::size_t, std::size_t>>> ObjectMembers(
+    const std::string& json) {
+  constexpr std::size_t kNone = std::string::npos;
+  struct Open {
+    bool object = false;
+    std::size_t index = 0;       // into the result, for objects
+    std::size_t member = kNone;  // where the member being read began
+  };
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> objects;
+  std::vector<Open> open;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      if (!open.empty() && open.back().object && open.back().member == kNone) {
+        open.back().member = i;  // a key: values never start a member
+      }
+      for (++i; i < json.size() && json[i] != '"'; ++i) {
+        i += json[i] == '\\' ? 1 : 0;
+      }
+    } else if (c == '{' || c == '[') {
+      open.push_back({c == '{', objects.size(), kNone});
+      if (c == '{') {
+        objects.emplace_back();
+      }
+    } else if (c == ',' || c == '}' || c == ']') {
+      Open& top = open.back();
+      if (top.object && top.member != kNone) {
+        objects[top.index].emplace_back(top.member, i);
+        top.member = kNone;
+      }
+      if (c != ',') {
+        open.pop_back();
+      }
+    }
+  }
+  return objects;
+}
+
+// Corrupt() for JSON: first one to three edits of whole members of one
+// object — duplicate a member after another, swap two, drop one (required
+// ones included), or give one a value of another type or range — then,
+// half the time, Corrupt()'s byte edits. Byte edits alone almost never
+// yield a frame without "requests" but with a bad id, or a line with two
+// different "explain" objects.
+std::string CorruptMembers(const std::string& json, std::uint64_t seed) {
+  static const char* const kValues[] = {"-1", "\"\"", "null", "0.5", "true", "{}", "[]",
+                                        "18446744073709551616"};
+  SplitMix64 rng(seed);
+  std::string out = json;
+  const std::size_t edits = 1 + rng.NextBelow(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> objects = ObjectMembers(out);
+    std::erase_if(objects, [](const auto& members) { return members.empty(); });
+    if (objects.empty()) {
+      break;
+    }
+    const auto& members = objects[rng.NextBelow(objects.size())];
+    const auto [begin, end] = members[rng.NextBelow(members.size())];
+    const auto [other_begin, other_end] = members[rng.NextBelow(members.size())];
+    switch (rng.NextBelow(4)) {
+      case 0:
+        out.insert(other_end, "," + out.substr(begin, end - begin));
+        break;
+      case 1: {
+        // Keys hold no ':' outside escapes in this corpus.
+        const std::size_t value = out.find(':', begin) + 1;
+        out.replace(value, end - value, kValues[rng.NextBelow(std::size(kValues))]);
+        break;
+      }
+      case 2:
+        if (begin != other_begin) {
+          const std::size_t b1 = std::min(begin, other_begin);
+          const std::size_t e1 = b1 == begin ? end : other_end;
+          const std::size_t b2 = std::max(begin, other_begin);
+          const std::size_t e2 = b2 == begin ? end : other_end;
+          out = out.substr(0, b1) + out.substr(b2, e2 - b2) + out.substr(e1, b2 - e1) +
+                out.substr(b1, e1 - b1) + out.substr(e2);
+        }
+        break;
+      default:
+        if (out[end] == ',') {
+          out.erase(begin, end + 1 - begin);
+        } else if (out[begin - 1] == ',') {
+          out.erase(begin - 1, end + 1 - begin);
+        } else {
+          out.erase(begin, end - begin);
+        }
+        break;
+    }
+  }
+  return rng.NextBool(0.5) ? Corrupt(out, rng.Next()) : out;
+}
+
+// What a reused request vector holds after a frame that set every field of
+// every request (values no corpus frame uses), one more request than the
+// largest corpus frame.
+std::vector<serve::PredictRequest> DirtyRequests() {
+  serve::PredictRequest dirty;
+  dirty.interface = "left_over_interface";
+  dirty.representation = serve::Representation::kPnet;
+  dirty.function = "left_over_function_name";
+  dirty.attrs = {{"left_over_a", 1.0}, {"left_over_b", 2.0}, {"z", 3.0}};
+  dirty.children = 77;
+  dirty.entry_place = "left_over_place:3";
+  dirty.tokens = 9;
+  dirty.max_steps = 123;
+  dirty.deadline_us = 456;
+  dirty.trace_id = "left-over-trace-id";
+  dirty.explain = true;
+  dirty.tenant = "left-over-tenant";
+  std::uint64_t id = 0;
+  std::vector<serve::PredictRequest> requests;
+  std::string error;
+  EXPECT_TRUE(net::DecodeRequestFrame(
+      RequestFrame(99, std::vector<serve::PredictRequest>(10, dirty)), &id, &requests, &error))
+      << error;
+  return requests;
+}
+
+// What a reused WireResponse holds after a line that set every field, and
+// after a malformed line.
+std::vector<net::WireResponse> DirtyResponses() {
+  serve::PredictResponse full;
+  full.status = serve::PredictStatus::kResourceExhausted;
+  full.error = "left over error";
+  full.value = 3.25;
+  full.throughput = 9.5;
+  full.cache_hit = true;
+  full.eval_ns = 31;
+  full.trace_id = "left-over-trace-id";
+  full.tenant = "left-over-tenant";
+  serve::ExplainInfo& ex = full.explain;
+  ex.filled = true;
+  ex.representation = "left-over";
+  ex.cache = "left-over";
+  ex.queue_wait_ns = 41;
+  ex.eval_ns = 42;
+  ex.steps = 43;
+  ex.memo_components = 44;
+  ex.derived_hits = 45;
+  ex.deadline_limited = true;
+  ex.shadowed = true;
+  ex.shadow_truth = 46.5;
+  ex.shadow_rel_err = 0.5;
+  std::string full_line;
+  net::EncodeResponseLine(98, 5, full, &full_line);
+  std::string malformed_line;
+  net::EncodeMalformedLine(97, "left over", &malformed_line);
+  std::vector<net::WireResponse> dirty(2);
+  std::string error;
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    std::string& line = i == 0 ? full_line : malformed_line;
+    line.pop_back();
+    EXPECT_TRUE(net::DecodeResponseLine(line, &dirty[i], &error)) << error;
+  }
+  return dirty;
+}
+
+// Member-level mutants of request frames: each decodes as the oracle
+// decodes it, both into a fresh vector and into one left over from a frame
+// that set every field, so no field of an earlier decode carries over.
+TEST_P(WireFuzz, MemberMutantsOfRequestFramesDecodeAsTheOracle) {
+  const std::vector<std::string> corpus = RequestCorpus();
+  const std::vector<serve::PredictRequest> dirty = DirtyRequests();
+  for (std::uint64_t i = 0; i < kWireMutantsPerSeed; ++i) {
+    const std::string mutated =
+        CorruptMembers(corpus[i % corpus.size()], DeriveSeed(GetParam() + 5000, i));
+    const auto [decoded, oracle] = net::oracle::DecodeRequestFrameBothWays(mutated);
+    ASSERT_EQ(decoded, oracle) << "mutant: " << mutated;
+    const auto [reused, reused_oracle] = net::oracle::DecodeRequestFrameBothWays(mutated, dirty);
+    ASSERT_EQ(reused, reused_oracle) << "mutant, decoded into a used vector: " << mutated;
+  }
+}
+
+// Member-level mutants of response lines, decoded fresh and into a
+// WireResponse left over from another line.
+TEST_P(WireFuzz, MemberMutantsOfResponseLinesDecodeAsTheOracle) {
+  const std::vector<std::string> corpus = ResponseCorpus();
+  const std::vector<net::WireResponse> dirty = DirtyResponses();
+  for (std::uint64_t i = 0; i < kWireMutantsPerSeed; ++i) {
+    const std::string mutated =
+        CorruptMembers(corpus[i % corpus.size()], DeriveSeed(GetParam() + 6000, i));
+    const auto [decoded, oracle] = net::oracle::DecodeResponseLineBothWays(mutated);
+    ASSERT_EQ(decoded, oracle) << "mutant: " << mutated;
+    const auto [reused, reused_oracle] =
+        net::oracle::DecodeResponseLineBothWays(mutated, dirty[i % dirty.size()]);
+    ASSERT_EQ(reused, reused_oracle) << "mutant, decoded into a used response: " << mutated;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Range<std::uint64_t>(1, 9));

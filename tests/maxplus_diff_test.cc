@@ -283,14 +283,20 @@ std::string RandomNet(SplitMix64* rng, bool guarded) {
     std::string ins = arc(in);
     if (rng->NextBelow(3) == 0) {
       const std::size_t in2 = rng->NextBelow(places);
-      if (in2 != in) ins += "," + arc(in2);
+      if (in2 != in) {
+        ins += ',';
+        ins += arc(in2);
+      }
     }
     // A self-loop half the time (the jpeg gate's shape), else a forward arc.
     const std::size_t out = rng->NextBelow(2) == 0 ? in : rng->NextBelow(places);
     std::string outs = arc(out);
     if (rng->NextBelow(3) == 0) {
       const std::size_t out2 = rng->NextBelow(places);
-      if (out2 != out) outs += "," + arc(out2);
+      if (out2 != out) {
+        outs += ',';
+        outs += arc(out2);
+      }
     }
     std::string extra;
     if (guarded && rng->NextBelow(3) == 0) {

@@ -15,9 +15,11 @@
 #include <bit>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <mutex>
 #include <random>
 #include <set>
 #include <string>
@@ -721,6 +723,193 @@ TEST(NetServer, PipelinesManyBatchesOnOneConnection) {
         << "duplicate response " << wire.id << "/" << wire.index;
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kBatches * kPerBatch));
+}
+
+// One connection, 72 pipelined frames of mixed shapes: 1 or 32 requests,
+// program and pnet queries, explain, tenant and trace_id each present or
+// absent, with a malformed frame and a frame past a full window between
+// them. Every frame decodes into a request vector an earlier frame of
+// another shape left behind, so a field carried over shows up as a wrong
+// answer, echo or explain block. Each answer must equal an in-process
+// PredictBatch of the same request.
+TEST(NetServer, MixedShapeFramesReuseRequestStorage) {
+  constexpr std::size_t kWindow = 8;
+  NetServerOptions nopts;
+  nopts.max_inflight_batches = kWindow;
+  TestServer ts(TwoWorkers(), nopts);
+  ASSERT_TRUE(ts.ok);
+  serve::ServiceOptions reference_options = TwoWorkers();
+  reference_options.cache_capacity = 0;
+  serve::PredictionService reference(InterfaceRegistry::Default(), reference_options);
+
+  std::mt19937_64 rng(24);
+  const auto pick = [&rng](std::uint64_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::uint64_t made = 0;
+  const auto make_request = [&] {
+    ++made;
+    PredictRequest req;
+    switch (pick(4)) {
+      case 0:
+        req = JpegRequest(512.0 * static_cast<double>(64 + pick(960)), 0.1 + 0.05 * pick(8));
+        break;
+      case 1:
+        req.interface = "protoacc";
+        req.function = "tput_protoacc_ser";
+        req.attrs = {{"num_writes", 1.0 + pick(64)}, {"num_fields", 2.0 + pick(30)}};
+        req.children = static_cast<int>(pick(20));
+        break;
+      case 2:
+        req = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:" + std::to_string(1 + pick(8)));
+        req.attrs = {{"bits", 64.0 + pick(4096)}, {"blocks", 1.0 + pick(8)}};
+        break;
+      default:
+        req = PnetRequest("conv", "st_cmd:" + std::to_string(1 + pick(8)));
+        req.attrs = {{"words", 16.0 * (1 + pick(8))}, {"op", 4.0}};
+        break;
+    }
+    req.explain = pick(3) == 0;
+    if (pick(3) == 0) {
+      req.tenant = "tenant-" + std::to_string(pick(4));
+    }
+    if (pick(2) == 0) {
+      req.trace_id = "mixed-" + std::to_string(made);
+    }
+    return req;
+  };
+
+  struct Frame {
+    std::vector<PredictRequest> requests;
+    std::vector<PredictResponse> want;
+    std::size_t answered = 0;
+    bool rejected = false;
+  };
+  std::vector<Frame> frames(1);  // ids start at 1
+  std::set<std::string> minted;  // every minted trace id is new
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+
+  const auto send = [&](bool rejected) {
+    Frame frame;
+    const std::size_t size = frames.size() % 2 == 0 ? 32 : 1;
+    for (std::size_t i = 0; i < size; ++i) {
+      frame.requests.push_back(make_request());
+    }
+    frame.rejected = rejected;
+    frame.want = rejected ? std::vector<PredictResponse>() : reference.PredictBatch(frame.requests);
+    ASSERT_TRUE(client.SendBatch(frames.size(), frame.requests, &error)) << error;
+    frames.push_back(std::move(frame));
+  };
+  std::size_t unanswered_frames = 0;
+  bool saw_malformed = false;
+  const auto read_one = [&] {
+    WireResponse wire;
+    ASSERT_TRUE(client.ReadResponse(&wire, &error)) << error;
+    if (wire.malformed) {
+      EXPECT_EQ(wire.id, 0u);
+      EXPECT_NE(wire.response.error.find("expected"), std::string::npos) << wire.response.error;
+      saw_malformed = true;
+      return;
+    }
+    ASSERT_GE(wire.id, 1u);
+    ASSERT_LT(wire.id, frames.size());
+    Frame& frame = frames[wire.id];
+    ASSERT_LT(wire.index, frame.requests.size());
+    const PredictRequest& req = frame.requests[wire.index];
+    const PredictResponse& got = wire.response;
+    const std::string where = StrFormat("frame %llu request %zu",
+                                        static_cast<unsigned long long>(wire.id), wire.index);
+    if (frame.rejected) {
+      EXPECT_EQ(got.status, PredictStatus::kRejected) << where;
+      EXPECT_EQ(got.error, "too many batches in flight on this connection") << where;
+      EXPECT_EQ(got.explain.representation, req.explain ? "rejected" : "") << where;
+    } else {
+      const PredictResponse& want = frame.want[wire.index];
+      EXPECT_EQ(got.status, want.status) << where << ": " << got.error;
+      EXPECT_EQ(got.error, want.error) << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value), std::bit_cast<std::uint64_t>(want.value))
+          << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.throughput),
+                std::bit_cast<std::uint64_t>(want.throughput))
+          << where;
+    }
+    EXPECT_EQ(got.explain.filled, req.explain) << where;
+    EXPECT_EQ(got.tenant, req.tenant) << where;
+    if (req.trace_id.empty()) {
+      EXPECT_EQ(got.trace_id.size(), 16u) << where;
+      EXPECT_TRUE(minted.insert(got.trace_id).second) << where << ": " << got.trace_id;
+    } else {
+      EXPECT_EQ(got.trace_id, req.trace_id) << where;
+    }
+    if (++frame.answered == frame.requests.size()) {
+      --unanswered_frames;
+    }
+  };
+  // Closed loop with at most kWindow frames unanswered, so none is refused.
+  const auto send_frames = [&](std::size_t n) {
+    for (std::size_t f = 0; f < n; ++f) {
+      while (unanswered_frames >= kWindow) {
+        read_one();
+      }
+      send(false);
+      ++unanswered_frames;
+    }
+  };
+  const auto drain = [&] {
+    while (unanswered_frames > 0) {
+      read_one();
+    }
+  };
+
+  send_frames(30);
+  ASSERT_TRUE(client.SendRaw("{\"id\":0,\"requests\":[{\"interface\":}]}\n", &error)) << error;
+  send_frames(10);
+  drain();
+  ASSERT_TRUE(saw_malformed);
+
+  // Park both workers in completion callbacks, fill the window, and send
+  // one frame past it: it is answered REJECTED at once.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::size_t parked = 0;
+  std::vector<serve::PredictionService::BatchHandle> blockers;
+  for (std::size_t w = 0; w < ts.service.num_workers(); ++w) {
+    blockers.push_back(ts.service.SubmitBatch(
+        std::vector<PredictRequest>{JpegRequest(65536, 0.2)},
+        [&](std::size_t, const PredictResponse&) {
+          std::unique_lock<std::mutex> lock(mu);
+          ++parked;
+          cv.notify_all();
+          cv.wait(lock, [&] { return release; });
+        }));
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == ts.service.num_workers(); });
+  }
+  send_frames(kWindow);
+  send(/*rejected=*/true);
+  ++unanswered_frames;
+  while (frames.back().answered < frames.back().requests.size()) {
+    read_one();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  for (const serve::PredictionService::BatchHandle& blocker : blockers) {
+    blocker.Wait();
+  }
+  drain();
+
+  send_frames(72 - frames.size() + 1);
+  drain();
+  EXPECT_EQ(frames.size(), 73u);
+  for (std::size_t id = 1; id < frames.size(); ++id) {
+    EXPECT_EQ(frames[id].answered, frames[id].requests.size()) << "frame " << id;
+  }
 }
 
 TEST(NetServer, MalformedFramesNeverKillTheConnection) {

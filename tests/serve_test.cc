@@ -1,6 +1,7 @@
 // Tests for the prediction service: correctness against direct evaluation,
 // batch semantics, caching, deadlines, resource limits, and concurrency
 // (this binary is the ThreadSanitizer target in CI).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -226,6 +227,48 @@ TEST(ShardedLruCache, BasicHitMissEvict) {
   EXPECT_TRUE(cache.Get("a", &out));
   EXPECT_FALSE(cache.Get("b", &out));
   EXPECT_EQ(cache.evictions(), 1u);
+}
+
+// An insert at capacity reuses the evicted entry's nodes, re-keying them
+// with keys shorter and longer than the one they held: every hit, miss and
+// value must still be what a plain LRU list gives.
+TEST(ShardedLruCache, ReusedEvictionsMatchAReferenceLru) {
+  constexpr std::size_t kCapacity = 8;
+  ShardedLruCache cache(kCapacity, /*num_shards=*/1);
+  std::vector<std::pair<std::string, double>> reference;  // most recent first
+  std::vector<std::string> keys;
+  for (int i = 0; i < 24; ++i) {
+    keys.push_back(std::string(static_cast<std::size_t>(1 + (i * 7) % 40), 'k') +
+                   std::to_string(i));
+  }
+  std::uint64_t state = 5;
+  for (int op = 0; op < 4000; ++op) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::string& key = keys[(state >> 33) % keys.size()];
+    const auto it = std::find_if(reference.begin(), reference.end(),
+                                 [&](const auto& entry) { return entry.first == key; });
+    CachedPrediction out;
+    if ((state >> 20) % 2 == 0) {
+      ASSERT_EQ(cache.Get(key, &out), it != reference.end()) << "op " << op << " " << key;
+      if (it != reference.end()) {
+        EXPECT_EQ(out.value, it->second) << "op " << op;
+        std::rotate(reference.begin(), it, it + 1);
+      }
+      continue;
+    }
+    const double value = static_cast<double>(op);
+    cache.Put(key, {value, 0.0});
+    if (it != reference.end()) {
+      it->second = value;
+      std::rotate(reference.begin(), it, it + 1);
+    } else {
+      reference.insert(reference.begin(), {key, value});
+      if (reference.size() > kCapacity) {
+        reference.pop_back();
+      }
+    }
+    ASSERT_EQ(cache.size(), reference.size());
+  }
 }
 
 TEST(ShardedLruCache, DisabledCacheNeverHits) {

@@ -731,10 +731,12 @@ inline std::string DumpResponseDecode(bool ok, const WireResponse& w, const std:
   return out;
 }
 
-// {net::DecodeRequestFrame's outcome, the oracle's outcome} for one frame.
-inline std::pair<std::string, std::string> DecodeRequestFrameBothWays(std::string_view frame) {
+// {net::DecodeRequestFrame's outcome, the oracle's outcome} for one frame,
+// net's decoded into `requests`: the storage a reused vector carries over
+// from an earlier frame, which must not show through.
+inline std::pair<std::string, std::string> DecodeRequestFrameBothWays(
+    std::string_view frame, std::vector<serve::PredictRequest> requests) {
   std::uint64_t id = 7;
-  std::vector<serve::PredictRequest> requests(1);
   std::string error = "stale";
   const bool ok = net::DecodeRequestFrame(frame, &id, &requests, &error);
   std::uint64_t want_id = 7;
@@ -745,10 +747,14 @@ inline std::pair<std::string, std::string> DecodeRequestFrameBothWays(std::strin
           DumpRequestDecode(want_ok, want_id, want_requests, want_error)};
 }
 
-// {net::DecodeResponseLine's outcome, the oracle's outcome} for one line.
-inline std::pair<std::string, std::string> DecodeResponseLineBothWays(std::string_view line) {
-  WireResponse got;
-  got.id = 7;
+inline std::pair<std::string, std::string> DecodeRequestFrameBothWays(std::string_view frame) {
+  return DecodeRequestFrameBothWays(frame, std::vector<serve::PredictRequest>(1));
+}
+
+// {net::DecodeResponseLine's outcome, the oracle's outcome} for one line,
+// net's decoded into `got`, left over from an earlier line.
+inline std::pair<std::string, std::string> DecodeResponseLineBothWays(std::string_view line,
+                                                                      WireResponse got) {
   std::string error = "stale";
   const bool ok = net::DecodeResponseLine(line, &got, &error);
   WireResponse want;
@@ -756,6 +762,12 @@ inline std::pair<std::string, std::string> DecodeResponseLineBothWays(std::strin
   std::string want_error = "stale";
   const bool want_ok = oracle::DecodeResponseLine(line, &want, &want_error);
   return {DumpResponseDecode(ok, got, error), DumpResponseDecode(want_ok, want, want_error)};
+}
+
+inline std::pair<std::string, std::string> DecodeResponseLineBothWays(std::string_view line) {
+  WireResponse got;
+  got.id = 7;
+  return DecodeResponseLineBothWays(line, std::move(got));
 }
 
 }  // namespace perfiface::net::oracle

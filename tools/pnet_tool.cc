@@ -14,7 +14,7 @@
 //       [--metrics]         Prometheus counters after the run
 //
 // Example:
-//   pnet_tool run src/core/interfaces/jpeg.pnet \
+//   pnet_tool run src/core/interfaces/jpeg.pnet
 //       --observe done inject hdr_in x1 inject vld_in bits=80,blocks=8 x40
 #include <cstdio>
 #include <cstdlib>

@@ -20,7 +20,7 @@
 // like Fig 3's read_cost from the shell).
 //
 // Example:
-//   psc_tool eval src/core/interfaces/protoacc_fig3.psc tput_protoacc_ser \
+//   psc_tool eval src/core/interfaces/protoacc_fig3.psc tput_protoacc_ser
 //       --const avg_mem_latency=60 num_fields=12 num_writes=9 children=2
 #include <cstdio>
 #include <cstdlib>
