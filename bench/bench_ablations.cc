@@ -19,6 +19,7 @@
 #include "src/accel/jpeg/decoder_sim.h"
 #include "src/accel/protoacc/serializer_sim.h"
 #include "src/accel/vta/vta_sim.h"
+#include "src/common/loc.h"
 #include "src/common/stats.h"
 #include "src/core/native_interfaces.h"
 #include "src/core/petri_interfaces.h"
@@ -42,10 +43,9 @@ void AblationFifoDepth() {
 
     // Re-derive the net for this configuration (mechanical: only the two
     // capacities change).
-    std::string net_text = InterfaceRegistry::Default().Get("jpeg_decoder").pnet_path;
-    JpegPetriInterface base(net_text);
     // The shipped net has cap=2; for other depths, patch the source text.
-    std::string source = base.source();
+    std::string source =
+        ReadFileOrDie(InterfaceRegistry::Default().Get("jpeg_decoder").pnet_path);
     const std::string from = "cap=2";
     const std::string to = "cap=" + std::to_string(depth);
     for (std::size_t pos = source.find(from); pos != std::string::npos;

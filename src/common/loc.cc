@@ -1,7 +1,8 @@
 #include "src/common/loc.h"
 
-#include <fstream>
-#include <sstream>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
@@ -59,12 +60,32 @@ std::size_t CountLoc(std::string_view text, LocSyntax syntax) {
   return loc;
 }
 
+bool ReadFile(const std::string& path, std::string* contents, std::string* error) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  bool ok = file != nullptr;
+  int reason = errno;
+  if (ok) {
+    contents->clear();
+    char buffer[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
+      contents->append(buffer, n);
+    }
+    ok = std::ferror(file) == 0;
+    reason = errno;
+    std::fclose(file);
+  }
+  if (!ok) {
+    *error = StrFormat("cannot read %s: %s", path.c_str(), std::strerror(reason));
+  }
+  return ok;
+}
+
 std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PI_CHECK_MSG(in.good(), path.c_str());
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  std::string contents;
+  std::string error;
+  PI_CHECK_MSG(ReadFile(path, &contents, &error), error.c_str());
+  return contents;
 }
 
 std::size_t CountLocInFile(const std::string& path, LocSyntax syntax) {

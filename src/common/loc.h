@@ -29,6 +29,10 @@ std::size_t CountLocInFile(const std::string& path, LocSyntax syntax);
 // Sum of LoC over a list of files with the same syntax.
 std::size_t CountLocInFiles(const std::vector<std::string>& paths, LocSyntax syntax);
 
+// Reads a whole file into *contents. On failure (a missing file, a
+// directory) returns false with *error = "cannot read <path>: <reason>".
+bool ReadFile(const std::string& path, std::string* contents, std::string* error);
+
 // Reads a whole file into a string; aborts on failure.
 std::string ReadFileOrDie(const std::string& path);
 

@@ -3,7 +3,6 @@
 #include "src/accel/jpeg/decoder_sim.h"
 #include "src/accel/protoacc/wire.h"
 #include "src/common/check.h"
-#include "src/common/loc.h"
 #include "src/petri/sim.h"
 
 namespace perfiface {
@@ -16,8 +15,7 @@ constexpr Cycles kRunBudget = 1ULL << 40;
 JpegPetriInterface::JpegPetriInterface(const std::string& pnet_path,
                                        std::size_t blocks_per_stripe)
     : blocks_per_stripe_(blocks_per_stripe) {
-  source_ = ReadFileOrDie(pnet_path);
-  loaded_ = LoadPnet(source_);
+  loaded_ = LoadPnetFile(pnet_path);
   PI_CHECK_MSG(loaded_.ok(), loaded_.error.c_str());
   hdr_in_ = loaded_.net->PlaceByName("hdr_in");
   vld_in_ = loaded_.net->PlaceByName("vld_in");
@@ -108,8 +106,7 @@ double JpegPetriInterface::PredictThroughput(const CompressedImage& image,
 ProtoaccPetriInterface::ProtoaccPetriInterface(const std::string& pnet_path,
                                                Cycles output_flush)
     : output_flush_(output_flush) {
-  source_ = ReadFileOrDie(pnet_path);
-  loaded_ = LoadPnet(source_);
+  loaded_ = LoadPnetFile(pnet_path);
   PI_CHECK_MSG(loaded_.ok(), loaded_.error.c_str());
   node_q_ = loaded_.net->PlaceByName("node_q");
   msg_q_ = loaded_.net->PlaceByName("msg_q");
@@ -164,8 +161,7 @@ Cycles ProtoaccPetriInterface::PredictLatency(const MessageInstance& msg) const 
 
 VtaPetriInterface::VtaPetriInterface(const std::string& pnet_path, Cycles finish_cost)
     : finish_cost_(finish_cost) {
-  source_ = ReadFileOrDie(pnet_path);
-  loaded_ = LoadPnet(source_);
+  loaded_ = LoadPnetFile(pnet_path);
   PI_CHECK_MSG(loaded_.ok(), loaded_.error.c_str());
   prog_ = loaded_.net->PlaceByName("prog");
   done_ = loaded_.net->PlaceByName("done");
@@ -267,9 +263,6 @@ double VtaPetriInterface::PredictThroughput(const VtaProgram& program, std::size
 
 ConvPetriInterface::ConvPetriInterface(const std::string& pnet_path, Cycles finish_cost)
     : finish_cost_(finish_cost) {
-  source_ = ReadFileOrDie(pnet_path);
-  // LoadPnetFile resolves the dram_channel `use` components relative to the
-  // interface directory.
   loaded_ = LoadPnetFile(pnet_path);
   PI_CHECK_MSG(loaded_.ok(), loaded_.error.c_str());
   prog_ = loaded_.net->PlaceByName("prog");

@@ -35,11 +35,9 @@ class JpegPetriInterface {
   PetriPrediction Predict(const CompressedImage& image, std::size_t copies = 4) const;
 
   const PetriNet& net() const { return *loaded_.net; }
-  const std::string& source() const { return source_; }
 
  private:
   LoadedNet loaded_;
-  std::string source_;
   std::size_t blocks_per_stripe_;
   PlaceId hdr_in_ = 0;
   PlaceId vld_in_ = 0;
@@ -58,11 +56,9 @@ class ProtoaccPetriInterface {
   Cycles PredictLatency(const MessageInstance& msg) const;
 
   const PetriNet& net() const { return *loaded_.net; }
-  const std::string& source() const { return source_; }
 
  private:
   LoadedNet loaded_;
-  std::string source_;
   Cycles output_flush_;
   PlaceId node_q_ = 0;
   PlaceId msg_q_ = 0;
@@ -84,13 +80,11 @@ class VtaPetriInterface {
   PetriPrediction Predict(const VtaProgram& program, std::size_t copies = 3) const;
 
   const PetriNet& net() const { return *loaded_.net; }
-  const std::string& source() const { return source_; }
 
  private:
   void InjectProgram(const VtaProgram& program, std::size_t copies, class PetriSim* sim) const;
 
   LoadedNet loaded_;
-  std::string source_;
   Cycles finish_cost_;
   PlaceId prog_ = 0;
   PlaceId done_ = 0;
@@ -114,13 +108,11 @@ class ConvPetriInterface {
   PetriPrediction Predict(const ConvProgram& program, std::size_t copies = 3) const;
 
   const PetriNet& net() const { return *loaded_.net; }
-  const std::string& source() const { return source_; }
 
  private:
   void InjectProgram(const ConvProgram& program, std::size_t copies, class PetriSim* sim) const;
 
   LoadedNet loaded_;
-  std::string source_;
   Cycles finish_cost_;
   PlaceId prog_ = 0;
   PlaceId done_ = 0;

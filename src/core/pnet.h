@@ -53,8 +53,15 @@ struct LoadedNet {
   bool ok() const { return error.empty(); }
 };
 
+// One reader serves every entry point below: it splits and checks each
+// directive line once, resolves `use` where it stands, and hands the parsed
+// document to the loader, the canonical printer or the expander. Errors
+// name their line: "line N: ..." in the document, "<file> line N: ..." in
+// a component.
+
 // Parses a .pnet document. Attribute slots are registered in declaration
 // order, so token producers can map attributes by PetriNet::FindAttr.
+// `use` needs the including file's directory: here it is an error.
 LoadedNet LoadPnet(std::string_view text);
 
 // Compiles one delay or guard expression as the loader does, against the
@@ -68,9 +75,9 @@ std::shared_ptr<const CompiledExpr> CompileNetExpr(const std::string& source,
                                                    const std::map<std::string, double>& consts,
                                                    std::string* error);
 
-// Reads and parses a .pnet file; aborts on I/O failure, returns parse errors
-// in LoadedNet::error. `use` directives are expanded relative to the file's
-// directory.
+// Reads and parses a .pnet file, resolving `use` relative to the file's
+// directory. A file that cannot be read, here or in a `use`, is an error
+// in LoadedNet::error like any other.
 LoadedNet LoadPnetFile(const std::string& path);
 
 // Component composition (paper §5: "develop individual Petri nets for such
@@ -81,25 +88,26 @@ LoadedNet LoadPnetFile(const std::string& path);
 // inlines the component net: its places and transitions are copied with the
 // `prefix_` name prefix, except places named on the left of a bind= entry,
 // which are fused with the including net's place on the right. Attributes
-// and constants merge by name. Nesting is allowed up to a small depth.
+// and constants merge by name, and the component's `net` line is dropped.
+// Nesting is allowed up to 8 deep.
 struct PnetExpansion {
   bool ok = false;
   std::string error;
-  std::string text;  // the flattened document
+  std::string text;  // the expanded document, in canonical text
 };
 
-PnetExpansion ExpandPnetIncludes(std::string_view text, const std::string& include_dir,
-                                 int depth = 0);
+PnetExpansion ExpandPnetIncludes(std::string_view text, const std::string& include_dir);
 
-// Canonical text of a flattened .pnet document (run ExpandPnetIncludes
-// first; `use` here is an error): comments and blank lines dropped, one
-// space between words, options in a fixed order with default values
-// (cap=0, init=0, servers=1, :1 arc weights) omitted, const values
-// re-printed from their parsed doubles. Directive order is preserved —
-// it is semantic (attribute slots, the default entry place, primary-input
-// arcs). Idempotent, and the canonical text loads to a net with the same
-// structural hash as the original. Returns "" and sets *error on
-// malformed input.
+// Canonical text of a .pnet document without `use` (expand it with
+// ExpandPnetIncludes first): comments and blank lines dropped, one space
+// between words, options in a fixed order with default values (cap=0,
+// init=0, servers=1, :1 arc weights) omitted, const values re-printed from
+// their parsed doubles. Directive order is preserved -- it is semantic
+// (attribute slots, the default entry place, primary-input arcs).
+// Idempotent, and the canonical text loads to a net with the same
+// structural hash as the original. Returns "" and sets *error on malformed
+// input: what LoadPnet refuses, less what only a whole net can get wrong
+// (unknown and duplicate places, expressions, a missing `net`).
 std::string CanonicalPnetText(std::string_view text, std::string* error);
 
 }  // namespace perfiface

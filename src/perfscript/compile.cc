@@ -1233,6 +1233,110 @@ const char* CmpName(std::uint8_t kind) {
   return "?";
 }
 
+// One line of a bytecode listing. `program` resolves what only programs
+// hold (attribute caches, callees, error strings): expressions pass null.
+std::string DisassembleInstr(std::size_t index, const Instr& ins,
+                             const std::vector<double>& consts,
+                             const CompiledProgram* program) {
+  std::string out = StrFormat("  %4zu: %-9s", index, OpName(ins.op));
+  switch (ins.op) {
+    case Op::kLoadConst:
+    case Op::kAddC:
+    case Op::kSubC:
+    case Op::kMulC:
+    case Op::kDivC:
+    case Op::kRSubC:
+    case Op::kRDivC:
+    case Op::kMinC:
+    case Op::kMaxC:
+      out += StrFormat("r%u", ins.a);
+      if (ins.op != Op::kLoadConst) out += StrFormat(", r%u", ins.b);
+      out += StrFormat(", %g", consts[ins.imm]);
+      break;
+    case Op::kMove:
+    case Op::kNeg:
+    case Op::kNot:
+    case Op::kBool:
+    case Op::kCeil:
+    case Op::kFloor:
+    case Op::kAbs:
+    case Op::kSqrt:
+    case Op::kLen:
+    case Op::kIterLen:
+      out += StrFormat("r%u, r%u", ins.a, ins.b);
+      break;
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kMul:
+    case Op::kDiv:
+    case Op::kMod:
+    case Op::kLt:
+    case Op::kLe:
+    case Op::kGt:
+    case Op::kGe:
+    case Op::kEq:
+    case Op::kNe:
+    case Op::kMin2:
+    case Op::kMax2:
+    case Op::kAnd2:
+    case Op::kOr2:
+    case Op::kIterChild:
+      out += StrFormat("r%u, r%u, r%u", ins.a, ins.b, ins.c);
+      break;
+    case Op::kCheckNum:
+      out += StrFormat("r%u (%s)", ins.a, CheckWhatName(static_cast<CheckWhat>(ins.imm)));
+      break;
+    case Op::kAttr:
+      out += StrFormat("r%u, r%u.%s [ic %u]", ins.a, ins.b,
+                       program->attr_names[ins.imm].c_str(), ins.imm);
+      break;
+    case Op::kJmp:
+      out += StrFormat("-> %u", ins.imm);
+      break;
+    case Op::kJmpIfZero:
+    case Op::kJmpIfNotZero:
+      out += StrFormat("r%u -> %u", ins.a, ins.imm);
+      break;
+    case Op::kJmpGe:
+      out += StrFormat("r%u, r%u -> %u", ins.a, ins.b, ins.imm);
+      break;
+    case Op::kCall:
+      out += StrFormat("r%u = %s(r%u..r%u)", ins.a, program->functions[ins.imm].name.c_str(),
+                       ins.b, ins.b + (ins.c == 0 ? 0 : ins.c - 1));
+      break;
+    case Op::kRet:
+      out += StrFormat("r%u", ins.a);
+      break;
+    case Op::kError:
+      out += StrFormat("\"%s\"", program->errors[ins.imm].c_str());
+      break;
+    case Op::kMulAddCC:
+      out += StrFormat("r%u, r%u * %g + %g", ins.a, ins.b, consts[ins.imm], consts[ins.c]);
+      break;
+    case Op::kMulAddC:
+      out += StrFormat("r%u, r%u * %g + r%u", ins.a, ins.b, consts[ins.imm], ins.c);
+      break;
+    case Op::kFma:
+      out += StrFormat("r%u += r%u * r%u", ins.a, ins.b, ins.c);
+      break;
+    case Op::kClampCC:
+      out += StrFormat("r%u, r%u in [%g, %g]", ins.a, ins.b, consts[ins.c], consts[ins.imm]);
+      break;
+    case Op::kCmpBranch:
+      out += StrFormat("r%u %s r%u %s-> %u", ins.a, CmpName(ins.c), ins.b,
+                       (ins.c & kCmpBranchIfTrue) ? "" : "!", ins.imm);
+      break;
+    case Op::kLoadOrConst:
+      out += StrFormat("r%u, r%u or %g", ins.a, ins.b, consts[ins.imm]);
+      break;
+    case Op::kCheckDef:
+      out += StrFormat("r%u else \"%s\"", ins.a, program->errors[ins.imm].c_str());
+      break;
+  }
+  out += StrFormat("   ; line %u\n", ins.line);
+  return out;
+}
+
 }  // namespace
 
 std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) const {
@@ -1246,107 +1350,7 @@ std::string CompiledProgram::DisassembleFunction(const CompiledFunction& fn) con
     out += "\n";
   }
   for (std::size_t i = 0; i < fn.code.size(); ++i) {
-    const Instr& ins = fn.code[i];
-    out += StrFormat("  %4zu: %-9s", i, OpName(ins.op));
-    switch (ins.op) {
-      case Op::kLoadConst:
-      case Op::kAddC:
-      case Op::kSubC:
-      case Op::kMulC:
-      case Op::kDivC:
-      case Op::kRSubC:
-      case Op::kRDivC:
-        out += StrFormat("r%u", ins.a);
-        if (ins.op != Op::kLoadConst) out += StrFormat(", r%u", ins.b);
-        out += StrFormat(", %g", consts[ins.imm]);
-        break;
-      case Op::kMove:
-      case Op::kNeg:
-      case Op::kNot:
-      case Op::kBool:
-      case Op::kCeil:
-      case Op::kFloor:
-      case Op::kAbs:
-      case Op::kSqrt:
-      case Op::kLen:
-      case Op::kIterLen:
-        out += StrFormat("r%u, r%u", ins.a, ins.b);
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod:
-      case Op::kLt:
-      case Op::kLe:
-      case Op::kGt:
-      case Op::kGe:
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kMin2:
-      case Op::kMax2:
-      case Op::kIterChild:
-        out += StrFormat("r%u, r%u, r%u", ins.a, ins.b, ins.c);
-        break;
-      case Op::kCheckNum:
-        out += StrFormat("r%u (%s)", ins.a, CheckWhatName(static_cast<CheckWhat>(ins.imm)));
-        break;
-      case Op::kAttr:
-        out += StrFormat("r%u, r%u.%s [ic %u]", ins.a, ins.b, attr_names[ins.imm].c_str(),
-                         ins.imm);
-        break;
-      case Op::kJmp:
-        out += StrFormat("-> %u", ins.imm);
-        break;
-      case Op::kJmpIfZero:
-      case Op::kJmpIfNotZero:
-        out += StrFormat("r%u -> %u", ins.a, ins.imm);
-        break;
-      case Op::kJmpGe:
-        out += StrFormat("r%u, r%u -> %u", ins.a, ins.b, ins.imm);
-        break;
-      case Op::kCall:
-        out += StrFormat("r%u = %s(r%u..r%u)", ins.a, functions[ins.imm].name.c_str(), ins.b,
-                         ins.b + (ins.c == 0 ? 0 : ins.c - 1));
-        break;
-      case Op::kRet:
-        out += StrFormat("r%u", ins.a);
-        break;
-      case Op::kError:
-        out += StrFormat("\"%s\"", errors[ins.imm].c_str());
-        break;
-      case Op::kMulAddCC:
-        out += StrFormat("r%u, r%u * %g + %g", ins.a, ins.b, consts[ins.imm], consts[ins.c]);
-        break;
-      case Op::kMulAddC:
-        out += StrFormat("r%u, r%u * %g + r%u", ins.a, ins.b, consts[ins.imm], ins.c);
-        break;
-      case Op::kFma:
-        out += StrFormat("r%u += r%u * r%u", ins.a, ins.b, ins.c);
-        break;
-      case Op::kMinC:
-      case Op::kMaxC:
-        out += StrFormat("r%u, r%u, %g", ins.a, ins.b, consts[ins.imm]);
-        break;
-      case Op::kClampCC:
-        out += StrFormat("r%u, r%u in [%g, %g]", ins.a, ins.b, consts[ins.c], consts[ins.imm]);
-        break;
-      case Op::kCmpBranch:
-        out += StrFormat("r%u %s r%u %s-> %u", ins.a, CmpName(ins.c), ins.b,
-                         (ins.c & kCmpBranchIfTrue) ? "" : "!", ins.imm);
-        break;
-      case Op::kAnd2:
-      case Op::kOr2:
-        out += StrFormat("r%u, r%u, r%u", ins.a, ins.b, ins.c);
-        break;
-      case Op::kLoadOrConst:
-        out += StrFormat("r%u, r%u or %g", ins.a, ins.b, consts[ins.imm]);
-        break;
-      case Op::kCheckDef:
-        out += StrFormat("r%u else \"%s\"", ins.a, errors[ins.imm].c_str());
-        break;
-    }
-    out += StrFormat("   ; line %u\n", ins.line);
+    out += DisassembleInstr(i, fn.code[i], consts, this);
   }
   return out;
 }
@@ -1364,10 +1368,9 @@ std::string CompiledProgram::Disassemble() const {
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expr& expr, const ExprBinder& binder,
-                                                    std::string* error,
-                                                    const ExprCompileOptions& options) {
+                                                    std::string* error) {
   auto compiled = std::unique_ptr<CompiledExpr>(new CompiledExpr());
-  if (!compiled->Emit(expr, binder, options, error)) {
+  if (!compiled->Emit(expr, binder, error)) {
     return nullptr;
   }
   // Postfix depth bounds the temps the register lowering needs above the
@@ -1412,18 +1415,16 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const Expr& expr, const Expr
 
 std::unique_ptr<CompiledExpr> CompiledExpr::CompileSource(std::string_view source,
                                                           const ExprBinder& binder,
-                                                          std::string* error,
-                                                          const ExprCompileOptions& options) {
+                                                          std::string* error) {
   ParseExprResult parsed = ParseExpression(source);
   if (!parsed.ok) {
     *error = parsed.error;
     return nullptr;
   }
-  return Compile(*parsed.expr, binder, error, options);
+  return Compile(*parsed.expr, binder, error);
 }
 
-bool CompiledExpr::Emit(const Expr& e, const ExprBinder& binder,
-                        const ExprCompileOptions& options, std::string* error) {
+bool CompiledExpr::Emit(const Expr& e, const ExprBinder& binder, std::string* error) {
   const std::uint16_t line =
       static_cast<std::uint16_t>(e.line < 0 ? 0 : (e.line > 65535 ? 65535 : e.line));
   auto push = [&](ExprOp op) { ops_.push_back(ExprInstr{op, 0, 0, line}); };
@@ -1434,8 +1435,8 @@ bool CompiledExpr::Emit(const Expr& e, const ExprBinder& binder,
     case ExprKind::kVar: {
       const std::optional<ExprBinding> binding = binder(e.name);
       if (!binding.has_value()) {
-        *error = StrFormat("line %d: unknown variable '%s'%s", e.line, e.name.c_str(),
-                           options.unknown_var_hint);
+        *error = StrFormat("line %d: unknown variable '%s' (declare attrs/consts first)", e.line,
+                           e.name.c_str());
         return false;
       }
       if (binding->kind == ExprBinding::Kind::kConst) {
@@ -1446,11 +1447,10 @@ bool CompiledExpr::Emit(const Expr& e, const ExprBinder& binder,
       return true;
     }
     case ExprKind::kAttr:
-      *error = StrFormat("line %d: attribute access is not allowed in %s", e.line,
-                         options.domain);
+      *error = StrFormat("line %d: attribute access is not allowed in net expressions", e.line);
       return false;
     case ExprKind::kUnary:
-      if (!Emit(*e.children[0], binder, options, error)) {
+      if (!Emit(*e.children[0], binder, error)) {
         return false;
       }
       push(e.un_op == UnOp::kNeg ? ExprOp::kNeg : ExprOp::kNot);
@@ -1464,31 +1464,31 @@ bool CompiledExpr::Emit(const Expr& e, const ExprBinder& binder,
       else if (e.name == "sqrt") unary_op = ExprOp::kSqrt;
       else is_unary = false;
       if (is_unary && e.children.size() == 1) {
-        if (!Emit(*e.children[0], binder, options, error)) {
+        if (!Emit(*e.children[0], binder, error)) {
           return false;
         }
         push(unary_op);
         return true;
       }
       if ((e.name == "min" || e.name == "max") && !e.children.empty()) {
-        if (!Emit(*e.children[0], binder, options, error)) {
+        if (!Emit(*e.children[0], binder, error)) {
           return false;
         }
         for (std::size_t i = 1; i < e.children.size(); ++i) {
-          if (!Emit(*e.children[i], binder, options, error)) {
+          if (!Emit(*e.children[i], binder, error)) {
             return false;
           }
           push(e.name == "min" ? ExprOp::kMin : ExprOp::kMax);
         }
         return true;
       }
-      *error = StrFormat("line %d: unknown function '%s' in %s", e.line, e.name.c_str(),
-                         options.domain);
+      *error =
+          StrFormat("line %d: unknown function '%s' in net expressions", e.line, e.name.c_str());
       return false;
     }
     case ExprKind::kBinary: {
-      if (!Emit(*e.children[0], binder, options, error) ||
-          !Emit(*e.children[1], binder, options, error)) {
+      if (!Emit(*e.children[0], binder, error) ||
+          !Emit(*e.children[1], binder, error)) {
         return false;
       }
       switch (e.bin_op) {
@@ -1845,57 +1845,7 @@ std::string CompiledExpr::DisassembleRegs() const {
   }
   out += "]\n";
   for (std::size_t i = 0; i < rcode_.size(); ++i) {
-    const Instr& ins = rcode_[i];
-    out += StrFormat("  %4zu: %-9s", i, OpName(ins.op));
-    switch (ins.op) {
-      case Op::kLoadConst:
-        out += StrFormat("r%u, %g", ins.a, rconsts_[ins.imm]);
-        break;
-      case Op::kAddC:
-      case Op::kSubC:
-      case Op::kMulC:
-      case Op::kDivC:
-      case Op::kRSubC:
-      case Op::kRDivC:
-      case Op::kMinC:
-      case Op::kMaxC:
-        out += StrFormat("r%u, r%u, %g", ins.a, ins.b, rconsts_[ins.imm]);
-        break;
-      case Op::kMulAddCC:
-        out += StrFormat("r%u, r%u * %g + %g", ins.a, ins.b, rconsts_[ins.imm],
-                         rconsts_[ins.c]);
-        break;
-      case Op::kMulAddC:
-        out += StrFormat("r%u, r%u * %g + r%u", ins.a, ins.b, rconsts_[ins.imm], ins.c);
-        break;
-      case Op::kFma:
-        out += StrFormat("r%u += r%u * r%u", ins.a, ins.b, ins.c);
-        break;
-      case Op::kClampCC:
-        out += StrFormat("r%u, r%u in [%g, %g]", ins.a, ins.b, rconsts_[ins.c],
-                         rconsts_[ins.imm]);
-        break;
-      case Op::kCmpBranch:
-        out += StrFormat("r%u %s r%u %s-> %u", ins.a, CmpName(ins.c), ins.b,
-                         (ins.c & kCmpBranchIfTrue) ? "" : "!", ins.imm);
-        break;
-      case Op::kNeg:
-      case Op::kNot:
-      case Op::kBool:
-      case Op::kCeil:
-      case Op::kFloor:
-      case Op::kAbs:
-      case Op::kSqrt:
-        out += StrFormat("r%u, r%u", ins.a, ins.b);
-        break;
-      case Op::kRet:
-        out += StrFormat("r%u", ins.a);
-        break;
-      default:
-        out += StrFormat("r%u, r%u, r%u", ins.a, ins.b, ins.c);
-        break;
-    }
-    out += StrFormat("   ; line %u\n", ins.line);
+    out += DisassembleInstr(i, rcode_[i], rconsts_, nullptr);
   }
   return out;
 }

@@ -215,15 +215,8 @@ struct ExprBinding {
 // unknown-variable error.
 using ExprBinder = std::function<std::optional<ExprBinding>(std::string_view)>;
 
-struct ExprCompileOptions {
-  // Domain word used in error messages, e.g. "attribute access is not
-  // allowed in <domain>" — keeps the historical per-caller phrasing.
-  const char* domain = "expressions";
-  // Appended verbatim to unknown-variable errors (the .pnet loader adds
-  // " (declare attrs/consts first)").
-  const char* unknown_var_hint = "";
-};
-
+// A standalone expression: a Petri-net delay or guard. Its compile errors
+// speak of "net expressions" and ask for attrs/consts to be declared first.
 class CompiledExpr {
  public:
   // Attribute slots an expression may read: registers [0, kMaxSlots)
@@ -235,13 +228,11 @@ class CompiledExpr {
   // limit (stack depth 64, a slot at or above kMaxSlots, more than 65535
   // instructions or 65536 constants).
   static std::unique_ptr<CompiledExpr> Compile(const Expr& expr, const ExprBinder& binder,
-                                               std::string* error,
-                                               const ExprCompileOptions& options = {});
+                                               std::string* error);
   // Parses and compiles in one step (counts one expression parse).
   static std::unique_ptr<CompiledExpr> CompileSource(std::string_view source,
                                                      const ExprBinder& binder,
-                                                     std::string* error,
-                                                     const ExprCompileOptions& options = {});
+                                                     std::string* error);
 
   // Evaluates the register form with slot values read through `slot`
   // (double(std::uint32_t)). A division or modulo by zero stops evaluation:
@@ -299,8 +290,7 @@ class CompiledExpr {
   };
   static constexpr int kMaxStack = 64;
 
-  bool Emit(const Expr& e, const ExprBinder& binder, const ExprCompileOptions& options,
-            std::string* error);
+  bool Emit(const Expr& e, const ExprBinder& binder, std::string* error);
   // Builds rcode_/rconsts_ from ops_; false (with *error) on a size limit.
   bool LowerToRegs(std::string* error);
 

@@ -334,10 +334,8 @@ const ExprBinder kAbcBinder = [](std::string_view name) -> std::optional<ExprBin
 // the reference on `trials` attribute vectors of `num_attrs` slots.
 void CheckSource(const std::string& source, const ExprBinder& binder, std::size_t num_attrs,
                  int trials, std::uint64_t* rng) {
-  ExprCompileOptions options;
-  options.domain = "net expressions";  // match the .pnet loader's error phrasing
   std::string error;
-  const auto compiled = CompiledExpr::CompileSource(source, binder, &error, options);
+  const auto compiled = CompiledExpr::CompileSource(source, binder, &error);
   ASSERT_NE(compiled, nullptr) << source << ": " << error;
   const ParseExprResult parsed = ParseExpression(source);
   ASSERT_TRUE(parsed.ok) << parsed.error;
@@ -527,15 +525,13 @@ TEST(ExprDiff, ConstantValueMatchesTheReference) {
 
   // The random corpus, and one with constant leaves only: zero divisors,
   // NaN from sqrt of a negative, and `and`/`or` decided by one side.
-  ExprCompileOptions options;
-  options.domain = "net expressions";
   int slot_free_constants = 0;
   for (const bool slots : {true, false}) {
     std::uint64_t rng = slots ? 0x5eed5eed5eed5eedULL : 0xc0257a47c0257a47ULL;
     for (int i = 0; i < 400; ++i) {
       const std::string source = GenExpr(&rng, 5, slots);
       std::string error;
-      const auto compiled = CompiledExpr::CompileSource(source, kAbcBinder, &error, options);
+      const auto compiled = CompiledExpr::CompileSource(source, kAbcBinder, &error);
       ASSERT_NE(compiled, nullptr) << source << ": " << error;
       slot_free_constants += !slots && ExpectConstantMatchesReference(*compiled, source, kAbcBinder);
     }
@@ -543,7 +539,7 @@ TEST(ExprDiff, ConstantValueMatchesTheReference) {
   EXPECT_GT(slot_free_constants, 100);  // most slot-free expressions cannot fail
   for (const char* source : {"a and 0", "0 * a", "(1 / 0) and 0", "1 % 0", "sqrt(0 - 1)"}) {
     std::string error;
-    const auto compiled = CompiledExpr::CompileSource(source, kAbcBinder, &error, options);
+    const auto compiled = CompiledExpr::CompileSource(source, kAbcBinder, &error);
     ASSERT_NE(compiled, nullptr) << source << ": " << error;
     EXPECT_EQ(ExpectConstantMatchesReference(*compiled, source, kAbcBinder),
               std::string_view(source) == "sqrt(0 - 1)")

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -87,12 +88,32 @@ Token FuzzToken(const PetriNet& net, SplitMix64* rng) {
   return token;
 }
 
-// Every shipped net (flattened: `use` expanded), corrupted: a mutant loads
-// or is refused with a message. Every component of one that loads is run
-// on two seeded tokens under one seeded plan, through a DerivedStore (the
-// first token compiles the model, the second is answered from it) and
-// through a fresh component PetriSim; whenever the tier answers, its
-// quiesce time and firing count must be the simulation's.
+// The canonical text of `text`, which loaded to `net`, is a fixed point of
+// the canonicalizer and loads to the same structural and component hashes.
+void ExpectCanonicalTextRoundTrips(const std::string& text, const PetriNet& net) {
+  std::string error;
+  const std::string canonical = CanonicalPnetText(text, &error);
+  ASSERT_TRUE(error.empty()) << text << "\n" << error;
+  EXPECT_EQ(CanonicalPnetText(canonical, &error), canonical) << text;
+  const LoadedNet reloaded = LoadPnet(canonical);
+  ASSERT_TRUE(reloaded.ok()) << canonical << "\n" << reloaded.error;
+  const CompiledNet original(&net);
+  const CompiledNet again(reloaded.net.get());
+  EXPECT_EQ(original.structural_hash(), again.structural_hash()) << text;
+  ASSERT_EQ(original.num_components(), again.num_components()) << text;
+  for (std::size_t c = 0; c < original.num_components(); ++c) {
+    EXPECT_EQ(original.component_hash(c), again.component_hash(c)) << text << "\ncomponent " << c;
+  }
+}
+
+// Every shipped net (expanded: `use` resolved, in canonical text),
+// corrupted: a mutant is canonicalized, and loads or is refused with a
+// message. One that loads round-trips through its canonical text, and
+// every component of it is run on two seeded tokens under one seeded plan,
+// through a DerivedStore (the first token compiles the model, the second
+// is answered from it) and through a fresh component PetriSim; whenever
+// the tier answers, its quiesce time and firing count must be the
+// simulation's.
 TEST_P(PnetFuzz, CorruptedNetsParseOrFailCleanly) {
   constexpr std::uint64_t kBudget = 20'000;
   const std::string dir = InterfaceRegistry::InterfaceDir();
@@ -107,8 +128,11 @@ TEST_P(PnetFuzz, CorruptedNetsParseOrFailCleanly) {
       const LoadedNet loaded = LoadPnet(mutated);
       if (!loaded.ok()) {
         EXPECT_FALSE(loaded.error.empty());
+        std::string error;
+        CanonicalPnetText(mutated, &error);  // prints or refuses, never crashes
         continue;
       }
+      ASSERT_NO_FATAL_FAILURE(ExpectCanonicalTextRoundTrips(mutated, *loaded.net));
       const PetriNet& net = *loaded.net;
       const CompiledNet cnet(&net);
       SplitMix64 rng(DeriveSeed(GetParam() + 2000, stream));
@@ -140,6 +164,36 @@ TEST_P(PnetFuzz, CorruptedNetsParseOrFailCleanly) {
     }
   }
   EXPECT_GT(compared, 0u);  // the sweep must reach the tier
+}
+
+// The shipped component file itself, corrupted and written beside a fixed
+// host that `use`s it twice: the host loads or is refused with a message
+// (a bare `place` line in a component once crashed here), and one that
+// loads round-trips through its expanded canonical text.
+TEST_P(PnetFuzz, CorruptedComponentsLoadOrFailCleanly) {
+  const std::string dir = ::testing::TempDir();
+  const std::string host_path = dir + "/pnet_fuzz_host.pnet";
+  std::ofstream(host_path)
+      << "net host\nplace ld_cmd\nplace ld_done\nplace st_cmd\nplace st_done\n"
+         "use \"pnet_fuzz_component.pnet\" prefix=ld bind=\"cmd=ld_cmd,done=ld_done\"\n"
+         "use \"pnet_fuzz_component.pnet\" prefix=st bind=\"cmd=st_cmd,done=st_done\"\n";
+  const std::string component =
+      ReadFileOrDie(InterfaceRegistry::InterfaceDir() + "/components/dram_channel.pnet");
+  std::size_t accepted = 0;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const std::string mutated = Corrupt(component, DeriveSeed(GetParam() + 3000, i));
+    std::ofstream(dir + "/pnet_fuzz_component.pnet") << mutated;
+    const LoadedNet loaded = LoadPnetFile(host_path);
+    if (!loaded.ok()) {
+      EXPECT_FALSE(loaded.error.empty());
+      continue;
+    }
+    ++accepted;
+    const PnetExpansion expanded = ExpandPnetIncludes(ReadFileOrDie(host_path), dir);
+    ASSERT_TRUE(expanded.ok) << mutated << "\n" << expanded.error;
+    ASSERT_NO_FATAL_FAILURE(ExpectCanonicalTextRoundTrips(expanded.text, *loaded.net));
+  }
+  EXPECT_GT(accepted, 0u);  // the round trip must be reached
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PnetFuzz, ::testing::Range<std::uint64_t>(1, 9));

@@ -7,12 +7,14 @@
 // same structure a vendor authored).
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/loc.h"
+#include "src/common/strings.h"
 #include "src/core/pnet.h"
 #include "src/core/registry.h"
 #include "src/perfscript/parser.h"
@@ -88,6 +90,43 @@ TEST(InterfaceRoundTrip, PnetCanonicalTextPreservesStructuralHash) {
       EXPECT_EQ(original_compiled.component_hash(c), reloaded_compiled.component_hash(c))
           << "component " << c;
     }
+  }
+}
+
+// The expanded canonical text of every shipped .pnet, with the structural
+// hash of the loaded net and of each of its components: what the reader
+// makes of the shipped files, pinned byte for byte. The hashes are the
+// derived tier's model keys.
+TEST(InterfaceRoundTrip, PnetTextAndHashesMatchGolden) {
+  const std::string interface_dir = InterfaceRegistry::InterfaceDir();
+  std::string actual;
+  for (const std::string& path : InterfaceFiles(".pnet")) {
+    SCOPED_TRACE(path);
+    const std::string dir = path.substr(0, path.find_last_of('/'));
+    const PnetExpansion expanded = ExpandPnetIncludes(ReadFileOrDie(path), dir);
+    ASSERT_TRUE(expanded.ok) << expanded.error;
+    std::string error;
+    const std::string canonical = CanonicalPnetText(expanded.text, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    actual += "# " + path.substr(interface_dir.size() + 1) + "\n" + canonical;
+    const LoadedNet loaded = LoadPnetFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    const CompiledNet compiled(loaded.net.get());
+    actual += StrFormat("# structural_hash %016llx\n",
+                        static_cast<unsigned long long>(compiled.structural_hash()));
+    for (std::size_t c = 0; c < compiled.num_components(); ++c) {
+      actual += StrFormat("# component %zu %016llx\n", c,
+                          static_cast<unsigned long long>(compiled.component_hash(c)));
+    }
+  }
+  const std::string golden_path =
+      std::string(PERFIFACE_SOURCE_DIR) + "/tests/golden/pnet_text.golden";
+  if (ReadFileOrDie(golden_path) != actual) {
+    const std::string actual_path = ::testing::TempDir() + "/pnet_text.actual";
+    std::ofstream(actual_path) << actual;
+    ADD_FAILURE() << "The expanded canonical text or a structural hash of a shipped .pnet "
+                     "differs from "
+                  << golden_path << ". The full output is in " << actual_path;
   }
 }
 

@@ -1,3 +1,6 @@
+#include <filesystem>
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "src/common/strings.h"
@@ -243,6 +246,72 @@ TEST(PnetCompose, ErrorsSurfaceCleanly) {
       ExpandPnetIncludes("use \"components/dram_channel.pnet\" prefix=a bind=\"oops\"\n",
                          InterfaceRegistry::InterfaceDir())
           .ok);  // malformed bind
+}
+
+// A `use` is resolved by the one reader: a component that cannot be read
+// or does not parse is a load error naming its file and line. Each of these
+// once crashed (a bare `place` in a component), aborted (a missing file),
+// expanded to nothing (a directory) or named a line of the flattened text.
+TEST(PnetCompose, BadComponentsAreLoadErrorsNamingTheirLine) {
+  const std::string dir = ::testing::TempDir() + "/pnet_compose";
+  std::filesystem::create_directories(dir + "/parts");
+  std::filesystem::copy_file(
+      InterfaceRegistry::InterfaceDir() + "/components/dram_channel.pnet",
+      dir + "/parts/dram_channel.pnet", std::filesystem::copy_options::overwrite_existing);
+  std::ofstream(dir + "/parts/bare.pnet") << "net bare\nplace\n";
+  std::ofstream(dir + "/parts/unknown.pnet")
+      << "net unknown\nattr words\n\nplace cmd\ntrans t in=cmd,gone delay=\"1\"\n";
+  std::ofstream(dir + "/parts/self.pnet") << "use \"self.pnet\" prefix=s\n";
+  const auto load_error = [&dir](const std::string& host) {
+    std::ofstream(dir + "/host.pnet") << host;
+    return LoadPnetFile(dir + "/host.pnet").error;
+  };
+  EXPECT_EQ(load_error("net h\nuse \"parts/bare.pnet\" prefix=b\n"),
+            "parts/bare.pnet line 2: place needs a name");
+  EXPECT_EQ(load_error("net h\n\nuse \"parts/missing.pnet\" prefix=m\n"),
+            "line 3: use: cannot read " + dir + "/parts/missing.pnet: No such file or directory");
+  EXPECT_EQ(load_error("net h\nuse \"parts\" prefix=d\n"),
+            "line 2: use: cannot read " + dir + "/parts: Is a directory");
+  EXPECT_EQ(load_error("net h\nuse \"parts/unknown.pnet\" prefix=u\n"),
+            "parts/unknown.pnet line 5: unknown place 'u_gone'");
+  EXPECT_EQ(load_error("net h\nuse \"parts/self.pnet\" prefix=s\n"),
+            "self.pnet line 1: use: include depth limit exceeded");
+
+  // Host lines keep their own numbers after a `use`, for errors of the
+  // parse and of the load alike.
+  const std::string host =
+      "net h\nplace cmd\nplace done\n"
+      "use \"parts/dram_channel.pnet\" prefix=ch bind=\"cmd=cmd,done=done\"\n";
+  EXPECT_EQ(load_error(host + "bogus\n"), "line 5: unknown directive 'bogus'");
+  EXPECT_EQ(load_error(host + "trans t in=nowhere delay=\"1\"\n"),
+            "line 5: unknown place 'nowhere'");
+  EXPECT_EQ(load_error(host), "");
+
+  // An unreadable top-level file is an error too, and text has no file
+  // for a `use` to be relative to.
+  EXPECT_EQ(LoadPnetFile(dir + "/absent.pnet").error,
+            "cannot read " + dir + "/absent.pnet: No such file or directory");
+  EXPECT_EQ(LoadPnet("net h\nuse \"parts/bare.pnet\" prefix=b\n").error,
+            "line 2: use needs the including file's directory (LoadPnetFile, "
+            "ExpandPnetIncludes)");
+}
+
+// Canonical text reads back as the document it prints. A delay holding
+// quotes after a `#` comment prints bare, and an arc list that begins and
+// ends with a quote prints quoted: printed the other way, the first split
+// into two words and the second lost its quotes.
+TEST(Pnet, CanonicalTextReadsBackQuotedValues) {
+  const std::string text =
+      "net d\nplace \"p\"\nplace q\ntrans t in=\"\"p\"\" out=q delay=1#\"a b\"\n";
+  const LoadedNet loaded = LoadPnet(text);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  std::string error;
+  const std::string canonical = CanonicalPnetText(text, &error);
+  EXPECT_EQ(canonical, text) << error;
+  const LoadedNet reloaded = LoadPnet(canonical);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.error;
+  EXPECT_EQ(CompiledNet(loaded.net.get()).structural_hash(),
+            CompiledNet(reloaded.net.get()).structural_hash());
 }
 
 // The structural hash covers the canonical compiled form of every delay

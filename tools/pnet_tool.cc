@@ -6,7 +6,8 @@
 //                               expression (the unified IR the sim and the
 //                               exact derived tier execute) and its value
 //                               when it is a constant
-//   pnet_tool expand <file.pnet>             print the flattened document
+//   pnet_tool expand <file.pnet>             print the document, `use` expanded,
+//                                            in canonical text
 //   pnet_tool run <file.pnet> <inject place attr=v[,attr=v...] xN> ...
 //       [--observe place] [--until T]
 //       [--trace out.json]  Chrome trace of the run (firing events,
@@ -117,7 +118,11 @@ int CmdShow(const std::string& path, bool dump_bytecode) {
 }
 
 int CmdExpand(const std::string& path) {
-  const PnetExpansion expanded = ExpandPnetIncludes(ReadFileOrDie(path), DirOf(path));
+  std::string text;
+  PnetExpansion expanded;
+  if (ReadFile(path, &text, &expanded.error)) {
+    expanded = ExpandPnetIncludes(text, DirOf(path));
+  }
   if (!expanded.ok) {
     std::fprintf(stderr, "error: %s\n", expanded.error.c_str());
     return 1;
