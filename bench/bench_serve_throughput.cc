@@ -236,13 +236,16 @@ LoadResult DriveLoad(PredictionService* service, const std::vector<PredictReques
   const std::size_t issued = per_client * clients;
   out.qps = static_cast<double>(issued) / Seconds(t0, t1);
   // Tail latency across interfaces: take the worse of the two rows.
-  for (const auto& m : service->metrics().interfaces()) {
-    if (m->requests.load() == 0) {
+  const std::vector<InterfaceTotals> rows = service->metrics().Interfaces();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].requests == 0) {
       continue;
     }
-    out.p50_us = std::max(out.p50_us, m->latency.Percentile(0.50) / 1e3);
-    out.p95_us = std::max(out.p95_us, m->latency.Percentile(0.95) / 1e3);
-    out.p99_us = std::max(out.p99_us, m->latency.Percentile(0.99) / 1e3);
+    obs::Histogram latency;
+    service->metrics().MergeLatency(i, &latency);
+    out.p50_us = std::max(out.p50_us, latency.Percentile(0.50) / 1e3);
+    out.p95_us = std::max(out.p95_us, latency.Percentile(0.95) / 1e3);
+    out.p99_us = std::max(out.p99_us, latency.Percentile(0.99) / 1e3);
   }
   const double hits = static_cast<double>(service->metrics().cache_hits() - hits_before);
   const double misses = static_cast<double>(service->metrics().cache_misses() - misses_before);

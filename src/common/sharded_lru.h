@@ -9,7 +9,6 @@
 #ifndef SRC_COMMON_SHARDED_LRU_H_
 #define SRC_COMMON_SHARDED_LRU_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -104,12 +103,20 @@ class ShardedLru {
     shard.lru.splice(shard.lru.begin(), shard.lru, victim);
     node.key() = std::string_view(victim->first);
     shard.index.insert(std::move(node));
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.evictions;
   }
 
   bool enabled() const { return capacity_ > 0; }
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t evictions() const { return evictions_.load(std::memory_order_relaxed); }
+
+  std::uint64_t evictions() const {
+    std::uint64_t total = 0;
+    for (const auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      total += shard->evictions;
+    }
+    return total;
+  }
 
   std::size_t size() const {
     std::size_t total = 0;
@@ -121,7 +128,9 @@ class ShardedLru {
   }
 
  private:
-  struct Shard {
+  // Line-aligned, so one shard's lock and counts never share a line with
+  // another shard's; everything in it is guarded by its mutex.
+  struct alignas(64) Shard {
     std::mutex mu;
     // Most-recent at the front; list nodes own the key so the map can hold
     // string_views into them without a second allocation.
@@ -129,6 +138,7 @@ class ShardedLru {
     std::unordered_map<std::string_view,
                        typename std::list<std::pair<std::string, V>>::iterator>
         index;
+    std::uint64_t evictions = 0;
   };
 
   Shard& ShardFor(const std::string& key) {
@@ -142,7 +152,6 @@ class ShardedLru {
   std::size_t per_shard_capacity_ = 0;
   std::size_t shard_mask_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
 }  // namespace perfiface

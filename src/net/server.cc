@@ -86,11 +86,11 @@ bool HeaderNameIs(std::string_view header, std::string_view name) {
 // Every request entering the service carries a trace_id from here on:
 // client-supplied ids pass through untouched, the rest are minted at the
 // network edge, into the request's own string, so queue flow events and
-// response lines share one id.
-void FillTraceIds(std::vector<serve::PredictRequest>* requests) {
+// response lines share one id. `ids` is the connection's own block.
+void FillTraceIds(std::vector<serve::PredictRequest>* requests, serve::TraceIdBlock* ids) {
   for (serve::PredictRequest& request : *requests) {
     if (request.trace_id.empty()) {
-      serve::GenerateTraceId(&request.trace_id);
+      serve::GenerateTraceId(&request.trace_id, ids);
     }
   }
 }
@@ -393,10 +393,11 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
   obs::SpanRing::Entry frame_entry;  // the /tracez entry, rebuilt per frame
   frame_entry.cat = "net";
   frame_entry.name = "frame";
+  serve::TraceIdBlock trace_ids;
 
   const auto handle_frame = [&] {
     obs::SpanGuard request_span("net", "request");
-    const std::uint64_t frame_start_ns = obs::SpanRing::Global().NowNs();
+    const std::uint64_t frame_start_ns = obs::SpanRing::NowNs();
     std::unique_ptr<Frame> pending;
     {
       std::lock_guard<std::mutex> lock(conn->inflight_mu);
@@ -432,7 +433,7 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
       TimedWrite(conn.get(), line);
       return;
     }
-    FillTraceIds(&requests);
+    FillTraceIds(&requests, &trace_ids);
     if (request_span.active()) {
       request_span.SetArg("requests", static_cast<double>(requests.size()));
       request_span.SetTraceId(requests.front().trace_id);
@@ -486,10 +487,9 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     // /tracez provenance: one ring entry per accepted frame, covering
     // decode + enqueue (responses stream asynchronously and are timed by
     // their own serve/eval entries).
-    obs::SpanRing& ring = obs::SpanRing::Global();
     frame_entry.start_ns = frame_start_ns;
-    frame_entry.dur_ns = ring.NowNs() - frame_start_ns;
-    ring.Record(frame_entry);
+    frame_entry.dur_ns = obs::SpanRing::NowNs() - frame_start_ns;
+    frame_ring_.Record(frame_entry);
   };
 
   for (;;) {
@@ -632,10 +632,13 @@ void NetServer::ServeHttp(const std::shared_ptr<Connection>& conn) {
     return;
   }
   if (method == "GET" && path == "/tracez") {
-    // Recent spans + slowest-since-start outliers from the always-on ring
-    // (docs/observability.md "/tracez").
+    // Recent spans + slowest-since-start outliers from the always-on
+    // rings: the service's, one per worker, merged with this server's
+    // frame ring (docs/observability.md "/tracez").
+    std::vector<const obs::SpanRing*> rings = service_->span_rings();
+    rings.push_back(&frame_ring_);
     TimedWrite(conn.get(), HttpResponse(200, "OK", "application/json",
-                                        obs::SpanRing::Global().DumpJson() + "\n"));
+                                        obs::DumpSpanRingsJson(rings) + "\n"));
     return;
   }
   if (method == "GET" && path == "/interfaces") {
@@ -685,7 +688,8 @@ void NetServer::ServeHttp(const std::shared_ptr<Connection>& conn) {
                                           "too many requests in frame\n"));
       return;
     }
-    FillTraceIds(&requests);
+    serve::TraceIdBlock trace_ids;
+    FillTraceIds(&requests, &trace_ids);
     if (!requests.empty()) {
       request_span.SetTraceId(requests.front().trace_id);
     }

@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/span_ring.h"
 #include "src/serve/service.h"
 
 namespace perfiface::net {
@@ -174,6 +175,8 @@ class NetServer {
   std::mutex conns_mu_;
   std::list<std::shared_ptr<Connection>> conns_;
   std::atomic<std::size_t> open_connections_{0};
+  // The /tracez entries of accepted NDJSON frames, one per frame.
+  obs::SpanRing frame_ring_;
 };
 
 }  // namespace perfiface::net

@@ -37,7 +37,8 @@ std::uint64_t Upper(std::size_t i) { return i + 1 < kBuckets ? Lower(i + 1) - 1 
 
 }  // namespace
 
-struct Histogram::Storage {
+// Line-aligned, so two histograms' hot fields never share a cache line.
+struct alignas(64) Histogram::Storage {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> buckets[kBuckets] = {};
@@ -63,6 +64,38 @@ void Histogram::Record(std::uint64_t value) {
   s->buckets[Index(value)].fetch_add(1, std::memory_order_relaxed);
   s->count.fetch_add(1, std::memory_order_relaxed);
   s->sum.fetch_add(value, std::memory_order_relaxed);
+}
+
+void Histogram::RecordExclusive(std::uint64_t value) {
+  Storage* s = storage_.load(std::memory_order_acquire);
+  if (s == nullptr) [[unlikely]] {
+    s = Allocate();
+  }
+  const auto bump = [](std::atomic<std::uint64_t>& field, std::uint64_t delta) {
+    field.store(field.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+  };
+  bump(s->buckets[Index(value)], 1);
+  bump(s->count, 1);
+  bump(s->sum, value);
+}
+
+void Histogram::Merge(const Histogram& other) {
+  const Storage* from = other.storage_.load(std::memory_order_acquire);
+  if (from == nullptr) {
+    return;
+  }
+  Storage* s = storage_.load(std::memory_order_acquire);
+  if (s == nullptr) {
+    s = Allocate();
+  }
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    const std::uint64_t n = from->buckets[i].load(std::memory_order_relaxed);
+    if (n != 0) {
+      s->buckets[i].fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+  s->count.fetch_add(from->count.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  s->sum.fetch_add(from->sum.load(std::memory_order_relaxed), std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::count() const {

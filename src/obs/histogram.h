@@ -12,9 +12,13 @@
 // measured number, not a bucket edge.
 //
 // Record is wait-free: relaxed fetch_adds on the bucket, the count and the
-// sum. The ~15 KB of buckets are allocated by the first Record (one pointer
-// CAS), so an idle series costs one pointer. Reads are relaxed: under
-// concurrent Record they may miss the newest samples, never invent one.
+// sum. A histogram that only one thread records into (a worker's shard of
+// the service metrics) uses RecordExclusive instead: a relaxed load and
+// store per field, no read-modify-write. The ~15 KB of buckets are
+// allocated by the first record (one pointer CAS), so an idle series costs
+// one pointer. Reads are relaxed: under concurrent records they may miss
+// the newest samples, never invent one. Merge adds one histogram's samples
+// to another, so per-thread histograms read as one.
 #ifndef SRC_OBS_HISTOGRAM_H_
 #define SRC_OBS_HISTOGRAM_H_
 
@@ -37,6 +41,11 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Record(std::uint64_t value);
+  // Record for a histogram no other thread records into concurrently.
+  void RecordExclusive(std::uint64_t value);
+  // Adds every sample of `other` to this histogram: afterwards every read
+  // equals that of one histogram that recorded both sets of samples.
+  void Merge(const Histogram& other);
 
   std::uint64_t count() const;
   // Sum of the recorded values, modulo 2^64.

@@ -2,13 +2,14 @@
 // exposition every scrape is written with.
 //
 // The registry holds monotonic uint64 totals that the layers below any one
-// service — the PerfScript VM and interpreter, the Petri-net simulator, the
-// cycle-level engine, the conv simulator and the network front end — bump
-// with relaxed atomics. Handles are looked up once (function-local static)
-// so the hot path is a single fetch_add. State owned by a service (its
-// request metrics, shadow validation and component tiers) is not here: the
-// service renders it into its own scrape after these counters
-// (PredictionService::StatsPrometheus, docs/observability.md).
+// service — the PerfScript interpreter, parser and compiler, the Petri-net
+// simulator, the cycle-level engine, the conv simulator and the network
+// front end — bump with relaxed atomics. Handles are looked up once
+// (function-local static) so the hot path is a single fetch_add. State
+// owned by a service (its request and VM counts, shadow validation and
+// component tiers) is not here: the service renders it into its own scrape
+// after these counters (PredictionService::StatsPrometheus,
+// docs/observability.md).
 //
 // The text format follows the Prometheus exposition format v0.0.4
 // (`# HELP` / `# TYPE` comments, `name{labels} value` samples).

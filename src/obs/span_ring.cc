@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "src/common/strings.h"
 
@@ -27,23 +28,16 @@ void AppendEntryJson(std::string* out, const SpanRing::Entry& e) {
 SpanRing::SpanRing() {
   ring_.reserve(kRingCapacity);
   slow_.reserve(kSlowCapacity + 1);
-  epoch_ns_ = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
-SpanRing& SpanRing::Global() {
-  static SpanRing* ring = new SpanRing();  // never destroyed: recorders may
-  return *ring;                            // outlive static destruction order
-}
-
-std::uint64_t SpanRing::NowNs() const {
-  const std::uint64_t now = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return now - epoch_ns_;
+std::uint64_t SpanRing::NowNs() {
+  const auto steady_ns = [] {
+    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                          std::chrono::steady_clock::now().time_since_epoch())
+                                          .count());
+  };
+  static const std::uint64_t epoch = steady_ns();
+  return steady_ns() - epoch;
 }
 
 void SpanRing::Record(const Entry& entry) {
@@ -94,11 +88,37 @@ std::uint64_t SpanRing::total_recorded() const {
   return total_;
 }
 
-std::string SpanRing::DumpJson(std::size_t max_recent) const {
-  const std::vector<Entry> recent = Recent(max_recent);
-  const std::vector<Entry> slowest = Slowest();
-  std::string out = StrFormat("{\"recorded_total\":%llu,\"recent\":[",
-                              static_cast<unsigned long long>(total_recorded()));
+std::string DumpSpanRingsJson(std::span<const SpanRing* const> rings, std::size_t max_recent) {
+  std::uint64_t total = 0;
+  std::vector<SpanRing::Entry> recent;
+  std::vector<SpanRing::Entry> slowest;
+  for (const SpanRing* ring : rings) {
+    total += ring->total_recorded();
+    // Each ring's newest max_recent hold every entry of the merged newest.
+    std::vector<SpanRing::Entry> r = ring->Recent(max_recent);
+    recent.insert(recent.end(), std::make_move_iterator(r.begin()),
+                  std::make_move_iterator(r.end()));
+    std::vector<SpanRing::Entry> s = ring->Slowest();
+    slowest.insert(slowest.end(), std::make_move_iterator(s.begin()),
+                   std::make_move_iterator(s.end()));
+  }
+  std::stable_sort(recent.begin(), recent.end(),
+                   [](const SpanRing::Entry& a, const SpanRing::Entry& b) {
+                     return a.start_ns + a.dur_ns < b.start_ns + b.dur_ns;
+                   });
+  if (recent.size() > max_recent) {
+    recent.erase(recent.begin(), recent.end() - static_cast<std::ptrdiff_t>(max_recent));
+  }
+  std::stable_sort(slowest.begin(), slowest.end(),
+                   [](const SpanRing::Entry& a, const SpanRing::Entry& b) {
+                     return a.dur_ns > b.dur_ns;
+                   });
+  if (slowest.size() > SpanRing::kSlowCapacity) {
+    slowest.resize(SpanRing::kSlowCapacity);
+  }
+
+  std::string out =
+      StrFormat("{\"recorded_total\":%llu,\"recent\":[", static_cast<unsigned long long>(total));
   for (std::size_t i = 0; i < recent.size(); ++i) {
     if (i != 0) {
       out += ',';

@@ -98,16 +98,6 @@ Vm::Vm(std::shared_ptr<const CompiledProgram> program) : program_(std::move(prog
 }
 
 EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args) {
-  static obs::MetricsRegistry::Counter& calls_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_psc_vm_calls_total", "Top-level PerfScript bytecode VM calls");
-  static obs::MetricsRegistry::Counter& steps_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_psc_vm_steps_total", "PerfScript bytecode VM instructions executed");
-  static obs::MetricsRegistry::Counter& errors_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_psc_vm_errors_total", "PerfScript bytecode VM calls that failed");
-  static obs::MetricsRegistry::Counter& memo_hits_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "perfiface_psc_vm_memo_hits_total",
-          "PerfScript bytecode VM calls taken from the call memo instead of run");
   obs::SpanGuard span("vm", "call");
   if (span.active()) {
     span.SetArg("function", function);
@@ -124,20 +114,16 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
   const int fidx = program_->FindIndex(function);
   if (fidx < 0) {
     out.error = StrFormat("no such function '%s'", function.c_str());
-    errors_total.Increment();
     return out;
   }
   const CompiledFunction* fn = &program_->functions[fidx];
-  calls_total.Increment();
   if (args.size() != fn->num_params) {
     out.error = StrFormat("line %d: %s: expected %zu arguments, got %zu", fn->line,
                           fn->name.c_str(), fn->num_params, args.size());
-    errors_total.Increment();
     return out;
   }
   if (max_depth_ < 1) {
     out.error = StrFormat("line %d: recursion depth limit exceeded", fn->line);
-    errors_total.Increment();
     return out;
   }
 
@@ -526,21 +512,28 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
   }
 
 done:
-  steps_total.Add(steps_);
-  if (memo_hits_ > 0) {
-    memo_hits_total.Add(memo_hits_);
-  }
   if (span.active()) {
     span.SetArg("steps", static_cast<double>(steps_));
     span.SetArg("memo_hits", static_cast<double>(memo_hits_));
   }
   if (failed) {
-    errors_total.Increment();
     return out;
   }
   out.ok = true;
   out.value = result;
   return out;
+}
+
+void AppendVmPrometheus(std::string* out, const VmCounts& counts) {
+  obs::AppendCounter(out, "perfiface_psc_vm_calls_total", "Top-level PerfScript bytecode VM calls",
+                     counts.calls);
+  obs::AppendCounter(out, "perfiface_psc_vm_steps_total",
+                     "PerfScript bytecode VM instructions executed", counts.steps);
+  obs::AppendCounter(out, "perfiface_psc_vm_errors_total",
+                     "PerfScript bytecode VM calls that failed", counts.errors);
+  obs::AppendCounter(out, "perfiface_psc_vm_memo_hits_total",
+                     "PerfScript bytecode VM calls taken from the call memo instead of run",
+                     counts.memo_hits);
 }
 
 }  // namespace perfiface

@@ -34,7 +34,9 @@
 // Mirroring the Interpreter's thread-safety contract, a Vm is STATEFUL and
 // must not be shared between threads, while the CompiledProgram it runs is
 // immutable and freely shared (each Vm keeps only per-thread inline-cache
-// hints and its memo).
+// hints and its memo). A call writes nothing shared: its cost is read back
+// from steps_used() and memo_hits(), and whoever owns the Vm sums those
+// into its own VmCounts.
 #ifndef SRC_PERFSCRIPT_VM_H_
 #define SRC_PERFSCRIPT_VM_H_
 
@@ -121,6 +123,18 @@ class Vm {
   std::uint64_t max_steps_ = 50'000'000;
   std::size_t max_depth_ = 200;
 };
+
+// What top-level Vm::Call runs cost, summed by the owner of the Vms: the
+// prediction service per worker, psc_tool for its one call.
+struct VmCounts {
+  std::uint64_t calls = 0;      // calls of a function the program defines
+  std::uint64_t steps = 0;      // steps_used(), summed
+  std::uint64_t errors = 0;     // calls that failed, unknown functions included
+  std::uint64_t memo_hits = 0;  // memo_hits(), summed
+};
+
+// The perfiface_psc_vm_{calls,steps,errors,memo_hits}_total families.
+void AppendVmPrometheus(std::string* out, const VmCounts& counts);
 
 }  // namespace perfiface
 

@@ -211,6 +211,22 @@ struct DerivedStore::Model {
   std::string guards;  // "name=0|1" per keyed guard, for ProgramText
 };
 
+struct alignas(64) DerivedStore::WorkerMemo {
+  // The last model resolved per component index (modulo kSlots) and its
+  // store key: a net's components keep their own slots.
+  static constexpr std::size_t kSlots = 8;
+  struct Slot {
+    std::string key;
+    const Model* model = nullptr;
+  };
+  Slot last[kSlots];
+  std::string keyed;  // a guarded store key, built by KeyOf
+  std::vector<Cycles> delays;
+  std::vector<Cycles> times;
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> refusals{0};
+};
+
 DerivedStore::DerivedStore(std::size_t max_models, std::size_t num_shards)
     : max_models_(max_models) {
   shards_.reserve(std::max<std::size_t>(1, num_shards));
@@ -232,8 +248,7 @@ const DerivedStore::Model* DerivedStore::Find(const std::string& key) const {
   return it == shard.models.end() ? nullptr : it->second.get();
 }
 
-const std::string* DerivedStore::KeyOf(const ComponentQuery& query) {
-  thread_local std::string keyed;
+const std::string* DerivedStore::KeyOf(const ComponentQuery& query, std::string* keyed) {
   bool guarded = false;
   const Token& token = query.token();
   const CompiledNet& net = query.net();
@@ -246,13 +261,13 @@ const std::string* DerivedStore::KeyOf(const ComponentQuery& query) {
       return nullptr;
     }
     if (!guarded) {
-      keyed = query.model_key();
-      keyed += "\x1fg";
+      *keyed = query.model_key();
+      *keyed += "\x1fg";
       guarded = true;
     }
-    keyed += on ? '1' : '0';
+    *keyed += on ? '1' : '0';
   }
-  return guarded ? &keyed : &query.model_key();
+  return guarded ? keyed : &query.model_key();
 }
 
 std::unique_ptr<DerivedStore::Model> DerivedStore::Compile(const ComponentQuery& query) {
@@ -631,18 +646,17 @@ Cycles DerivedStore::RunTable(const Model& model, const Cycles* delays,
 }
 
 DerivedStore::Outcome DerivedStore::Evaluate(const Model& model, const Token& token,
-                                             std::uint64_t budget, ComponentResult* out) {
+                                             std::uint64_t budget, ComponentResult* out,
+                                             WorkerMemo* memo) {
   // Strict: PetriSim reports exhaustion when firings reach the budget
   // exactly.
   if (model.firings >= budget) {
     return Outcome::kBudget;
   }
-  thread_local std::vector<Cycles> delays;
-  thread_local std::vector<Cycles> times;
-  if (!EvalDelays(model, token, &delays)) {
+  if (!EvalDelays(model, token, &memo->delays)) {
     return Outcome::kEvalFailed;
   }
-  const Cycles quiesce = RunTable(model, delays.data(), &times);
+  const Cycles quiesce = RunTable(model, memo->delays.data(), &memo->times);
   if (quiesce > kComponentRunHorizon) {
     return Outcome::kHorizon;
   }
@@ -651,51 +665,69 @@ DerivedStore::Outcome DerivedStore::Evaluate(const Model& model, const Token& to
   return Outcome::kHit;
 }
 
+DerivedStore::WorkerMemo* DerivedStore::NewWorkerMemo() {
+  std::lock_guard<std::mutex> lock(memos_mu_);
+  memos_.push_back(std::make_unique<WorkerMemo>());
+  return memos_.back().get();
+}
+
 DerivedStore::Outcome DerivedStore::Predict(const ComponentQuery& query, std::uint64_t budget,
-                                            ComponentResult* out) {
-  auto refused = [this](Outcome o) {
-    refusals_.fetch_add(1, std::memory_order_relaxed);
-    return o;
-  };
-  const std::string* key = KeyOf(query);
-  if (key == nullptr) {
-    return refused(Outcome::kEvalFailed);
+                                            ComponentResult* out, WorkerMemo* memo) {
+  if (memo == nullptr) {
+    // Callers without a memo share the store's own counters.
+    WorkerMemo local;
+    const Outcome outcome = Lookup(query, budget, out, &local);
+    (outcome == Outcome::kHit ? hits_ : refusals_).fetch_add(1, std::memory_order_relaxed);
+    return outcome;
   }
-  const Model* model = Find(*key);
-  if (model == nullptr) {
-    if (total_models_.load(std::memory_order_relaxed) >= max_models_) {
-      return refused(Outcome::kFull);
-    }
-    obs::SpanGuard span("pnet", "distill");
-    std::unique_ptr<const Model> built = Compile(query);
-    if (!built->cacheable) {
-      return refused(built->failure);
-    }
-    Shard& shard = ShardFor(*key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.models.find(*key);
-    if (it != shard.models.end()) {
-      model = it->second.get();  // a concurrent first lookup won the race
-    } else if (total_models_.load(std::memory_order_relaxed) >= max_models_) {
-      return refused(Outcome::kFull);
-    } else {
-      if (built->refusal.empty()) {
-        distilled_.fetch_add(1, std::memory_order_relaxed);
-      }
-      model = built.get();
-      shard.models.emplace(*key, std::move(built));
-      total_models_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!model->refusal.empty()) {
-    return refused(Outcome::kRefused);
-  }
-  const Outcome outcome = Evaluate(*model, query.token(), budget, out);
-  if (outcome != Outcome::kHit) {
-    return refused(outcome);
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  const Outcome outcome = Lookup(query, budget, out, memo);
+  // A worker's memo has one writer.
+  std::atomic<std::uint64_t>& counter = outcome == Outcome::kHit ? memo->hits : memo->refusals;
+  counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   return outcome;
+}
+
+DerivedStore::Outcome DerivedStore::Lookup(const ComponentQuery& query, std::uint64_t budget,
+                                           ComponentResult* out, WorkerMemo* memo) {
+  const std::string* key = KeyOf(query, &memo->keyed);
+  if (key == nullptr) {
+    return Outcome::kEvalFailed;
+  }
+  WorkerMemo::Slot& last = memo->last[query.component() % WorkerMemo::kSlots];
+  if (last.model == nullptr || last.key != *key) {
+    const Model* model = Find(*key);
+    if (model == nullptr) {
+      if (total_models_.load(std::memory_order_relaxed) >= max_models_) {
+        return Outcome::kFull;
+      }
+      obs::SpanGuard span("pnet", "distill");
+      std::unique_ptr<const Model> built = Compile(query);
+      if (!built->cacheable) {
+        return built->failure;
+      }
+      Shard& shard = ShardFor(*key);
+      std::lock_guard<std::mutex> lock(shard.mu);
+      const auto it = shard.models.find(*key);
+      if (it != shard.models.end()) {
+        model = it->second.get();  // a concurrent first lookup won the race
+      } else if (total_models_.load(std::memory_order_relaxed) >= max_models_) {
+        return Outcome::kFull;
+      } else {
+        if (built->refusal.empty()) {
+          distilled_.fetch_add(1, std::memory_order_relaxed);
+        }
+        model = built.get();
+        shard.models.emplace(*key, std::move(built));
+        total_models_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    last.key = *key;
+    last.model = model;
+  }
+  if (!last.model->refusal.empty()) {
+    return Outcome::kRefused;
+  }
+  return Evaluate(*last.model, query.token(), budget, out, memo);
 }
 
 std::string DerivedStore::Render(const Model& model, const CompiledNet& net) {
@@ -729,7 +761,7 @@ std::string DerivedStore::Render(const Model& model, const CompiledNet& net) {
     }
   }
   std::vector<std::string> value(1 + 2 * steps);
-  value[0] = "0";
+  value[0].push_back('0');  // not `= "0"`: GCC 12 -O3 warns -Wrestrict there
   std::vector<std::string> free_names;
   std::size_t next_name = 0;
   std::vector<std::size_t> occurrence(specs.size(), 0);
@@ -788,19 +820,39 @@ std::string DerivedStore::Render(const Model& model, const CompiledNet& net) {
 }
 
 std::string DerivedStore::ProgramText(const ComponentQuery& query) const {
-  const std::string* key = KeyOf(query);
+  std::string keyed;
+  const std::string* key = KeyOf(query, &keyed);
   const Model* model = key == nullptr ? nullptr : Find(*key);
   return model != nullptr && model->refusal.empty() ? Render(*model, query.net())
                                                     : std::string();
 }
 
 std::string DerivedStore::RefusalReason(const ComponentQuery& query) const {
-  const std::string* key = KeyOf(query);
+  std::string keyed;
+  const std::string* key = KeyOf(query, &keyed);
   const Model* model = key == nullptr ? nullptr : Find(*key);
   return model != nullptr ? model->refusal : std::string();
 }
 
 std::size_t DerivedStore::size() const { return total_models_.load(std::memory_order_relaxed); }
+
+std::uint64_t DerivedStore::hits() const {
+  std::lock_guard<std::mutex> lock(memos_mu_);
+  std::uint64_t total = hits_.load(std::memory_order_relaxed);
+  for (const auto& memo : memos_) {
+    total += memo->hits.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t DerivedStore::refusals() const {
+  std::lock_guard<std::mutex> lock(memos_mu_);
+  std::uint64_t total = refusals_.load(std::memory_order_relaxed);
+  for (const auto& memo : memos_) {
+    total += memo->refusals.load(std::memory_order_relaxed);
+  }
+  return total;
+}
 
 void DerivedStore::AppendPrometheus(std::string* out) const {
   obs::AppendCounter(out, "perfiface_derived_hits_total",

@@ -45,9 +45,9 @@
 // (components share no places, src/petri/compiled_net.h): the service asks
 // this store for each component and simulates the ones it refuses.
 //
-// Thread-safety: a ComponentQuery belongs to one request; all DerivedStore
-// methods are safe from any thread (sharded mutexes; models are immutable
-// once stored and never evicted).
+// Thread-safety: a ComponentQuery belongs to one request, a WorkerMemo to
+// one thread; all DerivedStore methods are safe from any thread (sharded
+// mutexes; models are immutable once stored and never evicted).
 #ifndef SRC_PETRI_DISTILL_H_
 #define SRC_PETRI_DISTILL_H_
 
@@ -124,6 +124,15 @@ class DerivedStore {
   explicit DerivedStore(std::size_t max_models = 1024, std::size_t num_shards = 16);
   ~DerivedStore();
 
+  // One worker's lookup state: per component, the model its last lookup
+  // resolved and that lookup's store key; scratch for the key and the
+  // delay table; and the worker's hit and refusal counts, which the
+  // store's readers sum. Only its worker uses it, so a repeated key is
+  // served without the shard lock and without a write to a shared line
+  // (models are never evicted while the store lives). The store owns it.
+  struct WorkerMemo;
+  WorkerMemo* NewWorkerMemo();
+
   // {"models":N,"distilled":N,"refusals":N,"hits":N}: the /statusz object.
   std::string SummaryJson() const;
   // perfiface_derived_{hits,refusals,distilled}_total, counting this
@@ -140,7 +149,10 @@ class DerivedStore {
   //   - A refusal changes nothing the caller sees: the simulation answers,
   //     bit-identically to the store being off.
   //   - A model is only compiled from a recording run that quiesced.
-  Outcome Predict(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out);
+  // `memo` is the calling worker's (NewWorkerMemo), or null for a caller
+  // without one.
+  Outcome Predict(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out,
+                  WorkerMemo* memo = nullptr);
 
   // The query's compiled program rendered as PerfScript — `def latency`
   // over the net's attributes in name order — or "" when its key has no
@@ -152,8 +164,8 @@ class DerivedStore {
 
   std::size_t size() const;  // stored models, refusals included
   std::uint64_t distilled() const { return distilled_.load(std::memory_order_relaxed); }
-  std::uint64_t refusals() const { return refusals_.load(std::memory_order_relaxed); }
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  std::uint64_t refusals() const;
+  std::uint64_t hits() const;
 
  private:
   struct Model;
@@ -165,13 +177,17 @@ class DerivedStore {
   // The store key of the query: its model key, followed by the outcome of
   // every attribute-dependent guard of the component on the request token.
   // Null when such a guard fails on the token. Points at the model key or
-  // at thread-local storage.
-  static const std::string* KeyOf(const ComponentQuery& query);
+  // at *keyed, which it builds.
+  static const std::string* KeyOf(const ComponentQuery& query, std::string* keyed);
+  // Predict without the counting: resolves the key through `memo`.
+  Outcome Lookup(const ComponentQuery& query, std::uint64_t budget, ComponentResult* out,
+                 WorkerMemo* memo);
   // Compiles the component or explains why not; pure of store state.
   static std::unique_ptr<Model> Compile(const ComponentQuery& query);
-  // Evaluates an accepted model on the token's attributes.
+  // Evaluates an accepted model on the token's attributes, in the memo's
+  // scratch.
   static Outcome Evaluate(const Model& model, const Token& token, std::uint64_t budget,
-                          ComponentResult* out);
+                          ComponentResult* out, WorkerMemo* memo);
   // Fills every delay slot; false when an expression fails or leaves
   // [0, 1e15), as the engine would report.
   static bool EvalDelays(const Model& model, const Token& token, std::vector<Cycles>* delays);
@@ -187,8 +203,11 @@ class DerivedStore {
   std::atomic<std::size_t> total_models_{0};
 
   std::atomic<std::uint64_t> distilled_{0};
+  // Counts of the lookups made without a memo.
   std::atomic<std::uint64_t> refusals_{0};
   std::atomic<std::uint64_t> hits_{0};
+  mutable std::mutex memos_mu_;
+  std::vector<std::unique_ptr<WorkerMemo>> memos_;
 };
 
 }  // namespace perfiface

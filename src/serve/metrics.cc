@@ -7,45 +7,119 @@
 
 namespace perfiface::serve {
 
-ServiceMetrics::ServiceMetrics(const std::vector<std::string>& interfaces) {
-  per_interface_.reserve(interfaces.size());
-  for (const std::string& name : interfaces) {
-    auto m = std::make_unique<InterfaceMetrics>();
-    m->interface = name;
-    per_interface_.push_back(std::move(m));
-  }
-}
+MetricShard::MetricShard(std::size_t num_interfaces, bool shared)
+    : shared_(shared), rows_(num_interfaces) {}
 
-void ServiceMetrics::RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok,
-                                   std::uint64_t derived_hits) {
-  total_requests_.fetch_add(1, std::memory_order_relaxed);
+void MetricShard::RecordRequest(std::size_t iface_idx, std::uint64_t latency_ns, bool ok,
+                                std::uint64_t derived_hits) {
+  Add(requests_, 1);
   if (!ok) {
-    total_errors_.fetch_add(1, std::memory_order_relaxed);
+    Add(errors_, 1);
   }
-  if (iface_idx < per_interface_.size()) {
-    InterfaceMetrics& m = *per_interface_[iface_idx];
-    m.requests.fetch_add(1, std::memory_order_relaxed);
-    m.latency.Record(latency_ns);
+  if (iface_idx < rows_.size()) {
+    InterfaceRow& row = rows_[iface_idx];
+    Add(row.requests, 1);
+    Record(row.latency, latency_ns);
     if (!ok) {
-      m.errors.fetch_add(1, std::memory_order_relaxed);
+      Add(row.errors, 1);
     }
     if (derived_hits != 0) {
-      m.derived_hits.fetch_add(derived_hits, std::memory_order_relaxed);
+      Add(row.derived_hits, derived_hits);
     }
   }
 }
 
-void ServiceMetrics::RecordStatus(CacheOutcome cache, bool deadline_exceeded, bool rejected) {
+void MetricShard::RecordStatus(CacheOutcome cache, bool deadline_exceeded, bool rejected) {
   if (cache == CacheOutcome::kHit) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    Add(cache_hits_, 1);
   } else if (cache == CacheOutcome::kMiss) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    Add(cache_misses_, 1);
   }
   if (deadline_exceeded) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    Add(deadline_exceeded_, 1);
   }
   if (rejected) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    Add(rejected_, 1);
+  }
+}
+
+void MetricShard::RecordQueueWait(DeadlineBucket bucket, std::uint64_t wait_ns) {
+  Record(queue_wait_[static_cast<std::size_t>(bucket)], wait_ns);
+}
+
+void MetricShard::RecordVmCall(std::uint64_t steps, std::uint64_t memo_hits, bool failed) {
+  Add(vm_calls_, 1);
+  Add(vm_steps_, steps);
+  if (memo_hits != 0) {
+    Add(vm_memo_hits_, memo_hits);
+  }
+  if (failed) {
+    Add(vm_errors_, 1);
+  }
+}
+
+void MetricShard::RecordServiceTime(std::uint64_t ns) {
+  const std::uint64_t prev = Read(ema_service_ns_);
+  ema_service_ns_.store(
+      prev == 0 ? ns
+                : static_cast<std::uint64_t>(
+                      static_cast<std::int64_t>(prev) +
+                      (static_cast<std::int64_t>(ns) - static_cast<std::int64_t>(prev)) / 8),
+      std::memory_order_relaxed);
+}
+
+ServiceMetrics::ServiceMetrics(const std::vector<std::string>& interfaces,
+                               std::size_t num_workers)
+    : interfaces_(interfaces) {
+  shards_.reserve(num_workers + 1);
+  for (std::size_t i = 0; i <= num_workers; ++i) {
+    shards_.push_back(std::make_unique<MetricShard>(interfaces.size(),
+                                                    /*shared=*/i == num_workers));
+  }
+}
+
+std::uint64_t ServiceMetrics::Sum(std::atomic<std::uint64_t> MetricShard::*counter) const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += MetricShard::Read((*shard).*counter);
+  }
+  return total;
+}
+
+VmCounts ServiceMetrics::vm_counts() const {
+  return VmCounts{Sum(&MetricShard::vm_calls_), Sum(&MetricShard::vm_steps_),
+                  Sum(&MetricShard::vm_errors_), Sum(&MetricShard::vm_memo_hits_)};
+}
+
+std::uint64_t ServiceMetrics::mean_service_ema_ns() const {
+  std::uint64_t total = 0;
+  std::uint64_t served = 0;
+  for (std::size_t w = 0; w + 1 < shards_.size(); ++w) {
+    const std::uint64_t ema = MetricShard::Read(shards_[w]->ema_service_ns_);
+    total += ema;
+    served += ema != 0;
+  }
+  return served == 0 ? 0 : total / served;
+}
+
+std::vector<InterfaceTotals> ServiceMetrics::Interfaces() const {
+  std::vector<InterfaceTotals> out(interfaces_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    InterfaceTotals& totals = out[i];
+    totals.interface = interfaces_[i];
+    for (const auto& shard : shards_) {
+      const MetricShard::InterfaceRow& row = shard->rows_[i];
+      totals.requests += MetricShard::Read(row.requests);
+      totals.errors += MetricShard::Read(row.errors);
+      totals.derived_hits += MetricShard::Read(row.derived_hits);
+    }
+  }
+  return out;
+}
+
+void ServiceMetrics::MergeLatency(std::size_t row, obs::Histogram* out) const {
+  for (const auto& shard : shards_) {
+    out->Merge(shard->rows_[row].latency);
   }
 }
 
@@ -88,10 +162,6 @@ void ServiceMetrics::RecordAdmission(const std::string& tenant, AdmissionDecisio
   }
 }
 
-void ServiceMetrics::RecordQueueWait(DeadlineBucket bucket, std::uint64_t wait_ns) {
-  queue_wait_[static_cast<std::size_t>(bucket)].Record(wait_ns);
-}
-
 std::vector<TenantAdmissionSnapshot> ServiceMetrics::AdmissionSnapshot() const {
   std::vector<TenantAdmissionSnapshot> out;
   {
@@ -126,12 +196,16 @@ std::string ServiceMetrics::DumpText(std::size_t queue_depth) const {
   out += StrFormat("inflight_batches=%lld\n", static_cast<long long>(inflight_batches()));
   out += StrFormat("%-18s %10s %8s %12s %12s %12s %12s\n", "interface", "requests", "errors",
                    "mean_us", "p50_us", "p95_us", "p99_us");
-  for (const auto& m : per_interface_) {
-    out += StrFormat("%-18s %10llu %8llu %12.2f %12.2f %12.2f %12.2f\n", m->interface.c_str(),
-                     static_cast<unsigned long long>(m->requests.load(std::memory_order_relaxed)),
-                     static_cast<unsigned long long>(m->errors.load(std::memory_order_relaxed)),
-                     m->latency.mean() / 1e3, m->latency.Percentile(0.50) / 1e3,
-                     m->latency.Percentile(0.95) / 1e3, m->latency.Percentile(0.99) / 1e3);
+  const std::vector<InterfaceTotals> rows = Interfaces();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const InterfaceTotals& m = rows[i];
+    obs::Histogram latency;
+    MergeLatency(i, &latency);
+    out += StrFormat("%-18s %10llu %8llu %12.2f %12.2f %12.2f %12.2f\n", m.interface.c_str(),
+                     static_cast<unsigned long long>(m.requests),
+                     static_cast<unsigned long long>(m.errors), latency.mean() / 1e3,
+                     latency.Percentile(0.50) / 1e3, latency.Percentile(0.95) / 1e3,
+                     latency.Percentile(0.99) / 1e3);
   }
   return out;
 }
@@ -149,17 +223,19 @@ std::string ServiceMetrics::DumpJson(std::size_t queue_depth) const {
       static_cast<unsigned long long>(deadline_exceeded()),
       static_cast<unsigned long long>(rejected()), queue_depth,
       static_cast<long long>(inflight_batches()));
-  for (std::size_t i = 0; i < per_interface_.size(); ++i) {
-    const InterfaceMetrics& m = *per_interface_[i];
+  const std::vector<InterfaceTotals> rows = Interfaces();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const InterfaceTotals& m = rows[i];
+    obs::Histogram latency;
+    MergeLatency(i, &latency);
     out += i == 0 ? "{\"interface\":" : ",{\"interface\":";
     AppendJsonString(&out, m.interface);
     out += StrFormat(
         ",\"requests\":%llu,\"errors\":%llu,\"mean_us\":%.3f,"
         "\"p50_us\":%.3f,\"p95_us\":%.3f,\"p99_us\":%.3f}",
-        static_cast<unsigned long long>(m.requests.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
-        m.latency.mean() / 1e3, m.latency.Percentile(0.50) / 1e3,
-        m.latency.Percentile(0.95) / 1e3, m.latency.Percentile(0.99) / 1e3);
+        static_cast<unsigned long long>(m.requests), static_cast<unsigned long long>(m.errors),
+        latency.mean() / 1e3, latency.Percentile(0.50) / 1e3, latency.Percentile(0.95) / 1e3,
+        latency.Percentile(0.99) / 1e3);
   }
   out += "]}";
   return out;
@@ -167,6 +243,7 @@ std::string ServiceMetrics::DumpJson(std::size_t queue_depth) const {
 
 std::string ServiceMetrics::DumpPrometheus(std::size_t queue_depth) const {
   std::string out;
+  AppendVmPrometheus(&out, vm_counts());
   obs::AppendCounter(&out, "perfiface_serve_requests_total",
                      "Requests answered by the prediction service", total_requests());
   obs::AppendCounter(&out, "perfiface_serve_errors_total", "Requests that did not return OK",
@@ -188,22 +265,23 @@ std::string ServiceMetrics::DumpPrometheus(std::size_t queue_depth) const {
   // Interface names are free-form registry strings; escape them per the
   // exposition format so a quote/backslash/newline cannot corrupt the
   // scrape (load-bearing once /metrics is network-served).
+  const std::vector<InterfaceTotals> rows = Interfaces();
   std::vector<std::string> labels;
-  labels.reserve(per_interface_.size());
-  for (const auto& m : per_interface_) {
-    labels.push_back("interface=\"" + obs::EscapeLabelValue(m->interface) + "\"");
+  labels.reserve(rows.size());
+  for (const InterfaceTotals& m : rows) {
+    labels.push_back("interface=\"" + obs::EscapeLabelValue(m.interface) + "\"");
   }
   obs::AppendHeader(&out, "perfiface_serve_interface_requests_total", "counter",
                     "Requests per interface");
-  for (std::size_t i = 0; i < per_interface_.size(); ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     obs::AppendSample(&out, "perfiface_serve_interface_requests_total", labels[i],
-                      per_interface_[i]->requests.load(std::memory_order_relaxed));
+                      rows[i].requests);
   }
   obs::AppendHeader(&out, "perfiface_serve_interface_errors_total", "counter",
                     "Errors per interface");
-  for (std::size_t i = 0; i < per_interface_.size(); ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     obs::AppendSample(&out, "perfiface_serve_interface_errors_total", labels[i],
-                      per_interface_[i]->errors.load(std::memory_order_relaxed));
+                      rows[i].errors);
   }
 
   // Admission families always emit at least the "default" tenant row so
@@ -233,19 +311,24 @@ std::string ServiceMetrics::DumpPrometheus(std::size_t queue_depth) const {
   obs::AppendHeader(&out, "perfiface_admission_queue_wait_seconds", "histogram",
                     "Enqueue-to-worker-pickup wait by deadline slack band");
   for (std::size_t band = 0; band < kDeadlineBucketCount; ++band) {
+    obs::Histogram wait;
+    for (const auto& shard : shards_) {
+      wait.Merge(shard->queue_wait_[band]);
+    }
     obs::AppendHistogram(
         &out, "perfiface_admission_queue_wait_seconds",
         StrFormat("bucket=\"%s\"", DeadlineBucketName(static_cast<DeadlineBucket>(band))),
-        queue_wait_[band], 1e-9);
+        wait, 1e-9);
   }
 
   obs::AppendHeader(&out, "perfiface_serve_latency_seconds", "histogram",
                     "Service-side request latency");
-  for (std::size_t i = 0; i < per_interface_.size(); ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     // Skip idle rows: scrape size stays proportional to live traffic.
-    if (per_interface_[i]->latency.count() != 0) {
-      obs::AppendHistogram(&out, "perfiface_serve_latency_seconds", labels[i],
-                           per_interface_[i]->latency, 1e-9);
+    if (rows[i].requests != 0) {
+      obs::Histogram latency;
+      MergeLatency(i, &latency);
+      obs::AppendHistogram(&out, "perfiface_serve_latency_seconds", labels[i], latency, 1e-9);
     }
   }
   return out;

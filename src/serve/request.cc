@@ -38,6 +38,26 @@ void AppendLengthPrefixed(std::string* out, std::string_view s) {
   out->append(s);
 }
 
+std::atomic<std::uint64_t> g_trace_ids{0};
+
+// Id number n of this process, as 16 hex digits. One wall-clock+pid sample
+// per process, then a counter: ids are unique within the process by
+// construction (Mix64 is a bijection) and across concurrent processes with
+// overwhelming probability.
+void FormatTraceId(std::uint64_t n, std::string* out) {
+  static const std::uint64_t kBase = Mix64(
+      static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                     std::chrono::system_clock::now().time_since_epoch())
+                                     .count()) ^
+      (static_cast<std::uint64_t>(::getpid()) << 32));
+  std::uint64_t id = Mix64(kBase + n);
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->resize(16);
+  for (int i = 15; i >= 0; --i, id >>= 4) {
+    (*out)[i] = kHex[id & 0xF];
+  }
+}
+
 }  // namespace
 
 std::string GenerateTraceId() {
@@ -47,30 +67,32 @@ std::string GenerateTraceId() {
 }
 
 void GenerateTraceId(std::string* out) {
-  // One wall-clock+pid sample per process, then a counter: ids are unique
-  // within the process by construction and across concurrent processes with
-  // overwhelming probability.
-  static const std::uint64_t kBase = Mix64(
-      static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                     std::chrono::system_clock::now().time_since_epoch())
-                                     .count()) ^
-      (static_cast<std::uint64_t>(::getpid()) << 32));
-  static std::atomic<std::uint64_t> counter{0};
-  std::uint64_t id = Mix64(kBase + counter.fetch_add(1, std::memory_order_relaxed));
-  static constexpr char kHex[] = "0123456789abcdef";
-  out->resize(16);
-  for (int i = 15; i >= 0; --i, id >>= 4) {
-    (*out)[i] = kHex[id & 0xF];
+  FormatTraceId(g_trace_ids.fetch_add(1, std::memory_order_relaxed), out);
+}
+
+void GenerateTraceId(std::string* out, TraceIdBlock* block) {
+  if (block->next == block->end) {
+    block->next =
+        g_trace_ids.fetch_add(TraceIdBlock::kTraceIdBlock, std::memory_order_relaxed);
+    block->end = block->next + TraceIdBlock::kTraceIdBlock;
   }
+  FormatTraceId(block->next++, out);
 }
 
 PredictResponse UnevaluatedResponse(const PredictRequest& request, PredictStatus status,
-                                    std::string error, std::uint64_t queue_wait_ns) {
+                                    std::string error, std::uint64_t queue_wait_ns,
+                                    TraceIdBlock* ids) {
   PI_CHECK(status == PredictStatus::kRejected || status == PredictStatus::kDeadlineExceeded);
   PredictResponse response;
   response.status = status;
   response.error = std::move(error);
-  response.trace_id = request.trace_id.empty() ? GenerateTraceId() : request.trace_id;
+  if (!request.trace_id.empty()) {
+    response.trace_id = request.trace_id;
+  } else if (ids != nullptr) {
+    GenerateTraceId(&response.trace_id, ids);
+  } else {
+    GenerateTraceId(&response.trace_id);
+  }
   response.tenant = request.tenant;
   if (request.explain) {
     response.explain.filled = true;

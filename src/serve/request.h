@@ -156,6 +156,16 @@ std::string GenerateTraceId();
 // The same, minted into *out in place (its storage is reused).
 void GenerateTraceId(std::string* out);
 
+// Trace ids one thread (a worker, a connection) mints from a run of the
+// process counter reserved at once, so it writes that shared counter once
+// per kTraceIdBlock ids instead of once per id. Ids stay process-unique.
+struct TraceIdBlock {
+  static constexpr std::uint64_t kTraceIdBlock = 1024;
+  std::uint64_t next = 0;
+  std::uint64_t end = 0;
+};
+void GenerateTraceId(std::string* out, TraceIdBlock* block);
+
 // The one builder of responses to requests that are answered without being
 // evaluated: kRejected (shed at admission, service shut down, a connection's
 // pipelining window full) or kDeadlineExceeded (expired in the queue). It
@@ -163,9 +173,11 @@ void GenerateTraceId(std::string* out);
 // echoed (minted when empty) and the tenant echoed, so a pipelined
 // multi-tenant client can attribute every line, and an explain-flagged
 // request gets an explain block ("rejected" or "expired", cache
-// "not_consulted", and the queue wait).
+// "not_consulted", and the queue wait). A minted id comes from `ids` when
+// given.
 PredictResponse UnevaluatedResponse(const PredictRequest& request, PredictStatus status,
-                                    std::string error, std::uint64_t queue_wait_ns = 0);
+                                    std::string error, std::uint64_t queue_wait_ns = 0,
+                                    TraceIdBlock* ids = nullptr);
 
 // A pnet request's entry_place spec, parsed once: which places receive the
 // workload tokens and how many each. Items are sorted by place name with

@@ -91,7 +91,11 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     index_.emplace(entries_[i].name, i);
   }
-  metrics_ = std::make_unique<ServiceMetrics>(names);
+  std::size_t n = options_.num_workers;
+  if (n == 0) {
+    n = std::max(1u, std::thread::hardware_concurrency());
+  }
+  metrics_ = std::make_unique<ServiceMetrics>(names, n);
   shadow_ = std::make_unique<ShadowValidator>(
       ShadowOptions{options_.shadow_sample_every, options_.shadow_seed,
                     options_.shadow_drift_threshold},
@@ -99,13 +103,13 @@ PredictionService::PredictionService(const InterfaceRegistry& registry, ServiceO
   if (options_.enable_pnet_memo) {
     derived_ = std::make_unique<DerivedStore>();
   }
-  std::size_t n = options_.num_workers;
-  if (n == 0) {
-    n = std::max(1u, std::thread::hardware_concurrency());
+  rings_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rings_.push_back(std::make_unique<obs::SpanRing>());
   }
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -135,6 +139,15 @@ std::uint64_t PredictionService::DeadlineBudgetSteps(std::int64_t remaining_us,
     return std::numeric_limits<std::uint64_t>::max();
   }
   return remaining * steps_per_us;
+}
+
+std::vector<const obs::SpanRing*> PredictionService::span_rings() const {
+  std::vector<const obs::SpanRing*> rings;
+  rings.reserve(rings_.size());
+  for (const auto& ring : rings_) {
+    rings.push_back(ring.get());
+  }
+  return rings;
 }
 
 std::string PredictionService::StatsPrometheus() const {
@@ -190,7 +203,7 @@ std::string PredictionService::StatuszJson() const {
         admission_.enabled() ? "true" : "false",
         admission_.options().shed_deadline ? "true" : "false",
         static_cast<unsigned long long>(pending_requests_.load(std::memory_order_relaxed)),
-        static_cast<double>(ema_service_ns_.load(std::memory_order_relaxed)) / 1e3,
+        static_cast<double>(metrics_->mean_service_ema_ns()) / 1e3,
         static_cast<unsigned long long>(metrics_->admission_admitted()),
         static_cast<unsigned long long>(metrics_->admission_shed_deadline()),
         static_cast<unsigned long long>(metrics_->admission_shed_quota()));
@@ -213,23 +226,22 @@ std::string PredictionService::StatuszJson() const {
     out += "\"derived_store\":" + derived_->SummaryJson() + ",";
   }
   out += "\"interfaces\":[";
-  const auto& rows = metrics_->interfaces();
+  const std::vector<InterfaceTotals> rows = metrics_->Interfaces();
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const InterfaceMetrics& m = *rows[i];
-    const std::uint64_t requests = m.requests.load(std::memory_order_relaxed);
+    const InterfaceTotals& m = rows[i];
+    obs::Histogram latency;
+    metrics_->MergeLatency(i, &latency);
     out += i == 0 ? "{\"name\":" : ",{\"name\":";
     AppendJsonString(&out, m.interface);
     out += StrFormat(
         ",\"requests\":%llu,\"errors\":%llu,\"qps\":%.2f,"
         "\"p50_us\":%.2f,\"p99_us\":%.2f,",
-        static_cast<unsigned long long>(requests),
-        static_cast<unsigned long long>(m.errors.load(std::memory_order_relaxed)),
-        uptime_s <= 0 ? 0.0 : static_cast<double>(requests) / uptime_s,
-        m.latency.Percentile(0.50) / 1e3, m.latency.Percentile(0.99) / 1e3);
+        static_cast<unsigned long long>(m.requests), static_cast<unsigned long long>(m.errors),
+        uptime_s <= 0 ? 0.0 : static_cast<double>(m.requests) / uptime_s,
+        latency.Percentile(0.50) / 1e3, latency.Percentile(0.99) / 1e3);
     if (derived_ != nullptr) {
-      out += StrFormat(
-          "\"derived_hits\":%llu,",
-          static_cast<unsigned long long>(m.derived_hits.load(std::memory_order_relaxed)));
+      out += StrFormat("\"derived_hits\":%llu,",
+                       static_cast<unsigned long long>(m.derived_hits));
     }
     out += "\"shadow\":" + shadow_->SummaryJson(i) + "}";
   }
@@ -361,8 +373,8 @@ void PredictionService::EnqueueChunks(const std::shared_ptr<BatchState>& batch) 
   std::size_t resolved_inline = 0;
   const auto reject = [&](std::size_t i, const char* error) {
     Resolve(*batch, i, UnevaluatedResponse(requests[i], PredictStatus::kRejected, error));
-    metrics_->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/false,
-                           /*rejected=*/true);
+    metrics_->shared_shard().RecordStatus(CacheOutcome::kNotConsulted,
+                                          /*deadline_exceeded=*/false, /*rejected=*/true);
     ++resolved_inline;
   };
 
@@ -375,7 +387,7 @@ void PredictionService::EnqueueChunks(const std::shared_ptr<BatchState>& batch) 
     obs::SpanGuard admission_span("serve", "admission");
     const std::uint64_t now_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(now.time_since_epoch()).count());
-    const std::uint64_t ema = ema_service_ns_.load(std::memory_order_relaxed);
+    const std::uint64_t ema = metrics_->mean_service_ema_ns();
     admitted.assign(n, true);
     for (std::size_t i = 0; i < n; ++i) {
       const PredictRequest& request = requests[i];
@@ -460,8 +472,13 @@ void PredictionService::EnqueueChunks(const std::shared_ptr<BatchState>& batch) 
   }
 }
 
-void PredictionService::WorkerLoop() {
+void PredictionService::WorkerLoop(std::size_t worker) {
   WorkerState state;
+  state.metrics = &metrics_->worker_shard(worker);
+  state.ring = rings_[worker].get();
+  if (derived_ != nullptr) {
+    state.derived_memo = derived_->NewWorkerMemo();
+  }
   state.vms.resize(entries_.size());
   state.queries.resize(entries_.size());
   state.args.assign(1, Value::Object(&state.workload));
@@ -491,7 +508,7 @@ void PredictionService::WorkerLoop() {
     const std::uint64_t queue_wait_ns = ElapsedNs(job.enqueued, popped);
     for (std::size_t i = job.begin; i < job.end; ++i) {
       const PredictRequest& request = batch.requests[i];
-      metrics_->RecordQueueWait(job.bucket, queue_wait_ns);
+      state.metrics->RecordQueueWait(job.bucket, queue_wait_ns);
       if (request.deadline_us <= 0 ||
           static_cast<std::int64_t>(ElapsedNs(batch.submitted, popped) / 1000) <
               request.deadline_us) {
@@ -506,12 +523,11 @@ void PredictionService::WorkerLoop() {
       // request/error counters describe evaluated traffic.
       PredictResponse expired = UnevaluatedResponse(
           request, PredictStatus::kDeadlineExceeded, "deadline expired while queued",
-          queue_wait_ns);
-      metrics_->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/true,
-                             /*rejected=*/false);
-      obs::SpanRing& ring = obs::SpanRing::Global();
-      ring.Record({"serve", "expired", expired.trace_id,
-                   request.interface + " DEADLINE_EXCEEDED", ring.NowNs(), 0});
+          queue_wait_ns, &state.trace_ids);
+      state.metrics->RecordStatus(CacheOutcome::kNotConsulted, /*deadline_exceeded=*/true,
+                                  /*rejected=*/false);
+      state.ring->Record({"serve", "expired", expired.trace_id,
+                          request.interface + " DEADLINE_EXCEEDED", obs::SpanRing::NowNs(), 0});
       Resolve(batch, i, std::move(expired));
     }
     pending_requests_.fetch_sub(job.end - job.begin, std::memory_order_relaxed);
@@ -525,12 +541,12 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
                                             Clock::time_point submitted, WorkerState* state) {
   const Clock::time_point start = Clock::now();
   const std::uint64_t queue_wait_ns = ElapsedNs(submitted, start);
-  const std::uint64_t ring_start_ns = obs::SpanRing::Global().NowNs();
+  const std::uint64_t ring_start_ns = obs::SpanRing::NowNs();
   PredictResponse response;
   // Every response carries a trace id: the client's when supplied, a fresh
   // one otherwise (docs/observability.md "Trace context").
   if (request.trace_id.empty()) {
-    GenerateTraceId(&response.trace_id);
+    GenerateTraceId(&response.trace_id, &state->trace_ids);
   } else {
     response.trace_id = request.trace_id;
   }
@@ -561,20 +577,11 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     PredictResponse& r = response;
     r.tenant = request.tenant;
     r.eval_ns = ElapsedNs(start, Clock::now());
-    metrics_->RecordRequest(entry_idx, r.eval_ns, r.ok(), detail.derived_hits);
-    // Service-time EMA (alpha 1/8) feeding the admission feasibility
-    // estimate. Relaxed load/store: a lost update only nudges an estimate.
-    const std::uint64_t prev_ema = ema_service_ns_.load(std::memory_order_relaxed);
-    ema_service_ns_.store(
-        prev_ema == 0
-            ? r.eval_ns
-            : static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(prev_ema) +
-                  (static_cast<std::int64_t>(r.eval_ns) - static_cast<std::int64_t>(prev_ema)) /
-                      8),
-        std::memory_order_relaxed);
-    metrics_->RecordStatus(cache_outcome, r.status == PredictStatus::kDeadlineExceeded,
-                           r.status == PredictStatus::kRejected);
+    MetricShard& metrics = *state->metrics;
+    metrics.RecordRequest(entry_idx, r.eval_ns, r.ok(), detail.derived_hits);
+    metrics.RecordServiceTime(r.eval_ns);
+    metrics.RecordStatus(cache_outcome, r.status == PredictStatus::kDeadlineExceeded,
+                         r.status == PredictStatus::kRejected);
     if (eval_span.active()) {
       eval_span.SetArg("status", std::string(PredictStatusName(r.status)));
     }
@@ -604,7 +611,7 @@ PredictResponse PredictionService::Evaluate(const PredictRequest& request,
     ring_entry.detail += PredictStatusName(r.status);
     ring_entry.start_ns = ring_start_ns;
     ring_entry.dur_ns = r.eval_ns;
-    obs::SpanRing::Global().Record(ring_entry);
+    state->ring->Record(ring_entry);
     return std::move(response);
   };
 
@@ -723,6 +730,7 @@ void PredictionService::EvaluateProgram(const PredictRequest& request, const Ent
   Vm& vm = *slot;
   vm.set_max_steps(budget);
   const EvalResult result = vm.Call(request.function, state->args);
+  state->metrics->RecordVmCall(vm.steps_used(), vm.memo_hits(), !result.ok);
   detail->representation = "psc-vm";
   detail->steps = vm.steps_used();
 
@@ -831,7 +839,8 @@ void PredictionService::EvaluatePnet(const PredictRequest& request, const Entry&
       bool hit = false;
       {
         obs::SpanGuard lookup_span("serve", "derived_lookup");
-        hit = derived_->Predict(query, remaining, &result) == DerivedStore::Outcome::kHit;
+        hit = derived_->Predict(query, remaining, &result, state->derived_memo) ==
+              DerivedStore::Outcome::kHit;
         if (lookup_span.active()) {
           lookup_span.SetArg("hit", hit ? 1.0 : 0.0);
         }

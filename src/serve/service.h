@@ -25,6 +25,9 @@
 // simulated.
 // Registry lookups go through a hash index built at construction.
 // Per-request deadlines ride on the VM's step budget (docs/serving.md).
+// A worker writes only its own lines per request: its metric shard,
+// /tracez ring, derived-store memo and trace-id block (WorkerState);
+// readers sum the workers' copies.
 //
 // Thread-safety: all public methods are safe from any thread. Shutdown
 // (or destruction) drains accepted work, then rejects later submissions.
@@ -208,6 +211,10 @@ class PredictionService {
   // ServiceOptions::shadow_sample_every is 0).
   const ShadowValidator& shadow() const { return *shadow_; }
 
+  // The workers' /tracez rings, one each (obs::DumpSpanRingsJson merges
+  // them with a front end's own).
+  std::vector<const obs::SpanRing*> span_rings() const;
+
   // GET /statusz body: uptime, build info, effective options, and a
   // per-interface requests/qps/p50/p99/shadow summary (docs/observability.md).
   std::string StatuszJson() const;
@@ -274,11 +281,17 @@ class PredictionService {
   };
 
   // Per-worker evaluation state: one bytecode Vm per program, created
-  // lazily and reused across requests (Call resets per-call state), and the
+  // lazily and reused across requests (Call resets per-call state), the
   // scratch every request rebuilds in place, so a warm worker evaluates a
-  // request without allocating. Lives on the worker's stack: the queries
-  // and `args` point into it.
+  // request without allocating, and everything else a request writes —
+  // the worker's metric shard, /tracez ring, derived-store memo and trace
+  // id block — so a worker writes no line another worker writes. Lives on
+  // the worker's stack: the queries and `args` point into it.
   struct WorkerState {
+    MetricShard* metrics = nullptr;
+    obs::SpanRing* ring = nullptr;
+    DerivedStore::WorkerMemo* derived_memo = nullptr;  // null when the tier is off
+    TraceIdBlock trace_ids;
     std::vector<std::unique_ptr<Vm>> vms;  // by entry index
     std::string key;                       // the cache key
     KvObject workload;                     // a program query's argument
@@ -303,7 +316,7 @@ class PredictionService {
     std::uint64_t derived_hits = 0;   // components the derived tier answered
   };
 
-  void WorkerLoop();
+  void WorkerLoop(std::size_t worker);
   // Every batch starts here: sizes its responses, counts it in flight and
   // hands it to EnqueueChunks.
   BatchHandle Submit(std::shared_ptr<BatchState> batch);
@@ -337,17 +350,20 @@ class PredictionService {
   // Asked for each pnet component; null when the tier is off.
   std::unique_ptr<DerivedStore> derived_;
   Clock::time_point service_start_{};
+  // One per worker, by worker index.
+  std::vector<std::unique_ptr<obs::SpanRing>> rings_;
   ShardedLruCache cache_;
-  DeadlineQueue<Job> queue_;
+  // Written per chunk by submitters and workers, so it starts a line of
+  // its own: the cache's read-only fields above stay clean.
+  alignas(64) DeadlineQueue<Job> queue_;
   AdmissionController admission_;
-  // Admitted-but-unfinished requests and a relaxed EMA of per-request
-  // service time, feeding the deadline-feasibility estimate (predicted
-  // wait = pending x ema / workers). Racy lost EMA updates are fine — it
-  // is an estimate, and the atomics keep it TSan-clean.
-  std::atomic<std::uint64_t> pending_requests_{0};
-  std::atomic<std::uint64_t> ema_service_ns_{0};
-  std::atomic<std::uint64_t> next_flow_id_{1};
-  std::vector<std::thread> workers_;
+  // Admitted-but-unfinished requests, feeding the deadline-feasibility
+  // estimate with the workers' mean service-time EMA (predicted wait =
+  // pending x ema / workers). Each counter written per chunk has a line
+  // of its own.
+  alignas(64) std::atomic<std::uint64_t> pending_requests_{0};
+  alignas(64) std::atomic<std::uint64_t> next_flow_id_{1};
+  alignas(64) std::vector<std::thread> workers_;
   std::once_flag shutdown_once_;
 };
 

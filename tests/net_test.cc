@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <random>
@@ -34,6 +35,7 @@
 #include "src/net/server.h"
 #include "src/net/wire.h"
 #include "src/obs/metrics_registry.h"
+#include "src/obs/span_ring.h"
 #include "src/obs/trace.h"
 #include "src/serve/metrics.h"
 #include "src/serve/request.h"
@@ -2242,6 +2244,97 @@ TEST(NetServerHttp, TracezListsRecentSpansWithTraceIds) {
   ASSERT_NE(doc.Find("slowest"), nullptr);
   // Both the net frame span and the serve eval span carry the probe id.
   EXPECT_NE(body.find("tracez-probe-7"), std::string::npos) << body;
+}
+
+// /tracez merges the service's rings, one per worker, with the server's
+// frame ring: `recent` holds the eval entries of both workers and the
+// frame entries, ordered by end time, and `slowest` the 16 slowest of all.
+TEST(NetServerHttp, TracezMergesWorkerAndFrameRingsByEndTime) {
+  TestServer ts(TwoWorkers());
+  ASSERT_TRUE(ts.ok);
+  // Each worker answers one request and waits in its completion callback
+  // until the other has too, so both workers' rings hold an eval entry.
+  {
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+    std::vector<serve::PredictionService::BatchHandle> handles;
+    for (int w = 0; w < 2; ++w) {
+      PredictRequest req = JpegRequest(1024.0 * (w + 1), 0.2);
+      req.trace_id = "parked-" + std::to_string(w);
+      handles.push_back(ts.service.SubmitBatch(
+          std::vector<PredictRequest>{req}, [&](std::size_t, const PredictResponse&) {
+            std::unique_lock<std::mutex> lock(mu);
+            ++arrived;
+            cv.notify_all();
+            cv.wait(lock, [&] { return arrived == 2; });
+          }));
+    }
+    for (const serve::PredictionService::BatchHandle& handle : handles) {
+      handle.Wait();
+    }
+  }
+  for (const obs::SpanRing* ring : ts.service.span_rings()) {
+    EXPECT_EQ(ring->total_recorded(), 1u);
+  }
+
+  constexpr int kFrames = 10;
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
+  for (int f = 0; f < kFrames; ++f) {
+    PredictRequest req = JpegRequest(4096.0 * (f + 1), 0.25);
+    req.trace_id = "frame-" + std::to_string(f);
+    std::vector<PredictResponse> responses;
+    ASSERT_TRUE(client.Call({req}, &responses, &error)) << error;
+    ASSERT_TRUE(responses[0].ok()) << responses[0].error;
+  }
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet("127.0.0.1", ts.server.port(), "/tracez", &status, &body, &error))
+      << error;
+  ASSERT_EQ(status, 200);
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(body, &doc, &error)) << error << ": " << body;
+  // Two parked evals, then an eval and a frame entry per frame.
+  ASSERT_NE(doc.Find("recorded_total"), nullptr);
+  EXPECT_EQ(doc.Find("recorded_total")->number, 2.0 + 2 * kFrames);
+
+  const JsonValue* recent = doc.Find("recent");
+  ASSERT_NE(recent, nullptr);
+  ASSERT_EQ(recent->array.size(), 2u + 2 * kFrames);
+  std::set<std::string> evals;
+  int frames = 0;
+  double last_end_us = 0;
+  std::vector<double> durations;
+  for (const auto& entry : recent->array) {
+    const double end_us = entry->Find("start_us")->number + entry->Find("dur_us")->number;
+    // start_us and dur_us are printed to 1 ns; their sum to 2 ns.
+    EXPECT_GE(end_us, last_end_us - 0.002) << body;
+    last_end_us = std::max(last_end_us, end_us);
+    durations.push_back(entry->Find("dur_us")->number);
+    if (entry->Find("name")->str == "eval") {
+      evals.insert(entry->Find("trace_id")->str);
+    } else {
+      EXPECT_EQ(entry->Find("cat")->str, "net");
+      EXPECT_EQ(entry->Find("name")->str, "frame");
+      ++frames;
+    }
+  }
+  EXPECT_EQ(frames, kFrames);
+  EXPECT_EQ(evals.size(), 2u + kFrames);
+  EXPECT_EQ(evals.count("parked-0"), 1u);
+  EXPECT_EQ(evals.count("parked-1"), 1u);
+
+  // Every entry is in `recent`, so the slowest are its 16 longest.
+  const JsonValue* slowest = doc.Find("slowest");
+  ASSERT_NE(slowest, nullptr);
+  ASSERT_EQ(slowest->array.size(), obs::SpanRing::kSlowCapacity);
+  std::sort(durations.begin(), durations.end(), std::greater<double>());
+  for (std::size_t i = 0; i < slowest->array.size(); ++i) {
+    EXPECT_EQ(slowest->array[i]->Find("dur_us")->number, durations[i]) << i << ": " << body;
+  }
 }
 
 TEST(NetServerHttp, PostPredictRejectsBadBody) {

@@ -768,6 +768,49 @@ TEST(Histogram, ConcurrentRecordsKeepExactCountAndSum) {
   EXPECT_EQ(in_octaves, kN);
 }
 
+// Per-worker histograms read as one: three histograms that split a sample
+// set, merged, read exactly as one histogram that recorded every sample —
+// percentiles, octaves, sum, count and exposition text alike. One part is
+// recorded the single-writer way, as a worker records its shard.
+TEST(Histogram, MergeOfSplitSamplesReadsAsOneHistogram) {
+  SplitMix64 rng(26);
+  obs::Histogram parts[3];
+  obs::Histogram whole;
+  std::vector<std::uint64_t> values = {0, 1, 64, 65, 1024, UINT64_MAX / 4};
+  for (int i = 0; i < 30000; ++i) {
+    values.push_back(static_cast<std::uint64_t>(
+        std::max(0.0, std::round(20e3 * std::exp(2 * rng.NextGaussian())))));
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    whole.Record(values[i]);
+    if (i % 3 == 0) {
+      parts[0].RecordExclusive(values[i]);
+    } else {
+      parts[i % 3].Record(values[i]);
+    }
+  }
+  obs::Histogram merged;
+  for (const obs::Histogram& part : parts) {
+    merged.Merge(part);
+  }
+  merged.Merge(obs::Histogram());  // an empty part adds nothing
+
+  EXPECT_EQ(merged.count(), whole.count());
+  EXPECT_EQ(merged.sum(), whole.sum());
+  EXPECT_EQ(merged.mean(), whole.mean());
+  EXPECT_EQ(merged.Octaves(), whole.Octaves());
+  for (const double q : {0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(merged.Percentile(q), whole.Percentile(q)) << q;
+  }
+  std::string merged_text;
+  std::string whole_text;
+  obs::AppendHistogram(&merged_text, "h_seconds", "shard=\"all\"", merged, 1e-9);
+  obs::AppendHistogram(&whole_text, "h_seconds", "shard=\"all\"", whole, 1e-9);
+  EXPECT_EQ(merged_text, whole_text);
+  EXPECT_NE(merged_text.find("h_seconds_count{shard=\"all\"} 30006"), std::string::npos)
+      << merged_text;
+}
+
 // The finite `le` edges of one histogram series, in scrape order, each
 // with its cumulative count.
 std::vector<std::pair<std::string, double>> BucketEdges(const std::string& scrape,
@@ -791,7 +834,7 @@ std::vector<std::pair<std::string, double>> BucketEdges(const std::string& scrap
 TEST(HistogramExposition, SamplesOnAnEdgeCountAtThatEdge) {
   for (const int k : {0, 5, 10, 20, 30}) {
     serve::ServiceMetrics metrics({"iface"});
-    metrics.RecordRequest(0, std::uint64_t{1} << k, /*ok=*/true);
+    metrics.shared_shard().RecordRequest(0, std::uint64_t{1} << k, /*ok=*/true);
     const std::string text = metrics.DumpPrometheus(0);
     const auto edges = BucketEdges(text, "perfiface_serve_latency_seconds_bucket");
     ASSERT_EQ(edges.size(), 1u) << "k=" << k << ": only the edge holding the sample\n" << text;
@@ -884,10 +927,10 @@ TEST(MetricsRegistry, InstrumentedLayersExposeCounters) {
 
 TEST(ServiceMetricsPrometheus, HistogramIsCumulativeAndLabeled) {
   serve::ServiceMetrics metrics({"iface_a", "iface_b"});
-  metrics.RecordRequest(0, /*latency_ns=*/1000, /*ok=*/true);
-  metrics.RecordRequest(0, /*latency_ns=*/3000, /*ok=*/true);
-  metrics.RecordStatus(serve::CacheOutcome::kMiss, false, false);
-  metrics.RecordStatus(serve::CacheOutcome::kHit, false, false);
+  metrics.shared_shard().RecordRequest(0, /*latency_ns=*/1000, /*ok=*/true);
+  metrics.shared_shard().RecordRequest(0, /*latency_ns=*/3000, /*ok=*/true);
+  metrics.shared_shard().RecordStatus(serve::CacheOutcome::kMiss, false, false);
+  metrics.shared_shard().RecordStatus(serve::CacheOutcome::kHit, false, false);
 
   const std::string text = metrics.DumpPrometheus(/*queue_depth=*/3);
   EXPECT_NE(text.find("perfiface_serve_queue_depth 3"), std::string::npos);
@@ -929,8 +972,8 @@ TEST(MetricsRegistry, HostileHelpTextAndLabelValuesAreEscaped) {
 TEST(ServiceMetricsPrometheus, HostileInterfaceNamesKeepTheScrapeParseable) {
   const std::string hostile = "evil\"name\\with\nnewline";
   serve::ServiceMetrics metrics({hostile, "plain"});
-  metrics.RecordRequest(0, /*latency_ns=*/1000, /*ok=*/false);
-  metrics.RecordRequest(1, /*latency_ns=*/2000, /*ok=*/true);
+  metrics.shared_shard().RecordRequest(0, /*latency_ns=*/1000, /*ok=*/false);
+  metrics.shared_shard().RecordRequest(1, /*latency_ns=*/2000, /*ok=*/true);
 
   const std::string text = metrics.DumpPrometheus(/*queue_depth=*/0);
   std::vector<testing::ExpositionSample> samples;
@@ -954,10 +997,11 @@ TEST(ServiceMetricsPrometheus, HostileInterfaceNamesKeepTheScrapeParseable) {
 
 TEST(ServiceMetricsPrometheus, NotConsultedLeavesCacheCountersAlone) {
   serve::ServiceMetrics metrics({});
-  metrics.RecordStatus(serve::CacheOutcome::kNotConsulted, /*deadline_exceeded=*/false,
-                       /*rejected=*/true);
-  metrics.RecordStatus(serve::CacheOutcome::kNotConsulted, /*deadline_exceeded=*/true,
-                       /*rejected=*/false);
+  serve::MetricShard& shard = metrics.shared_shard();
+  shard.RecordStatus(serve::CacheOutcome::kNotConsulted, /*deadline_exceeded=*/false,
+                     /*rejected=*/true);
+  shard.RecordStatus(serve::CacheOutcome::kNotConsulted, /*deadline_exceeded=*/true,
+                     /*rejected=*/false);
   const std::string text = metrics.DumpPrometheus(0);
   EXPECT_NE(text.find("perfiface_serve_cache_hits_total 0"), std::string::npos);
   EXPECT_NE(text.find("perfiface_serve_cache_misses_total 0"), std::string::npos);

@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -34,6 +35,7 @@
 #include "src/serve/metrics.h"
 #include "src/serve/request.h"
 #include "src/serve/service.h"
+#include "tests/exposition_parser.h"
 
 namespace perfiface::serve {
 namespace {
@@ -616,16 +618,15 @@ TEST(PredictionService, VmAnswersMatchTheInterpreterOracle) {
   // Division by zero inside the program: an error on both sides.
   requests.push_back(JpegRequest(1024, 0.0));
 
-  obs::MetricsRegistry::Counter& vm_calls = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_psc_vm_calls_total", "Top-level PerfScript bytecode VM calls");
   obs::MetricsRegistry::Counter& interp_calls = obs::MetricsRegistry::Global().GetCounter(
       "perfiface_interp_calls_total", "Top-level PerfScript interpreter calls");
 
   PredictionService service(InterfaceRegistry::Default(), options);
-  const std::uint64_t vm_calls_before = vm_calls.value();
   const std::uint64_t interp_calls_before = interp_calls.value();
   const auto responses = service.PredictBatch(requests);
-  EXPECT_EQ(vm_calls.value() - vm_calls_before, requests.size());
+  // The service counts its own VM calls, one per program request.
+  EXPECT_EQ(service.metrics().vm_counts().calls, requests.size());
+  EXPECT_EQ(service.metrics().vm_counts().errors, 1u);  // the division by zero
   EXPECT_EQ(interp_calls.value(), interp_calls_before) << "the service must not tree-walk";
 
   ASSERT_EQ(responses.size(), requests.size());
@@ -659,16 +660,246 @@ TEST(PredictionService, ProgramQueryCountsVmMemoHits) {
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;
-  obs::MetricsRegistry::Counter& memo_hits = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_psc_vm_memo_hits_total",
-      "PerfScript bytecode VM calls taken from the call memo instead of run");
   PredictionService service(InterfaceRegistry::Default(), options);
-  const std::uint64_t before = memo_hits.value();
   const PredictResponse response = service.Predict(ProtoaccRequest(6, 9, 50));
   ASSERT_TRUE(response.ok()) << response.error;
-  EXPECT_EQ(memo_hits.value() - before, 49u);
-  EXPECT_NE(service.StatsPrometheus().find("perfiface_psc_vm_memo_hits_total"),
+  EXPECT_EQ(service.metrics().vm_counts().memo_hits, 49u);
+  EXPECT_NE(service.StatsPrometheus().find("\nperfiface_psc_vm_memo_hits_total 49\n"),
             std::string::npos);
+}
+
+// The value of the sample `name{labels}` in `scrape`; -1 when absent.
+double ScrapeValue(const std::string& scrape, const std::string& name,
+                   const std::map<std::string, std::string>& labels = {}) {
+  std::vector<testing::ExpositionSample> samples;
+  std::string error;
+  EXPECT_TRUE(testing::ParseExposition(scrape, &samples, &error)) << error;
+  for (const testing::ExpositionSample& sample : samples) {
+    if (sample.name == name && sample.labels == labels) {
+      return sample.value;
+    }
+  }
+  return -1;
+}
+
+// One run of the shard-merge mix: the responses and their requests'
+// interfaces, in submission order, and the scrape and derived-store hits
+// read after them.
+struct ShardMixRun {
+  std::vector<PredictResponse> responses;
+  std::vector<std::string> interfaces;
+  std::string scrape;
+  std::uint64_t derived_hits = 0;
+};
+
+// Four blocker program requests, a request that expires in the queue,
+// then one batch of distinct misses — jpeg and protoacc programs (one of
+// with 49 memoized calls), a program error and pnet requests the derived
+// tier answers — and the same batch again, whose OK answers are cache hits.
+// Every request asks to be explained, so its response says how it was
+// counted.
+ShardMixRun RunShardMix(std::size_t workers) {
+  ServiceOptions options;
+  options.num_workers = workers;
+  options.cache_capacity = 4096;
+  PredictionService service(InterfaceRegistry::Default(), options);
+  ShardMixRun run;
+
+  // Park every worker in a completion callback; the request submitted then
+  // waits in the queue far past its 1 us deadline.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t parked = 0;
+  bool released = false;
+  std::vector<PredictionService::BatchHandle> blockers;
+  for (int b = 0; b < 4; ++b) {
+    PredictRequest blocker = JpegRequest(4096.0 * (b + 1), 0.3);
+    blocker.explain = true;
+    blockers.push_back(service.SubmitBatch(
+        std::vector<PredictRequest>{blocker}, [&](std::size_t, const PredictResponse&) {
+          std::unique_lock<std::mutex> lock(mu);
+          ++parked;
+          cv.notify_all();
+          cv.wait(lock, [&] { return released; });
+        }));
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == workers; });
+  }
+  PredictRequest doomed = ProtoaccRequest(3, 3, 1);
+  doomed.deadline_us = 1;
+  doomed.explain = true;
+  PredictionService::BatchHandle expired = service.SubmitBatch({doomed});
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  for (const PredictionService::BatchHandle& handle : blockers) {
+    run.responses.push_back(handle.Responses()[0]);
+    run.interfaces.push_back("jpeg_decoder");
+  }
+  run.responses.push_back(expired.Responses()[0]);
+  run.interfaces.push_back(doomed.interface);
+
+  std::vector<PredictRequest> mix;
+  for (int i = 0; i < 12; ++i) {
+    mix.push_back(JpegRequest(512.0 * (i + 1), 0.1 + 0.05 * i));
+    mix.push_back(ProtoaccRequest(4.0 + i, 2.0 + i, i == 5 ? 50 : i % 4));
+  }
+  mix.push_back(JpegRequest(1024, 0.0));  // division by zero: ERROR
+  for (int i = 0; i < 8; ++i) {
+    PredictRequest pnet = PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8");
+    pnet.attrs[0].second = 800.0 + 64 * i;  // bits
+    mix.push_back(pnet);
+  }
+  for (PredictRequest& req : mix) {
+    req.explain = true;
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<PredictResponse> answered = service.PredictBatch(mix);
+    run.responses.insert(run.responses.end(), answered.begin(), answered.end());
+    for (const PredictRequest& req : mix) {
+      run.interfaces.push_back(req.interface);
+    }
+  }
+  run.scrape = service.StatsPrometheus();
+  run.derived_hits = service.derived_store()->hits();
+  return run;
+}
+
+// Each worker counts into its own shard and the scrape sums them: with
+// four workers, every total of the scrape equals what the responses report
+// one by one, and what one worker counts for the same requests.
+TEST(PredictionServiceShards, ScrapeTotalsEqualTheResponsesAndOneWorker) {
+  const ShardMixRun four = RunShardMix(4);
+  const ShardMixRun one = RunShardMix(1);
+
+  // What the responses report.
+  std::uint64_t evaluated = 0;
+  std::uint64_t errors = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t expired = 0;
+  std::uint64_t vm_calls = 0;
+  std::uint64_t vm_steps = 0;
+  std::uint64_t vm_errors = 0;
+  std::uint64_t derived_hits = 0;
+  for (const PredictResponse& r : four.responses) {
+    ASSERT_TRUE(r.explain.filled);
+    if (r.explain.representation == "expired") {
+      ++expired;
+      continue;
+    }
+    ++evaluated;
+    errors += !r.ok();
+    hits += r.explain.cache == "hit";
+    misses += r.explain.cache == "miss";
+    derived_hits += r.explain.derived_hits;
+    if (r.explain.representation == "psc-vm") {
+      ++vm_calls;
+      vm_steps += r.explain.steps;
+      vm_errors += !r.ok();
+    }
+  }
+  ASSERT_EQ(four.responses[4].status, PredictStatus::kDeadlineExceeded);
+  ASSERT_EQ(four.responses[4].error, "deadline expired while queued");
+  EXPECT_EQ(expired, 1u);
+  EXPECT_EQ(errors, 2u);  // the division by zero, evaluated in both passes
+  EXPECT_EQ(vm_errors, 2u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(derived_hits, 0u);
+
+  const std::string& scrape = four.scrape;
+  EXPECT_EQ(ScrapeValue(scrape, "perfiface_serve_requests_total"), evaluated);
+  EXPECT_EQ(ScrapeValue(scrape, "perfiface_serve_errors_total"), errors);
+  EXPECT_EQ(ScrapeValue(scrape, "perfiface_serve_cache_hits_total"), hits);
+  EXPECT_EQ(ScrapeValue(scrape, "perfiface_serve_cache_misses_total"), misses);
+  EXPECT_EQ(ScrapeValue(scrape, "perfiface_serve_deadline_exceeded_total"), expired);
+  EXPECT_EQ(ScrapeValue(scrape, "perfiface_psc_vm_calls_total"), vm_calls);
+  EXPECT_EQ(ScrapeValue(scrape, "perfiface_psc_vm_steps_total"), vm_steps);
+  EXPECT_EQ(ScrapeValue(scrape, "perfiface_psc_vm_errors_total"), vm_errors);
+  // Memo hits are not in the responses; the 50-child message alone makes 49.
+  EXPECT_GE(ScrapeValue(scrape, "perfiface_psc_vm_memo_hits_total"), 49.0);
+  EXPECT_EQ(four.derived_hits, derived_hits);
+
+  // Per interface: requests and the latency histogram's count.
+  std::map<std::string, std::uint64_t> per_interface;
+  for (std::size_t i = 0; i < four.responses.size(); ++i) {
+    if (four.responses[i].explain.representation != "expired") {
+      ++per_interface[four.interfaces[i]];
+    }
+  }
+  ASSERT_EQ(per_interface.size(), 2u);
+  for (const auto& [iface, count] : per_interface) {
+    const std::map<std::string, std::string> label{{"interface", iface}};
+    EXPECT_EQ(ScrapeValue(scrape, "perfiface_serve_interface_requests_total", label), count)
+        << iface;
+    EXPECT_EQ(ScrapeValue(scrape, "perfiface_serve_latency_seconds_count", label), count)
+        << iface;
+  }
+
+  // One worker counts the same.
+  for (const char* name :
+       {"perfiface_serve_requests_total", "perfiface_serve_errors_total",
+        "perfiface_serve_cache_hits_total", "perfiface_serve_cache_misses_total",
+        "perfiface_serve_deadline_exceeded_total", "perfiface_psc_vm_calls_total",
+        "perfiface_psc_vm_steps_total", "perfiface_psc_vm_errors_total",
+        "perfiface_psc_vm_memo_hits_total"}) {
+    EXPECT_EQ(ScrapeValue(scrape, name), ScrapeValue(one.scrape, name)) << name;
+  }
+  for (const auto& [iface, count] : per_interface) {
+    const std::map<std::string, std::string> label{{"interface", iface}};
+    EXPECT_EQ(ScrapeValue(one.scrape, "perfiface_serve_interface_requests_total", label), count);
+    EXPECT_EQ(ScrapeValue(one.scrape, "perfiface_serve_latency_seconds_count", label), count);
+  }
+  EXPECT_EQ(one.derived_hits, four.derived_hits);
+}
+
+// Two services in one process share no counts and no /tracez ring: each
+// reports its own VM calls and its own requests' trace ids.
+TEST(PredictionServiceShards, TwoServicesReportDisjointVmCountsAndTraceEntries) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.cache_capacity = 0;
+  PredictionService a(InterfaceRegistry::Default(), options);
+  PredictionService b(InterfaceRegistry::Default(), options);
+  std::vector<PredictRequest> for_a;
+  std::vector<PredictRequest> for_b;
+  for (int i = 0; i < 3; ++i) {
+    for_a.push_back(JpegRequest(1024.0 * (i + 1), 0.2));
+    for_a.back().trace_id = "service-a-" + std::to_string(i);
+  }
+  for (int i = 0; i < 5; ++i) {
+    for_b.push_back(ProtoaccRequest(4.0 + i, 3, 2));
+    for_b.back().trace_id = "service-b-" + std::to_string(i);
+  }
+  for (const PredictResponse& r : a.PredictBatch(for_a)) {
+    ASSERT_TRUE(r.ok()) << r.error;
+  }
+  for (const PredictResponse& r : b.PredictBatch(for_b)) {
+    ASSERT_TRUE(r.ok()) << r.error;
+  }
+
+  EXPECT_EQ(a.metrics().vm_counts().calls, 3u);
+  EXPECT_EQ(b.metrics().vm_counts().calls, 5u);
+  EXPECT_EQ(ScrapeValue(a.StatsPrometheus(), "perfiface_psc_vm_calls_total"), 3.0);
+  EXPECT_EQ(ScrapeValue(b.StatsPrometheus(), "perfiface_psc_vm_calls_total"), 5.0);
+
+  const std::string tracez_a = obs::DumpSpanRingsJson(a.span_rings());
+  const std::string tracez_b = obs::DumpSpanRingsJson(b.span_rings());
+  EXPECT_NE(tracez_a.find("\"recorded_total\":3,"), std::string::npos) << tracez_a;
+  EXPECT_NE(tracez_b.find("\"recorded_total\":5,"), std::string::npos) << tracez_b;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NE(tracez_a.find("service-a-" + std::to_string(i)), std::string::npos) << tracez_a;
+  }
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_NE(tracez_b.find("service-b-" + std::to_string(i)), std::string::npos) << tracez_b;
+  }
+  EXPECT_EQ(tracez_a.find("service-b-"), std::string::npos) << tracez_a;
+  EXPECT_EQ(tracez_b.find("service-a-"), std::string::npos) << tracez_b;
 }
 
 TEST(PredictionService, StatsPrometheusUnifiesServiceAndLayerFamilies) {
@@ -680,8 +911,8 @@ TEST(PredictionService, StatsPrometheusUnifiesServiceAndLayerFamilies) {
   // Families owned by the service...
   EXPECT_NE(prom.find("perfiface_serve_requests_total"), std::string::npos);
   EXPECT_NE(prom.find("interface=\"jpeg_decoder\""), std::string::npos);
-  // ...and process-wide counters bumped by the layer below it (program
-  // queries run on the bytecode VM).
+  // ...including the VM's, which the service counts for the program
+  // queries it runs on the bytecode VM.
   EXPECT_NE(prom.find("perfiface_psc_vm_calls_total"), std::string::npos);
   EXPECT_NE(prom.find("perfiface_psc_vm_steps_total"), std::string::npos);
   EXPECT_EQ(prom.find("perfiface_psc_vm_fallback_total"), std::string::npos);

@@ -50,7 +50,13 @@ int Usage() {
 }
 
 Program ParseOrDie(const std::string& path) {
-  ParseResult parsed = ParseProgram(ReadFileOrDie(path));
+  std::string source;
+  std::string error;
+  if (!ReadFile(path, &source, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());  // "cannot read <path>: <reason>"
+    std::exit(1);
+  }
+  ParseResult parsed = ParseProgram(source);
   if (!parsed.ok) {
     std::fprintf(stderr, "parse error: %s\n", parsed.error.c_str());
     std::exit(1);
@@ -166,9 +172,14 @@ int CmdEval(const std::string& path, const std::string& function,
     obs::Tracer::Global().Start();
   }
   EvalResult result;
+  VmCounts vm_counts;  // this one call's
   if (compile) {
     Vm vm(compiled);
     result = vm.Call(function, {Value::Object(&root)});
+    vm_counts.calls = compiled->FindIndex(function) >= 0 ? 1 : 0;
+    vm_counts.steps = vm.steps_used();
+    vm_counts.errors = result.ok ? 0 : 1;
+    vm_counts.memo_hits = vm.memo_hits();
   } else {
     Interpreter interp(&program);
     for (const auto& c : constants) {
@@ -185,7 +196,11 @@ int CmdEval(const std::string& path, const std::string& function,
     }
   }
   if (metrics) {
-    std::fputs(obs::MetricsRegistry::Global().RenderPrometheus().c_str(), stdout);
+    std::string scrape = obs::MetricsRegistry::Global().RenderPrometheus();
+    if (compile) {
+      AppendVmPrometheus(&scrape, vm_counts);
+    }
+    std::fputs(scrape.c_str(), stdout);
   }
   if (json) {
     // Errors also go to stdout in JSON mode so one stream is parseable.
