@@ -7,7 +7,6 @@
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 
 namespace perfiface {
@@ -239,27 +238,9 @@ Cycles RunProgram(const ConvTiming& timing, const ConvProgram& program, MachineS
   }
 }
 
-// Metrics + trace instrumentation of one cycle-level run (same grain as
-// the src/sim engine's RunLoop).
-void RecordRun(Cycles latency, const MachineState& st) {
-  static obs::MetricsRegistry::Counter& runs_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_conv_sim_runs_total", "Conv cycle-level simulator runs");
-  static obs::MetricsRegistry::Counter& cycles_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_conv_sim_cycles_total", "Cycles simulated by the conv simulator");
-  static obs::MetricsRegistry::Counter& dma_in_busy = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_conv_sim_dma_in_busy_cycles_total",
-      "Cycles the conv inbound DMA engine was busy");
-  static obs::MetricsRegistry::Counter& mac_busy = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_conv_sim_mac_busy_cycles_total", "Cycles the conv MAC array was busy");
-  static obs::MetricsRegistry::Counter& dma_out_busy = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_conv_sim_dma_out_busy_cycles_total",
-      "Cycles the conv outbound DMA engine was busy");
-  runs_total.Increment();
-  cycles_total.Add(latency);
-  dma_in_busy.Add(st.stage.dma_in);
-  mac_busy.Add(st.stage.mac);
-  dma_out_busy.Add(st.stage.dma_out);
-
+// Trace instrumentation of one cycle-level run (same grain as the src/sim
+// engine's RunLoop).
+void RecordRun(const MachineState& st) {
   obs::Tracer& tracer = obs::Tracer::Global();
   if (tracer.enabled()) {
     tracer.CounterDyn("conv", "busy_cycles.dma_in", static_cast<double>(st.stage.dma_in));
@@ -283,7 +264,7 @@ Cycles ConvSim::RunLatency(const ConvProgram& program) {
   const Cycles latency = RunProgram(timing_, program, &st);
   last_datapath_hash_ = st.datapath_hash;
   last_stage_cycles_ = st.stage;
-  RecordRun(latency, st);
+  RecordRun(st);
   if (span.active()) {
     span.SetArg("cycles", static_cast<double>(latency));
     span.SetArg("commands", static_cast<double>(program.size() - 1));

@@ -63,8 +63,8 @@ struct ConvRunResult {
   std::uint64_t stores_completed = 0;
 };
 
-// Per-stage busy-cycle attribution of one run (also exported as metrics
-// counters and trace counter tracks, PR 2-3 grain).
+// Per-stage busy-cycle attribution of one run (ConvSim::last_stage_cycles,
+// also exported as trace counter tracks).
 struct ConvStageCycles {
   std::uint64_t dma_in = 0;
   std::uint64_t mac = 0;

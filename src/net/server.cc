@@ -16,58 +16,13 @@
 
 #include "src/common/strings.h"
 #include "src/net/wire.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 #include "src/obs/span_ring.h"
 #include "src/obs/trace.h"
 
 namespace perfiface::net {
 
 namespace {
-
-obs::MetricsRegistry::Counter& ConnectionsTotal() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_net_connections_total", "Client connections accepted by the TCP front end");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& ConnectionsRejectedTotal() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_net_connections_rejected_total",
-      "Connections closed immediately because max_connections was reached");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& BytesRxTotal() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_net_bytes_rx_total", "Bytes received by the TCP front end");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& BytesTxTotal() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_net_bytes_tx_total", "Bytes sent by the TCP front end");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& WritesTotal() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_net_writes_total", "Socket send() calls made by the TCP front end");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& FramesMalformedTotal() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_net_frames_malformed_total",
-      "Request frames rejected as malformed or oversized");
-  return c;
-}
-
-obs::MetricsRegistry::Counter& BatchesRejectedTotal() {
-  static obs::MetricsRegistry::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_net_batches_rejected_total",
-      "Frames answered with REJECTED lines because the connection's pipelining window was full");
-  return c;
-}
 
 // True if `header` names `name` (HTTP header names are case-insensitive).
 bool HeaderNameIs(std::string_view header, std::string_view name) {
@@ -158,18 +113,7 @@ HttpHead ParseHttpHead(std::string_view head, std::size_t max_body_bytes) {
 }
 
 NetServer::NetServer(serve::PredictionService* service, NetServerOptions options)
-    : service_(service), options_(std::move(options)) {
-  // Touch every counter now so the scrape carries the full family set from
-  // the first request on (lazy creation would make families pop into
-  // existence mid-flight, which trips scrape diffing).
-  ConnectionsTotal();
-  ConnectionsRejectedTotal();
-  BytesRxTotal();
-  BytesTxTotal();
-  WritesTotal();
-  FramesMalformedTotal();
-  BatchesRejectedTotal();
-}
+    : service_(service), options_(std::move(options)) {}
 
 NetServer::~NetServer() { Stop(); }
 
@@ -230,11 +174,11 @@ void NetServer::AcceptLoop() {
       continue;
     }
     obs::SpanGuard accept_span("net", "accept");
-    ConnectionsTotal().Increment();
+    Add(connections_, 1);
     if (open_connections_.load(std::memory_order_relaxed) >= options_.max_connections) {
       // Cap exceeded: refuse now instead of queueing work the pool cannot
       // keep up with. The peer sees a clean close.
-      ConnectionsRejectedTotal().Increment();
+      Add(connections_rejected_, 1);
       if (accept_span.active()) {
         accept_span.SetArg("rejected", 1.0);
       }
@@ -311,6 +255,38 @@ void NetServer::Stop() {
   listen_fd_ = -1;
 }
 
+NetCounts NetServer::counts() const {
+  const auto read = [](const std::atomic<std::uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  return NetCounts{read(connections_), read(connections_rejected_), read(bytes_rx_),
+                   read(bytes_tx_), read(writes_), read(frames_malformed_),
+                   read(batches_rejected_)};
+}
+
+void NetServer::AppendPrometheus(std::string* out) const {
+  const NetCounts c = counts();
+  obs::AppendCounter(out, "perfiface_net_connections_total",
+                     "Client connections accepted by the TCP front end", c.connections);
+  obs::AppendCounter(out, "perfiface_net_connections_rejected_total",
+                     "Connections closed immediately because max_connections was reached",
+                     c.connections_rejected);
+  obs::AppendCounter(out, "perfiface_net_bytes_rx_total", "Bytes received by the TCP front end",
+                     c.bytes_rx);
+  obs::AppendCounter(out, "perfiface_net_bytes_tx_total", "Bytes sent by the TCP front end",
+                     c.bytes_tx);
+  obs::AppendCounter(out, "perfiface_net_writes_total",
+                     "Socket send() calls made by the TCP front end", c.writes);
+  obs::AppendCounter(out, "perfiface_net_frames_malformed_total",
+                     "Request frames rejected as malformed or oversized", c.frames_malformed);
+  obs::AppendCounter(
+      out, "perfiface_net_batches_rejected_total",
+      "Frames answered with REJECTED lines because the connection's pipelining window was full",
+      c.batches_rejected);
+  obs::AppendGauge(out, "perfiface_net_open_connections", "Currently open client connections",
+                   static_cast<double>(open_connections()));
+}
+
 void NetServer::TimedWrite(Connection* conn, std::string_view data) {
   std::lock_guard<std::mutex> lock(conn->write_mu);
   if (conn->dead.load(std::memory_order_relaxed)) {
@@ -320,7 +296,7 @@ void NetServer::TimedWrite(Connection* conn, std::string_view data) {
   while (sent < data.size()) {
     const ssize_t n =
         ::send(conn->fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    WritesTotal().Increment();
+    Add(writes_, 1);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
       continue;
@@ -336,7 +312,7 @@ void NetServer::TimedWrite(Connection* conn, std::string_view data) {
     ::shutdown(conn->fd, SHUT_RDWR);
     break;
   }
-  BytesTxTotal().Add(sent);
+  Add(bytes_tx_, sent);
 }
 
 void NetServer::ReturnFrame(std::unique_ptr<Frame> frame, bool lent) {
@@ -415,7 +391,7 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     std::string error;
     if (!DecodeRequestFrame(frame, &id, &requests, &error)) {
       ReturnFrame(std::move(pending), /*lent=*/false);
-      FramesMalformedTotal().Increment();
+      Add(frames_malformed_, 1);
       std::string line;
       EncodeMalformedLine(id, error, &line);
       TimedWrite(conn.get(), line);
@@ -424,7 +400,7 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
     if (requests.size() > options_.max_batch_requests) {
       const std::size_t size = requests.size();
       ReturnFrame(std::move(pending), /*lent=*/false);
-      FramesMalformedTotal().Increment();
+      Add(frames_malformed_, 1);
       std::string line;
       EncodeMalformedLine(
           id, StrFormat("frame has %zu requests; limit is %zu", size,
@@ -446,7 +422,7 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
       std::unique_lock<std::mutex> lock(conn->inflight_mu);
       if (conn->inflight >= options_.max_inflight_batches) {
         lock.unlock();
-        BatchesRejectedTotal().Increment();
+        Add(batches_rejected_, 1);
         std::string lines;
         for (std::size_t i = 0; i < requests.size(); ++i) {
           EncodeResponseLine(id, i,
@@ -520,7 +496,7 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
       }
       break;
     }
-    BytesRxTotal().Add(static_cast<std::uint64_t>(n));
+    Add(bytes_rx_, static_cast<std::uint64_t>(n));
     reader.Append(buf.data(), static_cast<std::size_t>(n));
 
     for (;;) {
@@ -529,7 +505,7 @@ void NetServer::ServeNdjson(const std::shared_ptr<Connection>& conn) {
         break;
       }
       if (next == FrameReader::Next::kOversized) {
-        FramesMalformedTotal().Increment();
+        Add(frames_malformed_, 1);
         std::string line;
         EncodeMalformedLine(
             0, StrFormat("frame exceeds max_frame_bytes (%zu)", options_.max_frame_bytes),
@@ -572,7 +548,7 @@ void NetServer::ServeHttp(const std::shared_ptr<Connection>& conn) {
       }
       return;
     }
-    BytesRxTotal().Add(static_cast<std::uint64_t>(n));
+    Add(bytes_rx_, static_cast<std::uint64_t>(n));
     data.append(buf.data(), static_cast<std::size_t>(n));
     header_end = data.find("\r\n\r\n");
   }
@@ -605,16 +581,14 @@ void NetServer::ServeHttp(const std::shared_ptr<Connection>& conn) {
       }
       return;
     }
-    BytesRxTotal().Add(static_cast<std::uint64_t>(n));
+    Add(bytes_rx_, static_cast<std::uint64_t>(n));
     body.append(buf.data(), static_cast<std::size_t>(n));
   }
   body.resize(head.content_length);  // drop pipelined bytes past the declared body
 
   if (method == "GET" && path == "/metrics") {
     std::string scrape = service_->StatsPrometheus();
-    obs::AppendGauge(&scrape, "perfiface_net_open_connections",
-                     "Currently open client connections",
-                     static_cast<double>(open_connections()));
+    AppendPrometheus(&scrape);
     TimedWrite(conn.get(),
                HttpResponse(200, "OK", "text/plain; version=0.0.4; charset=utf-8", scrape));
     return;
@@ -678,12 +652,12 @@ void NetServer::ServeHttp(const std::shared_ptr<Connection>& conn) {
       frame.remove_suffix(1);
     }
     if (!DecodeRequestFrame(frame, &id, &requests, &error)) {
-      FramesMalformedTotal().Increment();
+      Add(frames_malformed_, 1);
       TimedWrite(conn.get(), HttpResponse(400, "Bad Request", "text/plain", error + "\n"));
       return;
     }
     if (requests.size() > options_.max_batch_requests) {
-      FramesMalformedTotal().Increment();
+      Add(frames_malformed_, 1);
       TimedWrite(conn.get(), HttpResponse(400, "Bad Request", "text/plain",
                                           "too many requests in frame\n"));
       return;

@@ -8,7 +8,8 @@
 //    write per worker chunk. One connection can keep many batches in
 //    flight.
 //  - anything else — HTTP/1.1, one request per connection: GET /metrics
-//    (the service's Prometheus scrape plus the open-connections gauge),
+//    (the service's Prometheus scrape, then this server's network
+//    families),
 //    GET /healthz, POST /predict (a request frame in the body, response
 //    lines in the body back).
 //
@@ -24,7 +25,7 @@
 //  - Stop() drains: in-flight batches finish and their responses flush
 //    before the connection threads are joined.
 //
-// Thread-safety: Start/Stop/port/open_connections are safe from any
+// Thread-safety: Start/Stop/port/open_connections/counts are safe from any
 // thread. The server never outlives the PredictionService it fronts; call
 // Stop() before shutting the service down.
 #ifndef SRC_NET_SERVER_H_
@@ -61,6 +62,18 @@ struct HttpHead {
 // whitespace, else 400; above `max_body_bytes` it is 413, and repeated
 // with a different value it is 400. No header means no body.
 HttpHead ParseHttpHead(std::string_view head, std::size_t max_body_bytes);
+
+// One server's traffic since construction: the perfiface_net_* counters
+// GET /metrics renders (docs/observability.md "Pull endpoint").
+struct NetCounts {
+  std::uint64_t connections = 0;           // accepted, rejected ones included
+  std::uint64_t connections_rejected = 0;  // closed at once: max_connections
+  std::uint64_t bytes_rx = 0;
+  std::uint64_t bytes_tx = 0;
+  std::uint64_t writes = 0;  // send() calls
+  std::uint64_t frames_malformed = 0;
+  std::uint64_t batches_rejected = 0;  // frames past the pipelining window
+};
 
 struct NetServerOptions {
   std::string host = "127.0.0.1";
@@ -105,6 +118,8 @@ class NetServer {
   std::size_t open_connections() const {
     return open_connections_.load(std::memory_order_relaxed);
   }
+
+  NetCounts counts() const;
 
  private:
   struct Connection;
@@ -160,6 +175,12 @@ class NetServer {
   // Blocks until every batch submitted on this connection has resolved.
   static void DrainInflight(Connection* conn);
   void ReapFinished(bool all);
+  // The perfiface_net_* families: counts() and the open-connections gauge.
+  void AppendPrometheus(std::string* out) const;
+
+  static void Add(std::atomic<std::uint64_t>& counter, std::uint64_t delta) {
+    counter.fetch_add(delta, std::memory_order_relaxed);
+  }
 
   serve::PredictionService* service_;
   NetServerOptions options_;
@@ -177,6 +198,17 @@ class NetServer {
   std::atomic<std::size_t> open_connections_{0};
   // The /tracez entries of accepted NDJSON frames, one per frame.
   obs::SpanRing frame_ring_;
+
+  // NetCounts, by writer: the accept and connection threads count
+  // connections, received bytes and refused frames; TimedWrite, mostly on
+  // the workers' chunk flushes, counts sends on a cache line of its own.
+  alignas(64) std::atomic<std::uint64_t> connections_{0};
+  std::atomic<std::uint64_t> connections_rejected_{0};
+  std::atomic<std::uint64_t> bytes_rx_{0};
+  std::atomic<std::uint64_t> frames_malformed_{0};
+  std::atomic<std::uint64_t> batches_rejected_{0};
+  alignas(64) std::atomic<std::uint64_t> bytes_tx_{0};
+  std::atomic<std::uint64_t> writes_{0};
 };
 
 }  // namespace perfiface::net

@@ -3,7 +3,7 @@
 #include <chrono>
 
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 
 #ifndef PERFIFACE_GIT_DESCRIBE
 #define PERFIFACE_GIT_DESCRIBE "unknown"

@@ -1,7 +1,8 @@
 // Build identity for the running process, surfaced two ways:
-//  - perfiface_build_info / perfiface_process_start_time_seconds in the
-//    unified Prometheus scrape (rendered by MetricsRegistry), the standard
-//    idiom for joining metrics to a binary version in dashboards;
+//  - perfiface_build_info / perfiface_process_start_time_seconds at the
+//    top of every Prometheus scrape (a service's, or a tool's --metrics),
+//    the standard idiom for joining metrics to a binary version in
+//    dashboards;
 //  - BuildInfoJson() embedded in GET /statusz.
 //
 // Values are baked in at compile/configure time (PERFIFACE_GIT_DESCRIBE and
@@ -32,8 +33,9 @@ double ProcessStartTimeSeconds();
 std::string BuildInfoJson();
 
 // Appends the build-info gauge and process start time in Prometheus
-// exposition format; called from MetricsRegistry::RenderPrometheus, so
-// every scrape starts with them.
+// exposition format. Every scrape starts with them: each owner of a scrape
+// (PredictionService::StatsPrometheus, psc_tool and pnet_tool --metrics)
+// calls this first.
 void AppendBuildInfoMetrics(std::string* out);
 
 }  // namespace perfiface::obs

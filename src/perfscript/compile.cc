@@ -9,7 +9,6 @@
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
 #include "src/perfscript/parser.h"
 
 namespace perfiface {
@@ -862,18 +861,6 @@ void FunctionCompiler::LowerStmt(const Stmt& s, std::uint32_t w) {
   }
 }
 
-// One counter covers both lowering pipelines: program functions fused in
-// CompileProgram and net expressions fused in CompiledExpr::LowerToRegs.
-void NoteSuperinstructions(std::size_t n) {
-  if (n == 0) return;
-  static obs::MetricsRegistry::Counter& fused_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "perfiface_expr_superinstr_total",
-          "Superinstructions fused into register bytecode (programs and net "
-          "expressions)");
-  fused_total.Add(n);
-}
-
 bool IsJumpOp(Op op) {
   return op == Op::kJmp || op == Op::kJmpIfZero || op == Op::kJmpIfNotZero ||
          op == Op::kJmpGe || op == Op::kCmpBranch;
@@ -967,12 +954,10 @@ bool InstrReadsReg(const Instr& ins, std::uint32_t r) {
 
 }  // namespace
 
-std::size_t FuseSuperinstructions(std::vector<Instr>* code_ptr,
-                                  const std::vector<double>& consts,
-                                  std::uint32_t first_temp_reg) {
+void FuseSuperinstructions(std::vector<Instr>* code_ptr, const std::vector<double>& consts,
+                           std::uint32_t first_temp_reg) {
   (void)consts;
   std::vector<Instr>& code = *code_ptr;
-  std::size_t fused_total = 0;
 
   bool straight_line = true;
   for (const Instr& ins : code) {
@@ -1092,7 +1077,6 @@ std::size_t FuseSuperinstructions(std::vector<Instr>* code_ptr,
           out.push_back(f);
           remap[i + 1] = remap[i];
           ++i;
-          ++fused_total;
           changed = true;
         }
       }
@@ -1106,7 +1090,6 @@ std::size_t FuseSuperinstructions(std::vector<Instr>* code_ptr,
     }
     code.swap(out);
   }
-  return fused_total;
 }
 
 const CompiledFunction* CompiledProgram::Find(const std::string& name) const {
@@ -1152,12 +1135,9 @@ CompileProgramResult CompileProgram(
   }
   // The shared peephole runs after every function lowers: the superinstruction
   // set is part of the one IR both pipelines execute.
-  std::size_t fused = 0;
   for (CompiledFunction& fn : out->functions) {
-    fused += FuseSuperinstructions(&fn.code, out->consts,
-                                   static_cast<std::uint32_t>(fn.num_locals));
+    FuseSuperinstructions(&fn.code, out->consts, static_cast<std::uint32_t>(fn.num_locals));
   }
-  NoteSuperinstructions(fused);
   result.program = std::move(out);
   return result;
 }
@@ -1826,7 +1806,7 @@ bool CompiledExpr::LowerToRegs(std::string* error) {
     return false;
   }
   num_regs_ = max_reg;
-  NoteSuperinstructions(FuseSuperinstructions(&rcode_, rconsts_, slot_limit));
+  FuseSuperinstructions(&rcode_, rconsts_, slot_limit);
   return true;
 }
 

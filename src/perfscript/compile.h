@@ -188,11 +188,9 @@ CompileProgramResult CompileProgram(
 // when the intermediate is a dead temp (register >= first_temp_reg, read
 // nowhere else), no jump lands between the two, and both carry the same
 // source line, so values, error messages, and error lines stay bit-identical
-// to the unfused code. Jump targets are remapped. Returns the number of
-// fusions performed (feeds perfiface_expr_superinstr_total).
-std::size_t FuseSuperinstructions(std::vector<Instr>* code,
-                                  const std::vector<double>& consts,
-                                  std::uint32_t first_temp_reg);
+// to the unfused code. Jump targets are remapped.
+void FuseSuperinstructions(std::vector<Instr>* code, const std::vector<double>& consts,
+                           std::uint32_t first_temp_reg);
 
 // ---------------------------------------------------------------------------
 // Standalone expressions (CompiledExpr)

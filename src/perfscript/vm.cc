@@ -6,7 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 #include "src/obs/trace.h"
 
 namespace perfiface {

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/compile.h"
 #include "src/petri/sim.h"

@@ -5,7 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/compile.h"
 
@@ -287,10 +287,6 @@ PetriSim::Firing& PetriSim::ScheduleFiring(Cycles complete_at) {
 }
 
 bool PetriSim::Run(Cycles max_time) {
-  static obs::MetricsRegistry::Counter& runs_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_pnet_runs_total", "Petri-net simulation runs");
-  static obs::MetricsRegistry::Counter& firings_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_pnet_firings_total", "Petri-net transition firings");
   // Tracing cost is decided once per run: the per-firing instants below are
   // subject to the tracer's sampling knob, the loop itself only pays a
   // relaxed load when tracing is off.
@@ -343,8 +339,6 @@ bool PetriSim::Run(Cycles max_time) {
     }
   }();
 
-  runs_total.Increment();
-  firings_total.Add(total_firings_ - firings_before);
   if (span.active()) {
     span.SetArg("firings", static_cast<double>(total_firings_ - firings_before));
   }
@@ -426,6 +420,12 @@ void FiringLog::Complete(const CompiledNet& net, std::uint32_t firing) {
       deposits_[out.place].push_back(firing);
     }
   }
+}
+
+void AppendPnetPrometheus(std::string* out, const PnetCounts& counts) {
+  obs::AppendCounter(out, "perfiface_pnet_runs_total", "Petri-net simulation runs", counts.runs);
+  obs::AppendCounter(out, "perfiface_pnet_firings_total", "Petri-net transition firings",
+                     counts.firings);
 }
 
 }  // namespace perfiface

@@ -218,6 +218,17 @@ class PetriSim {
   std::vector<bool> pending_;
 };
 
+// The simulations one owner ran: a service's pnet requests, a tool's run.
+// PetriSim counts nothing shared; its owner adds one run and the sim's
+// total_firings() per Run.
+struct PnetCounts {
+  std::uint64_t runs = 0;
+  std::uint64_t firings = 0;
+};
+
+// The perfiface_pnet_{runs,firings}_total families.
+void AppendPnetPrometheus(std::string* out, const PnetCounts& counts);
+
 }  // namespace perfiface
 
 #endif  // SRC_PETRI_SIM_H_

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 
 namespace perfiface::serve {
 
@@ -58,6 +58,11 @@ void MetricShard::RecordVmCall(std::uint64_t steps, std::uint64_t memo_hits, boo
   }
 }
 
+void MetricShard::RecordPnetRun(std::uint64_t firings) {
+  Add(pnet_runs_, 1);
+  Add(pnet_firings_, firings);
+}
+
 void MetricShard::RecordServiceTime(std::uint64_t ns) {
   const std::uint64_t prev = Read(ema_service_ns_);
   ema_service_ns_.store(
@@ -89,6 +94,10 @@ std::uint64_t ServiceMetrics::Sum(std::atomic<std::uint64_t> MetricShard::*count
 VmCounts ServiceMetrics::vm_counts() const {
   return VmCounts{Sum(&MetricShard::vm_calls_), Sum(&MetricShard::vm_steps_),
                   Sum(&MetricShard::vm_errors_), Sum(&MetricShard::vm_memo_hits_)};
+}
+
+PnetCounts ServiceMetrics::pnet_counts() const {
+  return PnetCounts{Sum(&MetricShard::pnet_runs_), Sum(&MetricShard::pnet_firings_)};
 }
 
 std::uint64_t ServiceMetrics::mean_service_ema_ns() const {
@@ -244,6 +253,7 @@ std::string ServiceMetrics::DumpJson(std::size_t queue_depth) const {
 std::string ServiceMetrics::DumpPrometheus(std::size_t queue_depth) const {
   std::string out;
   AppendVmPrometheus(&out, vm_counts());
+  AppendPnetPrometheus(&out, pnet_counts());
   obs::AppendCounter(&out, "perfiface_serve_requests_total",
                      "Requests answered by the prediction service", total_requests());
   obs::AppendCounter(&out, "perfiface_serve_errors_total", "Requests that did not return OK",

@@ -1,7 +1,8 @@
-// Service observability: per-interface latency histograms, cache, status
-// and VM counters, queue-depth gauge, text/JSON/Prometheus dumps. Every
-// distribution is an obs::Histogram (src/obs/histogram.h) of nanoseconds.
-// Per-request metrics are kept per worker and summed when read.
+// Service observability: per-interface latency histograms, cache, status,
+// VM and Petri-sim counters, queue-depth gauge, text/JSON/Prometheus
+// dumps. Every distribution is an obs::Histogram (src/obs/histogram.h) of
+// nanoseconds. Per-request metrics are kept per worker and summed when
+// read.
 #ifndef SRC_SERVE_METRICS_H_
 #define SRC_SERVE_METRICS_H_
 
@@ -14,6 +15,7 @@
 
 #include "src/obs/histogram.h"
 #include "src/perfscript/vm.h"
+#include "src/petri/sim.h"
 #include "src/serve/admission.h"
 #include "src/serve/deadline_queue.h"
 
@@ -35,11 +37,12 @@ struct TenantAdmissionSnapshot {
 
 // One thread's share of the service's per-request metrics: per-interface
 // request, error and derived-hit counts and latency histograms, the
-// queue-wait histograms, the cache and status counts, the VM counts and a
-// service-time EMA. Each worker owns one shard and is its only writer, so
-// a count is a relaxed load and store on lines no other thread writes;
-// submitting threads (admission, inline rejections) share one shard,
-// written with fetch_add. Readers sum the shards (ServiceMetrics).
+// queue-wait histograms, the cache and status counts, the VM and Petri-sim
+// counts and a service-time EMA. Each worker owns one shard and is its
+// only writer, so a count is a relaxed load and store on lines no other
+// thread writes; submitting threads (admission, inline rejections) share
+// one shard, written with fetch_add. Readers sum the shards
+// (ServiceMetrics).
 class alignas(64) MetricShard {
  public:
   // `shared`: more than one thread records into this shard.
@@ -57,6 +60,9 @@ class alignas(64) MetricShard {
   // One top-level Vm::Call of a defined function: its steps_used(),
   // memo_hits() and whether it failed.
   void RecordVmCall(std::uint64_t steps, std::uint64_t memo_hits, bool failed);
+  // One PetriSim::Run of a pnet request (a component or the whole net) and
+  // the firings it took.
+  void RecordPnetRun(std::uint64_t firings);
   // Folds one request's service time into the shard's EMA (alpha 1/8),
   // which feeds the admission feasibility estimate. Workers only: the
   // shared shard keeps no EMA.
@@ -106,6 +112,8 @@ class alignas(64) MetricShard {
   std::atomic<std::uint64_t> vm_steps_{0};
   std::atomic<std::uint64_t> vm_errors_{0};
   std::atomic<std::uint64_t> vm_memo_hits_{0};
+  std::atomic<std::uint64_t> pnet_runs_{0};
+  std::atomic<std::uint64_t> pnet_firings_{0};
   std::atomic<std::uint64_t> ema_service_ns_{0};
 };
 
@@ -167,6 +175,7 @@ class ServiceMetrics {
   std::uint64_t deadline_exceeded() const { return Sum(&MetricShard::deadline_exceeded_); }
   std::uint64_t rejected() const { return Sum(&MetricShard::rejected_); }
   VmCounts vm_counts() const;
+  PnetCounts pnet_counts() const;
   // Mean of the workers' service-time EMAs, over the workers that have
   // served a request; 0 before any has.
   std::uint64_t mean_service_ema_ns() const;
@@ -180,9 +189,9 @@ class ServiceMetrics {
   // the caller (the service owns the queue).
   std::string DumpText(std::size_t queue_depth) const;
   std::string DumpJson(std::size_t queue_depth) const;
-  // Prometheus text exposition (docs/observability.md): the VM counts,
-  // totals, queue-depth gauge, per-interface counters, and the latency and
-  // queue-wait histograms in seconds.
+  // Prometheus text exposition (docs/observability.md): the VM and
+  // Petri-sim counts, totals, queue-depth gauge, per-interface counters,
+  // and the latency and queue-wait histograms in seconds.
   std::string DumpPrometheus(std::size_t queue_depth) const;
 
  private:

@@ -7,7 +7,6 @@
 #include "src/common/check.h"
 #include "src/common/strings.h"
 #include "src/obs/build_info.h"
-#include "src/obs/metrics_registry.h"
 #include "src/obs/span_ring.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/kv_object.h"
@@ -151,7 +150,8 @@ std::vector<const obs::SpanRing*> PredictionService::span_rings() const {
 }
 
 std::string PredictionService::StatsPrometheus() const {
-  std::string out = obs::MetricsRegistry::Global().RenderPrometheus();
+  std::string out;
+  obs::AppendBuildInfoMetrics(&out);
   out += metrics_->DumpPrometheus(queue_depth());
   shadow_->DumpPrometheus(&out);
   if (derived_ != nullptr) {
@@ -852,6 +852,7 @@ void PredictionService::EvaluatePnet(const PredictRequest& request, const Entry&
         sim.set_max_firings(remaining);
         sim.InjectPlan(injections, token);
         const bool q = sim.Run(kComponentRunHorizon);
+        state->metrics->RecordPnetRun(sim.total_firings());
         result.quiesce_time = sim.now();
         result.firings = sim.total_firings();
         if (!q) {
@@ -875,6 +876,7 @@ void PredictionService::EvaluatePnet(const PredictRequest& request, const Entry&
     sim.set_max_firings(budget);
     sim.InjectPlan(injections, token);
     quiesced = sim.Run(kComponentRunHorizon);
+    state->metrics->RecordPnetRun(sim.total_firings());
     firing_budget_hit = sim.firing_budget_exhausted();
     sim_error = sim.error();
     value = sim.now();

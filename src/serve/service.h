@@ -195,9 +195,10 @@ class PredictionService {
   // Observability dumps (histograms, counters, queue depth).
   std::string StatsText() const { return metrics_->DumpText(queue_depth()); }
   std::string StatsJson() const { return metrics_->DumpJson(queue_depth()); }
-  // Prometheus scrape: the process-wide library-layer counters
-  // (obs::MetricsRegistry), then this service's own families — request
-  // metrics, shadow validation and the tiers it runs (docs/observability.md).
+  // Prometheus scrape: the build-info gauges, then this service's own
+  // families — request metrics, the VM calls and Petri-net simulations it
+  // ran, shadow validation and the tiers it runs (docs/observability.md).
+  // Only what this service did is counted.
   std::string StatsPrometheus() const;
 
   // Interfaces the service can answer for (registry order).

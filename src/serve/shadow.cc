@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 #include "src/obs/trace.h"
 
 namespace perfiface::serve {

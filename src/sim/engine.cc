@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 
 namespace perfiface {
@@ -45,12 +44,6 @@ bool Engine::AllIdle() const {
 
 template <typename StopFn>
 bool Engine::RunLoop(Cycles deadline, StopFn&& stop) {
-  static obs::MetricsRegistry::Counter& runs_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_sim_runs_total", "Cycle-level engine runs");
-  static obs::MetricsRegistry::Counter& cycles_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_sim_cycles_total", "Cycles simulated by the cycle-level engine");
-  static obs::MetricsRegistry::Counter& ticks_total = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_sim_module_ticks_total", "Module ticks executed by the cycle-level engine");
   obs::Tracer& tracer = obs::Tracer::Global();
   const bool traced = tracer.enabled();
   obs::SpanGuard span("sim", "run");
@@ -76,12 +69,8 @@ bool Engine::RunLoop(Cycles deadline, StopFn&& stop) {
     TickOnce();
   }
 
-  const Cycles simulated = now_ - start;
-  runs_total.Increment();
-  cycles_total.Add(simulated);
-  ticks_total.Add(simulated * modules_.size());
   if (span.active()) {
-    span.SetArg("cycles", static_cast<double>(simulated));
+    span.SetArg("cycles", static_cast<double>(now_ - start));
   }
   if (traced) {
     // One counter track per module: busy cycles attributed to this run.

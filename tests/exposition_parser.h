@@ -1,8 +1,8 @@
 // A deliberately strict parser for the Prometheus text exposition format
-// (v0.0.4), shared by obs_test and net_test. Real scrapers are lenient in
-// places; this one is not — it exists to prove that hostile interface
-// names and help strings cannot corrupt a scrape, so any unescaped quote,
-// backslash, or newline must fail the parse.
+// (v0.0.4), shared by the tests that read a scrape. Real scrapers are
+// lenient in places; this one is not — it exists to prove that hostile
+// interface names and help strings cannot corrupt a scrape, so any
+// unescaped quote, backslash, or newline must fail the parse.
 #ifndef TESTS_EXPOSITION_PARSER_H_
 #define TESTS_EXPOSITION_PARSER_H_
 
@@ -11,6 +11,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 namespace perfiface::testing {
 
@@ -224,6 +226,21 @@ inline bool ParseExposition(const std::string& text, std::vector<ExpositionSampl
     }
   }
   return true;
+}
+
+// The value of the sample `name{labels}` in `scrape`; -1 when absent. A
+// scrape that does not parse fails the calling test.
+inline double ScrapeValue(const std::string& scrape, const std::string& name,
+                          const std::map<std::string, std::string>& labels = {}) {
+  std::vector<ExpositionSample> samples;
+  std::string error;
+  EXPECT_TRUE(ParseExposition(scrape, &samples, &error)) << error;
+  for (const ExpositionSample& sample : samples) {
+    if (sample.name == name && sample.labels == labels) {
+      return sample.value;
+    }
+  }
+  return -1;
 }
 
 }  // namespace perfiface::testing

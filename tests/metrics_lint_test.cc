@@ -1,12 +1,12 @@
 // Metrics lint: every perfiface_* family the process emits must be named
 // in docs/observability.md. A metric nobody documented is a dashboard
 // nobody can read — this test makes the doc a checked artifact instead of
-// a hopeful one. It exercises the serving, network, pnet tier, VM,
-// simulator, and shadow-validation paths so lazily-created families are
-// present in the scrape, fetches it from GET /metrics (so the front end's
-// own gauge is linted too), then diffs the scrape's names (histogram
-// _bucket/_sum/_count suffixes stripped to the base family) against the
-// doc's text.
+// a hopeful one. It exercises the serving, network, pnet tier, VM and
+// shadow-validation paths so lazily-created series (histograms, labelled
+// rows) are present in the scrape, fetches it from GET /metrics (so the
+// front end's own families are linted too), then diffs the scrape's names
+// (histogram _bucket/_sum/_count suffixes stripped to the base family)
+// against the doc's text.
 #include <cstdint>
 #include <set>
 #include <string>
@@ -20,8 +20,6 @@
 #include "src/core/registry.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
-#include "src/obs/metrics_registry.h"
-#include "src/perfscript/compile.h"
 #include "src/serve/request.h"
 #include "src/serve/service.h"
 #include "tests/exposition_parser.h"
@@ -52,24 +50,11 @@ std::string BaseFamily(const std::string& name) {
 }
 
 TEST(MetricsLint, EveryEmittedFamilyIsDocumented) {
-  // Drive every layer that contributes families: program queries (VM
-  // counters), pnet queries (derived store), conv queries
-  // with shadow validation on (conv sim + shadow families), and the TCP
-  // front end (net counters).
+  // Drive every path that contributes series: program queries (VM
+  // counters), pnet queries (derived store), conv queries with shadow
+  // validation on (shadow families), and the TCP front end (net counters).
   conv::RegisterConvShadowBackend();
   jpeg::RegisterJpegShadowBackend();
-  // None of the shipped registry expressions happens to trigger a peephole
-  // fusion, so compile one fusable shape (min-against-constant feeding a
-  // live consumer) directly to register the family.
-  {
-    std::string error;
-    const auto fused = CompiledExpr::CompileSource(
-        "min(x, 9) + y",
-        [](std::string_view name) { return ExprBinding::Slot(name == "x" ? 0 : 1); },
-        &error);
-    ASSERT_NE(fused, nullptr) << error;
-    ASSERT_NE(fused->DisassembleRegs().find("minc"), std::string::npos);
-  }
   serve::ServiceOptions options;
   options.num_workers = 2;
   options.cache_capacity = 64;

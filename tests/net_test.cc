@@ -34,7 +34,7 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 #include "src/obs/span_ring.h"
 #include "src/obs/trace.h"
 #include "src/serve/metrics.h"
@@ -1752,17 +1752,14 @@ TEST(NetServer, StopWithAFullPipeliningWindow) {
 }
 
 // Socket writes (perfiface_net_writes_total) one frame of `requests` costs
-// on a 1-worker service with 32-request chunks, counted across sending the
-// frame, reading every line back and stopping the server (Stop drains, so
-// every flush has been counted by then).
+// on a 1-worker service with 32-request chunks, counted by the server across
+// sending the frame, reading every line back and stopping it (Stop drains,
+// so every flush has been counted by then).
 std::uint64_t WritesToAnswer(std::size_t requests, NetServerOptions nopts = {}) {
   serve::ServiceOptions sopts;
   sopts.num_workers = 1;
   sopts.batch_chunk = 32;
   TestServer ts(sopts, nopts);
-  const obs::MetricsRegistry::Counter& writes =
-      obs::MetricsRegistry::Global().GetCounter("perfiface_net_writes_total", "");
-  const std::uint64_t before = writes.value();
   NetClient client;
   std::string error;
   EXPECT_TRUE(client.Connect("127.0.0.1", ts.server.port(), &error)) << error;
@@ -1779,7 +1776,7 @@ std::uint64_t WritesToAnswer(std::size_t requests, NetServerOptions nopts = {}) 
     }
   }
   ts.server.Stop();
-  return writes.value() - before;
+  return ts.server.counts().writes;
 }
 
 TEST(NetServer, ResponsesGoOutOneWritePerWorkerChunk) {
@@ -1814,13 +1811,6 @@ TEST(NetServer, SlowReaderTimesOutMidBatchAndBufferedLinesAreDropped) {
   TestServer ts(TwoWorkers(), nopts);
   ASSERT_TRUE(ts.ok);
 
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  const obs::MetricsRegistry::Counter& accepted =
-      registry.GetCounter("perfiface_net_connections_total", "");
-  const obs::MetricsRegistry::Counter& bytes_tx =
-      registry.GetCounter("perfiface_net_bytes_tx_total", "");
-  const std::uint64_t accepted_before = accepted.value();
-
   // A small receive window, so the output outgrows the kernel's buffers
   // (the sender's send buffer tops out at a few MiB) long before the
   // batches are answered.
@@ -1833,7 +1823,7 @@ TEST(NetServer, SlowReaderTimesOutMidBatchAndBufferedLinesAreDropped) {
   addr.sin_port = htons(ts.server.port());
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_TRUE(WaitUntil([&] { return accepted.value() > accepted_before; }));
+  ASSERT_TRUE(WaitUntil([&] { return ts.server.counts().connections > 0; }));
 
   // 16 frames x 1024 explain lines echoing a long tenant: ~7 MiB of
   // responses to ~2 MiB of requests.
@@ -1842,7 +1832,6 @@ TEST(NetServer, SlowReaderTimesOutMidBatchAndBufferedLinesAreDropped) {
   req.explain = true;
   std::string frame;
   EncodeRequestFrame(1, std::vector<PredictRequest>(1024, req), &frame);
-  const std::uint64_t tx_before = bytes_tx.value();
   std::uint64_t frames_sent = 0;
   for (; frames_sent < 16; ++frames_sent) {
     // A slow (sanitized) server may time the write out and kill the
@@ -1884,7 +1873,7 @@ TEST(NetServer, SlowReaderTimesOutMidBatchAndBufferedLinesAreDropped) {
   std::string line;
   EncodeResponseLine(1, 0, shortest, &line);
   const std::uint64_t answered = ts.service.metrics().total_requests();
-  const std::uint64_t tx = bytes_tx.value() - tx_before;
+  const std::uint64_t tx = ts.server.counts().bytes_tx;
   EXPECT_GT(answered, 0u);
   EXPECT_LT(tx, answered * line.size()) << "buffered lines were not dropped";
 
@@ -2023,13 +2012,59 @@ TEST(NetServerHttp, MetricsScrapePassesStrictParser) {
     }
     return false;
   };
-  EXPECT_TRUE(has("perfiface_net_connections_total"));
-  EXPECT_TRUE(has("perfiface_net_bytes_rx_total"));
-  EXPECT_TRUE(has("perfiface_net_bytes_tx_total"));
-  EXPECT_TRUE(has("perfiface_net_writes_total"));
-  EXPECT_TRUE(has("perfiface_net_frames_malformed_total"));
-  EXPECT_TRUE(has("perfiface_net_open_connections"));
-  EXPECT_TRUE(has("perfiface_serve_requests_total"));
+  for (const char* family :
+       {"perfiface_net_connections_total", "perfiface_net_connections_rejected_total",
+        "perfiface_net_bytes_rx_total", "perfiface_net_bytes_tx_total",
+        "perfiface_net_writes_total", "perfiface_net_frames_malformed_total",
+        "perfiface_net_batches_rejected_total", "perfiface_net_open_connections",
+        "perfiface_serve_requests_total", "perfiface_pnet_runs_total"}) {
+    EXPECT_TRUE(has(family)) << family;
+  }
+}
+
+// Two servers in one process count only their own traffic: frames and a
+// scrape on one leave the other's connection, byte and write counts at 0,
+// and each server's GET /metrics renders its own counts.
+TEST(NetServer, TwoServersReportDisjointNetCounts) {
+  using testing::ScrapeValue;
+  TestServer busy(TwoWorkers());
+  TestServer idle(TwoWorkers());
+  ASSERT_TRUE(busy.ok && idle.ok);
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", busy.server.port(), &error)) << error;
+  std::vector<PredictResponse> responses;
+  ASSERT_TRUE(client.Call({JpegRequest(65536, 0.2), JpegRequest(4096, 0.3)}, &responses, &error))
+      << error;
+  int status = 0;
+  std::string busy_scrape;
+  ASSERT_TRUE(HttpGet("127.0.0.1", busy.server.port(), "/metrics", &status, &busy_scrape, &error))
+      << error;
+  // The frame's connection and this scrape's, each counted at accept.
+  EXPECT_EQ(ScrapeValue(busy_scrape, "perfiface_net_connections_total"), 2.0);
+  EXPECT_GT(ScrapeValue(busy_scrape, "perfiface_net_bytes_rx_total"), 0.0);
+
+  const NetCounts untouched = idle.server.counts();
+  EXPECT_EQ(untouched.connections, 0u);
+  EXPECT_EQ(untouched.bytes_rx, 0u);
+  EXPECT_EQ(untouched.bytes_tx, 0u);
+  EXPECT_EQ(untouched.writes, 0u);
+  // The idle server's scrape is rendered before its own response is
+  // written: one connection (the scrape's), nothing sent yet.
+  std::string idle_scrape;
+  ASSERT_TRUE(HttpGet("127.0.0.1", idle.server.port(), "/metrics", &status, &idle_scrape, &error))
+      << error;
+  EXPECT_EQ(ScrapeValue(idle_scrape, "perfiface_net_connections_total"), 1.0);
+  EXPECT_EQ(ScrapeValue(idle_scrape, "perfiface_net_bytes_tx_total"), 0.0);
+  EXPECT_EQ(ScrapeValue(idle_scrape, "perfiface_net_writes_total"), 0.0);
+
+  // Stop drains, so every write of the busy server is counted by then.
+  busy.server.Stop();
+  const NetCounts counted = busy.server.counts();
+  EXPECT_EQ(counted.connections, 2u);
+  EXPECT_GT(counted.bytes_tx, 0u);
+  EXPECT_GT(counted.writes, 0u);
+  EXPECT_EQ(counted.frames_malformed, 0u);
 }
 
 TEST(NetServerHttp, PostPredictRoundTrips) {

@@ -28,7 +28,7 @@
 #include "src/common/strings.h"
 #include "src/core/registry.h"
 #include "src/obs/histogram.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/exposition.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/interp.h"
 #include "src/perfscript/kv_object.h"
@@ -858,48 +858,27 @@ TEST(HistogramExposition, SamplesOnAnEdgeCountAtThatEdge) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics registry + Prometheus exposition.
+// Prometheus exposition: every scrape belongs to the object that did the work.
 
-TEST(MetricsRegistry, CounterIdentityAndRendering) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::MetricsRegistry::Counter& a =
-      registry.GetCounter("obs_test_counter_total", "test counter");
-  obs::MetricsRegistry::Counter& b =
-      registry.GetCounter("obs_test_counter_total", "ignored on reuse");
-  EXPECT_EQ(&a, &b) << "same name must yield the same counter";
-  const std::uint64_t base = a.value();
-  a.Increment();
-  a.Add(4);
-  EXPECT_EQ(a.value(), base + 5);
-
-  const std::string text = registry.RenderPrometheus();
-  EXPECT_NE(text.find("# HELP obs_test_counter_total test counter"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE obs_test_counter_total counter"), std::string::npos);
-  EXPECT_NE(text.find(StrFormat("obs_test_counter_total %llu",
-                                static_cast<unsigned long long>(base + 5))),
-            std::string::npos);
-}
-
-TEST(MetricsRegistry, InstrumentedLayersExposeCounters) {
-  // The interp/pnet instrumentation bumps process-wide counters even with
-  // tracing off; earlier tests in this binary (and this one's service run)
-  // have exercised both layers, so the families must exist by now.
-  // Force at least one evaluation through each layer first.
+TEST(Exposition, ServiceScrapeCarriesOnlyTheServicesOwnFamilies) {
+  // The service counts the VM calls and Petri-net simulations of its own
+  // requests (the derived tier is off, so the pnet request is simulated)
+  // and its request totals. The layers below it count nothing shared: the
+  // interpreter and the cycle-level engine run here too, outside any
+  // service, and no family of theirs reaches the scrape.
   serve::PredictRequest req;
   req.interface = "jpeg_decoder";
   req.function = "latency_jpeg_decode";
   req.attrs = {{"orig_size", 4096.0}, {"compress_rate", 0.5}};
-  // Program queries run on the bytecode VM; the service's scrape below
-  // carries the registry counters and its own families.
-  serve::PredictionService service(InterfaceRegistry::Default(), {});
+  serve::ServiceOptions options;
+  options.enable_pnet_memo = false;
+  serve::PredictionService service(InterfaceRegistry::Default(), options);
   EXPECT_TRUE(service.Predict(req).ok());
   serve::PredictRequest pnet;
   pnet.interface = "jpeg_decoder";
   pnet.representation = serve::Representation::kPnet;
   pnet.entry_place = "hdr_in:1";
   EXPECT_TRUE(service.Predict(pnet).ok());
-  // No serving path runs the tree-walking interpreter; it keeps its
-  // families as the VM's reference evaluator, driven here directly.
   {
     const ProgramInterface iface = InterfaceRegistry::Default().LoadProgram("jpeg_decoder");
     Interpreter interp(iface.program().get());
@@ -912,17 +891,33 @@ TEST(MetricsRegistry, InstrumentedLayersExposeCounters) {
     }
     EXPECT_TRUE(interp.Call(req.function, {Value::Object(&image)}).ok);
   }
+  {
+    Fifo<int> fifo("f", 4);
+    Producer producer(&fifo, 8);
+    Consumer consumer(&fifo);
+    Engine engine;
+    engine.AddFifo(&fifo);
+    engine.AddModule(&producer);
+    engine.AddModule(&consumer);
+    EXPECT_TRUE(engine.RunUntilIdle(1000));
+  }
 
   const std::string text = service.StatsPrometheus();
-  EXPECT_NE(text.find("perfiface_psc_vm_calls_total"), std::string::npos);
+  std::string error;
+  ASSERT_TRUE(testing::ParseExposition(text, nullptr, &error)) << error;
+  EXPECT_EQ(text.rfind("# HELP perfiface_build_info ", 0), 0u) << "build info comes first";
+  EXPECT_NE(text.find("\nperfiface_psc_vm_calls_total 1\n"), std::string::npos);
   EXPECT_NE(text.find("perfiface_psc_vm_steps_total"), std::string::npos);
-  EXPECT_NE(text.find("perfiface_interp_calls_total"), std::string::npos);
-  EXPECT_NE(text.find("perfiface_interp_steps_total"), std::string::npos);
-  EXPECT_NE(text.find("perfiface_pnet_runs_total"), std::string::npos);
+  EXPECT_NE(text.find("\nperfiface_pnet_runs_total 1\n"), std::string::npos);
   EXPECT_NE(text.find("perfiface_pnet_firings_total"), std::string::npos);
-  // The service appends its own families to the same scrape.
-  EXPECT_NE(text.find("perfiface_serve_requests_total"), std::string::npos);
+  EXPECT_NE(text.find("\nperfiface_serve_requests_total 2\n"), std::string::npos);
   EXPECT_NE(text.find("perfiface_serve_queue_depth"), std::string::npos);
+  // Retired families, and the interpreter's, which only psc_tool prints.
+  for (const char* absent :
+       {"perfiface_interp_", "perfiface_sim_", "perfiface_conv_sim_",
+        "perfiface_expr_superinstr_total", "perfiface_psc_expr_parses_total"}) {
+    EXPECT_EQ(text.find(absent), std::string::npos) << absent;
+  }
 }
 
 TEST(ServiceMetricsPrometheus, HistogramIsCumulativeAndLabeled) {
@@ -952,17 +947,16 @@ TEST(ServiceMetricsPrometheus, HistogramIsCumulativeAndLabeled) {
 // Regression: HELP text and label values used to be emitted verbatim, so a
 // backslash or newline in either corrupted the scrape — everything after it
 // parsed as garbage lines. Both must round-trip through the v0.0.4 escaping.
-TEST(MetricsRegistry, HostileHelpTextAndLabelValuesAreEscaped) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("obs_test_hostile_help_total",
-                      "line one\nline two with back\\slash");
-
-  const std::string text = registry.RenderPrometheus();
+TEST(Exposition, HostileHelpTextAndLabelValuesAreEscaped) {
+  std::string text;
+  obs::AppendCounter(&text, "obs_test_hostile_help_total",
+                     "line one\nline two with back\\slash", 3);
   std::string error;
   ASSERT_TRUE(testing::ParseExposition(text, nullptr, &error)) << error;
   EXPECT_NE(text.find("# HELP obs_test_hostile_help_total "
                       "line one\\nline two with back\\\\slash"),
             std::string::npos);
+  EXPECT_NE(text.find("\nobs_test_hostile_help_total 3\n"), std::string::npos);
 
   // The escaping helpers round-trip through the strict parser's decoder.
   EXPECT_EQ(obs::EscapeHelpText("a\\b\nc"), "a\\\\b\\nc");

@@ -6,7 +6,6 @@
 #include "src/common/strings.h"
 #include "src/core/pnet.h"
 #include "src/core/registry.h"
-#include "src/obs/metrics_registry.h"
 #include "src/petri/analysis.h"
 #include "src/petri/compiled_net.h"
 #include "src/petri/sim.h"
@@ -368,21 +367,26 @@ TEST(Pnet, ShippedNetsAreHashable) {
 }
 
 TEST(Pnet, DelayAndGuardExpressionsParseOncePerLoad) {
-  // Delay/guard expressions are bound to slots at net-load time and the
-  // bound form is reused on every firing — re-parsing (or re-walking the
-  // AST) per firing was the regression this counter guards against.
+  // Delay/guard expressions are compiled at net-load time, and a transition
+  // holds only the compiled forms (src/petri/net.h): no firing has text it
+  // could re-parse, so every firing reuses what the load compiled.
   const char* src =
       "net demo\n"
       "attr work\n"
       "place in\n"
       "place out\n"
-      "trans t in=in out=out delay=\"work * 2 + 1\" guard=\"work > 0\"\n";
+      "place idle_in\n"
+      "place idle_out\n"
+      "trans t in=in out=out delay=\"work * 2 + 1\" guard=\"work > 0\"\n"
+      "trans idle in=idle_in out=idle_out delay=\"work\"\n";
   LoadedNet loaded = LoadPnet(src);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
-
-  obs::MetricsRegistry::Counter& parses = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_psc_expr_parses_total", "Standalone PerfScript expression parses");
-  const std::uint64_t parses_after_load = parses.value();
+  ASSERT_EQ(loaded.net->transitions().size(), 2u);
+  for (const TransitionSpec& t : loaded.net->transitions()) {
+    EXPECT_NE(t.delay_compiled, nullptr) << t.name;
+    // A compiled guard exactly where the text writes one.
+    EXPECT_EQ(t.guard_compiled != nullptr, t.name == "t") << t.name;
+  }
 
   PetriSim sim(loaded.net.get());
   const PlaceId out = loaded.net->PlaceByName("out");
@@ -394,8 +398,8 @@ TEST(Pnet, DelayAndGuardExpressionsParseOncePerLoad) {
   }
   EXPECT_TRUE(sim.Run(1'000'000));
   EXPECT_EQ(sim.arrivals(out).size(), 100u);
-  EXPECT_EQ(parses.value(), parses_after_load)
-      << "delay/guard evaluation re-parsed an expression on the hot path";
+  // One server: the firings run back to back, each for work * 2 + 1.
+  EXPECT_EQ(sim.arrivals(out).back().time, 10'200u);
 }
 
 TEST(Pnet, ShippedJpegNetParses) {

@@ -24,7 +24,7 @@
 #include "src/common/strings.h"
 #include "src/core/program_interface.h"
 #include "src/core/registry.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/span_ring.h"
 #include "src/perfscript/interp.h"
 #include "src/perfscript/kv_object.h"
 #include "src/perfscript/parser.h"
@@ -618,16 +618,11 @@ TEST(PredictionService, VmAnswersMatchTheInterpreterOracle) {
   // Division by zero inside the program: an error on both sides.
   requests.push_back(JpegRequest(1024, 0.0));
 
-  obs::MetricsRegistry::Counter& interp_calls = obs::MetricsRegistry::Global().GetCounter(
-      "perfiface_interp_calls_total", "Top-level PerfScript interpreter calls");
-
   PredictionService service(InterfaceRegistry::Default(), options);
-  const std::uint64_t interp_calls_before = interp_calls.value();
   const auto responses = service.PredictBatch(requests);
-  // The service counts its own VM calls, one per program request.
+  // The service counts its own VM calls: every program request was one.
   EXPECT_EQ(service.metrics().vm_counts().calls, requests.size());
   EXPECT_EQ(service.metrics().vm_counts().errors, 1u);  // the division by zero
-  EXPECT_EQ(interp_calls.value(), interp_calls_before) << "the service must not tree-walk";
 
   ASSERT_EQ(responses.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -668,19 +663,7 @@ TEST(PredictionService, ProgramQueryCountsVmMemoHits) {
             std::string::npos);
 }
 
-// The value of the sample `name{labels}` in `scrape`; -1 when absent.
-double ScrapeValue(const std::string& scrape, const std::string& name,
-                   const std::map<std::string, std::string>& labels = {}) {
-  std::vector<testing::ExpositionSample> samples;
-  std::string error;
-  EXPECT_TRUE(testing::ParseExposition(scrape, &samples, &error)) << error;
-  for (const testing::ExpositionSample& sample : samples) {
-    if (sample.name == name && sample.labels == labels) {
-      return sample.value;
-    }
-  }
-  return -1;
-}
+using testing::ScrapeValue;
 
 // One run of the shard-merge mix: the responses and their requests'
 // interfaces, in submission order, and the scrape and derived-store hits
@@ -859,11 +842,13 @@ TEST(PredictionServiceShards, ScrapeTotalsEqualTheResponsesAndOneWorker) {
 }
 
 // Two services in one process share no counts and no /tracez ring: each
-// reports its own VM calls and its own requests' trace ids.
+// reports its own VM calls, its own Petri-net simulations and its own
+// requests' trace ids.
 TEST(PredictionServiceShards, TwoServicesReportDisjointVmCountsAndTraceEntries) {
   ServiceOptions options;
   options.num_workers = 2;
   options.cache_capacity = 0;
+  options.enable_pnet_memo = false;  // every pnet request is one whole-net simulation
   PredictionService a(InterfaceRegistry::Default(), options);
   PredictionService b(InterfaceRegistry::Default(), options);
   std::vector<PredictRequest> for_a;
@@ -872,30 +857,54 @@ TEST(PredictionServiceShards, TwoServicesReportDisjointVmCountsAndTraceEntries) 
     for_a.push_back(JpegRequest(1024.0 * (i + 1), 0.2));
     for_a.back().trace_id = "service-a-" + std::to_string(i);
   }
+  for_a.push_back(PnetRequest("jpeg_decoder", "hdr_in:1,vld_in:8"));
+  for_a.back().trace_id = "service-a-3";
   for (int i = 0; i < 5; ++i) {
     for_b.push_back(ProtoaccRequest(4.0 + i, 3, 2));
     for_b.back().trace_id = "service-b-" + std::to_string(i);
   }
-  for (const PredictResponse& r : a.PredictBatch(for_a)) {
-    ASSERT_TRUE(r.ok()) << r.error;
+  for (const char* plan : {"hdr_in:1,vld_in:4", "hdr_in:1,vld_in:16"}) {
+    for_b.push_back(PnetRequest("jpeg_decoder", plan));
+    for_b.back().trace_id = "service-b-" + std::to_string(for_b.size() - 1);
   }
-  for (const PredictResponse& r : b.PredictBatch(for_b)) {
-    ASSERT_TRUE(r.ok()) << r.error;
-  }
+  // A simulated request's explain steps are its firings.
+  const auto firings_of = [](PredictionService& service, std::vector<PredictRequest> requests) {
+    double firings = 0;
+    for (PredictRequest& request : requests) {
+      request.explain = true;
+    }
+    for (const PredictResponse& r : service.PredictBatch(requests)) {
+      EXPECT_TRUE(r.ok()) << r.error;
+      if (r.explain.representation == "pnet") {
+        firings += static_cast<double>(r.explain.steps);
+      }
+    }
+    return firings;
+  };
+  const double firings_a = firings_of(a, for_a);
+  const double firings_b = firings_of(b, for_b);
+  EXPECT_GT(firings_a, 0);
+  EXPECT_GT(firings_b, 0);
 
   EXPECT_EQ(a.metrics().vm_counts().calls, 3u);
   EXPECT_EQ(b.metrics().vm_counts().calls, 5u);
-  EXPECT_EQ(ScrapeValue(a.StatsPrometheus(), "perfiface_psc_vm_calls_total"), 3.0);
-  EXPECT_EQ(ScrapeValue(b.StatsPrometheus(), "perfiface_psc_vm_calls_total"), 5.0);
+  const std::string scrape_a = a.StatsPrometheus();
+  const std::string scrape_b = b.StatsPrometheus();
+  EXPECT_EQ(ScrapeValue(scrape_a, "perfiface_psc_vm_calls_total"), 3.0);
+  EXPECT_EQ(ScrapeValue(scrape_b, "perfiface_psc_vm_calls_total"), 5.0);
+  EXPECT_EQ(ScrapeValue(scrape_a, "perfiface_pnet_runs_total"), 1.0);
+  EXPECT_EQ(ScrapeValue(scrape_b, "perfiface_pnet_runs_total"), 2.0);
+  EXPECT_EQ(ScrapeValue(scrape_a, "perfiface_pnet_firings_total"), firings_a);
+  EXPECT_EQ(ScrapeValue(scrape_b, "perfiface_pnet_firings_total"), firings_b);
 
   const std::string tracez_a = obs::DumpSpanRingsJson(a.span_rings());
   const std::string tracez_b = obs::DumpSpanRingsJson(b.span_rings());
-  EXPECT_NE(tracez_a.find("\"recorded_total\":3,"), std::string::npos) << tracez_a;
-  EXPECT_NE(tracez_b.find("\"recorded_total\":5,"), std::string::npos) << tracez_b;
-  for (int i = 0; i < 3; ++i) {
+  EXPECT_NE(tracez_a.find("\"recorded_total\":4,"), std::string::npos) << tracez_a;
+  EXPECT_NE(tracez_b.find("\"recorded_total\":7,"), std::string::npos) << tracez_b;
+  for (int i = 0; i < 4; ++i) {
     EXPECT_NE(tracez_a.find("service-a-" + std::to_string(i)), std::string::npos) << tracez_a;
   }
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 7; ++i) {
     EXPECT_NE(tracez_b.find("service-b-" + std::to_string(i)), std::string::npos) << tracez_b;
   }
   EXPECT_EQ(tracez_a.find("service-b-"), std::string::npos) << tracez_a;

@@ -12,7 +12,7 @@
 //       [--observe place] [--until T]
 //       [--trace out.json]  Chrome trace of the run (firing events,
 //                           tokens-in-flight track; docs/observability.md)
-//       [--metrics]         Prometheus counters after the run
+//       [--metrics]         Prometheus counters of the run
 //
 // Example:
 //   pnet_tool run src/core/interfaces/jpeg.pnet
@@ -27,9 +27,9 @@
 #include "src/common/loc.h"
 #include "src/common/strings.h"
 #include "src/core/pnet.h"
-#include "src/obs/metrics_registry.h"
-#include "src/perfscript/compile.h"
+#include "src/obs/build_info.h"
 #include "src/obs/trace.h"
+#include "src/perfscript/compile.h"
 #include "src/petri/analysis.h"
 #include "src/petri/sim.h"
 
@@ -232,7 +232,10 @@ int CmdRun(const std::string& path, const std::vector<std::string>& args) {
     }
   }
   if (metrics) {
-    std::fputs(obs::MetricsRegistry::Global().RenderPrometheus().c_str(), stdout);
+    std::string scrape;
+    obs::AppendBuildInfoMetrics(&scrape);
+    AppendPnetPrometheus(&scrape, PnetCounts{1, sim.total_firings()});
+    std::fputs(scrape.c_str(), stdout);
   }
   if (!sim.error().empty()) {
     std::fprintf(stderr, "error: %s\n", sim.error().c_str());

@@ -6,7 +6,8 @@
 //       [--const name=value ...]                    define globals
 //       [--json]                                    machine-readable result
 //       [--trace out.json]                          Chrome trace of the call
-//       [--metrics]                                 Prometheus counters
+//       [--metrics]                                 Prometheus counters of
+//                                                   the call
 //       [--no-compile]                              run the reference
 //                                                   tree-walking interpreter
 //                                                   instead of the bytecode VM
@@ -30,7 +31,8 @@
 
 #include "src/common/loc.h"
 #include "src/common/strings.h"
-#include "src/obs/metrics_registry.h"
+#include "src/obs/build_info.h"
+#include "src/obs/exposition.h"
 #include "src/obs/trace.h"
 #include "src/perfscript/compile.h"
 #include "src/perfscript/interp.h"
@@ -172,21 +174,23 @@ int CmdEval(const std::string& path, const std::string& function,
     obs::Tracer::Global().Start();
   }
   EvalResult result;
-  VmCounts vm_counts;  // this one call's
+  VmCounts counts;  // this one call's; the interpreter has no call memo
   if (compile) {
     Vm vm(compiled);
     result = vm.Call(function, {Value::Object(&root)});
-    vm_counts.calls = compiled->FindIndex(function) >= 0 ? 1 : 0;
-    vm_counts.steps = vm.steps_used();
-    vm_counts.errors = result.ok ? 0 : 1;
-    vm_counts.memo_hits = vm.memo_hits();
+    counts.calls = compiled->FindIndex(function) >= 0 ? 1 : 0;
+    counts.steps = vm.steps_used();
+    counts.memo_hits = vm.memo_hits();
   } else {
     Interpreter interp(&program);
     for (const auto& c : constants) {
       interp.SetGlobal(c.first, c.second);
     }
     result = interp.Call(function, {Value::Object(&root)});
+    counts.calls = program.Find(function) != nullptr ? 1 : 0;
+    counts.steps = interp.steps_used();
   }
+  counts.errors = result.ok ? 0 : 1;
   if (!trace_path.empty()) {
     obs::Tracer::Global().Stop();
     if (!obs::Tracer::Global().WriteChromeJson(trace_path)) {
@@ -196,9 +200,17 @@ int CmdEval(const std::string& path, const std::string& function,
     }
   }
   if (metrics) {
-    std::string scrape = obs::MetricsRegistry::Global().RenderPrometheus();
+    std::string scrape;
+    obs::AppendBuildInfoMetrics(&scrape);
     if (compile) {
-      AppendVmPrometheus(&scrape, vm_counts);
+      AppendVmPrometheus(&scrape, counts);
+    } else {
+      obs::AppendCounter(&scrape, "perfiface_interp_calls_total",
+                         "Top-level PerfScript interpreter calls", counts.calls);
+      obs::AppendCounter(&scrape, "perfiface_interp_steps_total",
+                         "PerfScript interpreter steps executed", counts.steps);
+      obs::AppendCounter(&scrape, "perfiface_interp_errors_total",
+                         "PerfScript interpreter calls that failed", counts.errors);
     }
     std::fputs(scrape.c_str(), stdout);
   }

@@ -570,8 +570,14 @@ int CmdRun(const std::vector<std::string>& args) {
     i += consumed;
   }
 
+  std::string text;
+  std::string error;
+  if (!ReadFile(path, &text, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());  // "cannot read <path>: <reason>"
+    return 1;
+  }
   std::vector<PredictRequest> requests;
-  for (const std::string& raw_line : SplitString(ReadFileOrDie(path), '\n')) {
+  for (const std::string& raw_line : SplitString(text, '\n')) {
     const std::string_view line = StripWhitespace(raw_line);
     if (line.empty() || line.front() == '#') {
       continue;
