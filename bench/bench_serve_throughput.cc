@@ -28,7 +28,9 @@
 //
 //   5. psc compile sweep              -> program-interface queries only,
 //      evaluated directly on the tree-walking interpreter (the VM's
-//      reference) and on the bytecode VM; target >= 3x on mean time
+//      reference) and on the bytecode VM in interleaved trials; target
+//      >= 3x on the median trial's mean time, and each interface's VM ns
+//      per call is reported with its spread
 //
 // PR 5 adds the row the network front end is judged by:
 //
@@ -948,62 +950,101 @@ int main(int argc, char** argv) {
   // --- Sweep 5: program queries, bytecode VM vs tree-walker -------------
   // The same program requests evaluated straight through the reference
   // Interpreter and through the bytecode Vm — one reused instance of each
-  // per program, as a serve worker keeps its Vm, with the workload object
-  // built per query on both sides. No service in the loop, so the ratio is
-  // the compiler's contribution to evaluation alone.
+  // per program, as a serve worker keeps its Vm. The workload objects are
+  // built once, outside the clock, and no service is in the loop, so a row
+  // is evaluation alone. kPscTrials trials interleave the two sides,
+  // alternating which goes first, and time each interface's queries on
+  // their own: the row reports each interface's VM ns per call (median,
+  // min, max over trials), and its speedup is the median trial's ratio.
   const std::size_t kPscDistinct = smoke ? 48 : 192;
   const std::size_t kPscQueries = smoke ? 1'500 : 20'000;
+  const int kPscTrials = 5;
   const std::vector<PredictRequest> programs = BuildProgramPopulation(kPscDistinct, 0xc0de);
-  double psc_mean_compiled = 0;
-  double psc_mean_interp = 0;
-  {
-    struct Backends {
-      ProgramInterface iface;
-      Interpreter interp;
-      Vm vm;
-      explicit Backends(ProgramInterface loaded)
-          : iface(std::move(loaded)), interp(iface.program().get()), vm(iface.compiled()) {
-        for (const auto& [name, value] : iface.constants()) {
-          interp.SetGlobal(name, value);
-        }
-      }
-    };
-    std::map<std::string, std::unique_ptr<Backends>> backends;
-    for (const PredictRequest& req : programs) {
-      std::unique_ptr<Backends>& slot = backends[req.interface];
-      if (slot == nullptr) {
-        slot = std::make_unique<Backends>(InterfaceRegistry::Default().LoadProgram(req.interface));
+  struct PscInterface {
+    explicit PscInterface(ProgramInterface loaded)
+        : iface(std::move(loaded)),
+          interp(std::make_unique<Interpreter>(iface.program().get())),
+          vm(std::make_unique<Vm>(iface.compiled())) {
+      for (const auto& [name, value] : iface.constants()) {
+        interp->SetGlobal(name, value);
       }
     }
+    ProgramInterface iface;
+    std::unique_ptr<Interpreter> interp;
+    std::unique_ptr<Vm> vm;
+    std::vector<const PredictRequest*> queries;
+    std::vector<std::unique_ptr<KvObject>> workloads;  // one per query
+    std::vector<double> vm_ns;                         // per trial
+  };
+  std::vector<PscInterface> psc;  // in population order
+  for (std::size_t i = 0; i < kPscQueries; ++i) {
+    const PredictRequest& req = programs[i % programs.size()];
+    auto it = std::find_if(psc.begin(), psc.end(), [&](const PscInterface& p) {
+      return p.queries.front()->interface == req.interface;
+    });
+    if (it == psc.end()) {
+      it = psc.emplace(psc.end(), InterfaceRegistry::Default().LoadProgram(req.interface));
+    }
+    auto workload = std::make_unique<KvObject>();
+    for (const auto& [name, value] : req.attrs) {
+      workload->Set(name, value);
+    }
+    workload->AddUniformChildren(req.children);
+    it->queries.push_back(&req);
+    it->workloads.push_back(std::move(workload));
+  }
+  std::vector<double> psc_interp_us;  // per trial, mean over every query
+  std::vector<double> psc_vm_us;
+  std::vector<double> psc_ratios;
+  for (int trial = 0; trial < kPscTrials; ++trial) {
     double checksum[2] = {0, 0};
-    for (const bool compiled : {false, true}) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < kPscQueries; ++i) {
-        const PredictRequest& req = programs[i % programs.size()];
-        Backends& b = *backends[req.interface];
-        KvObject workload;
-        for (const auto& [name, value] : req.attrs) {
-          workload.Set(name, value);
+    double total_ns[2] = {0, 0};
+    // Even trials run the interpreter first, odd trials the VM.
+    std::vector<Value> args(1);
+    for (const bool compiled : {trial % 2 == 1, trial % 2 == 0}) {
+      for (PscInterface& p : psc) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t q = 0; q < p.queries.size(); ++q) {
+          args[0] = Value::Object(p.workloads[q].get());
+          const EvalResult r = compiled ? p.vm->Call(p.queries[q]->function, args)
+                                        : p.interp->Call(p.queries[q]->function, args);
+          PI_CHECK_MSG(r.ok, r.error.c_str());
+          checksum[compiled] += r.value.num;
         }
-        workload.AddUniformChildren(req.children);
-        const EvalResult r = compiled ? b.vm.Call(req.function, {Value::Object(&workload)})
-                                      : b.interp.Call(req.function, {Value::Object(&workload)});
-        PI_CHECK_MSG(r.ok, r.error.c_str());
-        checksum[compiled] += r.value.num;
+        const double ns = Seconds(t0, std::chrono::steady_clock::now()) * 1e9;
+        total_ns[compiled] += ns;
+        if (compiled) {
+          p.vm_ns.push_back(ns / static_cast<double>(p.queries.size()));
+        }
       }
-      const double mean_us =
-          Seconds(t0, std::chrono::steady_clock::now()) * 1e6 / static_cast<double>(kPscQueries);
-      (compiled ? psc_mean_compiled : psc_mean_interp) = mean_us;
     }
     PI_CHECK_MSG(checksum[0] == checksum[1], "interpreter and VM answers diverged");
+    psc_interp_us.push_back(total_ns[0] / 1e3 / static_cast<double>(kPscQueries));
+    psc_vm_us.push_back(total_ns[1] / 1e3 / static_cast<double>(kPscQueries));
+    psc_ratios.push_back(total_ns[1] > 0 ? total_ns[0] / total_ns[1] : 0);
   }
-  const double psc_speedup = psc_mean_compiled > 0 ? psc_mean_interp / psc_mean_compiled : 0;
+  const double psc_mean_interp = MedianOf(psc_interp_us);
+  const double psc_mean_compiled = MedianOf(psc_vm_us);
+  const double psc_speedup = MedianOf(psc_ratios);
   const char* psc_verdict = psc_speedup >= 3.0 ? "ok" : "below_3x_target";
   std::printf(
-      "\npsc compile sweep (%zu distinct program queries, %zu total, evaluated directly):\n"
-      "  tree-walk %.2f us/query, bytecode VM %.2f us/query -> %.2fx  %s\n",
-      kPscDistinct, kPscQueries, psc_mean_interp, psc_mean_compiled, psc_speedup,
+      "\npsc compile sweep (%zu distinct program queries, %zu per trial, %d interleaved trials,\n"
+      "evaluated directly):\n"
+      "  tree-walk %.2f us/query, bytecode VM %.2f us/query -> %.2fx  %s\n"
+      "  VM ns per call, median [min, max]:",
+      kPscDistinct, kPscQueries, kPscTrials, psc_mean_interp, psc_mean_compiled, psc_speedup,
       psc_speedup >= 3.0 ? "[ok: >= 3x]" : "[BELOW 3x TARGET]");
+  std::string psc_vm_json;
+  for (const PscInterface& p : psc) {
+    const std::string& name = p.queries.front()->interface;
+    const double median = MedianOf(p.vm_ns);
+    const double min = *std::min_element(p.vm_ns.begin(), p.vm_ns.end());
+    const double max = *std::max_element(p.vm_ns.begin(), p.vm_ns.end());
+    std::printf(" %s %.0f [%.0f, %.0f]", name.c_str(), median, min, max);
+    psc_vm_json += StrFormat("%s\"%s\": {\"median\": %.1f, \"min\": %.1f, \"max\": %.1f}",
+                             psc_vm_json.empty() ? "" : ", ", name.c_str(), median, min, max);
+  }
+  std::printf("\n");
 
   // --- Sweep 6: loopback TCP vs in-process async ------------------------
   // The same pipelined batches as sweep 4, driven through the NDJSON
@@ -1588,10 +1629,11 @@ int main(int argc, char** argv) {
       kWindow, kAsyncBatches, kAsyncBatch, qps_blocking, async_result.qps, async_ratio,
       async_result.max_inflight, async_verdict);
   json += StrFormat(
-      "  \"psc_compile_sweep\": {\"distinct\": %zu, \"queries\": %zu, "
+      "  \"psc_compile_sweep\": {\"distinct\": %zu, \"queries\": %zu, \"trials\": %d, "
       "\"mean_us_interp\": %.2f, \"mean_us_compiled\": %.2f, \"speedup\": %.3f, "
-      "\"verdict\": \"%s\"},\n",
-      kPscDistinct, kPscQueries, psc_mean_interp, psc_mean_compiled, psc_speedup, psc_verdict);
+      "\"vm_ns_per_call\": {%s}, \"verdict\": \"%s\"},\n",
+      kPscDistinct, kPscQueries, kPscTrials, psc_mean_interp, psc_mean_compiled, psc_speedup,
+      psc_vm_json.c_str(), psc_verdict);
   json += StrFormat(
       "  \"net_loopback\": {\"window\": %zu, \"batches\": %zu, \"batch\": %zu, "
       "\"pairs\": %d, \"qps_tcp\": %.1f, \"qps_inprocess_async\": %.1f, \"ratio\": %.3f, "

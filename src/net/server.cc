@@ -160,6 +160,8 @@ bool NetServer::Start(std::string* error) {
 
 void NetServer::AcceptLoop() {
   for (;;) {
+    // The timeout paces the reaping of finished connections; Stop() ends
+    // the wait by shutting the listening socket down.
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, 100);
     if (stopping_.load(std::memory_order_relaxed)) {
@@ -238,6 +240,8 @@ void NetServer::Stop() {
   }
   stopped_ = true;
   stopping_.store(true, std::memory_order_relaxed);
+  // On Linux this wakes the accept loop's poll at once (POLLHUP).
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) {
     accept_thread_.join();
   }
@@ -359,6 +363,9 @@ void NetServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
     ServeNdjson(conn);
   } else {
     ServeHttp(conn);
+    // The answer said Connection: close, so end it now: a client reading
+    // to EOF must not wait for the reaper to close the fd.
+    ::shutdown(conn->fd, SHUT_WR);
   }
 }
 

@@ -188,6 +188,7 @@ class FunctionCompiler {
       case Op::kJmpIfZero:
       case Op::kJmpIfNotZero:
       case Op::kJmpGe:
+      case Op::kForSum:
       case Op::kRet:
       case Op::kError:
         return false;
@@ -863,7 +864,7 @@ void FunctionCompiler::LowerStmt(const Stmt& s, std::uint32_t w) {
 
 bool IsJumpOp(Op op) {
   return op == Op::kJmp || op == Op::kJmpIfZero || op == Op::kJmpIfNotZero ||
-         op == Op::kJmpGe || op == Op::kCmpBranch;
+         op == Op::kJmpGe || op == Op::kCmpBranch || op == Op::kForSum;
 }
 
 bool InstrWritesA(Op op) {
@@ -874,6 +875,7 @@ bool InstrWritesA(Op op) {
     case Op::kJmpIfZero:
     case Op::kJmpIfNotZero:
     case Op::kJmpGe:
+    case Op::kForSum:
     case Op::kCmpBranch:
     case Op::kRet:
     case Op::kError:
@@ -948,6 +950,40 @@ bool InstrReadsReg(const Instr& ins, std::uint32_t r) {
       // The callee's register window starts at b: arguments and the callee
       // frame alias everything at or above it.
       return r >= ins.b;
+    case Op::kForSum:
+      // Runs its whole loop body (marked only after fusion).
+      return true;
+  }
+  return true;
+}
+
+// Whether the loop whose kJmpGe is code[head] is exactly what
+// `for x in obj: acc += f(x)` lowers to with f of one argument, the
+// registers it names all distinct (the shape kForSum documents).
+bool IsForSumLoop(const std::vector<Instr>& code, std::size_t head) {
+  if (head + 8 > code.size()) return false;
+  const Instr* p = &code[head];
+  const Instr& child = p[1];
+  const Instr& move = p[2];
+  const Instr& call = p[3];
+  const Instr& check = p[4];
+  const Instr& add = p[5];
+  const Instr& next = p[6];
+  const Instr& back = p[7];
+  const std::uint8_t i = p[0].a;
+  const std::uint8_t t = move.a;
+  if (p[0].op != Op::kJmpGe || child.op != Op::kIterChild || child.c != i ||
+      move.op != Op::kMove || move.b != child.a || call.op != Op::kCall || call.a != t ||
+      call.b != t || call.c != 1 || check.op != Op::kCheckNum || check.a != t ||
+      add.op != Op::kAdd || add.b != add.a || add.c != t || next.op != Op::kAddC ||
+      next.a != i || next.b != i || back.op != Op::kJmp || back.imm != head) {
+    return false;
+  }
+  const std::uint8_t regs[] = {i, p[0].b, child.a, child.b, t, add.a};
+  for (std::size_t j = 0; j < std::size(regs); ++j) {
+    for (std::size_t k = j + 1; k < std::size(regs); ++k) {
+      if (regs[j] == regs[k]) return false;
+    }
   }
   return true;
 }
@@ -1134,9 +1170,13 @@ CompileProgramResult CompileProgram(
     }
   }
   // The shared peephole runs after every function lowers: the superinstruction
-  // set is part of the one IR both pipelines execute.
+  // set is part of the one IR both pipelines execute. Then each child-sum
+  // loop head is marked (programs only: expressions have no loops).
   for (CompiledFunction& fn : out->functions) {
     FuseSuperinstructions(&fn.code, out->consts, static_cast<std::uint32_t>(fn.num_locals));
+    for (std::size_t head = 0; head < fn.code.size(); ++head) {
+      if (IsForSumLoop(fn.code, head)) fn.code[head].op = Op::kForSum;
+    }
   }
   result.program = std::move(out);
   return result;
@@ -1197,6 +1237,7 @@ const char* OpName(Op op) {
     case Op::kOr2: return "or2";
     case Op::kLoadOrConst: return "loadorc";
     case Op::kCheckDef: return "checkdef";
+    case Op::kForSum: return "forsum";
   }
   return "?";
 }
@@ -1278,6 +1319,7 @@ std::string DisassembleInstr(std::size_t index, const Instr& ins,
       out += StrFormat("r%u -> %u", ins.a, ins.imm);
       break;
     case Op::kJmpGe:
+    case Op::kForSum:
       out += StrFormat("r%u, r%u -> %u", ins.a, ins.b, ins.imm);
       break;
     case Op::kCall:

@@ -92,6 +92,15 @@ enum class Op : std::uint8_t {
   // global constant, else an error.
   kLoadOrConst,  // r[a] = r[b] if assigned, else consts[imm]
   kCheckDef,     // raise errors[imm] unless r[a] is assigned
+  // Head of the loop `for x in obj: acc += f(x)` with f of one argument,
+  // put in place of its kJmpGe (same operands) after fusion. The body that
+  // follows stays unchanged and is the exact path:
+  //   forsum i, n -> exit; iterchild x, obj, i; move t, x; call t = f(t);
+  //   checknum t; add acc, acc, t; addc i, i, K; jmp head
+  // The Vm runs the bounds test and the child fetch here, and in place
+  // every iteration whose child is x's previous value and whose call the
+  // memo answers (vm.h); every other iteration continues in the body.
+  kForSum,
 };
 
 // kCmpBranch comparison kinds (low 3 bits of `c`); bit 3 set means "branch

@@ -68,6 +68,30 @@ Value MemoValue(std::uint64_t word, bool object) {
 
 }  // namespace
 
+std::size_t Vm::MemoSlot(std::uint16_t fn, const Value* args, std::uint32_t n,
+                         std::uint8_t* kinds) const {
+  std::uint8_t k = 0;
+  std::uint64_t h = (fn + 1ULL) * kMemoHashMul;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    k |= args[i].IsNumber() ? 0 : 1 << i;
+    h += MemoWord(args[i]) * kMemoArgMul[i];
+  }
+  h ^= h >> 29;
+  *kinds = k;
+  return (h * kMemoHashMul) >> memo_shift_;
+}
+
+bool Vm::MemoDone(const MemoEntry& e, std::uint16_t fn, const Value* args, std::uint32_t n,
+                  std::uint8_t kinds) const {
+  if (e.gen != gen_ || e.state != kMemoDone || e.fn != fn || (e.kinds & kArgKinds) != kinds) {
+    return false;
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (e.args[i] != MemoWord(args[i])) return false;
+  }
+  return true;
+}
+
 Vm::Vm(std::shared_ptr<const CompiledProgram> program) : program_(std::move(program)) {
   PI_CHECK(program_ != nullptr);
   // Pre-size the reusable state so steady-state calls never allocate.
@@ -345,22 +369,10 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
         std::uint16_t memo_slot = kNoMemoSlot;
         if (ins.c <= kMemoMaxArgs) {
           const Value* call_args = R + ins.b;
-          std::uint8_t kinds = 0;
-          std::uint64_t h = (ins.imm + 1ULL) * kMemoHashMul;
-          for (std::uint32_t i = 0; i < ins.c; ++i) {
-            kinds |= call_args[i].IsNumber() ? 0 : 1 << i;
-            h += MemoWord(call_args[i]) * kMemoArgMul[i];
-          }
-          h ^= h >> 29;
-          const std::size_t slot = (h * kMemoHashMul) >> memo_shift_;
+          std::uint8_t kinds;
+          const std::size_t slot = MemoSlot(ins.imm, call_args, ins.c, &kinds);
           MemoEntry& e = memo_[slot];
-          const bool live = e.gen == gen_;
-          bool same = live && e.state == kMemoDone && e.fn == ins.imm &&
-                      (e.kinds & kArgKinds) == kinds;
-          for (std::uint32_t i = 0; same && i < ins.c; ++i) {
-            same = e.args[i] == MemoWord(call_args[i]);
-          }
-          if (same) {
+          if (MemoDone(e, ins.imm, call_args, ins.c, kinds)) {
             // Reuse only what the call itself would have completed: its
             // steps within the budget, its nesting within the depth limit.
             if (e.steps <= max_steps_ - steps_ && frames_.size() + 1 + e.height <= max_depth_) {
@@ -371,7 +383,7 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
               ++memo_hits_;
               break;
             }
-          } else if (!live || e.state == kMemoDone) {
+          } else if (e.gen != gen_ || e.state == kMemoDone) {
             // Claim the slot; the call fills in its outcome when it returns.
             // A pending slot belongs to a call still running and stays.
             e.gen = gen_;
@@ -507,6 +519,78 @@ EvalResult Vm::Call(const std::string& function, const std::vector<Value>& args)
           fail(ins.line, program_->errors[ins.imm]);
         }
         break;
+      // The head of `for x in obj: acc += f(x)` (compile.h): kJmpGe's bounds
+      // test and kIterChild's child fetch, free as theirs are. While the
+      // child is x's previous value and the memo answers f(child) as the
+      // body's kCall would, the iteration runs here: it writes what the
+      // body writes and is charged what the body charges (move, call,
+      // checknum, add and addc, plus the recorded call's steps), and only
+      // if the body could not reach the budget in it, the back edge's check
+      // included. Every other iteration continues in the body, the exact
+      // path.
+      case Op::kForSum: {
+        --steps_;
+        // iterchild x, obj, i; move t, x; call t = f(t); checknum t;
+        // add acc, acc, t; addc i, i, K; jmp head
+        const Instr* body = code + pc;
+        Value& index = R[ins.a];
+        if (index.num >= R[ins.b].num) {
+          pc = ins.imm;
+          break;
+        }
+        ++pc;  // on to the body's move, unless the loop ends in place
+        const ScriptObject* iterable = R[body[0].b].obj;
+        const ScriptObject* child = iterable->Child(static_cast<std::size_t>(index.num));
+        Value& var = R[body[0].a];
+        // The child the body goes on with: `child`, or after iterations in
+        // place the first child that differs (null fails as kIterChild).
+        const ScriptObject* next = child;
+        if (child != nullptr && !var.IsNumber() && var.obj == child) {
+          const std::uint16_t callee = body[2].imm;
+          std::uint8_t kinds;
+          const MemoEntry& e = memo_[MemoSlot(callee, &var, 1, &kinds)];
+          Value& acc = R[body[4].a];
+          if (MemoDone(e, callee, &var, 1, kinds) && (e.kinds & kResultObject) == 0 &&
+              acc.IsNumber() && frames_.size() + 1 + e.height <= max_depth_) {
+            const std::uint64_t cost = 5 + e.steps;
+            const std::uint64_t budget = max_steps_;
+            const double value = MemoValue(e.result, false).num;
+            const double count = R[ins.b].num;
+            const double step = program_->consts[body[5].imm];
+            std::uint64_t steps = steps_;
+            std::uint64_t hits = 0;
+            double i = index.num;
+            double sum = acc.num;
+            while (cost < budget - steps) {
+              steps += cost;
+              ++hits;
+              sum += value;
+              i += step;
+              if (i >= count) {
+                pc = ins.imm;
+                break;
+              }
+              next = iterable->Child(static_cast<std::size_t>(i));
+              if (next != child) break;
+            }
+            steps_ = steps;
+            if (hits > 0) {
+              memo_hits_ += hits;
+              deepest_ =
+                  std::max(deepest_, static_cast<std::uint32_t>(frames_.size() + 1 + e.height));
+              R[body[1].a] = Value::Number(value);
+              acc = Value::Number(sum);
+              index = Value::Number(i);
+            }
+          }
+        }
+        if (next == nullptr) {
+          fail(body[0].line, "for: object returned a null child");
+          break;
+        }
+        var = Value::Object(next);
+        break;
+      }
     }
     if (failed) break;
   }

@@ -23,7 +23,13 @@
 // only when those steps fit in the remaining budget and its recorded
 // nesting fits under the depth limit from the current depth. Otherwise the
 // call runs, so a budget or depth failure lands on the same instruction,
-// line and steps_used() as without the memo. The table is direct-mapped,
+// line and steps_used() as without the memo. The head of a child-sum loop
+// (kForSum, compile.h) reuses the memo by the same rule and adds no
+// deviation either: it runs an iteration in place only when its child is
+// the loop variable's previous value and the memo would answer the body's
+// call, charges the steps the body would (5 plus the recorded call's) and
+// counts the hit, and leaves to the body any iteration in which the body
+// could reach the budget, back edge included. The table is direct-mapped,
 // sized at four slots per call site (a power of two from 16 to 256), holds
 // callees of at most kMemoMaxArgs arguments, and is reset by a generation
 // count at every top-level Call, because object addresses are reused
@@ -96,6 +102,15 @@ class Vm {
     std::uint8_t state;  // 0 (empty), kMemoPending or kMemoDone
   };
   static_assert(sizeof(MemoEntry) <= 64, "memo entries stay within a cache line");
+
+  // The memo slot of a call to functions[fn] with the n arguments at args;
+  // *kinds gets their kind bits.
+  std::size_t MemoSlot(std::uint16_t fn, const Value* args, std::uint32_t n,
+                       std::uint8_t* kinds) const;
+  // Whether `e` holds a call of this top-level Call to functions[fn] with
+  // these arguments that has returned.
+  bool MemoDone(const MemoEntry& e, std::uint16_t fn, const Value* args, std::uint32_t n,
+                std::uint8_t kinds) const;
 
   void EnsureRegs(std::size_t n) {
     if (regs_.size() < n) {

@@ -1,8 +1,8 @@
 #include "src/petri/distill.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string_view>
@@ -156,10 +156,12 @@ std::string RenderInfix(const std::string& canonical, const std::vector<std::str
 void ComponentQuery::Select(std::size_t component) {
   component_ = component;
   model_key_.clear();
-  char item[48];
-  std::snprintf(item, sizeof(item), "%016llx",
-                static_cast<unsigned long long>(net_.component_hash(component)));
-  model_key_ += item;
+  // The component hash as 16 hex digits, then "\x1f@<index>:<count>" per
+  // injected place, appended through to_chars (no printf per request).
+  char item[24];
+  char* end = std::to_chars(item, item + sizeof(item), net_.component_hash(component), 16).ptr;
+  model_key_.append(16 - (end - item), '0');
+  model_key_.append(item, end);
 
   // The plan restricted to this component, as (local place index, count)
   // pairs: the same sub-net keys identically wherever it sits inside the
@@ -179,8 +181,10 @@ void ComponentQuery::Select(std::size_t component) {
     while (i + 1 < plan_.size() && plan_[i + 1].first == plan_[i].first) {
       count += plan_[++i].second;
     }
-    std::snprintf(item, sizeof(item), "\x1f@%u:%lld", plan_[i].first, count);
-    model_key_ += item;
+    model_key_ += "\x1f@";
+    model_key_.append(item, std::to_chars(item, item + sizeof(item), plan_[i].first).ptr);
+    model_key_ += ':';
+    model_key_.append(item, std::to_chars(item, item + sizeof(item), count).ptr);
   }
 }
 

@@ -1940,6 +1940,37 @@ TEST(NetServerHttp, HealthzAndNotFound) {
   EXPECT_EQ(status, 404);
 }
 
+// An HTTP answer reaches EOF as soon as it is written, not when the accept
+// loop's next 100-ms poll reaps the connection, and Stop() does not wait
+// out that poll either.
+TEST(NetServerHttp, AnswersReachEofAndStopReturnsPromptly) {
+  serve::PredictionService service(InterfaceRegistry::Default(), TwoWorkers());
+  std::string error;
+  {
+    NetServer server(&service);
+    ASSERT_TRUE(server.Start(&error)) << error;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 10; ++i) {
+      int status = 0;
+      std::string body;
+      ASSERT_TRUE(HttpGet("127.0.0.1", server.port(), "/healthz", &status, &body, &error))
+          << error;
+      EXPECT_EQ(body, "ok\n");
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(500))
+        << "10 GET /healthz, each read to EOF";
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    NetServer server(&service);
+    ASSERT_TRUE(server.Start(&error)) << error;
+    server.Stop();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(500))
+      << "10 Start/Stop cycles";
+  service.Shutdown();
+}
+
 TEST(NetServerHttp, InterfacesListsRegistryWithRepresentations) {
   TestServer ts(TwoWorkers());
   ASSERT_TRUE(ts.ok);

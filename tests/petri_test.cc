@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <climits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -448,6 +449,25 @@ TEST(ComponentQuery, KeyMergesAndCanonicalizesInjections) {
     query.Select(component);
     EXPECT_EQ(query.model_key(), component == 1 ? key : other) << component;
   }
+}
+
+// The key's bytes: the component hash as 16 hex digits, then per injected
+// place "\x1f@<local index>:<count>", the count summed without overflow.
+TEST(ComponentQuery, KeyBytesArePinned) {
+  const PetriNet net = TwoChainNet("");
+  const CompiledNet cnet(&net);
+  const PlaceId b_in = net.PlaceByName("b_in");
+  const PlaceId b_mid = net.PlaceByName("b_mid");
+  Token token;
+  EXPECT_EQ(ModelKey(cnet, 1, token, {{b_mid, 1}, {b_in, 5}}),
+            "f2d57ecd8ca6328f\x1f@0:5\x1f@1:1");
+  EXPECT_EQ(ModelKey(cnet, 1, token, {{b_in, INT_MAX}, {b_in, INT_MAX}, {b_mid, 10}}),
+            "f2d57ecd8ca6328f\x1f@0:4294967294\x1f@1:10");
+  // A hash with leading zero digits.
+  const PetriNet slow = TwoChainNet("", 48);
+  const CompiledNet slow_cnet(&slow);
+  EXPECT_EQ(ModelKey(slow_cnet, 1, token, {{slow.PlaceByName("b_in"), 3}}),
+            "08560061648c5ff4\x1f@0:3");
 }
 
 // The model key names a derived model, whose inputs are the attributes:

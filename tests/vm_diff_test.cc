@@ -94,6 +94,29 @@ std::unique_ptr<KvObject> MakeWorkload(const std::set<std::string>& attr_names,
   return workload;
 }
 
+// `n` children that are all one object, which (unlike a KvObject's uniform
+// children) may have children of its own; Child(null_at) returns null.
+class AliasedRun final : public ScriptObject {
+ public:
+  AliasedRun(const KvObject* attrs, const ScriptObject* child, std::size_t n,
+             std::size_t null_at = SIZE_MAX)
+      : attrs_(attrs), child_(child), n_(n), null_at_(null_at) {}
+
+  std::optional<double> GetAttr(std::string_view name) const override {
+    return attrs_->GetAttr(name);
+  }
+  std::size_t NumChildren() const override { return n_; }
+  const ScriptObject* Child(std::size_t i) const override {
+    return i == null_at_ ? nullptr : child_;
+  }
+
+ private:
+  const KvObject* attrs_;
+  const ScriptObject* child_;
+  std::size_t n_;
+  std::size_t null_at_;
+};
+
 // Bit-exact: -0.0 and 0.0 differ, and so do NaN payloads.
 bool SameValue(const Value& a, const Value& b) {
   if (a.kind != b.kind) {
@@ -452,14 +475,160 @@ TEST(VmDiff, CallMemoKeysOnArgumentKind) {
              {Value::Object(&object), Value::Number(aliasing_number)}, "aliasing bits");
 }
 
+// `for c in w: t += f(c)`, the loop of Fig 3, over inputs that leave the
+// memo-answered iterations: a non-numeric accumulator, a callee returning
+// an object (first recorded by another loop, so the second loop's first
+// child is already memoized), a callee failing on one child, a null child
+// mid-run, explicit children before a uniform run, two uniform runs, the
+// loop variable read after the loop, and nested loops; at depth limits 1..6.
+TEST(VmDiff, ChildLoopMatchesInterpreter) {
+  const char* kCost = "def cost(c):\n  return c.x * 2 + 1\nend\n";
+  const std::string kPrograms[] = {
+      Cat(kCost, "def f(w):\n  t = w\n  for c in w:\n    t += cost(c)\n  end\n  return t\nend\n"),
+      "def pick(o):\n  return o\nend\n"
+      "def f(w):\n  n = 0\n  for c in w:\n    n = n + pick(c).x\n  end\n"
+      "  t = 0\n  for c in w:\n    t += pick(c)\n  end\n  return t + n\nend\n",
+      "def inv(c):\n  return 1 / c.x\nend\n"
+      "def f(w):\n  t = 0\n  for c in w:\n    t += inv(c)\n  end\n  return t\nend\n",
+      Cat(kCost, "def f(w):\n  t = 0\n  for c in w:\n    t += cost(c)\n  end\n  return t\nend\n"),
+      Cat(kCost, "def f(w):\n  t = 0\n  for c in w:\n    t += cost(c)\n  end\n"
+                 "  return t + c.x\nend\n"),
+      Cat(kCost, "def inner(c):\n  t = 0\n  for g in c:\n    t += cost(g)\n  end\n"
+                 "  return t + c.y\nend\n"
+                 "def f(w):\n  t = 0\n  for c in w:\n    t += inner(c)\n  end\n  return t\nend\n"),
+      Cat(kCost, "def f(w):\n  t = 0\n  for c in w:\n    for g in c:\n      t += cost(g)\n"
+                 "    end\n  end\n  return t\nend\n"),
+  };
+  std::vector<std::unique_ptr<ScriptObject>> workloads;
+  std::vector<std::string> names;
+  const auto add = [&](std::unique_ptr<ScriptObject> w, const std::string& name) {
+    workloads.push_back(std::move(w));
+    names.push_back(name);
+  };
+  for (const int children : {0, 1, 5}) {
+    auto uniform = std::make_unique<KvObject>();
+    uniform->Set("x", 3);
+    uniform->Set("y", 2);
+    uniform->AddUniformChildren(children);
+    add(std::move(uniform), Cat("uniform ", children));
+  }
+  // Explicit children (one with x = 0 in the second tree) before a run.
+  for (const double third : {4.0, 0.0}) {
+    auto tree = std::make_unique<KvObject>();
+    tree->Set("x", 3);
+    tree->Set("y", 2);
+    for (const double x : {1.0, 2.0, third, 5.0}) {
+      auto child = std::make_unique<KvObject>();
+      child->Set("x", x);
+      child->Set("y", x + 1);
+      child->AddUniformChildren(x == 1.0 ? 2 : 0);
+      tree->AddChild(std::move(child));
+    }
+    tree->AddUniformChildren(4);
+    add(std::move(tree), Cat("tree, third child x=", third));
+  }
+  // Two uniform runs of different children: a run answered in place ends
+  // at a new child.
+  auto runs = std::make_unique<KvObject>();
+  runs->Set("x", 3);
+  runs->Set("y", 2);
+  runs->AddUniformChildren(3);
+  runs->Set("x", 5);
+  runs->AddUniformChildren(3);
+  add(std::move(runs), "two uniform runs");
+  KvObject attrs;
+  attrs.Set("x", 3);
+  attrs.Set("y", 2);
+  KvObject grandparent;
+  grandparent.Set("x", 2);
+  grandparent.Set("y", 7);
+  grandparent.AddUniformChildren(3);
+  add(std::make_unique<AliasedRun>(&attrs, &grandparent, 6), "aliased run");
+  add(std::make_unique<AliasedRun>(&attrs, &grandparent, 7, 4), "aliased run, null child 4");
+
+  for (const std::string& source : kPrograms) {
+    const ProgramInterface iface = Compiled(source);
+    ASSERT_NE(iface.compiled(), nullptr) << source;
+    Backends backends(iface);
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+      for (std::size_t depth = 1; depth <= 6; ++depth) {
+        backends.interp.set_max_depth(depth);
+        backends.vm.set_max_depth(depth);
+        ExpectSame(&backends.interp, &backends.vm, "f", {Value::Object(workloads[i].get())},
+                   Cat(source, " on ", names[i], " at depth <= ", depth));
+      }
+    }
+  }
+}
+
+// Fig 3's three child loops compile to kForSum heads, each followed by its
+// unchanged body, so the in-place iterations cannot silently disappear; no
+// other shipped program has a child loop.
+TEST(VmDiff, ProtoaccChildLoopsHaveForSumHeads) {
+  const InterfaceRegistry& registry = InterfaceRegistry::Default();
+  for (const InterfaceBundle& bundle : registry.bundles()) {
+    if (bundle.program_path.empty()) {
+      continue;
+    }
+    const ProgramInterface iface = registry.LoadProgram(bundle.accelerator);
+    std::vector<std::string> heads;
+    for (const CompiledFunction& fn : iface.compiled()->functions) {
+      for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+        if (fn.code[pc].op == Op::kForSum) {
+          heads.push_back(fn.name);
+          ASSERT_LT(pc + 1, fn.code.size());
+          EXPECT_EQ(fn.code[pc + 1].op, Op::kIterChild) << fn.name;
+        }
+        EXPECT_NE(fn.code[pc].op, Op::kJmpGe) << bundle.accelerator << " " << fn.name;
+      }
+    }
+    const std::vector<std::string> want =
+        bundle.accelerator == "protoacc"
+            ? std::vector<std::string>{"read_cost", "tput_protoacc_ser", "max_latency_protoacc_ser"}
+            : std::vector<std::string>{};
+    EXPECT_EQ(heads, want) << bundle.accelerator;
+  }
+}
+
+// A memoized call is reused by a loop head only where its recorded nesting
+// fits under the depth limit. g's loop runs at depth 2 from f and then at
+// depth 3 through hop, in the same registers (f calls g one slot above
+// hop), so the second run's first child is the loop variable's stale value
+// and cost(c), recorded at depth 3 two deep, is already in the memo.
+TEST(VmDiff, ChildLoopRespectsRecordedNesting) {
+  const ProgramInterface iface = Compiled(
+      "def leaf(o):\n  return o.x\nend\n"
+      "def cost(c):\n  t = 0\n  for g in c:\n    t += leaf(g)\n  end\n  return t\nend\n"
+      "def g(w):\n  t = 0\n  for c in w:\n    t += cost(c)\n  end\n  return t\nend\n"
+      "def hop(w):\n  return g(w)\nend\n"
+      "def f(w):\n  a = w.x * 0 + g(w)\n  b = hop(w)\n  return a + b\nend\n");
+  ASSERT_NE(iface.compiled(), nullptr);
+  const std::string text = iface.compiled()->Disassemble();
+  ASSERT_NE(text.find("call     r4 = g(r4..r4)"), std::string::npos) << text;
+  ASSERT_NE(text.find("call     r2 = hop(r3..r3)"), std::string::npos) << text;
+  ASSERT_NE(text.find("call     r1 = g(r1..r1)"), std::string::npos) << text;
+  KvObject attrs;
+  attrs.Set("x", 1);
+  KvObject grandparent;
+  grandparent.Set("x", 2);
+  grandparent.AddUniformChildren(3);
+  const AliasedRun run(&attrs, &grandparent, 4);
+  Backends backends(iface);
+  for (std::size_t depth = 1; depth <= 8; ++depth) {
+    backends.interp.set_max_depth(depth);
+    backends.vm.set_max_depth(depth);
+    ExpectSame(&backends.interp, &backends.vm, "f", {Value::Object(&run)}, Cat("depth ", depth));
+  }
+}
+
 // --- Pinned VM outcomes -------------------------------------------------------
 //
 // The interpreter cannot be the oracle for charged steps (the VM counts per
 // instruction, the interpreter per AST node), so the VM's own observables
 // on every shipped program are pinned in tests/golden/vm_outcomes.golden:
 // one line per call with its value bits, steps_used() and error text, over
-// seeded workloads, every step budget from S-64 to S+1 around a call of S
-// steps, and every depth limit 1..8.
+// seeded workloads, every step budget from S-64 (for Fig 3's child loops,
+// from 0) to S+1 around a call of S steps, and every depth limit 1..8.
 
 bool IsVar(const Expr& e, const std::string& name) {
   return e.kind == ExprKind::kVar && e.name == name;
@@ -568,16 +737,17 @@ std::string OutcomeLine(const std::string& program, const std::string& function,
              vm.steps_used(), ' ', r.ok ? "-" : r.error, '\n');
 }
 
-// One call at every budget from S-64 to S+1 and every depth limit 1..8,
-// where S is the call's steps under the default limits.
+// One call at every budget from S-64 (with `every_budget`, from 0) to S+1
+// and every depth limit 1..8, where S is the call's steps under the default
+// limits.
 void SweepLimits(const std::string& program, const std::string& function,
                  const std::string& id, const ScriptObject& workload, Vm* vm,
-                 std::string* out) {
+                 std::string* out, bool every_budget = false) {
   const std::vector<Value> args = {Value::Object(&workload)};
   const EvalResult full = vm->Call(function, args);
   *out += OutcomeLine(program, function, id, *vm, full);
   const std::uint64_t s = vm->steps_used();
-  for (std::uint64_t budget = s < 64 ? 0 : s - 64; budget <= s + 1; ++budget) {
+  for (std::uint64_t budget = s < 64 || every_budget ? 0 : s - 64; budget <= s + 1; ++budget) {
     vm->set_max_steps(budget);
     const EvalResult r = vm->Call(function, args);
     *out += OutcomeLine(program, function, Cat(id, "/steps<=", budget), *vm, r);
@@ -652,6 +822,36 @@ std::string VmOutcomes() {
   }
   Vm conv(registry.LoadProgram("conv").compiled());
   SweepLimits("conv", "latency_conv", "layer", layer, &conv, &out);
+
+  // Fig 3's child loops at every budget, so a budget lands in every
+  // iteration: a uniform run; a tree of distinct children, some with
+  // uniform grandchildren, then a uniform run; and a uniform run whose one
+  // child has children of its own (its memoized read_cost nests two deep).
+  KvObject five;
+  five.Set("num_fields", 6);
+  five.Set("num_writes", 9);
+  five.AddUniformChildren(5);
+  SweepLimits("protoacc", "tput_protoacc_ser", "c5", five, &protoacc, &out, true);
+
+  KvObject tree;
+  tree.Set("num_fields", 40);
+  tree.Set("num_writes", 20);
+  for (int i = 0; i < 3; ++i) {
+    auto child = std::make_unique<KvObject>();
+    child->Set("num_fields", 3 + 20 * i);
+    child->Set("num_writes", 7 + i);
+    child->AddUniformChildren(i);
+    tree.AddChild(std::move(child));
+  }
+  tree.AddUniformChildren(4);
+  SweepLimits("protoacc", "max_latency_protoacc_ser", "tree", tree, &protoacc, &out, true);
+
+  KvObject grandparent;
+  grandparent.Set("num_fields", 33);
+  grandparent.Set("num_writes", 4);
+  grandparent.AddUniformChildren(3);
+  const AliasedRun aliased(&message, &grandparent, 6);
+  SweepLimits("protoacc", "tput_protoacc_ser", "aliased", aliased, &protoacc, &out, true);
   return out;
 }
 
